@@ -529,7 +529,6 @@ def _bin_tree(K, N, delta, collapse):
 def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
     """Letters array (S, d(1+K), n, n): x0 components then per-step increments."""
     n, d = problem.n, problem.d
-    grid = problem.grid(K)
     S = len(sample_indices)
     letters = np.zeros((S, d * (1 + K), n, n), dtype=complex)
     letters[:, :d] = problem.x0.data
@@ -549,17 +548,12 @@ def _gue_path_for_sample(problem, K, rng: RngStream, tag, s):
 
 def _gate_indicator(letters, d, K, level):
     """1 when every increment's operator norm is <= level, per sample."""
-    S = letters.shape[0]
-    gate = np.ones(S)
-    for s in range(S):
-        for j in range(1, K + 1):
-            block = letters[s, d * j:d * (j + 1)]
-            # spectral norm of each Hermitian component
-            norms = [np.max(np.abs(np.linalg.eigvalsh(m))) for m in block]
-            if max(norms) > level:
-                gate[s] = 0.0
-                break
-    return gate
+    try:
+        w = np.linalg.eigvalsh(letters[:, d:d * (K + 1)])   # (S, K d, n)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"gate eigensolver failed: {exc}") from exc
+    norms = np.max(np.abs(w), axis=(1, 2))
+    return np.where(norms > level, 0.0, 1.0)
 
 
 def _word_features(letters, words):
@@ -593,27 +587,30 @@ def _clip_batch(alpha, R):
     """
     n = alpha.shape[-1]
     flat = alpha.reshape((-1, n, n))
-    fro = np.sqrt(np.einsum("sij,sij->s", flat, np.conj(flat)).real)
+    parts = flat.view(float).reshape(len(flat), -1)
+    fro = np.sqrt(np.einsum("si,si->s", parts, parts))
     suspects = np.nonzero(fro > R)[0]
-    records = []
     if len(suspects) == 0:
-        return alpha, records
+        return alpha, []
+    try:
+        w, q = np.linalg.eigh(flat[suspects])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"clip eigensolver failed: {exc}") from exc
+    active = np.max(np.abs(w), axis=-1) > R
+    if not active.any():
+        return alpha, []
+    suspects, w, q = suspects[active], w[active], q[active]
+    wc = np.clip(w, -R, R)
     flat = flat.copy()
-    for idx in suspects:
-        w, q = np.linalg.eigh(flat[idx])
-        if np.max(np.abs(w)) <= R:
-            continue
-        wc = np.clip(w, -R, R)
-        flat[idx] = (q * wc) @ np.conj(q.T)
-        # divided-difference multiplier of phi_R for the gradient pullback
-        dx = w[:, None] - w[None, :]
-        num = wc[:, None] - wc[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.where(np.abs(dx) > 1e-12,
-                            num / np.where(dx == 0, 1.0, dx),
-                            (np.abs(w[:, None]) < R).astype(float))
-        records.append((idx, mult, q))
-    return flat.reshape(alpha.shape), records
+    flat[suspects] = (q * wc[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+    # divided-difference multipliers of phi_R for the gradient pullback
+    dx = w[:, :, None] - w[:, None, :]
+    num = wc[:, :, None] - wc[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = np.where(np.abs(dx) > 1e-12,
+                        num / np.where(dx == 0, 1.0, dx),
+                        (np.abs(w[:, :, None]) < R).astype(float))
+    return flat.reshape(alpha.shape), list(zip(suspects, mult, q))
 
 
 def _pullback_clip(grad, records):
@@ -627,20 +624,26 @@ def _pullback_clip(grad, records):
     return flat.reshape(grad.shape)
 
 
+def _gated_features(features, idx, gate):
+    """The step's word features times the 0/1 gate, (S, W_i, n, n)."""
+    return features[:, idx] * gate[:, None, None, None]
+
+
 def _realize_controls(policy, step_index, features, word_index, gate):
     """Realized controls at one step: (S, B, d, n, n), plus backward records."""
     st = policy.steps[step_index]
     S = features.shape[0] if features is not None else len(gate)
-    n, d = policy.n, policy.d
+    n = policy.n
     if st.kind == "const":
         alpha = np.broadcast_to(st.values, (S,) + st.values.shape).copy()
     else:
-        idx = word_index[step_index]
-        feats = features[:, idx]                       # (S, W_i, n, n)
-        alpha = np.einsum("blw,swij->sblij", st.coeffs, feats, optimize=True)
-        alpha = alpha * gate[:, None, None, None, None]
-    alpha, records = _clip_batch(alpha, policy.R)
-    return alpha, records
+        B, d, W = st.coeffs.shape
+        feats = _gated_features(features, word_index[step_index], gate)
+        # real coefficients act on the real and imaginary parts alike, so
+        # one real GEMM per sample on the float view gives (S, B d, n n)
+        alpha = st.coeffs.reshape(B * d, W) @ feats.view(float).reshape(S, W, -1)
+        alpha = alpha.view(complex).reshape(S, B, d, n, n)
+    return _clip_batch(alpha, policy.R)
 
 
 def _forward(problem, policy, tree, letters, features, word_index, gate):
@@ -649,21 +652,23 @@ def _forward(problem, policy, tree, letters, features, word_index, gate):
     S = letters.shape[0]
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
-    eye = np.eye(n, dtype=complex)
     states, alphas, clip_records = [], [], []
     prev = np.broadcast_to(problem.x0.data, (S, 1, d, n, n))
     prev_noise = np.zeros(1)
     for i in range(1, K + 1):
         alpha, records = _realize_controls(policy, i - 1, features, word_index, gate)
         B = alpha.shape[1]
-        # expand the parent states along the new branch
-        parent = np.repeat(prev, branch, axis=1) if B != prev.shape[1] else prev
         inc = letters[:, d * i:d * (i + 1)]            # (S, d, n, n)
-        x = parent + delta * alpha
+        # C order, so the reshapes below are views that write into x
+        x = np.multiply(delta, alpha, order="C")
+        children = x.reshape(S, prev.shape[1], -1, d, n, n)
+        children += prev[:, :, None]                   # parent under each child
         if problem.beta_c:
             w0 = tree.noise[i - 1]
             dw0 = w0 - np.repeat(prev_noise, branch)
-            x += problem.beta_c * dw0[None, :, None, None, None] * eye
+            # beta_C dW0 is a multiple of the identity: shift the diagonal
+            diag = x.reshape(S, B, d, n * n)[..., ::n + 1]
+            diag.real += (problem.beta_c * dw0)[None, :, None, None]
             prev_noise = w0
         if problem.beta_f:
             x += problem.beta_f * inc[:, None]
@@ -717,11 +722,14 @@ def _chunk_gradients(problem, policy, tree, states, alphas, clip_records,
         if st.kind == "const":
             grads.append(hermitize(galpha.sum(axis=0)))
         else:
-            galpha = galpha * gate[:, None, None, None, None]
-            idx = word_index[i - 1]
-            feats = features[:, idx]
-            g = np.einsum("sblij,swji->blw", galpha, feats, optimize=True).real / n
-            grads.append(g)
+            # the adjoint of _realize_controls: features are Hermitian, so
+            # Re tr(galpha feat) is the dot product of the float views; one
+            # GEMM per sample, then the sum over samples
+            S, B = galpha.shape[:2]
+            feats = _gated_features(features, word_index[i - 1], gate)
+            feats = feats.reshape(S, feats.shape[1], -1).view(float)
+            g = galpha.reshape(S, B * d, -1).view(float) @ np.swapaxes(feats, 1, 2)
+            grads.append(g.sum(axis=0).reshape(B, d, -1) / n)
     return grads
 
 
@@ -1075,20 +1083,19 @@ def lq_reference_ode(problem: ControlProblem, steps=200_000):
         raise ValueError("cost does not match the LQ template")
     sigma2 = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d
     h = (problem.T - problem.t0) / steps
-
-    def rhs(state):
-        p, _ = state
-        return np.array([2.0 * p * p, -sigma2 * p])
-
-    state = np.array([1.0, 0.0])  # (p, r) at t = T, integrating backward
+    half, sixth = 0.5 * h, h / 6.0
+    p, r = 1.0, 0.0  # at t = T, integrating backward
     for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state - 0.5 * h * k1)
-        k3 = rhs(state - 0.5 * h * k2)
-        k4 = rhs(state - h * k3)
-        state = state - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    p0, r0 = state
-    return p0 * inner_product(problem.x0, problem.x0) + r0
+        # the RK4 step of (p, r) per component, with the vector form's
+        # operations in its order; the slopes are (2 p^2, -sigma2 p)
+        p2 = p - half * (2.0 * p * p)
+        p3 = p - half * (2.0 * p2 * p2)
+        p4 = p - h * (2.0 * p3 * p3)
+        r -= sixth * (-sigma2 * p + 2 * (-sigma2 * p2)
+                      + 2 * (-sigma2 * p3) + -sigma2 * p4)
+        p -= sixth * (2.0 * p * p + 2 * (2.0 * p2 * p2)
+                      + 2 * (2.0 * p3 * p3) + 2.0 * p4 * p4)
+    return p * inner_product(problem.x0, problem.x0) + r
 
 
 def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, d=1, x0_norm_sq=0.0,

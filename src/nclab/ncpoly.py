@@ -24,7 +24,6 @@ __all__ = [
     "NCPolynomial", "TensorPolynomial", "Word",
     "words_up_to_degree", "grlex_key",
     "parse_polynomial", "format_polynomial",
-    "tensor_sharp", "tensor_trace",
 ]
 
 Word = tuple
@@ -320,7 +319,11 @@ def _tuple_data(x, d):
 
 
 def _word_matrix(word, data, cache):
-    """Evaluate a word by chained matmul, memoizing prefixes."""
+    """Evaluate a word by chained matmul, memoizing prefixes.
+
+    A one-letter word is a view of its letter in ``data``: callers must not
+    write into the returned array.
+    """
     if word in cache:
         return cache[word]
     n = data.shape[-1]
@@ -329,7 +332,9 @@ def _word_matrix(word, data, cache):
         cache[word] = eye
         return eye
     prefix, last = word[:-1], word[-1]
-    mat = _word_matrix(prefix, data, cache) @ data[..., last - 1, :, :]
+    mat = data[..., last - 1, :, :]
+    if prefix:
+        mat = _word_matrix(prefix, data, cache) @ mat
     cache[word] = mat
     return mat
 
@@ -459,12 +464,3 @@ def format_polynomial(p: NCPolynomial):
         parts.append(body)
     return " + ".join(parts)
 
-
-def tensor_sharp(tensor: TensorPolynomial, x, c):
-    """(sum a (x) b) # C = sum a C b evaluated at X; module-level alias."""
-    return tensor.sharp(x, c)
-
-
-def tensor_trace(tensor: TensorPolynomial, x):
-    """(tr_n (x) tr_n) of a tensor polynomial at X; module-level alias."""
-    return tensor.trace_pair(x)

@@ -8,7 +8,8 @@ from nclab import control as ctl
 from nclab.gaussdisc import TimeGrid, noise_table
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly
-from nclab.matrixcore import MatrixTuple, inner_product, random_hermitian
+from nclab.matrixcore import (MatrixTuple, NumericalError, inner_product,
+                               random_hermitian)
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import gue_increments, sample_gue_tuple
 
@@ -85,6 +86,114 @@ def test_simulate_rejects_mismatched_grid(stream):
     path = gue_increments(4, 1, problem.grid(3).times, stream.child("bad"))
     with pytest.raises(ValueError):
         ctl.simulate_discrete(problem, policy, problem.grid(3), path)
+
+
+# -- the bin-tree engine ------------------------------------------------------------
+
+
+def random_poly_policy(problem, K, N, R, gen, gate_level=1.0):
+    """Degree-1 polynomial policy with Gaussian coefficients; the low gate
+    level rejects some samples."""
+    policy = ctl.zero_policy(problem, K=K, N=N, R=R, gate_level=gate_level)
+    for st in policy.steps:
+        st.coeffs[...] = gen.normal(size=st.coeffs.shape)
+    return policy
+
+
+def random_x0(n, d, gen):
+    return MatrixTuple(np.stack([random_hermitian(n, gen, scale=0.3)
+                                 for _ in range(d)]))
+
+
+def test_forward_matches_naive_tree(stream):
+    gen = stream.child("naive").generator()
+    n, d, K, N = 3, 2, 3, 1
+    problem = lq_problem(n, d=d, beta_c=0.7, beta_f=0.9,
+                         x0=random_x0(n, d, gen))
+    policy = random_poly_policy(problem, K, N, 1e6, gen)
+    letters, gate, features, word_index = ctl._prepare_batch(
+        problem, policy, stream.child("naive-batch"), "t", list(range(5)))
+    assert 0 < gate.sum() < len(gate)
+    delta = (problem.T - problem.t0) / K
+    tree = ctl._bin_tree(K, N, delta, policy.collapse_bins)
+    states, alphas, _ = ctl._forward(problem, policy, tree, letters, features,
+                                     word_index, gate)
+    # X_{i,J} = x0 + delta sum_{i'<=i} alpha_{i',J_{:i'}} + beta_C W0_{i,J} 1
+    #           + beta_F (increments up to step i); no clip at this R
+    want_alphas = [np.einsum("blw,swij->sblij", st.coeffs,
+                             features[:, idx] * gate[:, None, None, None])
+                   for st, idx in zip(policy.steps, word_index)]
+    for alpha, want in zip(alphas, want_alphas):
+        assert np.max(np.abs(alpha - want)) <= 1e-13
+    branch = 2 * N + 2
+    for i in range(1, K + 1):
+        gue = letters[:, d:d * (i + 1)].reshape(-1, i, d, n, n).sum(axis=1)
+        for b in range(branch ** i):
+            want = (problem.x0.data[None] + problem.beta_f * gue
+                    + problem.beta_c * tree.noise[i - 1][b] * np.eye(n))
+            for ip in range(1, i + 1):
+                want = want + delta * want_alphas[ip - 1][:, b // branch ** (i - ip)]
+            assert np.max(np.abs(states[i - 1][:, b] - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta_c", [0.5, 0.0])
+def test_evaluate_gradient_matches_finite_differences(stream, beta_c):
+    gen = stream.child("fd", beta_c).generator()
+    n, K, N = 3, 3, 1
+    problem = lq_problem(n, beta_c=beta_c, x0=random_x0(n, 1, gen))
+    policy = random_poly_policy(problem, K, N, 2.0, gen)
+    assert policy.collapse_bins == (beta_c == 0.0)
+    chunks = ctl._prepare_chunks(problem, policy, stream.child("fd-batch"),
+                                 "t", 6, 4)
+    tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
+    slots = clipped = rejected = 0
+    for letters, gate, features, word_index in chunks:
+        _, alphas, records = ctl._forward(problem, policy, tree, letters,
+                                          features, word_index, gate)
+        slots += sum(a.size // (n * n) for a in alphas)
+        clipped += sum(len(r) for r in records)
+        rejected += int(np.sum(gate == 0))
+    assert 0 < clipped < slots and rejected > 0
+
+    _, _, grads = ctl._evaluate_prepared(problem, policy, chunks, want_grads=True)
+    eps = 1e-6
+    for _ in range(3):
+        dirs = [gen.normal(size=st.coeffs.shape) for st in policy.steps]
+
+        def shifted(sign):
+            moved = ctl._policy_step(policy, dirs, -sign * eps, policy.R)
+            return ctl._evaluate_prepared(problem, moved, chunks)[0]
+
+        fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * eps)
+        analytic = sum(float(np.sum(g * v)) for g, v in zip(grads, dirs))
+        assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+def test_gate_matches_per_matrix_norms(stream):
+    gen = stream.child("gate").generator()
+    n, d, K = 3, 2, 3
+    letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
+                                  for _ in range(d * (K + 1))])
+                        for _ in range(8)])
+    gate = ctl._gate_indicator(letters, d, K, 1.5)
+    for s in range(len(letters)):
+        norms = [np.max(np.abs(np.linalg.eigvalsh(m)))
+                 for m in letters[s, d:]]
+        assert gate[s] == (0.0 if max(norms) > 1.5 else 1.0)
+    assert 0 < gate.sum() < len(gate)
+
+
+def test_engine_eigensolver_failure_is_numerical(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    letters = np.zeros((2, 3, 2, 2), dtype=complex)
+    with pytest.raises(NumericalError):
+        ctl._gate_indicator(letters, 1, 2, 1.0)
+    with pytest.raises(NumericalError):
+        ctl._clip_batch(np.full((2, 1, 2, 2), 5.0 + 0j), 1.0)
 
 
 # -- discrete_cost -----------------------------------------------------------------

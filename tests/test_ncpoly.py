@@ -87,6 +87,23 @@ def test_evaluate_batched_matches_loop():
         assert np.allclose(batched[k], single)
 
 
+def test_one_letter_word_is_the_letter():
+    data = np.stack([rand_tuple(2, 3, seed=k).data for k in range(4)])
+    cache = {}
+    assert np.array_equal(ncp._word_matrix((2,), data, cache), data[:, 1])
+    assert np.array_equal(ncp._word_matrix((2, 1), data, cache),
+                          data[:, 1] @ data[:, 0])
+
+
+def test_evaluate_returns_a_fresh_array():
+    x = rand_tuple(2, 3, seed=6)
+    before = x.data.copy()
+    for p in (x1, 2.0 * x2, x1 + x2):
+        out = p.evaluate(x)
+        out[...] = 7.0
+        assert np.array_equal(x.data, before)
+
+
 def test_trace_cyclic_shift_invariance():
     x = rand_tuple(2, 5, seed=3)
     word = (1, 2, 2, 1, 2)
