@@ -15,6 +15,28 @@ sample-average approximation with projected first-order descent and exact
 (cyclic-derivative) gradients; expectation over the common noise is exact,
 over the GUE empirical.
 
+The engine sweeps the tree in coefficient space.  A polynomial control is
+alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
+gated, scaled word features f, so with the Gram matrices
+G_s = Re tr(f_w f_v) one gets ||alpha||_F^2 = c^T G_s c and
+<alpha, f_v> = (G_s c)_v.  That small product gives the Frobenius pre-screen
+of the clip, the c ||alpha||^2 Lagrangian term and its gradient
+2 c delta p_J / n sum_s G_s c_J.  States are real combinations of the
+per-sample basis [f; 1; x0; increments], so the tree expands on the
+(B_i, d, V) coefficients,
+
+    C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
+
+and the states of a level are one GEMM per sample, C_i @ basis, made only
+where a cost reads them: the last level, or every level when l0 does.  The
+controls are materialised in three places only: at clip suspects (c^T G c
+above R^2 less a rounding margin), where the clipped slots' states and
+gradients are corrected; where l0 reads them or every level's states are
+kept (``simulate_discrete``); and for const steps, as a
+broadcast view whose sample-independent drift is added to the states.  The
+state adjoint is the one full-size array paired with the features, one GEMM
+per step.
+
 Also here: the LQ Riccati references (continuous closed form, ODE
 re-derivation, and the exact discrete dynamic-programming optimum), the
 operator-norm truncation inequality check, Euler-Maruyama simulation of the
@@ -76,14 +98,14 @@ class ScalarTraceCost:
     def value(self, data):
         data = np.asarray(data, dtype=complex)
         lead = data.shape[:-3]
-        flat = data.reshape((-1,) + data.shape[-3:])
-        out = np.zeros(flat.shape[0])
-        letters = range(data.shape[-3]) if self.letters is None else self.letters
-        for s in range(flat.shape[0]):
-            for k in letters:
-                w = np.linalg.eigvalsh(flat[s, k])
-                out[s] += float(np.mean(self.h(w)))
-        return out.reshape(lead) if lead else float(out[0])
+        if self.letters is not None:
+            data = data[..., list(self.letters), :, :]
+        try:
+            w = np.linalg.eigvalsh(data)                 # (..., letters, n)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"trace-cost eigensolver failed: {exc}") from exc
+        out = np.mean(self.h(w), axis=-1).sum(axis=-1)
+        return out if lead else float(out)
 
 
 def _expr_value(expr, data):
@@ -102,6 +124,14 @@ def _expr_grad(expr, data):
     if isinstance(expr, CylindricalFunction):
         return expr.gradient(data)
     return expr.grad(data)
+
+
+def _expr_value_and_grad(expr, data):
+    """(value, gradient) of a cost expression; one shared pass for a
+    CylindricalFunction."""
+    if isinstance(expr, CylindricalFunction):
+        return expr.value_and_grad(data)
+    return _expr_value(expr, data), _expr_grad(expr, data)
 
 
 @dataclass
@@ -137,27 +167,13 @@ class CostSpec:
             val = val + self.quad_coef * sq
         return val
 
-    def lagrangian_grads(self, x_data, a_data):
-        """(grad_X L, grad_alpha L) on batched pairs, as tr_n-pairing gradients."""
-        d = x_data.shape[-3]
-        if self.l0 is not None:
-            joint = np.concatenate([x_data, a_data], axis=-3)
-            gj = _expr_grad(self.l0, joint)
-            gx = gj[..., :d, :, :]
-            ga = np.array(gj[..., d:, :, :])
-        else:
-            gx = None  # no state dependence; callers treat None as zero
-            ga = np.zeros_like(a_data) if not self.quad_coef else None
-        if self.quad_coef:
-            extra = 2.0 * self.quad_coef * a_data
-            ga = extra if ga is None else ga + extra
-        return gx, ga
-
     def terminal_value(self, x_data):
         return np.real(_expr_value(self.terminal, x_data))
 
-    def terminal_grad(self, x_data):
-        return _expr_grad(self.terminal, x_data)
+    def terminal_value_and_grad(self, x_data):
+        """(g(X), grad g(X)) on batched states, from one shared pass."""
+        value, grad = _expr_value_and_grad(self.terminal, x_data)
+        return np.real(value), grad
 
     def spot_check(self, n, d, rng, segments=100, tol=1e-9):
         """Sampled midpoint-convexity and L1-Lipschitz checks (CostSpec invariants)."""
@@ -526,17 +542,22 @@ def _bin_tree(K, N, delta, collapse):
                     branch_omegas=table.omegas, branch_probs=table.probs)
 
 
-def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
-    """Letters array (S, d(1+K), n, n): x0 components then per-step increments."""
+def _path_letters(problem, K, paths):
+    """Letters array (S, d(1+K), n, n): x0 components then each GUE path's
+    per-step increments."""
     n, d = problem.n, problem.d
-    S = len(sample_indices)
-    letters = np.zeros((S, d * (1 + K), n, n), dtype=complex)
+    letters = np.zeros((len(paths), d * (1 + K), n, n), dtype=complex)
     letters[:, :d] = problem.x0.data
-    for row, s in enumerate(sample_indices):
-        path = _gue_path_for_sample(problem, K, rng, tag, s)
+    for row, path in enumerate(paths):
         for j, inc in enumerate(path.increments, start=1):
             letters[row, d * j:d * (j + 1)] = inc.data
     return letters
+
+
+def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
+    """Letters of the given samples' GUE paths (see ``_path_letters``)."""
+    return _path_letters(problem, K, [_gue_path_for_sample(problem, K, rng, tag, s)
+                                      for s in sample_indices])
 
 
 def _gue_path_for_sample(problem, K, rng: RngStream, tag, s):
@@ -577,13 +598,31 @@ def _word_features(letters, words):
     return out
 
 
+@dataclass
+class _ClipRecords:
+    """Backward data of the slots where the clip is active.
+
+    ``idx`` are flat slot indices; ``mult`` holds the divided-difference
+    multipliers of phi_R and ``q`` the eigenvectors, (m, n, n) each, in the
+    order of ``idx``.
+    """
+
+    idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    mult: np.ndarray | None = None
+    q: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.idx)
+
+
 def _clip_batch(alpha, R):
     """Apply the operator-norm clip entrywise over (..., n, n) Hermitian slots.
 
-    Returns the clipped array and backward records [(index, multiplier, Q)]
-    for the entries where the clip was active; elsewhere the clip is the
-    identity.  Activity is pre-screened by the Frobenius bound, so the eigen
-    work only happens on actual violators.
+    Returns the clipped array and the records of the slots where the clip
+    was active, indexed flat over the leading axes; elsewhere the clip is
+    the identity, and with no active slot ``alpha`` itself comes back.
+    Activity is pre-screened by the Frobenius bound, so the eigen work only
+    happens on actual violators.
     """
     n = alpha.shape[-1]
     flat = alpha.reshape((-1, n, n))
@@ -591,14 +630,14 @@ def _clip_batch(alpha, R):
     fro = np.sqrt(np.einsum("si,si->s", parts, parts))
     suspects = np.nonzero(fro > R)[0]
     if len(suspects) == 0:
-        return alpha, []
+        return alpha, _ClipRecords()
     try:
         w, q = np.linalg.eigh(flat[suspects])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"clip eigensolver failed: {exc}") from exc
     active = np.max(np.abs(w), axis=-1) > R
     if not active.any():
-        return alpha, []
+        return alpha, _ClipRecords()
     suspects, w, q = suspects[active], w[active], q[active]
     wc = np.clip(w, -R, R)
     flat = flat.copy()
@@ -610,18 +649,16 @@ def _clip_batch(alpha, R):
         mult = np.where(np.abs(dx) > 1e-12,
                         num / np.where(dx == 0, 1.0, dx),
                         (np.abs(w[:, :, None]) < R).astype(float))
-    return flat.reshape(alpha.shape), list(zip(suspects, mult, q))
+    return flat.reshape(alpha.shape), _ClipRecords(suspects, mult, q)
 
 
 def _pullback_clip(grad, records):
-    if not records:
-        return grad
-    n = grad.shape[-1]
-    flat = grad.reshape((-1, n, n)).copy()
-    for idx, mult, q in records:
-        g = flat[idx]
-        flat[idx] = q @ (mult * (np.conj(q.T) @ g @ q)) @ np.conj(q.T)
-    return flat.reshape(grad.shape)
+    """The clip's derivative applied to the gradients (m, n, n) at the
+    records' slots, in one batched product; it is self-adjoint for the tr_n
+    pairing, so it carries gradients back through the clip."""
+    q = records.q
+    qh = np.conj(np.swapaxes(q, -1, -2))
+    return q @ (records.mult * (qh @ grad @ q)) @ qh
 
 
 def _gated_features(features, idx, gate):
@@ -629,114 +666,279 @@ def _gated_features(features, idx, gate):
     return features[:, idx] * gate[:, None, None, None]
 
 
-def _realize_controls(policy, step_index, features, word_index, gate):
-    """Realized controls at one step: (S, B, d, n, n), plus backward records."""
+# Slack of the coefficient-space Frobenius pre-screen, relative to
+# (sum_w |c_w| ||f_w||)^2, which bounds the rounding error of c^T G c.
+_GRAM_SLACK = 1e-8
+
+
+@dataclass
+class _ConstControls:
+    """A const step's controls over a chunk.
+
+    ``values`` are the clipped (B, d, n, n) node values and ``clip`` the
+    records of the clip over their (B, d) slots; ``sq`` is tr(alpha^2) per
+    slot, (S, B, d).
+    """
+
+    values: np.ndarray
+    clip: _ClipRecords
+    sq: np.ndarray
+
+    @property
+    def alpha(self):
+        """The (S, B, d, n, n) controls, a broadcast view of ``values``."""
+        return np.broadcast_to(self.values, (len(self.sq),) + self.values.shape)
+
+
+@dataclass
+class _PolyControls:
+    """A poly step's controls over a chunk, in coefficient space.
+
+    ``feats`` are the gated step features (S, W, n, n), ``gram`` their Gram
+    matrices Re tr(f_w f_v), (S, W, W), and ``sq`` is tr(alpha^2) per slot,
+    (S, B, d), after the clip.  ``clip`` indexes the clipped slots flat over
+    (S, B, d); ``raw`` and ``new`` are the controls there before and after
+    the clip.  ``alpha`` is the (S, B, d, n, n) controls if they were
+    materialised, else None.
+    """
+
+    feats: np.ndarray
+    gram: np.ndarray
+    sq: np.ndarray
+    clip: _ClipRecords = field(default_factory=_ClipRecords)
+    raw: np.ndarray | None = None
+    new: np.ndarray | None = None
+    alpha: np.ndarray | None = None
+
+
+def _sample_rows(s_idx, S):
+    """(s, rows) for every sample s owning rows of the sorted index s_idx."""
+    bounds = np.searchsorted(s_idx, np.arange(S + 1))
+    return [(s, slice(lo, hi)) for s, (lo, hi)
+            in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+
+
+def _realize_controls(policy, step_index, features, word_index, gate,
+                      materialise=False):
+    """One step's controls over a chunk with the clip applied
+    (``_ConstControls`` or ``_PolyControls``).
+
+    A poly step's control alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} is a real
+    combination of Hermitian features, so tr(alpha^2) = c^T G_s c.  Only the
+    slots this pre-screens as Frobenius suspects are materialised and
+    clipped.
+    """
     st = policy.steps[step_index]
-    S = features.shape[0] if features is not None else len(gate)
-    n = policy.n
+    R = policy.R
+    S = len(gate)
     if st.kind == "const":
-        alpha = np.broadcast_to(st.values, (S,) + st.values.shape).copy()
-    else:
-        B, d, W = st.coeffs.shape
-        feats = _gated_features(features, word_index[step_index], gate)
-        # real coefficients act on the real and imaginary parts alike, so
-        # one real GEMM per sample on the float view gives (S, B d, n n)
-        alpha = st.coeffs.reshape(B * d, W) @ feats.view(float).reshape(S, W, -1)
-        alpha = alpha.view(complex).reshape(S, B, d, n, n)
-    return _clip_batch(alpha, policy.R)
+        values, records = _clip_batch(st.values, R)
+        sq = np.einsum("bkij,bkji->bk", values, values).real
+        return _ConstControls(values=values, clip=records,
+                              sq=np.broadcast_to(sq, (S,) + sq.shape))
+    n = policy.n
+    B, d, W = st.coeffs.shape
+    coeffs = st.coeffs.reshape(B * d, W)
+    feats = _gated_features(features, word_index[step_index], gate)
+    fv = feats.reshape(S, W, -1).view(float)            # (S, W, 2 n n)
+    # features are Hermitian: Re tr(f_w f_v) is the dot product of float views
+    gram = fv @ np.swapaxes(fv, 1, 2)
+    sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
+    reach = np.sqrt(np.einsum("sww->sw", gram)) @ np.abs(coeffs).T
+    suspects = np.flatnonzero(sq + _GRAM_SLACK * reach ** 2 > R * R)
+    ctrl = _PolyControls(feats=feats, gram=gram, sq=sq.reshape(S, B, d))
+    if materialise:
+        ctrl.alpha = (coeffs @ fv).view(complex).reshape(S, B, d, n, n)
+    if len(suspects):
+        s_idx, j_idx = np.divmod(suspects, B * d)
+        raw = np.empty((len(suspects), 2 * n * n))
+        for s, rows in _sample_rows(s_idx, S):
+            raw[rows] = coeffs[j_idx[rows]] @ fv[s]
+        raw = raw.view(complex).reshape(-1, n, n)
+        new, records = _clip_batch(raw, R)
+        if records:
+            active = records.idx
+            ctrl.raw, ctrl.new = raw[active], new[active]
+            ctrl.clip = replace(records, idx=suspects[active])
+            ctrl.sq[np.unravel_index(ctrl.clip.idx, ctrl.sq.shape)] = np.einsum(
+                "mij,mji->m", ctrl.new, ctrl.new).real
+            if ctrl.alpha is not None:
+                ctrl.alpha.reshape(-1, n, n)[ctrl.clip.idx] = ctrl.new
+    return ctrl
 
 
-def _forward(problem, policy, tree, letters, features, word_index, gate):
-    """States and controls along the bin tree for one sample chunk."""
+def _level_states(coef, basis, drift, fixes, n):
+    """States of one level from its coefficients (B, d, V) on the basis
+    (S, V, 2 n n): one real GEMM per sample on the float views, plus the
+    const steps' drift and the clip's fixes, each broadcast over the
+    descendants of its node."""
+    S = basis.shape[0]
+    B, d, _ = coef.shape
+    x = coef.reshape(B * d, -1) @ basis
+    x = x.view(complex).reshape(S, B, d, n, n)
+    if drift is not None:
+        x += drift
+    for width, idx, shift in fixes:
+        s, node, k = np.unravel_index(idx, (S, width, d))
+        x.reshape(S, width, -1, d, n, n)[s, node, :, k] += shift[:, None]
+    return x
+
+
+def _forward(problem, policy, tree, letters, features, word_index, gate,
+             keep_states=False):
+    """Sweep the bin tree for one sample chunk.
+
+    Returns ``(states, lagrangians, controls)``: the (S, B_i, d, n, n) states
+    of every level with ``keep_states``, else of the last level only; the
+    running Lagrangian per node, (S, B_i) per level; and each level's
+    controls.  Poly controls are materialised where l0 reads them or with
+    ``keep_states``.
+
+    The tree is expanded in coefficient space: a state is a real
+    combination of the per-sample basis [f; 1; x0; increments] (the gated
+    global word features, the identity and the letters), plus the
+    sample-independent drift of const steps and the fixes of clipped slots.
+    States are materialised only for the levels a cost reads.
+    """
     n, d, K = problem.n, problem.d, policy.K
     S = letters.shape[0]
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
-    states, alphas, clip_records = [], [], []
-    prev = np.broadcast_to(problem.x0.data, (S, 1, d, n, n))
-    prev_noise = np.zeros(1)
+    l0, quad = problem.cost.l0, problem.cost.quad_coef
+    materialise = keep_states or l0 is not None
+    eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
+    parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
+             letters.reshape(S, -1, n * n).view(float)]
+    W = 0
+    if features is not None:
+        W = features.shape[1]
+        gated = _gated_features(features, slice(None), gate)
+        parts.insert(0, gated.reshape(S, W, -1).view(float))
+    basis = np.concatenate(parts, axis=1)              # (S, V, 2 n n)
+    coef = np.zeros((1, d, basis.shape[1]))
+    coef[0, :, W + 1:W + 1 + d] = np.eye(d)              # x0
+    drift, fixes = None, []
+    states, lagrangians, controls = [], [], []
     for i in range(1, K + 1):
-        alpha, records = _realize_controls(policy, i - 1, features, word_index, gate)
-        B = alpha.shape[1]
-        inc = letters[:, d * i:d * (i + 1)]            # (S, d, n, n)
-        # C order, so the reshapes below are views that write into x
-        x = np.multiply(delta, alpha, order="C")
-        children = x.reshape(S, prev.shape[1], -1, d, n, n)
-        children += prev[:, :, None]                   # parent under each child
-        if problem.beta_c:
-            w0 = tree.noise[i - 1]
-            dw0 = w0 - np.repeat(prev_noise, branch)
-            # beta_C dW0 is a multiple of the identity: shift the diagonal
-            diag = x.reshape(S, B, d, n * n)[..., ::n + 1]
-            diag.real += (problem.beta_c * dw0)[None, :, None, None]
-            prev_noise = w0
-        if problem.beta_f:
-            x += problem.beta_f * inc[:, None]
+        st = policy.steps[i - 1]
+        ctrl = _realize_controls(policy, i - 1, features, word_index, gate,
+                                 materialise)
+        coef = np.repeat(coef, branch, axis=0)
+        coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
+        coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * np.eye(d)
+        if drift is not None:
+            drift = np.repeat(drift, branch, axis=0)
+        if st.kind == "const":
+            step = delta * ctrl.values
+            drift = step if drift is None else drift + step
+        else:
+            coef[..., word_index[i - 1]] += delta * st.coeffs
+            if len(ctrl.clip):
+                fixes.append((coef.shape[0], ctrl.clip.idx,
+                              delta * (ctrl.new - ctrl.raw)))
+        lval = np.zeros((S, coef.shape[0]))
+        if keep_states or l0 is not None or i == K:
+            x = _level_states(coef, basis, drift, fixes, n)
+            if keep_states:
+                states.append(x)
+            if l0 is not None:
+                joint = np.concatenate([x, ctrl.alpha], axis=-3)
+                lval = lval + np.real(_expr_value(l0, joint))
+        if quad:
+            lval = lval + quad * (ctrl.sq.sum(axis=-1) / n)
+        lagrangians.append(lval)
+        controls.append(ctrl)
+    if not keep_states:
         states.append(x)
-        alphas.append(alpha)
-        clip_records.append(records)
-        prev = x
-    return states, alphas, clip_records
+    return states, lagrangians, controls
 
 
-def _chunk_cost(problem, policy, tree, states, alphas):
-    """Per-sample discretized cost over the chunk, (S,)."""
-    K = policy.K
-    delta = (problem.T - problem.t0) / K
-    S = states[0].shape[0]
-    total = np.zeros(S)
-    for i in range(K):
-        lvals = problem.cost.lagrangian(states[i], alphas[i])   # (S, B_i)
-        total += delta * (lvals @ tree.probs[i])
-    gvals = problem.cost.terminal_value(states[-1])             # (S, B_K)
+def _chunk_cost(problem, policy, tree, terminal_states, lagrangians,
+                want_grad=False):
+    """Per-sample discretized cost over the chunk, (S,), and the terminal
+    gradient at ``terminal_states`` with ``want_grad`` (else None)."""
+    delta = (problem.T - problem.t0) / policy.K
+    if want_grad:
+        gvals, ggrad = problem.cost.terminal_value_and_grad(terminal_states)
+    else:
+        gvals, ggrad = problem.cost.terminal_value(terminal_states), None
+    total = np.zeros(len(terminal_states))
+    for lvals, probs in zip(lagrangians, tree.probs):
+        total += delta * (lvals @ probs)
     total += gvals @ tree.probs[-1]
-    return total
+    return total, ggrad
 
 
-def _chunk_gradients(problem, policy, tree, states, alphas, clip_records,
-                     features, word_index, gate):
-    """Per-step parameter gradients of the summed (not yet averaged) cost."""
-    K = policy.K
-    n, d = policy.n, policy.d
+def _step_gradient(st, ctrl, adj, probs, delta, quad):
+    """Parameter gradient of one step from ``adj`` = (d cost / d alpha) /
+    delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
+
+    A poly step pairs ``adj`` with the features in one GEMM per sample and
+    takes the c||alpha||^2 term from the Gram matrices,
+    2 c delta p_J sum_s G_s c_J; both assume an unclipped control, so the
+    clipped slots add their difference to the pullback through the clip.
+    """
+    S, B, d, n = adj.shape[0], adj.shape[1], adj.shape[2], adj.shape[-1]
+    if st.kind == "const":
+        g = (delta * adj.sum(axis=0)
+             + (2.0 * quad * delta * S) * probs[:, None, None, None] * ctrl.values)
+        if len(ctrl.clip):
+            flat = g.reshape(-1, n, n)
+            flat[ctrl.clip.idx] = _pullback_clip(flat[ctrl.clip.idx], ctrl.clip)
+        return hermitize(g)
+    coeffs = st.coeffs.reshape(B * d, -1)
+    fv = ctrl.feats.reshape(S, coeffs.shape[1], -1).view(float)
+    fvt = np.swapaxes(fv, 1, 2)
+    g = delta * (adj.reshape(S, B * d, -1).view(float) @ fvt).sum(axis=0)
+    quad_rows = 2.0 * quad * delta * np.repeat(probs, d)       # per (J, k)
+    g += quad_rows[:, None] * (coeffs @ ctrl.gram.sum(axis=0))
+    records = ctrl.clip
+    if len(records):
+        s_idx, j_idx = np.divmod(records.idx, B * d)
+        qr = quad_rows[j_idx][:, None, None]
+        full = delta * adj.reshape(-1, n, n)[records.idx] + qr * ctrl.new
+        fix = _pullback_clip(full, records) - full + qr * (ctrl.new - ctrl.raw)
+        fix = fix.reshape(len(records), -1).view(float)
+        for s, rows in _sample_rows(s_idx, S):
+            g[j_idx[rows]] += fix[rows] @ fvt[s]
+    return g.reshape(B, d, -1) / n
+
+
+def _chunk_gradients(problem, policy, tree, states, controls, gterm):
+    """Per-step parameter gradients of the summed (not yet averaged) cost.
+
+    ``gterm`` is the terminal gradient at the last level's states.  The
+    state adjoint lam runs up the tree as the child sum; ``states`` are read
+    only by l0.
+    """
+    K, d, n = policy.K, policy.d, policy.n
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
-    grads = []
-    # direct state-gradients per step, then accumulate up the tree
+    l0 = problem.cost.l0
+    grads = [None] * K
     lam = None
-    step_alpha_grads = [None] * K
     for i in range(K, 0, -1):
-        gx, ga = problem.cost.lagrangian_grads(states[i - 1], alphas[i - 1])
-        p = tree.probs[i - 1][None, :, None, None, None]
-        direct = delta * p * gx if gx is not None else None
-        if i == K:
-            gterm = problem.cost.terminal_grad(states[-1])
-            gterm = tree.probs[-1][None, :, None, None, None] * gterm
-            lam = gterm if direct is None else direct + gterm
+        ctrl = controls[i - 1]
+        probs = tree.probs[i - 1]
+        p = probs[None, :, None, None, None]
+        if lam is None:
+            lam = p * gterm
         else:
-            child_sum = lam.reshape(lam.shape[0], -1, branch, d, n, n).sum(axis=2)
-            lam = child_sum if direct is None else direct + child_sum
-        step_alpha_grads[i - 1] = delta * (p * ga + lam)
-    for i in range(1, K + 1):
-        galpha = _pullback_clip(step_alpha_grads[i - 1], clip_records[i - 1])
-        st = policy.steps[i - 1]
-        if st.kind == "const":
-            grads.append(hermitize(galpha.sum(axis=0)))
-        else:
-            # the adjoint of _realize_controls: features are Hermitian, so
-            # Re tr(galpha feat) is the dot product of the float views; one
-            # GEMM per sample, then the sum over samples
-            S, B = galpha.shape[:2]
-            feats = _gated_features(features, word_index[i - 1], gate)
-            feats = feats.reshape(S, feats.shape[1], -1).view(float)
-            g = galpha.reshape(S, B * d, -1).view(float) @ np.swapaxes(feats, 1, 2)
-            grads.append(g.sum(axis=0).reshape(B, d, -1) / n)
+            lam = lam.reshape(lam.shape[0], -1, branch, d, n, n).sum(axis=2)
+        adj = lam
+        if l0 is not None:
+            gj = _expr_grad(l0, np.concatenate([states[i - 1], ctrl.alpha],
+                                               axis=-3))
+            lam = lam + delta * p * gj[..., :d, :, :]
+            adj = lam + p * gj[..., d:, :, :]
+        grads[i - 1] = _step_gradient(policy.steps[i - 1], ctrl, adj, probs,
+                                      delta, problem.cost.quad_coef)
     return grads
 
 
-def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """Letters, gate, features and per-step word index for a sample chunk."""
+def _batch_from_letters(problem, policy, letters):
+    """Letters, gate, scaled features and per-step word index of a batch."""
     K = policy.K
-    letters = _sample_letters(problem, K, sample_indices, rng, tag)
     gate = _gate_indicator(letters, problem.d, K, policy.gate_level)
     features, word_index = None, None
     if any(st.kind == "poly" for st in policy.steps):
@@ -750,6 +952,12 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
                       if st.kind == "poly" else None
                       for st in policy.steps]
     return letters, gate, features, word_index
+
+
+def _prepare_batch(problem, policy, rng, tag, sample_indices):
+    """Letters, gate, features and per-step word index for a sample chunk."""
+    letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
+    return _batch_from_letters(problem, policy, letters)
 
 
 def _max_degree(policy):
@@ -782,23 +990,30 @@ def _prepare_chunks(problem, policy, rng, tag, samples, chunk):
 
 
 def _evaluate_prepared(problem, policy, chunks, want_grads=False):
-    """Cost mean/stderr over prepared chunks; optionally parameter grads."""
+    """Cost mean/stderr over prepared chunks; optionally parameter grads.
+
+    A pass keeps only the last level's states unless l0 needs every level's
+    for its gradient.
+    """
     K = policy.K
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
                      policy.collapse_bins)
+    keep_states = want_grads and problem.cost.l0 is not None
     per_sample = []
     grads = None
     samples = 0
     for letters, gate, features, word_index in chunks:
         samples += letters.shape[0]
-        states, alphas, records = _forward(
-            problem, policy, tree, letters, features, word_index, gate)
-        per_sample.append(_chunk_cost(problem, policy, tree, states, alphas))
+        states, lagrangians, controls = _forward(
+            problem, policy, tree, letters, features, word_index, gate,
+            keep_states)
+        costs, gterm = _chunk_cost(problem, policy, tree, states[-1],
+                                   lagrangians, want_grads)
+        per_sample.append(costs)
         if want_grads:
-            g = _chunk_gradients(problem, policy, tree, states, alphas,
-                                 records, features, word_index, gate)
+            g = _chunk_gradients(problem, policy, tree, states, controls, gterm)
             grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-        del states, alphas
+        del states, controls
     costs = np.concatenate(per_sample)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(len(costs))) if len(costs) > 1 else 0.0
@@ -853,27 +1068,13 @@ def simulate_discrete(problem, policy, grid, gue_path) -> TrajectoryBundle:
     if gue_path.steps != grid.K:
         raise ValueError("GUE path must live on the same grid")
     tree = _bin_tree(policy.K, policy.N, grid.delta, policy.collapse_bins)
-    d, n, K = problem.d, problem.n, policy.K
-    letters = np.zeros((1, d * (1 + K), n, n), dtype=complex)
-    letters[0, :d] = problem.x0.data
-    for j, inc in enumerate(gue_path.increments, start=1):
-        letters[0, d * j:d * (j + 1)] = inc.data
-    gate = _gate_indicator(letters, d, K, policy.gate_level)
-    features, word_index = None, None
-    if any(st.kind == "poly" for st in policy.steps):
-        global_words = _step_words(d, K, K, _max_degree(policy),
-                                   policy.include_current_increment)
-        pos = {w: k for k, w in enumerate(global_words)}
-        features = _word_features(letters, global_words)
-        if policy.feature_scales is not None:
-            features = features / policy.feature_scales[None, :, None, None]
-        word_index = [np.array([pos[w] for w in st.words], dtype=int)
-                      if st.kind == "poly" else None for st in policy.steps]
-    states, alphas, _ = _forward(problem, policy, tree, letters, features,
-                                 word_index, gate)
+    letters = _path_letters(problem, policy.K, [gue_path])
+    _, gate, features, word_index = _batch_from_letters(problem, policy, letters)
+    states, _, controls = _forward(problem, policy, tree, letters, features,
+                                   word_index, gate, keep_states=True)
     return TrajectoryBundle(policy=policy,
                             states=[s[0] for s in states],
-                            controls=[a[0] for a in alphas])
+                            controls=[np.array(c.alpha[0]) for c in controls])
 
 
 def discrete_cost(problem, policy, mc_samples, rng, chunk=16, tag="cost"):
@@ -997,12 +1198,7 @@ def _policy_step(policy, grads, eta, R):
     new_steps = []
     for st, g in zip(policy.steps, grads):
         if st.kind == "const":
-            values = st.values - eta * g
-            values = np.stack([
-                np.stack([apply_scalar_function(values[b, l], ("clip", R))
-                          if _fro_norm(values[b, l]) > R else values[b, l]
-                          for l in range(values.shape[1])])
-                for b in range(values.shape[0])])
+            values, _ = _clip_batch(st.values - eta * g, R)
             new_steps.append(PolicyStep(kind="const", values=values))
         else:
             new_steps.append(PolicyStep(kind="poly", words=st.words,
@@ -1019,18 +1215,15 @@ def policy_control_budget(problem, policy, samples, rng, chunk=16, tag="budget")
     K = policy.K
     delta = (problem.T - problem.t0) / K
     tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
-    total, count = 0.0, 0
-    for start in range(0, samples, chunk):
-        idx = list(range(start, min(start + chunk, samples)))
-        letters, gate, features, word_index = _prepare_batch(
-            problem, policy, rng, tag, idx)
-        _, alphas, _ = _forward(problem, policy, tree, letters, features,
-                                word_index, gate)
-        for i in range(K):
-            sq = np.einsum("sbkij,sbkji->sb", alphas[i], alphas[i]).real / problem.n
-            total += float((sq @ tree.probs[i]).sum()) * delta
-        count += len(idx)
-    return total / count
+    total = 0.0
+    for letters, gate, features, word_index in _prepare_chunks(
+            problem, policy, rng, tag, samples, chunk):
+        _, _, controls = _forward(problem, policy, tree, letters, features,
+                                  word_index, gate)
+        for ctrl, probs in zip(controls, tree.probs):
+            sq = ctrl.sq.sum(axis=-1) / problem.n
+            total += float((sq @ probs).sum()) * delta
+    return total / samples
 
 
 # ---------------------------------------------------------------------------
@@ -1271,10 +1464,7 @@ def clip_policy(policy: DiscretePolicy, R) -> DiscretePolicy:
     steps = []
     for st in policy.steps:
         if st.kind == "const":
-            values = np.stack([
-                np.stack([apply_scalar_function(st.values[b, l], ("clip", R))
-                          for l in range(st.values.shape[1])])
-                for b in range(st.values.shape[0])])
+            values, _ = _clip_batch(st.values.copy(), R)
             steps.append(PolicyStep(kind="const", values=values))
         else:
             steps.append(PolicyStep(kind="poly", words=st.words,

@@ -119,9 +119,14 @@ class CylindricalFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def inner_traces(self, x):
-        """Vector of tr_n phi_o(X); batched input gives shape (..., m)."""
-        vals = [phi.evaluate_trace(x) for phi in self.inners]
+    def inner_traces(self, x, cache=None):
+        """Vector of tr_n phi_o(X); batched input gives shape (..., m).
+
+        ``cache`` is a word-product cache shared by the inners (see
+        :meth:`NCPolynomial.evaluate`).
+        """
+        cache = {} if cache is None else cache
+        vals = [phi.evaluate_trace(x, cache) for phi in self.inners]
         return np.stack([np.asarray(v, dtype=float) for v in vals], axis=-1)
 
     def eval(self, x):
@@ -134,24 +139,40 @@ class CylindricalFunction:
         MatrixTuple input returns a MatrixTuple; batched (..., d, n, n) input
         returns an array of the same shape.
         """
-        u = self.inner_traces(x)
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x):
+        """``(eval(x), gradient(x))`` from one pass: the inner traces are
+        evaluated once, and the inners and the cyclic derivatives share one
+        word-product cache."""
+        cache = {}
+        u = self.inner_traces(x, cache)
         batched = not isinstance(x, MatrixTuple)
         data = x.data if isinstance(x, MatrixTuple) else np.asarray(x, dtype=complex)
         if data.ndim == 2:
             data = data[None]
         n = data.shape[-1]
         d = data.shape[-3]
-        out = np.zeros(data.shape, dtype=complex)
+        out = np.empty(data.shape, dtype=complex)
+        written = [False] * d
         for o, phi in enumerate(self.inners):
-            go = np.asarray(self.outer.partial(o)(u))
+            go = np.asarray(self.outer.partial(o)(u))[..., None, None]
             for j in range(1, d + 1):
                 dpoly = self._grad_polys[o][j - 1] if j <= phi.d else None
                 if dpoly is None or not dpoly.terms:
                     continue
-                out[..., j - 1, :, :] += go[..., None, None] * dpoly.evaluate(data)
-        if batched:
-            return out
-        return MatrixTuple(hermitize(out), validate=False)
+                term = dpoly.evaluate(data, cache)
+                if written[j - 1]:
+                    out[..., j - 1, :, :] += go * term
+                else:
+                    np.multiply(go, term, out=out[..., j - 1, :, :])
+                    written[j - 1] = True
+        for j in range(d):
+            if not written[j]:
+                out[..., j, :, :] = 0.0
+        if not batched:
+            out = MatrixTuple(hermitize(out), validate=False)
+        return self.outer(u), out
 
     # -- second order ----------------------------------------------------------
 

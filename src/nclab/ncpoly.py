@@ -210,15 +210,22 @@ class NCPolynomial:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def evaluate(self, x):
-        """p(X) as an n x n complex matrix (or batched (..., n, n))."""
-        data = _tuple_data(x, self.d)
-        return _evaluate_terms(self.terms, data)
+    def evaluate(self, x, cache=None):
+        """p(X) as an n x n complex matrix (or batched (..., n, n)).
 
-    def evaluate_trace(self, x):
-        """tr_n p(X); complex in general, real for self-adjoint p on Hermitian X."""
+        ``cache`` is a word-product cache to share between evaluations at
+        the same X; a fresh one is used when it is None.
+        """
         data = _tuple_data(x, self.d)
-        val = _trace_terms(self.terms, data)
+        return _evaluate_terms(self.terms, data, {} if cache is None else cache)
+
+    def evaluate_trace(self, x, cache=None):
+        """tr_n p(X); complex in general, real for self-adjoint p on Hermitian X.
+
+        ``cache`` as in :meth:`evaluate`.
+        """
+        data = _tuple_data(x, self.d)
+        val = _trace_terms(self.terms, data, {} if cache is None else cache)
         if self.is_selfadjoint():
             im = np.max(np.abs(np.imag(np.atleast_1d(val))))
             if im > 1e-10 * (1.0 + np.max(np.abs(np.atleast_1d(val)))):
@@ -339,9 +346,8 @@ def _word_matrix(word, data, cache):
     return mat
 
 
-def _evaluate_terms(terms, data):
+def _evaluate_terms(terms, data, cache):
     n = data.shape[-1]
-    cache = {}
     out = None
     for word, coeff in terms.items():
         term = coeff * _word_matrix(word, data, cache)
@@ -351,9 +357,8 @@ def _evaluate_terms(terms, data):
     return np.broadcast_to(out, data.shape[:-3] + (n, n))         if out.shape != data.shape[:-3] + (n, n) else out
 
 
-def _trace_terms(terms, data):
+def _trace_terms(terms, data, cache):
     n = data.shape[-1]
-    cache = {}
     total = np.zeros(data.shape[:-3], dtype=complex)
     for word, coeff in terms.items():
         # tr(AB) over the word split in half avoids materializing the product

@@ -14,6 +14,7 @@ S = (1/n) Sum_ij E_ij g_ij with i.i.d. standard normal g.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 
@@ -70,11 +71,23 @@ def sample_gue(n, rng):
         raise ValueError("n must be >= 1")
     g = _as_generator(rng).standard_normal((n, n))
     s = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    s[iu] = (g[iu] - 1j * g[(iu[1], iu[0])]) / np.sqrt(2.0 * n)
+    iu, il = _triangle_indices(n)
+    s[iu] = (g[iu] - 1j * g[il]) / np.sqrt(2.0 * n)
     s += np.conj(s.T)
     s[np.diag_indices(n)] = g.diagonal() / np.sqrt(n)
     return s
+
+
+@functools.lru_cache(maxsize=64)
+def _triangle_indices(n):
+    """Index arrays of the strict upper triangle and of its transpose.
+
+    Read-only, because every call for the same n returns the same arrays.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return (rows, cols), (cols, rows)
 
 
 def sample_gue_tuple(n, d, rng, scale=1.0):

@@ -8,8 +8,9 @@ from nclab import control as ctl
 from nclab.gaussdisc import TimeGrid, noise_table
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly
-from nclab.matrixcore import (MatrixTuple, NumericalError, inner_product,
-                               random_hermitian)
+from nclab.matrixcore import (MatrixTuple, NumericalError,
+                              apply_scalar_function, inner_product,
+                              random_hermitian, scalar_function_derivative)
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import gue_increments, sample_gue_tuple
 
@@ -116,8 +117,9 @@ def test_forward_matches_naive_tree(stream):
     assert 0 < gate.sum() < len(gate)
     delta = (problem.T - problem.t0) / K
     tree = ctl._bin_tree(K, N, delta, policy.collapse_bins)
-    states, alphas, _ = ctl._forward(problem, policy, tree, letters, features,
-                                     word_index, gate)
+    states, _, controls = ctl._forward(problem, policy, tree, letters, features,
+                                       word_index, gate, keep_states=True)
+    alphas = [c.alpha for c in controls]
     # X_{i,J} = x0 + delta sum_{i'<=i} alpha_{i',J_{:i'}} + beta_C W0_{i,J} 1
     #           + beta_F (increments up to step i); no clip at this R
     want_alphas = [np.einsum("blw,swij->sblij", st.coeffs,
@@ -137,7 +139,8 @@ def test_forward_matches_naive_tree(stream):
 
 
 @pytest.mark.parametrize("beta_c", [0.5, 0.0])
-def test_evaluate_gradient_matches_finite_differences(stream, beta_c):
+def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
+                                                      monkeypatch):
     gen = stream.child("fd", beta_c).generator()
     n, K, N = 3, 3, 1
     problem = lq_problem(n, beta_c=beta_c, x0=random_x0(n, 1, gen))
@@ -148,14 +151,28 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c):
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     slots = clipped = rejected = 0
     for letters, gate, features, word_index in chunks:
-        _, alphas, records = ctl._forward(problem, policy, tree, letters,
-                                          features, word_index, gate)
-        slots += sum(a.size // (n * n) for a in alphas)
-        clipped += sum(len(r) for r in records)
+        _, _, controls = ctl._forward(problem, policy, tree, letters,
+                                      features, word_index, gate)
+        slots += sum(c.sq.size for c in controls)
+        clipped += sum(len(c.clip) for c in controls)
         rejected += int(np.sum(gate == 0))
+        # the sweep never materialises these controls
+        assert all(c.alpha is None for c in controls)
     assert 0 < clipped < slots and rejected > 0
 
+    # the gradient pass corrects exactly the clipped slots, in one batched
+    # pullback per step and chunk
+    pulled = []
+    pullback = ctl._pullback_clip
+
+    def counting_pullback(grad, records):
+        pulled.append(len(records))
+        return pullback(grad, records)
+
+    monkeypatch.setattr(ctl, "_pullback_clip", counting_pullback)
     _, _, grads = ctl._evaluate_prepared(problem, policy, chunks, want_grads=True)
+    monkeypatch.undo()
+    assert sum(pulled) == clipped and len(pulled) <= K * len(chunks)
     eps = 1e-6
     for _ in range(3):
         dirs = [gen.normal(size=st.coeffs.shape) for st in policy.steps]
@@ -167,6 +184,144 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c):
         fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * eps)
         analytic = sum(float(np.sum(g * v)) for g, v in zip(grads, dirs))
         assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+def materialised_reference(problem, policy, chunk):
+    """Mean cost and mean parameter gradients of one chunk with every
+    control materialised and clipped matrix by matrix, the adjoint run on
+    (S, B, d, n, n) arrays."""
+    letters, gate, features, word_index = chunk
+    n, d, K, R = problem.n, problem.d, policy.K, policy.R
+    S = len(letters)
+    delta = (problem.T - problem.t0) / K
+    branch = policy.branching()
+    tree = ctl._bin_tree(K, policy.N, delta, policy.collapse_bins)
+    cost = problem.cost
+    clip = ("clip", R)
+    dclip = lambda t: (np.abs(t) < R).astype(float)
+
+    def over_r(a):
+        return np.max(np.abs(np.linalg.eigvalsh(a))) > R
+
+    x = np.broadcast_to(problem.x0.data, (S, 1, d, n, n))
+    prev_noise = np.zeros(1)
+    states, raws, alphas, feats = [], [], [], []
+    total = np.zeros(S)
+    for i, st in enumerate(policy.steps, start=1):
+        f = features[:, word_index[i - 1]] * gate[:, None, None, None]
+        raw = np.einsum("bkw,swij->sbkij", st.coeffs, f)
+        alpha = raw.copy()
+        for slot in np.ndindex(raw.shape[:3]):
+            if over_r(raw[slot]):
+                alpha[slot] = apply_scalar_function(raw[slot], clip)
+        dw0 = tree.noise[i - 1] - np.repeat(prev_noise, branch)
+        prev_noise = tree.noise[i - 1]
+        x = (np.repeat(x, branch, axis=1) + delta * alpha
+             + problem.beta_c * dw0[None, :, None, None, None] * np.eye(n)
+             + problem.beta_f * letters[:, None, d * i:d * (i + 1)])
+        total += delta * (cost.lagrangian(x, alpha) @ tree.probs[i - 1])
+        states.append(x)
+        raws.append(raw)
+        alphas.append(alpha)
+        feats.append(f)
+    total += cost.terminal_value(x) @ tree.probs[-1]
+
+    grads = [None] * K
+    lam = tree.probs[-1][None, :, None, None, None] * cost.terminal.gradient(x)
+    for i in range(K, 0, -1):
+        p = tree.probs[i - 1][None, :, None, None, None]
+        if i < K:
+            lam = lam.reshape(S, -1, branch, d, n, n).sum(axis=2)
+        galpha = 2.0 * cost.quad_coef * p * alphas[i - 1]
+        if cost.l0 is not None:
+            gj = cost.l0.gradient(np.concatenate([states[i - 1], alphas[i - 1]],
+                                                 axis=-3))
+            lam = lam + delta * p * gj[..., :d, :, :]
+            galpha = galpha + p * gj[..., d:, :, :]
+        galpha = delta * (galpha + lam)
+        raw = raws[i - 1]
+        for slot in np.ndindex(raw.shape[:3]):
+            if over_r(raw[slot]):
+                pull = scalar_function_derivative(raw[slot], clip, dclip)
+                galpha[slot] = pull(galpha[slot])
+        grads[i - 1] = np.einsum("sbkij,swji->bkw", galpha,
+                                 feats[i - 1]).real / n / S
+    return float(total.mean()), grads
+
+
+def mixed_l0(d):
+    """l0 = 0.3 tr_n(x_1 a_1 + a_1 x_1)/2 + 0.1 (tr_n a_1^2)^2 on the joint
+    2d-tuple, a_1 = letter d + 1."""
+    a = d + 1
+    inners = [NCPolynomial(2 * d, {(1, a): 0.5, (a, 1): 0.5}),
+              NCPolynomial(2 * d, {(a, a): 1.0})]
+    return CylindricalFunction(outer=MultiPoly(2, {(1, 0): 0.3, (0, 2): 0.1}),
+                               inners=inners)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("beta_c", [0.0, 0.7])
+@pytest.mark.parametrize("with_l0", [False, True])
+def test_sweep_matches_materialised_reference(stream, d, beta_c, with_l0):
+    gen = stream.child("sweep", d, int(10 * beta_c), with_l0).generator()
+    n, K, N = 3, 3, 1
+    problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
+                         x0=random_x0(n, d, gen))
+    if with_l0:
+        problem.cost.l0 = mixed_l0(d)
+    policy = random_poly_policy(problem, K, N, 1.5, gen, gate_level=0.9)
+    chunk = ctl._prepare_batch(problem, policy, stream.child("sweep-batch"),
+                               "t", list(range(6)))
+    gate = chunk[1]
+    assert 0 < gate.sum() < len(gate)
+    tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
+    letters, _, features, word_index = chunk
+    _, _, controls = ctl._forward(problem, policy, tree, letters, features,
+                                  word_index, gate)
+    clipped = sum(len(c.clip) for c in controls)
+    assert 0 < clipped < sum(c.sq.size for c in controls)
+
+    value, _, grads = ctl._evaluate_prepared(problem, policy, [chunk],
+                                             want_grads=True)
+    plain, _, _ = ctl._evaluate_prepared(problem, policy, [chunk])
+    want_value, want_grads = materialised_reference(problem, policy, chunk)
+    assert value == plain
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    scale = max(np.max(np.abs(g)) for g in want_grads)
+    for got, want in zip(grads, want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_const_clip_matches_per_matrix_clip(stream):
+    gen = stream.child("const-clip").generator()
+    n, d, R = 3, 2, 1.2
+    problem = lq_problem(n, d=d)
+    policy = ctl.zero_policy(problem, K=2, N=1, R=R, kind="const")
+    for st in policy.steps:
+        for slot in np.ndindex(st.values.shape[:2]):
+            st.values[slot] = random_hermitian(n, gen, scale=0.6)
+    grads = [np.zeros_like(st.values) for st in policy.steps]
+    for slot in np.ndindex(grads[0].shape[:2]):
+        grads[0][slot] = random_hermitian(n, gen, scale=0.4)
+
+    def per_matrix(values, prescreen):
+        out = values.copy()
+        for slot in np.ndindex(values.shape[:2]):
+            if not prescreen or np.linalg.norm(values[slot]) > R:
+                out[slot] = apply_scalar_function(values[slot], ("clip", R))
+        return out
+
+    stepped = ctl._policy_step(policy, grads, 0.5, R)
+    clipped = ctl.clip_policy(policy, R)
+    changed = 0
+    for st, g, st1, st2 in zip(policy.steps, grads, stepped.steps,
+                               clipped.steps):
+        want1 = per_matrix(st.values - 0.5 * g, prescreen=True)
+        want2 = per_matrix(st.values, prescreen=False)
+        assert np.max(np.abs(st1.values - want1)) <= 1e-12
+        assert np.max(np.abs(st2.values - want2)) <= 1e-12
+        changed += int(np.sum(np.abs(want2 - st.values) > 1e-6))
+    assert changed > 0
 
 
 def test_gate_matches_per_matrix_norms(stream):
@@ -194,6 +349,30 @@ def test_engine_eigensolver_failure_is_numerical(monkeypatch):
         ctl._gate_indicator(letters, 1, 2, 1.0)
     with pytest.raises(NumericalError):
         ctl._clip_batch(np.full((2, 1, 2, 2), 5.0 + 0j), 1.0)
+
+
+def test_scalar_trace_cost_matches_per_matrix_loop(stream):
+    gen = stream.child("stc").generator()
+    h = lambda t: np.sqrt(t * t + 1.0)
+    data = np.stack([np.stack([random_hermitian(3, gen) for _ in range(4)])
+                     for _ in range(5)]).reshape(5, 4, 3, 3)
+    for letters in (None, [0, 2]):
+        cost = ctl.ScalarTraceCost(h, letters)
+        got = cost.value(data)
+        for s in range(len(data)):
+            want = sum(float(np.mean(h(np.linalg.eigvalsh(data[s, k]))))
+                       for k in (letters or range(4)))
+            assert got[s] == pytest.approx(want, rel=1e-14)
+    assert isinstance(ctl.ScalarTraceCost(h).value(data[0]), float)
+
+
+def test_scalar_trace_cost_eigensolver_failure_is_numerical(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError):
+        ctl.ScalarTraceCost(np.abs).value(np.zeros((2, 1, 2, 2), dtype=complex))
 
 
 # -- discrete_cost -----------------------------------------------------------------

@@ -110,6 +110,34 @@ def test_gradient_matches_finite_differences(stream):
     assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_value_and_grad_matches_eval_and_gradient(stream, batched):
+    gen = stream.child("vg", batched).generator()
+    u = random_cylindrical(gen, d=2)
+    x = rand_tuple(2, 4, seed=7)
+    if batched:
+        x = np.stack([x.data, rand_tuple(2, 4, seed=8).data])
+    value, grad = u.value_and_grad(x)
+    want = u.gradient(x)
+    assert np.array_equal(value, u.eval(x))
+    if not batched:
+        grad, want = grad.data, want.data
+    assert np.array_equal(grad, want)
+    # against the cyclic derivatives evaluated one by one, each with its own
+    # word-product cache
+    data = x.data if not batched else x
+    traces = u.inner_traces(data)
+    ref = np.zeros(data.shape, dtype=complex)
+    for o, phi in enumerate(u.inners):
+        go = np.asarray(u.outer.partial(o)(traces))
+        for j, dpoly in enumerate(phi.gradient()):
+            if dpoly.terms:
+                ref[..., j, :, :] += go[..., None, None] * dpoly.evaluate(data)
+    if not batched:
+        ref = (ref + np.conj(np.swapaxes(ref, -1, -2))) / 2
+    assert np.max(np.abs(grad - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
 # -- Hessian ------------------------------------------------------------------------
 
 

@@ -17,6 +17,24 @@ def test_reproducibility_bit_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_gue_matches_docstring_formula(n):
+    # S_ii = g_ii / sqrt(n), S_ij = (g_ij - i g_ji) / sqrt(2n) for i < j,
+    # S_ji = conj(S_ij), from the generator's first (n, n) normal draw;
+    # repeated calls reuse the cached index arrays and stay bit-identical
+    for k in range(3):
+        stream = rm.RngStream(11, (n, k))
+        s = rm.sample_gue(n, stream)
+        g = stream.generator().standard_normal((n, n))
+        want = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            want[i, i] = g[i, i] / np.sqrt(n)
+            for j in range(i + 1, n):
+                want[i, j] = (g[i, j] - 1j * g[j, i]) / np.sqrt(2.0 * n)
+                want[j, i] = np.conj(want[i, j])
+        assert np.array_equal(s, want)
+
+
 def test_child_streams_differ():
     base = rm.RngStream(5)
     a = rm.sample_gue(8, base.child(0))
