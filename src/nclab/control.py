@@ -52,8 +52,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ncpoly
 from .gaussdisc import TimeGrid, noise_table
-from .laplacian import CylindricalFunction
+from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, apply_scalar_function,
                          hermitize, inner_product, l1_norm,
                          scalar_function_derivative)
@@ -67,8 +68,7 @@ __all__ = [
     "coarsen_control", "clip_policy", "truncation_inequality_check",
     "euler_maruyama", "boue_dupuis_lhs", "boue_dupuis_rhs",
     "rate_function_candidate", "policy_control_budget",
-    "quadratic_terminal", "quartic_terminal", "ArctanComposedTerminal",
-    "ScalarTraceCost",
+    "ArctanComposedTerminal", "ScalarTraceCost",
 ]
 
 PATH_GUARD = 10 ** 6  # maximum number of enumerated bin paths
@@ -235,28 +235,6 @@ class CostSpec:
                    lip_const=doc.get("lip_const", 1.0),
                    convexity_declared=doc.get("convexity_declared", False),
                    c1=doc.get("c1"))
-
-
-def quadratic_terminal(d):
-    """g(X) = sum_j tr_n X_j^2 as a cylindrical function."""
-    from .laplacian import MultiPoly
-    from .ncpoly import NCPolynomial
-
-    outer = MultiPoly(d, {tuple(1 if i == o else 0 for i in range(d)): 1.0
-                          for o in range(d)})
-    inners = [NCPolynomial(d, {(j, j): 1.0}) for j in range(1, d + 1)]
-    return CylindricalFunction(outer=outer, inners=inners)
-
-
-def quartic_terminal(d):
-    """g(X) = sum_j tr_n X_j^4."""
-    from .laplacian import MultiPoly
-    from .ncpoly import NCPolynomial
-
-    outer = MultiPoly(d, {tuple(1 if i == o else 0 for i in range(d)): 1.0
-                          for o in range(d)})
-    inners = [NCPolynomial(d, {(j, j, j, j): 1.0}) for j in range(1, d + 1)]
-    return CylindricalFunction(outer=outer, inners=inners)
 
 
 class ArctanComposedTerminal:
@@ -582,19 +560,8 @@ def _word_features(letters, words):
     S, _, n, _ = letters.shape
     out = np.empty((S, len(words), n, n), dtype=complex)
     cache = {}
-
-    def word_matrix(word):
-        if word in cache:
-            return cache[word]
-        if not word:
-            mat = np.broadcast_to(np.eye(n, dtype=complex), (S, n, n))
-        else:
-            mat = word_matrix(word[:-1]) @ letters[:, word[-1] - 1]
-        cache[word] = mat
-        return mat
-
     for k, word in enumerate(words):
-        out[:, k] = hermitize(word_matrix(word))
+        out[:, k] = hermitize(ncpoly._word_matrix(word, letters, cache))
     return out
 
 
@@ -942,8 +909,7 @@ def _batch_from_letters(problem, policy, letters):
     gate = _gate_indicator(letters, problem.d, K, policy.gate_level)
     features, word_index = None, None
     if any(st.kind == "poly" for st in policy.steps):
-        global_words = _step_words(problem.d, K, K, _max_degree(policy),
-                                   policy.include_current_increment)
+        global_words = _global_words(problem, policy)
         pos = {w: k for k, w in enumerate(global_words)}
         features = _word_features(letters, global_words)
         if policy.feature_scales is not None:
@@ -960,24 +926,21 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     return _batch_from_letters(problem, policy, letters)
 
 
-def _max_degree(policy):
-    deg = 1
-    for st in policy.steps:
-        if st.kind == "poly" and st.words:
-            deg = max(deg, max(len(w) for w in st.words))
-    return deg
+def _global_words(problem, policy):
+    """The last step's feature words at the policy's largest degree (at
+    least 1); every step's words are among them."""
+    degree = max([len(w) for st in policy.steps if st.kind == "poly"
+                  for w in st.words] + [1])
+    return _step_words(problem.d, policy.K, policy.K, degree,
+                       policy.include_current_increment)
 
 
 def _feature_scales(problem, policy, rng, tag, sample_indices):
     """RMS tr_n-norms of the global word features over a batch (preconditioner)."""
-    K = policy.K
-    letters = _sample_letters(problem, K, sample_indices, rng, tag)
-    global_words = _step_words(problem.d, K, K, _max_degree(policy),
-                               policy.include_current_increment)
-    feats = _word_features(letters, global_words)
-    n = problem.n
-    sq = np.einsum("swij,swji->sw", feats, feats).real / n
-    return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12)), global_words
+    letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
+    feats = _word_features(letters, _global_words(problem, policy))
+    sq = np.einsum("swij,swji->sw", feats, feats).real / problem.n
+    return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12))
 
 
 def _prepare_chunks(problem, policy, rng, tag, samples, chunk):
@@ -1139,9 +1102,8 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
                          gate_level=cfg.gate_level,
                          include_current_increment=cfg.include_current_increment)
     if any(st.kind == "poly" for st in policy.steps):
-        scales, _ = _feature_scales(problem, policy, rng, "scale",
-                                    list(range(min(cfg.train_samples, 32))))
-        policy.feature_scales = scales
+        policy.feature_scales = _feature_scales(
+            problem, policy, rng, "scale", list(range(min(cfg.train_samples, 32))))
 
     log_rows = []
     train_chunks = _prepare_chunks(problem, policy, rng, "train",
@@ -1241,7 +1203,7 @@ def _is_lq_template(cost: CostSpec, d):
     term = cost.terminal
     if not isinstance(term, CylindricalFunction):
         return False
-    ref = quadratic_terminal(d)
+    ref = trace_power(d, 2)
     if term.outer.terms != ref.outer.terms:
         return False
     if len(term.inners) != d:
@@ -1461,15 +1423,7 @@ def _prefix_from_index(b, i, N):
 
 def clip_policy(policy: DiscretePolicy, R) -> DiscretePolicy:
     """Componentwise phi_R on every node; polynomial nodes get clip level R."""
-    steps = []
-    for st in policy.steps:
-        if st.kind == "const":
-            values, _ = _clip_batch(st.values.copy(), R)
-            steps.append(PolicyStep(kind="const", values=values))
-        else:
-            steps.append(PolicyStep(kind="poly", words=st.words,
-                                    coeffs=st.coeffs.copy()))
-    return replace(policy, R=R, steps=steps)
+    return replace(_policy_step(policy, [0.0] * policy.K, 0.0, R), R=R)
 
 
 def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import control as ctl
 from . import gaussdisc, nclaw
-from .laplacian import CylindricalFunction, MultiPoly, random_cylindrical
+from .laplacian import random_cylindrical, trace_power
 from .matrixcore import MatrixTuple, NumericalError
 from .ncpoly import NCPolynomial
 from .randmat import RngStream, sample_gue, sample_gue_tuple
@@ -80,7 +80,7 @@ def config_hash(config):
 def lq_problem(n, d=1, beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0, x0=None):
     """L = 0.5 ||alpha||^2, g = sum_j tr_n x_j^2."""
     cost = ctl.CostSpec(l0=None, quad_coef=0.5,
-                        terminal=ctl.quadratic_terminal(d),
+                        terminal=trace_power(d, 2),
                         lip_const=0.0, convexity_declared=True, c1=2.0)
     x0 = x0 if x0 is not None else MatrixTuple.zero(d, n)
     return ctl.ControlProblem(n=n, d=d, x0=x0, beta_c=beta_c, beta_f=beta_f,
@@ -90,7 +90,7 @@ def lq_problem(n, d=1, beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0, x0=None):
 def quartic_problem(n, d=1, beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, x0=None):
     """L = 0.5 ||alpha||^2, g = sum_j tr_n x_j^4 (convex, non-quadratic)."""
     cost = ctl.CostSpec(l0=None, quad_coef=0.5,
-                        terminal=ctl.quartic_terminal(d),
+                        terminal=trace_power(d, 4),
                         lip_const=0.0, convexity_declared=True, c1=4.0)
     x0 = x0 if x0 is not None else MatrixTuple.zero(d, n)
     return ctl.ControlProblem(n=n, d=d, x0=x0, beta_c=beta_c, beta_f=beta_f,
@@ -294,7 +294,7 @@ def _exp_ldp(params, stream, threads):
     coef = params.get("coef", 0.5)
     lhs_samples = params.get("lhs_samples", 10_000)
     time_steps = params.get("time_steps", 16)
-    psi = _quadratic_psi(params.get("d", 1), coef)
+    psi = trace_power(params.get("d", 1), 2, coef)
     lhs = ctl.boue_dupuis_lhs(psi, n, lhs_samples, stream.child("lhs"))
     cfg = optimizer_config(params)
     res = ctl.boue_dupuis_rhs(psi, n, time_steps, cfg, stream.child("rhs"))
@@ -312,14 +312,6 @@ def _exp_ldp(params, stream, threads):
                           "pass": res.value >= lhs - 3.0 * res.stderr},
     }
     return headers, rows, checks
-
-
-def _quadratic_psi(d, coef):
-    """psi(X) = coef * sum_j tr_n X_j^2 as a cylindrical expression."""
-    outer = MultiPoly(d, {tuple(1 if i == o else 0 for i in range(d)): coef
-                          for o in range(d)})
-    inners = [NCPolynomial(d, {(j, j): 1.0}) for j in range(1, d + 1)]
-    return CylindricalFunction(outer=outer, inners=inners)
 
 
 def _exp_gaussdisc_check(params, stream, threads):
@@ -360,7 +352,7 @@ def _exp_truncation_check(params, stream, threads):
         cost = ctl.CostSpec(
             l0=ctl.ScalarTraceCost(lambda x, k=kappa: k * smooth_abs(x)),
             quad_coef=float(gen.uniform(0.0, 1.0)),
-            terminal=ctl.quadratic_terminal(d),
+            terminal=trace_power(d, 2),
             lip_const=kappa, convexity_declared=False)
         steps = int(gen.integers(2, 6))
         times = np.linspace(0.0, float(gen.uniform(0.5, 2.0)), steps + 1)
@@ -464,12 +456,13 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
         return EXIT_CONFIG
     try:
         run_config(config, out, seed=seed, threads=threads, fmt=fmt)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError: caught first, it is not a config error
+        print(f"numerical failure: {exc}")
+        return EXIT_NUMERICAL
     except (ExperimentError, ValueError) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"I/O failure: {exc}")
         return EXIT_IO

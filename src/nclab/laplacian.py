@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ncpoly
 from .matrixcore import MatrixTuple, basis_element, hermitize
 from .ncpoly import (NCPolynomial, format_polynomial, parse_polynomial,
                      words_up_to_degree)
 
-__all__ = ["MultiPoly", "CylindricalFunction", "random_cylindrical",
-           "parse_outer", "format_outer"]
+__all__ = ["MultiPoly", "CylindricalFunction", "trace_power",
+           "random_cylindrical", "parse_outer", "format_outer"]
 
 GUE_LAPLACIAN_GUARD = 4096  # maximum d * n^2 for the exact basis sum
 
@@ -253,16 +254,6 @@ class CylindricalFunction:
         # second term: sum_E <dq(grad)^l # E, E> per tensor word pair
         term2 = 0.0 + 0.0j
         cache = {}
-        data = x.data
-
-        def word_matrix(word):
-            if word not in cache:
-                if not word:
-                    cache[word] = np.eye(n, dtype=complex)
-                else:
-                    cache[word] = word_matrix(word[:-1]) @ data[word[-1] - 1]
-            return cache[word]
-
         for o, phi in enumerate(self.inners):
             if abs(g1[o]) < 1e-300:
                 continue
@@ -270,8 +261,8 @@ class CylindricalFunction:
                 grad_poly = self._grad_polys[o][l - 1]
                 tensor = grad_poly.free_difference_quotient(l)
                 for (w1, w2), coeff in tensor.terms.items():
-                    m1 = word_matrix(w1)
-                    m2 = word_matrix(w2)
+                    m1 = ncpoly._word_matrix(w1, x.data, cache)
+                    m2 = ncpoly._word_matrix(w2, x.data, cache)
                     s = np.einsum("eab,bc,ecd,da->", basis, m1, basis, m2) / n
                     term2 += g1[o] * coeff * s
         if abs(term2.imag) > 1e-9 * (1.0 + abs(term2)):
@@ -329,6 +320,14 @@ class CylindricalFunction:
         inners = [parse_polynomial(s, d) for s in doc["inners"]]
         outer = parse_outer(doc["outer"], len(inners))
         return cls(outer=outer, inners=inners)
+
+
+def trace_power(d, p, coef=1.0):
+    """coef * sum_j tr_n X_j^p as a cylindrical function over d letters."""
+    outer = MultiPoly(d, {tuple(1 if i == o else 0 for i in range(d)): coef
+                          for o in range(d)})
+    inners = [NCPolynomial(d, {(j,) * p: 1.0}) for j in range(1, d + 1)]
+    return CylindricalFunction(outer=outer, inners=inners)
 
 
 # -- outer polynomial text format ------------------------------------------------

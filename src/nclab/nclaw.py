@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import ncpoly
 from .matrixcore import MatrixTuple
 from .ncpoly import NCPolynomial, grlex_key, words_up_to_degree
 
@@ -99,20 +100,12 @@ def empirical_law(x: MatrixTuple, max_degree) -> NCLaw:
     """Moments of all words up to max_degree; radius bound = max operator norm."""
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
-    data = x.data
     n = x.dim
     moments = {}
-    cache = {(): np.eye(n, dtype=complex)}
-
-    def word_matrix(word):
-        if word in cache:
-            return cache[word]
-        mat = word_matrix(word[:-1]) @ data[word[-1] - 1]
-        cache[word] = mat
-        return mat
-
+    cache = {}
     for word in words_up_to_degree(x.d, max_degree):
-        moments[word] = complex(np.trace(word_matrix(word)) / n)
+        mat = ncpoly._word_matrix(word, x.data, cache)
+        moments[word] = complex(np.trace(mat) / n)
     radius = x.max_operator_norm()
     return NCLaw(d=x.d, max_degree=max_degree, moments=moments, radius_bound=radius)
 

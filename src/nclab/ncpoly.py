@@ -329,7 +329,10 @@ def _word_matrix(word, data, cache):
     """Evaluate a word by chained matmul, memoizing prefixes.
 
     A one-letter word is a view of its letter in ``data``: callers must not
-    write into the returned array.
+    write into the returned array.  This is the package's one word-product
+    evaluator; other modules call it as ``ncpoly._word_matrix`` so that a
+    wrapper set on the module attribute (``perfbench/tracer.py``) sees every
+    product.
     """
     if word in cache:
         return cache[word]
@@ -347,14 +350,14 @@ def _word_matrix(word, data, cache):
 
 
 def _evaluate_terms(terms, data, cache):
-    n = data.shape[-1]
     out = None
     for word, coeff in terms.items():
         term = coeff * _word_matrix(word, data, cache)
         out = term if out is None else out + term
     if out is None:
+        n = data.shape[-1]
         out = np.zeros(data.shape[:-3] + (n, n), dtype=complex)
-    return np.broadcast_to(out, data.shape[:-3] + (n, n))         if out.shape != data.shape[:-3] + (n, n) else out
+    return out
 
 
 def _trace_terms(terms, data, cache):

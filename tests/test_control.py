@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from nclab import control as ctl
 from nclab.gaussdisc import TimeGrid, noise_table
 from nclab.harness import lq_problem, quartic_problem
-from nclab.laplacian import CylindricalFunction, MultiPoly
+from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
 from nclab.matrixcore import (MatrixTuple, NumericalError,
                               apply_scalar_function, inner_product,
                               random_hermitian, scalar_function_derivative)
@@ -338,6 +339,24 @@ def test_gate_matches_per_matrix_norms(stream):
     assert 0 < gate.sum() < len(gate)
 
 
+def test_word_features_match_explicit_products(stream):
+    gen = stream.child("features").generator()
+    n, d, K, S = 3, 2, 2, 4
+    letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
+                                  for _ in range(d * (K + 1))])
+                        for _ in range(S)])
+    words = ctl._step_words(d, K, K, 2, True)
+    assert words[0] == () and max(len(w) for w in words) == 2
+    feats = ctl._word_features(letters, words)
+    for s in range(S):
+        for k, word in enumerate(words):
+            want = np.eye(n, dtype=complex)
+            for letter in word:
+                want = want @ letters[s, letter - 1]
+            want = 0.5 * (want + want.conj().T)
+            assert np.max(np.abs(feats[s, k] - want)) <= 1e-14
+
+
 def test_engine_eigensolver_failure_is_numerical(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
@@ -514,9 +533,14 @@ def test_lq_reference_matches_ode():
 
 
 def test_lq_reference_rejects_other_costs():
-    problem = quartic_problem(4)
-    with pytest.raises(ValueError):
-        ctl.lq_reference(problem)
+    for d in (1, 2):
+        lq = lq_problem(4, d=d)
+        assert ctl.lq_reference(lq) > 0.0
+        scaled = replace(lq, cost=replace(lq.cost,
+                                          terminal=trace_power(d, 2, coef=2.0)))
+        for problem in (quartic_problem(4, d=d), scaled):
+            with pytest.raises(ValueError):
+                ctl.lq_reference(problem)
 
 
 def test_lq_discrete_oracle_limits():
@@ -622,7 +646,7 @@ def test_truncation_inequality_scalar_closed_form():
     kappa = 1.0
     smooth = lambda x: np.sqrt(x * x + 1.0)
     cost = ctl.CostSpec(l0=ctl.ScalarTraceCost(lambda x: kappa * smooth(x)),
-                        quad_coef=0.3, terminal=ctl.quadratic_terminal(1),
+                        quad_coef=0.3, terminal=trace_power(1, 2),
                         lip_const=kappa)
     times = [0.0, 0.5, 1.0]
     y = [MatrixTuple(np.zeros((1, 1, 1), complex)) for _ in range(3)]
@@ -640,7 +664,7 @@ def test_truncation_inequality_random_instances(stream):
         cost = ctl.CostSpec(
             l0=ctl.ScalarTraceCost(lambda x, k=kappa: k * smooth(x)),
             quad_coef=float(gen.uniform(0.0, 1.0)),
-            terminal=ctl.quadratic_terminal(d), lip_const=kappa)
+            terminal=trace_power(d, 2), lip_const=kappa)
         steps = int(gen.integers(1, 5))
         times = list(np.linspace(0, float(gen.uniform(0.5, 2.0)), steps + 1))
         y = [sample_gue_tuple(n, d, gen) for _ in range(steps + 1)]

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nclab import harness
@@ -91,6 +92,18 @@ def test_run_exit_codes(tmp_path):
     badkind.write_text(json.dumps(
         {"experiments": [{"kind": "nope"}], "out_dir": str(tmp_path / "o2")}))
     assert harness.run(str(badkind)) == harness.EXIT_CONFIG
+
+
+def test_lapack_failure_exits_numerical(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps(
+        {"experiments": [{"kind": "spectrum", "n_list": [8], "samples": 2}],
+         "out_dir": str(tmp_path / "o")}))
+    assert harness.run(str(config)) == harness.EXIT_NUMERICAL
 
 
 def test_empty_experiment_list_gives_empty_manifest(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
-                             parse_outer, random_cylindrical)
+                             parse_outer, random_cylindrical, trace_power)
 from nclab.matrixcore import MatrixTuple, random_hermitian
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import RngStream, sample_haar_unitary
@@ -93,6 +93,19 @@ def test_gradient_chain_rule_at_identity():
     x = MatrixTuple.identity(1, 3)
     # 2 tr(x^2) * 2x = 4 I at the identity
     assert np.allclose(u.gradient(x).data, 4.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2, 4])
+def test_trace_power_value_and_gradient(d, p):
+    coef = 0.7
+    u = trace_power(d, p, coef)
+    x = rand_tuple(d, 4, seed=10 + d)
+    powers = np.stack([np.linalg.matrix_power(c, p - 1) for c in x.data])
+    want = coef * sum(np.trace(c @ q).real for c, q in zip(x.data, powers)) / 4
+    assert u.eval(x) == pytest.approx(want, rel=1e-12)
+    grad = u.gradient(x).data
+    assert np.max(np.abs(grad - coef * p * powers)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def test_gradient_matches_finite_differences(stream):
