@@ -23,7 +23,7 @@ import numpy as np
 from . import control as ctl
 from . import gaussdisc, nclaw
 from .laplacian import random_cylindrical, trace_power
-from .matrixcore import MatrixTuple, NumericalError
+from .matrixcore import MatrixTuple, NumericalError, basis_element
 from .ncpoly import NCPolynomial
 from .randmat import RngStream, sample_gue, sample_gue_tuple
 
@@ -228,21 +228,23 @@ def _exp_laplacian_check(params, stream, threads):
 
 
 def _fd_laplacian(u, x, h):
-    """Central second differences over the full Hermitian basis, times 1/n^2."""
-    from .matrixcore import basis_element
+    """Central second differences over the full Hermitian basis, times 1/n^2.
 
+    The d n^2 shifts h E (E the basis element ``basis_element(n, i, j)`` in
+    component l) are stacked into one (d n^2, d, n, n) batch, so U is
+    evaluated once at X + shifts and once at X - shifts; the differences are
+    summed in (l, i, j) order.
+    """
     n, d = x.dim, x.d
     base = u.eval(x)
+    shifts = np.zeros((d * n * n, d, n, n), dtype=complex)
+    for k, (l, i, j) in enumerate(np.ndindex(d, n, n)):
+        shifts[k, l] = h * basis_element(n, i + 1, j + 1)
+    up = u.eval(x.data + shifts)
+    dn = u.eval(x.data - shifts)
     total = 0.0
-    for l in range(d):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                e = basis_element(n, i, j)
-                shift = np.zeros((d, n, n), dtype=complex)
-                shift[l] = h * e
-                up = u.eval(MatrixTuple(x.data + shift, validate=False))
-                dn = u.eval(MatrixTuple(x.data - shift, validate=False))
-                total += (up - 2.0 * base + dn) / (h * h)
+    for second in (up - 2.0 * base + dn) / (h * h):
+        total += float(second)
     return total / (n * n)
 
 

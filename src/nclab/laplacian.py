@@ -109,6 +109,11 @@ class CylindricalFunction:
             if not phi.is_selfadjoint():
                 raise ValueError("inner polynomials must be self-adjoint")
         self._grad_polys = [phi.gradient() for phi in self.inners]
+        # _quotients[o][j][i] = d_{i+1} D_{j+1} phi_o, the difference quotients
+        # of the gradient read by the Hessian and both Laplacians
+        self._quotients = [[[dpoly.free_difference_quotient(i)
+                             for i in range(1, phi.d + 1)] for dpoly in grads]
+                           for phi, grads in zip(self.inners, self._grad_polys)]
 
     @property
     def m(self):
@@ -184,8 +189,12 @@ class CylindricalFunction:
                        for o in range(m)])
         return g1, g2
 
-    def _cyclic_matrices(self, x):
-        """D_j phi_o(X) for all o, j, as an (m, d, n, n) array."""
+    def _cyclic_matrices(self, x, cache=None):
+        """D_j phi_o(X) for all o, j, as an (m, d, n, n) array.
+
+        ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
+        """
+        cache = {} if cache is None else cache
         data = x.data if isinstance(x, MatrixTuple) else np.asarray(x, dtype=complex)
         n = data.shape[-1]
         d = data.shape[-3]
@@ -194,7 +203,7 @@ class CylindricalFunction:
             for j in range(1, min(phi.d, d) + 1):
                 dpoly = self._grad_polys[o][j - 1]
                 if dpoly.terms:
-                    out[o, j - 1] = dpoly.evaluate(data)
+                    out[o, j - 1] = dpoly.evaluate(data, cache)
         return out
 
     def hessian_bilinear(self, x, a: MatrixTuple, b: MatrixTuple):
@@ -218,11 +227,8 @@ class CylindricalFunction:
             if abs(g1[o]) < 1e-300:
                 continue
             for j in range(1, min(phi.d, d) + 1):
-                grad_poly = self._grad_polys[o][j - 1]
-                if not grad_poly.terms:
-                    continue
-                for i in range(1, d + 1):
-                    tensor = grad_poly.free_difference_quotient(i)
+                for i in range(1, min(phi.d, d) + 1):
+                    tensor = self._quotients[o][j - 1][i - 1]
                     if not tensor.terms:
                         continue
                     sharp = tensor.sharp(x, a.component(i - 1))
@@ -234,16 +240,22 @@ class CylindricalFunction:
     def gue_laplacian(self, x):
         """(1/n^2) sum over components and basis directions of Hess[E, E].
 
-        Evaluated by the literal basis sum so that the comparison against the
-        free Laplacian plus correction stays a genuine two-sided check.
+        Evaluated by the literal sum over the n^2 Hermitian basis elements E,
+        so that the comparison against the free Laplacian plus correction
+        stays a genuine two-sided check.  For each inner o and letter l the
+        word pairs (w1, w2) of d_l (D_l phi_o) are stacked, E w1(X) and
+        E w2(X) are batched products over all pairs and basis elements, and
+        s_p = sum_E tr_n(E w1 E w2) is one contraction; one word-product
+        cache serves the inner traces, the cyclic derivatives and the pairs.
         """
         n = x.dim
         d = x.d
         if d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        u = self.inner_traces(x)
+        cache = {}
+        u = self.inner_traces(x, cache)
         g1, g2 = self._outer_derivatives(u)
-        dmats = self._cyclic_matrices(x)
+        dmats = self._cyclic_matrices(x, cache)
         basis = np.stack([basis_element(n, i, j)
                           for i in range(1, n + 1) for j in range(1, n + 1)])
 
@@ -251,20 +263,23 @@ class CylindricalFunction:
         tr_de = np.einsum("ojab,eba->oje", dmats, basis) / n
         term1 = np.real(np.einsum("oq,ole,qle->", g2, tr_de, tr_de))
 
-        # second term: sum_E <dq(grad)^l # E, E> per tensor word pair
+        # second term: sum_E <dq(grad)^l # E, E> over the tensor word pairs
         term2 = 0.0 + 0.0j
-        cache = {}
         for o, phi in enumerate(self.inners):
             if abs(g1[o]) < 1e-300:
                 continue
             for l in range(1, min(phi.d, d) + 1):
-                grad_poly = self._grad_polys[o][l - 1]
-                tensor = grad_poly.free_difference_quotient(l)
-                for (w1, w2), coeff in tensor.terms.items():
-                    m1 = ncpoly._word_matrix(w1, x.data, cache)
-                    m2 = ncpoly._word_matrix(w2, x.data, cache)
-                    s = np.einsum("eab,bc,ecd,da->", basis, m1, basis, m2) / n
-                    term2 += g1[o] * coeff * s
+                tensor = self._quotients[o][l - 1][l - 1]
+                if not tensor.terms:
+                    continue
+                w1s, w2s = zip(*tensor.terms)
+                m1 = np.stack([ncpoly._word_matrix(w, x.data, cache) for w in w1s])
+                m2 = np.stack([ncpoly._word_matrix(w, x.data, cache) for w in w2s])
+                em1 = basis @ m1[:, None]
+                em2 = basis @ m2[:, None]
+                s = np.einsum("peab,peba->p", em1, em2) / n
+                coeffs = np.array(list(tensor.terms.values()))
+                term2 += g1[o] * (coeffs @ s)
         if abs(term2.imag) > 1e-9 * (1.0 + abs(term2)):
             raise ValueError(f"GUE Laplacian has imaginary part {term2.imag:.3e}")
         return (float(term1) + float(term2.real)) / (n * n)
@@ -279,7 +294,7 @@ class CylindricalFunction:
             if abs(g1[o]) < 1e-300:
                 continue
             for l in range(1, min(phi.d, d) + 1):
-                tensor = self._grad_polys[o][l - 1].free_difference_quotient(l)
+                tensor = self._quotients[o][l - 1][l - 1]
                 if tensor.terms:
                     total += g1[o] * tensor.trace_pair(x)
         if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
@@ -291,9 +306,10 @@ class CylindricalFunction:
         n = x.dim
         if x.d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {x.d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        u = self.inner_traces(x)
+        cache = {}
+        u = self.inner_traces(x, cache)
         _, g2 = self._outer_derivatives(u)
-        dmats = self._cyclic_matrices(x)
+        dmats = self._cyclic_matrices(x, cache)
         pair = np.einsum("olab,qlba->oq", dmats, dmats) / n
         val = np.einsum("oq,oq->", g2, pair)
         if abs(val.imag) > 1e-9 * (1.0 + abs(val)):

@@ -171,8 +171,14 @@ class NCPolynomial:
             self.d, {w[::-1]: np.conj(c) for w, c in self.terms.items()})
 
     def is_selfadjoint(self, tol=1e-12):
-        diff = self - self.star()
-        return all(abs(c) <= tol for c in diff.terms.values())
+        """|c_w - conj(c_{w reversed})| <= tol for every word w.
+
+        Words outside ``terms`` have coefficient 0, so checking the words of
+        ``terms`` covers the union of the words and their reversals.
+        """
+        terms = self.terms
+        return all(abs(c - np.conj(terms.get(w[::-1], 0.0))) <= tol
+                   for w, c in terms.items())
 
     def symmetrize(self):
         """(p + p*)/2, always self-adjoint."""
@@ -222,14 +228,18 @@ class NCPolynomial:
     def evaluate_trace(self, x, cache=None):
         """tr_n p(X); complex in general, real for self-adjoint p on Hermitian X.
 
-        ``cache`` as in :meth:`evaluate`.
+        For self-adjoint p, |Im tr_n p(X)| must not exceed
+        1e-10 (1 + |tr_n p(X)|) for each X of a batch on its own, as for a
+        single X.  ``cache`` as in :meth:`evaluate`.
         """
         data = _tuple_data(x, self.d)
         val = _trace_terms(self.terms, data, {} if cache is None else cache)
         if self.is_selfadjoint():
-            im = np.max(np.abs(np.imag(np.atleast_1d(val))))
-            if im > 1e-10 * (1.0 + np.max(np.abs(np.atleast_1d(val)))):
-                raise ValueError(f"self-adjoint trace has imaginary part {im:.3e}")
+            im = np.abs(np.imag(val))
+            bad = im > 1e-10 * (1.0 + np.abs(val))
+            if np.any(bad):
+                raise ValueError("self-adjoint trace has imaginary part "
+                                 f"{np.max(im[bad]):.3e}")
             val = np.real(val)
         return val if np.ndim(val) else complex(val) if np.iscomplexobj(val) else float(val)
 

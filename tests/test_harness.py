@@ -6,7 +6,9 @@ import pytest
 
 from nclab import harness
 from nclab.cli import main
-from nclab.randmat import RngStream
+from nclab.laplacian import CylindricalFunction, random_cylindrical
+from nclab.matrixcore import MatrixTuple, basis_element
+from nclab.randmat import RngStream, sample_gue_tuple
 
 
 def tiny_config(seed=7):
@@ -168,3 +170,41 @@ def test_bad_optimizer_option_rejected():
     with pytest.raises(harness.ExperimentError):
         harness.experiment_csv(
             "value", {"template": "lq", "opt": {"bogus": 1}}, RngStream(8), 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_fd_laplacian_matches_per_shift_loop(d, n):
+    gen = RngStream(4242, (d, n)).generator()
+    h = 1e-3
+    for _ in range(3):
+        u = random_cylindrical(gen, d)
+        x = sample_gue_tuple(n, d, gen, scale=0.8)
+        base = u.eval(x)
+        total = 0.0
+        for l in range(d):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    shift = np.zeros((d, n, n), dtype=complex)
+                    shift[l] = h * basis_element(n, i, j)
+                    up = u.eval(MatrixTuple(x.data + shift, validate=False))
+                    dn = u.eval(MatrixTuple(x.data - shift, validate=False))
+                    total += (up - 2.0 * base + dn) / (h * h)
+        assert harness._fd_laplacian(u, x, h) == total / (n * n)
+
+
+def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):
+    calls = []
+    original = CylindricalFunction.gue_laplacian
+
+    def counted(self, x):
+        calls.append(x.dim)
+        return original(self, x)
+
+    monkeypatch.setattr(CylindricalFunction, "gue_laplacian", counted)
+    params = {"cases": 5, "n_list": [2, 3], "d": 2}
+    _, rows, checks = harness.experiment_csv("laplacian-check", params,
+                                             RngStream(5), threads=1)
+    assert calls == [2, 3, 2, 3, 2]
+    assert [r[0] for r in rows] == list(range(5))
+    assert checks["identity_max_gap"]["pass"] and checks["fd_max_gap"]["pass"]

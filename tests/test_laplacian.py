@@ -3,7 +3,7 @@ import pytest
 
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
                              parse_outer, random_cylindrical, trace_power)
-from nclab.matrixcore import MatrixTuple, random_hermitian
+from nclab.matrixcore import MatrixTuple, basis_element, random_hermitian
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import RngStream, sample_haar_unitary
 
@@ -200,6 +200,49 @@ def test_gue_laplacian_trace_squares_exact():
         u = trace_square(d)
         x = rand_tuple(d, 3, seed=16)
         assert u.gue_laplacian(x) == pytest.approx(2.0 * d, abs=1e-10)
+
+
+def gue_laplacian_reference(u, x):
+    """(1/n^2) sum_l sum_E Hess U(X)[E e_l, E e_l]: word products by explicit
+    matmuls, the pair term as one 4-operand einsum per tensor word pair."""
+    n, d = x.dim, x.d
+    basis = np.stack([basis_element(n, i, j)
+                      for i in range(1, n + 1) for j in range(1, n + 1)])
+
+    def word(w):
+        out = np.eye(n, dtype=complex)
+        for letter in w:
+            out = out @ x.component(letter - 1)
+        return out
+
+    traces = u.inner_traces(x)
+    g1 = [u.outer.partial(o)(traces) for o in range(u.m)]
+    g2 = [[u.outer.partial(o).partial(q)(traces) for q in range(u.m)]
+          for o in range(u.m)]
+    total = 0.0 + 0.0j
+    for l in range(1, d + 1):
+        grads = [phi.cyclic_derivative(l) for phi in u.inners]
+        tr_de = [np.einsum("ab,eba->e", g.evaluate(x), basis) / n for g in grads]
+        for o in range(u.m):
+            for q in range(u.m):
+                total += g2[o][q] * np.sum(tr_de[o] * tr_de[q])
+        for o, g in enumerate(grads):
+            for (w1, w2), c in g.free_difference_quotient(l).terms.items():
+                s = np.einsum("eab,bc,ecd,da->", basis, word(w1), basis, word(w2))
+                total += g1[o] * c * s / n
+    return total.real / n ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_gue_laplacian_matches_literal_basis_sum(stream, d, n):
+    gen = stream.child("guelit", d, n).generator()
+    for _ in range(4):
+        u = random_cylindrical(gen, d=d)
+        x = MatrixTuple(np.stack([random_hermitian(n, gen, 0.8)
+                                  for _ in range(d)]))
+        want = gue_laplacian_reference(u, x)
+        assert abs(u.gue_laplacian(x) - want) <= 1e-13 * (1.0 + abs(want))
 
 
 def test_gue_laplacian_constant():

@@ -104,6 +104,22 @@ def test_evaluate_returns_a_fresh_array():
         assert np.array_equal(x.data, before)
 
 
+def test_trace_imaginary_check_is_per_element():
+    # a large real trace beside a small imaginary one: the batch-wide bound
+    # 1e-10 (1 + 1e6) would pass the second element, its own bound does not
+    p = ncp.NCPolynomial(1, {(1,): 1.0})
+    big = np.eye(3, dtype=complex)[None] * 1e6
+    tilted = np.eye(3, dtype=complex)[None] * 1e-6j
+    assert p.evaluate_trace(big) == pytest.approx(1e6)
+    with pytest.raises(ValueError, match="imaginary part"):
+        p.evaluate_trace(tilted)
+    with pytest.raises(ValueError, match="imaginary part"):
+        p.evaluate_trace(np.stack([big, tilted]))
+    batch = np.stack([big, rand_tuple(1, 3, seed=9).data])
+    want = [p.evaluate_trace(b) for b in batch]
+    assert np.array_equal(p.evaluate_trace(batch), want)
+
+
 def test_trace_cyclic_shift_invariance():
     x = rand_tuple(2, 5, seed=3)
     word = (1, 2, 2, 1, 2)
@@ -129,6 +145,26 @@ def test_star_examples():
 def test_symmetrization_is_selfadjoint(terms):
     p = ncp.NCPolynomial(2, {tuple(w): c for w, c in terms})
     assert (p + p.star()).is_selfadjoint()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)),
+    max_size=6),
+    st.booleans(),
+    st.lists(st.integers(1, 3), max_size=4),
+    st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 1e-9, 1j * 1e-12, 2j * 1e-12]))
+def test_is_selfadjoint_matches_difference_definition(terms, symmetric, word,
+                                                      nudge):
+    # reference: p - p* built with the polynomial algebra, every coefficient
+    # of the difference within the tolerance
+    p = ncp.NCPolynomial(3, {tuple(w): c for w, c in terms})
+    if symmetric:
+        p = p + p.star()
+    p = p + ncp.NCPolynomial.monomial(3, word, nudge)
+    diff = p - p.star()
+    assert p.is_selfadjoint() == all(abs(c) <= 1e-12 for c in diff.terms.values())
 
 
 def test_star_is_involution():
