@@ -37,6 +37,11 @@ broadcast view whose sample-independent drift is added to the states.  The
 state adjoint is the one full-size array paired with the features, one GEMM
 per step.
 
+Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
+(real values), ``value_and_grad`` (values and tr_n gradients) and the letter
+count ``d``.  ``CylindricalFunction`` and ``ArctanComposedTerminal`` have all
+three; ``ScalarTraceCost`` is value-only, an l0 for ``CostSpec.lagrangian``.
+
 Also here: the LQ Riccati references (continuous closed form, ODE
 re-derivation, and the exact discrete dynamic-programming optimum), the
 operator-norm truncation inequality check, Euler-Maruyama simulation of the
@@ -55,9 +60,9 @@ import numpy as np
 from . import ncpoly
 from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
-from .matrixcore import (MatrixTuple, NumericalError, apply_scalar_function,
-                         hermitize, inner_product, l1_norm,
-                         scalar_function_derivative)
+from .matrixcore import (MatrixTuple, NumericalError, _frechet,
+                         _spectral_calculus, apply_scalar_function, eigh,
+                         hermitize, inner_product, l1_norm)
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
@@ -88,14 +93,14 @@ class ScalarTraceCost:
 
     Used for Assumption-C style Lagrangians tau(h(X)) + tau(h(alpha)) with h
     1-Lipschitz smooth; evaluation goes through the eigenvalues, so it is not
-    differentiable machinery for the optimizer (value only).
+    differentiable machinery for the optimizer (``eval`` only).
     """
 
     def __init__(self, h, letters=None):
         self.h = h
         self.letters = letters  # None = all letters
 
-    def value(self, data):
+    def eval(self, data):
         data = np.asarray(data, dtype=complex)
         lead = data.shape[:-3]
         if self.letters is not None:
@@ -108,45 +113,20 @@ class ScalarTraceCost:
         return out if lead else float(out)
 
 
-def _expr_value(expr, data):
-    """Evaluate a cost expression (CylindricalFunction or duck-typed) on data."""
-    if expr is None:
-        shape = np.asarray(data).shape[:-3]
-        return np.zeros(shape) if shape else 0.0
-    if isinstance(expr, CylindricalFunction):
-        return expr.eval(data)
-    return expr.value(data)
-
-
-def _expr_grad(expr, data):
-    if expr is None:
-        return np.zeros_like(np.asarray(data, dtype=complex))
-    if isinstance(expr, CylindricalFunction):
-        return expr.gradient(data)
-    return expr.grad(data)
-
-
-def _expr_value_and_grad(expr, data):
-    """(value, gradient) of a cost expression; one shared pass for a
-    CylindricalFunction."""
-    if isinstance(expr, CylindricalFunction):
-        return expr.value_and_grad(data)
-    return _expr_value(expr, data), _expr_grad(expr, data)
-
-
 @dataclass
 class CostSpec:
     """Lagrangian L = L0(X, alpha) + c ||alpha||^2 and terminal cost g.
 
-    ``l0`` is an expression over the joint 2d-tuple (letters 1..d = state,
-    d+1..2d = control) or None; ``terminal`` over d letters.  ``lip_const``
-    (kappa), ``c1`` and ``convexity_declared`` are instance metadata used by
-    the truncation inequality and the a-priori bound checks.
+    ``l0`` is a cost expression (see the module docstring) over the joint
+    2d-tuple (letters 1..d = state, d+1..2d = control) or None; the optimizer
+    also reads its gradient.  ``terminal``, required, is one over d letters.
+    ``lip_const`` (kappa), ``c1`` and ``convexity_declared`` are instance
+    metadata used by the truncation inequality and the a-priori bound checks.
     """
 
-    l0: object          # CylindricalFunction over 2d letters, or value-duck, or None
+    l0: object          # cost expression over 2d letters, or None
     quad_coef: float
-    terminal: object    # CylindricalFunction over d letters, or value/grad duck
+    terminal: object    # cost expression over d letters
     lip_const: float = 1.0
     convexity_declared: bool = False
     c1: float | None = None
@@ -154,26 +134,20 @@ class CostSpec:
     def __post_init__(self):
         if self.quad_coef < 0:
             raise ValueError("quad_coef must be >= 0")
+        if self.terminal is None:
+            raise ValueError("a terminal cost expression is required")
 
     def lagrangian(self, x_data, a_data):
         """L(X, alpha) on batched (..., d, n, n) pairs."""
         val = 0.0
         if self.l0 is not None:
             joint = np.concatenate([x_data, a_data], axis=-3)
-            val = val + np.real(_expr_value(self.l0, joint))
+            val = val + np.real(self.l0.eval(joint))
         if self.quad_coef:
             n = a_data.shape[-1]
             sq = np.einsum("...kij,...kji->...", a_data, a_data).real / n
             val = val + self.quad_coef * sq
         return val
-
-    def terminal_value(self, x_data):
-        return np.real(_expr_value(self.terminal, x_data))
-
-    def terminal_value_and_grad(self, x_data):
-        """(g(X), grad g(X)) on batched states, from one shared pass."""
-        value, grad = _expr_value_and_grad(self.terminal, x_data)
-        return np.real(value), grad
 
     def spot_check(self, n, d, rng, segments=100, tol=1e-9):
         """Sampled midpoint-convexity and L1-Lipschitz checks (CostSpec invariants)."""
@@ -192,10 +166,10 @@ class CostSpec:
                 if mid > ends + tol:
                     return False
             if self.l0 is not None and kappa is not None:
-                l0a = np.real(_expr_value(
-                    self.l0, np.concatenate([x1.data, a1.data], axis=-3)))
-                l0b = np.real(_expr_value(
-                    self.l0, np.concatenate([x2.data, a2.data], axis=-3)))
+                l0a = np.real(self.l0.eval(
+                    np.concatenate([x1.data, a1.data], axis=-3)))
+                l0b = np.real(self.l0.eval(
+                    np.concatenate([x2.data, a2.data], axis=-3)))
                 budget = kappa * (l1_norm(x1 - x2) + l1_norm(a1 - a2))
                 if abs(l0a - l0b) > budget + tol:
                     return False
@@ -242,38 +216,27 @@ class ArctanComposedTerminal:
 
     The gradient chains the cylindrical gradient at arctan(X) through the
     divided-difference derivative of arctan, which is self-adjoint for the
-    tr_n pairing.
+    tr_n pairing; each call makes one batched eigensolve.
     """
 
     def __init__(self, cyl: CylindricalFunction, sign=1.0):
         self.cyl = cyl
         self.sign = float(sign)
 
-    def _arctan_tuple(self, data):
-        flat = data.reshape((-1,) + data.shape[-3:])
-        out = np.empty_like(flat)
-        for s in range(flat.shape[0]):
-            for k in range(flat.shape[1]):
-                out[s, k] = apply_scalar_function(flat[s, k], "arctan")
-        return out.reshape(data.shape)
+    @property
+    def d(self):
+        return self.cyl.d
 
-    def value(self, data):
-        data = np.asarray(data, dtype=complex)
-        return self.sign * np.real(self.cyl.eval(self._arctan_tuple(data)))
+    def eval(self, data):
+        y = apply_scalar_function(data, "arctan")
+        return self.sign * np.real(self.cyl.eval(y))
 
-    def grad(self, data):
-        data = np.asarray(data, dtype=complex)
-        y = self._arctan_tuple(data)
-        gy = self.cyl.gradient(y)
-        flat_x = data.reshape((-1,) + data.shape[-3:])
-        flat_g = np.asarray(gy).reshape((-1,) + data.shape[-3:])
-        out = np.empty_like(flat_g)
-        darctan = lambda t: 1.0 / (1.0 + t * t)
-        for s in range(flat_x.shape[0]):
-            for k in range(flat_x.shape[1]):
-                pull = scalar_function_derivative(flat_x[s, k], "arctan", darctan)
-                out[s, k] = pull(flat_g[s, k])
-        return self.sign * out.reshape(data.shape)
+    def value_and_grad(self, data):
+        w, q = eigh(data)
+        y, mult = _spectral_calculus(w, q, "arctan", lambda t: 1.0 / (1.0 + t * t))
+        value, gy = self.cyl.value_and_grad(hermitize(y))
+        return (self.sign * np.real(value),
+                self.sign * hermitize(_frechet(q, mult, gy)))
 
 
 @dataclass
@@ -606,16 +569,10 @@ def _clip_batch(alpha, R):
     if not active.any():
         return alpha, _ClipRecords()
     suspects, w, q = suspects[active], w[active], q[active]
-    wc = np.clip(w, -R, R)
+    clipped, mult = _spectral_calculus(
+        w, q, ("clip", R), lambda t: (np.abs(t) < R).astype(float))
     flat = flat.copy()
-    flat[suspects] = (q * wc[:, None, :]) @ np.conj(np.swapaxes(q, -1, -2))
-    # divided-difference multipliers of phi_R for the gradient pullback
-    dx = w[:, :, None] - w[:, None, :]
-    num = wc[:, :, None] - wc[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(np.abs(dx) > 1e-12,
-                        num / np.where(dx == 0, 1.0, dx),
-                        (np.abs(w[:, :, None]) < R).astype(float))
+    flat[suspects] = clipped
     return flat.reshape(alpha.shape), _ClipRecords(suspects, mult, q)
 
 
@@ -623,9 +580,7 @@ def _pullback_clip(grad, records):
     """The clip's derivative applied to the gradients (m, n, n) at the
     records' slots, in one batched product; it is self-adjoint for the tr_n
     pairing, so it carries gradients back through the clip."""
-    q = records.q
-    qh = np.conj(np.swapaxes(q, -1, -2))
-    return q @ (records.mult * (qh @ grad @ q)) @ qh
+    return _frechet(records.q, records.mult, grad)
 
 
 def _gated_features(features, idx, gate):
@@ -810,7 +765,7 @@ def _forward(problem, policy, tree, letters, features, word_index, gate,
                 states.append(x)
             if l0 is not None:
                 joint = np.concatenate([x, ctrl.alpha], axis=-3)
-                lval = lval + np.real(_expr_value(l0, joint))
+                lval = lval + np.real(l0.eval(joint))
         if quad:
             lval = lval + quad * (ctrl.sq.sum(axis=-1) / n)
         lagrangians.append(lval)
@@ -825,14 +780,15 @@ def _chunk_cost(problem, policy, tree, terminal_states, lagrangians,
     """Per-sample discretized cost over the chunk, (S,), and the terminal
     gradient at ``terminal_states`` with ``want_grad`` (else None)."""
     delta = (problem.T - problem.t0) / policy.K
+    terminal = problem.cost.terminal
     if want_grad:
-        gvals, ggrad = problem.cost.terminal_value_and_grad(terminal_states)
+        gvals, ggrad = terminal.value_and_grad(terminal_states)
     else:
-        gvals, ggrad = problem.cost.terminal_value(terminal_states), None
+        gvals, ggrad = terminal.eval(terminal_states), None
     total = np.zeros(len(terminal_states))
     for lvals, probs in zip(lagrangians, tree.probs):
         total += delta * (lvals @ probs)
-    total += gvals @ tree.probs[-1]
+    total += np.real(gvals) @ tree.probs[-1]
     return total, ggrad
 
 
@@ -894,8 +850,8 @@ def _chunk_gradients(problem, policy, tree, states, controls, gterm):
             lam = lam.reshape(lam.shape[0], -1, branch, d, n, n).sum(axis=2)
         adj = lam
         if l0 is not None:
-            gj = _expr_grad(l0, np.concatenate([states[i - 1], ctrl.alpha],
-                                               axis=-3))
+            _, gj = l0.value_and_grad(np.concatenate([states[i - 1], ctrl.alpha],
+                                                     axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
         grads[i - 1] = _step_gradient(policy.steps[i - 1], ctrl, adj, probs,
@@ -1334,7 +1290,7 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
             x = x + problem.beta_f * gue.increments[i]
         states.append(x)
         controls.append(alpha)
-    total = run_cost + float(problem.cost.terminal_value(states[-1].data))
+    total = run_cost + float(np.real(problem.cost.terminal.eval(states[-1].data)))
     return PathData(times=times, states=states, controls=controls,
                     w0_increments=dw0, gue_increments=gue.increments,
                     cost=total)
@@ -1466,16 +1422,18 @@ def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):
 # ---------------------------------------------------------------------------
 
 
-def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, chunk=64, tag="bdlhs"):
-    """-(1/n^2) log E exp(-n^2 psi(W_hat_1)) by max-shifted log-sum-exp."""
+def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, tag="bdlhs"):
+    """-(1/n^2) log E exp(-n^2 psi(W_hat_1)) by max-shifted log-sum-exp.
+
+    Sample s is drawn from ``rng.child(tag, s)``; the draws are stacked into
+    one (mc_samples, d, n, n) batch and psi is evaluated on it once.
+    """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    if d is None:
-        d = psi.d if hasattr(psi, "d") else psi.cyl.d
-    exponents = np.empty(mc_samples)
-    for s in range(mc_samples):
-        w = sample_gue_tuple(n, d, rng.child(tag, s))
-        exponents[s] = -float(n * n) * float(np.real(_expr_value(psi, w.data)))
+    d = psi.d if d is None else d
+    draws = np.stack([sample_gue_tuple(n, d, rng.child(tag, s)).data
+                      for s in range(mc_samples)])
+    exponents = -float(n * n) * np.real(psi.eval(draws))
     m = float(np.max(exponents))
     if not math.isfinite(m):
         raise NumericalError("all exponents underflowed")
@@ -1494,8 +1452,7 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config=None, rng=None, d=None,
     cfg = opt_config or OptimizerConfig()
     if rng is None:
         raise ValueError("an RngStream is required")
-    if d is None:
-        d = psi.d if hasattr(psi, "d") else psi.cyl.d
+    d = psi.d if d is None else d
     steps = time_steps or cfg.time_steps or 8
     cost = CostSpec(l0=None, quad_coef=0.5, terminal=psi,
                     convexity_declared=True)

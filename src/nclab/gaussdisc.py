@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfcx
 
-from .matrixcore import operator_norm
+from .matrixcore import NumericalError, operator_norm
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
@@ -161,9 +161,9 @@ def bin_conditional_mean(j, delta, N):
         omega = sd * num / p
     if delta <= 1.0:
         if abs(omega) > 2.0 + 1e-12:
-            raise RuntimeError(f"|omega| = {abs(omega):.6f} > 2 at delta={delta}")
+            raise NumericalError(f"|omega| = {abs(omega):.6f} > 2 at delta={delta}")
         if -N <= j <= N - 1 and abs(omega) > 1.0 + 1e-12:
-            raise RuntimeError(f"interior |omega| = {abs(omega):.6f} > 1")
+            raise NumericalError(f"interior |omega| = {abs(omega):.6f} > 1")
     return omega
 
 
@@ -199,7 +199,7 @@ def bin_conditional_absdev(j, delta, N):
     interior = -N <= j <= N - 1
     bound = (1.0 / N) if interior else math.sqrt(delta)
     if value > bound + 1e-9:
-        raise RuntimeError(
+        raise NumericalError(
             f"conditional absolute deviation {value:.6g} exceeds bound {bound:.6g}")
     return value
 
@@ -240,9 +240,9 @@ def noise_table(N, delta) -> NoiseTable:
     probs = np.array([bin_probability(j, delta, N) for j in js])
     omegas = np.array([bin_conditional_mean(j, delta, N) for j in js])
     if abs(probs.sum() - 1.0) > 1e-12:
-        raise RuntimeError(f"bin probabilities sum to {probs.sum():.15f}")
+        raise NumericalError(f"bin probabilities sum to {probs.sum():.15f}")
     if abs(float(probs @ omegas)) > 1e-12:
-        raise RuntimeError("conditional means do not average to zero")
+        raise NumericalError("conditional means do not average to zero")
     in_range = bool(np.all(np.abs(omegas) <= 2.0 + 1e-12))
     return NoiseTable(N=N, delta=float(delta), probs=probs, omegas=omegas,
                       omega_in_range=in_range)
@@ -278,7 +278,7 @@ def edge_mass(K, N, delta):
     q = _upper_tail(1.0 / math.sqrt(delta))
     mass = 1.0 - (1.0 - 2.0 * q) ** K
     if mass > 2.0 * K * q + 1e-12:
-        raise RuntimeError("edge mass exceeds the union bound")
+        raise NumericalError("edge mass exceeds the union bound")
     return mass
 
 
@@ -288,7 +288,7 @@ def truncated_gaussian_mean(z):
         raise ValueError("threshold must be finite")
     mean = _hazard(z)
     if z >= 1.0 and mean > 2.0 * z + 1e-12:
-        raise RuntimeError(f"conditional mean {mean:.6f} exceeds 2z at z={z}")
+        raise NumericalError(f"conditional mean {mean:.6f} exceeds 2z at z={z}")
     return mean
 
 
@@ -299,7 +299,7 @@ def truncated_gaussian_variance(z):
     h = _hazard(z)
     var = 1.0 + z * h - h * h
     if z >= 0.0 and var > 1.0 + 1e-12:
-        raise RuntimeError(f"conditional variance {var:.6f} > 1 at z={z}")
+        raise NumericalError(f"conditional variance {var:.6f} > 1 at z={z}")
     return var
 
 

@@ -46,17 +46,31 @@ def _fmt(value):
     return str(value)
 
 
+def _write_atomic(path, write):
+    """Write ``path`` through ``write(fh)`` into ``path.tmp``, then rename it
+    over ``path``: a failed write leaves ``path`` as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path, headers, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in [headers, *rows])
+    _write_atomic(path, lambda fh: fh.write(text))
+
+
+def _write_json(path, doc):
+    _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1))
 
 
 def write_json_rows(path, headers, rows):
-    docs = [dict(zip(headers, row)) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(docs, fh, indent=1)
+    _write_json(path, [dict(zip(headers, row)) for row in rows])
 
 
 def parallel_map(fn, items, threads):
@@ -396,7 +410,12 @@ def experiment_csv(kind, params, stream, threads=1):
 
 
 def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
-    """Execute all experiments in a config; resumable via the manifest."""
+    """Execute all experiments in a config; resumable via the manifest.
+
+    A manifest that does not parse to a JSON object with an ``experiments``
+    object counts as none: the run starts fresh and overwrites it.  Outputs
+    are replaced atomically, never left half-written.
+    """
     if not isinstance(config.get("experiments", None), list):
         raise ExperimentError("config must contain an 'experiments' list")
     seed = config.get("seed", 0) if seed is None else seed
@@ -404,11 +423,14 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     digest = config_hash({"experiments": config["experiments"], "seed": seed})
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {"config_hash": digest, "seed": seed, "experiments": {}}
-    if os.path.exists(manifest_path):
+    try:
         with open(manifest_path, encoding="utf-8") as fh:
             old = json.load(fh)
-        if old.get("config_hash") == digest:
-            manifest = old
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON or not UTF-8
+        old = None
+    if (isinstance(old, dict) and old.get("config_hash") == digest
+            and isinstance(old.get("experiments"), dict)):
+        manifest = old
 
     master = RngStream(int(seed))
     summary = {}
@@ -434,13 +456,10 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             "started": started, "finished": time.time(), "checks": checks,
         }
         summary[key] = checks
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
+        _write_json(manifest_path, manifest)
 
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
+    _write_json(manifest_path, manifest)
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 

@@ -6,7 +6,9 @@ numpy arrays, and :class:`MatrixTuple`, a d-tuple of Hermitian matrices of
 equal size stored as one (d, n, n) array.  The geometry is the one induced
 by the normalized trace tr_n = Tr/n: the orthonormal basis
 :func:`basis_element`, the inner product Sum_j tr_n(X_j Y_j), and the
-functional calculus Q f(Lambda) Q*.
+functional calculus Q f(Lambda) Q*.  The spectral functions (:func:`eigh`,
+:func:`apply_scalar_function`, :func:`scalar_function_derivative`,
+:func:`operator_norm`) are batch-native: one call, one eigensolve, (..., n, n).
 """
 
 from __future__ import annotations
@@ -43,10 +45,14 @@ class NumericalError(RuntimeError):
     """Raised when a numerical routine (eigensolver, optimizer) fails."""
 
 
+def _adjoint(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
 def hermitize(a):
     """Return (A + A*)/2, silencing Hermiticity drift from arithmetic chains."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    return 0.5 * (a + _adjoint(a))
 
 
 def assert_hermitian(a, tol=HERMITICITY_TOL):
@@ -60,7 +66,7 @@ def assert_hermitian(a, tol=HERMITICITY_TOL):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    drift = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))))
+    drift = np.max(np.abs(a - _adjoint(a)))
     if drift > tol:
         raise ValueError(f"matrix is not Hermitian: asymmetry {drift:.3e} > {tol:.1e}")
     return a
@@ -118,18 +124,20 @@ class SpectralDecomposition(NamedTuple):
 def eigh(a) -> SpectralDecomposition:
     """Spectral decomposition A = Q diag(w) Q* with w ascending.
 
-    Backed by LAPACK through numpy; validates the reconstruction residual
-    10^-10-level contract and raises NumericalError on failure to converge.
+    Backed by LAPACK through numpy on (..., n, n) stacks; validates each
+    matrix's reconstruction residual against 1e-10 (1 + ||A||_F) and raises
+    NumericalError on failure to converge.
     """
     a = hermitize(assert_hermitian(a, tol=1e-10))
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # non-convergence
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    fro = np.linalg.norm(a)
-    resid = np.linalg.norm(a - (q * w) @ np.conj(q.T))
-    if resid > 1e-10 * (1.0 + fro):
-        raise NumericalError(f"eigendecomposition residual {resid:.3e} too large")
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    resid = np.linalg.norm(a - (q * w[..., None, :]) @ _adjoint(q), axis=(-2, -1))
+    if np.any(resid > 1e-10 * (1.0 + fro)):
+        raise NumericalError(
+            f"eigendecomposition residual {np.max(resid):.3e} too large")
     return SpectralDecomposition(w, q)
 
 
@@ -161,11 +169,32 @@ def _resolve_scalar_function(f) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"cannot interpret scalar function tag {f!r}")
 
 
+def _spectral_calculus(w, q, f, fprime=None):
+    """(f(A), mult) for A = Q diag(w) Q*, f(A) not re-symmetrized.  With
+    ``fprime``, mult is the divided differences f[w_a, w_b] (fprime at the
+    midpoint where |w_a - w_b| <= 1e-12), else None."""
+    fw = _resolve_scalar_function(f)(w)
+    fa = (q * fw[..., None, :]) @ _adjoint(q)
+    if fprime is None:
+        return fa, None
+    dx = w[..., :, None] - w[..., None, :]
+    close = np.abs(dx) <= 1e-12
+    mid = _resolve_scalar_function(fprime)(0.5 * (w[..., :, None] + w[..., None, :]))
+    num = fw[..., :, None] - fw[..., None, :]
+    return fa, np.where(close, mid, num / np.where(close, 1.0, dx))
+
+
+def _frechet(q, mult, e):
+    """Q (mult o (Q* E Q)) Q*: the derivative of the functional calculus at
+    A = Q diag(w) Q* applied to E, batched over (..., n, n)."""
+    qh = _adjoint(q)
+    return q @ (mult * (qh @ e @ q)) @ qh
+
+
 def apply_scalar_function(a, f):
     """Continuous functional calculus f(A) = Q f(Lambda) Q* for Hermitian A."""
-    fn = _resolve_scalar_function(f)
     w, q = eigh(a)
-    return hermitize((q * fn(w)) @ np.conj(q.T))
+    return hermitize(_spectral_calculus(w, q, f)[0])
 
 
 def scalar_function_derivative(a, f, fprime):
@@ -178,27 +207,16 @@ def scalar_function_derivative(a, f, fprime):
 
     where f[x, y] = (f(x) - f(y))/(x - y) off the diagonal and f'(x) on it.
     The map is self-adjoint for the real tr_n pairing, so it also transports
-    gradients of downstream costs back through f.
+    gradients of downstream costs back through f.  Over a stack A, ``apply``
+    maps each E through its own A.
     """
-    fn = _resolve_scalar_function(f)
-    dfn = _resolve_scalar_function(fprime)
     w, q = eigh(a)
-    fw = fn(w)
-    dx = w[:, None] - w[None, :]
-    num = fw[:, None] - fw[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(np.abs(dx) > 1e-12, num / np.where(dx == 0, 1.0, dx), 0.0)
-    diag = dfn(0.5 * (w[:, None] + w[None, :]))
-    mult = np.where(np.abs(dx) > 1e-12, mult, diag)
-
-    def apply(e):
-        return hermitize(q @ (mult * (np.conj(q.T) @ e @ q)) @ np.conj(q.T))
-
-    return apply
+    _, mult = _spectral_calculus(w, q, f, fprime)
+    return lambda e: hermitize(_frechet(q, mult, e))
 
 
 def operator_norm(a):
-    """Largest absolute eigenvalue of a Hermitian matrix."""
+    """Largest absolute eigenvalue of a Hermitian matrix (or of a stack)."""
     w, _ = eigh(a)
     return float(np.max(np.abs(w)))
 
@@ -220,9 +238,8 @@ class MatrixTuple:
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected (d, n, n) data, got shape {arr.shape}")
         if validate:
-            for k in range(arr.shape[0]):
-                assert_hermitian(arr[k], tol=1e-10)
-            drift = np.max(np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))))
+            assert_hermitian(arr, tol=1e-10)
+            drift = np.max(np.abs(arr - _adjoint(arr)))
             if drift > HERMITICITY_TOL:
                 arr = hermitize(arr)
         arr.setflags(write=False)
@@ -307,12 +324,10 @@ class MatrixTuple:
         return l1_norm(self)
 
     def max_operator_norm(self):
-        return max(operator_norm(m) for m in self.data)
+        return operator_norm(self.data)
 
     def apply_scalar_function(self, f):
-        return MatrixTuple(
-            np.stack([apply_scalar_function(m, f) for m in self.data]),
-            validate=False)
+        return MatrixTuple(apply_scalar_function(self.data, f), validate=False)
 
     def clip(self, r):
         return self.apply_scalar_function(("clip", r))
@@ -334,11 +349,8 @@ def l2_norm(x: MatrixTuple):
 
 def l1_norm(x: MatrixTuple):
     """Sum_j tr_n |X_j| via functional calculus with the absolute value."""
-    total = 0.0
-    for m in x.data:
-        w, _ = eigh(m)
-        total += float(np.sum(np.abs(w))) / x.dim
-    return total
+    w, _ = eigh(x.data)
+    return float(np.sum(np.abs(w))) / x.dim
 
 
 def random_hermitian(n, rng, scale=1.0):

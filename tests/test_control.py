@@ -225,7 +225,7 @@ def materialised_reference(problem, policy, chunk):
         raws.append(raw)
         alphas.append(alpha)
         feats.append(f)
-    total += cost.terminal_value(x) @ tree.probs[-1]
+    total += cost.terminal.eval(x) @ tree.probs[-1]
 
     grads = [None] * K
     lam = tree.probs[-1][None, :, None, None, None] * cost.terminal.gradient(x)
@@ -377,12 +377,12 @@ def test_scalar_trace_cost_matches_per_matrix_loop(stream):
                      for _ in range(5)]).reshape(5, 4, 3, 3)
     for letters in (None, [0, 2]):
         cost = ctl.ScalarTraceCost(h, letters)
-        got = cost.value(data)
+        got = cost.eval(data)
         for s in range(len(data)):
             want = sum(float(np.mean(h(np.linalg.eigvalsh(data[s, k]))))
                        for k in (letters or range(4)))
             assert got[s] == pytest.approx(want, rel=1e-14)
-    assert isinstance(ctl.ScalarTraceCost(h).value(data[0]), float)
+    assert isinstance(ctl.ScalarTraceCost(h).eval(data[0]), float)
 
 
 def test_scalar_trace_cost_eigensolver_failure_is_numerical(monkeypatch):
@@ -391,7 +391,107 @@ def test_scalar_trace_cost_eigensolver_failure_is_numerical(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericalError):
-        ctl.ScalarTraceCost(np.abs).value(np.zeros((2, 1, 2, 2), dtype=complex))
+        ctl.ScalarTraceCost(np.abs).eval(np.zeros((2, 1, 2, 2), dtype=complex))
+
+
+
+# -- the cost-expression protocol -------------------------------------------------
+
+
+def cross_term_cylindrical():
+    """0.3 tr X1X2 - 0.2 tr X2^2 + 0.1 (tr X1X2)(tr X2^2) + 0.4 (tr X1X2)^2
+    over two letters."""
+    inners = [NCPolynomial(2, {(1, 2): 0.5, (2, 1): 0.5}),
+              NCPolynomial(2, {(2, 2): 1.0})]
+    outer = MultiPoly(2, {(1, 0): 0.3, (0, 1): -0.2, (1, 1): 0.1, (2, 0): 0.4})
+    return CylindricalFunction(outer=outer, inners=inners)
+
+
+COST_EXPRESSIONS = {
+    "trace_power": lambda: trace_power(2, 2),
+    "cross_term": cross_term_cylindrical,
+    "arctan_plus": lambda: ctl.ArctanComposedTerminal(cross_term_cylindrical(), 1.0),
+    "arctan_minus": lambda: ctl.ArctanComposedTerminal(cross_term_cylindrical(), -1.0),
+    "scalar_trace": lambda: ctl.ScalarTraceCost(lambda t: np.sqrt(t * t + 1.0)),
+}
+
+
+def random_batch(gen, shape, n, scale=0.6):
+    return np.stack([random_hermitian(n, gen, scale=scale)
+                     for _ in range(math.prod(shape))]).reshape(shape + (n, n))
+
+
+@pytest.mark.parametrize("name", sorted(COST_EXPRESSIONS))
+def test_cost_expression_protocol(stream, name):
+    expr = COST_EXPRESSIONS[name]()
+    gen = stream.child("protocol", name).generator()
+    n = 3
+    data = random_batch(gen, (3, 2, 2), n)
+    values = expr.eval(data)
+    per_element = np.array([float(expr.eval(data[idx]))
+                            for idx in np.ndindex(3, 2)]).reshape(3, 2)
+    assert np.array_equal(values, per_element)
+    if name == "scalar_trace":
+        assert not hasattr(expr, "value_and_grad")  # value-only by design
+        return
+    assert expr.d == 2
+    value, grad = expr.value_and_grad(data)
+    assert np.array_equal(value, values)
+    assert grad.shape == data.shape
+    direction = random_batch(gen, (3, 2, 2), n, scale=1.0)
+    h = 1e-5
+    fd = (expr.eval(data + h * direction) - expr.eval(data - h * direction)) / (2 * h)
+    analytic = np.einsum("sbkij,sbkji->sb", grad, direction).real / n
+    assert np.max(np.abs(fd - analytic)) <= 1e-8 * (1.0 + np.max(np.abs(analytic)))
+
+
+def arctan_loop_reference(term, data):
+    """The value and gradient of sign * U(arctan(X)), matrix by matrix."""
+    flat = data.reshape((-1,) + data.shape[-3:])
+    y = np.empty_like(flat)
+    for slot in np.ndindex(flat.shape[:2]):
+        y[slot] = apply_scalar_function(flat[slot], "arctan")
+    y = y.reshape(data.shape)
+    value = term.sign * np.real(term.cyl.eval(y))
+    gy = np.asarray(term.cyl.gradient(y)).reshape(flat.shape)
+    grad = np.empty_like(gy)
+    for slot in np.ndindex(flat.shape[:2]):
+        pull = scalar_function_derivative(flat[slot], "arctan",
+                                          lambda t: 1.0 / (1.0 + t * t))
+        grad[slot] = pull(gy[slot])
+    return value, term.sign * grad.reshape(data.shape)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("lead", [(), (4, 3)])
+def test_arctan_terminal_matches_per_matrix_loop(stream, d, lead):
+    gen = stream.child("arctan", d, len(lead)).generator()
+    cyl = (cross_term_cylindrical() if d == 2 else
+           CylindricalFunction(outer=MultiPoly(2, {(1, 0): 0.2, (1, 1): -0.3}),
+                               inners=[NCPolynomial(1, {(1,): 1.0}),
+                                       NCPolynomial(1, {(1, 1): 1.0})]))
+    term = ctl.ArctanComposedTerminal(cyl, -1.0)
+    data = random_batch(gen, lead + (d,), 4, scale=1.5)
+    value, grad = term.value_and_grad(data)
+    want_value, want_grad = arctan_loop_reference(term, data)
+    assert np.shape(value) == lead and grad.shape == data.shape
+    assert np.max(np.abs(value - want_value)) <= 1e-12 * np.max(np.abs(want_value))
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_arctan_terminal_one_eigensolve_per_gradient(stream, monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    term = ctl.ArctanComposedTerminal(cross_term_cylindrical(), 1.0)
+    data = random_batch(stream.child("arctan-count").generator(), (5, 3, 2), 3)
+    term.value_and_grad(data)
+    assert calls == [data.shape]
 
 
 # -- discrete_cost -----------------------------------------------------------------

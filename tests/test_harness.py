@@ -208,3 +208,65 @@ def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):
     assert calls == [2, 3, 2, 3, 2]
     assert [r[0] for r in rows] == list(range(5))
     assert checks["identity_max_gap"]["pass"] and checks["fd_max_gap"]["pass"]
+
+
+def test_gaussdisc_bound_violation_exits_numerical(tmp_path, monkeypatch):
+    from nclab import gaussdisc
+
+    # a Mills hazard of 10 puts every tail bin's conditional mean above 2
+    monkeypatch.setattr(gaussdisc, "_hazard", lambda z: 10.0)
+    gaussdisc.noise_table.cache_clear()
+    config = tmp_path / "gd.json"
+    config.write_text(json.dumps(
+        {"experiments": [{"kind": "gaussdisc-check", "N_list": [1],
+                          "delta_list": [1.0]}],
+         "out_dir": str(tmp_path / "o")}))
+    try:
+        assert harness.run(str(config)) == harness.EXIT_NUMERICAL
+    finally:
+        gaussdisc.noise_table.cache_clear()
+
+
+def csv_outputs(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))
+            if name.endswith(".csv")}
+
+
+@pytest.mark.parametrize("manifest", ["truncated", "garbage", "list",
+                                      "experiments-list"])
+def test_unreadable_manifest_counts_as_none(tmp_path, manifest):
+    fresh = tmp_path / "fresh"
+    harness.run_config(tiny_config(), str(fresh))
+    digest = harness.config_hash({"experiments": tiny_config()["experiments"],
+                                  "seed": 7})
+    text = {"truncated": "{\"config_hash\": \"ab",
+            "garbage": "\x00\xff garbage",
+            "list": "[1, 2, 3]",
+            "experiments-list": json.dumps({"config_hash": digest,
+                                            "experiments": []})}[manifest]
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert harness.run(str(cfg_path), out_dir=str(out)) == harness.EXIT_OK
+    assert csv_outputs(out) == csv_outputs(fresh)
+    doc = json.loads((out / "manifest.json").read_text())
+    assert sorted(doc["experiments"]) == ["00_spectrum", "01_gaussdisc-check"]
+
+
+def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
+    out = tmp_path / "res"
+    harness.run_config(tiny_config(), str(out))
+    before = (out / "manifest.json").read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write("{\"config_hash\": \"trunc")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(seed=8)))
+    assert harness.run(str(cfg_path), out_dir=str(out)) == harness.EXIT_IO
+    assert (out / "manifest.json").read_bytes() == before
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]

@@ -167,3 +167,63 @@ def test_scalar_function_derivative_matches_fd(gen):
     fd = (mc.apply_scalar_function(a + h * e, "arctan")
           - mc.apply_scalar_function(a - h * e, "arctan")) / (2 * h)
     assert np.max(np.abs(analytic - fd)) <= 1e-6
+
+
+def hermitian_batch(gen, shape, n, scale=1.0):
+    return np.stack([mc.random_hermitian(n, gen, scale=scale)
+                     for _ in range(math.prod(shape))]).reshape(shape + (n, n))
+
+
+def test_spectral_calculus_is_batch_native(gen):
+    a = hermitian_batch(gen, (3, 2), 4)
+    e = hermitian_batch(gen, (3, 2), 4, scale=0.5)
+    darctan = lambda t: 1.0 / (1.0 + t * t)
+    w, q = mc.eigh(a)
+    fa = mc.apply_scalar_function(a, "arctan")
+    clipped = mc.apply_scalar_function(a, ("clip", 1.0))
+    pulled = mc.scalar_function_derivative(a, "arctan", darctan)(e)
+    for idx in np.ndindex(3, 2):
+        w1, q1 = mc.eigh(a[idx])
+        assert np.array_equal(w[idx], w1) and np.array_equal(q[idx], q1)
+        assert np.max(np.abs(fa[idx] - mc.apply_scalar_function(a[idx], "arctan"))) <= 1e-14
+        assert np.max(np.abs(
+            clipped[idx] - mc.apply_scalar_function(a[idx], ("clip", 1.0)))) <= 1e-14
+        one = mc.scalar_function_derivative(a[idx], "arctan", darctan)(e[idx])
+        assert np.max(np.abs(pulled[idx] - one)) <= 1e-14
+    assert mc.operator_norm(a) == max(mc.operator_norm(m) for m in a.reshape(-1, 4, 4))
+
+
+def test_batched_eigh_rejects_one_non_hermitian_element(gen):
+    a = hermitian_batch(gen, (4,), 3)
+    a[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        mc.eigh(a)
+    with pytest.raises(ValueError):
+        mc.apply_scalar_function(a, "arctan")
+
+
+def test_batched_eigh_residual_is_checked_per_matrix(gen, monkeypatch):
+    # the bad element is small next to its batch mate: a batch-wide residual
+    # bound would let its 1e-7 error through
+    a = np.stack([1e6 * mc.random_hermitian(3, gen), mc.random_hermitian(3, gen)])
+    original = np.linalg.eigh
+
+    def perturbed(m, *args, **kwargs):
+        w, q = original(m, *args, **kwargs)
+        w = w.copy()
+        w[1, 0] += 1e-7
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(mc.NumericalError):
+        mc.eigh(a)
+
+
+def test_tuple_methods_match_per_component(gen):
+    x = mc.MatrixTuple(hermitian_batch(gen, (3,), 4, scale=2.0))
+    assert x.max_operator_norm() == max(mc.operator_norm(m) for m in x.data)
+    assert mc.l1_norm(x) == pytest.approx(
+        sum(np.sum(np.abs(np.linalg.eigvalsh(m))) / 4 for m in x.data), rel=1e-14)
+    clipped = x.clip(1.5)
+    for m, c in zip(x.data, clipped.data):
+        assert np.max(np.abs(c - mc.apply_scalar_function(m, ("clip", 1.5)))) <= 1e-14
