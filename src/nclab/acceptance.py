@@ -15,7 +15,6 @@ unit tests and by the companion diagnostic row.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -266,7 +265,10 @@ CRITERIA = {
 
 
 def run_acceptance(out_dir, threads=1, only=None):
-    """Run the acceptance criteria; print the table; nonzero exit on failure."""
+    """Run the acceptance criteria; print the table; exit 1 on a failed check."""
+    unknown = sorted(set(only or ()) - set(CRITERIA))
+    if unknown:
+        raise harness.ExperimentError(f"unknown criteria {unknown}")
     os.makedirs(out_dir, exist_ok=True)
     selected = sorted(only) if only else sorted(CRITERIA)
     all_rows = []
@@ -291,9 +293,7 @@ def run_acceptance(out_dir, threads=1, only=None):
               f"{'PASS' if r['pass'] else 'FAIL'}")
     n_fail = sum(1 for r in all_rows if not r["pass"])
     print(f"\n{len(all_rows) - n_fail}/{len(all_rows)} checks passed")
-    with open(os.path.join(out_dir, "acceptance.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(all_rows, fh, indent=1, default=str)
+    harness._write_json(os.path.join(out_dir, "acceptance.json"), all_rows)
     return 0 if n_fail == 0 else 1
 
 

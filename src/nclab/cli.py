@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import acceptance, harness
+
+
+THREADS_HELP = ("workers for spectrum and criterion 2, whose LAPACK eigensolves "
+                "release the GIL; other kinds run serially; never affects results")
 
 
 def build_parser():
@@ -22,13 +25,12 @@ def build_parser():
                        help="override the config's master seed")
     p_run.add_argument("--out-dir", default=None,
                        help="output directory (or NCLAB_OUT_DIR, or config)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker count; never affects results")
+    p_run.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
     p_acc.add_argument("--out-dir", required=True)
-    p_acc.add_argument("--threads", type=int, default=1)
+    p_acc.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_acc.add_argument("--only", type=int, nargs="*", default=None,
                        help="subset of criterion numbers to run")
     return parser
@@ -37,13 +39,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        code = harness.run(args.config, out_dir=args.out_dir, seed=args.seed,
+        return harness.run(args.config, out_dir=args.out_dir, seed=args.seed,
                            threads=args.threads, fmt=args.format)
-        return code
     if args.command == "acceptance":
-        out = args.out_dir or os.environ.get("NCLAB_OUT_DIR")
-        return acceptance.run_acceptance(out, threads=args.threads,
-                                         only=args.only)
+        return harness.exit_code(lambda: acceptance.run_acceptance(
+            args.out_dir, threads=args.threads, only=args.only))
     return 1
 
 

@@ -63,7 +63,8 @@ from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, _frechet,
                          _spectral_calculus, apply_scalar_function, eigh,
                          hermitize, inner_product, l1_norm)
-from .randmat import RngStream, sample_gue_tuple
+from .randmat import (RngStream, brownian_increments, gue_increments,
+                      sample_gue, sample_gue_tuple)
 
 __all__ = [
     "CostSpec", "ControlProblem", "DiscretePolicy", "PolicyStep",
@@ -154,10 +155,8 @@ class CostSpec:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         kappa = self.lip_const
         for _ in range(segments):
-            x1 = sample_gue_tuple(n, d, gen)
-            x2 = sample_gue_tuple(n, d, gen)
-            a1 = sample_gue_tuple(n, d, gen)
-            a2 = sample_gue_tuple(n, d, gen)
+            x1, x2, a1, a2 = (MatrixTuple(m, validate=False)
+                              for m in sample_gue(n, gen, (4, d)))
             if self.convexity_declared:
                 mid = self.lagrangian(0.5 * (x1.data + x2.data),
                                       0.5 * (a1.data + a2.data))
@@ -483,29 +482,23 @@ def _bin_tree(K, N, delta, collapse):
                     branch_omegas=table.omegas, branch_probs=table.probs)
 
 
-def _path_letters(problem, K, paths):
-    """Letters array (S, d(1+K), n, n): x0 components then each GUE path's
-    per-step increments."""
-    n, d = problem.n, problem.d
-    letters = np.zeros((len(paths), d * (1 + K), n, n), dtype=complex)
+def _path_letters(problem, increments):
+    """Letters array (S, d(1+K), n, n): x0 components then the per-step
+    components of the (S, K, d, n, n) GUE increments."""
+    S, K, d, n, _ = increments.shape
+    letters = np.empty((S, d * (1 + K), n, n), dtype=complex)
     letters[:, :d] = problem.x0.data
-    for row, path in enumerate(paths):
-        for j, inc in enumerate(path.increments, start=1):
-            letters[row, d * j:d * (j + 1)] = inc.data
+    letters[:, d:] = increments.reshape(S, K * d, n, n)
     return letters
 
 
 def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
-    """Letters of the given samples' GUE paths (see ``_path_letters``)."""
-    return _path_letters(problem, K, [_gue_path_for_sample(problem, K, rng, tag, s)
-                                      for s in sample_indices])
-
-
-def _gue_path_for_sample(problem, K, rng: RngStream, tag, s):
-    from .randmat import gue_increments
-
-    grid = problem.grid(K)
-    return gue_increments(problem.n, problem.d, grid.times, rng.child(tag, s))
+    """Letters of the given samples' GUE paths, sample s drawn from
+    ``rng.child(tag, s)`` (see ``_path_letters``)."""
+    times = problem.grid(K).times
+    return _path_letters(problem, np.stack([
+        gue_increments(problem.n, problem.d, times, rng.child(tag, s)).increments
+        for s in sample_indices]))
 
 
 def _gate_indicator(letters, d, K, level):
@@ -987,7 +980,7 @@ def simulate_discrete(problem, policy, grid, gue_path) -> TrajectoryBundle:
     if gue_path.steps != grid.K:
         raise ValueError("GUE path must live on the same grid")
     tree = _bin_tree(policy.K, policy.N, grid.delta, policy.collapse_bins)
-    letters = _path_letters(problem, policy.K, [gue_path])
+    letters = _path_letters(problem, gue_path.increments[None])
     _, gate, features, word_index = _batch_from_letters(problem, policy, letters)
     states, _, controls = _forward(problem, policy, tree, letters, features,
                                    word_index, gate, keep_states=True)
@@ -1247,7 +1240,7 @@ class PathData:
     states: list        # MatrixTuple at each grid time
     controls: list      # MatrixTuple applied on each interval
     w0_increments: np.ndarray
-    gue_increments: list
+    gue_increments: np.ndarray  # (steps, d, n, n)
     cost: float
 
 
@@ -1266,8 +1259,6 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
         raise TypeError("euler_maruyama requires an RngStream")
     grid = TimeGrid(problem.t0, problem.T, steps)
     times = list(grid.times)
-    from .randmat import brownian_increments, gue_increments
-
     dw0 = brownian_increments(times, gen_stream.child("w0"))
     gue = gue_increments(problem.n, problem.d, times, gen_stream.child("gue"))
 
@@ -1287,7 +1278,7 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
         if problem.beta_c:
             x = x + eye_shift(problem.beta_c * dw0[i])
         if problem.beta_f:
-            x = x + problem.beta_f * gue.increments[i]
+            x = x + problem.beta_f * MatrixTuple(gue.increments[i], validate=False)
         states.append(x)
         controls.append(alpha)
     total = run_cost + float(np.real(problem.cost.terminal.eval(states[-1].data)))

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfcx
 
-from .matrixcore import NumericalError, operator_norm
-from .randmat import RngStream, sample_gue_tuple
+from .matrixcore import NumericalError, eigh, hermitize, operator_norm
+from .randmat import RngStream, sample_gue, sample_gue_tuple
 
 __all__ = [
     "TimeGrid", "BinPath", "NoiseTable",
@@ -341,12 +341,11 @@ def bridge_bound_check(a, b, c, samples, rng, n=None, cells=25):
     for _ in range(outer):
         delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
         norm_delta = operator_norm(delta_mat.component(0))
-        lhs_vals = []
-        for _ in range(inner):
-            xi = sample_gue_tuple(n, 1, gen, scale=math.sqrt(sigma2))
-            mid_mat = theta * delta_mat + xi
-            lhs_vals.append(operator_norm(mid_mat.component(0)))
-        lhs = float(np.mean(lhs_vals))
+        xi = math.sqrt(sigma2) * sample_gue(n, gen, (inner,))
+        # theta * delta_mat + xi as MatrixTuple arithmetic rounds it
+        mid = hermitize(hermitize(theta * delta_mat.data) + xi)
+        w, _ = eigh(mid)
+        lhs = float(np.mean(np.max(np.abs(w), axis=-1)))
         rhs = theta * norm_delta + 3.0 * math.sqrt(b - a)
         passed += lhs <= rhs + 1e-12
     return passed >= 0.99 * outer

@@ -3,9 +3,12 @@
 A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  A manifest keyed
-by the config hash makes reruns skip completed experiments; the thread count
-only fans out per-sample work into a pool with ordered reduction, so outputs
-are byte-identical for any worker count.
+by the config hash makes reruns skip completed experiments whose files are
+all present.  The thread count fans out only ``spectrum`` samples, whose
+LAPACK eigensolves release the GIL (n=512: 1.10 s at one thread, 0.56 s at
+two); the other kinds are Python-bound, and a pool slowed them (two threads:
+laplacian-check 0.527 -> 0.666 s, truncation-check 0.221 -> 0.355 s), so they
+run serially.  The map is ordered: outputs are byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +68,7 @@ def write_csv(path, headers, rows):
 
 
 def _write_json(path, doc):
-    _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1))
+    _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1, default=str))
 
 
 def write_json_rows(path, headers, rows):
@@ -184,6 +186,7 @@ def _exp_spectrum(params, stream, threads):
 
 
 def _exp_freeness(params, stream, threads):
+    del threads  # Python-bound per sample: the pool only adds overhead
     n_list = params.get("n_list", [8, 32, 128])
     samples = params.get("samples", 50)
     poly = NCPolynomial(1, {(1, 1): 1.0})
@@ -195,7 +198,7 @@ def _exp_freeness(params, stream, threads):
             s1 = sample_gue_tuple(n, 1, child.child(0))
             s2 = sample_gue_tuple(n, 1, child.child(1))
             return nclaw.freeness_statistic([s1, s2], [1, 2], [poly, poly])
-        stats = parallel_map(one, range(samples), threads)
+        stats = [one(s) for s in range(samples)]
         for s, v in enumerate(stats):
             rows.append([n, s, v])
         means[n] = float(np.mean(np.abs(stats)))
@@ -209,6 +212,7 @@ def _exp_freeness(params, stream, threads):
 
 
 def _exp_laplacian_check(params, stream, threads):
+    del threads  # Python-bound per case: the pool only adds overhead
     cases = params.get("cases", 50)
     n_list = params.get("n_list", [3, 4, 6])
     d = params.get("d", 2)
@@ -229,7 +233,7 @@ def _exp_laplacian_check(params, stream, threads):
         fd_gap = abs(gue - fd) / (1.0 + abs(gue))
         return [c, n, d, gue, free, corr, gap, fd_gap]
 
-    rows = parallel_map(one, range(cases), threads)
+    rows = [one(c) for c in range(cases)]
     gaps = [r[6] for r in rows]
     fd_gaps = [r[7] for r in rows]
     checks = {
@@ -355,6 +359,7 @@ def _exp_gaussdisc_check(params, stream, threads):
 
 
 def _exp_truncation_check(params, stream, threads):
+    del threads  # Python-bound per instance: the pool only adds overhead
     instances = params.get("instances", 100)
     R = params.get("R", 4.0)
     headers = ["instance", "lhs_holds", "kappa", "n", "d"]
@@ -372,13 +377,14 @@ def _exp_truncation_check(params, stream, threads):
             lip_const=kappa, convexity_declared=False)
         steps = int(gen.integers(2, 6))
         times = np.linspace(0.0, float(gen.uniform(0.5, 2.0)), steps + 1)
-        y = [sample_gue_tuple(n, d, gen) for _ in range(steps + 1)]
+        y = [MatrixTuple(m, validate=False)
+             for m in sample_gue(n, gen, (steps + 1, d))]
         alphas = [sample_gue_tuple(n, d, gen, scale=float(gen.uniform(0.5, 4.0)))
                   for _ in range(steps)]
         ok = ctl.truncation_inequality_check(cost, list(times), y, alphas, R)
         return [i, ok, kappa, n, d]
 
-    rows = parallel_map(one, range(instances), threads)
+    rows = [one(i) for i in range(instances)]
     n_pass = sum(1 for r in rows if r[1])
     checks = {"all_pass": {"measured": n_pass, "target": instances,
                            "pass": n_pass == instances}}
@@ -413,8 +419,9 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     """Execute all experiments in a config; resumable via the manifest.
 
     A manifest that does not parse to a JSON object with an ``experiments``
-    object counts as none: the run starts fresh and overwrites it.  Outputs
-    are replaced atomically, never left half-written.
+    object counts as none: the run starts fresh and overwrites it.  Only an
+    entry object marked done, with checks, whose artifacts all exist is
+    skipped.  Outputs are replaced atomically, never left half-written.
     """
     if not isinstance(config.get("experiments", None), list):
         raise ExperimentError("config must contain an 'experiments' list")
@@ -438,7 +445,10 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
         kind = exp.get("kind")
         key = f"{idx:02d}_{kind}"
         entry = manifest["experiments"].get(key)
-        if entry and entry.get("status") == "done":
+        if (isinstance(entry, dict) and entry.get("status") == "done"
+                and "checks" in entry and isinstance(entry.get("artifacts"), list)
+                and all(os.path.isfile(os.path.join(out_dir, str(name)))
+                        for name in entry["artifacts"])):
             summary[key] = entry["checks"]
             continue
         stream = master.child("experiment", idx)
@@ -465,18 +475,23 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
 
 def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
     """CLI entry: exit 0 ok, 1 config error, 2 numerical failure, 3 I/O."""
-    try:
+    def go():
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError:
-        return EXIT_IO
-    except json.JSONDecodeError:
-        return EXIT_CONFIG
-    out = out_dir or os.environ.get("NCLAB_OUT_DIR") or config.get("out_dir")
-    if not out:
-        return EXIT_CONFIG
-    try:
+        out = out_dir or os.environ.get("NCLAB_OUT_DIR") or config.get("out_dir")
+        if not out:
+            raise ExperimentError("no output directory")
         run_config(config, out, seed=seed, threads=threads, fmt=fmt)
+        return EXIT_OK
+
+    return exit_code(go)
+
+
+def exit_code(call):
+    """``call()``'s own exit code, or the code of the failure it raises:
+    2 numerical, 1 config, 3 I/O, each with a one-line message."""
+    try:
+        return call()
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError: caught first, it is not a config error
         print(f"numerical failure: {exc}")
@@ -487,4 +502,3 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
     except OSError as exc:
         print(f"I/O failure: {exc}")
         return EXIT_IO
-    return EXIT_OK

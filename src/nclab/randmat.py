@@ -57,8 +57,8 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)}")
 
 
-def sample_gue(n, rng):
-    """One unit-time GUE(n) matrix, normalized so E tr_n S^2 = 1.
+def sample_gue(n, rng, shape=()):
+    """Unit-time GUE(n) matrices of shape (*shape, n, n), E tr_n S^2 = 1.
 
     Entrywise realization of the basis expansion: the draw g[i, i] rides the
     diagonal element sqrt(n) e_i e_i^T, g[i, j] with i < j the symmetric
@@ -66,15 +66,19 @@ def sample_gue(n, rng):
 
         S_ii = g[i, i]/sqrt(n),
         S_ij = (g[i, j] - i g[j, i])/sqrt(2 n)   (i < j).
+
+    One ``standard_normal`` call fills all normals in C order, so a stack
+    equals consecutive single draws.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _as_generator(rng).standard_normal((n, n))
-    s = np.zeros((n, n), dtype=complex)
-    iu, il = _triangle_indices(n)
-    s[iu] = (g[iu] - 1j * g[il]) / np.sqrt(2.0 * n)
-    s += np.conj(s.T)
-    s[np.diag_indices(n)] = g.diagonal() / np.sqrt(n)
+    g = _as_generator(rng).standard_normal(tuple(shape) + (n, n))
+    s = np.zeros(g.shape, dtype=complex)
+    (ur, uc), (lr, lc) = _triangle_indices(n)
+    s[..., ur, uc] = (g[..., ur, uc] - 1j * g[..., lr, lc]) / np.sqrt(2.0 * n)
+    s += np.conj(np.swapaxes(s, -1, -2))
+    diag = np.arange(n)
+    s[..., diag, diag] = np.diagonal(g, axis1=-2, axis2=-1) / np.sqrt(n)
     return s
 
 
@@ -92,45 +96,34 @@ def _triangle_indices(n):
 
 def sample_gue_tuple(n, d, rng, scale=1.0):
     """d independent GUE(n) matrices as a MatrixTuple, each scaled by `scale`."""
-    gen = _as_generator(rng)
-    return MatrixTuple(
-        np.stack([scale * sample_gue(n, gen) for _ in range(d)]), validate=False)
+    return MatrixTuple(scale * sample_gue(n, rng, (d,)), validate=False)
 
 
 @dataclass(frozen=True)
 class GuePath:
     """Increments of d GUE(n) Brownian motions over a time grid.
 
-    ``increments[k]`` is the MatrixTuple of the d components over
+    ``increments[k]``, of one (K, d, n, n) array, holds the d components over
     (time_grid[k], time_grid[k+1]], distributed as sqrt(dt_k) GUE.
     """
 
     n: int
     d: int
     time_grid: tuple
-    increments: list
+    increments: np.ndarray
 
     @property
     def steps(self):
         return len(self.increments)
 
-    def partial_sum(self, k) -> MatrixTuple:
-        """W_{t_k} - W_{t_0} summed from the stored increments."""
-        total = MatrixTuple.zero(self.d, self.n)
-        for inc in self.increments[:k]:
-            total = total + inc
-        return total
-
 
 def gue_increments(n, d, time_grid, rng) -> GuePath:
     """Independent sqrt(dt)-scaled GUE increments over a strictly increasing grid."""
     grid = tuple(float(t) for t in time_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    dt = np.diff(grid)
+    if np.any(dt <= 0):
         raise ValueError(f"time grid must be strictly increasing, got {grid}")
-    gen = _as_generator(rng)
-    incs = []
-    for a, b in zip(grid, grid[1:]):
-        incs.append(sample_gue_tuple(n, d, gen, scale=np.sqrt(b - a)))
+    incs = np.sqrt(dt)[:, None, None, None] * sample_gue(n, rng, (len(dt), d))
     return GuePath(n=n, d=d, time_grid=grid, increments=incs)
 
 

@@ -9,9 +9,12 @@ continuous value; the companion check verifies the optimizer against that
 exact discrete optimum instead.
 """
 
+import numpy as np
 import pytest
 
 from nclab import acceptance
+from nclab.cli import main
+from nclab.matrixcore import NumericalError
 
 _CACHE = {}
 
@@ -103,6 +106,32 @@ def test_runner_table_and_exit_code(tmp_path):
     code = acceptance.run_acceptance(str(tmp_path), only=[2, 11])
     assert code == 0
     assert (tmp_path / "acceptance.json").exists()
+
+
+def test_acceptance_unknown_criterion_exits_config(tmp_path, capsys):
+    code = main(["acceptance", "--out-dir", str(tmp_path), "--only", "13"])
+    assert code == 1
+    assert "unknown criteria [13]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [NumericalError("solve diverged"),
+                                   np.linalg.LinAlgError("no convergence")])
+def test_acceptance_numerical_failure_exits_2(tmp_path, monkeypatch, capsys,
+                                              error):
+    def fail(threads, out_dir):
+        raise error
+
+    monkeypatch.setitem(acceptance.CRITERIA, 11, fail)
+    assert main(["acceptance", "--out-dir", str(tmp_path), "--only", "11"]) == 2
+    assert "numerical failure" in capsys.readouterr().out
+
+
+def test_acceptance_io_failure_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["acceptance", "--out-dir", str(blocker / "out"),
+                 "--only", "11"]) == 3
+    assert "I/O failure" in capsys.readouterr().out
 
 
 def test_sabotaged_gue_normalization_is_caught(monkeypatch, stream):

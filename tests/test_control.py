@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nclab import control as ctl
+from nclab import randmat as rm
 from nclab.gaussdisc import TimeGrid, noise_table
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
@@ -806,7 +807,7 @@ def test_euler_pathwise_reconstruction(stream):
     for i in range(6):
         recon = recon + h * a.data \
             + 0.7 * path.w0_increments[i] * np.eye(3) \
-            + 0.9 * path.gue_increments[i].data
+            + 0.9 * path.gue_increments[i]
         assert np.allclose(path.states[i + 1].data, recon, atol=1e-12)
 
 
@@ -823,6 +824,35 @@ def test_bd_lhs_constant_psi(stream):
 def test_bd_lhs_nonnegative_psi(stream):
     val = ctl.boue_dupuis_lhs(quadratic_psi(0.5), 4, 200, stream.child("bd1"))
     assert val >= 0.0
+
+
+def test_bd_lhs_equals_per_sample_draws(stream):
+    n, d, samples = 4, 2, 200
+    psi = trace_power(d, 2, 0.5)
+    rng = stream.child("bdstack")
+    got = ctl.boue_dupuis_lhs(psi, n, samples, rng)
+    draws = []
+    for s in range(samples):
+        gen = rng.child("bdlhs", s).generator()
+        draws.append([rm.sample_gue(n, gen) for _ in range(d)])
+    exponents = -float(n * n) * np.real(psi.eval(np.array(draws)))
+    m = float(np.max(exponents))
+    want = -(m + math.log(float(np.mean(np.exp(exponents - m))))) / (n * n)
+    assert got == want
+
+
+def test_sample_letters_equal_per_sample_paths(stream):
+    problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
+    K, indices = 3, [4, 0, 7]
+    got = ctl._sample_letters(problem, K, indices, stream, "lt")
+    want = np.zeros((len(indices), 2 * (1 + K), 3, 3), dtype=complex)
+    want[:, :2] = problem.x0.data
+    for row, s in enumerate(indices):
+        path = gue_increments(3, 2, problem.grid(K).times, stream.child("lt", s))
+        for j in range(K):
+            for k in range(2):
+                want[row, 2 * (1 + j) + k] = path.increments[j, k]
+    assert np.array_equal(got, want)
 
 
 def test_bd_lhs_gaussian_oracle(stream):

@@ -43,6 +43,32 @@ def test_resume_skips_completed(tmp_path):
     assert (out / "00_spectrum.csv").stat().st_mtime_ns == stamp  # untouched
 
 
+def test_resume_rewrites_missing_artifact(tmp_path):
+    out = tmp_path / "res"
+    harness.run_config(tiny_config(), str(out))
+    before = (out / "00_spectrum.csv").read_bytes()
+    (out / "00_spectrum.csv").unlink()
+    harness.run_config(tiny_config(), str(out))
+    assert (out / "00_spectrum.csv").read_bytes() == before
+
+
+def test_resume_reruns_non_object_entry(tmp_path):
+    out = tmp_path / "res"
+    harness.run_config(tiny_config(), str(out))
+    fresh = csv_outputs(out)
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["experiments"]["01_gaussdisc-check"] = 5
+    (out / "manifest.json").write_text(json.dumps(doc))
+    os.utime(out / "01_gaussdisc-check.csv", ns=(0, 0))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config()))
+    assert harness.run(str(cfg_path), out_dir=str(out)) == harness.EXIT_OK
+    assert (out / "01_gaussdisc-check.csv").stat().st_mtime_ns != 0
+    assert csv_outputs(out) == fresh
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["experiments"]["01_gaussdisc-check"]["status"] == "done"
+
+
 def test_changed_config_invalidates_manifest(tmp_path):
     out = tmp_path / "res"
     harness.run_config(tiny_config(seed=7), str(out))
@@ -59,17 +85,16 @@ def test_thread_count_does_not_change_output(tmp_path):
             {"kind": "spectrum", "n_list": [16], "samples": 8},
             {"kind": "freeness", "n_list": [8, 16], "samples": 10},
             {"kind": "truncation-check", "instances": 10, "R": 3.0},
+            {"kind": "laplacian-check", "cases": 4, "n_list": [3, 4], "d": 2},
         ],
     }
-    for threads in (1, 4):
+    for threads in (1, 2, 4):
         sub = tmp_path / f"t{threads}"
         harness.run_config(config, str(sub), threads=threads)
         outs[threads] = {name: (sub / name).read_bytes()
                          for name in sorted(os.listdir(sub))
                          if name.endswith(".csv")}
-    assert outs[1].keys() == outs[4].keys()
-    for name in outs[1]:
-        assert outs[1][name] == outs[4][name]
+    assert outs[1] == outs[2] == outs[4]
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
                              parse_outer, random_cylindrical, trace_power)
 from nclab.matrixcore import MatrixTuple, basis_element, random_hermitian
-from nclab.ncpoly import NCPolynomial
+from nclab.ncpoly import NCPolynomial, words_up_to_degree
 from nclab.randmat import RngStream, sample_haar_unitary
 
 
@@ -296,6 +296,34 @@ def test_identity_random_instances(stream):
         gap = abs(u.gue_laplacian(x) - u.free_laplacian(x)
                   - u.correction_term(x))
         assert gap < 1e-10
+
+
+def old_random_inners(rng, d, m_max=2, inner_degree=4):
+    """The inners as built through NCPolynomial(...).symmetrize()."""
+    m = int(rng.integers(1, m_max + 1))
+    inners = []
+    for _ in range(m):
+        terms = {}
+        for word in words_up_to_degree(d, inner_degree):
+            if rng.random() < 0.5:
+                continue
+            coeff = rng.normal() / (1.0 + len(word)) ** 2
+            terms[word] = terms.get(word, 0.0) + coeff
+        poly = NCPolynomial(d, terms).symmetrize()
+        if not poly.terms:
+            poly = NCPolynomial(d, {(1,): 1.0})
+        inners.append(poly)
+    return inners
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_cylindrical_inners_equal_symmetrized_construction(d):
+    for seed in range(20):
+        got = random_cylindrical(RngStream(seed).generator(), d).inners
+        want = old_random_inners(RngStream(seed).generator(), d)
+        assert [list(p.terms.items()) for p in got] == \
+            [list(p.terms.items()) for p in want]
+        assert all(p.is_selfadjoint(tol=0.0) for p in got)
 
 
 def test_free_laplacian_scale_covariance():

@@ -101,7 +101,7 @@ def test_operator_norm_median(stream):
 def test_gue_increments_single_step(stream):
     path = rm.gue_increments(8, 1, (0.0, 1.0), stream.child("g1"))
     assert path.steps == 1
-    assert path.increments[0].d == 1 and path.increments[0].dim == 8
+    assert path.increments.shape == (1, 1, 8, 8)
 
 
 def test_gue_increments_additive_variance(stream):
@@ -109,9 +109,42 @@ def test_gue_increments_additive_variance(stream):
     vals = []
     for _ in range(2000):
         path = rm.gue_increments(8, 1, (0.0, 0.5, 1.0), gen)
-        total = path.partial_sum(2).component(0)
+        total = path.increments.sum(axis=0)[0]
         vals.append(tr_n(total @ total))
     assert abs(np.mean(vals) - 1.0) <= 0.05
+
+
+def single_gue(n, gen):
+    """One GUE(n) draw from its own (n, n) block of normals, entry by entry."""
+    g = gen.standard_normal((n, n))
+    s = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        s[i, i] = g[i, i] / np.sqrt(n)
+        for j in range(i + 1, n):
+            s[i, j] = (g[i, j] - 1j * g[j, i]) / np.sqrt(2.0 * n)
+            s[j, i] = np.conj(s[i, j])
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
+def test_sample_gue_stack_equals_consecutive_draws(stream, n, shape):
+    got = rm.sample_gue(n, stream.child("stack", n).generator(), shape)
+    gen = stream.child("stack", n).generator()
+    want = np.array([single_gue(n, gen) for _ in range(int(np.prod(shape)))])
+    assert got.shape == shape + (n, n)
+    assert np.array_equal(got, want.reshape(shape + (n, n)))
+
+
+def test_gue_increments_equal_per_step_draws(stream):
+    grid = (0.0, 0.1, 0.35, 0.9, 1.0)
+    n, d = 3, 2
+    path = rm.gue_increments(n, d, grid, stream.child("steps"))
+    gen = stream.child("steps").generator()
+    want = [[np.sqrt(b - a) * single_gue(n, gen) for _ in range(d)]
+            for a, b in zip(grid, grid[1:])]
+    assert path.steps == len(grid) - 1
+    assert np.array_equal(path.increments, np.array(want))
 
 
 def test_gue_increment_components_nearly_free(stream):
