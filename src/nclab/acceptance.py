@@ -293,7 +293,8 @@ def run_acceptance(out_dir, threads=1, only=None):
               f"{'PASS' if r['pass'] else 'FAIL'}")
     n_fail = sum(1 for r in all_rows if not r["pass"])
     print(f"\n{len(all_rows) - n_fail}/{len(all_rows)} checks passed")
-    harness._write_json(os.path.join(out_dir, "acceptance.json"), all_rows)
+    harness._write_json(os.path.join(out_dir, "acceptance.json"), all_rows,
+                        default=str)  # numpy values in "measured" become text
     return 0 if n_fail == 0 else 1
 
 

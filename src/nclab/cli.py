@@ -8,8 +8,8 @@ import sys
 from . import acceptance, harness
 
 
-THREADS_HELP = ("workers for spectrum and criterion 2, whose LAPACK eigensolves "
-                "release the GIL; other kinds run serially; never affects results")
+THREADS_HELP = ("workers for spectrum and criterion 2 only (LAPACK releases the GIL; "
+                "a gain at n=512, not at n=256); never affects results")
 
 
 def build_parser():
@@ -43,7 +43,8 @@ def main(argv=None):
                            threads=args.threads, fmt=args.format)
     if args.command == "acceptance":
         return harness.exit_code(lambda: acceptance.run_acceptance(
-            args.out_dir, threads=args.threads, only=args.only))
+            args.out_dir, threads=args.threads, only=args.only),
+            config_errors=harness.ExperimentError)
     return 1
 
 

@@ -57,14 +57,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ncpoly
+from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, _frechet,
                          _spectral_calculus, apply_scalar_function, eigh,
                          hermitize, inner_product, l1_norm)
-from .randmat import (RngStream, brownian_increments, gue_increments,
-                      sample_gue, sample_gue_tuple)
+from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "CostSpec", "ControlProblem", "DiscretePolicy", "PolicyStep",
@@ -156,7 +155,7 @@ class CostSpec:
         kappa = self.lip_const
         for _ in range(segments):
             x1, x2, a1, a2 = (MatrixTuple(m, validate=False)
-                              for m in sample_gue(n, gen, (4, d)))
+                              for m in randmat.sample_gue(n, gen, (4, d)))
             if self.convexity_declared:
                 mid = self.lagrangian(0.5 * (x1.data + x2.data),
                                       0.5 * (a1.data + a2.data))
@@ -495,9 +494,9 @@ def _path_letters(problem, increments):
 def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
     """Letters of the given samples' GUE paths, sample s drawn from
     ``rng.child(tag, s)`` (see ``_path_letters``)."""
-    times = problem.grid(K).times
+    n, d, times = problem.n, problem.d, problem.grid(K).times
     return _path_letters(problem, np.stack([
-        gue_increments(problem.n, problem.d, times, rng.child(tag, s)).increments
+        randmat.gue_increments(n, d, times, rng.child(tag, s)).increments
         for s in sample_indices]))
 
 
@@ -1259,8 +1258,8 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
         raise TypeError("euler_maruyama requires an RngStream")
     grid = TimeGrid(problem.t0, problem.T, steps)
     times = list(grid.times)
-    dw0 = brownian_increments(times, gen_stream.child("w0"))
-    gue = gue_increments(problem.n, problem.d, times, gen_stream.child("gue"))
+    dw0 = randmat.brownian_increments(times, gen_stream.child("w0"))
+    gue = randmat.gue_increments(problem.n, problem.d, times, gen_stream.child("gue"))
 
     x = problem.x0
     states, controls = [x], []

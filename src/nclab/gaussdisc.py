@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .matrixcore import NumericalError, eigh, hermitize, operator_norm
-from .randmat import RngStream, sample_gue, sample_gue_tuple
+from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "TimeGrid", "BinPath", "NoiseTable",
@@ -341,7 +341,7 @@ def bridge_bound_check(a, b, c, samples, rng, n=None, cells=25):
     for _ in range(outer):
         delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
         norm_delta = operator_norm(delta_mat.component(0))
-        xi = math.sqrt(sigma2) * sample_gue(n, gen, (inner,))
+        xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2)).data
         # theta * delta_mat + xi as MatrixTuple arithmetic rounds it
         mid = hermitize(hermitize(theta * delta_mat.data) + xi)
         w, _ = eigh(mid)

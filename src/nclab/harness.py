@@ -4,11 +4,11 @@ A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  A manifest keyed
 by the config hash makes reruns skip completed experiments whose files are
-all present.  The thread count fans out only ``spectrum`` samples, whose
-LAPACK eigensolves release the GIL (n=512: 1.10 s at one thread, 0.56 s at
-two); the other kinds are Python-bound, and a pool slowed them (two threads:
-laplacian-check 0.527 -> 0.666 s, truncation-check 0.221 -> 0.355 s), so they
-run serially.  The map is ordered: outputs are byte-identical for any count.
+all present.  Only ``spectrum`` samples fan out over the thread count: their
+LAPACK eigensolves release the GIL, which pays at n=512 (1.10 -> 0.58 s at two
+threads) but not at n=256 (0.42 -> 0.56 s).  The Python-bound kinds ran slower
+in a pool (laplacian-check 0.527 -> 0.666 s), so they run serially.  The map
+is ordered: outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def write_csv(path, headers, rows):
     _write_atomic(path, lambda fh: fh.write(text))
 
 
-def _write_json(path, doc):
-    _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1, default=str))
+def _write_json(path, doc, default=None):
+    _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1, default=default))
 
 
 def write_json_rows(path, headers, rows):
@@ -487,16 +487,16 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
     return exit_code(go)
 
 
-def exit_code(call):
-    """``call()``'s own exit code, or the code of the failure it raises:
-    2 numerical, 1 config, 3 I/O, each with a one-line message."""
+def exit_code(call, config_errors=(ExperimentError, ValueError)):
+    """``call()``'s exit code, or for the failure it raises 2 numerical, 1 one
+    of ``config_errors``, 3 I/O, with a one-line message; others propagate."""
     try:
         return call()
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError: caught first, it is not a config error
         print(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
-    except (ExperimentError, ValueError) as exc:
+    except config_errors as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:

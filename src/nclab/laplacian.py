@@ -23,8 +23,8 @@ import numpy as np
 
 from . import ncpoly
 from .matrixcore import MatrixTuple, basis_element, hermitize
-from .ncpoly import (COEFF_PRUNE_TOL, NCPolynomial, format_polynomial,
-                     parse_polynomial, words_up_to_degree)
+from .ncpoly import (NCPolynomial, format_polynomial, parse_polynomial,
+                     words_up_to_degree)
 
 __all__ = ["MultiPoly", "CylindricalFunction", "trace_power",
            "random_cylindrical", "parse_outer", "format_outer"]
@@ -388,19 +388,12 @@ def random_cylindrical(rng, d, m_max=2, inner_degree=4, outer_degree=3):
     m = int(rng.integers(1, m_max + 1))
     inners = []
     for _ in range(m):
-        coeffs = {}
+        terms = {}
         for word in words_up_to_degree(d, inner_degree):
             if rng.random() >= 0.5:
-                coeff = complex(rng.normal() / (1.0 + len(word)) ** 2)
-                if abs(coeff) > COEFF_PRUNE_TOL:
-                    coeffs[word] = coeff
-        # (p + p*)/2 with the sums, order and prune of p.symmetrize()
-        total = dict(coeffs)
-        for word, coeff in coeffs.items():
-            total[word[::-1]] = total.get(word[::-1], 0.0) + coeff.conjugate()
-        terms = {w: c * 0.5 for w, c in total.items()
-                 if abs(c * 0.5) > COEFF_PRUNE_TOL}
-        inners.append(NCPolynomial(d, terms or {(1,): 1.0}))
+                terms[word] = rng.normal() / (1.0 + len(word)) ** 2
+        poly = NCPolynomial(d, terms).symmetrize()
+        inners.append(poly if poly.terms else NCPolynomial(d, {(1,): 1.0}))
     exps_pool = [e for e in _exponents(m, outer_degree)]
     terms = {}
     for exps in exps_pool:

@@ -181,8 +181,15 @@ class NCPolynomial:
                    for w, c in terms.items())
 
     def symmetrize(self):
-        """(p + p*)/2, always self-adjoint."""
-        return 0.5 * (self + self.star())
+        """(p + p*)/2, always self-adjoint: the sums and prune of
+        ``0.5 * (p + p.star())`` without re-checking the words of p."""
+        total = dict(self.terms)
+        for w, c in self.terms.items():
+            total[w[::-1]] = total.get(w[::-1], 0.0) + c.conjugate()
+        out = NCPolynomial(self.d)
+        out.terms = {w: c * 0.5 for w, c in total.items()
+                     if abs(c * 0.5) > COEFF_PRUNE_TOL}
+        return out
 
     # -- calculus ---------------------------------------------------------------
 

@@ -126,6 +126,16 @@ def test_acceptance_numerical_failure_exits_2(tmp_path, monkeypatch, capsys,
     assert "numerical failure" in capsys.readouterr().out
 
 
+def test_acceptance_value_error_in_criterion_propagates(tmp_path, monkeypatch):
+    # only an unknown criterion is a usage error; a bug keeps its traceback
+    def broken(threads, out_dir):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setitem(acceptance.CRITERIA, 11, broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["acceptance", "--out-dir", str(tmp_path), "--only", "11"])
+
+
 def test_acceptance_io_failure_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -855,6 +855,34 @@ def test_sample_letters_equal_per_sample_paths(stream):
     assert np.array_equal(got, want)
 
 
+def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
+    # the benchmark tracer patches only randmat's names, so the engine must
+    # look its samplers up there at call time
+    from nclab import gaussdisc as gd
+
+    calls = []
+    for name in ("gue_increments", "sample_gue", "brownian_increments"):
+        original = getattr(rm, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rm, name, wrapper)
+    problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
+    ctl._sample_letters(problem, 2, [0, 1], stream, "lt")
+    assert calls.count("gue_increments") == 2
+    ctl.euler_maruyama(problem, None, 2, stream.child("em"))
+    assert calls.count("gue_increments") == 3
+    assert calls.count("brownian_increments") == 1
+    del calls[:]
+    problem.cost.spot_check(3, 2, stream.child("spot"), segments=2)
+    assert calls == ["sample_gue"] * 2
+    del calls[:]
+    gd.bridge_bound_check(0.0, 0.5, 1.0, 80, stream.child("bridge"), n=3)
+    assert calls.count("sample_gue") >= 2
+
+
 def test_bd_lhs_gaussian_oracle(stream):
     val = ctl.boue_dupuis_lhs(quadratic_psi(0.5), 8, 10_000, stream.child("bd2"))
     assert val == pytest.approx(BD_ORACLE, abs=0.02)

@@ -69,6 +69,14 @@ def test_resume_reruns_non_object_entry(tmp_path):
     assert doc["experiments"]["01_gaussdisc-check"]["status"] == "done"
 
 
+def test_manifest_write_rejects_non_json_values(tmp_path):
+    # a numpy bool stored as the string "False" would read as truthy on resume
+    path = tmp_path / "manifest.json"
+    with pytest.raises(TypeError):
+        harness._write_json(str(path), {"checks": {"pass": np.bool_(False)}})
+    assert not path.exists()
+
+
 def test_changed_config_invalidates_manifest(tmp_path):
     out = tmp_path / "res"
     harness.run_config(tiny_config(seed=7), str(out))

@@ -299,7 +299,7 @@ def test_identity_random_instances(stream):
 
 
 def old_random_inners(rng, d, m_max=2, inner_degree=4):
-    """The inners as built through NCPolynomial(...).symmetrize()."""
+    """The inners as built through 0.5 * (p + p.star())."""
     m = int(rng.integers(1, m_max + 1))
     inners = []
     for _ in range(m):
@@ -309,7 +309,8 @@ def old_random_inners(rng, d, m_max=2, inner_degree=4):
                 continue
             coeff = rng.normal() / (1.0 + len(word)) ** 2
             terms[word] = terms.get(word, 0.0) + coeff
-        poly = NCPolynomial(d, terms).symmetrize()
+        poly = NCPolynomial(d, terms)
+        poly = 0.5 * (poly + poly.star())
         if not poly.terms:
             poly = NCPolynomial(d, {(1,): 1.0})
         inners.append(poly)

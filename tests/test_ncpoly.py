@@ -147,6 +147,27 @@ def test_symmetrization_is_selfadjoint(terms):
     assert (p + p.star()).is_selfadjoint()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)),
+    max_size=6))
+def test_symmetrize_equals_half_sum_with_star(terms):
+    p = ncp.NCPolynomial(3, {tuple(w): c for w, c in terms})
+    want = 0.5 * (p + p.star())
+    assert list(p.symmetrize().terms.items()) == list(want.terms.items())
+
+
+def test_symmetrize_cancels_and_prunes_like_half_sum():
+    # (1,2) and (2,1) cancel; 1.5e-15 survives on a palindrome only
+    p = ncp.NCPolynomial(2, {(1, 2): 1 + 2j, (2, 1): -1 + 2j,
+                             (1, 1, 2): 1.5e-15, (1,): 1.5e-15, (): 3.0})
+    got = p.symmetrize()
+    assert got.terms == {(1,): 1.5e-15 + 0j, (): 3.0 + 0j}
+    want = 0.5 * (p + p.star())
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(
     st.lists(st.integers(1, 3), max_size=4),
