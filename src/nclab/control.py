@@ -28,19 +28,35 @@ per-sample basis [f; 1; x0; increments], so the tree expands on the
     C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
 
 and the states of a level are one GEMM per sample, C_i @ basis, made only
-where a cost reads them: the last level, or every level when l0 does.  The
-controls are materialised in three places only: at clip suspects (c^T G c
-above R^2 less a rounding margin), where the clipped slots' states and
-gradients are corrected; where l0 reads them or every level's states are
-kept (``simulate_discrete``); and for const steps, as a
-broadcast view whose sample-independent drift is added to the states.  The
-state adjoint is the one full-size array paired with the features, one GEMM
-per step.
+where a cost reads them.  The controls are materialised in three places
+only: at clip suspects (c^T G c above R^2 less a rounding margin), where the
+clipped slots' states and gradients are corrected; where l0 reads them or
+every level's states are kept (``simulate_discrete``); and for const steps,
+as a broadcast view whose sample-independent drift is added to the states.
+
+Quadratic trace costs stay in coefficient space.  Each prepared chunk (the
+optimizer freezes its letters, gate and feature scales) carries the basis
+Gram H_s = Re tr(b_v b_w), (S, V, V), and traces t_s = tr b_v; a step's
+feature Gram G_s is a block of H_s.  A terminal whose ``trace_quadratic()``
+is not None (a cylindrical cost with inner polynomials of degree <= 2, such
+as ``trace_power(d, 2, coef)``: the LQ terminal and the Laplace-principle
+psi) reads the leaves only through tr_n X_k = C_k . t_s / n and
+tr_n X_k X_l = C_k^T H_s C_l / n, so its value needs no n x n array, and its
+gradient is a coefficient adjoint (B, d, V), summed over children up the
+tree; a poly step's parameter gradient is that adjoint's feature columns
+times delta plus the c||alpha||^2 term.  Where this does not apply exactly
+the leaf states are made and the terminal reads them, with the state
+adjoint paired with the features in one GEMM per step: a terminal without
+that form (the quartic cost), l0 set (every level's states), a const step
+or a slot the clip binds in the chunk (their drift and fixes are not in the
+basis span), and ``simulate_discrete``, which keeps every level's states.
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
-(real values), ``value_and_grad`` (values and tr_n gradients) and the letter
-count ``d``.  ``CylindricalFunction`` and ``ArctanComposedTerminal`` have all
-three; ``ScalarTraceCost`` is value-only, an l0 for ``CostSpec.lagrangian``.
+(real values), ``value_and_grad`` (values and tr_n gradients), the letter
+count ``d`` and ``trace_quadratic()`` (the form above, or None).
+``CylindricalFunction`` and ``ArctanComposedTerminal`` have all four;
+``ScalarTraceCost`` is value-only, an l0 for ``CostSpec.lagrangian``, and
+has no form either.
 
 Also here: the LQ Riccati references (continuous closed form, ODE
 re-derivation, and the exact discrete dynamic-programming optimum), the
@@ -111,6 +127,9 @@ class ScalarTraceCost:
             raise NumericalError(f"trace-cost eigensolver failed: {exc}") from exc
         out = np.mean(self.h(w), axis=-1).sum(axis=-1)
         return out if lead else float(out)
+
+    def trace_quadratic(self):
+        return None
 
 
 @dataclass
@@ -228,6 +247,9 @@ class ArctanComposedTerminal:
     def eval(self, data):
         y = apply_scalar_function(data, "arctan")
         return self.sign * np.real(self.cyl.eval(y))
+
+    def trace_quadratic(self):
+        return None
 
     def value_and_grad(self, data):
         w, q = eigh(data)
@@ -575,11 +597,6 @@ def _pullback_clip(grad, records):
     return _frechet(records.q, records.mult, grad)
 
 
-def _gated_features(features, idx, gate):
-    """The step's word features times the 0/1 gate, (S, W_i, n, n)."""
-    return features[:, idx] * gate[:, None, None, None]
-
-
 # Slack of the coefficient-space Frobenius pre-screen, relative to
 # (sum_w |c_w| ||f_w||)^2, which bounds the rounding error of c^T G c.
 _GRAM_SLACK = 1e-8
@@ -608,12 +625,12 @@ class _ConstControls:
 class _PolyControls:
     """A poly step's controls over a chunk, in coefficient space.
 
-    ``feats`` are the gated step features (S, W, n, n), ``gram`` their Gram
-    matrices Re tr(f_w f_v), (S, W, W), and ``sq`` is tr(alpha^2) per slot,
-    (S, B, d), after the clip.  ``clip`` indexes the clipped slots flat over
-    (S, B, d); ``raw`` and ``new`` are the controls there before and after
-    the clip.  ``alpha`` is the (S, B, d, n, n) controls if they were
-    materialised, else None.
+    ``feats`` are the float views of the gated step features (S, W, 2 n n),
+    ``gram`` their Gram matrices Re tr(f_w f_v), (S, W, W), and ``sq`` is
+    tr(alpha^2) per slot, (S, B, d), after the clip.  ``clip`` indexes the
+    clipped slots flat over (S, B, d); ``raw`` and ``new`` are the controls
+    there before and after the clip.  ``alpha`` is the (S, B, d, n, n)
+    controls if they were materialised, else None.
     """
 
     feats: np.ndarray
@@ -632,19 +649,18 @@ def _sample_rows(s_idx, S):
             in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
 
 
-def _realize_controls(policy, step_index, features, word_index, gate,
-                      materialise=False):
+def _realize_controls(policy, step_index, batch, materialise=False):
     """One step's controls over a chunk with the clip applied
     (``_ConstControls`` or ``_PolyControls``).
 
     A poly step's control alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} is a real
-    combination of Hermitian features, so tr(alpha^2) = c^T G_s c.  Only the
-    slots this pre-screens as Frobenius suspects are materialised and
-    clipped.
+    combination of Hermitian features, so tr(alpha^2) = c^T G_s c with G_s
+    the features' block of the basis Gram.  Only the slots this pre-screens
+    as Frobenius suspects are materialised and clipped.
     """
     st = policy.steps[step_index]
     R = policy.R
-    S = len(gate)
+    S = len(batch.gram)
     if st.kind == "const":
         values, records = _clip_batch(st.values, R)
         sq = np.einsum("bkij,bkji->bk", values, values).real
@@ -653,14 +669,13 @@ def _realize_controls(policy, step_index, features, word_index, gate,
     n = policy.n
     B, d, W = st.coeffs.shape
     coeffs = st.coeffs.reshape(B * d, W)
-    feats = _gated_features(features, word_index[step_index], gate)
-    fv = feats.reshape(S, W, -1).view(float)            # (S, W, 2 n n)
-    # features are Hermitian: Re tr(f_w f_v) is the dot product of float views
-    gram = fv @ np.swapaxes(fv, 1, 2)
+    cols = batch.word_index[step_index]
+    fv = batch.basis[:, cols]                            # (S, W, 2 n n)
+    gram = batch.gram[:, cols[:, None], cols]
     sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
     reach = np.sqrt(np.einsum("sww->sw", gram)) @ np.abs(coeffs).T
     suspects = np.flatnonzero(sq + _GRAM_SLACK * reach ** 2 > R * R)
-    ctrl = _PolyControls(feats=feats, gram=gram, sq=sq.reshape(S, B, d))
+    ctrl = _PolyControls(feats=fv, gram=gram, sq=sq.reshape(S, B, d))
     if materialise:
         ctrl.alpha = (coeffs @ fv).view(complex).reshape(S, B, d, n, n)
     if len(suspects):
@@ -698,45 +713,53 @@ def _level_states(coef, basis, drift, fixes, n):
     return x
 
 
-def _forward(problem, policy, tree, letters, features, word_index, gate,
-             keep_states=False):
+@dataclass
+class _Sweep:
+    """What a tree sweep leaves besides states and Lagrangians.
+
+    ``controls`` are each level's controls and ``coef`` the last level's
+    coefficients (B_K, d, V) on the basis.  ``form`` is the terminal's
+    ``trace_quadratic()`` when the sweep left the leaves in coefficient
+    space (they are then exactly ``coef`` on the basis), else None.
+    """
+
+    controls: list
+    coef: np.ndarray
+    form: object = None
+
+
+def _forward(problem, policy, tree, batch, keep_states=False):
     """Sweep the bin tree for one sample chunk.
 
-    Returns ``(states, lagrangians, controls)``: the (S, B_i, d, n, n) states
-    of every level with ``keep_states``, else of the last level only; the
-    running Lagrangian per node, (S, B_i) per level; and each level's
-    controls.  Poly controls are materialised where l0 reads them or with
-    ``keep_states``.
+    Returns ``(states, lagrangians, sweep)``: the (S, B_i, d, n, n) states
+    of every level with ``keep_states``, else of the last level only, or
+    none when the terminal is read in coefficient space; the running
+    Lagrangian per node, (S, B_i) per level; and a ``_Sweep``.  Poly
+    controls are materialised where l0 reads them or with ``keep_states``.
 
     The tree is expanded in coefficient space: a state is a real
     combination of the per-sample basis [f; 1; x0; increments] (the gated
     global word features, the identity and the letters), plus the
     sample-independent drift of const steps and the fixes of clipped slots.
-    States are materialised only for the levels a cost reads.
+    States are materialised only for the levels a cost reads.  A terminal
+    with a ``trace_quadratic()`` form reads no state when nothing else does
+    (no l0, no ``keep_states``) and the leaves are in the basis span (no
+    const step, no clipped slot in the chunk).
     """
     n, d, K = problem.n, problem.d, policy.K
-    S = letters.shape[0]
+    S = len(batch.gram)
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
     l0, quad = problem.cost.l0, problem.cost.quad_coef
     materialise = keep_states or l0 is not None
-    eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
-    parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
-             letters.reshape(S, -1, n * n).view(float)]
-    W = 0
-    if features is not None:
-        W = features.shape[1]
-        gated = _gated_features(features, slice(None), gate)
-        parts.insert(0, gated.reshape(S, W, -1).view(float))
-    basis = np.concatenate(parts, axis=1)              # (S, V, 2 n n)
-    coef = np.zeros((1, d, basis.shape[1]))
+    W = batch.width
+    coef = np.zeros((1, d, batch.gram.shape[-1]))
     coef[0, :, W + 1:W + 1 + d] = np.eye(d)              # x0
     drift, fixes = None, []
     states, lagrangians, controls = [], [], []
     for i in range(1, K + 1):
         st = policy.steps[i - 1]
-        ctrl = _realize_controls(policy, i - 1, features, word_index, gate,
-                                 materialise)
+        ctrl = _realize_controls(policy, i - 1, batch, materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
         coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * np.eye(d)
@@ -746,13 +769,13 @@ def _forward(problem, policy, tree, letters, features, word_index, gate,
             step = delta * ctrl.values
             drift = step if drift is None else drift + step
         else:
-            coef[..., word_index[i - 1]] += delta * st.coeffs
+            coef[..., batch.word_index[i - 1]] += delta * st.coeffs
             if len(ctrl.clip):
                 fixes.append((coef.shape[0], ctrl.clip.idx,
                               delta * (ctrl.new - ctrl.raw)))
         lval = np.zeros((S, coef.shape[0]))
-        if keep_states or l0 is not None or i == K:
-            x = _level_states(coef, basis, drift, fixes, n)
+        if materialise:
+            x = _level_states(coef, batch.basis, drift, fixes, n)
             if keep_states:
                 states.append(x)
             if l0 is not None:
@@ -762,25 +785,81 @@ def _forward(problem, policy, tree, letters, features, word_index, gate,
             lval = lval + quad * (ctrl.sq.sum(axis=-1) / n)
         lagrangians.append(lval)
         controls.append(ctrl)
-    if not keep_states:
-        states.append(x)
-    return states, lagrangians, controls
+    sweep = _Sweep(controls=controls, coef=coef)
+    if not materialise and drift is None and not fixes:
+        sweep.form = problem.cost.terminal.trace_quadratic()
+    if not keep_states and sweep.form is None:
+        states.append(x if materialise
+                      else _level_states(coef, batch.basis, drift, fixes, n))
+    return states, lagrangians, sweep
 
 
-def _chunk_cost(problem, policy, tree, terminal_states, lagrangians,
+def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
+    """Probability-weighted terminal cost per sample, (S,), of leaves X = coef
+    on the basis, for a terminal with the ``trace_quadratic()`` form; with
+    ``want_grad`` also its derivative in ``coef`` summed over the chunk,
+    (B, d, V), else None.
+
+    With the basis Gram H_s and traces t_s, tr_n X_k X_l = C_k^T H_s C_l / n
+    and tr_n X_k = C_k . t_s / n, so no n x n array is formed.  A linear
+    outer polynomial is summed over the leaves first: its value needs only
+    sum_b p_b C_b and sum_b p_b C_b C_b^T, and its gradient sum_s H_s.
+    """
+    B, d, V = coef.shape
+    m = len(form.const)
+    if form.outer.degree() <= 1:
+        zero = np.zeros(m)
+        slope = np.array([form.outer.partial(o)(zero) for o in range(m)])
+        lin = slope @ form.lin                                   # (d,)
+        qc = np.tensordot(slope, form.quad, 1) @ coef            # (B, d, V)
+        pc = probs[:, None, None] * coef
+        mean = (lin @ pc.sum(axis=0)) @ batch.traces.T           # (S,)
+        second = pc.reshape(B * d, V).T @ qc.reshape(B * d, V)   # (V, V)
+        values = ((form.outer(zero) + slope @ form.const) * probs.sum()
+                  + (mean + np.einsum("svw,vw->s", batch.gram, second)) / n)
+        if not want_grad:
+            return values, None
+        adj = (np.multiply.outer(lin, batch.traces.sum(axis=0))
+               + 2.0 * qc @ batch.gram.sum(axis=0)) * (probs[:, None, None] / n)
+        return values, adj
+    hc = (coef.reshape(B * d, V) @ batch.gram).reshape(-1, B, d, V)  # H_s C_bk
+    pair = np.einsum("sbkv,blv->sbkl", hc, coef) / n
+    trace = np.einsum("bkv,sv->sbk", coef, batch.traces) / n
+    u = (form.const + trace @ form.lin.T
+         + pair.reshape(pair.shape[:2] + (d * d,)) @ form.quad.reshape(-1, d * d).T)
+    values = form.outer(u) @ probs
+    if not want_grad:
+        return values, None
+    g = np.stack([form.outer.partial(o)(u) for o in range(m)],
+                 axis=-1) * probs[:, None]                   # (S, B, m)
+    glin = g @ form.lin                                      # (S, B, d)
+    gquad = (g @ form.quad.reshape(-1, d * d)).reshape(g.shape[:2] + (d, d))
+    adj = (np.einsum("sbk,sv->bkv", glin, batch.traces)
+           + 2.0 * np.einsum("sbkl,sblv->bkv", gquad, hc)) / n
+    return values, adj
+
+
+def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
                 want_grad=False):
-    """Per-sample discretized cost over the chunk, (S,), and the terminal
-    gradient at ``terminal_states`` with ``want_grad`` (else None)."""
+    """Per-sample discretized cost over the chunk, (S,), and with
+    ``want_grad`` the terminal gradient (else None): at the last level's
+    states, or in coefficient space (see ``_quadratic_terminal``) when the
+    sweep left the leaves there."""
     delta = (problem.T - problem.t0) / policy.K
-    terminal = problem.cost.terminal
-    if want_grad:
-        gvals, ggrad = terminal.value_and_grad(terminal_states)
+    if sweep.form is not None:
+        leaf, ggrad = _quadratic_terminal(sweep.form, sweep.coef, batch,
+                                          tree.probs[-1], problem.n, want_grad)
     else:
-        gvals, ggrad = terminal.eval(terminal_states), None
-    total = np.zeros(len(terminal_states))
+        terminal = problem.cost.terminal
+        if want_grad:
+            gvals, ggrad = terminal.value_and_grad(states[-1])
+        else:
+            gvals, ggrad = terminal.eval(states[-1]), None
+        leaf = np.real(gvals) @ tree.probs[-1]
+    total = np.zeros(len(leaf))
     for lvals, probs in zip(lagrangians, tree.probs):
         total += delta * (lvals @ probs)
-    total += np.real(gvals) @ tree.probs[-1]
+    total += leaf
     return total, ggrad
 
 
@@ -802,8 +881,7 @@ def _step_gradient(st, ctrl, adj, probs, delta, quad):
             flat[ctrl.clip.idx] = _pullback_clip(flat[ctrl.clip.idx], ctrl.clip)
         return hermitize(g)
     coeffs = st.coeffs.reshape(B * d, -1)
-    fv = ctrl.feats.reshape(S, coeffs.shape[1], -1).view(float)
-    fvt = np.swapaxes(fv, 1, 2)
+    fvt = np.swapaxes(ctrl.feats, 1, 2)
     g = delta * (adj.reshape(S, B * d, -1).view(float) @ fvt).sum(axis=0)
     quad_rows = 2.0 * quad * delta * np.repeat(probs, d)       # per (J, k)
     g += quad_rows[:, None] * (coeffs @ ctrl.gram.sum(axis=0))
@@ -819,22 +897,33 @@ def _step_gradient(st, ctrl, adj, probs, delta, quad):
     return g.reshape(B, d, -1) / n
 
 
-def _chunk_gradients(problem, policy, tree, states, controls, gterm):
+def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
     """Per-step parameter gradients of the summed (not yet averaged) cost.
 
-    ``gterm`` is the terminal gradient at the last level's states.  The
-    state adjoint lam runs up the tree as the child sum; ``states`` are read
-    only by l0.
+    ``gterm`` is the terminal gradient at the last level's states, whose
+    adjoint lam runs up the tree as the child sum; ``states`` are read only
+    by l0.  When the sweep left the leaves in coefficient space, ``gterm``
+    is the cost's derivative in the leaf coefficients, and that adjoint is
+    summed up the tree instead: a step's feature columns are its gradient.
     """
     K, d, n = policy.K, policy.d, policy.n
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
-    l0 = problem.cost.l0
+    l0, quad = problem.cost.l0, problem.cost.quad_coef
+    controls = sweep.controls
     grads = [None] * K
     lam = None
     for i in range(K, 0, -1):
         ctrl = controls[i - 1]
         probs = tree.probs[i - 1]
+        if sweep.form is not None:                   # (B_i, d, V)
+            lam = gterm if lam is None else lam.reshape(
+                -1, branch, d, lam.shape[-1]).sum(axis=1)
+            quad_rows = (2.0 * quad * delta / n) * probs[:, None, None]
+            grads[i - 1] = (delta * lam[..., batch.word_index[i - 1]]
+                            + quad_rows * (policy.steps[i - 1].coeffs
+                                           @ ctrl.gram.sum(axis=0)))
+            continue
         p = probs[None, :, None, None, None]
         if lam is None:
             lam = p * gterm
@@ -847,29 +936,57 @@ def _chunk_gradients(problem, policy, tree, states, controls, gterm):
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
         grads[i - 1] = _step_gradient(policy.steps[i - 1], ctrl, adj, probs,
-                                      delta, problem.cost.quad_coef)
+                                      delta, quad)
     return grads
 
 
+@dataclass
+class _Batch:
+    """A sample chunk's frozen data: the per-sample basis [f; 1; x0;
+    increments] as float views (S, V, 2 n n), whose first ``width`` rows
+    are the gated, scaled global word features; its Gram matrices
+    H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); and each
+    step's feature columns (``word_index``, None for const steps or
+    without poly steps).  The optimizer evaluates many policies on it."""
+
+    basis: np.ndarray
+    gram: np.ndarray
+    traces: np.ndarray
+    width: int
+    word_index: list | None
+
+
 def _batch_from_letters(problem, policy, letters):
-    """Letters, gate, scaled features and per-step word index of a batch."""
+    """The ``_Batch`` of the given letters: gate, scaled features, basis."""
     K = policy.K
+    S, _, n, _ = letters.shape
     gate = _gate_indicator(letters, problem.d, K, policy.gate_level)
-    features, word_index = None, None
+    eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
+    parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
+             letters.reshape(S, -1, n * n).view(float)]
+    width, word_index = 0, None
     if any(st.kind == "poly" for st in policy.steps):
         global_words = _global_words(problem, policy)
         pos = {w: k for k, w in enumerate(global_words)}
         features = _word_features(letters, global_words)
         if policy.feature_scales is not None:
             features = features / policy.feature_scales[None, :, None, None]
+        features *= gate[:, None, None, None]
+        width = len(global_words)
+        parts.insert(0, features.reshape(S, width, -1).view(float))
         word_index = [np.array([pos[w] for w in st.words], dtype=int)
                       if st.kind == "poly" else None
                       for st in policy.steps]
-    return letters, gate, features, word_index
+    basis = np.concatenate(parts, axis=1)
+    # the basis is Hermitian: Re tr(b_v b_w) is the dot product of float views
+    gram = basis @ np.swapaxes(basis, 1, 2)
+    traces = basis[..., ::2 * (n + 1)].sum(axis=-1)       # Re of the diagonal
+    return _Batch(basis=basis, gram=gram, traces=traces, width=width,
+                  word_index=word_index)
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """Letters, gate, features and per-step word index for a sample chunk."""
+    """The ``_Batch`` of a sample chunk."""
     letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
     return _batch_from_letters(problem, policy, letters)
 
@@ -903,8 +1020,8 @@ def _prepare_chunks(problem, policy, rng, tag, samples, chunk):
 def _evaluate_prepared(problem, policy, chunks, want_grads=False):
     """Cost mean/stderr over prepared chunks; optionally parameter grads.
 
-    A pass keeps only the last level's states unless l0 needs every level's
-    for its gradient.
+    A pass keeps only the last level's states, or none, unless l0 needs
+    every level's for its gradient.
     """
     K = policy.K
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
@@ -912,24 +1029,22 @@ def _evaluate_prepared(problem, policy, chunks, want_grads=False):
     keep_states = want_grads and problem.cost.l0 is not None
     per_sample = []
     grads = None
-    samples = 0
-    for letters, gate, features, word_index in chunks:
-        samples += letters.shape[0]
-        states, lagrangians, controls = _forward(
-            problem, policy, tree, letters, features, word_index, gate,
-            keep_states)
-        costs, gterm = _chunk_cost(problem, policy, tree, states[-1],
+    for batch in chunks:
+        states, lagrangians, sweep = _forward(problem, policy, tree, batch,
+                                              keep_states)
+        costs, gterm = _chunk_cost(problem, policy, tree, batch, states, sweep,
                                    lagrangians, want_grads)
         per_sample.append(costs)
         if want_grads:
-            g = _chunk_gradients(problem, policy, tree, states, controls, gterm)
+            g = _chunk_gradients(problem, policy, tree, batch, states, sweep,
+                                 gterm)
             grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-        del states, controls
+        del states, sweep
     costs = np.concatenate(per_sample)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(len(costs))) if len(costs) > 1 else 0.0
     if want_grads:
-        grads = [g / samples for g in grads]
+        grads = [g / len(costs) for g in grads]
         return mean, stderr, grads
     return mean, stderr, None
 
@@ -979,13 +1094,12 @@ def simulate_discrete(problem, policy, grid, gue_path) -> TrajectoryBundle:
     if gue_path.steps != grid.K:
         raise ValueError("GUE path must live on the same grid")
     tree = _bin_tree(policy.K, policy.N, grid.delta, policy.collapse_bins)
-    letters = _path_letters(problem, gue_path.increments[None])
-    _, gate, features, word_index = _batch_from_letters(problem, policy, letters)
-    states, _, controls = _forward(problem, policy, tree, letters, features,
-                                   word_index, gate, keep_states=True)
+    batch = _batch_from_letters(
+        problem, policy, _path_letters(problem, gue_path.increments[None]))
+    states, _, sweep = _forward(problem, policy, tree, batch, keep_states=True)
     return TrajectoryBundle(policy=policy,
                             states=[s[0] for s in states],
-                            controls=[np.array(c.alpha[0]) for c in controls])
+                            controls=[np.array(c.alpha[0]) for c in sweep.controls])
 
 
 def discrete_cost(problem, policy, mc_samples, rng, chunk=16, tag="cost"):
@@ -1126,11 +1240,9 @@ def policy_control_budget(problem, policy, samples, rng, chunk=16, tag="budget")
     delta = (problem.T - problem.t0) / K
     tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
     total = 0.0
-    for letters, gate, features, word_index in _prepare_chunks(
-            problem, policy, rng, tag, samples, chunk):
-        _, _, controls = _forward(problem, policy, tree, letters, features,
-                                  word_index, gate)
-        for ctrl, probs in zip(controls, tree.probs):
+    for batch in _prepare_chunks(problem, policy, rng, tag, samples, chunk):
+        _, _, sweep = _forward(problem, policy, tree, batch)
+        for ctrl, probs in zip(sweep.controls, tree.probs):
             sq = ctrl.sq.sum(axis=-1) / problem.n
             total += float((sq @ probs).sum()) * delta
     return total / samples
@@ -1148,18 +1260,8 @@ def _is_lq_template(cost: CostSpec, d):
             return False
     if abs(cost.quad_coef - 0.5) > 1e-12:
         return False
-    term = cost.terminal
-    if not isinstance(term, CylindricalFunction):
-        return False
-    ref = trace_power(d, 2)
-    if term.outer.terms != ref.outer.terms:
-        return False
-    if len(term.inners) != d:
-        return False
-    for phi, ref_phi in zip(term.inners, ref.inners):
-        if phi.terms != ref_phi.terms:
-            return False
-    return True
+    form = cost.terminal.trace_quadratic()
+    return form is not None and form == trace_power(d, 2).trace_quadratic()
 
 
 def lq_reference(problem: ControlProblem):

@@ -2,35 +2,42 @@
 
 A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
-fixed header, and contributes a block to ``summary.json``.  A manifest keyed
-by the config hash makes reruns skip completed experiments whose files are
-all present.  Only ``spectrum`` samples fan out over the thread count: their
-LAPACK eigensolves release the GIL, which pays at n=512 (1.10 -> 0.58 s at two
-threads) but not at n=256 (0.42 -> 0.56 s).  The Python-bound kinds ran slower
-in a pool (laplacian-check 0.527 -> 0.666 s), so they run serially.  The map
-is ordered: outputs are byte-identical for any thread count.
+fixed header, and contributes a block to ``summary.json``.  Each kind
+accepts the parameter keys of its table in ``EXPERIMENT_PARAMS``, each with
+its default's type.  A manifest keyed by the hash of the config, the package
+version and the package sources makes reruns skip completed experiments
+whose files are all present.  Only ``spectrum`` samples fan out over the
+thread count: their LAPACK eigensolves release the GIL, which pays at n=512
+(1.10 -> 0.58 s at two threads) but not at n=256 (0.42 -> 0.56 s).  The
+Python-bound kinds ran slower in a pool (laplacian-check 0.527 -> 0.666 s),
+so they run serially.  The map is ordered: outputs are byte-identical for
+any thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
+from . import __version__, gaussdisc, nclaw
 from . import control as ctl
-from . import gaussdisc, nclaw
 from .laplacian import random_cylindrical, trace_power
 from .matrixcore import MatrixTuple, NumericalError, basis_element
 from .ncpoly import NCPolynomial
 from .randmat import RngStream, sample_gue, sample_gue_tuple
 
 __all__ = ["run", "run_config", "ExperimentError", "EXPERIMENT_KINDS",
-           "experiment_csv", "lq_problem", "quartic_problem"]
+           "EXPERIMENT_PARAMS", "experiment_csv", "experiment_params",
+           "lq_problem", "quartic_problem"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,6 +95,19 @@ def config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+@functools.cache
+def _source_digest():
+    """SHA-256 of the package's ``.py`` sources, names and bytes in name
+    order, read once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # problem templates
 # ---------------------------------------------------------------------------
@@ -114,30 +134,44 @@ def quartic_problem(n, d=1, beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, x0=None):
 
 
 def problem_from_params(params, n):
-    template = params.get("template", "lq")
-    kwargs = dict(d=params.get("d", 1),
-                  beta_c=params.get("beta_c", 0.5),
-                  beta_f=params.get("beta_f", 1.0),
-                  t0=params.get("t0", 0.0), T=params.get("T", 1.0))
-    if params.get("x0") == "identity":
+    """The control problem of a ``value`` or ``sweep`` experiment's
+    parameters (see ``experiment_params``) at size n."""
+    template = params["template"]
+    kwargs = {key: params[key] for key in ("d", "beta_c", "beta_f", "t0", "T")}
+    if params["x0"] == "identity":
         kwargs["x0"] = MatrixTuple.identity(kwargs["d"], n)
+    elif params["x0"] is not None:
+        raise ExperimentError(
+            f"x0 must be 'identity' or absent, got {params['x0']!r}")
     if template == "lq":
         return lq_problem(n, **kwargs)
     if template == "quartic":
         return quartic_problem(n, **kwargs)
     if template == "json":
-        return ctl.ControlProblem.from_json(json.dumps(params["problem"]))
+        if not isinstance(params["problem"], dict):
+            raise ExperimentError("template 'json' needs a 'problem' object")
+        try:
+            return ctl.ControlProblem.from_json(json.dumps(params["problem"]))
+        except (KeyError, TypeError) as exc:
+            raise ExperimentError(f"invalid inline problem: {exc!r}") from exc
     raise ExperimentError(f"unknown problem template {template!r}")
 
 
 def optimizer_config(params, **overrides):
-    opt = dict(params.get("opt", {}))
-    opt.update(overrides)
-    allowed = {f for f in ctl.OptimizerConfig.__dataclass_fields__}
-    bad = set(opt) - allowed
+    """``OptimizerConfig`` from the ``opt`` object, whose keys must be its
+    fields with values of their annotated types, and ``overrides``."""
+    opt = params["opt"]
+    hints = typing.get_type_hints(ctl.OptimizerConfig)
+    bad = sorted(set(opt) - {f.name for f in fields(ctl.OptimizerConfig)})
     if bad:
-        raise ExperimentError(f"unknown optimizer options {sorted(bad)}")
-    return ctl.OptimizerConfig(**opt)
+        raise ExperimentError(f"unknown optimizer options {bad}")
+    for key, value in opt.items():
+        types = typing.get_args(hints[key]) or (hints[key],)
+        if not any(value is None if t is type(None) else _conforms(value, t())
+                   for t in types):
+            raise ExperimentError(f"optimizer option {key!r} has the wrong "
+                                  f"type: {value!r}")
+    return ctl.OptimizerConfig(**{**opt, **overrides})
 
 
 def scaled_samples(n, base_train, base_val, base_n=8):
@@ -155,9 +189,8 @@ def scaled_samples(n, base_train, base_val, base_n=8):
 
 
 def _exp_spectrum(params, stream, threads):
-    n_list = params.get("n_list", [256])
-    samples = params.get("samples", 20)
-    max_moment = params.get("max_moment", 4)
+    n_list, samples = params["n_list"], params["samples"]
+    max_moment = params["max_moment"]
     headers = ["n", "sample"] + [f"m{2 * k}" for k in range(1, max_moment + 1)] \
         + ["opnorm"]
     rows = []
@@ -187,8 +220,7 @@ def _exp_spectrum(params, stream, threads):
 
 def _exp_freeness(params, stream, threads):
     del threads  # Python-bound per sample: the pool only adds overhead
-    n_list = params.get("n_list", [8, 32, 128])
-    samples = params.get("samples", 50)
+    n_list, samples = params["n_list"], params["samples"]
     poly = NCPolynomial(1, {(1, 1): 1.0})
     headers = ["n", "sample", "statistic"]
     rows, means = [], {}
@@ -213,10 +245,8 @@ def _exp_freeness(params, stream, threads):
 
 def _exp_laplacian_check(params, stream, threads):
     del threads  # Python-bound per case: the pool only adds overhead
-    cases = params.get("cases", 50)
-    n_list = params.get("n_list", [3, 4, 6])
-    d = params.get("d", 2)
-    fd_step = params.get("fd_step", 1e-3)
+    cases, n_list, d = params["cases"], params["n_list"], params["d"]
+    fd_step = params["fd_step"]
     headers = ["case", "n", "d", "gue_laplacian", "free_laplacian",
                "correction", "identity_gap", "fd_gap"]
 
@@ -268,14 +298,13 @@ def _fd_laplacian(u, x, h):
 
 def _exp_value(params, stream, threads):
     del threads  # the optimizer is sequential by design
-    K, N, R = params.get("K", 4), params.get("N", 2), params.get("R", 8.0)
-    n_list = params.get("n_list", [8])
+    K, N, R, n_list = params["K"], params["N"], params["R"], params["n_list"]
     headers = ["K", "N", "R", "n", "value", "stderr", "zero_value", "iterations"]
     rows, checks = [], {}
     for n in n_list:
         problem = problem_from_params(params, n)
-        train, val = scaled_samples(n, params.get("train_samples", 48),
-                                    params.get("val_samples", 192))
+        train, val = scaled_samples(n, params["train_samples"],
+                                    params["val_samples"])
         cfg = optimizer_config(params, train_samples=train, val_samples=val)
         res = ctl.optimize_discrete_value(problem, K, N, R, cfg,
                                           stream.child("value", n))
@@ -289,9 +318,8 @@ def _exp_value(params, stream, threads):
 
 def _exp_sweep(params, stream, threads):
     del threads
-    pairs = [tuple(p) for p in params.get("pairs", [(2, 4), (4, 8), (8, 16)])]
-    R = params.get("R", 8.0)
-    n = params.get("n", 8)
+    pairs = [tuple(p) for p in params["pairs"]]
+    R, n = params["R"], params["n"]
     headers = ["K", "N", "R", "n", "value", "stderr"]
     rows = []
     problem = problem_from_params(params, n)
@@ -310,15 +338,13 @@ def _exp_sweep(params, stream, threads):
 
 def _exp_ldp(params, stream, threads):
     del threads
-    n = params.get("n", 8)
-    coef = params.get("coef", 0.5)
-    lhs_samples = params.get("lhs_samples", 10_000)
-    time_steps = params.get("time_steps", 16)
-    psi = trace_power(params.get("d", 1), 2, coef)
+    n, coef, d = params["n"], params["coef"], params["d"]
+    lhs_samples, time_steps = params["lhs_samples"], params["time_steps"]
+    psi = trace_power(d, 2, coef)
     lhs = ctl.boue_dupuis_lhs(psi, n, lhs_samples, stream.child("lhs"))
     cfg = optimizer_config(params)
     res = ctl.boue_dupuis_rhs(psi, n, time_steps, cfg, stream.child("rhs"))
-    oracle = 0.5 * math.log(1.0 + 2.0 * coef) * params.get("d", 1)
+    oracle = 0.5 * math.log(1.0 + 2.0 * coef) * d
     headers = ["psi", "coef", "n", "lhs", "rhs", "rhs_stderr", "oracle"]
     rows = [["quadratic", coef, n, lhs, res.value, res.stderr, oracle]]
     checks = {
@@ -336,8 +362,7 @@ def _exp_ldp(params, stream, threads):
 
 def _exp_gaussdisc_check(params, stream, threads):
     del stream, threads
-    n_list = params.get("N_list", [1, 2, 8])
-    delta_list = params.get("delta_list", [1.0, 0.25, 0.01])
+    n_list, delta_list = params["N_list"], params["delta_list"]
     headers = ["N", "delta", "j", "prob", "omega", "absdev"]
     rows = []
     ok_norm, ok_omega, ok_mean0 = True, True, True
@@ -360,8 +385,7 @@ def _exp_gaussdisc_check(params, stream, threads):
 
 def _exp_truncation_check(params, stream, threads):
     del threads  # Python-bound per instance: the pool only adds overhead
-    instances = params.get("instances", 100)
-    R = params.get("R", 4.0)
+    instances, R = params["instances"], params["R"]
     headers = ["instance", "lhs_holds", "kappa", "n", "d"]
 
     def one(i):
@@ -403,11 +427,66 @@ EXPERIMENT_KINDS = {
 }
 
 
+_PROBLEM_PARAMS = {"template": "lq", "d": 1, "beta_c": 0.5, "beta_f": 1.0,
+                   "t0": 0.0, "T": 1.0, "x0": None, "problem": None}
+
+# The parameter keys each kind accepts, with their defaults.  A None default
+# accepts any value, which the experiment checks; ``opt`` holds
+# ``OptimizerConfig`` fields.
+EXPERIMENT_PARAMS = {
+    "spectrum": {"n_list": [256], "samples": 20, "max_moment": 4},
+    "freeness": {"n_list": [8, 32, 128], "samples": 50},
+    "laplacian-check": {"cases": 50, "n_list": [3, 4, 6], "d": 2,
+                        "fd_step": 1e-3},
+    "value": {"K": 4, "N": 2, "R": 8.0, "n_list": [8], "train_samples": 48,
+              "val_samples": 192, "opt": {}, **_PROBLEM_PARAMS},
+    "sweep": {"pairs": [[2, 4], [4, 8], [8, 16]], "R": 8.0, "n": 8, "opt": {},
+              **_PROBLEM_PARAMS},
+    "ldp": {"n": 8, "coef": 0.5, "lhs_samples": 10_000, "time_steps": 16,
+            "d": 1, "opt": {}},
+    "gaussdisc-check": {"N_list": [1, 2, 8], "delta_list": [1.0, 0.25, 0.01]},
+    "truncation-check": {"instances": 100, "R": 4.0},
+}
+
+
+def _conforms(value, default):
+    """True when ``value`` has the JSON type of ``default``: an int also
+    where a float is, a bool only where a bool is, and a list whose elements
+    conform to the default's first element."""
+    if default is None:
+        return True
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_conforms(v, default[0])
+                                               for v in value)
+    return isinstance(value, type(default))
+
+
+def experiment_params(kind, params):
+    """``params`` of an experiment (its ``kind`` key aside) completed with
+    the defaults of ``EXPERIMENT_PARAMS[kind]``; an unknown key or a value
+    of the wrong type is an ``ExperimentError``."""
+    table = EXPERIMENT_PARAMS[kind]
+    given = {key: value for key, value in params.items() if key != "kind"}
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ExperimentError(f"unknown {kind} parameters {unknown}")
+    for key, value in given.items():
+        if not _conforms(value, table[key]):
+            raise ExperimentError(f"{kind} parameter {key!r} has the wrong "
+                                  f"type: {value!r}")
+    return {**table, **given}
+
+
 def experiment_csv(kind, params, stream, threads=1):
     """Run one experiment in-process; returns (headers, rows, checks)."""
     if kind not in EXPERIMENT_KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}")
-    return EXPERIMENT_KINDS[kind](params, stream, threads)
+    return EXPERIMENT_KINDS[kind](experiment_params(kind, params), stream,
+                                  threads)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +497,24 @@ def experiment_csv(kind, params, stream, threads=1):
 def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     """Execute all experiments in a config; resumable via the manifest.
 
+    The manifest is keyed by the config, the seed, the package version and
+    a digest of the package sources, so a resume after a code change reruns.
     A manifest that does not parse to a JSON object with an ``experiments``
     object counts as none: the run starts fresh and overwrites it.  Only an
     entry object marked done, with checks, whose artifacts all exist is
     skipped.  Outputs are replaced atomically, never left half-written.
     """
-    if not isinstance(config.get("experiments", None), list):
-        raise ExperimentError("config must contain an 'experiments' list")
+    if not (isinstance(config, dict)
+            and isinstance(config.get("experiments", None), list)
+            and all(isinstance(exp, dict) for exp in config["experiments"])):
+        raise ExperimentError("config must be an object with an 'experiments' "
+                              "list of objects")
     seed = config.get("seed", 0) if seed is None else seed
+    if not _conforms(seed, 0):
+        raise ExperimentError(f"seed must be an integer, got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash({"experiments": config["experiments"], "seed": seed})
+    digest = config_hash({"experiments": config["experiments"], "seed": seed,
+                          "version": __version__, "sources": _source_digest()})
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {"config_hash": digest, "seed": seed, "experiments": {}}
     try:
@@ -478,6 +565,8 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
     def go():
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ExperimentError("config must be a JSON object")
         out = out_dir or os.environ.get("NCLAB_OUT_DIR") or config.get("out_dir")
         if not out:
             raise ExperimentError("no output directory")

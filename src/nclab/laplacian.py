@@ -26,7 +26,7 @@ from .matrixcore import MatrixTuple, basis_element, hermitize
 from .ncpoly import (NCPolynomial, format_polynomial, parse_polynomial,
                      words_up_to_degree)
 
-__all__ = ["MultiPoly", "CylindricalFunction", "trace_power",
+__all__ = ["MultiPoly", "CylindricalFunction", "TraceQuadratic", "trace_power",
            "random_cylindrical", "parse_outer", "format_outer"]
 
 GUE_LAPLACIAN_GUARD = 4096  # maximum d * n^2 for the exact basis sum
@@ -95,6 +95,30 @@ class MultiPoly:
         return f"MultiPoly(m={self.m}, {format_outer(self)!r})"
 
 
+@dataclass(eq=False)
+class TraceQuadratic:
+    """A cylindrical cost whose inner polynomials have degree <= 2:
+    U(X) = outer(u) with
+
+        u_o = const_o + sum_k lin_ok tr_n X_k + sum_kl quad_okl tr_n X_k X_l,
+
+    ``quad`` (m, d, d) symmetric.  On Hermitian X every u_o is real, so U is
+    a function of the traces tr_n X_k and the Gram entries tr_n X_k X_l alone.
+    """
+
+    outer: MultiPoly
+    const: np.ndarray   # (m,)
+    lin: np.ndarray     # (m, d)
+    quad: np.ndarray    # (m, d, d)
+
+    def __eq__(self, other):
+        return (isinstance(other, TraceQuadratic)
+                and self.outer.terms == other.outer.terms
+                and np.array_equal(self.const, other.const)
+                and np.array_equal(self.lin, other.lin)
+                and np.array_equal(self.quad, other.quad))
+
+
 @dataclass
 class CylindricalFunction:
     """U(X) = outer(tr_n inner_1(X), ..., tr_n inner_m(X)) with polynomial layers."""
@@ -138,6 +162,28 @@ class CylindricalFunction:
     def eval(self, x):
         u = self.inner_traces(x)
         return self.outer(u)
+
+    def trace_quadratic(self):
+        """The inner traces as quadratic forms in tr_n X_k and tr_n X_k X_l,
+        or None when an inner has degree above 2 (see :class:`TraceQuadratic`)."""
+        if any(phi.degree() > 2 for phi in self.inners):
+            return None
+        d = self.d
+        const = np.zeros(self.m)
+        lin = np.zeros((self.m, d))
+        quad = np.zeros((self.m, d, d))
+        for o, phi in enumerate(self.inners):
+            for word, coeff in phi.terms.items():
+                # self-adjoint: the imaginary parts cancel in the trace
+                if len(word) == 0:
+                    const[o] += coeff.real
+                elif len(word) == 1:
+                    lin[o, word[0] - 1] += coeff.real
+                else:
+                    k, l = word[0] - 1, word[1] - 1
+                    quad[o, k, l] += 0.5 * coeff.real
+                    quad[o, l, k] += 0.5 * coeff.real
+        return TraceQuadratic(outer=self.outer, const=const, lin=lin, quad=quad)
 
     def gradient(self, x):
         """(grad U)^j = sum_o g_o(u) D_j phi_o(X); exact outer partials.

@@ -108,20 +108,30 @@ def random_x0(n, d, gen):
                                  for _ in range(d)]))
 
 
+def batch_inputs(problem, policy, rng, tag, sample_indices):
+    """The engine's batch of the samples and, drawn again from the same
+    stream, the letters, gate and global word features it is built from."""
+    batch = ctl._prepare_batch(problem, policy, rng, tag, sample_indices)
+    letters = ctl._sample_letters(problem, policy.K, sample_indices, rng, tag)
+    gate = ctl._gate_indicator(letters, problem.d, policy.K, policy.gate_level)
+    features = ctl._word_features(letters, ctl._global_words(problem, policy))
+    return batch, (letters, gate, features, batch.word_index)
+
+
 def test_forward_matches_naive_tree(stream):
     gen = stream.child("naive").generator()
     n, d, K, N = 3, 2, 3, 1
     problem = lq_problem(n, d=d, beta_c=0.7, beta_f=0.9,
                          x0=random_x0(n, d, gen))
     policy = random_poly_policy(problem, K, N, 1e6, gen)
-    letters, gate, features, word_index = ctl._prepare_batch(
+    batch, (letters, gate, features, word_index) = batch_inputs(
         problem, policy, stream.child("naive-batch"), "t", list(range(5)))
     assert 0 < gate.sum() < len(gate)
     delta = (problem.T - problem.t0) / K
     tree = ctl._bin_tree(K, N, delta, policy.collapse_bins)
-    states, _, controls = ctl._forward(problem, policy, tree, letters, features,
-                                       word_index, gate, keep_states=True)
-    alphas = [c.alpha for c in controls]
+    states, _, sweep = ctl._forward(problem, policy, tree, batch,
+                                    keep_states=True)
+    alphas = [c.alpha for c in sweep.controls]
     # X_{i,J} = x0 + delta sum_{i'<=i} alpha_{i',J_{:i'}} + beta_C W0_{i,J} 1
     #           + beta_F (increments up to step i); no clip at this R
     want_alphas = [np.einsum("blw,swij->sblij", st.coeffs,
@@ -151,15 +161,15 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
     chunks = ctl._prepare_chunks(problem, policy, stream.child("fd-batch"),
                                  "t", 6, 4)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    slots = clipped = rejected = 0
-    for letters, gate, features, word_index in chunks:
-        _, _, controls = ctl._forward(problem, policy, tree, letters,
-                                      features, word_index, gate)
-        slots += sum(c.sq.size for c in controls)
-        clipped += sum(len(c.clip) for c in controls)
-        rejected += int(np.sum(gate == 0))
+    slots = clipped = 0
+    for batch in chunks:
+        _, _, sweep = ctl._forward(problem, policy, tree, batch)
+        slots += sum(c.sq.size for c in sweep.controls)
+        clipped += sum(len(c.clip) for c in sweep.controls)
         # the sweep never materialises these controls
-        assert all(c.alpha is None for c in controls)
+        assert all(c.alpha is None for c in sweep.controls)
+    letters = ctl._sample_letters(problem, K, range(6), stream.child("fd-batch"), "t")
+    rejected = int(np.sum(ctl._gate_indicator(letters, 1, K, policy.gate_level) == 0))
     assert 0 < clipped < slots and rejected > 0
 
     # the gradient pass corrects exactly the clipped slots, in one batched
@@ -188,11 +198,11 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
         assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
-def materialised_reference(problem, policy, chunk):
-    """Mean cost and mean parameter gradients of one chunk with every
-    control materialised and clipped matrix by matrix, the adjoint run on
-    (S, B, d, n, n) arrays."""
-    letters, gate, features, word_index = chunk
+def materialised_reference(problem, policy, inputs):
+    """Mean cost and mean parameter gradients of one chunk, given by its
+    letters, gate, features and word index, with every control materialised
+    and clipped matrix by matrix, the adjoint run on (S, B, d, n, n) arrays."""
+    letters, gate, features, word_index = inputs
     n, d, K, R = problem.n, problem.d, policy.K, policy.R
     S = len(letters)
     delta = (problem.T - problem.t0) / K
@@ -272,26 +282,148 @@ def test_sweep_matches_materialised_reference(stream, d, beta_c, with_l0):
     if with_l0:
         problem.cost.l0 = mixed_l0(d)
     policy = random_poly_policy(problem, K, N, 1.5, gen, gate_level=0.9)
-    chunk = ctl._prepare_batch(problem, policy, stream.child("sweep-batch"),
-                               "t", list(range(6)))
-    gate = chunk[1]
+    chunk, inputs = batch_inputs(problem, policy, stream.child("sweep-batch"),
+                                 "t", list(range(6)))
+    gate = inputs[1]
     assert 0 < gate.sum() < len(gate)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    letters, _, features, word_index = chunk
-    _, _, controls = ctl._forward(problem, policy, tree, letters, features,
-                                  word_index, gate)
-    clipped = sum(len(c.clip) for c in controls)
-    assert 0 < clipped < sum(c.sq.size for c in controls)
+    _, _, sweep = ctl._forward(problem, policy, tree, chunk)
+    clipped = sum(len(c.clip) for c in sweep.controls)
+    assert 0 < clipped < sum(c.sq.size for c in sweep.controls)
 
     value, _, grads = ctl._evaluate_prepared(problem, policy, [chunk],
                                              want_grads=True)
     plain, _, _ = ctl._evaluate_prepared(problem, policy, [chunk])
-    want_value, want_grads = materialised_reference(problem, policy, chunk)
+    want_value, want_grads = materialised_reference(problem, policy, inputs)
     assert value == plain
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
     scale = max(np.max(np.abs(g)) for g in want_grads)
     for got, want in zip(grads, want_grads):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class StatePathTerminal:
+    """A cost expression that hides its trace_quadratic form, so the engine
+    evaluates it on the leaf states."""
+
+    def __init__(self, expr):
+        self.expr = expr
+        self.d = expr.d
+
+    def eval(self, data):
+        return self.expr.eval(data)
+
+    def value_and_grad(self, data):
+        return self.expr.value_and_grad(data)
+
+    def trace_quadratic(self):
+        return None
+
+
+def mixed_quadratic(d, outer_terms):
+    """Inners 0.5 tr(X_1 X_d + X_d X_1) + 0.2 tr X_1 - 0.1 and
+    tr X_d^2 + 0.5 tr X_1^2 (a cross term for d = 2) under the given outer."""
+    inners = [NCPolynomial(d, {(1, d): 0.5, (d, 1): 0.5, (1,): 0.2, (): -0.1}),
+              NCPolynomial(d, {(d, d): 1.0, (1, 1): 0.5})]
+    return CylindricalFunction(outer=MultiPoly(2, outer_terms), inners=inners)
+
+
+QUADRATIC_TERMINALS = {
+    "trace_power": lambda d: trace_power(d, 2, coef=1.3),
+    "linear_outer": lambda d: mixed_quadratic(
+        d, {(0, 0): 0.25, (1, 0): 0.7, (0, 1): -0.4}),
+    "nonlinear_outer": lambda d: mixed_quadratic(
+        d, {(1, 0): 0.3, (0, 1): -0.2, (1, 1): 0.1, (2, 0): 0.4}),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("beta_c", [0.0, 0.7])
+@pytest.mark.parametrize("terminal", sorted(QUADRATIC_TERMINALS))
+def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
+    gen = stream.child("coef-terminal", d, int(10 * beta_c), terminal).generator()
+    n, K, N = 3, 3, 1
+    problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
+                         x0=random_x0(n, d, gen))
+    problem.cost.terminal = QUADRATIC_TERMINALS[terminal](d)
+    assert problem.cost.terminal.trace_quadratic() is not None
+    states_problem = replace(problem, cost=replace(
+        problem.cost, terminal=StatePathTerminal(problem.cost.terminal)))
+    policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
+    chunks = ctl._prepare_chunks(problem, policy, stream.child("coef-batch"),
+                                 "t", 7, 4)
+    letters = ctl._sample_letters(problem, K, range(7),
+                                  stream.child("coef-batch"), "t")
+    assert 0 < ctl._gate_indicator(letters, d, K, policy.gate_level).sum() < 7
+    tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
+    for batch in chunks:
+        costs = {}
+        for prob in (problem, states_problem):
+            states, lagrangians, sweep = ctl._forward(prob, policy, tree, batch)
+            assert (states == []) == (prob is problem)
+            assert (sweep.form is None) == (prob is states_problem)
+            costs[prob is problem] = ctl._chunk_cost(
+                prob, policy, tree, batch, states, sweep, lagrangians)[0]
+        assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
+            np.abs(costs[False]))
+
+    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, chunks, True)
+    plain = ctl._evaluate_prepared(problem, policy, chunks)
+    want = ctl._evaluate_prepared(states_problem, policy, chunks, True)
+    assert plain[:2] == (mean, stderr)
+    assert mean == pytest.approx(want[0], rel=1e-12)
+    assert stderr == pytest.approx(want[1], rel=1e-12)
+    scale = max(np.max(np.abs(g)) for g in want[2])
+    for got, g in zip(grads, want[2]):
+        assert np.max(np.abs(got - g)) <= 1e-12 * scale
+
+
+def count_level_states(monkeypatch):
+    calls = []
+    original = ctl._level_states
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(ctl, "_level_states", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trigger", ["const_step", "binding_clip", "l0",
+                                     "quartic"])
+def test_state_path_fallbacks(stream, monkeypatch, trigger):
+    gen = stream.child("fallback", trigger).generator()
+    n, K, N = 3, 2, 1
+    make = quartic_problem if trigger == "quartic" else lq_problem
+    problem = make(n, beta_c=0.5, x0=random_x0(n, 1, gen))
+    R = 0.5 if trigger == "binding_clip" else 1e6
+    if trigger == "const_step":
+        policy = ctl.zero_policy(problem, K=K, N=N, R=R, kind="const")
+    else:
+        policy = random_poly_policy(problem, K, N, R, gen)
+    if trigger == "l0":
+        problem.cost.l0 = mixed_l0(1)
+    chunk = ctl._prepare_batch(problem, policy, stream.child("fallback-batch"),
+                               "t", list(range(4)))
+    tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
+    calls = count_level_states(monkeypatch)
+    states, _, sweep = ctl._forward(problem, policy, tree, chunk)
+    assert sweep.form is None and len(states) == 1 and calls
+    if trigger == "binding_clip":
+        assert any(len(c.clip) for c in sweep.controls)
+    ctl._evaluate_prepared(problem, policy, [chunk], want_grads=True)
+
+
+@pytest.mark.parametrize("make, reads_states", [(lq_problem, False),
+                                                (quartic_problem, True)])
+def test_optimizer_reads_states_only_off_the_quadratic_path(
+        stream, monkeypatch, make, reads_states):
+    calls = count_level_states(monkeypatch)
+    cfg = small_cfg(train_samples=8, val_samples=8, max_iters=5, chunk=4)
+    ctl.optimize_discrete_value(make(4, beta_c=0.5), 2, 1, 8.0, cfg,
+                                stream.child("reads", reads_states))
+    assert bool(calls) == reads_states
 
 
 def test_const_clip_matches_per_matrix_clip(stream):
@@ -425,6 +557,8 @@ def random_batch(gen, shape, n, scale=0.6):
 @pytest.mark.parametrize("name", sorted(COST_EXPRESSIONS))
 def test_cost_expression_protocol(stream, name):
     expr = COST_EXPRESSIONS[name]()
+    assert (expr.trace_quadratic() is None) == (name not in ("trace_power",
+                                                             "cross_term"))
     gen = stream.child("protocol", name).generator()
     n = 3
     data = random_batch(gen, (3, 2, 2), n)
@@ -642,6 +776,18 @@ def test_lq_reference_rejects_other_costs():
         for problem in (quartic_problem(4, d=d), scaled):
             with pytest.raises(ValueError):
                 ctl.lq_reference(problem)
+
+
+def test_lq_template_compares_trace_quadratic_forms():
+    lq = lq_problem(4)
+    hand_built = replace(lq, cost=replace(lq.cost, terminal=quadratic_psi(1.0)))
+    assert ctl.lq_reference(hand_built) == ctl.lq_reference(lq)
+    for terminal in (trace_power(1, 2, coef=2.0), trace_power(1, 4),
+                     ctl.ArctanComposedTerminal(trace_power(1, 2))):
+        other = replace(lq, cost=replace(lq.cost, terminal=terminal))
+        for oracle in (ctl.lq_reference, ctl.lq_reference_ode):
+            with pytest.raises(ValueError):
+                oracle(other)
 
 
 def test_lq_discrete_oracle_limits():

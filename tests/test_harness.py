@@ -1,5 +1,8 @@
+import importlib
 import json
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +306,84 @@ def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
     assert harness.run(str(cfg_path), out_dir=str(out)) == harness.EXIT_IO
     assert (out / "manifest.json").read_bytes() == before
     assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("document", [[1, 2], "x", 3, {"experiments": [5]}])
+def test_run_rejects_config_that_is_not_an_object(tmp_path, capsys, document):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(document))
+    assert harness.run(str(path), out_dir=str(tmp_path / "o")) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out.startswith("config error: ")
+
+
+# one misspelled key and one value of the wrong type per kind
+BAD_PARAMS = {
+    "spectrum": ({"sample": 5}, {"samples": "x"}),
+    "freeness": ({"n_lists": [8]}, {"samples": 2.5}),
+    "laplacian-check": ({"case": 2}, {"d": "2"}),
+    "value": ({"n_lst": [4]}, {"K": 4.0}),
+    "sweep": ({"pair": [[2, 4]]}, {"pairs": [[2, "4"]]}),
+    "ldp": ({"coeff": 0.5}, {"lhs_samples": True}),
+    "gaussdisc-check": ({"N_lst": [1]}, {"delta_list": ["x"]}),
+    "truncation-check": ({"instance": 2}, {"R": "4"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(harness.EXPERIMENT_KINDS))
+@pytest.mark.parametrize("which", ["misspelled", "wrong_type"])
+def test_bad_experiment_params_exit_config(tmp_path, capsys, kind, which):
+    assert sorted(BAD_PARAMS) == sorted(harness.EXPERIMENT_KINDS)
+    params = BAD_PARAMS[kind][which == "wrong_type"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiments": [{"kind": kind, **params}]}))
+    assert harness.run(str(path), out_dir=str(tmp_path / "o")) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out.startswith("config error: ")
+
+
+@pytest.mark.parametrize("opt", [{"max_iters": "x"}, {"gate_level": "x"},
+                                 {"include_current_increment": 1}])
+def test_bad_optimizer_value_rejected(opt):
+    with pytest.raises(harness.ExperimentError):
+        harness.experiment_csv("value", {"opt": opt}, RngStream(8), 1)
+
+
+def test_int_accepted_where_default_is_float(tmp_path):
+    config = {"experiments": [{"kind": "truncation-check", "instances": 2,
+                               "R": 4}]}
+    summary = harness.run_config(config, str(tmp_path / "o"))
+    assert summary["00_truncation-check"]["all_pass"]["pass"]
+
+
+def test_documented_and_benchmark_params_accepted(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("### Config format")[1].split("```json")[1].split("```")[0]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+    experiments = (json.loads(block)["experiments"]
+                   + workloads.DIAGNOSTICS_EXPERIMENTS
+                   + workloads.DIAGNOSTICS_WARM_UP)
+    for exp in experiments:
+        params = harness.experiment_params(exp["kind"], exp)
+        assert set(params) == set(harness.EXPERIMENT_PARAMS[exp["kind"]])
+
+
+def test_source_change_invalidates_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "res"
+    harness.run_config(tiny_config(), str(out))
+    runs = []
+    spectrum = harness.EXPERIMENT_KINDS["spectrum"]
+
+    def counted(*args):
+        runs.append(1)
+        return spectrum(*args)
+
+    monkeypatch.setitem(harness.EXPERIMENT_KINDS, "spectrum", counted)
+    harness.run_config(tiny_config(), str(out))
+    assert runs == []
+    monkeypatch.setattr(harness, "_source_digest", lambda: "0" * 64)
+    harness.run_config(tiny_config(), str(out))
+    assert runs == [1]

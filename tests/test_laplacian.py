@@ -108,6 +108,27 @@ def test_trace_power_value_and_gradient(d, p):
     assert np.max(np.abs(grad - coef * p * powers)) <= 1e-12 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_trace_quadratic_reproduces_eval(stream, d):
+    gen = stream.child("trace-quadratic", d).generator()
+    n = 4
+    for case in range(6):
+        u = random_cylindrical(gen, d, inner_degree=2)
+        form = u.trace_quadratic()
+        x = np.stack([rand_tuple(d, n, seed=40 + 10 * d + case + s).data
+                      for s in range(3)])
+        traces = np.einsum("skii->sk", x).real / n
+        pairs = np.einsum("skij,slji->skl", x, x).real / n
+        inner = (form.const + traces @ form.lin.T
+                 + np.einsum("skl,okl->so", pairs, form.quad))
+        assert np.allclose(form.quad, np.swapaxes(form.quad, 1, 2))
+        assert np.max(np.abs(form.outer(inner) - u.eval(x))) <= 1e-12 * (
+            1.0 + np.max(np.abs(u.eval(x))))
+    assert trace_power(d, 4).trace_quadratic() is None
+    assert trace_power(d, 2).trace_quadratic() == trace_square(d).trace_quadratic()
+    assert trace_power(d, 2, 2.0).trace_quadratic() != trace_power(d, 2).trace_quadratic()
+
+
 def test_gradient_matches_finite_differences(stream):
     gen = stream.child("gradfd").generator()
     u = random_cylindrical(gen, d=2)

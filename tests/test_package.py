@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 import nclab
 from nclab import control, harness, matrixcore
+from nclab.randmat import RngStream
 
 
 def test_every_name_in_all_resolves():
@@ -25,14 +28,18 @@ def test_every_name_in_all_resolves():
     assert missing == {}
 
 
+def import_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        return importlib.import_module("tracer")
+    finally:
+        sys.modules.pop("tracer", None)
+
+
 def test_benchmark_tracer_installs_and_removes(tmp_path, monkeypatch):
     """The benchmark's tracer wraps nclab names from outside; installing it
     fails as soon as one of those names is gone."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        tracer_module = importlib.import_module("tracer")
-    finally:
-        sys.modules.pop("tracer", None)
+    tracer_module = import_tracer(monkeypatch)
     before = (np.linalg.eigh, control._clip_batch, control.apply_scalar_function)
     tracer = tracer_module.Tracer(str(tmp_path))
     tracer.install()
@@ -43,3 +50,31 @@ def test_benchmark_tracer_installs_and_removes(tmp_path, monkeypatch):
     assert (np.linalg.eigh, control._clip_batch, control.apply_scalar_function) == before
     assert control.apply_scalar_function is matrixcore.apply_scalar_function
     assert not hasattr(harness, "open")
+
+
+@pytest.mark.parametrize("template", ["lq", "quartic"])
+def test_benchmark_tracer_reads_both_engine_paths(tmp_path, monkeypatch, template):
+    """The tracer's counters accept what ``_forward`` returns on the
+    coefficient path (LQ: no states) and on the state path (quartic)."""
+    tracer_module = import_tracer(monkeypatch)
+    make = harness.lq_problem if template == "lq" else harness.quartic_problem
+    problem = make(3, beta_c=0.5)
+    policy = control.zero_policy(problem, K=2, N=1, R=8.0)
+    chunks = control._prepare_chunks(problem, policy, RngStream(3), "t", 6, 4)
+    originals = (control._forward, control._chunk_cost, control._chunk_gradients)
+    tracer = tracer_module.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        with tracer.span("root"):
+            control._evaluate_prepared(problem, policy, chunks, want_grads=True)
+    finally:
+        tracer.remove()
+    assert (control._forward, control._chunk_cost, control._chunk_gradients) == originals
+    m = tracer_module.pass_metrics(tracer)
+    assert m["control.evaluate.calls"] == 1.0
+    if template == "lq":
+        assert m["control.tree_nodes"] == 0.0
+        assert m["ncpoly.evaluate_trace.calls"] == m["laplacian.eval.calls"] == 0.0
+    else:
+        assert m["control.tree_nodes"] == 6 * 4 ** 2
+        assert m["ncpoly.evaluate_trace.calls"] > 0.0
