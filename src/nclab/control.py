@@ -19,9 +19,15 @@ The engine sweeps the tree in coefficient space.  A polynomial control is
 alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
 gated, scaled word features f, so with the Gram matrices
 G_s = Re tr(f_w f_v) one gets ||alpha||_F^2 = c^T G_s c and
-<alpha, f_v> = (G_s c)_v.  That small product gives the Frobenius pre-screen
-of the clip, the c ||alpha||^2 Lagrangian term and its gradient
-2 c delta p_J / n sum_s G_s c_J.  States are real combinations of the
+<alpha, f_v> = (G_s c)_v.  That small product gives the c ||alpha||^2
+Lagrangian term of a level, one contraction
+(c/n) <G_s, sum_J p_J c_J c_J^T> per sample, its gradient
+2 c delta p_J / n sum_s G_s c_J, and the Frobenius pre-screen of the clip:
+no slot of a sample set can exceed R when
+max_s lambda_max(G_s) max_J ||c_J||^2 <= R^2 (with a rounding slack; G_s
+here the Gram of all the set's features, which bounds every step's block),
+and only where that fails is c^T G_s c tested per slot.  States are real
+combinations of the
 per-sample basis [f; 1; x0; increments], so the tree expands on the
 (B_i, d, V) coefficients,
 
@@ -29,13 +35,13 @@ per-sample basis [f; 1; x0; increments], so the tree expands on the
 
 and the states of a level are one GEMM per sample, C_i @ basis, made only
 where a cost reads them.  The controls are materialised in three places
-only: at clip suspects (c^T G c above R^2 less a rounding margin), where the
+only: at clip suspects (slots the pre-screen flags), where the
 clipped slots' states and gradients are corrected; where l0 reads them or
 every level's states are kept (``simulate_discrete``); and for const steps,
 as a broadcast view whose sample-independent drift is added to the states.
 
-Quadratic trace costs stay in coefficient space.  Each prepared chunk (the
-optimizer freezes its letters, gate and feature scales) carries the basis
+Quadratic trace costs stay in coefficient space.  Each prepared sample set
+(the optimizer freezes its letters, gate and feature scales) carries the basis
 Gram H_s = Re tr(b_v b_w), (S, V, V), and traces t_s = tr b_v; a step's
 feature Gram G_s is a block of H_s.  A terminal whose ``trace_quadratic()``
 is not None (a cylindrical cost with inner polynomials of degree <= 2, such
@@ -48,8 +54,15 @@ times delta plus the c||alpha||^2 term.  Where this does not apply exactly
 the leaf states are made and the terminal reads them, with the state
 adjoint paired with the features in one GEMM per step: a terminal without
 that form (the quartic cost), l0 set (every level's states), a const step
-or a slot the clip binds in the chunk (their drift and fixes are not in the
-basis span), and ``simulate_discrete``, which keeps every level's states.
+or a slot the clip binds (their drift and fixes are not in the basis span),
+and ``simulate_discrete``, which keeps every level's states.
+
+A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
+``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
+one stream address per sample, and gated and featurised at once.  A sweep
+that makes no state covers the whole set; where states are made, the set
+is swept in slices of ``OptimizerConfig.chunk`` samples, which bounds the
+(chunk, B, d, n, n) state arrays.
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
@@ -67,6 +80,7 @@ formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function candidate).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -471,36 +485,37 @@ def _step_words(d, K, step, degree, include_current):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BinTree:
     """Per-step exact common-noise data: probabilities and noise partial sums."""
 
-    probs: list      # step i -> (B_i,) probabilities of bin prefixes
-    noise: list      # step i -> (B_i,) values W0_{i,J}
+    probs: tuple     # step i -> (B_i,) probabilities of bin prefixes
+    noise: tuple     # step i -> (B_i,) values W0_{i,J}
     branch_omegas: np.ndarray
     branch_probs: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
 def _bin_tree(K, N, delta, collapse):
+    """The ``_BinTree`` of K steps over the (N, delta) noise table, one node
+    per step when ``collapse``.  Memoized, so its arrays are read-only."""
     if collapse:
         one = np.ones(1)
         zero = np.zeros(1)
-        return _BinTree(probs=[one] * K, noise=[zero] * K,
-                        branch_omegas=zero, branch_probs=one)
-    table = noise_table(N, delta)
-    probs, noise = [], []
-    p, w = table.probs.copy(), table.omegas.copy()
-    probs.append(p)
-    noise.append(w)
-    for _ in range(1, K):
-        p = np.kron(p, table.probs)
-        w = (np.kron(noise[-1], np.ones_like(table.omegas))
-             + np.kron(np.ones(len(probs[-1])), table.omegas))
-        # note: kron of the previous step's prob vector with the one-step table
-        probs.append(p)
-        noise.append(w)
-    return _BinTree(probs=probs, noise=noise,
-                    branch_omegas=table.omegas, branch_probs=table.probs)
+        probs, noise, omegas, branch = [one] * K, [zero] * K, zero, one
+    else:
+        table = noise_table(N, delta)
+        omegas, branch = table.omegas.copy(), table.probs.copy()
+        probs, noise = [branch], [omegas]
+        for _ in range(1, K):
+            # the previous step's vectors times the one-step table
+            probs.append(np.kron(probs[-1], branch))
+            noise.append(np.kron(noise[-1], np.ones_like(omegas))
+                         + np.kron(np.ones(len(probs[-2])), omegas))
+    for a in (*probs, *noise, omegas, branch):
+        a.setflags(write=False)
+    return _BinTree(probs=tuple(probs), noise=tuple(noise),
+                    branch_omegas=omegas, branch_probs=branch)
 
 
 def _path_letters(problem, increments):
@@ -515,11 +530,13 @@ def _path_letters(problem, increments):
 
 def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
     """Letters of the given samples' GUE paths, sample s drawn from
-    ``rng.child(tag, s)`` (see ``_path_letters``)."""
+    ``rng.child(tag, s)`` (see ``_path_letters``): one ``sample_gue`` call
+    over the samples' streams, each path scaled as ``gue_increments`` does."""
     n, d, times = problem.n, problem.d, problem.grid(K).times
-    return _path_letters(problem, np.stack([
-        randmat.gue_increments(n, d, times, rng.child(tag, s)).increments
-        for s in sample_indices]))
+    draws = randmat.sample_gue(n, [rng.child(tag, s) for s in sample_indices],
+                               (K, d))
+    return _path_letters(
+        problem, np.sqrt(np.diff(times))[:, None, None, None] * draws)
 
 
 def _gate_indicator(letters, d, K, level):
@@ -602,44 +619,96 @@ def _pullback_clip(grad, records):
 _GRAM_SLACK = 1e-8
 
 
+def _gram_bound(gram):
+    """A bound b with c^T G_s c <= b ||c||^2 over the Gram matrices
+    (S, W, W) and over every principal block of them (a step's features):
+    max_s lambda_max(G_s), plus twice the slack of ``_slot_suspects`` at
+    max_s tr G_s, which bounds its (sum_w |c_w| ||f_w||)^2 / ||c||^2 and
+    outweighs the rounding of c^T G c and of the eigensolver."""
+    try:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Gram eigensolver failed: {exc}") from exc
+    trace = np.einsum("sww->s", gram)
+    return float(top.max() + 2.0 * _GRAM_SLACK * trace.max())
+
+
+def _slot_suspects(gram, coeffs, R):
+    """Flat indices over (S, B d) of the slots whose control
+    alpha = sum_w c_w f_{s,w} may exceed R in Frobenius norm: c^T G_s c
+    above R^2 less a rounding margin, per slot."""
+    sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
+    reach = np.sqrt(np.einsum("sww->sw", gram)) @ np.abs(coeffs).T
+    return np.flatnonzero(sq + _GRAM_SLACK * reach ** 2 > R * R)
+
+
+def _clip_suspects(gram, coeffs, bound, R):
+    """The clip pre-screen of a poly step's coefficients (B d, W) on its
+    feature Grams (S, W, W): no slot when the set-wide bound
+    bound * max_j ||c_j||^2 <= R^2 (``bound`` from ``_gram_bound``) clears
+    them all, else ``_slot_suspects``."""
+    if bound * np.max(np.einsum("jw,jw->j", coeffs, coeffs)) <= R * R:
+        return np.zeros(0, dtype=int)
+    return _slot_suspects(gram, coeffs, R)
+
+
 @dataclass
 class _ConstControls:
-    """A const step's controls over a chunk.
+    """A const step's controls over a sample set.
 
-    ``values`` are the clipped (B, d, n, n) node values and ``clip`` the
-    records of the clip over their (B, d) slots; ``sq`` is tr(alpha^2) per
-    slot, (S, B, d).
+    ``values`` are the clipped (B, d, n, n) node values, ``clip`` the
+    records of the clip over their (B, d) slots, and ``samples`` the size
+    of the set.
     """
 
     values: np.ndarray
     clip: _ClipRecords
-    sq: np.ndarray
+    samples: int
 
     @property
     def alpha(self):
         """The (S, B, d, n, n) controls, a broadcast view of ``values``."""
-        return np.broadcast_to(self.values, (len(self.sq),) + self.values.shape)
+        return np.broadcast_to(self.values, (self.samples,) + self.values.shape)
+
+    def energy(self, probs):
+        """sum_J p_J sum_k tr(alpha_{J,k}^2), the same for every sample, (S,)."""
+        sq = np.einsum("bkij,bkji->b", self.values, self.values).real
+        return np.full(self.samples, sq @ probs)
 
 
 @dataclass
 class _PolyControls:
-    """A poly step's controls over a chunk, in coefficient space.
+    """A poly step's controls over a sample set, in coefficient space.
 
-    ``feats`` are the float views of the gated step features (S, W, 2 n n),
-    ``gram`` their Gram matrices Re tr(f_w f_v), (S, W, W), and ``sq`` is
-    tr(alpha^2) per slot, (S, B, d), after the clip.  ``clip`` indexes the
-    clipped slots flat over (S, B, d); ``raw`` and ``new`` are the controls
-    there before and after the clip.  ``alpha`` is the (S, B, d, n, n)
-    controls if they were materialised, else None.
+    ``coeffs`` are the step's (B, d, W) coefficients and ``gram`` the Gram
+    matrices Re tr(f_w f_v) of its gated features, (S, W, W).  ``clip``
+    indexes the clipped slots flat over (S, B, d); ``raw`` and ``new`` are
+    the controls there before and after the clip.  ``alpha`` is the
+    (S, B, d, n, n) controls if they were materialised, else None.
     """
 
-    feats: np.ndarray
+    coeffs: np.ndarray
     gram: np.ndarray
-    sq: np.ndarray
     clip: _ClipRecords = field(default_factory=_ClipRecords)
     raw: np.ndarray | None = None
     new: np.ndarray | None = None
     alpha: np.ndarray | None = None
+
+    def energy(self, probs):
+        """sum_J p_J sum_k tr(alpha_{s,J,k}^2) per sample, (S,): one
+        contraction <G_s, sum_{J,k} p_J c_{J,k} c_{J,k}^T> as if nothing were
+        clipped, plus tr(new^2) - tr(raw^2) at the clipped slots."""
+        B, d, W = self.coeffs.shape
+        flat = self.coeffs.reshape(B * d, W)
+        rows = np.repeat(probs, d)
+        second = (rows[:, None] * flat).T @ flat                 # (W, W)
+        out = self.gram.reshape(len(self.gram), -1) @ second.reshape(-1)
+        if len(self.clip):
+            s_idx, j_idx = np.divmod(self.clip.idx, B * d)
+            change = (np.einsum("mij,mji->m", self.new, self.new)
+                      - np.einsum("mij,mji->m", self.raw, self.raw)).real
+            out += np.bincount(s_idx, rows[j_idx] * change, minlength=len(out))
+        return out
 
 
 def _sample_rows(s_idx, S):
@@ -650,32 +719,29 @@ def _sample_rows(s_idx, S):
 
 
 def _realize_controls(policy, step_index, batch, materialise=False):
-    """One step's controls over a chunk with the clip applied
+    """One step's controls over a sample set with the clip applied
     (``_ConstControls`` or ``_PolyControls``).
 
     A poly step's control alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} is a real
     combination of Hermitian features, so tr(alpha^2) = c^T G_s c with G_s
-    the features' block of the basis Gram.  Only the slots this pre-screens
-    as Frobenius suspects are materialised and clipped.
+    the features' block of the basis Gram.  Only the slots
+    ``_clip_suspects`` flags are materialised and clipped.
     """
     st = policy.steps[step_index]
     R = policy.R
     S = len(batch.gram)
     if st.kind == "const":
         values, records = _clip_batch(st.values, R)
-        sq = np.einsum("bkij,bkji->bk", values, values).real
-        return _ConstControls(values=values, clip=records,
-                              sq=np.broadcast_to(sq, (S,) + sq.shape))
+        return _ConstControls(values=values, clip=records, samples=S)
     n = policy.n
     B, d, W = st.coeffs.shape
     coeffs = st.coeffs.reshape(B * d, W)
     cols = batch.word_index[step_index]
-    fv = batch.basis[:, cols]                            # (S, W, 2 n n)
-    gram = batch.gram[:, cols[:, None], cols]
-    sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
-    reach = np.sqrt(np.einsum("sww->sw", gram)) @ np.abs(coeffs).T
-    suspects = np.flatnonzero(sq + _GRAM_SLACK * reach ** 2 > R * R)
-    ctrl = _PolyControls(feats=fv, gram=gram, sq=sq.reshape(S, B, d))
+    ctrl = _PolyControls(coeffs=st.coeffs,
+                         gram=batch.gram[:, cols[:, None], cols])
+    suspects = _clip_suspects(ctrl.gram, coeffs, batch.gram_bound, R)
+    if materialise or len(suspects):
+        fv = batch.basis[:, cols]                            # (S, W, 2 n n)
     if materialise:
         ctrl.alpha = (coeffs @ fv).view(complex).reshape(S, B, d, n, n)
     if len(suspects):
@@ -689,8 +755,6 @@ def _realize_controls(policy, step_index, batch, materialise=False):
             active = records.idx
             ctrl.raw, ctrl.new = raw[active], new[active]
             ctrl.clip = replace(records, idx=suspects[active])
-            ctrl.sq[np.unravel_index(ctrl.clip.idx, ctrl.sq.shape)] = np.einsum(
-                "mij,mji->m", ctrl.new, ctrl.new).real
             if ctrl.alpha is not None:
                 ctrl.alpha.reshape(-1, n, n)[ctrl.clip.idx] = ctrl.new
     return ctrl
@@ -729,13 +793,14 @@ class _Sweep:
 
 
 def _forward(problem, policy, tree, batch, keep_states=False):
-    """Sweep the bin tree for one sample chunk.
+    """Sweep the bin tree for one set of samples.
 
     Returns ``(states, lagrangians, sweep)``: the (S, B_i, d, n, n) states
     of every level with ``keep_states``, else of the last level only, or
     none when the terminal is read in coefficient space; the running
-    Lagrangian per node, (S, B_i) per level; and a ``_Sweep``.  Poly
-    controls are materialised where l0 reads them or with ``keep_states``.
+    Lagrangian of each level summed over its nodes with their
+    probabilities, (S,) per level; and a ``_Sweep``.  Poly controls are
+    materialised where l0 reads them or with ``keep_states``.
 
     The tree is expanded in coefficient space: a state is a real
     combination of the per-sample basis [f; 1; x0; increments] (the gated
@@ -744,7 +809,7 @@ def _forward(problem, policy, tree, batch, keep_states=False):
     States are materialised only for the levels a cost reads.  A terminal
     with a ``trace_quadratic()`` form reads no state when nothing else does
     (no l0, no ``keep_states``) and the leaves are in the basis span (no
-    const step, no clipped slot in the chunk).
+    const step, no clipped slot in the set).
     """
     n, d, K = problem.n, problem.d, policy.K
     S = len(batch.gram)
@@ -759,6 +824,7 @@ def _forward(problem, policy, tree, batch, keep_states=False):
     states, lagrangians, controls = [], [], []
     for i in range(1, K + 1):
         st = policy.steps[i - 1]
+        probs = tree.probs[i - 1]
         ctrl = _realize_controls(policy, i - 1, batch, materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
@@ -773,16 +839,14 @@ def _forward(problem, policy, tree, batch, keep_states=False):
             if len(ctrl.clip):
                 fixes.append((coef.shape[0], ctrl.clip.idx,
                               delta * (ctrl.new - ctrl.raw)))
-        lval = np.zeros((S, coef.shape[0]))
+        lval = (quad / n) * ctrl.energy(probs) if quad else np.zeros(S)
         if materialise:
             x = _level_states(coef, batch.basis, drift, fixes, n)
             if keep_states:
                 states.append(x)
             if l0 is not None:
                 joint = np.concatenate([x, ctrl.alpha], axis=-3)
-                lval = lval + np.real(l0.eval(joint))
-        if quad:
-            lval = lval + quad * (ctrl.sq.sum(axis=-1) / n)
+                lval = lval + np.real(l0.eval(joint)) @ probs
         lagrangians.append(lval)
         controls.append(ctrl)
     sweep = _Sweep(controls=controls, coef=coef)
@@ -797,7 +861,7 @@ def _forward(problem, policy, tree, batch, keep_states=False):
 def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
     """Probability-weighted terminal cost per sample, (S,), of leaves X = coef
     on the basis, for a terminal with the ``trace_quadratic()`` form; with
-    ``want_grad`` also its derivative in ``coef`` summed over the chunk,
+    ``want_grad`` also its derivative in ``coef`` summed over the samples,
     (B, d, V), else None.
 
     With the basis Gram H_s and traces t_s, tr_n X_k X_l = C_k^T H_s C_l / n
@@ -841,7 +905,7 @@ def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
 
 def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
                 want_grad=False):
-    """Per-sample discretized cost over the chunk, (S,), and with
+    """Per-sample discretized cost over the swept samples, (S,), and with
     ``want_grad`` the terminal gradient (else None): at the last level's
     states, or in coefficient space (see ``_quadratic_terminal``) when the
     sweep left the leaves there."""
@@ -857,17 +921,18 @@ def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
             gvals, ggrad = terminal.eval(states[-1]), None
         leaf = np.real(gvals) @ tree.probs[-1]
     total = np.zeros(len(leaf))
-    for lvals, probs in zip(lagrangians, tree.probs):
-        total += delta * (lvals @ probs)
+    for lvals in lagrangians:
+        total += delta * lvals
     total += leaf
     return total, ggrad
 
 
-def _step_gradient(st, ctrl, adj, probs, delta, quad):
+def _step_gradient(st, ctrl, adj, probs, delta, quad, feats):
     """Parameter gradient of one step from ``adj`` = (d cost / d alpha) /
     delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
 
-    A poly step pairs ``adj`` with the features in one GEMM per sample and
+    A poly step pairs ``adj`` with its gated features ``feats``, float
+    views (S, W, 2 n n), in one GEMM per sample and
     takes the c||alpha||^2 term from the Gram matrices,
     2 c delta p_J sum_s G_s c_J; both assume an unclipped control, so the
     clipped slots add their difference to the pullback through the clip.
@@ -881,7 +946,7 @@ def _step_gradient(st, ctrl, adj, probs, delta, quad):
             flat[ctrl.clip.idx] = _pullback_clip(flat[ctrl.clip.idx], ctrl.clip)
         return hermitize(g)
     coeffs = st.coeffs.reshape(B * d, -1)
-    fvt = np.swapaxes(ctrl.feats, 1, 2)
+    fvt = np.swapaxes(feats, 1, 2)
     g = delta * (adj.reshape(S, B * d, -1).view(float) @ fvt).sum(axis=0)
     quad_rows = 2.0 * quad * delta * np.repeat(probs, d)       # per (J, k)
     g += quad_rows[:, None] * (coeffs @ ctrl.gram.sum(axis=0))
@@ -935,25 +1000,37 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
                                                      axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
-        grads[i - 1] = _step_gradient(policy.steps[i - 1], ctrl, adj, probs,
-                                      delta, quad)
+        st = policy.steps[i - 1]
+        feats = (batch.basis[:, batch.word_index[i - 1]] if st.kind == "poly"
+                 else None)
+        grads[i - 1] = _step_gradient(st, ctrl, adj, probs, delta, quad, feats)
     return grads
 
 
 @dataclass
 class _Batch:
-    """A sample chunk's frozen data: the per-sample basis [f; 1; x0;
+    """A sample set's frozen data: the per-sample basis [f; 1; x0;
     increments] as float views (S, V, 2 n n), whose first ``width`` rows
     are the gated, scaled global word features; its Gram matrices
-    H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); and each
+    H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); each
     step's feature columns (``word_index``, None for const steps or
-    without poly steps).  The optimizer evaluates many policies on it."""
+    without poly steps); and the ``_gram_bound`` of the features' block of
+    H, which bounds every step's block (None without poly steps).  The
+    optimizer evaluates many policies on it."""
 
     basis: np.ndarray
     gram: np.ndarray
     traces: np.ndarray
     width: int
     word_index: list | None
+    gram_bound: float | None = None
+
+    def slices(self, size):
+        """The set as consecutive batches of ``size`` samples (views)."""
+        for lo in range(0, len(self.gram), size):
+            rows = slice(lo, lo + size)
+            yield replace(self, basis=self.basis[rows], gram=self.gram[rows],
+                          traces=self.traces[rows])
 
 
 def _batch_from_letters(problem, policy, letters):
@@ -964,7 +1041,7 @@ def _batch_from_letters(problem, policy, letters):
     eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
     parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
              letters.reshape(S, -1, n * n).view(float)]
-    width, word_index = 0, None
+    width, word_index, gram_bound = 0, None, None
     if any(st.kind == "poly" for st in policy.steps):
         global_words = _global_words(problem, policy)
         pos = {w: k for k, w in enumerate(global_words)}
@@ -981,12 +1058,14 @@ def _batch_from_letters(problem, policy, letters):
     # the basis is Hermitian: Re tr(b_v b_w) is the dot product of float views
     gram = basis @ np.swapaxes(basis, 1, 2)
     traces = basis[..., ::2 * (n + 1)].sum(axis=-1)       # Re of the diagonal
+    if width:
+        gram_bound = _gram_bound(gram[:, :width, :width])
     return _Batch(basis=basis, gram=gram, traces=traces, width=width,
-                  word_index=word_index)
+                  word_index=word_index, gram_bound=gram_bound)
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """The ``_Batch`` of a sample chunk."""
+    """The ``_Batch`` of a sample set."""
     letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
     return _batch_from_letters(problem, policy, letters)
 
@@ -1008,35 +1087,46 @@ def _feature_scales(problem, policy, rng, tag, sample_indices):
     return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12))
 
 
-def _prepare_chunks(problem, policy, rng, tag, samples, chunk):
-    """Frozen per-chunk batch data for repeated policy evaluations."""
-    chunks = []
-    for start in range(0, samples, chunk):
-        idx = list(range(start, min(start + chunk, samples)))
-        chunks.append(_prepare_batch(problem, policy, rng, tag, idx))
-    return chunks
+def _sweeps_without_states(problem, policy, batch):
+    """True when a sweep of the whole set makes no state: the terminal has
+    a ``trace_quadratic()`` form, there is no l0 and no const step, and the
+    clip pre-screen flags no slot, so no clip can bind."""
+    cost = problem.cost
+    if (cost.l0 is not None or cost.terminal.trace_quadratic() is None
+            or any(st.kind == "const" for st in policy.steps)):
+        return False
+    for st, cols in zip(policy.steps, batch.word_index):
+        coeffs = st.coeffs.reshape(-1, st.coeffs.shape[-1])
+        if len(_clip_suspects(batch.gram[:, cols[:, None], cols], coeffs,
+                              batch.gram_bound, policy.R)):
+            return False
+    return True
 
 
-def _evaluate_prepared(problem, policy, chunks, want_grads=False):
-    """Cost mean/stderr over prepared chunks; optionally parameter grads.
+def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
+    """Cost mean/stderr over a prepared sample set; optionally parameter grads.
 
-    A pass keeps only the last level's states, or none, unless l0 needs
+    A set that ``_sweeps_without_states`` is swept at once.  Otherwise it
+    is swept in slices of ``chunk`` samples, which bounds the state arrays;
+    a slice keeps only the last level's states, or none, unless l0 needs
     every level's for its gradient.
     """
     K = policy.K
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
                      policy.collapse_bins)
     keep_states = want_grads and problem.cost.l0 is not None
+    if _sweeps_without_states(problem, policy, batch):
+        chunk = len(batch.gram)
     per_sample = []
     grads = None
-    for batch in chunks:
-        states, lagrangians, sweep = _forward(problem, policy, tree, batch,
+    for part in batch.slices(chunk):
+        states, lagrangians, sweep = _forward(problem, policy, tree, part,
                                               keep_states)
-        costs, gterm = _chunk_cost(problem, policy, tree, batch, states, sweep,
+        costs, gterm = _chunk_cost(problem, policy, tree, part, states, sweep,
                                    lagrangians, want_grads)
         per_sample.append(costs)
         if want_grads:
-            g = _chunk_gradients(problem, policy, tree, batch, states, sweep,
+            g = _chunk_gradients(problem, policy, tree, part, states, sweep,
                                  gterm)
             grads = g if grads is None else [a + b for a, b in zip(grads, g)]
         del states, sweep
@@ -1047,12 +1137,6 @@ def _evaluate_prepared(problem, policy, chunks, want_grads=False):
         grads = [g / len(costs) for g in grads]
         return mean, stderr, grads
     return mean, stderr, None
-
-
-def _evaluate_policy(problem, policy, rng, tag, samples, chunk,
-                     want_grads=False):
-    chunks = _prepare_chunks(problem, policy, rng, tag, samples, chunk)
-    return _evaluate_prepared(problem, policy, chunks, want_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,13 +1190,14 @@ def discrete_cost(problem, policy, mc_samples, rng, chunk=16, tag="cost"):
     """Monte Carlo estimate (value, stderr) of the discretized cost.
 
     Common-noise expectation is exact over bin paths; the GUE expectation is
-    a sample average over ``mc_samples`` draws from ``rng``.
+    a sample average over ``mc_samples`` draws from ``rng``.  Where states
+    are made, ``chunk`` samples are swept at a time.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     _check_path_guard(policy.branching(), policy.K)
-    mean, stderr, _ = _evaluate_policy(problem, policy, rng, tag,
-                                       mc_samples, chunk)
+    batch = _prepare_batch(problem, policy, rng, tag, range(mc_samples))
+    mean, stderr, _ = _evaluate_prepared(problem, policy, batch, chunk)
     return mean, stderr
 
 
@@ -1129,7 +1214,7 @@ class OptimizerConfig:
     node_kind: str = "poly"
     momentum: float = 0.9
     step_grow: float = 1.1
-    chunk: int = 16
+    chunk: int = 16     # samples per sweep that makes states
     gate_level: float | None = None
     include_current_increment: bool = True
     log_path: str | None = None
@@ -1168,9 +1253,9 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
             problem, policy, rng, "scale", list(range(min(cfg.train_samples, 32))))
 
     log_rows = []
-    train_chunks = _prepare_chunks(problem, policy, rng, "train",
-                                   cfg.train_samples, cfg.chunk)
-    cost, _, grads = _evaluate_prepared(problem, policy, train_chunks,
+    train = _prepare_batch(problem, policy, rng, "train",
+                           range(cfg.train_samples))
+    cost, _, grads = _evaluate_prepared(problem, policy, train, cfg.chunk,
                                         want_grads=True)
     if not math.isfinite(cost):
         raise OptimizeError("initial objective is not finite")
@@ -1183,7 +1268,7 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
         velocity = [cfg.momentum * v - eta * g for v, g in zip(velocity, grads)]
         trial = _policy_step(best_policy, [-v for v in velocity], 1.0, R)
         trial_cost, _, trial_grads = _evaluate_prepared(
-            problem, trial, train_chunks, want_grads=True)
+            problem, trial, train, cfg.chunk, want_grads=True)
         if not math.isfinite(trial_cost):
             raise OptimizeError(f"objective diverged at iteration {iters}")
         gnorm = max(float(np.max(np.abs(g))) for g in grads)
@@ -1204,10 +1289,11 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
                        gate_level=cfg.gate_level,
                        include_current_increment=cfg.include_current_increment)
     zero.feature_scales = best_policy.feature_scales
-    val_chunks = _prepare_chunks(problem, best_policy, rng, "val",
-                                 cfg.val_samples, cfg.chunk)
-    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val_chunks)
-    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val_chunks)
+    val = _prepare_batch(problem, best_policy, rng, "val",
+                         range(cfg.val_samples))
+    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val, cfg.chunk)
+    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val,
+                                              cfg.chunk)
     if best_val <= zero_val:
         value, stderr, winner, improved = best_val, best_se, best_policy, True
     else:
@@ -1235,16 +1321,20 @@ def _fro_norm(m):
 
 
 def policy_control_budget(problem, policy, samples, rng, chunk=16, tag="budget"):
-    """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound."""
+    """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
+
+    Each step's controls are realised on ``chunk`` samples at a time, which
+    bounds the clipped slots materialised at once.
+    """
     K = policy.K
     delta = (problem.T - problem.t0) / K
     tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
+    batch = _prepare_batch(problem, policy, rng, tag, range(samples))
     total = 0.0
-    for batch in _prepare_chunks(problem, policy, rng, tag, samples, chunk):
-        _, _, sweep = _forward(problem, policy, tree, batch)
-        for ctrl, probs in zip(sweep.controls, tree.probs):
-            sq = ctrl.sq.sum(axis=-1) / problem.n
-            total += float((sq @ probs).sum()) * delta
+    for part in batch.slices(chunk):
+        for i, probs in enumerate(tree.probs):
+            energy = _realize_controls(policy, i, part).energy(probs)
+            total += float(energy.sum()) / problem.n * delta
     return total / samples
 
 
@@ -1517,14 +1607,15 @@ def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):
 def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, tag="bdlhs"):
     """-(1/n^2) log E exp(-n^2 psi(W_hat_1)) by max-shifted log-sum-exp.
 
-    Sample s is drawn from ``rng.child(tag, s)``; the draws are stacked into
-    one (mc_samples, d, n, n) batch and psi is evaluated on it once.
+    Sample s is drawn from ``rng.child(tag, s)``, all of them in one
+    ``sample_gue`` call giving one (mc_samples, d, n, n) batch, and psi is
+    evaluated on it once.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     d = psi.d if d is None else d
-    draws = np.stack([sample_gue_tuple(n, d, rng.child(tag, s)).data
-                      for s in range(mc_samples)])
+    draws = randmat.sample_gue(
+        n, [rng.child(tag, s) for s in range(mc_samples)], (d,))
     exponents = -float(n * n) * np.real(psi.eval(draws))
     m = float(np.max(exponents))
     if not math.isfinite(m):

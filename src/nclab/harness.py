@@ -4,11 +4,12 @@ A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  Each kind
 accepts the parameter keys of its table in ``EXPERIMENT_PARAMS``, each with
-its default's type.  A manifest keyed by the hash of the config, the package
-version and the package sources makes reruns skip completed experiments
-whose files are all present.  Only ``spectrum`` samples fan out over the
-thread count: their LAPACK eigensolves release the GIL, which pays at n=512
-(1.10 -> 0.58 s at two threads) but not at n=256 (0.42 -> 0.56 s).  The
+its default's type; lists must be non-empty and integers at least 1.  A
+manifest keyed by the hash of the config, the package version and the
+package sources makes reruns skip completed experiments whose files are
+all present.  Only ``spectrum`` samples fan out over the thread count:
+their LAPACK eigensolves release the GIL, which pays at n=512 (1.10 ->
+0.58 s at two threads) but not at n=256 (0.42 -> 0.56 s).  The
 Python-bound kinds ran slower in a pool (laplacian-check 0.527 -> 0.666 s),
 so they run serially.  The map is ordered: outputs are byte-identical for
 any thread count.
@@ -465,10 +466,22 @@ def _conforms(value, default):
     return isinstance(value, type(default))
 
 
+def _in_range(value, default):
+    """False for an empty list where ``default`` is a list and for an
+    integer below 1 where it is an integer (list elements alike): every
+    integer parameter counts something.  ``value`` conforms to ``default``."""
+    if isinstance(default, list):
+        return bool(value) and all(_in_range(v, default[0]) for v in value)
+    if isinstance(default, int) and not isinstance(default, bool):
+        return value >= 1
+    return True
+
+
 def experiment_params(kind, params):
     """``params`` of an experiment (its ``kind`` key aside) completed with
-    the defaults of ``EXPERIMENT_PARAMS[kind]``; an unknown key or a value
-    of the wrong type is an ``ExperimentError``."""
+    the defaults of ``EXPERIMENT_PARAMS[kind]``; an unknown key, a value of
+    the wrong type, an empty list or a count below 1 is an
+    ``ExperimentError``."""
     table = EXPERIMENT_PARAMS[kind]
     given = {key: value for key, value in params.items() if key != "kind"}
     unknown = sorted(set(given) - set(table))
@@ -478,6 +491,9 @@ def experiment_params(kind, params):
         if not _conforms(value, table[key]):
             raise ExperimentError(f"{kind} parameter {key!r} has the wrong "
                                   f"type: {value!r}")
+        if not _in_range(value, table[key]):
+            raise ExperimentError(f"{kind} parameter {key!r} is out of range "
+                                  f"(empty list or count below 1): {value!r}")
     return {**table, **given}
 
 

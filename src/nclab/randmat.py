@@ -68,30 +68,44 @@ def sample_gue(n, rng, shape=()):
         S_ij = (g[i, j] - i g[j, i])/sqrt(2 n)   (i < j).
 
     One ``standard_normal`` call fills all normals in C order, so a stack
-    equals consecutive single draws.
+    equals consecutive single draws.  ``rng`` may also be a list or tuple of
+    streams: the result is then (len(rng), *shape, n, n), entry s drawn from
+    ``rng[s]`` alone, and equals the stacked single-stream calls.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _as_generator(rng).standard_normal(tuple(shape) + (n, n))
-    s = np.zeros(g.shape, dtype=complex)
-    (ur, uc), (lr, lc) = _triangle_indices(n)
-    s[..., ur, uc] = (g[..., ur, uc] - 1j * g[..., lr, lc]) / np.sqrt(2.0 * n)
-    s += np.conj(np.swapaxes(s, -1, -2))
+    shape = tuple(shape) + (n, n)
+    if isinstance(rng, (list, tuple)):
+        g = np.empty((len(rng),) + shape)
+        for row, stream in zip(g, rng):
+            _as_generator(stream).standard_normal(out=row)
+    else:
+        g = _as_generator(rng).standard_normal(shape)
+    # numpy divides a complex array by a real scalar as a product with its
+    # reciprocal, so this product keeps the draws bit-identical to the
+    # division by sqrt(2 n) written in the docstring
+    scale = 1.0 / np.sqrt(2.0 * n)
+    upper = _upper_mask(n)
+    gt = np.swapaxes(g, -1, -2)
+    s = np.empty(g.shape, dtype=complex)
+    parts = s.view(float).reshape(g.shape + (2,))
+    np.multiply(np.where(upper, g, gt), scale, out=parts[..., 0])
+    np.multiply(np.where(upper, -gt, g), scale, out=parts[..., 1])
     diag = np.arange(n)
-    s[..., diag, diag] = np.diagonal(g, axis1=-2, axis2=-1) / np.sqrt(n)
+    parts[..., diag, diag, 0] = np.diagonal(g, axis1=-2, axis2=-1) / np.sqrt(n)
+    parts[..., diag, diag, 1] = 0.0
     return s
 
 
 @functools.lru_cache(maxsize=64)
-def _triangle_indices(n):
-    """Index arrays of the strict upper triangle and of its transpose.
+def _upper_mask(n):
+    """The strict upper triangle of an n x n matrix as a boolean mask.
 
-    Read-only, because every call for the same n returns the same arrays.
+    Read-only, because every call for the same n returns the same array.
     """
-    rows, cols = np.triu_indices(n, 1)
-    for a in (rows, cols):
-        a.setflags(write=False)
-    return (rows, cols), (cols, rows)
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def sample_gue_tuple(n, d, rng, scale=1.0):

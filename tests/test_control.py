@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nclab import control as ctl
 from nclab import randmat as rm
@@ -108,6 +110,11 @@ def random_x0(n, d, gen):
                                  for _ in range(d)]))
 
 
+def control_slots(part, sweep):
+    """The number of (sample, node, letter) control slots of a sweep."""
+    return sum(len(part.gram) * c.coeffs[..., 0].size for c in sweep.controls)
+
+
 def batch_inputs(problem, policy, rng, tag, sample_indices):
     """The engine's batch of the samples and, drawn again from the same
     stream, the letters, gate and global word features it is built from."""
@@ -158,13 +165,13 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
     problem = lq_problem(n, beta_c=beta_c, x0=random_x0(n, 1, gen))
     policy = random_poly_policy(problem, K, N, 2.0, gen)
     assert policy.collapse_bins == (beta_c == 0.0)
-    chunks = ctl._prepare_chunks(problem, policy, stream.child("fd-batch"),
-                                 "t", 6, 4)
+    batch = ctl._prepare_batch(problem, policy, stream.child("fd-batch"),
+                               "t", range(6))
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     slots = clipped = 0
-    for batch in chunks:
-        _, _, sweep = ctl._forward(problem, policy, tree, batch)
-        slots += sum(c.sq.size for c in sweep.controls)
+    for part in batch.slices(4):
+        _, _, sweep = ctl._forward(problem, policy, tree, part)
+        slots += control_slots(part, sweep)
         clipped += sum(len(c.clip) for c in sweep.controls)
         # the sweep never materialises these controls
         assert all(c.alpha is None for c in sweep.controls)
@@ -173,7 +180,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
     assert 0 < clipped < slots and rejected > 0
 
     # the gradient pass corrects exactly the clipped slots, in one batched
-    # pullback per step and chunk
+    # pullback per step and slice of 4 samples
     pulled = []
     pullback = ctl._pullback_clip
 
@@ -182,16 +189,17 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
         return pullback(grad, records)
 
     monkeypatch.setattr(ctl, "_pullback_clip", counting_pullback)
-    _, _, grads = ctl._evaluate_prepared(problem, policy, chunks, want_grads=True)
+    _, _, grads = ctl._evaluate_prepared(problem, policy, batch, 4,
+                                         want_grads=True)
     monkeypatch.undo()
-    assert sum(pulled) == clipped and len(pulled) <= K * len(chunks)
+    assert sum(pulled) == clipped and len(pulled) <= K * 2
     eps = 1e-6
     for _ in range(3):
         dirs = [gen.normal(size=st.coeffs.shape) for st in policy.steps]
 
         def shifted(sign):
             moved = ctl._policy_step(policy, dirs, -sign * eps, policy.R)
-            return ctl._evaluate_prepared(problem, moved, chunks)[0]
+            return ctl._evaluate_prepared(problem, moved, batch, 4)[0]
 
         fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * eps)
         analytic = sum(float(np.sum(g * v)) for g, v in zip(grads, dirs))
@@ -282,18 +290,18 @@ def test_sweep_matches_materialised_reference(stream, d, beta_c, with_l0):
     if with_l0:
         problem.cost.l0 = mixed_l0(d)
     policy = random_poly_policy(problem, K, N, 1.5, gen, gate_level=0.9)
-    chunk, inputs = batch_inputs(problem, policy, stream.child("sweep-batch"),
+    batch, inputs = batch_inputs(problem, policy, stream.child("sweep-batch"),
                                  "t", list(range(6)))
     gate = inputs[1]
     assert 0 < gate.sum() < len(gate)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    _, _, sweep = ctl._forward(problem, policy, tree, chunk)
+    _, _, sweep = ctl._forward(problem, policy, tree, batch)
     clipped = sum(len(c.clip) for c in sweep.controls)
-    assert 0 < clipped < sum(c.sq.size for c in sweep.controls)
+    assert 0 < clipped < control_slots(batch, sweep)
 
-    value, _, grads = ctl._evaluate_prepared(problem, policy, [chunk],
+    value, _, grads = ctl._evaluate_prepared(problem, policy, batch, 6,
                                              want_grads=True)
-    plain, _, _ = ctl._evaluate_prepared(problem, policy, [chunk])
+    plain, _, _ = ctl._evaluate_prepared(problem, policy, batch, 6)
     want_value, want_grads = materialised_reference(problem, policy, inputs)
     assert value == plain
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
@@ -350,26 +358,26 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
     states_problem = replace(problem, cost=replace(
         problem.cost, terminal=StatePathTerminal(problem.cost.terminal)))
     policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
-    chunks = ctl._prepare_chunks(problem, policy, stream.child("coef-batch"),
-                                 "t", 7, 4)
+    batch = ctl._prepare_batch(problem, policy, stream.child("coef-batch"),
+                               "t", range(7))
     letters = ctl._sample_letters(problem, K, range(7),
                                   stream.child("coef-batch"), "t")
     assert 0 < ctl._gate_indicator(letters, d, K, policy.gate_level).sum() < 7
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    for batch in chunks:
+    for part in batch.slices(4):
         costs = {}
         for prob in (problem, states_problem):
-            states, lagrangians, sweep = ctl._forward(prob, policy, tree, batch)
+            states, lagrangians, sweep = ctl._forward(prob, policy, tree, part)
             assert (states == []) == (prob is problem)
             assert (sweep.form is None) == (prob is states_problem)
             costs[prob is problem] = ctl._chunk_cost(
-                prob, policy, tree, batch, states, sweep, lagrangians)[0]
+                prob, policy, tree, part, states, sweep, lagrangians)[0]
         assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
             np.abs(costs[False]))
 
-    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, chunks, True)
-    plain = ctl._evaluate_prepared(problem, policy, chunks)
-    want = ctl._evaluate_prepared(states_problem, policy, chunks, True)
+    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, 4, True)
+    plain = ctl._evaluate_prepared(problem, policy, batch, 4)
+    want = ctl._evaluate_prepared(states_problem, policy, batch, 4, True)
     assert plain[:2] == (mean, stderr)
     assert mean == pytest.approx(want[0], rel=1e-12)
     assert stderr == pytest.approx(want[1], rel=1e-12)
@@ -378,12 +386,108 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
         assert np.max(np.abs(got - g)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("beta_c", [0.0, 0.7])
+def test_whole_set_sweep_matches_chunked_sweeps(stream, d, beta_c):
+    """On the coefficient path one sweep covers the set; it agrees with the
+    set swept slice by slice, the costs concatenated and gradients summed."""
+    gen = stream.child("whole-set", d, int(10 * beta_c)).generator()
+    n, K, N, S = 3, 3, 1, 7
+    problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
+                         x0=random_x0(n, d, gen))
+    policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
+    batch = ctl._prepare_batch(problem, policy, stream.child("whole-batch"),
+                               "t", range(S))
+    assert ctl._sweeps_without_states(problem, policy, batch)
+    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, 2,
+                                                 want_grads=True)
+    tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
+    costs, sums = [], None
+    for part in batch.slices(3):
+        states, lagrangians, sweep = ctl._forward(problem, policy, tree, part)
+        cost, gterm = ctl._chunk_cost(problem, policy, tree, part, states,
+                                      sweep, lagrangians, want_grad=True)
+        g = ctl._chunk_gradients(problem, policy, tree, part, states, sweep,
+                                 gterm)
+        costs.append(cost)
+        sums = g if sums is None else [a + b for a, b in zip(sums, g)]
+    costs = np.concatenate(costs)
+    assert mean == pytest.approx(costs.mean(), rel=1e-12)
+    assert stderr == pytest.approx(costs.std(ddof=1) / math.sqrt(S), rel=1e-12)
+    scale = max(np.max(np.abs(g)) for g in sums) / S
+    for got, want in zip(grads, sums):
+        assert np.max(np.abs(got - want / S)) <= 1e-12 * scale
+
+
+def test_lq_solve_sweeps_once_per_evaluation(stream, monkeypatch):
+    calls = {"evaluate": 0, "forward": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ctl, "_evaluate_prepared",
+                        counted("evaluate", ctl._evaluate_prepared))
+    monkeypatch.setattr(ctl, "_forward", counted("forward", ctl._forward))
+    cfg = small_cfg(train_samples=10, val_samples=9, max_iters=4, chunk=2)
+    ctl.optimize_discrete_value(lq_problem(4, beta_c=0.5), 2, 1, 8.0, cfg,
+                                stream.child("once"))
+    assert calls["evaluate"] == 4 + 1 + 2 and calls["forward"] == calls["evaluate"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), samples=hst.integers(1, 4),
+       width=hst.integers(1, 5), aligned=hst.booleans(),
+       target=hst.floats(0.9, 1.1))
+def test_set_wide_clip_screen_never_clears_a_flagged_slot(seed, samples, width,
+                                                          aligned, target):
+    """Coefficients scaled so the largest control sits near R; aligned ones
+    follow a top eigenvector, where c^T G c meets the set-wide bound."""
+    gen = np.random.default_rng(seed)
+    n, R = 3, 2.0
+    feats = gen.normal(size=(samples, width, 2 * n * n))
+    feats[:, gen.random(width) < 0.2] = 0.0             # gated-off features
+    gram = feats @ np.swapaxes(feats, 1, 2)
+    coeffs = gen.normal(size=(6, width))
+    if aligned:
+        w, q = np.linalg.eigh(gram)
+        top = q[np.argmax(w[:, -1]), :, -1]
+        coeffs = np.outer(gen.normal(size=6), top)
+    sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
+    if sq.max() <= 0.0:
+        return
+    coeffs *= target * R / math.sqrt(sq.max())
+    bound = ctl._gram_bound(gram)
+    flagged = ctl._slot_suspects(gram, coeffs, R)
+    got = ctl._clip_suspects(gram, coeffs, bound, R)
+    if bound * np.max(np.sum(coeffs ** 2, axis=1)) <= R * R:
+        assert len(got) == 0 and len(flagged) == 0
+    else:
+        assert np.array_equal(got, flagged)
+
+
+def test_bin_tree_is_memoized_and_read_only():
+    tree = ctl._bin_tree(3, 2, 0.25, False)
+    assert ctl._bin_tree(3, 2, 0.25, False) is tree
+    table = noise_table(2, 0.25)
+    assert np.allclose(tree.probs[1], np.kron(table.probs, table.probs),
+                       rtol=0, atol=1e-15)
+    assert np.allclose(tree.noise[1],
+                       np.add.outer(table.omegas, table.omegas).ravel(),
+                       rtol=0, atol=1e-15)
+    for a in (*tree.probs, *tree.noise, tree.branch_omegas, tree.branch_probs):
+        assert not a.flags.writeable
+
+
 def count_level_states(monkeypatch):
+    """Record the number of samples of every ``_level_states`` call."""
     calls = []
     original = ctl._level_states
 
     def counted(*args):
-        calls.append(args[0].shape)
+        calls.append(len(args[1]))
         return original(*args)
 
     monkeypatch.setattr(ctl, "_level_states", counted)
@@ -404,15 +508,18 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
         policy = random_poly_policy(problem, K, N, R, gen)
     if trigger == "l0":
         problem.cost.l0 = mixed_l0(1)
-    chunk = ctl._prepare_batch(problem, policy, stream.child("fallback-batch"),
-                               "t", list(range(4)))
+    batch = ctl._prepare_batch(problem, policy, stream.child("fallback-batch"),
+                               "t", range(6))
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     calls = count_level_states(monkeypatch)
-    states, _, sweep = ctl._forward(problem, policy, tree, chunk)
+    states, _, sweep = ctl._forward(problem, policy, tree, batch)
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
-    ctl._evaluate_prepared(problem, policy, [chunk], want_grads=True)
+    # an evaluation sweeps the states of at most ``chunk`` samples at a time
+    del calls[:]
+    ctl._evaluate_prepared(problem, policy, batch, 4, want_grads=True)
+    assert calls and max(calls) == 4 and min(calls) == 2
 
 
 @pytest.mark.parametrize("make, reads_states", [(lq_problem, False),
@@ -1017,9 +1124,13 @@ def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
         monkeypatch.setattr(rm, name, wrapper)
     problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
     ctl._sample_letters(problem, 2, [0, 1], stream, "lt")
-    assert calls.count("gue_increments") == 2
+    assert calls == ["sample_gue"]
+    del calls[:]
+    ctl.boue_dupuis_lhs(trace_power(2, 2), 3, 4, stream.child("bd"))
+    assert calls == ["sample_gue"]
+    del calls[:]
     ctl.euler_maruyama(problem, None, 2, stream.child("em"))
-    assert calls.count("gue_increments") == 3
+    assert calls.count("gue_increments") == 1
     assert calls.count("brownian_increments") == 1
     del calls[:]
     problem.cost.spot_check(3, 2, stream.child("spot"), segments=2)

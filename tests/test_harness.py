@@ -316,24 +316,28 @@ def test_run_rejects_config_that_is_not_an_object(tmp_path, capsys, document):
     assert capsys.readouterr().out.startswith("config error: ")
 
 
-# one misspelled key and one value of the wrong type per kind
+# one misspelled key, one value of the wrong type and one out of range per
+# kind: an empty list or a count below 1
 BAD_PARAMS = {
-    "spectrum": ({"sample": 5}, {"samples": "x"}),
-    "freeness": ({"n_lists": [8]}, {"samples": 2.5}),
-    "laplacian-check": ({"case": 2}, {"d": "2"}),
-    "value": ({"n_lst": [4]}, {"K": 4.0}),
-    "sweep": ({"pair": [[2, 4]]}, {"pairs": [[2, "4"]]}),
-    "ldp": ({"coeff": 0.5}, {"lhs_samples": True}),
-    "gaussdisc-check": ({"N_lst": [1]}, {"delta_list": ["x"]}),
-    "truncation-check": ({"instance": 2}, {"R": "4"}),
+    "spectrum": ({"sample": 5}, {"samples": "x"},
+                 {"n_list": [8], "samples": 0}),
+    "freeness": ({"n_lists": [8]}, {"samples": 2.5},
+                 {"n_list": [], "samples": 2}),
+    "laplacian-check": ({"case": 2}, {"d": "2"}, {"cases": 2, "n_list": [3, 0]}),
+    "value": ({"n_lst": [4]}, {"K": 4.0}, {"K": 0}),
+    "sweep": ({"pair": [[2, 4]]}, {"pairs": [[2, "4"]]}, {"pairs": [[2, 4], []]}),
+    "ldp": ({"coeff": 0.5}, {"lhs_samples": True}, {"lhs_samples": -3}),
+    "gaussdisc-check": ({"N_lst": [1]}, {"delta_list": ["x"]}, {"delta_list": []}),
+    "truncation-check": ({"instance": 2}, {"R": "4"}, {"instances": 0}),
 }
+BAD_KINDS = ("misspelled", "wrong_type", "out_of_range")
 
 
 @pytest.mark.parametrize("kind", sorted(harness.EXPERIMENT_KINDS))
-@pytest.mark.parametrize("which", ["misspelled", "wrong_type"])
+@pytest.mark.parametrize("which", BAD_KINDS)
 def test_bad_experiment_params_exit_config(tmp_path, capsys, kind, which):
     assert sorted(BAD_PARAMS) == sorted(harness.EXPERIMENT_KINDS)
-    params = BAD_PARAMS[kind][which == "wrong_type"]
+    params = BAD_PARAMS[kind][BAD_KINDS.index(which)]
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"experiments": [{"kind": kind, **params}]}))
     assert harness.run(str(path), out_dir=str(tmp_path / "o")) == harness.EXIT_CONFIG

@@ -60,13 +60,13 @@ def test_benchmark_tracer_reads_both_engine_paths(tmp_path, monkeypatch, templat
     make = harness.lq_problem if template == "lq" else harness.quartic_problem
     problem = make(3, beta_c=0.5)
     policy = control.zero_policy(problem, K=2, N=1, R=8.0)
-    chunks = control._prepare_chunks(problem, policy, RngStream(3), "t", 6, 4)
+    batch = control._prepare_batch(problem, policy, RngStream(3), "t", range(6))
     originals = (control._forward, control._chunk_cost, control._chunk_gradients)
     tracer = tracer_module.Tracer(str(tmp_path))
     tracer.install()
     try:
         with tracer.span("root"):
-            control._evaluate_prepared(problem, policy, chunks, want_grads=True)
+            control._evaluate_prepared(problem, policy, batch, 4, want_grads=True)
     finally:
         tracer.remove()
     assert (control._forward, control._chunk_cost, control._chunk_gradients) == originals

@@ -136,6 +136,16 @@ def test_sample_gue_stack_equals_consecutive_draws(stream, n, shape):
     assert np.array_equal(got, want.reshape(shape + (n, n)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+@pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
+def test_sample_gue_streams_equal_stacked_single_draws(stream, n, shape):
+    streams = [stream.child("multi", n, s) for s in (3, 0, 7)]
+    got = rm.sample_gue(n, streams, shape)
+    want = np.stack([rm.sample_gue(n, s, shape) for s in streams])
+    assert got.shape == (len(streams),) + shape + (n, n)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gue_increments_equal_per_step_draws(stream):
     grid = (0.0, 0.1, 0.35, 0.9, 1.0)
     n, d = 3, 2
