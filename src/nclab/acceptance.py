@@ -43,11 +43,11 @@ def _stream(i):
 # -- criteria ----------------------------------------------------------------
 
 
-def criterion_1(threads=1):
+def criterion_1():
     """Semicircle moments at n=256, 20 samples, 5% relative."""
     headers, rows, checks = harness.experiment_csv(
         "spectrum", {"n_list": [256], "samples": 20, "max_moment": 4},
-        _stream(1), threads)
+        _stream(1))
     rel = checks["semicircle_rel_err_n256"]["measured"]
     out = []
     for k, r in enumerate(rel, start=1):
@@ -69,10 +69,10 @@ def criterion_2(threads=1):
                  1.90 <= med <= 2.15)], None
 
 
-def criterion_3(threads=1):
+def criterion_3():
     """Centered-squares freeness statistic decreasing over n in {8,32,128}."""
     headers, rows, checks = harness.experiment_csv(
-        "freeness", {"n_list": [8, 32, 128], "samples": 50}, _stream(3), threads)
+        "freeness", {"n_list": [8, 32, 128], "samples": 50}, _stream(3))
     seq = checks["strictly_decreasing"]["measured"]
     out = [_row("3.decreasing", seq, "strictly decreasing", "-",
                 checks["strictly_decreasing"]["pass"]),
@@ -80,27 +80,27 @@ def criterion_3(threads=1):
     return out, (headers, rows)
 
 
-def _laplacian_rows(threads):
+def _laplacian_rows():
     return harness.experiment_csv(
         "laplacian-check", {"cases": 50, "n_list": [3, 4, 6], "d": 2},
-        _stream(4), threads)
+        _stream(4))
 
 
 _LAPLACIAN_CACHE = {}
 
 
-def criterion_4(threads=1):
+def criterion_4():
     if "res" not in _LAPLACIAN_CACHE:
-        _LAPLACIAN_CACHE["res"] = _laplacian_rows(threads)
+        _LAPLACIAN_CACHE["res"] = _laplacian_rows()
     headers, rows, checks = _LAPLACIAN_CACHE["res"]
     gap = checks["identity_max_gap"]["measured"]
     return [_row("4.laplacian_identity_max_gap", gap, 0.0, 1e-10,
                  gap < 1e-10)], (headers, rows)
 
 
-def criterion_5(threads=1):
+def criterion_5():
     if "res" not in _LAPLACIAN_CACHE:
-        _LAPLACIAN_CACHE["res"] = _laplacian_rows(threads)
+        _LAPLACIAN_CACHE["res"] = _laplacian_rows()
     headers, rows, checks = _LAPLACIAN_CACHE["res"]
     gap = checks["fd_max_gap"]["measured"]
     return [_row("5.laplacian_vs_fd_max_gap", gap, 0.0, 1e-5,
@@ -109,7 +109,7 @@ def criterion_5(threads=1):
 
 def criterion_6(threads=1, max_iters=250):
     """LQ at K=4, N=2, R=8: band vs 0.625 ln 3, and n-independence."""
-    del threads
+    del threads  # perfbench/workloads.py passes it positionally
     results = {}
     for n in (4, 8, 16):
         problem = harness.lq_problem(n)
@@ -139,13 +139,12 @@ def criterion_6(threads=1, max_iters=250):
                    "iterations"], csv_rows)
 
 
-def criterion_7(threads=1):
+def criterion_7():
     """Boue-Dupuis consistency at psi = 0.5 tr_n x^2, n = 8."""
-    del threads
     headers, rows, checks = harness.experiment_csv(
         "ldp", {"n": 8, "coef": 0.5, "lhs_samples": 10_000, "time_steps": 16,
                 "opt": {"max_iters": 250}},
-        _stream(7), 1)
+        _stream(7))
     out = [
         _row("7.bd_lhs_vs_oracle", checks["lhs_vs_oracle"]["measured"],
              BD_TARGET, 0.02, checks["lhs_vs_oracle"]["pass"]),
@@ -158,23 +157,21 @@ def criterion_7(threads=1):
     return out, (headers, rows)
 
 
-def criterion_8(threads=1):
+def criterion_8():
     """Quartic-cost discretization sweep: decreasing value differences."""
-    del threads
     headers, rows, checks = harness.experiment_csv(
         "sweep", {"template": "quartic", "beta_c": 0.0, "beta_f": 1.0,
                   "pairs": [[2, 4], [4, 8], [8, 16]], "R": 8.0, "n": 8,
                   "opt": {"max_iters": 200}},
-        _stream(8), 1)
+        _stream(8))
     diffs = checks["successive_diffs"]["measured"]
     return [_row("8.sweep_decreasing_diffs", diffs, "decreasing magnitude",
                  "-", checks["successive_diffs"]["monotone_decay"])], \
         (headers, rows)
 
 
-def criterion_9(threads=1):
+def criterion_9():
     """Convergence in n for the quartic cost at (K, N) = (4, 8)."""
-    del threads
     results = {}
     for n in (4, 8, 16):
         problem = harness.quartic_problem(n)
@@ -194,18 +191,17 @@ def criterion_9(threads=1):
         (["K", "N", "R", "n", "value", "stderr"], csv_rows)
 
 
-def criterion_10(threads=1):
+def criterion_10():
     """Operator-norm truncation inequality on 100 random instances."""
     headers, rows, checks = harness.experiment_csv(
-        "truncation-check", {"instances": 100, "R": 4.0}, _stream(10), threads)
+        "truncation-check", {"instances": 100, "R": 4.0}, _stream(10))
     n_pass = checks["all_pass"]["measured"]
     return [_row("10.truncation_instances", n_pass, 100, "all pass",
                  checks["all_pass"]["pass"])], (headers, rows)
 
 
-def criterion_11(threads=1):
+def criterion_11():
     """Appendix-B analytics: truncated-Gaussian bounds and the bridge bound."""
-    del threads
     var_ok = all(gaussdisc.truncated_gaussian_variance(z) <= 1.0 + 1e-12
                  for z in np.arange(0.0, 5.0 + 1e-9, 0.1))
     mean_ok = all(gaussdisc.truncated_gaussian_mean(float(k)) <= 2.0 * k + 1e-12
@@ -248,18 +244,19 @@ def criterion_12(out_dir):
 
 # -- runner -------------------------------------------------------------------
 
+# Each entry takes (threads, out_dir); only criterion 2 uses the threads.
 CRITERIA = {
-    1: lambda threads, out_dir: criterion_1(threads),
+    1: lambda threads, out_dir: criterion_1(),
     2: lambda threads, out_dir: criterion_2(threads),
-    3: lambda threads, out_dir: criterion_3(threads),
-    4: lambda threads, out_dir: criterion_4(threads),
-    5: lambda threads, out_dir: criterion_5(threads),
-    6: lambda threads, out_dir: criterion_6(threads),
-    7: lambda threads, out_dir: criterion_7(threads),
-    8: lambda threads, out_dir: criterion_8(threads),
-    9: lambda threads, out_dir: criterion_9(threads),
-    10: lambda threads, out_dir: criterion_10(threads),
-    11: lambda threads, out_dir: criterion_11(threads),
+    3: lambda threads, out_dir: criterion_3(),
+    4: lambda threads, out_dir: criterion_4(),
+    5: lambda threads, out_dir: criterion_5(),
+    6: lambda threads, out_dir: criterion_6(),
+    7: lambda threads, out_dir: criterion_7(),
+    8: lambda threads, out_dir: criterion_8(),
+    9: lambda threads, out_dir: criterion_9(),
+    10: lambda threads, out_dir: criterion_10(),
+    11: lambda threads, out_dir: criterion_11(),
     12: lambda threads, out_dir: criterion_12(out_dir),
 }
 
@@ -269,6 +266,7 @@ def run_acceptance(out_dir, threads=1, only=None):
     unknown = sorted(set(only or ()) - set(CRITERIA))
     if unknown:
         raise harness.ExperimentError(f"unknown criteria {unknown}")
+    harness.check_threads(threads)
     os.makedirs(out_dir, exist_ok=True)
     selected = sorted(only) if only else sorted(CRITERIA)
     all_rows = []

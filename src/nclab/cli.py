@@ -8,8 +8,8 @@ import sys
 from . import acceptance, harness
 
 
-THREADS_HELP = ("workers for spectrum and criterion 2 only (LAPACK releases the GIL; "
-                "a gain at n=512, not at n=256); never affects results")
+THREADS_HELP = ("experiments run side by side; never affects results; peak "
+                "memory is up to `threads` experiments at once")
 
 
 def build_parser():
@@ -30,7 +30,9 @@ def build_parser():
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
     p_acc.add_argument("--out-dir", required=True)
-    p_acc.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p_acc.add_argument("--threads", type=int, default=1,
+                       help="workers for criterion 2's ten n=512 eigensolves; "
+                            "never affects results")
     p_acc.add_argument("--only", type=int, nargs="*", default=None,
                        help="subset of criterion numbers to run")
     return parser

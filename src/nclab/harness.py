@@ -4,15 +4,22 @@ A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  Each kind
 accepts the parameter keys of its table in ``EXPERIMENT_PARAMS``, each with
-its default's type; lists must be non-empty and integers at least 1.  A
-manifest keyed by the hash of the config, the package version and the
-package sources makes reruns skip completed experiments whose files are
-all present.  Only ``spectrum`` samples fan out over the thread count:
-their LAPACK eigensolves release the GIL, which pays at n=512 (1.10 ->
-0.58 s at two threads) but not at n=256 (0.42 -> 0.56 s).  The
-Python-bound kinds ran slower in a pool (laplacian-check 0.527 -> 0.666 s),
-so they run serially.  The map is ordered: outputs are byte-identical for
-any thread count.
+its default's type; lists must be non-empty and integers at least 1.  The
+whole config is checked before any experiment runs.  A manifest keyed by
+the hash of the config, the package version and the package sources makes
+reruns skip completed experiments whose files are all present.
+
+``run_config`` runs the experiments left to run side by side, one per
+worker of a ``threads``-wide pool (``parallel_map``), and writes their
+outputs in config order from the calling thread.  Inside an experiment the
+work is serial: LAPACK releases the GIL, so ``spectrum``'s eigensolves
+overlap the Python-bound kinds, which gain nothing from threads of their
+own.  On a 2-core host the benchmark's ``diagnostics`` config (spectrum at
+n=256 and n=512, freeness, laplacian-check, truncation-check and
+gaussdisc-check) took 0.98 s at two threads against 1.47 s at one (medians
+of 5 in-process runs).  Peak memory is up to ``threads`` experiments at
+once.  Every experiment has its own stream and the map is ordered, so
+outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -158,9 +165,18 @@ def problem_from_params(params, n):
     raise ExperimentError(f"unknown problem template {template!r}")
 
 
+# The least value of each counting ``OptimizerConfig`` field.  The sample
+# counts, the sweep chunk and the time steps count something; 0 descent
+# iterations return the zero policy's value, and degree 0 leaves a node the
+# identity word alone (a scalar control per bin path).
+_OPT_MINIMUM = {"train_samples": 1, "val_samples": 1, "chunk": 1,
+                "time_steps": 1, "max_iters": 0, "degree": 0}
+
+
 def optimizer_config(params, **overrides):
     """``OptimizerConfig`` from the ``opt`` object, whose keys must be its
-    fields with values of their annotated types, and ``overrides``."""
+    fields with values of their annotated types, counts at least their
+    ``_OPT_MINIMUM``, and ``overrides``."""
     opt = params["opt"]
     hints = typing.get_type_hints(ctl.OptimizerConfig)
     bad = sorted(set(opt) - {f.name for f in fields(ctl.OptimizerConfig)})
@@ -172,6 +188,9 @@ def optimizer_config(params, **overrides):
                    for t in types):
             raise ExperimentError(f"optimizer option {key!r} has the wrong "
                                   f"type: {value!r}")
+        if key in _OPT_MINIMUM and value is not None and value < _OPT_MINIMUM[key]:
+            raise ExperimentError(f"opt.{key} must be at least "
+                                  f"{_OPT_MINIMUM[key]}, got {value!r}")
     return ctl.OptimizerConfig(**{**opt, **overrides})
 
 
@@ -189,7 +208,7 @@ def scaled_samples(n, base_train, base_val, base_n=8):
 # ---------------------------------------------------------------------------
 
 
-def _exp_spectrum(params, stream, threads):
+def _exp_spectrum(params, stream):
     n_list, samples = params["n_list"], params["samples"]
     max_moment = params["max_moment"]
     headers = ["n", "sample"] + [f"m{2 * k}" for k in range(1, max_moment + 1)] \
@@ -197,30 +216,30 @@ def _exp_spectrum(params, stream, threads):
     rows = []
     checks = {}
     for n in n_list:
-        def one(s, n=n):
-            mat = sample_gue(n, stream.child("gue", n, s))
-            w = np.linalg.eigvalsh(mat)
-            moments = [float(np.mean(w ** (2 * k)))
-                       for k in range(1, max_moment + 1)]
-            return moments, float(np.max(np.abs(w)))
-        results = parallel_map(one, range(samples), threads)
-        for s, (moments, opn) in enumerate(results):
-            rows.append([n, s] + moments + [opn])
-        means = np.mean([m for m, _ in results], axis=0)
+        # one eigensolve per sample, then each moment over all samples in
+        # one call: a native call that drops the GIL waits to take it back
+        # from the experiments running beside this one
+        w = np.array([np.linalg.eigvalsh(sample_gue(n, stream.child("gue", n, s)))
+                      for s in range(samples)])
+        moments = np.stack([np.mean(w ** (2 * k), axis=1)
+                            for k in range(1, max_moment + 1)], axis=1)
+        opnorms = np.max(np.abs(w), axis=1)
+        for s in range(samples):
+            rows.append([n, s] + moments[s].tolist() + [float(opnorms[s])])
+        means = np.mean(moments, axis=0)
         rel = [abs(means[k - 1] - nclaw.semicircle_moment(2 * k))
                / nclaw.semicircle_moment(2 * k) for k in range(1, max_moment + 1)]
         checks[f"semicircle_rel_err_n{n}"] = {
             "measured": [float(r) for r in rel], "target": 0.05,
             "pass": bool(max(rel) <= 0.05)}
-        med = float(np.median([o for _, o in results]))
+        med = float(np.median(opnorms))
         checks[f"opnorm_median_n{n}"] = {
             "measured": med, "target": [1.90, 2.15],
             "pass": bool(1.90 <= med <= 2.15)}
     return headers, rows, checks
 
 
-def _exp_freeness(params, stream, threads):
-    del threads  # Python-bound per sample: the pool only adds overhead
+def _exp_freeness(params, stream):
     n_list, samples = params["n_list"], params["samples"]
     poly = NCPolynomial(1, {(1, 1): 1.0})
     headers = ["n", "sample", "statistic"]
@@ -244,8 +263,7 @@ def _exp_freeness(params, stream, threads):
     return headers, rows, checks
 
 
-def _exp_laplacian_check(params, stream, threads):
-    del threads  # Python-bound per case: the pool only adds overhead
+def _exp_laplacian_check(params, stream):
     cases, n_list, d = params["cases"], params["n_list"], params["d"]
     fd_step = params["fd_step"]
     headers = ["case", "n", "d", "gue_laplacian", "free_laplacian",
@@ -297,8 +315,7 @@ def _fd_laplacian(u, x, h):
     return total / (n * n)
 
 
-def _exp_value(params, stream, threads):
-    del threads  # the optimizer is sequential by design
+def _exp_value(params, stream):
     K, N, R, n_list = params["K"], params["N"], params["R"], params["n_list"]
     headers = ["K", "N", "R", "n", "value", "stderr", "zero_value", "iterations"]
     rows, checks = [], {}
@@ -317,8 +334,7 @@ def _exp_value(params, stream, threads):
     return headers, rows, checks
 
 
-def _exp_sweep(params, stream, threads):
-    del threads
+def _exp_sweep(params, stream):
     pairs = [tuple(p) for p in params["pairs"]]
     R, n = params["R"], params["n"]
     headers = ["K", "N", "R", "n", "value", "stderr"]
@@ -337,8 +353,7 @@ def _exp_sweep(params, stream, threads):
     return headers, rows, checks
 
 
-def _exp_ldp(params, stream, threads):
-    del threads
+def _exp_ldp(params, stream):
     n, coef, d = params["n"], params["coef"], params["d"]
     lhs_samples, time_steps = params["lhs_samples"], params["time_steps"]
     psi = trace_power(d, 2, coef)
@@ -361,8 +376,8 @@ def _exp_ldp(params, stream, threads):
     return headers, rows, checks
 
 
-def _exp_gaussdisc_check(params, stream, threads):
-    del stream, threads
+def _exp_gaussdisc_check(params, stream):
+    del stream
     n_list, delta_list = params["N_list"], params["delta_list"]
     headers = ["N", "delta", "j", "prob", "omega", "absdev"]
     rows = []
@@ -384,8 +399,7 @@ def _exp_gaussdisc_check(params, stream, threads):
     return headers, rows, checks
 
 
-def _exp_truncation_check(params, stream, threads):
-    del threads  # Python-bound per instance: the pool only adds overhead
+def _exp_truncation_check(params, stream):
     instances, R = params["instances"], params["R"]
     headers = ["instance", "lhs_holds", "kappa", "n", "d"]
 
@@ -479,9 +493,11 @@ def _in_range(value, default):
 
 def experiment_params(kind, params):
     """``params`` of an experiment (its ``kind`` key aside) completed with
-    the defaults of ``EXPERIMENT_PARAMS[kind]``; an unknown key, a value of
-    the wrong type, an empty list or a count below 1 is an
-    ``ExperimentError``."""
+    the defaults of ``EXPERIMENT_PARAMS[kind]``.  An unknown kind or key, a
+    value of the wrong type, an empty list, a count below 1, a bad ``opt``
+    (``optimizer_config``) or problem template is an ``ExperimentError``."""
+    if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
+        raise ExperimentError(f"unknown experiment kind {kind!r}")
     table = EXPERIMENT_PARAMS[kind]
     given = {key: value for key, value in params.items() if key != "kind"}
     unknown = sorted(set(given) - set(table))
@@ -494,15 +510,18 @@ def experiment_params(kind, params):
         if not _in_range(value, table[key]):
             raise ExperimentError(f"{kind} parameter {key!r} is out of range "
                                   f"(empty list or count below 1): {value!r}")
-    return {**table, **given}
+    params = {**table, **given}
+    if "opt" in params:
+        optimizer_config(params)
+    if "template" in params:
+        problem_from_params(params, params["n"] if "n" in params
+                            else params["n_list"][0])
+    return params
 
 
-def experiment_csv(kind, params, stream, threads=1):
+def experiment_csv(kind, params, stream):
     """Run one experiment in-process; returns (headers, rows, checks)."""
-    if kind not in EXPERIMENT_KINDS:
-        raise ExperimentError(f"unknown experiment kind {kind!r}")
-    return EXPERIMENT_KINDS[kind](experiment_params(kind, params), stream,
-                                  threads)
+    return EXPERIMENT_KINDS[kind](experiment_params(kind, params), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +529,24 @@ def experiment_csv(kind, params, stream, threads=1):
 # ---------------------------------------------------------------------------
 
 
+def check_threads(threads):
+    """Raise ``ExperimentError`` unless ``threads`` is an integer >= 1."""
+    if not _conforms(threads, 0) or threads < 1:
+        raise ExperimentError(f"threads must be an integer of at least 1, "
+                              f"got {threads!r}")
+
+
 def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     """Execute all experiments in a config; resumable via the manifest.
+
+    Every experiment's kind and parameters are checked before any runs.  The
+    experiments the manifest does not skip run side by side on ``threads``
+    workers (``parallel_map``), each on its stream
+    ``RngStream(seed).child("experiment", index)``.  The calling thread then
+    writes their outputs and manifest entries in config order; at the first
+    experiment that raised it re-raises, leaving the manifest with the
+    entries before it, so outputs, manifest and exit code are those of a
+    serial run.  An experiment after a failed one is not started.
 
     The manifest is keyed by the config, the seed, the package version and
     a digest of the package sources, so a resume after a code change reruns.
@@ -525,11 +560,14 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             and all(isinstance(exp, dict) for exp in config["experiments"])):
         raise ExperimentError("config must be an object with an 'experiments' "
                               "list of objects")
+    check_threads(threads)
     seed = config.get("seed", 0) if seed is None else seed
     if not _conforms(seed, 0):
         raise ExperimentError(f"seed must be an integer, got {seed!r}")
+    experiments = config["experiments"]
+    params = [experiment_params(exp.get("kind"), exp) for exp in experiments]
     os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash({"experiments": config["experiments"], "seed": seed,
+    digest = config_hash({"experiments": experiments, "seed": seed,
                           "version": __version__, "sources": _source_digest()})
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {"config_hash": digest, "seed": seed, "experiments": {}}
@@ -542,34 +580,53 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             and isinstance(old.get("experiments"), dict)):
         manifest = old
 
-    master = RngStream(int(seed))
-    summary = {}
-    for idx, exp in enumerate(config["experiments"]):
-        kind = exp.get("kind")
-        key = f"{idx:02d}_{kind}"
+    keys = [f"{idx:02d}_{exp['kind']}" for idx, exp in enumerate(experiments)]
+    pending = []
+    for idx, key in enumerate(keys):
         entry = manifest["experiments"].get(key)
-        if (isinstance(entry, dict) and entry.get("status") == "done"
+        if not (isinstance(entry, dict) and entry.get("status") == "done"
                 and "checks" in entry and isinstance(entry.get("artifacts"), list)
                 and all(os.path.isfile(os.path.join(out_dir, str(name)))
                         for name in entry["artifacts"])):
-            summary[key] = entry["checks"]
-            continue
-        stream = master.child("experiment", idx)
+            pending.append(idx)
+
+    master = RngStream(int(seed))
+    failed = []  # indices of the experiments that raised
+
+    def job(idx):
+        if failed and min(failed) < idx:
+            return None  # never read: the earlier failure is raised first
         started = time.time()
-        headers, rows, checks = experiment_csv(kind, exp, stream, threads)
-        csv_path = os.path.join(out_dir, f"{key}.csv")
-        write_csv(csv_path, headers, rows)
-        artifacts = [os.path.basename(csv_path)]
-        if fmt == "json":
-            json_path = os.path.join(out_dir, f"{key}.json")
-            write_json_rows(json_path, headers, rows)
-            artifacts.append(os.path.basename(json_path))
-        manifest["experiments"][key] = {
-            "kind": kind, "status": "done", "artifacts": artifacts,
-            "started": started, "finished": time.time(), "checks": checks,
-        }
-        summary[key] = checks
-        _write_json(manifest_path, manifest)
+        try:
+            outcome = EXPERIMENT_KINDS[experiments[idx]["kind"]](
+                params[idx], master.child("experiment", idx))
+        except Exception as exc:  # raised below, in config order
+            failed.append(idx)
+            outcome = exc
+        return started, time.time(), outcome
+
+    results = dict(zip(pending, parallel_map(job, pending, threads)))
+    summary = {}
+    for idx, key in enumerate(keys):
+        if idx in results:
+            started, finished, outcome = results[idx]
+            if isinstance(outcome, Exception):
+                raise outcome
+            headers, rows, checks = outcome
+            csv_path = os.path.join(out_dir, f"{key}.csv")
+            write_csv(csv_path, headers, rows)
+            artifacts = [os.path.basename(csv_path)]
+            if fmt == "json":
+                json_path = os.path.join(out_dir, f"{key}.json")
+                write_json_rows(json_path, headers, rows)
+                artifacts.append(os.path.basename(json_path))
+            manifest["experiments"][key] = {
+                "kind": experiments[idx]["kind"], "status": "done",
+                "artifacts": artifacts, "started": started,
+                "finished": finished, "checks": checks,
+            }
+            _write_json(manifest_path, manifest)
+        summary[key] = manifest["experiments"][key]["checks"]
 
     _write_json(manifest_path, manifest)
     _write_json(os.path.join(out_dir, "summary.json"), summary)

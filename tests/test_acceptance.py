@@ -156,7 +156,7 @@ def test_sabotaged_gue_normalization_is_caught(monkeypatch, stream):
 
     monkeypatch.setattr(hn, "sample_gue", doubled)
     _, _, checks = hn.experiment_csv(
-        "spectrum", {"n_list": [64], "samples": 5}, stream.child("sab"), 1)
+        "spectrum", {"n_list": [64], "samples": 5}, stream.child("sab"))
     assert not checks["semicircle_rel_err_n64"]["pass"]
 
 

@@ -2,6 +2,8 @@ import importlib
 import json
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from nclab import harness
 from nclab.cli import main
 from nclab.laplacian import CylindricalFunction, random_cylindrical
-from nclab.matrixcore import MatrixTuple, basis_element
+from nclab.matrixcore import MatrixTuple, NumericalError, basis_element
 from nclab.randmat import RngStream, sample_gue_tuple
 
 
@@ -102,16 +104,143 @@ def test_thread_count_does_not_change_output(tmp_path):
     for threads in (1, 2, 4):
         sub = tmp_path / f"t{threads}"
         harness.run_config(config, str(sub), threads=threads)
-        outs[threads] = {name: (sub / name).read_bytes()
-                         for name in sorted(os.listdir(sub))
-                         if name.endswith(".csv")}
+        manifest = json.loads((sub / "manifest.json").read_text())
+        for entry in manifest["experiments"].values():
+            del entry["started"], entry["finished"]
+        outs[threads] = (csv_outputs(sub), (sub / "summary.json").read_bytes(),
+                         manifest)
     assert outs[1] == outs[2] == outs[4]
 
 
+def test_experiments_run_side_by_side(tmp_path, monkeypatch):
+    # serially the first experiment waits alone at the barrier and breaks it
+    barrier = threading.Barrier(2, timeout=10)
+
+    def meet(params, stream):
+        barrier.wait()
+        return ["met"], [[1]], {"met": {"pass": True}}
+
+    for kind in ("meet-a", "meet-b"):
+        monkeypatch.setitem(harness.EXPERIMENT_KINDS, kind, meet)
+        monkeypatch.setitem(harness.EXPERIMENT_PARAMS, kind, {})
+    config = {"experiments": [{"kind": "meet-a"}, {"kind": "meet-b"}]}
+    summary = harness.run_config(config, str(tmp_path / "o"), threads=2)
+    assert sorted(summary) == ["00_meet-a", "01_meet-b"]
+
+
+def test_failed_experiment_keeps_earlier_entries_and_resumes(tmp_path,
+                                                             monkeypatch):
+    config = tiny_config()
+    config["experiments"].insert(
+        1, {"kind": "truncation-check", "instances": 3, "R": 3.0})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    assert harness.run(str(path), out_dir=str(whole), threads=2) == harness.EXIT_OK
+
+    def diverge(params, stream):
+        raise NumericalError("diverged")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(harness.EXPERIMENT_KINDS, "truncation-check", diverge)
+        assert harness.run(str(path), out_dir=str(out),
+                           threads=2) == harness.EXIT_NUMERICAL
+    assert sorted(os.listdir(out)) == ["00_spectrum.csv", "manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["experiments"]) == ["00_spectrum"]
+    stamp = (out / "00_spectrum.csv").stat().st_mtime_ns
+    assert harness.run(str(path), out_dir=str(out), threads=2) == harness.EXIT_OK
+    assert (out / "00_spectrum.csv").stat().st_mtime_ns == stamp
+    assert csv_outputs(out) == csv_outputs(whole)
+    assert (out / "summary.json").read_bytes() == (whole / "summary.json").read_bytes()
+
+
+def test_first_failure_in_config_order_is_raised(tmp_path, monkeypatch):
+    # with more workers than cores and a short switch interval, the lowest
+    # failed index wins however the failures interleave, and nothing after
+    # it is written
+    failing = {11, 17, 23}
+    ran = []
+
+    def stub(params, stream):
+        idx = stream.stream_path[-1]
+        ran.append(idx)
+        time.sleep(0.001 * (idx % 4))
+        if idx in failing:
+            raise NumericalError(f"experiment {idx}")
+        return ["idx"], [[idx]], {}
+
+    monkeypatch.setitem(harness.EXPERIMENT_KINDS, "stub", stub)
+    monkeypatch.setitem(harness.EXPERIMENT_PARAMS, "stub", {})
+    config = {"experiments": [{"kind": "stub"}] * 30}
+    with pytest.raises(NumericalError, match="experiment 11"):
+        harness.run_config(config, str(tmp_path / "serial"))
+    assert ran == list(range(12))  # a serial run stops at the failure
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rep in range(5):
+            out = tmp_path / f"o{rep}"
+            with pytest.raises(NumericalError, match="experiment 11"):
+                harness.run_config(config, str(out), threads=8)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert list(manifest["experiments"]) == [f"{i:02d}_stub"
+                                                     for i in range(11)]
+            assert len(list(out.glob("*.csv"))) == 11
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_unknown_kind_rejected(tmp_path):
-    config = {"seed": 1, "experiments": [{"kind": "nope"}]}
-    with pytest.raises(harness.ExperimentError):
-        harness.run_config(config, str(tmp_path / "x"))
+    # a missing or unhashable kind is a config error too, not a TypeError
+    for exp in ({"kind": "nope"}, {}, {"kind": ["spectrum"]}):
+        config = {"seed": 1, "experiments": [exp]}
+        with pytest.raises(harness.ExperimentError):
+            harness.run_config(config, str(tmp_path / "x"))
+
+
+# each breaks the last experiment only: a typo, an opt count of 0 on each
+# template, and an unknown problem template
+@pytest.mark.parametrize("last,message", [
+    ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
+    ({"kind": "value", "template": "quartic", "opt": {"chunk": 0}},
+     "opt.chunk must be at least 1"),
+    ({"kind": "value", "template": "lq", "opt": {"chunk": 0}},
+     "opt.chunk must be at least 1"),
+    ({"kind": "sweep", "template": "quadratic"}, "unknown problem template"),
+])
+def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiments": tiny_config()["experiments"]
+                                + [last]}))
+    out = tmp_path / "o"
+    assert harness.run(str(path), out_dir=str(out), threads=2) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,least", [("chunk", 1), ("train_samples", 1),
+                                       ("val_samples", 1), ("time_steps", 1),
+                                       ("max_iters", 0), ("degree", 0)])
+def test_optimizer_counts_range_checked(key, least):
+    params = harness.experiment_params("ldp", {"opt": {key: least}})
+    assert params["opt"] == {key: least}
+    with pytest.raises(harness.ExperimentError, match=f"opt.{key} must be at "
+                                                      f"least {least}"):
+        harness.experiment_params("ldp", {"opt": {key: least - 1}})
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exit_config(tmp_path, capsys, threads):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out-dir", str(out),
+                 "--threads", threads]) == harness.EXIT_CONFIG
+    assert main(["acceptance", "--out-dir", str(tmp_path / "a"), "--only", "11",
+                 "--threads", threads]) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out.count("config error: threads must be") == 2
+    assert not out.exists() and not (tmp_path / "a").exists()
 
 
 def test_run_exit_codes(tmp_path):
@@ -175,7 +304,7 @@ def test_value_experiment_smoke(tmp_path):
               "n_list": [4], "train_samples": 8, "val_samples": 16,
               "opt": {"max_iters": 25, "chunk": 8}}
     headers, rows, checks = harness.experiment_csv(
-        "value", params, RngStream(5), 1)
+        "value", params, RngStream(5))
     assert headers[0] == "K" and len(rows) == 1
     assert checks["below_zero_policy_n4"]["pass"]
 
@@ -186,7 +315,7 @@ def test_sweep_experiment_smoke():
               "opt": {"max_iters": 20, "train_samples": 8, "val_samples": 16,
                       "chunk": 8}}
     headers, rows, checks = harness.experiment_csv(
-        "sweep", params, RngStream(6), 1)
+        "sweep", params, RngStream(6))
     assert len(rows) == 2
     assert "successive_diffs" in checks
 
@@ -197,7 +326,7 @@ def test_ldp_experiment_smoke():
               "opt": {"max_iters": 60, "train_samples": 16, "val_samples": 64,
                       "chunk": 8}}
     headers, rows, checks = harness.experiment_csv("ldp", params,
-                                                   RngStream(7), 1)
+                                                   RngStream(7))
     assert rows[0][0] == "quadratic"
     assert checks["rhs_above_lhs"]["pass"]
 
@@ -205,7 +334,7 @@ def test_ldp_experiment_smoke():
 def test_bad_optimizer_option_rejected():
     with pytest.raises(harness.ExperimentError):
         harness.experiment_csv(
-            "value", {"template": "lq", "opt": {"bogus": 1}}, RngStream(8), 1)
+            "value", {"template": "lq", "opt": {"bogus": 1}}, RngStream(8))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -240,7 +369,7 @@ def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):
     monkeypatch.setattr(CylindricalFunction, "gue_laplacian", counted)
     params = {"cases": 5, "n_list": [2, 3], "d": 2}
     _, rows, checks = harness.experiment_csv("laplacian-check", params,
-                                             RngStream(5), threads=1)
+                                             RngStream(5))
     assert calls == [2, 3, 2, 3, 2]
     assert [r[0] for r in rows] == list(range(5))
     assert checks["identity_max_gap"]["pass"] and checks["fd_max_gap"]["pass"]
@@ -348,7 +477,7 @@ def test_bad_experiment_params_exit_config(tmp_path, capsys, kind, which):
                                  {"include_current_increment": 1}])
 def test_bad_optimizer_value_rejected(opt):
     with pytest.raises(harness.ExperimentError):
-        harness.experiment_csv("value", {"opt": opt}, RngStream(8), 1)
+        harness.experiment_csv("value", {"opt": opt}, RngStream(8))
 
 
 def test_int_accepted_where_default_is_float(tmp_path):

@@ -78,3 +78,25 @@ def test_benchmark_tracer_reads_both_engine_paths(tmp_path, monkeypatch, templat
     else:
         assert m["control.tree_nodes"] == 6 * 4 ** 2
         assert m["ncpoly.evaluate_trace.calls"] > 0.0
+
+
+def test_benchmark_tracer_attributes_the_experiment_pool(tmp_path, monkeypatch):
+    """The experiments of a run_config run inside one traced pool region,
+    and the work done in its worker threads still reaches the counters."""
+    tracer_module = import_tracer(monkeypatch)
+    cases = 3
+    config = {"seed": 2, "experiments": [
+        {"kind": "spectrum", "n_list": [16], "samples": 3},
+        {"kind": "laplacian-check", "cases": cases, "n_list": [3], "d": 2}]}
+    tracer = tracer_module.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        with tracer.span("pass"):
+            harness.run_config(config, str(tmp_path / "out"), threads=2)
+    finally:
+        tracer.remove()
+    m = tracer_module.pass_metrics(tracer)
+    assert m["harness.parallel_map.wall_s"] > 0.0
+    assert m["harness.parallel_map.busy_ratio"] > 0.0
+    assert m["trace.unattributed_s"] >= 0.0
+    assert m["laplacian.gue_laplacian.calls"] == cases
