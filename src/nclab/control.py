@@ -92,7 +92,8 @@ from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, _frechet,
                          _spectral_calculus, apply_scalar_function, eigh,
-                         hermitize, inner_product, l1_norm)
+                         hermitize, inner_product, l1_norm,
+                         operator_norm_bound)
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
@@ -107,6 +108,7 @@ __all__ = [
 ]
 
 PATH_GUARD = 10 ** 6  # maximum number of enumerated bin paths
+NODE_KINDS = ("poly", "const")  # the kinds of a policy step's node
 
 
 class OptimizeError(NumericalError):
@@ -367,10 +369,6 @@ class DiscretePolicy:
     def branching(self):
         return 1 if self.collapse_bins else 2 * self.N + 2
 
-    def path_counts(self):
-        b = self.branching()
-        return [b ** i for i in range(1, self.K + 1)]
-
     def prefix_index(self, indices):
         """Row index of a bin prefix (j_1..j_i) in the step-i tables."""
         if self.collapse_bins:
@@ -426,6 +424,8 @@ class DiscretePolicy:
 def zero_policy(problem, K, N, R, kind="poly", degree=1, gate_level=None,
                 include_current_increment=True):
     """The all-zero policy table for the given discretization."""
+    if kind not in NODE_KINDS:
+        raise ValueError(f"kind must be one of {NODE_KINDS}, got {kind!r}")
     collapse = problem.beta_c == 0.0
     b = 1 if collapse else 2 * N + 2
     _check_path_guard(b, K)
@@ -539,14 +539,32 @@ def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
         problem, np.sqrt(np.diff(times))[:, None, None, None] * draws)
 
 
+# Relative margin of the eigensolve-free norm screens: far above the rounding
+# of ``operator_norm_bound`` and of the eigensolvers at any n the lab runs.
+_NORM_MARGIN = 1e-10
+
+
+def _norm_suspects(norms, level):
+    """Mask of the slots whose norm (or norm bound), widened by
+    ``_NORM_MARGIN``, exceeds level; a non-finite one stays a suspect."""
+    return ~(norms * (1.0 + _NORM_MARGIN) <= level)
+
+
 def _gate_indicator(letters, d, K, level):
-    """1 when every increment's operator norm is <= level, per sample."""
-    try:
-        w = np.linalg.eigvalsh(letters[:, d:d * (K + 1)])   # (S, K d, n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"gate eigensolver failed: {exc}") from exc
-    norms = np.max(np.abs(w), axis=(1, 2))
-    return np.where(norms > level, 0.0, 1.0)
+    """1 when every increment's operator norm is <= level, per sample.
+
+    Only the increments that ``operator_norm_bound`` cannot clear go to
+    ``eigvalsh``, which decides them as the eigensolve alone would."""
+    bound = operator_norm_bound(letters[:, d:d * (K + 1)])   # (S, K d)
+    samples, slots = np.nonzero(_norm_suspects(bound, level))
+    gate = np.ones(len(letters))
+    if len(samples):
+        try:
+            w = np.linalg.eigvalsh(letters[samples, d + slots])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"gate eigensolver failed: {exc}") from exc
+        gate[samples[np.max(np.abs(w), axis=-1) > level]] = 0.0
+    return gate
 
 
 def _word_features(letters, words):
@@ -582,17 +600,24 @@ def _clip_batch(alpha, R):
     Returns the clipped array and the records of the slots where the clip
     was active, indexed flat over the leading axes; elsewhere the clip is
     the identity, and with no active slot ``alpha`` itself comes back.
-    Activity is pre-screened by the Frobenius bound, so the eigen work only
-    happens on actual violators.
+    Activity is screened in tiers: the Frobenius norm, then
+    ``operator_norm_bound``, then ``eigvalsh``; ``eigh`` runs only on the
+    slots that are active or within ``_NORM_MARGIN`` of it, and decides
+    activity exactly as an ``eigh`` of every slot would.
     """
     n = alpha.shape[-1]
     flat = alpha.reshape((-1, n, n))
     parts = flat.view(float).reshape(len(flat), -1)
     fro = np.sqrt(np.einsum("si,si->s", parts, parts))
-    suspects = np.nonzero(fro > R)[0]
+    suspects = np.flatnonzero(fro > R)
+    suspects = suspects[_norm_suspects(operator_norm_bound(flat[suspects]), R)]
     if len(suspects) == 0:
         return alpha, _ClipRecords()
     try:
+        w = np.linalg.eigvalsh(flat[suspects])
+        suspects = suspects[_norm_suspects(np.max(np.abs(w), axis=-1), R)]
+        if len(suspects) == 0:
+            return alpha, _ClipRecords()
         w, q = np.linalg.eigh(flat[suspects])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"clip eigensolver failed: {exc}") from exc

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfcx
 
 from .matrixcore import NumericalError, eigh, hermitize, operator_norm
 from .randmat import RngStream, sample_gue_tuple
@@ -33,7 +32,7 @@ __all__ = [
     "classify_bulk_edge", "edge_mass",
     "truncated_gaussian_mean", "truncated_gaussian_variance",
     "bridge_bound_check",
-    "normal_cdf", "normal_pdf",
+    "normal_cdf", "normal_pdf", "erfcx",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -53,9 +52,41 @@ def _upper_tail(x):
     return 0.5 * math.erfc(x / _SQRT2)
 
 
+# Below this argument erfcx is exp(x^2) erfc(x) (erfc has not underflowed);
+# from it on, the continued fraction converges within _ERFCX_TERMS terms.
+_ERFCX_SPLIT = 26.0
+_ERFCX_TERMS = 24
+_DEKKER = 134217729.0                                # 2^27 + 1
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+def erfcx(x):
+    """Scaled complementary error function exp(x^2) erfc(x) of a float.
+
+    exp(x^2) is taken as exp(hi) exp(lo), with x^2 = hi + lo split exactly
+    (Dekker), so the square's rounding does not grow into the exponential;
+    from ``_ERFCX_SPLIT`` on, where erfc nears underflow, the Laplace continued
+    fraction 1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))) is used.
+    Overflows to inf for x below about -26.6."""
+    x = float(x)
+    if x >= _ERFCX_SPLIT:
+        f = x
+        for k in range(_ERFCX_TERMS, 0, -1):
+            f = x + 0.5 * k / f
+        return 1.0 / (math.sqrt(math.pi) * f)
+    hi = x * x
+    if hi > _EXP_MAX:
+        return math.inf
+    c = _DEKKER * x
+    xh = c - (c - x)
+    xl = x - xh
+    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+    return math.exp(hi) * math.exp(lo) * math.erfc(x)
+
+
 def _hazard(z):
     """Mills hazard phi(z)/P(Z > z) = sqrt(2/pi)/erfcx(z/sqrt(2)); never overflows."""
-    return math.sqrt(2.0 / math.pi) / float(erfcx(z / _SQRT2))
+    return math.sqrt(2.0 / math.pi) / erfcx(z / _SQRT2)
 
 
 @dataclass(frozen=True)

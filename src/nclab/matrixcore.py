@@ -33,6 +33,7 @@ __all__ = [
     "l2_norm",
     "normalized_trace",
     "operator_norm",
+    "operator_norm_bound",
     "random_hermitian",
     "scalar_function_derivative",
 ]
@@ -221,6 +222,16 @@ def operator_norm(a):
     return float(np.max(np.abs(w)))
 
 
+def operator_norm_bound(a):
+    """An upper bound on each operator norm of a Hermitian (..., n, n) stack
+    from one batched matmul and no eigensolve: ||A||_op <= (sum lambda^4)^(1/4)
+    = ||A^2||_F^(1/2), equal to it when one eigenvalue carries the spectrum."""
+    sq = a @ a
+    n = sq.shape[-1]
+    parts = sq.reshape(sq.shape[:-2] + (n * n,)).view(float)
+    return np.sqrt(np.sqrt(np.einsum("...i,...i->...", parts, parts)))
+
+
 class MatrixTuple:
     """A d-tuple of n x n Hermitian matrices, stored as one (d, n, n) array.
 
@@ -304,12 +315,6 @@ class MatrixTuple:
 
     def __neg__(self):
         return self * -1.0
-
-    def shift_identity(self, scalars):
-        """Add s_j * I to component j; scalars is a length-d sequence or float."""
-        s = np.broadcast_to(np.asarray(scalars, dtype=float), (self.d,))
-        eye = np.eye(self.dim, dtype=complex)
-        return MatrixTuple(self.data + s[:, None, None] * eye, validate=False)
 
     # -- geometry ------------------------------------------------------------
 

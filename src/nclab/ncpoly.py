@@ -89,9 +89,6 @@ class NCPolynomial:
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
 
-    def letters_used(self):
-        return sorted({letter for w in self.terms for letter in w})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 

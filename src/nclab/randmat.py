@@ -69,16 +69,27 @@ def sample_gue(n, rng, shape=()):
 
     One ``standard_normal`` call fills all normals in C order, so a stack
     equals consecutive single draws.  ``rng`` may also be a list or tuple of
-    streams: the result is then (len(rng), *shape, n, n), entry s drawn from
-    ``rng[s]`` alone, and equals the stacked single-stream calls.
+    ``RngStream``: the result is then (len(rng), *shape, n, n), entry s
+    drawn from ``rng[s]`` alone, and equals the stacked single-stream calls.
+    Their Philox keys are derived in one vectorized pass rather than one
+    SeedSequence each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = tuple(shape) + (n, n)
     if isinstance(rng, (list, tuple)):
         g = np.empty((len(rng),) + shape)
-        for row, stream in zip(g, rng):
-            _as_generator(stream).standard_normal(out=row)
+        # one Philox, rekeyed per row to the state a fresh generator of that
+        # stream starts in: key, counter 0, empty buffer
+        bits = np.random.Philox(0)
+        gen = np.random.Generator(bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        for row, key in zip(g, _philox_keys(rng)):
+            bits.state = {"bit_generator": "Philox",
+                          "state": {"counter": zeros, "key": key},
+                          "buffer": zeros, "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
     else:
         g = _as_generator(rng).standard_normal(shape)
     # numpy divides a complex array by a real scalar as a product with its
@@ -95,6 +106,110 @@ def sample_gue(n, rng, shape=()):
     parts[..., diag, diag, 0] = np.diagonal(g, axis1=-2, axis2=-1) / np.sqrt(n)
     parts[..., diag, diag, 1] = 0.0
     return s
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) at its default
+# pool of four 32-bit words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value):
+    """A non-negative integer as little-endian 32-bit words, as SeedSequence
+    reads it (0 is one word)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _entropy_words(stream):
+    """The entropy SeedSequence(master_seed, spawn_key=stream_path) pools:
+    the seed's words, padded with zeros to the pool size when there is a
+    spawn key, then the words of each path index."""
+    words = _uint32_words(stream.master_seed)
+    if stream.stream_path:
+        words += [0] * (_POOL - len(words))
+        for index in stream.stream_path:
+            if 0 <= index <= _MASK32:
+                words.append(index)
+            else:
+                words += _uint32_words(index)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(length):
+    """The (xor, multiplier) pair of each hashmix call that pools `length`
+    entropy words, in call order; the sequence depends on nothing else."""
+    calls = _POOL + _POOL * (_POOL - 1) + _POOL * max(length - _POOL, 0)
+    const, pairs = _INIT_A, []
+    for _ in range(calls):
+        following = (const * _MULT_A) & _MASK32
+        pairs.append((np.uint32(const), np.uint32(following)))
+        const = following
+    return tuple(pairs)
+
+
+def _seed_sequence_keys(entropy):
+    """Philox keys (S, 2) uint64 of the entropy rows (S, L) uint32: what
+    ``SeedSequence(...).generate_state(2, np.uint64)`` gives for each row,
+    in one vectorized pass over the pool-mixing hash."""
+    pairs = iter(_hash_constants(entropy.shape[1]))
+
+    def hashmix(value):
+        xor, mult = next(pairs)
+        value = (value ^ xor) * mult
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    # generate_state(2, np.uint64): four words, one from each pool word
+    const, state = _INIT_B, np.empty((len(entropy), _POOL), dtype=np.uint32)
+    for i in range(_POOL):
+        following = (const * _MULT_B) & _MASK32
+        value = (pool[i] ^ np.uint32(const)) * np.uint32(following)
+        state[:, i] = value ^ (value >> np.uint32(16))
+        const = following
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _philox_keys(streams):
+    """The Philox key (2,) uint64 each stream's ``generator()`` starts from,
+    as one (S, 2) array; streams are grouped by entropy length and each
+    group hashed in one pass."""
+    keys = np.empty((len(streams), 2), dtype=np.uint64)
+    groups = {}
+    for row, stream in enumerate(streams):
+        if not isinstance(stream, RngStream):
+            raise TypeError(f"expected RngStream, got {type(stream)}")
+        words = _entropy_words(stream)
+        rows, entropy = groups.setdefault(len(words), ([], []))
+        rows.append(row)
+        entropy.append(words)
+    for rows, entropy in groups.values():
+        keys[rows] = _seed_sequence_keys(np.array(entropy, dtype=np.uint32))
+    return keys
 
 
 @functools.lru_cache(maxsize=64)

@@ -579,6 +579,83 @@ def test_gate_matches_per_matrix_norms(stream):
     assert 0 < gate.sum() < len(gate)
 
 
+def hermitian_slots(seed, n, m, kind, scale):
+    """m Hermitian n x n slots of one shape of spectrum: GUE-like, rank one
+    (where the norm bound is tight) or diagonal."""
+    gen = np.random.default_rng(seed)
+    if kind == "rank1":
+        v = gen.normal(size=(m, n)) + 1j * gen.normal(size=(m, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        lam = gen.choice([-1.0, 1.0], size=m) * gen.uniform(0.5, 1.5, size=m)
+        slots = lam[:, None, None] * v[:, :, None] * v[:, None, :].conj()
+    elif kind == "diag":
+        slots = np.zeros((m, n, n), dtype=complex)
+        slots[:, np.arange(n), np.arange(n)] = gen.normal(size=(m, n))
+    else:
+        z = gen.normal(size=(m, n, n)) + 1j * gen.normal(size=(m, n, n))
+        slots = (z + np.swapaxes(z, 1, 2).conj()) / (2.0 * np.sqrt(2.0 * n))
+    return np.ascontiguousarray(scale * slots)
+
+
+def gate_by_eigensolve(letters, d, K, level):
+    """The gate with an eigensolve of every increment (the reference)."""
+    w = np.linalg.eigvalsh(letters[:, d:d * (K + 1)])
+    return np.where(np.max(np.abs(w), axis=(1, 2)) > level, 0.0, 1.0)
+
+
+def clip_by_eigensolve(alpha, R):
+    """The clip with ``eigh`` on every Frobenius suspect (the reference)."""
+    n = alpha.shape[-1]
+    flat = alpha.reshape((-1, n, n))
+    suspects = np.flatnonzero(np.linalg.norm(flat, axis=(1, 2)) > R)
+    if len(suspects) == 0:
+        return alpha, None
+    w, q = np.linalg.eigh(flat[suspects])
+    active = np.max(np.abs(w), axis=-1) > R
+    if not active.any():
+        return alpha, None
+    suspects, w, q = suspects[active], w[active], q[active]
+    clipped, mult = ctl._spectral_calculus(
+        w, q, ("clip", R), lambda t: (np.abs(t) < R).astype(float))
+    flat = flat.copy()
+    flat[suspects] = clipped
+    return flat.reshape(alpha.shape), (suspects, mult, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(1, 64),
+       m=hst.integers(1, 4), kind=hst.sampled_from(["gue", "rank1", "diag"]),
+       scale=hst.floats(0.2, 4.0),
+       level=hst.sampled_from(["clip", "gate", "edge"]),
+       nudge=hst.integers(-10, 10))
+def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
+                                            nudge):
+    """The gate and the clip decide as an eigensolve of every slot does, at
+    R = 0.5 (where the clip binds), at the gate level 3 and within 1e-12 of
+    a slot's exact norm."""
+    slots = hermitian_slots(seed, n, 2 * m, kind, scale)
+    norms = np.max(np.abs(np.linalg.eigvalsh(slots)), axis=-1)
+    if level == "edge":
+        R = float(norms[seed % len(norms)]) * (1.0 + nudge * 1e-13)
+    else:
+        R = 0.5 if level == "clip" else 3.0
+    if R <= 0.0:
+        return
+    letters = np.concatenate([np.zeros((2, 1, n, n), dtype=complex),
+                              slots.reshape(2, m, n, n)], axis=1)
+    assert np.array_equal(ctl._gate_indicator(letters, 1, m, R),
+                          gate_by_eigensolve(letters, 1, m, R))
+    alpha = slots.reshape(2, m, n, n)
+    got, records = ctl._clip_batch(alpha, R)
+    want, want_records = clip_by_eigensolve(alpha, R)
+    if want_records is None:
+        assert got is alpha and len(records) == 0
+    else:
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip((records.idx, records.mult, records.q), want_records):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_word_features_match_explicit_products(stream):
     gen = stream.child("features").generator()
     n, d, K, S = 3, 2, 2, 4
@@ -603,7 +680,8 @@ def test_engine_eigensolver_failure_is_numerical(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    letters = np.zeros((2, 3, 2, 2), dtype=complex)
+    # increments above the gate level, which the norm bound cannot clear
+    letters = np.full((2, 3, 2, 2), 5.0 + 0j)
     with pytest.raises(NumericalError):
         ctl._gate_indicator(letters, 1, 2, 1.0)
     with pytest.raises(NumericalError):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy import integrate, special, stats
 
 from nclab import gaussdisc as gd
 
@@ -13,6 +15,33 @@ OMEGA_TAIL_D025 = 1.1866077664114205  # 0.5 phi(2)/Q(2)
 EDGE_UNION_K8 = 0.03742187984837813   # 16 Q(sqrt 8)
 ABSDEV_DEGENERATE = 0.004826241986514676  # E|X - m| on (0,1], X ~ N(0,1e-4)
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
+
+# -- erfcx -----------------------------------------------------------------------
+
+
+def assert_erfcx_matches_scipy(x):
+    want = float(special.erfcx(x))
+    assert gd.erfcx(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [-6.0, -1.0, -1e-300, 0.0, 1e-300, 0.5, 1.0,
+                               5.0, 25.999999999, 26.0, 26.000001, 40.0,
+                               1e4, 1e8])
+def test_erfcx_matches_scipy_at_the_seams(x):
+    assert_erfcx_matches_scipy(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=hst.floats(-6.0, 1e8))
+def test_erfcx_matches_scipy(x):
+    assert_erfcx_matches_scipy(x)
+
+
+def test_erfcx_limits():
+    assert gd.erfcx(-30.0) == math.inf
+    assert gd.erfcx(math.inf) == 0.0
+    assert math.isnan(gd.erfcx(math.nan))
 
 
 # -- bins ------------------------------------------------------------------------

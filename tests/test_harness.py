@@ -208,6 +208,10 @@ def test_unknown_kind_rejected(tmp_path):
     ({"kind": "value", "template": "lq", "opt": {"chunk": 0}},
      "opt.chunk must be at least 1"),
     ({"kind": "sweep", "template": "quadratic"}, "unknown problem template"),
+    ({"kind": "value", "template": "lq", "opt": {"node_kind": "konst"}},
+     "opt.node_kind must be one of"),
+    ({"kind": "sweep", "opt": {"train_samples": 1, "val_samples": 1}},
+     "opt.train_samples must be at least 2"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -219,8 +223,8 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,least", [("chunk", 1), ("train_samples", 1),
-                                       ("val_samples", 1), ("time_steps", 1),
+@pytest.mark.parametrize("key,least", [("chunk", 1), ("train_samples", 2),
+                                       ("val_samples", 2), ("time_steps", 1),
                                        ("max_iters", 0), ("degree", 0)])
 def test_optimizer_counts_range_checked(key, least):
     params = harness.experiment_params("ldp", {"opt": {key: least}})

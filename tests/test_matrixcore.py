@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nclab import matrixcore as mc
 
@@ -227,3 +229,24 @@ def test_tuple_methods_match_per_component(gen):
     clipped = x.clip(1.5)
     for m, c in zip(x.data, clipped.data):
         assert np.max(np.abs(c - mc.apply_scalar_function(m, ("clip", 1.5)))) <= 1e-14
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(1, 64),
+       rank=hst.integers(1, 3), scale=hst.floats(1e-3, 1e3))
+def test_operator_norm_bound_is_never_below_the_norm(seed, n, rank, scale):
+    """(sum lambda^4)^(1/4) >= max |lambda| <= n^(1/4) max |lambda|, also at
+    low rank, where the bound meets the norm; the screens' margin 1e-10
+    covers rounding."""
+    gen = np.random.default_rng(seed)
+    z = gen.normal(size=(4, n, n)) + 1j * gen.normal(size=(4, n, n))
+    v = gen.normal(size=(4, n, rank)) + 1j * gen.normal(size=(4, n, rank))
+    lam = gen.normal(size=(4, 1, rank))
+    a = scale * np.concatenate([z + np.swapaxes(z, 1, 2).conj(),
+                                (v * lam) @ np.swapaxes(v, 1, 2).conj()])
+    a = 0.5 * (a + np.swapaxes(a, 1, 2).conj())
+    norms = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    bound = mc.operator_norm_bound(a)
+    assert bound.shape == (8,)
+    assert np.all(bound * (1.0 + 1e-10) >= norms)
+    assert np.all(bound <= n ** 0.25 * norms * (1.0 + 1e-10))

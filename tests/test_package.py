@@ -1,5 +1,7 @@
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,19 @@ def test_every_name_in_all_resolves():
             missing[info.name] = absent
     assert {"control", "harness", "laplacian", "ncpoly"} <= checked
     assert missing == {}
+
+
+def test_runtime_import_loads_no_scipy():
+    """scipy is a test dependency only; a fresh interpreter that imports
+    the CLI and the acceptance suite must not load it."""
+    src = str(Path(nclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, nclab.cli, nclab.acceptance; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def import_tracer(monkeypatch):

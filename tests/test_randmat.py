@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nclab import randmat as rm
 from nclab.matrixcore import operator_norm
@@ -143,6 +145,32 @@ def test_sample_gue_streams_equal_stacked_single_draws(stream, n, shape):
     got = rm.sample_gue(n, streams, shape)
     want = np.stack([rm.sample_gue(n, s, shape) for s in streams])
     assert got.shape == (len(streams),) + shape + (n, n)
+    assert got.tobytes() == want.tobytes()
+
+
+# Seeds and path indices on both sides of 2^32, where SeedSequence reads an
+# integer as more than one 32-bit word, and paths of length 0-9.
+_index = hst.integers(0, 2 ** 32 - 1) | hst.integers(2 ** 32, 2 ** 70)
+_address = hst.tuples(_index, hst.lists(_index, max_size=9).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(addresses=hst.lists(_address, min_size=1, max_size=6))
+def test_batched_philox_keys_equal_seed_sequence(addresses):
+    streams = [rm.RngStream(seed, path) for seed, path in addresses]
+    want = [np.random.SeedSequence(seed, spawn_key=path).generate_state(
+        2, np.uint64) for seed, path in addresses]
+    assert np.array_equal(rm._philox_keys(streams), np.array(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(addresses=hst.lists(_address, min_size=1, max_size=4),
+       n=hst.integers(1, 6), shape=hst.sampled_from([(), (2,), (2, 3)]))
+def test_sample_gue_streams_equal_single_draws_at_any_address(addresses, n,
+                                                              shape):
+    streams = [rm.RngStream(seed, path) for seed, path in addresses]
+    got = rm.sample_gue(n, streams, shape)
+    want = np.stack([rm.sample_gue(n, s, shape) for s in streams])
     assert got.tobytes() == want.tobytes()
 
 
