@@ -37,8 +37,9 @@ and the states of a level are one GEMM per sample, C_i @ basis, made only
 where a cost reads them.  The controls are materialised in three places
 only: at clip suspects (slots the pre-screen flags), where the
 clipped slots' states and gradients are corrected; where l0 reads them or
-every level's states are kept (``simulate_discrete``); and for const steps,
-as a broadcast view whose sample-independent drift is added to the states.
+every level's states are kept (``_forward(..., keep_states=True)``); and for
+const steps, as a broadcast view whose sample-independent drift is added to
+the states.
 
 Quadratic trace costs stay in coefficient space.  Each prepared sample set
 (the optimizer freezes its letters, gate and feature scales) carries the basis
@@ -53,9 +54,9 @@ tree; a poly step's parameter gradient is that adjoint's feature columns
 times delta plus the c||alpha||^2 term.  Where this does not apply exactly
 the leaf states are made and the terminal reads them, with the state
 adjoint paired with the features in one GEMM per step: a terminal without
-that form (the quartic cost), l0 set (every level's states), a const step
-or a slot the clip binds (their drift and fixes are not in the basis span),
-and ``simulate_discrete``, which keeps every level's states.
+that form (the quartic cost), l0 set (every level's states), and a const
+step or a slot the clip binds (their drift and fixes are not in the basis
+span).
 
 A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
@@ -76,6 +77,10 @@ re-derivation, and the exact discrete dynamic-programming optimum), the
 operator-norm truncation inequality check, Euler-Maruyama simulation of the
 continuous dynamics, and the exponential-functional machinery (variational
 formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function candidate).
+Only tests call the ODE re-derivation, Euler-Maruyama with
+``coarsen_control``, ``policy_control_budget`` and the rate-function
+candidate: they check the paper's own steps (the Riccati oracle, the
+discretization step, the a-priori energy bound, the Laplace principle).
 """
 
 from __future__ import annotations
@@ -92,16 +97,15 @@ from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, _frechet,
                          _spectral_calculus, apply_scalar_function, eigh,
-                         hermitize, inner_product, l1_norm,
-                         operator_norm_bound)
+                         hermitize, inner_product, operator_norm_bound)
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "CostSpec", "ControlProblem", "DiscretePolicy", "PolicyStep",
-    "TrajectoryBundle", "OptimizerConfig", "OptimizeResult", "OptimizeError",
-    "PathData", "simulate_discrete", "discrete_cost", "optimize_discrete_value",
+    "OptimizerConfig", "OptimizeResult", "OptimizeError",
+    "PathData", "discrete_cost", "optimize_discrete_value",
     "lq_reference", "lq_reference_ode", "lq_discrete_oracle",
-    "coarsen_control", "clip_policy", "truncation_inequality_check",
+    "coarsen_control", "truncation_inequality_check",
     "euler_maruyama", "boue_dupuis_lhs", "boue_dupuis_rhs",
     "rate_function_candidate", "policy_control_budget",
     "ArctanComposedTerminal", "ScalarTraceCost",
@@ -183,30 +187,6 @@ class CostSpec:
             sq = np.einsum("...kij,...kji->...", a_data, a_data).real / n
             val = val + self.quad_coef * sq
         return val
-
-    def spot_check(self, n, d, rng, segments=100, tol=1e-9):
-        """Sampled midpoint-convexity and L1-Lipschitz checks (CostSpec invariants)."""
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        kappa = self.lip_const
-        for _ in range(segments):
-            x1, x2, a1, a2 = (MatrixTuple(m, validate=False)
-                              for m in randmat.sample_gue(n, gen, (4, d)))
-            if self.convexity_declared:
-                mid = self.lagrangian(0.5 * (x1.data + x2.data),
-                                      0.5 * (a1.data + a2.data))
-                ends = 0.5 * (self.lagrangian(x1.data, a1.data)
-                              + self.lagrangian(x2.data, a2.data))
-                if mid > ends + tol:
-                    return False
-            if self.l0 is not None and kappa is not None:
-                l0a = np.real(self.l0.eval(
-                    np.concatenate([x1.data, a1.data], axis=-3)))
-                l0b = np.real(self.l0.eval(
-                    np.concatenate([x2.data, a2.data], axis=-3)))
-                budget = kappa * (l1_norm(x1 - x2) + l1_norm(a1 - a2))
-                if abs(l0a - l0b) > budget + tol:
-                    return False
-        return True
 
     # -- serialization --------------------------------------------------------
 
@@ -518,25 +498,20 @@ def _bin_tree(K, N, delta, collapse):
                     branch_omegas=omegas, branch_probs=branch)
 
 
-def _path_letters(problem, increments):
-    """Letters array (S, d(1+K), n, n): x0 components then the per-step
-    components of the (S, K, d, n, n) GUE increments."""
-    S, K, d, n, _ = increments.shape
+def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
+    """Letters (S, d(1+K), n, n) of the given samples: x0's components, then
+    each step's GUE increments, sample s drawn from ``rng.child(tag, s)``.
+    One ``sample_gue`` call covers the samples' streams, and each path is
+    scaled as ``gue_increments`` does."""
+    n, d, times = problem.n, problem.d, problem.grid(K).times
+    draws = randmat.sample_gue(n, [rng.child(tag, s) for s in sample_indices],
+                               (K, d))
+    increments = np.sqrt(np.diff(times))[:, None, None, None] * draws
+    S = len(draws)
     letters = np.empty((S, d * (1 + K), n, n), dtype=complex)
     letters[:, :d] = problem.x0.data
     letters[:, d:] = increments.reshape(S, K * d, n, n)
     return letters
-
-
-def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
-    """Letters of the given samples' GUE paths, sample s drawn from
-    ``rng.child(tag, s)`` (see ``_path_letters``): one ``sample_gue`` call
-    over the samples' streams, each path scaled as ``gue_increments`` does."""
-    n, d, times = problem.n, problem.d, problem.grid(K).times
-    draws = randmat.sample_gue(n, [rng.child(tag, s) for s in sample_indices],
-                               (K, d))
-    return _path_letters(
-        problem, np.sqrt(np.diff(times))[:, None, None, None] * draws)
 
 
 # Relative margin of the eigensolve-free norm screens: far above the rounding
@@ -606,7 +581,9 @@ def _clip_batch(alpha, R):
     activity exactly as an ``eigh`` of every slot would.
     """
     n = alpha.shape[-1]
-    flat = alpha.reshape((-1, n, n))
+    # the float view needs a contiguous last axis; a C-contiguous alpha (the
+    # engine's own arrays) is not copied
+    flat = np.ascontiguousarray(alpha).reshape((-1, n, n))
     parts = flat.view(float).reshape(len(flat), -1)
     fro = np.sqrt(np.einsum("si,si->s", parts, parts))
     suspects = np.flatnonzero(fro > R)
@@ -1058,9 +1035,10 @@ class _Batch:
                           traces=self.traces[rows])
 
 
-def _batch_from_letters(problem, policy, letters):
-    """The ``_Batch`` of the given letters: gate, scaled features, basis."""
+def _prepare_batch(problem, policy, rng, tag, sample_indices):
+    """The ``_Batch`` of a sample set: letters, gate, scaled features, basis."""
     K = policy.K
+    letters = _sample_letters(problem, K, sample_indices, rng, tag)
     S, _, n, _ = letters.shape
     gate = _gate_indicator(letters, problem.d, K, policy.gate_level)
     eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
@@ -1087,12 +1065,6 @@ def _batch_from_letters(problem, policy, letters):
         gram_bound = _gram_bound(gram[:, :width, :width])
     return _Batch(basis=basis, gram=gram, traces=traces, width=width,
                   word_index=word_index, gram_bound=gram_bound)
-
-
-def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """The ``_Batch`` of a sample set."""
-    letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
-    return _batch_from_letters(problem, policy, letters)
 
 
 def _global_words(problem, policy):
@@ -1165,50 +1137,8 @@ def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
 
 
 # ---------------------------------------------------------------------------
-# public simulation / cost / optimization ops
+# public cost / optimization ops
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrajectoryBundle:
-    """States X_{i,J} of one GUE path across all bin prefixes.
-
-    ``states[i-1]`` has shape (B_i, d, n, n); ``state(i, J)`` looks up the
-    prefix J = (j_1..j_i) directly.
-    """
-
-    policy: DiscretePolicy
-    states: list
-    controls: list
-
-    def state(self, i, indices) -> MatrixTuple:
-        if len(indices) != i:
-            raise ValueError("prefix length must equal the step index")
-        b = self.policy.prefix_index(indices)
-        return MatrixTuple(self.states[i - 1][b], validate=False)
-
-    def control(self, i, indices) -> MatrixTuple:
-        b = self.policy.prefix_index(indices)
-        return MatrixTuple(self.controls[i - 1][b], validate=False)
-
-
-def simulate_discrete(problem, policy, grid, gue_path) -> TrajectoryBundle:
-    """Discrete dynamics for one GUE path, exactly over all bin prefixes."""
-    if grid.K != policy.K:
-        raise ValueError(f"grid K={grid.K} but policy K={policy.K}")
-    if abs(grid.t0 - problem.t0) > 1e-12 or abs(grid.T - problem.T) > 1e-12:
-        raise ValueError("grid does not match the problem horizon")
-    if gue_path.n != problem.n or gue_path.d != problem.d:
-        raise ValueError("GUE path dimensions do not match the problem")
-    if gue_path.steps != grid.K:
-        raise ValueError("GUE path must live on the same grid")
-    tree = _bin_tree(policy.K, policy.N, grid.delta, policy.collapse_bins)
-    batch = _batch_from_letters(
-        problem, policy, _path_letters(problem, gue_path.increments[None]))
-    states, _, sweep = _forward(problem, policy, tree, batch, keep_states=True)
-    return TrajectoryBundle(policy=policy,
-                            states=[s[0] for s in states],
-                            controls=[np.array(c.alpha[0]) for c in sweep.controls])
 
 
 def discrete_cost(problem, policy, mc_samples, rng, chunk=16, tag="cost"):
@@ -1582,11 +1512,6 @@ def _prefix_from_index(b, i, N):
         digits.append(b % branch)
         b //= branch
     return tuple(dig - N - 1 for dig in reversed(digits))
-
-
-def clip_policy(policy: DiscretePolicy, R) -> DiscretePolicy:
-    """Componentwise phi_R on every node; polynomial nodes get clip level R."""
-    return replace(_policy_step(policy, [0.0] * policy.K, 0.0, R), R=R)
 
 
 def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):

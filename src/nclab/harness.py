@@ -278,9 +278,10 @@ def _exp_laplacian_check(params, stream):
         n = n_list[c % len(n_list)]
         u = random_cylindrical(gen, d)
         x = sample_gue_tuple(n, d, gen, scale=0.8)
-        gue = u.gue_laplacian(x)
-        free = u.free_laplacian(x)
-        corr = u.correction_term(x)
+        cache = {}  # one word-product cache for the three at X
+        gue = u.gue_laplacian(x, cache)
+        free = u.free_laplacian(x, cache)
+        corr = u.correction_term(x, cache)
         gap = abs(gue - free - corr)
         fd = _fd_laplacian(u, x, fd_step)
         fd_gap = abs(gue - fd) / (1.0 + abs(gue))

@@ -283,7 +283,7 @@ class CylindricalFunction:
             raise ValueError(f"Hessian has imaginary part {term2.imag:.3e}")
         return term1 + float(term2.real)
 
-    def gue_laplacian(self, x):
+    def gue_laplacian(self, x, cache=None):
         """(1/n^2) sum over components and basis directions of Hess[E, E].
 
         Evaluated by the literal sum over the n^2 Hermitian basis elements E,
@@ -293,12 +293,13 @@ class CylindricalFunction:
         E w2(X) are batched products over all pairs and basis elements, and
         s_p = sum_E tr_n(E w1 E w2) is one contraction; one word-product
         cache serves the inner traces, the cyclic derivatives and the pairs.
+        ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
         n = x.dim
         d = x.d
         if d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        cache = {}
+        cache = {} if cache is None else cache
         u = self.inner_traces(x, cache)
         g1, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)
@@ -330,9 +331,14 @@ class CylindricalFunction:
             raise ValueError(f"GUE Laplacian has imaginary part {term2.imag:.3e}")
         return (float(term1) + float(term2.real)) / (n * n)
 
-    def free_laplacian(self, x):
-        """sum_l (tr (x) tr)(d_l (grad U)^l) at X; exact tensor traces."""
-        u = self.inner_traces(x)
+    def free_laplacian(self, x, cache=None):
+        """sum_l (tr (x) tr)(d_l (grad U)^l) at X; exact tensor traces.
+
+        ``cache`` is a word-product cache for X, as in :meth:`inner_traces`;
+        the inner traces and every tensor share it.
+        """
+        cache = {} if cache is None else cache
+        u = self.inner_traces(x, cache)
         g1, _ = self._outer_derivatives(u)
         d = x.d if isinstance(x, MatrixTuple) else np.asarray(x).shape[-3]
         total = 0.0 + 0.0j
@@ -342,17 +348,20 @@ class CylindricalFunction:
             for l in range(1, min(phi.d, d) + 1):
                 tensor = self._quotients[o][l - 1][l - 1]
                 if tensor.terms:
-                    total += g1[o] * tensor.trace_pair(x)
+                    total += g1[o] * tensor.trace_pair(x, cache)
         if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
             raise ValueError(f"free Laplacian has imaginary part {total.imag:.3e}")
         return float(total.real)
 
-    def correction_term(self, x):
-        """(1/n^2) sum_{l,o,q} g_oq <D_l phi_o(X), D_l phi_q(X)>_{tr_n}."""
+    def correction_term(self, x, cache=None):
+        """(1/n^2) sum_{l,o,q} g_oq <D_l phi_o(X), D_l phi_q(X)>_{tr_n}.
+
+        ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
+        """
         n = x.dim
         if x.d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {x.d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        cache = {}
+        cache = {} if cache is None else cache
         u = self.inner_traces(x, cache)
         _, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)
@@ -363,9 +372,11 @@ class CylindricalFunction:
         return float(val.real) / (n * n)
 
     def identity_check(self, x, tol=1e-10):
-        """|gue_laplacian - free_laplacian - correction| < tol."""
-        gap = abs(self.gue_laplacian(x) - self.free_laplacian(x)
-                  - self.correction_term(x))
+        """|gue_laplacian - free_laplacian - correction| < tol, the three
+        sharing one word-product cache for X."""
+        cache = {}
+        gap = abs(self.gue_laplacian(x, cache) - self.free_laplacian(x, cache)
+                  - self.correction_term(x, cache))
         return gap < tol
 
     # -- serialization -----------------------------------------------------------

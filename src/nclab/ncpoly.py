@@ -308,11 +308,14 @@ class TensorPolynomial:
             out = np.zeros(shape, dtype=complex)
         return out
 
-    def trace_pair(self, x):
-        """(tr_n (x) tr_n) applied to the tensor, evaluated at X."""
+    def trace_pair(self, x, cache=None):
+        """(tr_n (x) tr_n) applied to the tensor, evaluated at X.
+
+        ``cache`` as in :meth:`NCPolynomial.evaluate`.
+        """
         data = _tuple_data(x, self.d)
         n = data.shape[-1]
-        cache = {}
+        cache = {} if cache is None else cache
         total = 0.0 + 0.0j
         for (w1, w2), coeff in self.terms.items():
             t1 = np.trace(_word_matrix(w1, data, cache), axis1=-2, axis2=-1) / n

@@ -366,9 +366,9 @@ def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):
     calls = []
     original = CylindricalFunction.gue_laplacian
 
-    def counted(self, x):
+    def counted(self, x, cache=None):
         calls.append(x.dim)
-        return original(self, x)
+        return original(self, x, cache)
 
     monkeypatch.setattr(CylindricalFunction, "gue_laplacian", counted)
     params = {"cases": 5, "n_list": [2, 3], "d": 2}

@@ -1,11 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from nclab import harness, ncpoly
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
                              parse_outer, random_cylindrical, trace_power)
 from nclab.matrixcore import MatrixTuple, basis_element, random_hermitian
 from nclab.ncpoly import NCPolynomial, words_up_to_degree
-from nclab.randmat import RngStream, sample_haar_unitary
+from nclab.randmat import RngStream, sample_gue_tuple, sample_haar_unitary
 
 
 def rand_tuple(d, n, seed, scale=0.7):
@@ -314,9 +317,41 @@ def test_identity_random_instances(stream):
         u = random_cylindrical(gen, d=2)
         x = MatrixTuple(np.stack([random_hermitian(n, gen, 0.8)
                                   for _ in range(2)]))
-        gap = abs(u.gue_laplacian(x) - u.free_laplacian(x)
-                  - u.correction_term(x))
-        assert gap < 1e-10
+        cache = {}
+        gue, free, corr = (u.gue_laplacian(x, cache), u.free_laplacian(x, cache),
+                           u.correction_term(x, cache))
+        # a shared word cache changes no bit of the three terms
+        assert (gue, free, corr) == (u.gue_laplacian(x), u.free_laplacian(x),
+                                     u.correction_term(x))
+        assert abs(gue - free - corr) < 1e-10
+
+
+@pytest.mark.parametrize("caller", ["identity_check", "laplacian-check"])
+def test_laplacian_triple_computes_each_word_once(monkeypatch, caller):
+    # the GUE Laplacian, the free Laplacian and the correction at one X share
+    # one word cache, so each distinct word at an X costs one product
+    products, alive = Counter(), []
+    original = ncpoly._word_matrix
+
+    def counting(word, data, cache):
+        if word and word not in cache:
+            products[id(data), word] += 1
+            alive.append(data)  # no id is reused while counting
+        return original(word, data, cache)
+
+    monkeypatch.setattr(ncpoly, "_word_matrix", counting)
+    stream = RngStream(5)
+    if caller == "identity_check":
+        for c in range(20):
+            gen = stream.child("lap", c).generator()
+            u = random_cylindrical(gen, 2)
+            assert u.identity_check(sample_gue_tuple(4, 2, gen, scale=0.8))
+    else:
+        # the finite-difference check evaluates U at X on its own
+        monkeypatch.setattr(harness, "_fd_laplacian", lambda u, x, h: 0.0)
+        harness._exp_laplacian_check(
+            {"cases": 20, "n_list": [3, 4, 6], "d": 2, "fd_step": 1e-3}, stream)
+    assert products and max(products.values()) == 1
 
 
 def old_random_inners(rng, d, m_max=2, inner_degree=4):
