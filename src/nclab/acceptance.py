@@ -271,9 +271,9 @@ def run_acceptance(out_dir, threads=1, only=None):
     selected = sorted(only) if only else sorted(CRITERIA)
     all_rows = []
     for cid in selected:
-        started = time.time()
+        started = time.perf_counter()
         rows, csv_payload = CRITERIA[cid](threads, out_dir)
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         for r in rows:
             r["seconds"] = round(elapsed, 2)
         all_rows.extend(rows)

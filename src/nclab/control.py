@@ -21,15 +21,15 @@ gated, scaled word features f, so with the Gram matrices
 G_s = Re tr(f_w f_v) one gets ||alpha||_F^2 = c^T G_s c and
 <alpha, f_v> = (G_s c)_v.  That small product gives the c ||alpha||^2
 Lagrangian term of a level, one contraction
-(c/n) <G_s, sum_J p_J c_J c_J^T> per sample, its gradient
-2 c delta p_J / n sum_s G_s c_J, and the Frobenius pre-screen of the clip:
-no slot of a sample set can exceed R when
-max_s lambda_max(G_s) max_J ||c_J||^2 <= R^2 (with a rounding slack; G_s
-here the Gram of all the set's features, which bounds every step's block),
-and only where that fails is c^T G_s c tested per slot.  States are real
-combinations of the
-per-sample basis [f; 1; x0; increments], so the tree expands on the
-(B_i, d, V) coefficients,
+(c/n) <G_s, sum_J p_J c_J c_J^T> per sample, and its gradient
+2 c delta p_J / n sum_s G_s c_J.  The clip's pre-screen is the triangle
+bound ||alpha||_op <= sum_w |c_w| rho_{s,w}, with rho_{s,w} >= ||f_{s,w}||_op
+computed once per sample set without an eigensolve: no slot of the set can
+exceed R when sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k), and
+only where that fails is the bound tested per slot.  Each rho_{s,w} is
+within a factor n^(1/8) of the operator norm the clip acts on.  States are
+real combinations of the per-sample basis [f; 1; x0; increments], so the
+tree expands on the (B_i, d, V) coefficients,
 
     C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
 
@@ -575,10 +575,10 @@ def _clip_batch(alpha, R):
     Returns the clipped array and the records of the slots where the clip
     was active, indexed flat over the leading axes; elsewhere the clip is
     the identity, and with no active slot ``alpha`` itself comes back.
-    Activity is screened in tiers: the Frobenius norm, then
-    ``operator_norm_bound``, then ``eigvalsh``; ``eigh`` runs only on the
-    slots that are active or within ``_NORM_MARGIN`` of it, and decides
-    activity exactly as an ``eigh`` of every slot would.
+    Activity is screened in tiers, each widened by ``_NORM_MARGIN``: the
+    Frobenius norm, then ``operator_norm_bound``, then ``eigvalsh``;
+    ``eigh`` runs only on the slots that are active or within the margin of
+    it, and decides activity exactly as an ``eigh`` of every slot would.
     """
     n = alpha.shape[-1]
     # the float view needs a contiguous last axis; a C-contiguous alpha (the
@@ -586,7 +586,7 @@ def _clip_batch(alpha, R):
     flat = np.ascontiguousarray(alpha).reshape((-1, n, n))
     parts = flat.view(float).reshape(len(flat), -1)
     fro = np.sqrt(np.einsum("si,si->s", parts, parts))
-    suspects = np.flatnonzero(fro > R)
+    suspects = np.flatnonzero(_norm_suspects(fro, R))
     suspects = suspects[_norm_suspects(operator_norm_bound(flat[suspects]), R)]
     if len(suspects) == 0:
         return alpha, _ClipRecords()
@@ -616,42 +616,15 @@ def _pullback_clip(grad, records):
     return _frechet(records.q, records.mult, grad)
 
 
-# Slack of the coefficient-space Frobenius pre-screen, relative to
-# (sum_w |c_w| ||f_w||)^2, which bounds the rounding error of c^T G c.
-_GRAM_SLACK = 1e-8
-
-
-def _gram_bound(gram):
-    """A bound b with c^T G_s c <= b ||c||^2 over the Gram matrices
-    (S, W, W) and over every principal block of them (a step's features):
-    max_s lambda_max(G_s), plus twice the slack of ``_slot_suspects`` at
-    max_s tr G_s, which bounds its (sum_w |c_w| ||f_w||)^2 / ||c||^2 and
-    outweighs the rounding of c^T G c and of the eigensolver."""
-    try:
-        top = np.linalg.eigvalsh(gram)[:, -1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram eigensolver failed: {exc}") from exc
-    trace = np.einsum("sww->s", gram)
-    return float(top.max() + 2.0 * _GRAM_SLACK * trace.max())
-
-
-def _slot_suspects(gram, coeffs, R):
-    """Flat indices over (S, B d) of the slots whose control
-    alpha = sum_w c_w f_{s,w} may exceed R in Frobenius norm: c^T G_s c
-    above R^2 less a rounding margin, per slot."""
-    sq = np.einsum("swj,jw->sj", gram @ coeffs.T, coeffs)
-    reach = np.sqrt(np.einsum("sww->sw", gram)) @ np.abs(coeffs).T
-    return np.flatnonzero(sq + _GRAM_SLACK * reach ** 2 > R * R)
-
-
-def _clip_suspects(gram, coeffs, bound, R):
-    """The clip pre-screen of a poly step's coefficients (B d, W) on its
-    feature Grams (S, W, W): no slot when the set-wide bound
-    bound * max_j ||c_j||^2 <= R^2 (``bound`` from ``_gram_bound``) clears
-    them all, else ``_slot_suspects``."""
-    if bound * np.max(np.einsum("jw,jw->j", coeffs, coeffs)) <= R * R:
+def _clip_suspects(radius, coeffs, R):
+    """Flat indices over (S, B d) of the slots of a poly step whose control
+    alpha = sum_w c_w f_{s,w} may exceed R in operator norm, by the triangle
+    bound sum_w |c_w| rho_{s,w} on the features' radius bounds (S, W).  One
+    set-wide check over max_s rho_{s,w} clears every slot first when it can."""
+    reach = np.abs(coeffs).T                                  # (W, B d)
+    if not _norm_suspects(np.max(radius.max(axis=0) @ reach), R):
         return np.zeros(0, dtype=int)
-    return _slot_suspects(gram, coeffs, R)
+    return np.flatnonzero(_norm_suspects(radius @ reach, R))
 
 
 @dataclass
@@ -726,8 +699,10 @@ def _realize_controls(policy, step_index, batch, materialise=False):
 
     A poly step's control alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} is a real
     combination of Hermitian features, so tr(alpha^2) = c^T G_s c with G_s
-    the features' block of the basis Gram.  Only the slots
-    ``_clip_suspects`` flags are materialised and clipped.
+    the features' block of the basis Gram, and
+    ||alpha||_op <= sum_w |c_w| rho_{s,w} with the features' radius bounds.
+    Only the slots ``_clip_suspects`` flags by that bound are materialised
+    and clipped.
     """
     st = policy.steps[step_index]
     R = policy.R
@@ -741,7 +716,7 @@ def _realize_controls(policy, step_index, batch, materialise=False):
     cols = batch.word_index[step_index]
     ctrl = _PolyControls(coeffs=st.coeffs,
                          gram=batch.gram[:, cols[:, None], cols])
-    suspects = _clip_suspects(ctrl.gram, coeffs, batch.gram_bound, R)
+    suspects = _clip_suspects(batch.radius[:, cols], coeffs, R)
     if materialise or len(suspects):
         fv = batch.basis[:, cols]                            # (S, W, 2 n n)
     if materialise:
@@ -1016,23 +991,24 @@ class _Batch:
     are the gated, scaled global word features; its Gram matrices
     H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); each
     step's feature columns (``word_index``, None for const steps or
-    without poly steps); and the ``_gram_bound`` of the features' block of
-    H, which bounds every step's block (None without poly steps).  The
-    optimizer evaluates many policies on it."""
+    without poly steps); and ``radius``, (S, width), a bound
+    rho_{s,w} = (sum lambda^8)^(1/8) >= ||f_{s,w}||_op on each feature's
+    operator norm, which the clip pre-screen reads.  The optimizer
+    evaluates many policies on it."""
 
     basis: np.ndarray
     gram: np.ndarray
     traces: np.ndarray
     width: int
     word_index: list | None
-    gram_bound: float | None = None
+    radius: np.ndarray
 
     def slices(self, size):
         """The set as consecutive batches of ``size`` samples (views)."""
         for lo in range(0, len(self.gram), size):
             rows = slice(lo, lo + size)
             yield replace(self, basis=self.basis[rows], gram=self.gram[rows],
-                          traces=self.traces[rows])
+                          traces=self.traces[rows], radius=self.radius[rows])
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
@@ -1044,7 +1020,7 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
     parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
              letters.reshape(S, -1, n * n).view(float)]
-    width, word_index, gram_bound = 0, None, None
+    width, word_index, radius = 0, None, np.zeros((S, 0))
     if any(st.kind == "poly" for st in policy.steps):
         global_words = _global_words(problem, policy)
         pos = {w: k for k, w in enumerate(global_words)}
@@ -1052,6 +1028,7 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
         if policy.feature_scales is not None:
             features = features / policy.feature_scales[None, :, None, None]
         features *= gate[:, None, None, None]
+        radius = np.sqrt(operator_norm_bound(features @ features))
         width = len(global_words)
         parts.insert(0, features.reshape(S, width, -1).view(float))
         word_index = [np.array([pos[w] for w in st.words], dtype=int)
@@ -1061,10 +1038,8 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     # the basis is Hermitian: Re tr(b_v b_w) is the dot product of float views
     gram = basis @ np.swapaxes(basis, 1, 2)
     traces = basis[..., ::2 * (n + 1)].sum(axis=-1)       # Re of the diagonal
-    if width:
-        gram_bound = _gram_bound(gram[:, :width, :width])
     return _Batch(basis=basis, gram=gram, traces=traces, width=width,
-                  word_index=word_index, gram_bound=gram_bound)
+                  word_index=word_index, radius=radius)
 
 
 def _global_words(problem, policy):
@@ -1086,16 +1061,15 @@ def _feature_scales(problem, policy, rng, tag, sample_indices):
 
 def _sweeps_without_states(problem, policy, batch):
     """True when a sweep of the whole set makes no state: the terminal has
-    a ``trace_quadratic()`` form, there is no l0 and no const step, and the
-    clip pre-screen flags no slot, so no clip can bind."""
+    a ``trace_quadratic()`` form, there is no l0 and no const step, and
+    ``_clip_suspects`` flags no slot of any step, so no clip can bind."""
     cost = problem.cost
     if (cost.l0 is not None or cost.terminal.trace_quadratic() is None
             or any(st.kind == "const" for st in policy.steps)):
         return False
     for st, cols in zip(policy.steps, batch.word_index):
         coeffs = st.coeffs.reshape(-1, st.coeffs.shape[-1])
-        if len(_clip_suspects(batch.gram[:, cols[:, None], cols], coeffs,
-                              batch.gram_bound, policy.R)):
+        if len(_clip_suspects(batch.radius[:, cols], coeffs, policy.R)):
             return False
     return True
 

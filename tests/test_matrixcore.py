@@ -235,9 +235,10 @@ def test_tuple_methods_match_per_component(gen):
 @given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(1, 64),
        rank=hst.integers(1, 3), scale=hst.floats(1e-3, 1e3))
 def test_operator_norm_bound_is_never_below_the_norm(seed, n, rank, scale):
-    """(sum lambda^4)^(1/4) >= max |lambda| <= n^(1/4) max |lambda|, also at
-    low rank, where the bound meets the norm; the screens' margin 1e-10
-    covers rounding."""
+    """(sum lambda^p)^(1/p) >= max |lambda| <= n^(1/p) max |lambda|, for
+    ``operator_norm_bound`` (p = 4) and the radius the clip screen composes
+    from it (p = 8), also at low rank, where the bound meets the norm; the
+    screens' margin 1e-10 covers rounding."""
     gen = np.random.default_rng(seed)
     z = gen.normal(size=(4, n, n)) + 1j * gen.normal(size=(4, n, n))
     v = gen.normal(size=(4, n, rank)) + 1j * gen.normal(size=(4, n, rank))
@@ -246,7 +247,9 @@ def test_operator_norm_bound_is_never_below_the_norm(seed, n, rank, scale):
                                 (v * lam) @ np.swapaxes(v, 1, 2).conj()])
     a = 0.5 * (a + np.swapaxes(a, 1, 2).conj())
     norms = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
-    bound = mc.operator_norm_bound(a)
-    assert bound.shape == (8,)
-    assert np.all(bound * (1.0 + 1e-10) >= norms)
-    assert np.all(bound <= n ** 0.25 * norms * (1.0 + 1e-10))
+    plain = mc.operator_norm_bound(a)
+    radius = np.sqrt(mc.operator_norm_bound(a @ a))     # the clip screen's
+    for bound, power in ((plain, 4), (radius, 8)):
+        assert bound.shape == (8,)
+        assert np.all(bound * (1.0 + 1e-10) >= norms)
+        assert np.all(bound <= n ** (1.0 / power) * norms * (1.0 + 1e-10))
