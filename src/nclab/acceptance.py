@@ -15,6 +15,7 @@ unit tests and by the companion diagnostic row.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -80,28 +81,23 @@ def criterion_3():
     return out, (headers, rows)
 
 
-def _laplacian_rows():
+@functools.lru_cache(maxsize=1)
+def _laplacian_rows(seed):
+    """The laplacian-check run that criteria 4 and 5 share, per master seed."""
     return harness.experiment_csv(
         "laplacian-check", {"cases": 50, "n_list": [3, 4, 6], "d": 2},
-        _stream(4))
-
-
-_LAPLACIAN_CACHE = {}
+        RngStream(seed).child("acceptance", 4))
 
 
 def criterion_4():
-    if "res" not in _LAPLACIAN_CACHE:
-        _LAPLACIAN_CACHE["res"] = _laplacian_rows()
-    headers, rows, checks = _LAPLACIAN_CACHE["res"]
+    headers, rows, checks = _laplacian_rows(MASTER_SEED)
     gap = checks["identity_max_gap"]["measured"]
     return [_row("4.laplacian_identity_max_gap", gap, 0.0, 1e-10,
                  gap < 1e-10)], (headers, rows)
 
 
 def criterion_5():
-    if "res" not in _LAPLACIAN_CACHE:
-        _LAPLACIAN_CACHE["res"] = _laplacian_rows()
-    headers, rows, checks = _LAPLACIAN_CACHE["res"]
+    headers, rows, checks = _laplacian_rows(MASTER_SEED)
     gap = checks["fd_max_gap"]["measured"]
     return [_row("5.laplacian_vs_fd_max_gap", gap, 0.0, 1e-5,
                  gap < 1e-5)], None

@@ -41,22 +41,23 @@ every level's states are kept (``_forward(..., keep_states=True)``); and for
 const steps, as a broadcast view whose sample-independent drift is added to
 the states.
 
-Quadratic trace costs stay in coefficient space.  Each prepared sample set
-(the optimizer freezes its letters, gate and feature scales) carries the basis
-Gram H_s = Re tr(b_v b_w), (S, V, V), and traces t_s = tr b_v; a step's
-feature Gram G_s is a block of H_s.  A terminal whose ``trace_quadratic()``
-is not None (a cylindrical cost with inner polynomials of degree <= 2, such
-as ``trace_power(d, 2, coef)``: the LQ terminal and the Laplace-principle
-psi) reads the leaves only through tr_n X_k = C_k . t_s / n and
+Terminal costs affine in tr_n X_k and tr_n X_k X_l stay in coefficient
+space.  Each prepared sample set (the optimizer freezes its letters, gate
+and feature scales) carries the basis Gram H_s = Re tr(b_v b_w), (S, V, V),
+and traces t_s = tr b_v; a step's feature Gram G_s is a block of H_s.  A
+terminal whose ``trace_quadratic()`` is not None (a cylindrical cost with
+an outer of degree <= 1 over inners of degree <= 2, such as
+``trace_power(d, 2, coef)``: the LQ terminal and the Laplace-principle psi)
+reads the leaves only through tr_n X_k = C_k . t_s / n and
 tr_n X_k X_l = C_k^T H_s C_l / n, so its value needs no n x n array, and its
 gradient is a coefficient adjoint (B, d, V), summed over children up the
 tree; a poly step's parameter gradient is that adjoint's feature columns
 times delta plus the c||alpha||^2 term.  Where this does not apply exactly
 the leaf states are made and the terminal reads them, with the state
 adjoint paired with the features in one GEMM per step: a terminal without
-that form (the quartic cost), l0 set (every level's states), and a const
-step or a slot the clip binds (their drift and fixes are not in the basis
-span).
+that form (the quartic cost, a nonlinear outer), l0 set (every level's
+states), and a const step or a slot the clip binds (their drift and fixes
+are not in the basis span).
 
 A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
@@ -575,26 +576,16 @@ def _clip_batch(alpha, R):
     Returns the clipped array and the records of the slots where the clip
     was active, indexed flat over the leading axes; elsewhere the clip is
     the identity, and with no active slot ``alpha`` itself comes back.
-    Activity is screened in tiers, each widened by ``_NORM_MARGIN``: the
-    Frobenius norm, then ``operator_norm_bound``, then ``eigvalsh``;
-    ``eigh`` runs only on the slots that are active or within the margin of
-    it, and decides activity exactly as an ``eigh`` of every slot would.
+    ``operator_norm_bound``, widened by ``_NORM_MARGIN``, screens the slots
+    without an eigensolve; ``eigh`` runs only on the slots it cannot clear
+    and decides activity exactly as an ``eigh`` of every slot would.
     """
     n = alpha.shape[-1]
-    # the float view needs a contiguous last axis; a C-contiguous alpha (the
-    # engine's own arrays) is not copied
-    flat = np.ascontiguousarray(alpha).reshape((-1, n, n))
-    parts = flat.view(float).reshape(len(flat), -1)
-    fro = np.sqrt(np.einsum("si,si->s", parts, parts))
-    suspects = np.flatnonzero(_norm_suspects(fro, R))
-    suspects = suspects[_norm_suspects(operator_norm_bound(flat[suspects]), R)]
+    flat = alpha.reshape((-1, n, n))
+    suspects = np.flatnonzero(_norm_suspects(operator_norm_bound(flat), R))
     if len(suspects) == 0:
         return alpha, _ClipRecords()
     try:
-        w = np.linalg.eigvalsh(flat[suspects])
-        suspects = suspects[_norm_suspects(np.max(np.abs(w), axis=-1), R)]
-        if len(suspects) == 0:
-            return alpha, _ClipRecords()
         w, q = np.linalg.eigh(flat[suspects])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"clip eigensolver failed: {exc}") from exc
@@ -842,41 +833,21 @@ def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
     (B, d, V), else None.
 
     With the basis Gram H_s and traces t_s, tr_n X_k X_l = C_k^T H_s C_l / n
-    and tr_n X_k = C_k . t_s / n, so no n x n array is formed.  A linear
-    outer polynomial is summed over the leaves first: its value needs only
-    sum_b p_b C_b and sum_b p_b C_b C_b^T, and its gradient sum_s H_s.
+    and tr_n X_k = C_k . t_s / n, so no n x n array is formed.  The form is
+    affine in those, so it is summed over the leaves first: its value needs
+    only sum_b p_b C_b and sum_b p_b C_b C_b^T, and its gradient sum_s H_s.
     """
     B, d, V = coef.shape
-    m = len(form.const)
-    if form.outer.degree() <= 1:
-        zero = np.zeros(m)
-        slope = np.array([form.outer.partial(o)(zero) for o in range(m)])
-        lin = slope @ form.lin                                   # (d,)
-        qc = np.tensordot(slope, form.quad, 1) @ coef            # (B, d, V)
-        pc = probs[:, None, None] * coef
-        mean = (lin @ pc.sum(axis=0)) @ batch.traces.T           # (S,)
-        second = pc.reshape(B * d, V).T @ qc.reshape(B * d, V)   # (V, V)
-        values = ((form.outer(zero) + slope @ form.const) * probs.sum()
-                  + (mean + np.einsum("svw,vw->s", batch.gram, second)) / n)
-        if not want_grad:
-            return values, None
-        adj = (np.multiply.outer(lin, batch.traces.sum(axis=0))
-               + 2.0 * qc @ batch.gram.sum(axis=0)) * (probs[:, None, None] / n)
-        return values, adj
-    hc = (coef.reshape(B * d, V) @ batch.gram).reshape(-1, B, d, V)  # H_s C_bk
-    pair = np.einsum("sbkv,blv->sbkl", hc, coef) / n
-    trace = np.einsum("bkv,sv->sbk", coef, batch.traces) / n
-    u = (form.const + trace @ form.lin.T
-         + pair.reshape(pair.shape[:2] + (d * d,)) @ form.quad.reshape(-1, d * d).T)
-    values = form.outer(u) @ probs
+    qc = form.quad @ coef                                    # (B, d, V)
+    pc = probs[:, None, None] * coef
+    mean = (form.lin @ pc.sum(axis=0)) @ batch.traces.T      # (S,)
+    second = pc.reshape(B * d, V).T @ qc.reshape(B * d, V)   # (V, V)
+    values = (form.const * probs.sum()
+              + (mean + np.einsum("svw,vw->s", batch.gram, second)) / n)
     if not want_grad:
         return values, None
-    g = np.stack([form.outer.partial(o)(u) for o in range(m)],
-                 axis=-1) * probs[:, None]                   # (S, B, m)
-    glin = g @ form.lin                                      # (S, B, d)
-    gquad = (g @ form.quad.reshape(-1, d * d)).reshape(g.shape[:2] + (d, d))
-    adj = (np.einsum("sbk,sv->bkv", glin, batch.traces)
-           + 2.0 * np.einsum("sbkl,sblv->bkv", gquad, hc)) / n
+    adj = (np.multiply.outer(form.lin, batch.traces.sum(axis=0))
+           + 2.0 * qc @ batch.gram.sum(axis=0)) * (probs[:, None, None] / n)
     return values, adj
 
 
@@ -1147,7 +1118,6 @@ class OptimizerConfig:
     gate_level: float | None = None
     include_current_increment: bool = True
     log_path: str | None = None
-    time_steps: int | None = None  # used by the variational routines
 
 
 @dataclass
@@ -1214,10 +1184,7 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
             for row in log_rows:
                 fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r}\n")
 
-    zero = zero_policy(problem, K, N, R, kind=cfg.node_kind, degree=cfg.degree,
-                       gate_level=cfg.gate_level,
-                       include_current_increment=cfg.include_current_increment)
-    zero.feature_scales = best_policy.feature_scales
+    zero = policy
     val = _prepare_batch(problem, best_policy, rng, "val",
                          range(cfg.val_samples))
     zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val, cfg.chunk)
@@ -1560,13 +1527,12 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config=None, rng=None, d=None,
     if rng is None:
         raise ValueError("an RngStream is required")
     d = psi.d if d is None else d
-    steps = time_steps or cfg.time_steps or 8
     cost = CostSpec(l0=None, quad_coef=0.5, terminal=psi,
                     convexity_declared=True)
     problem = ControlProblem(n=n, d=d, x0=MatrixTuple.zero(d, n),
                              beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, cost=cost)
     cfg = replace(cfg, include_current_increment=False)
-    return optimize_discrete_value(problem, steps, 1, R, cfg, rng)
+    return optimize_discrete_value(problem, time_steps, 1, R, cfg, rng)
 
 
 def cylindrical_on_law(u: CylindricalFunction, law):
@@ -1583,7 +1549,7 @@ def cylindrical_on_law(u: CylindricalFunction, law):
 
 
 def rate_function_candidate(target_law, test_family, n, opt_config=None,
-                            rng=None):
+                            rng=None, time_steps=8):
     """Lower bound of the rate-function supremum over the given test family.
 
     For each phi, adds phi(target) to the variational value of the terminal
@@ -1599,7 +1565,7 @@ def rate_function_candidate(target_law, test_family, n, opt_config=None,
     for k, phi in enumerate(test_family):
         target_val = cylindrical_on_law(phi, target_law)
         terminal = ArctanComposedTerminal(phi, sign=-1.0)
-        bd = boue_dupuis_rhs(terminal, n, cfg.time_steps or 8, cfg,
+        bd = boue_dupuis_rhs(terminal, n, time_steps, cfg,
                              rng.child("rate", k), d=phi.d)
         best = max(best, target_val + bd.value)
     return best

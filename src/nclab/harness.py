@@ -167,11 +167,11 @@ def problem_from_params(params, n):
 
 # The least value of each counting ``OptimizerConfig`` field.  A sample set
 # needs two samples for its standard error to mean something; the sweep chunk
-# and the time steps count something; 0 descent iterations return the zero
-# policy's value, and degree 0 leaves a node the identity word alone (a
-# scalar control per bin path).
+# counts something; 0 descent iterations return the zero policy's value, and
+# degree 0 leaves a node the identity word alone (a scalar control per bin
+# path).
 _OPT_MINIMUM = {"train_samples": 2, "val_samples": 2, "chunk": 1,
-                "time_steps": 1, "max_iters": 0, "degree": 0}
+                "max_iters": 0, "degree": 0}
 
 
 def optimizer_config(params, **overrides):
@@ -278,12 +278,12 @@ def _exp_laplacian_check(params, stream):
         n = n_list[c % len(n_list)]
         u = random_cylindrical(gen, d)
         x = sample_gue_tuple(n, d, gen, scale=0.8)
-        cache = {}  # one word-product cache for the three at X
+        cache = {}  # one word-product cache for the four at X
         gue = u.gue_laplacian(x, cache)
         free = u.free_laplacian(x, cache)
         corr = u.correction_term(x, cache)
         gap = abs(gue - free - corr)
-        fd = _fd_laplacian(u, x, fd_step)
+        fd = _fd_laplacian(u, x, fd_step, cache)
         fd_gap = abs(gue - fd) / (1.0 + abs(gue))
         return [c, n, d, gue, free, corr, gap, fd_gap]
 
@@ -299,16 +299,17 @@ def _exp_laplacian_check(params, stream):
     return headers, rows, checks
 
 
-def _fd_laplacian(u, x, h):
+def _fd_laplacian(u, x, h, cache=None):
     """Central second differences over the full Hermitian basis, times 1/n^2.
 
     The d n^2 shifts h E (E the basis element ``basis_element(n, i, j)`` in
     component l) are stacked into one (d n^2, d, n, n) batch, so U is
     evaluated once at X + shifts and once at X - shifts; the differences are
-    summed in (l, i, j) order.
+    summed in (l, i, j) order.  ``cache`` is a word-product cache for X, read
+    by the evaluation at X.
     """
     n, d = x.dim, x.d
-    base = u.eval(x)
+    base = u.eval(x, cache)
     shifts = np.zeros((d * n * n, d, n, n), dtype=complex)
     for k, (l, i, j) in enumerate(np.ndindex(d, n, n)):
         shifts[k, l] = h * basis_element(n, i + 1, j + 1)

@@ -97,24 +97,21 @@ class MultiPoly:
 
 @dataclass(eq=False)
 class TraceQuadratic:
-    """A cylindrical cost whose inner polynomials have degree <= 2:
-    U(X) = outer(u) with
+    """A cost affine in the traces tr_n X_k and the Gram entries
+    tr_n X_k X_l:
 
-        u_o = const_o + sum_k lin_ok tr_n X_k + sum_kl quad_okl tr_n X_k X_l,
+        U(X) = const + sum_k lin_k tr_n X_k + sum_kl quad_kl tr_n X_k X_l,
 
-    ``quad`` (m, d, d) symmetric.  On Hermitian X every u_o is real, so U is
-    a function of the traces tr_n X_k and the Gram entries tr_n X_k X_l alone.
+    ``quad`` (d, d) symmetric.  On Hermitian X every term is real.
     """
 
-    outer: MultiPoly
-    const: np.ndarray   # (m,)
-    lin: np.ndarray     # (m, d)
-    quad: np.ndarray    # (m, d, d)
+    const: float
+    lin: np.ndarray     # (d,)
+    quad: np.ndarray    # (d, d)
 
     def __eq__(self, other):
         return (isinstance(other, TraceQuadratic)
-                and self.outer.terms == other.outer.terms
-                and np.array_equal(self.const, other.const)
+                and self.const == other.const
                 and np.array_equal(self.lin, other.lin)
                 and np.array_equal(self.quad, other.quad))
 
@@ -159,14 +156,17 @@ class CylindricalFunction:
         vals = [phi.evaluate_trace(x, cache) for phi in self.inners]
         return np.stack([np.asarray(v, dtype=float) for v in vals], axis=-1)
 
-    def eval(self, x):
-        u = self.inner_traces(x)
-        return self.outer(u)
+    def eval(self, x, cache=None):
+        """U(X); ``cache`` is a word-product cache for X, as in
+        :meth:`inner_traces`."""
+        return self.outer(self.inner_traces(x, cache))
 
     def trace_quadratic(self):
-        """The inner traces as quadratic forms in tr_n X_k and tr_n X_k X_l,
-        or None when an inner has degree above 2 (see :class:`TraceQuadratic`)."""
-        if any(phi.degree() > 2 for phi in self.inners):
+        """U as a :class:`TraceQuadratic`, or None when the outer has degree
+        above 1 or an inner has degree above 2.  A degree-1 outer is its
+        value and slope at 0, folded into the inners' quadratic forms."""
+        if (self.outer.degree() > 1
+                or any(phi.degree() > 2 for phi in self.inners)):
             return None
         d = self.d
         const = np.zeros(self.m)
@@ -183,7 +183,11 @@ class CylindricalFunction:
                     k, l = word[0] - 1, word[1] - 1
                     quad[o, k, l] += 0.5 * coeff.real
                     quad[o, l, k] += 0.5 * coeff.real
-        return TraceQuadratic(outer=self.outer, const=const, lin=lin, quad=quad)
+        zero = np.zeros(self.m)
+        slope = np.array([self.outer.partial(o)(zero) for o in range(self.m)])
+        return TraceQuadratic(const=float(self.outer(zero) + slope @ const),
+                              lin=slope @ lin,
+                              quad=np.tensordot(slope, quad, 1))
 
     def gradient(self, x):
         """(grad U)^j = sum_o g_o(u) D_j phi_o(X); exact outer partials.

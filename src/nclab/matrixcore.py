@@ -30,7 +30,6 @@ __all__ = [
     "hermitize",
     "inner_product",
     "l1_norm",
-    "l2_norm",
     "normalized_trace",
     "operator_norm",
     "operator_norm_bound",
@@ -318,16 +317,6 @@ class MatrixTuple:
 
     # -- geometry ------------------------------------------------------------
 
-    def inner(self, other):
-        self._check_compatible(other)
-        return inner_product(self, other)
-
-    def l2_norm(self):
-        return l2_norm(self)
-
-    def l1_norm(self):
-        return l1_norm(self)
-
     def max_operator_norm(self):
         return operator_norm(self.data)
 
@@ -346,10 +335,6 @@ def inner_product(x: MatrixTuple, y: MatrixTuple):
     if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
         raise ValueError(f"inner product has imaginary part {val.imag:.3e}")
     return float(val.real)
-
-
-def l2_norm(x: MatrixTuple):
-    return float(np.sqrt(max(inner_product(x, x), 0.0)))
 
 
 def l1_norm(x: MatrixTuple):

@@ -21,12 +21,10 @@ import numpy as np
 from .matrixcore import MatrixTuple
 
 __all__ = [
-    "NCPolynomial", "TensorPolynomial", "Word",
+    "NCPolynomial", "TensorPolynomial",
     "words_up_to_degree", "grlex_key",
     "parse_polynomial", "format_polynomial",
 ]
-
-Word = tuple
 
 COEFF_PRUNE_TOL = 1e-15
 

@@ -57,6 +57,22 @@ def test_criterion_5_laplacian_vs_fd():
     assert row(5, "5.laplacian_vs_fd_max_gap")["measured"] < 1e-5
 
 
+def test_laplacian_criteria_follow_the_master_seed(monkeypatch):
+    # criteria 4 and 5 share one laplacian-check run, but never a stale one
+    from nclab import harness as hn
+    from nclab.randmat import RngStream
+
+    acceptance.criterion_4()
+    monkeypatch.setattr(acceptance, "MASTER_SEED", 7)
+    _, _, checks = hn.experiment_csv(
+        "laplacian-check", {"cases": 50, "n_list": [3, 4, 6], "d": 2},
+        RngStream(7).child("acceptance", 4))
+    rows, _ = acceptance.criterion_4()
+    assert rows[0]["measured"] == checks["identity_max_gap"]["measured"]
+    rows, _ = acceptance.criterion_5()
+    assert rows[0]["measured"] == checks["fd_max_gap"]["measured"]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the 5% band around 0.625 ln 3 is unattainable at K=4, N=2: the "

@@ -351,7 +351,9 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
                          x0=random_x0(n, d, gen))
     problem.cost.terminal = QUADRATIC_TERMINALS[terminal](d)
-    assert problem.cost.terminal.trace_quadratic() is not None
+    # a nonlinear outer has no affine form: both problems make states
+    coefficient = terminal != "nonlinear_outer"
+    assert (problem.cost.terminal.trace_quadratic() is not None) == coefficient
     states_problem = replace(problem, cost=replace(
         problem.cost, terminal=StatePathTerminal(problem.cost.terminal)))
     policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
@@ -365,8 +367,9 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
         costs = {}
         for prob in (problem, states_problem):
             states, lagrangians, sweep = ctl._forward(prob, policy, tree, part)
-            assert (states == []) == (prob is problem)
-            assert (sweep.form is None) == (prob is states_problem)
+            on_coefficients = coefficient and prob is problem
+            assert (states == []) == on_coefficients
+            assert (sweep.form is not None) == on_coefficients
             costs[prob is problem] = ctl._chunk_cost(
                 prob, policy, tree, part, states, sweep, lagrangians)[0]
         assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
@@ -775,8 +778,7 @@ def random_batch(gen, shape, n, scale=0.6):
 @pytest.mark.parametrize("name", sorted(COST_EXPRESSIONS))
 def test_cost_expression_protocol(stream, name):
     expr = COST_EXPRESSIONS[name]()
-    assert (expr.trace_quadratic() is None) == (name not in ("trace_power",
-                                                             "cross_term"))
+    assert (expr.trace_quadratic() is None) == (name != "trace_power")
     gen = stream.child("protocol", name).generator()
     n = 3
     data = random_batch(gen, (3, 2, 2), n)
@@ -1002,6 +1004,13 @@ def test_lq_template_compares_trace_quadratic_forms():
     lq = lq_problem(4)
     hand_built = replace(lq, cost=replace(lq.cost, terminal=quadratic_psi(1.0)))
     assert ctl.lq_reference(hand_built) == ctl.lq_reference(lq)
+    # forms compare by value: sum_j X_j^2 as one inner is the LQ terminal
+    lq2 = lq_problem(4, d=2)
+    one_inner = CylindricalFunction(
+        outer=MultiPoly(1, {(1,): 1.0}),
+        inners=[NCPolynomial(2, {(1, 1): 1.0, (2, 2): 1.0})])
+    assert ctl.lq_reference(replace(lq2, cost=replace(
+        lq2.cost, terminal=one_inner))) == ctl.lq_reference(lq2)
     for terminal in (trace_power(1, 2, coef=2.0), trace_power(1, 4),
                      ctl.ArctanComposedTerminal(trace_power(1, 2))):
         other = replace(lq, cost=replace(lq.cost, terminal=terminal))
@@ -1286,8 +1295,8 @@ def test_rate_function_candidate_constant_family(stream):
                                 inners=[NCPolynomial(1, {(1,): 1.0})])
     from nclab.nclaw import semicircle_arctan_law
     val = ctl.rate_function_candidate(semicircle_arctan_law(4), [const], 4,
-                                      small_cfg(max_iters=30, time_steps=2),
-                                      stream.child("rate0"))
+                                      small_cfg(max_iters=30),
+                                      stream.child("rate0"), time_steps=2)
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
@@ -1303,10 +1312,9 @@ def test_rate_function_semicircle_near_zero(stream):
     from nclab.nclaw import semicircle_arctan_law
     phi = CylindricalFunction(outer=MultiPoly(1, {(1,): 0.2}),
                               inners=[NCPolynomial(1, {(1,): 1.0})])
-    cfg = small_cfg(train_samples=32, val_samples=128, max_iters=120,
-                    time_steps=4)
+    cfg = small_cfg(train_samples=32, val_samples=128, max_iters=120)
     val = ctl.rate_function_candidate(semicircle_arctan_law(4), [phi], 8, cfg,
-                                      stream.child("rate2"))
+                                      stream.child("rate2"), time_steps=4)
     assert abs(val) <= 0.05
 
 

@@ -200,7 +200,7 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 # each breaks the last experiment only: a typo, an opt count of 0 on each
-# template, and an unknown problem template
+# template, an unknown problem template and an unknown optimizer option
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"chunk": 0}},
@@ -212,6 +212,8 @@ def test_unknown_kind_rejected(tmp_path):
      "opt.node_kind must be one of"),
     ({"kind": "sweep", "opt": {"train_samples": 1, "val_samples": 1}},
      "opt.train_samples must be at least 2"),
+    ({"kind": "ldp", "opt": {"time_steps": 4}},
+     "unknown optimizer options ['time_steps']"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -224,8 +226,8 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
 
 
 @pytest.mark.parametrize("key,least", [("chunk", 1), ("train_samples", 2),
-                                       ("val_samples", 2), ("time_steps", 1),
-                                       ("max_iters", 0), ("degree", 0)])
+                                       ("val_samples", 2), ("max_iters", 0),
+                                       ("degree", 0)])
 def test_optimizer_counts_range_checked(key, least):
     params = harness.experiment_params("ldp", {"opt": {key: least}})
     assert params["opt"] == {key: least}

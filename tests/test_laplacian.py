@@ -113,20 +113,29 @@ def test_trace_power_value_and_gradient(d, p):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_trace_quadratic_reproduces_eval(stream, d):
+    # the affine form of a degree-1 outer over degree-2 inners; none beyond
     gen = stream.child("trace-quadratic", d).generator()
     n = 4
-    for case in range(6):
-        u = random_cylindrical(gen, d, inner_degree=2)
+    linear_seen = set()
+    for case in range(8):
+        u = random_cylindrical(gen, d, inner_degree=2,
+                               outer_degree=1 + 2 * (case % 2))
         form = u.trace_quadratic()
+        linear = u.outer.degree() <= 1
+        linear_seen.add(linear)
+        if not linear:
+            assert form is None
+            continue
         x = np.stack([rand_tuple(d, n, seed=40 + 10 * d + case + s).data
                       for s in range(3)])
         traces = np.einsum("skii->sk", x).real / n
         pairs = np.einsum("skij,slji->skl", x, x).real / n
-        inner = (form.const + traces @ form.lin.T
-                 + np.einsum("skl,okl->so", pairs, form.quad))
-        assert np.allclose(form.quad, np.swapaxes(form.quad, 1, 2))
-        assert np.max(np.abs(form.outer(inner) - u.eval(x))) <= 1e-12 * (
+        value = (form.const + traces @ form.lin
+                 + np.einsum("skl,kl->s", pairs, form.quad))
+        assert np.allclose(form.quad, form.quad.T)
+        assert np.max(np.abs(value - u.eval(x))) <= 1e-12 * (
             1.0 + np.max(np.abs(u.eval(x))))
+    assert linear_seen == {True, False}
     assert trace_power(d, 4).trace_quadratic() is None
     assert trace_power(d, 2).trace_quadratic() == trace_square(d).trace_quadratic()
     assert trace_power(d, 2, 2.0).trace_quadratic() != trace_power(d, 2).trace_quadratic()
@@ -347,8 +356,6 @@ def test_laplacian_triple_computes_each_word_once(monkeypatch, caller):
             u = random_cylindrical(gen, 2)
             assert u.identity_check(sample_gue_tuple(4, 2, gen, scale=0.8))
     else:
-        # the finite-difference check evaluates U at X on its own
-        monkeypatch.setattr(harness, "_fd_laplacian", lambda u, x, h: 0.0)
         harness._exp_laplacian_check(
             {"cases": 20, "n_list": [3, 4, 6], "d": 2, "fd_step": 1e-3}, stream)
     assert products and max(products.values()) == 1
