@@ -11,9 +11,10 @@ while the GUE noise stays Monte Carlo.  States follow
 controls are tables over (step, bin prefix) of either constant Hermitian
 tuples or polynomial nodes in (x0, GUE increments), clipped in operator norm
 at R and gated by the increment-norm indicator at level M.  The optimizer is
-sample-average approximation with projected first-order descent and exact
-(cyclic-derivative) gradients; expectation over the common noise is exact,
-over the GUE empirical.
+sample-average approximation over polynomial nodes with first-order descent
+and exact (cyclic-derivative) gradients; expectation over the common noise
+is exact, over the GUE empirical.  Const nodes (``coarsen_control``'s
+policies) are evaluated, not optimized.
 
 The engine sweeps the tree in coefficient space.  A polynomial control is
 alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
@@ -63,8 +64,8 @@ A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
 one stream address per sample, and gated and featurised at once.  A sweep
 that makes no state covers the whole set; where states are made, the set
-is swept in slices of ``OptimizerConfig.chunk`` samples, which bounds the
-(chunk, B, d, n, n) state arrays.
+is swept in slices of ``CHUNK`` samples, which bounds the
+(CHUNK, B, d, n, n) state arrays.
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
@@ -113,6 +114,7 @@ __all__ = [
 ]
 
 PATH_GUARD = 10 ** 6  # maximum number of enumerated bin paths
+CHUNK = 16  # samples per sweep that makes states
 NODE_KINDS = ("poly", "const")  # the kinds of a policy step's node
 
 
@@ -359,47 +361,6 @@ class DiscretePolicy:
         for j in indices:
             idx = idx * b + (j + self.N + 1)
         return idx
-
-    def to_json(self):
-        steps = []
-        for st in self.steps:
-            if st.kind == "const":
-                steps.append({"kind": "const",
-                              "re": np.real(st.values).tolist(),
-                              "im": np.imag(st.values).tolist()})
-            else:
-                steps.append({"kind": "poly",
-                              "words": [list(w) for w in st.words],
-                              "coeffs": st.coeffs.tolist()})
-        return json.dumps({
-            "K": self.K, "N": self.N, "R": self.R, "gate_level": self.gate_level,
-            "d": self.d, "n": self.n, "collapse_bins": self.collapse_bins,
-            "include_current_increment": self.include_current_increment,
-            "feature_scales": (None if self.feature_scales is None
-                               else self.feature_scales.tolist()),
-            "steps": steps,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        steps = []
-        for st in doc["steps"]:
-            if st["kind"] == "const":
-                steps.append(PolicyStep(
-                    kind="const",
-                    values=np.array(st["re"]) + 1j * np.array(st["im"])))
-            else:
-                steps.append(PolicyStep(
-                    kind="poly",
-                    words=[tuple(w) for w in st["words"]],
-                    coeffs=np.array(st["coeffs"], dtype=float)))
-        scales = doc.get("feature_scales")
-        return cls(K=doc["K"], N=doc["N"], R=doc["R"],
-                   gate_level=doc["gate_level"], d=doc["d"], n=doc["n"],
-                   steps=steps, collapse_bins=doc["collapse_bins"],
-                   include_current_increment=doc["include_current_increment"],
-                   feature_scales=None if scales is None else np.array(scales))
 
 
 def zero_policy(problem, K, N, R, kind="poly", degree=1, gate_level=None,
@@ -875,25 +836,18 @@ def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
     return total, ggrad
 
 
-def _step_gradient(st, ctrl, adj, probs, delta, quad, feats):
-    """Parameter gradient of one step from ``adj`` = (d cost / d alpha) /
-    delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
+def _step_gradient(ctrl, adj, probs, delta, quad, feats):
+    """Parameter gradient of one poly step from ``adj`` = (d cost / d alpha)
+    / delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
 
-    A poly step pairs ``adj`` with its gated features ``feats``, float
-    views (S, W, 2 n n), in one GEMM per sample and
-    takes the c||alpha||^2 term from the Gram matrices,
-    2 c delta p_J sum_s G_s c_J; both assume an unclipped control, so the
-    clipped slots add their difference to the pullback through the clip.
+    ``adj`` is paired with the step's gated features ``feats``, float
+    views (S, W, 2 n n), in one GEMM per sample, and the c||alpha||^2 term
+    comes from the Gram matrices, 2 c delta p_J sum_s G_s c_J; both assume
+    an unclipped control, so the clipped slots add their difference to the
+    pullback through the clip.
     """
     S, B, d, n = adj.shape[0], adj.shape[1], adj.shape[2], adj.shape[-1]
-    if st.kind == "const":
-        g = (delta * adj.sum(axis=0)
-             + (2.0 * quad * delta * S) * probs[:, None, None, None] * ctrl.values)
-        if len(ctrl.clip):
-            flat = g.reshape(-1, n, n)
-            flat[ctrl.clip.idx] = _pullback_clip(flat[ctrl.clip.idx], ctrl.clip)
-        return hermitize(g)
-    coeffs = st.coeffs.reshape(B * d, -1)
+    coeffs = ctrl.coeffs.reshape(B * d, -1)
     fvt = np.swapaxes(feats, 1, 2)
     g = delta * (adj.reshape(S, B * d, -1).view(float) @ fvt).sum(axis=0)
     quad_rows = 2.0 * quad * delta * np.repeat(probs, d)       # per (J, k)
@@ -934,8 +888,7 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
                 -1, branch, d, lam.shape[-1]).sum(axis=1)
             quad_rows = (2.0 * quad * delta / n) * probs[:, None, None]
             grads[i - 1] = (delta * lam[..., batch.word_index[i - 1]]
-                            + quad_rows * (policy.steps[i - 1].coeffs
-                                           @ ctrl.gram.sum(axis=0)))
+                            + quad_rows * (ctrl.coeffs @ ctrl.gram.sum(axis=0)))
             continue
         p = probs[None, :, None, None, None]
         if lam is None:
@@ -948,10 +901,8 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
                                                      axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
-        st = policy.steps[i - 1]
-        feats = (batch.basis[:, batch.word_index[i - 1]] if st.kind == "poly"
-                 else None)
-        grads[i - 1] = _step_gradient(st, ctrl, adj, probs, delta, quad, feats)
+        feats = batch.basis[:, batch.word_index[i - 1]]
+        grads[i - 1] = _step_gradient(ctrl, adj, probs, delta, quad, feats)
     return grads
 
 
@@ -1086,37 +1037,30 @@ def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
 # ---------------------------------------------------------------------------
 
 
-def discrete_cost(problem, policy, mc_samples, rng, chunk=16, tag="cost"):
+def discrete_cost(problem, policy, mc_samples, rng, tag="cost"):
     """Monte Carlo estimate (value, stderr) of the discretized cost.
 
     Common-noise expectation is exact over bin paths; the GUE expectation is
     a sample average over ``mc_samples`` draws from ``rng``.  Where states
-    are made, ``chunk`` samples are swept at a time.
+    are made, ``CHUNK`` samples are swept at a time.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     _check_path_guard(policy.branching(), policy.K)
     batch = _prepare_batch(problem, policy, rng, tag, range(mc_samples))
-    mean, stderr, _ = _evaluate_prepared(problem, policy, batch, chunk)
+    mean, stderr, _ = _evaluate_prepared(problem, policy, batch, CHUNK)
     return mean, stderr
 
 
 @dataclass
 class OptimizerConfig:
-    """Sample-average-approximation and descent parameters."""
+    """Sample-average-approximation parameters: the sample sets, the descent
+    iterations, the polynomial nodes' degree, and the iteration log's file."""
 
     train_samples: int = 64
     val_samples: int = 256
     max_iters: int = 200
-    init_step: float = 0.5
-    min_step: float = 1e-7
     degree: int = 1
-    node_kind: str = "poly"
-    momentum: float = 0.9
-    step_grow: float = 1.1
-    chunk: int = 16     # samples per sweep that makes states
-    gate_level: float | None = None
-    include_current_increment: bool = True
     log_path: str | None = None
 
 
@@ -1131,50 +1075,53 @@ class OptimizeResult:
     improved: bool
 
 
-def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
-    """Minimize the discretized cost over the parametric policy table.
+def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
+                            include_current_increment=True):
+    """Minimize the discretized cost over the polynomial policy table.
 
-    Projected descent with exact cyclic-derivative gradients on a frozen GUE
-    batch; the returned value re-evaluates the winner (best found vs the zero
-    policy) on a fresh validation batch, so it never exceeds the zero-policy
-    cost beyond rounding.
+    Descent with momentum 0.9 and exact cyclic-derivative gradients on a
+    frozen GUE batch, from step 0.5: an improving step grows it by 1.1, a
+    failed one halves it and drops the momentum, and it ends below 1e-7.
+    The gate is at ``default_gate_level``, and ``include_current_increment``
+    is the nodes' adaptedness (see ``DiscretePolicy``).  The returned value
+    re-evaluates the winner (best found vs the zero policy) on a fresh
+    validation batch, so it never exceeds the zero-policy cost beyond
+    rounding.
     """
     cfg = opt_config or OptimizerConfig()
     if rng is None:
         raise ValueError("an RngStream is required")
     if not problem.cost.convexity_declared:
         raise ValueError("optimize_discrete_value requires convexity_declared")
-    policy = zero_policy(problem, K, N, R, kind=cfg.node_kind, degree=cfg.degree,
-                         gate_level=cfg.gate_level,
-                         include_current_increment=cfg.include_current_increment)
-    if any(st.kind == "poly" for st in policy.steps):
-        policy.feature_scales = _feature_scales(
-            problem, policy, rng, "scale", list(range(min(cfg.train_samples, 32))))
+    policy = zero_policy(problem, K, N, R, degree=cfg.degree,
+                         include_current_increment=include_current_increment)
+    policy.feature_scales = _feature_scales(
+        problem, policy, rng, "scale", list(range(min(cfg.train_samples, 32))))
 
     log_rows = []
     train = _prepare_batch(problem, policy, rng, "train",
                            range(cfg.train_samples))
-    cost, _, grads = _evaluate_prepared(problem, policy, train, cfg.chunk,
+    cost, _, grads = _evaluate_prepared(problem, policy, train, CHUNK,
                                         want_grads=True)
     if not math.isfinite(cost):
         raise OptimizeError("initial objective is not finite")
     best_policy, best_cost = policy, cost
-    eta = cfg.init_step
+    eta = 0.5
     velocity = [np.zeros_like(g) for g in grads]
     iters = 0
-    while iters < cfg.max_iters and eta >= cfg.min_step:
+    while iters < cfg.max_iters and eta >= 1e-7:
         iters += 1
-        velocity = [cfg.momentum * v - eta * g for v, g in zip(velocity, grads)]
-        trial = _policy_step(best_policy, [-v for v in velocity], 1.0, R)
+        velocity = [0.9 * v - eta * g for v, g in zip(velocity, grads)]
+        trial = _policy_step(best_policy, [-v for v in velocity], 1.0)
         trial_cost, _, trial_grads = _evaluate_prepared(
-            problem, trial, train, cfg.chunk, want_grads=True)
+            problem, trial, train, CHUNK, want_grads=True)
         if not math.isfinite(trial_cost):
             raise OptimizeError(f"objective diverged at iteration {iters}")
         gnorm = max(float(np.max(np.abs(g))) for g in grads)
         log_rows.append((iters, best_cost, eta, gnorm))
         if trial_cost < best_cost - 1e-14:
             best_policy, best_cost, grads = trial, trial_cost, trial_grads
-            eta *= cfg.step_grow
+            eta *= 1.1
         else:
             velocity = [np.zeros_like(g) for g in grads]
             eta *= 0.5
@@ -1187,9 +1134,8 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
     zero = policy
     val = _prepare_batch(problem, best_policy, rng, "val",
                          range(cfg.val_samples))
-    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val, cfg.chunk)
-    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val,
-                                              cfg.chunk)
+    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val, CHUNK)
+    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val, CHUNK)
     if best_val <= zero_val:
         value, stderr, winner, improved = best_val, best_se, best_policy, True
     else:
@@ -1199,27 +1145,22 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None):
                           iterations=iters, improved=improved)
 
 
-def _policy_step(policy, grads, eta, R):
-    """One projected descent step on all node parameters."""
-    new_steps = []
-    for st, g in zip(policy.steps, grads):
-        if st.kind == "const":
-            values, _ = _clip_batch(st.values - eta * g, R)
-            new_steps.append(PolicyStep(kind="const", values=values))
-        else:
-            new_steps.append(PolicyStep(kind="poly", words=st.words,
-                                        coeffs=st.coeffs - eta * g))
-    return replace(policy, steps=new_steps)
+def _policy_step(policy, grads, eta):
+    """One descent step on all poly node coefficients; the clip acts where
+    the controls are realised."""
+    return replace(policy, steps=[
+        PolicyStep(kind="poly", words=st.words, coeffs=st.coeffs - eta * g)
+        for st, g in zip(policy.steps, grads)])
 
 
 def _fro_norm(m):
     return float(np.sqrt(np.sum(np.abs(m) ** 2)))
 
 
-def policy_control_budget(problem, policy, samples, rng, chunk=16, tag="budget"):
+def policy_control_budget(problem, policy, samples, rng, tag="budget"):
     """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
 
-    Each step's controls are realised on ``chunk`` samples at a time, which
+    Each step's controls are realised on ``CHUNK`` samples at a time, which
     bounds the clipped slots materialised at once.
     """
     K = policy.K
@@ -1227,7 +1168,7 @@ def policy_control_budget(problem, policy, samples, rng, chunk=16, tag="budget")
     tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
     batch = _prepare_batch(problem, policy, rng, tag, range(samples))
     total = 0.0
-    for part in batch.slices(chunk):
+    for part in batch.slices(CHUNK):
         for i, probs in enumerate(tree.probs):
             energy = _realize_controls(policy, i, part).energy(probs)
             total += float(energy.sum()) / problem.n * delta
@@ -1365,12 +1306,12 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
         if problem.beta_c:
             x = x + eye_shift(problem.beta_c * dw0[i])
         if problem.beta_f:
-            x = x + problem.beta_f * MatrixTuple(gue.increments[i], validate=False)
+            x = x + problem.beta_f * MatrixTuple(gue[i], validate=False)
         states.append(x)
         controls.append(alpha)
     total = run_cost + float(np.real(problem.cost.terminal.eval(states[-1].data)))
     return PathData(times=times, states=states, controls=controls,
-                    w0_increments=dw0, gue_increments=gue.increments,
+                    w0_increments=dw0, gue_increments=gue,
                     cost=total)
 
 
@@ -1523,7 +1464,6 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config=None, rng=None, d=None,
     (the control over (t_{i-1}, t_i] reads increments of steps < i only),
     which keeps the discrete value an upper bound of the continuous one.
     """
-    cfg = opt_config or OptimizerConfig()
     if rng is None:
         raise ValueError("an RngStream is required")
     d = psi.d if d is None else d
@@ -1531,8 +1471,8 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config=None, rng=None, d=None,
                     convexity_declared=True)
     problem = ControlProblem(n=n, d=d, x0=MatrixTuple.zero(d, n),
                              beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, cost=cost)
-    cfg = replace(cfg, include_current_increment=False)
-    return optimize_discrete_value(problem, time_steps, 1, R, cfg, rng)
+    return optimize_discrete_value(problem, time_steps, 1, R, opt_config, rng,
+                                   include_current_increment=False)
 
 
 def cylindrical_on_law(u: CylindricalFunction, law):
@@ -1560,12 +1500,11 @@ def rate_function_candidate(target_law, test_family, n, opt_config=None,
         raise ValueError("test family must be non-empty")
     if rng is None:
         raise ValueError("an RngStream is required")
-    cfg = opt_config or OptimizerConfig()
     best = -math.inf
     for k, phi in enumerate(test_family):
         target_val = cylindrical_on_law(phi, target_law)
         terminal = ArctanComposedTerminal(phi, sign=-1.0)
-        bd = boue_dupuis_rhs(terminal, n, time_steps, cfg,
+        bd = boue_dupuis_rhs(terminal, n, time_steps, opt_config,
                              rng.child("rate", k), d=phi.d)
         best = max(best, target_val + bd.value)
     return best

@@ -5,7 +5,8 @@ Per time step the Brownian increment (variance delta) is classified into
 on [-1, 1], and two tails (-inf, -1] and (1, inf) with indices -N-1 and N.
 The discrete noise replaces the increment by its conditional mean omega_j
 within the bin; a full path of bin indices then determines the piecewise
-value of the discretized Brownian motion and its probability.
+value of the discretized Brownian motion and its probability, which
+``control._bin_tree`` tabulates for every path prefix at once.
 
 Tail quantities are written through the scaled complementary error function
 (erfcx), so conditional means never overflow regardless of how deep the
@@ -25,11 +26,9 @@ from .matrixcore import NumericalError, eigh, hermitize, operator_norm
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
-    "TimeGrid", "BinPath", "NoiseTable",
+    "TimeGrid", "NoiseTable",
     "bin_boundaries", "bin_probability", "bin_conditional_mean",
-    "bin_conditional_absdev", "noise_table",
-    "path_probability", "discrete_noise_value",
-    "classify_bulk_edge", "edge_mass",
+    "bin_conditional_absdev", "noise_table", "edge_mass",
     "truncated_gaussian_mean", "truncated_gaussian_variance",
     "bridge_bound_check",
     "normal_cdf", "normal_pdf", "erfcx",
@@ -110,25 +109,6 @@ class TimeGrid:
     @property
     def times(self):
         return tuple(self.t0 + i * self.delta for i in range(self.K + 1))
-
-
-@dataclass(frozen=True)
-class BinPath:
-    """A sequence of bin indices over [N] = {-N-1, ..., N}; prefix semantics."""
-
-    N: int
-    indices: tuple
-
-    def __post_init__(self):
-        for j in self.indices:
-            if not (-self.N - 1 <= j <= self.N):
-                raise ValueError(f"bin index {j} out of range for N={self.N}")
-
-    def __len__(self):
-        return len(self.indices)
-
-    def prefix(self, i):
-        return BinPath(self.N, self.indices[:i])
 
 
 def bin_indices(N):
@@ -277,31 +257,6 @@ def noise_table(N, delta) -> NoiseTable:
     in_range = bool(np.all(np.abs(omegas) <= 2.0 + 1e-12))
     return NoiseTable(N=N, delta=float(delta), probs=probs, omegas=omegas,
                       omega_in_range=in_range)
-
-
-def path_probability(path: BinPath, delta):
-    """P(O_{i,J}) = product of per-step bin probabilities over the prefix."""
-    table = noise_table(path.N, delta)
-    prob = 1.0
-    for j in path.indices:
-        prob *= table.prob(j)
-    return prob
-
-
-def discrete_noise_value(path: BinPath, i, delta):
-    """W0_{i,J} = sum of conditional means over the first i entries."""
-    if i > len(path):
-        raise ValueError(f"prefix length {i} exceeds path length {len(path)}")
-    table = noise_table(path.N, delta)
-    return sum(table.omega(j) for j in path.indices[:i])
-
-
-def classify_bulk_edge(path: BinPath):
-    """'edge' when some index hits a tail bin (-N-1 or N), else 'bulk'."""
-    for j in path.indices:
-        if j == -path.N - 1 or j == path.N:
-            return "edge"
-    return "bulk"
 
 
 def edge_mass(K, N, delta):

@@ -166,12 +166,11 @@ def problem_from_params(params, n):
 
 
 # The least value of each counting ``OptimizerConfig`` field.  A sample set
-# needs two samples for its standard error to mean something; the sweep chunk
-# counts something; 0 descent iterations return the zero policy's value, and
-# degree 0 leaves a node the identity word alone (a scalar control per bin
-# path).
-_OPT_MINIMUM = {"train_samples": 2, "val_samples": 2, "chunk": 1,
-                "max_iters": 0, "degree": 0}
+# needs two samples for its standard error to mean something; 0 descent
+# iterations return the zero policy's value, and degree 0 leaves a node the
+# identity word alone (a scalar control per bin path).
+_OPT_MINIMUM = {"train_samples": 2, "val_samples": 2, "max_iters": 0,
+                "degree": 0}
 
 
 def optimizer_config(params, **overrides):
@@ -192,9 +191,6 @@ def optimizer_config(params, **overrides):
         if key in _OPT_MINIMUM and value is not None and value < _OPT_MINIMUM[key]:
             raise ExperimentError(f"opt.{key} must be at least "
                                   f"{_OPT_MINIMUM[key]}, got {value!r}")
-        if key == "node_kind" and value not in ctl.NODE_KINDS:
-            raise ExperimentError(f"opt.node_kind must be one of "
-                                  f"{ctl.NODE_KINDS}, got {value!r}")
     return ctl.OptimizerConfig(**{**opt, **overrides})
 
 

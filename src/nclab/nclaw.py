@@ -14,7 +14,6 @@ even plain moments are Catalan numbers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import ncpoly
 from .matrixcore import MatrixTuple
-from .ncpoly import NCPolynomial, grlex_key, words_up_to_degree
+from .ncpoly import NCPolynomial, words_up_to_degree
 
 __all__ = [
     "NCLaw", "empirical_law", "arctan_law", "law_metric",
@@ -72,28 +71,6 @@ class NCLaw:
                         f"moment {word} = {val:.6g} exceeds radius bound "
                         f"{self.radius_bound:.6g}^{len(word)}")
         return self
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        doc = {
-            "d": self.d,
-            "D": self.max_degree,
-            "radius_bound": self.radius_bound,
-            "moments": [
-                {"word": list(w), "re": float(np.real(m)), "im": float(np.imag(m))}
-                for w, m in sorted(self.moments.items(), key=lambda kv: grlex_key(kv[0]))
-            ],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        moments = {tuple(entry["word"]): entry["re"] + 1j * entry["im"]
-                   for entry in doc["moments"]}
-        return cls(d=doc["d"], max_degree=doc["D"], moments=moments,
-                   radius_bound=doc.get("radius_bound"))
 
 
 def empirical_law(x: MatrixTuple, max_degree) -> NCLaw:

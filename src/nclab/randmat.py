@@ -22,7 +22,7 @@ import numpy as np
 
 from .matrixcore import MatrixTuple
 
-__all__ = ["RngStream", "GuePath", "sample_gue", "gue_increments",
+__all__ = ["RngStream", "sample_gue", "gue_increments",
            "sample_haar_unitary", "brownian_increments"]
 
 
@@ -228,32 +228,15 @@ def sample_gue_tuple(n, d, rng, scale=1.0):
     return MatrixTuple(scale * sample_gue(n, rng, (d,)), validate=False)
 
 
-@dataclass(frozen=True)
-class GuePath:
-    """Increments of d GUE(n) Brownian motions over a time grid.
-
-    ``increments[k]``, of one (K, d, n, n) array, holds the d components over
-    (time_grid[k], time_grid[k+1]], distributed as sqrt(dt_k) GUE.
-    """
-
-    n: int
-    d: int
-    time_grid: tuple
-    increments: np.ndarray
-
-    @property
-    def steps(self):
-        return len(self.increments)
-
-
-def gue_increments(n, d, time_grid, rng) -> GuePath:
-    """Independent sqrt(dt)-scaled GUE increments over a strictly increasing grid."""
+def gue_increments(n, d, time_grid, rng):
+    """Increments of d GUE(n) Brownian motions over a strictly increasing
+    grid, (K, d, n, n): entry k holds the d components over
+    (time_grid[k], time_grid[k+1]], distributed as sqrt(dt_k) GUE."""
     grid = tuple(float(t) for t in time_grid)
     dt = np.diff(grid)
     if np.any(dt <= 0):
         raise ValueError(f"time grid must be strictly increasing, got {grid}")
-    incs = np.sqrt(dt)[:, None, None, None] * sample_gue(n, rng, (len(dt), d))
-    return GuePath(n=n, d=d, time_grid=grid, increments=incs)
+    return np.sqrt(dt)[:, None, None, None] * sample_gue(n, rng, (len(dt), d))
 
 
 def sample_haar_unitary(n, rng):

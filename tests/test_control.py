@@ -24,7 +24,7 @@ BD_ORACLE = 0.5 * math.log(2.0)
 
 
 def small_cfg(**kw):
-    base = dict(train_samples=24, val_samples=96, max_iters=150, chunk=8)
+    base = dict(train_samples=24, val_samples=96, max_iters=150)
     base.update(kw)
     return ctl.OptimizerConfig(**base)
 
@@ -195,7 +195,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
         dirs = [gen.normal(size=st.coeffs.shape) for st in policy.steps]
 
         def shifted(sign):
-            moved = ctl._policy_step(policy, dirs, -sign * eps, policy.R)
+            moved = ctl._policy_step(policy, dirs, -sign * eps)
             return ctl._evaluate_prepared(problem, moved, batch, 4)[0]
 
         fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * eps)
@@ -431,7 +431,8 @@ def test_lq_solve_sweeps_once_per_evaluation(stream, monkeypatch):
     monkeypatch.setattr(ctl, "_evaluate_prepared",
                         counted("evaluate", ctl._evaluate_prepared))
     monkeypatch.setattr(ctl, "_forward", counted("forward", ctl._forward))
-    cfg = small_cfg(train_samples=10, val_samples=9, max_iters=4, chunk=2)
+    # both sets are larger than a state-path slice of ``CHUNK`` samples
+    cfg = small_cfg(train_samples=20, val_samples=18, max_iters=4)
     ctl.optimize_discrete_value(lq_problem(4, beta_c=0.5), 2, 1, 8.0, cfg,
                                 stream.child("once"))
     assert calls["evaluate"] == 4 + 1 + 2 and calls["forward"] == calls["evaluate"]
@@ -534,9 +535,11 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
-    # an evaluation sweeps the states of at most ``chunk`` samples at a time
+    # an evaluation sweeps the states of at most ``chunk`` samples at a time;
+    # const steps are evaluated, never differentiated
     del calls[:]
-    ctl._evaluate_prepared(problem, policy, batch, 4, want_grads=True)
+    ctl._evaluate_prepared(problem, policy, batch, 4,
+                           want_grads=trigger != "const_step")
     assert calls and max(calls) == 4 and min(calls) == 2
 
 
@@ -545,7 +548,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
 def test_optimizer_reads_states_only_off_the_quadratic_path(
         stream, monkeypatch, make, reads_states):
     calls = count_level_states(monkeypatch)
-    cfg = small_cfg(train_samples=8, val_samples=8, max_iters=5, chunk=4)
+    cfg = small_cfg(train_samples=8, val_samples=8, max_iters=5)
     ctl.optimize_discrete_value(make(4, beta_c=0.5), 2, 1, 8.0, cfg,
                                 stream.child("reads", reads_states))
     assert bool(calls) == reads_states
@@ -570,15 +573,14 @@ def test_const_clip_matches_per_matrix_clip(stream):
                 out[slot] = apply_scalar_function(values[slot], ("clip", R))
         return out
 
-    stepped = ctl._policy_step(policy, grads, 0.5, R)
-    clipped = ctl._policy_step(policy, [0.0] * policy.K, 0.0, R)
     changed = 0
-    for st, g, st1, st2 in zip(policy.steps, grads, stepped.steps,
-                               clipped.steps):
+    for st, g in zip(policy.steps, grads):
+        stepped, _ = ctl._clip_batch(st.values - 0.5 * g, R)
+        clipped, _ = ctl._clip_batch(st.values, R)
         want1 = per_matrix(st.values - 0.5 * g, prescreen=True)
         want2 = per_matrix(st.values, prescreen=False)
-        assert np.max(np.abs(st1.values - want1)) <= 1e-12
-        assert np.max(np.abs(st2.values - want2)) <= 1e-12
+        assert np.max(np.abs(stepped - want1)) <= 1e-12
+        assert np.max(np.abs(clipped - want2)) <= 1e-12
         changed += int(np.sum(np.abs(want2 - st.values) > 1e-6))
     assert changed > 0
 
@@ -902,8 +904,7 @@ def test_path_guard_rejected(stream):
 def test_optimize_deterministic_lq(stream):
     problem = lq_problem(4, beta_c=0.0, beta_f=0.0,
                          x0=MatrixTuple.identity(1, 4))
-    cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=300,
-                              chunk=4)
+    cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=300)
     res = ctl.optimize_discrete_value(problem, 4, 1, 8.0, cfg,
                                       stream.child("det"))
     assert res.value == pytest.approx(1.0 / 3.0, abs=0.02)
@@ -941,7 +942,7 @@ def test_optimize_writes_iteration_log(tmp_path, stream):
                          x0=MatrixTuple.identity(1, 4))
     log = tmp_path / "iters.csv"
     cfg = ctl.OptimizerConfig(train_samples=2, val_samples=2, max_iters=20,
-                              chunk=2, log_path=str(log))
+                              log_path=str(log))
     ctl.optimize_discrete_value(problem, 2, 1, 8.0, cfg, stream.child("log"))
     lines = log.read_text().splitlines()
     assert lines[0] == "iter,batch_cost,step_size,max_grad_norm"
@@ -1104,17 +1105,17 @@ def test_clip_policy_within_r_unchanged(stream):
     a = random_hermitian(3, stream.child("clip").generator(), scale=0.1)
     for st in policy.steps:
         st.values[...] += a[None, None]
-    clipped = ctl._policy_step(policy, [0.0] * policy.K, 0.0, 4.0)
-    for st, st2 in zip(policy.steps, clipped.steps):
-        assert np.allclose(st.values, st2.values, atol=1e-12)
+    for st in policy.steps:
+        clipped, _ = ctl._clip_batch(st.values, 4.0)
+        assert np.allclose(st.values, clipped, atol=1e-12)
 
 
 def test_clip_policy_reduces_norm(stream):
     problem = lq_problem(3)
     policy = ctl.zero_policy(problem, K=1, N=1, R=8.0, kind="const")
     policy.steps[0].values[...] = 5.0 * np.eye(3)[None, None]
-    clipped = ctl._policy_step(policy, [0.0] * policy.K, 0.0, 2.0)
-    assert np.allclose(clipped.steps[0].values[0, 0], 2.0 * np.eye(3))
+    clipped, _ = ctl._clip_batch(policy.steps[0].values, 2.0)
+    assert np.allclose(clipped[0, 0], 2.0 * np.eye(3))
 
 
 def test_truncation_inequality_scalar_closed_form():
@@ -1224,10 +1225,9 @@ def test_sample_letters_equal_per_sample_paths(stream):
     want = np.zeros((len(indices), 2 * (1 + K), 3, 3), dtype=complex)
     want[:, :2] = problem.x0.data
     for row, s in enumerate(indices):
-        path = gue_increments(3, 2, problem.grid(K).times, stream.child("lt", s))
-        for j in range(K):
-            for k in range(2):
-                want[row, 2 * (1 + j) + k] = path.increments[j, k]
+        increments = gue_increments(3, 2, problem.grid(K).times,
+                                    stream.child("lt", s))
+        want[row, 2:] = increments.reshape(2 * K, 3, 3)
     assert np.array_equal(got, want)
 
 
@@ -1330,23 +1330,11 @@ def test_problem_json_round_trip():
     assert ctl.lq_reference(back) == pytest.approx(ctl.lq_reference(problem))
 
 
-def test_policy_json_round_trip(stream):
-    problem = lq_problem(3, beta_c=0.5, beta_f=1.0)
-    res = ctl.optimize_discrete_value(problem, 2, 1, 4.0,
-                                      small_cfg(max_iters=40),
-                                      stream.child("ser"))
-    back = ctl.DiscretePolicy.from_json(res.policy.to_json())
-    v1, _ = ctl.discrete_cost(problem, res.policy, 40, stream.child("ser2"))
-    v2, _ = ctl.discrete_cost(problem, back, 40, stream.child("ser2"))
-    assert v1 == pytest.approx(v2, abs=1e-12)
-
-
 def test_optimized_value_monotone_in_clip_level(stream):
     # larger feasible set cannot hurt: tight clip forces a worse value
     problem = lq_problem(4, beta_c=0.0, beta_f=0.0,
                          x0=MatrixTuple.identity(1, 4))
-    cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=200,
-                              chunk=4)
+    cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=200)
     wide = ctl.optimize_discrete_value(problem, 4, 1, 8.0, cfg,
                                        stream.child("R1"))
     tight = ctl.optimize_discrete_value(problem, 4, 1, 0.15, cfg,

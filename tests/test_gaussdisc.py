@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import integrate, special, stats
 
+from nclab import control as ctl
 from nclab import gaussdisc as gd
 
 # frozen oracles (scipy / mpmath, see the formulas next to each use)
@@ -146,37 +147,36 @@ def test_absdev_degenerate_bin_oracle():
 # -- paths ------------------------------------------------------------------------
 
 
-def test_path_probability_empty_prefix():
-    path = gd.BinPath(1, ())
-    assert gd.path_probability(path, 1.0) == pytest.approx(1.0)
-    assert gd.discrete_noise_value(path, 0, 1.0) == 0.0
+def tree_row(N, prefix):
+    """The row of a bin prefix in its level's tables of the bin tree."""
+    policy = ctl.DiscretePolicy(K=len(prefix), N=N, R=1.0, gate_level=1.0,
+                                d=1, n=1, steps=[])
+    return policy.prefix_index(prefix)
 
 
 def test_path_probability_two_tails():
-    path = gd.BinPath(1, (1, 1))
-    assert gd.path_probability(path, 1.0) == pytest.approx(PATH_PROB_11,
-                                                           abs=1e-12)
+    tree = ctl._bin_tree(2, 1, 1.0, False)
+    assert tree.probs[1][tree_row(1, (1, 1))] == pytest.approx(PATH_PROB_11,
+                                                               abs=1e-12)
 
 
 def test_noise_value_antisymmetric_pair():
-    path = gd.BinPath(2, (1, -2))
-    assert gd.discrete_noise_value(path, 2, 0.25) == pytest.approx(0.0,
-                                                                   abs=1e-13)
+    tree = ctl._bin_tree(2, 2, 0.25, False)
+    assert tree.noise[1][tree_row(2, (1, -2))] == pytest.approx(0.0,
+                                                                abs=1e-13)
 
 
 def test_prefix_semantics():
-    path = gd.BinPath(2, (0, 1, -1))
-    v2 = gd.discrete_noise_value(path, 2, 0.25)
-    assert v2 == pytest.approx(
-        gd.discrete_noise_value(path.prefix(2), 2, 0.25))
-    with pytest.raises(ValueError):
-        gd.discrete_noise_value(path, 4, 0.25)
-
-
-def test_bulk_edge_classification():
-    assert gd.classify_bulk_edge(gd.BinPath(2, (0, 0, 0))) == "bulk"
-    assert gd.classify_bulk_edge(gd.BinPath(2, (0, 2, 0))) == "edge"
-    assert gd.classify_bulk_edge(gd.BinPath(2, (-3, 0, 0))) == "edge"
+    # a path's probability and noise value extend its prefix's by one step
+    table = gd.noise_table(2, 0.25)
+    tree = ctl._bin_tree(3, 2, 0.25, False)
+    row2, row3 = tree_row(2, (0, 1)), tree_row(2, (0, 1, -1))
+    assert tree.noise[1][row2] == pytest.approx(table.omega(0) + table.omega(1),
+                                                abs=1e-15)
+    assert tree.noise[2][row3] == pytest.approx(
+        tree.noise[1][row2] + table.omega(-1), abs=1e-15)
+    assert tree.probs[2][row3] == pytest.approx(
+        tree.probs[1][row2] * table.prob(-1), rel=1e-14)
 
 
 def test_edge_mass_union_bound():

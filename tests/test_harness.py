@@ -199,17 +199,18 @@ def test_unknown_kind_rejected(tmp_path):
             harness.run_config(config, str(tmp_path / "x"))
 
 
-# each breaks the last experiment only: a typo, an opt count of 0 on each
-# template, an unknown problem template and an unknown optimizer option
+# each breaks the last experiment only: a typo, an opt count below its
+# least on each template, an unknown problem template and an unknown
+# optimizer option
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
-    ({"kind": "value", "template": "quartic", "opt": {"chunk": 0}},
-     "opt.chunk must be at least 1"),
-    ({"kind": "value", "template": "lq", "opt": {"chunk": 0}},
-     "opt.chunk must be at least 1"),
+    ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
+     "opt.degree must be at least 0"),
+    ({"kind": "value", "template": "lq", "opt": {"val_samples": 1}},
+     "opt.val_samples must be at least 2"),
     ({"kind": "sweep", "template": "quadratic"}, "unknown problem template"),
-    ({"kind": "value", "template": "lq", "opt": {"node_kind": "konst"}},
-     "opt.node_kind must be one of"),
+    ({"kind": "value", "template": "lq", "opt": {"node_kind": "const"}},
+     "unknown optimizer options ['node_kind']"),
     ({"kind": "sweep", "opt": {"train_samples": 1, "val_samples": 1}},
      "opt.train_samples must be at least 2"),
     ({"kind": "ldp", "opt": {"time_steps": 4}},
@@ -225,7 +226,7 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,least", [("chunk", 1), ("train_samples", 2),
+@pytest.mark.parametrize("key,least", [("train_samples", 2),
                                        ("val_samples", 2), ("max_iters", 0),
                                        ("degree", 0)])
 def test_optimizer_counts_range_checked(key, least):
@@ -308,7 +309,7 @@ def test_cli_run_and_json_format(tmp_path):
 def test_value_experiment_smoke(tmp_path):
     params = {"kind": "value", "template": "lq", "K": 2, "N": 1, "R": 4.0,
               "n_list": [4], "train_samples": 8, "val_samples": 16,
-              "opt": {"max_iters": 25, "chunk": 8}}
+              "opt": {"max_iters": 25}}
     headers, rows, checks = harness.experiment_csv(
         "value", params, RngStream(5))
     assert headers[0] == "K" and len(rows) == 1
@@ -318,8 +319,7 @@ def test_value_experiment_smoke(tmp_path):
 def test_sweep_experiment_smoke():
     params = {"kind": "sweep", "template": "quartic", "beta_c": 0.0,
               "pairs": [[1, 1], [2, 2]], "R": 4.0, "n": 4,
-              "opt": {"max_iters": 20, "train_samples": 8, "val_samples": 16,
-                      "chunk": 8}}
+              "opt": {"max_iters": 20, "train_samples": 8, "val_samples": 16}}
     headers, rows, checks = harness.experiment_csv(
         "sweep", params, RngStream(6))
     assert len(rows) == 2
@@ -329,8 +329,7 @@ def test_sweep_experiment_smoke():
 def test_ldp_experiment_smoke():
     params = {"kind": "ldp", "n": 4, "coef": 0.5, "lhs_samples": 400,
               "time_steps": 4,
-              "opt": {"max_iters": 60, "train_samples": 16, "val_samples": 64,
-                      "chunk": 8}}
+              "opt": {"max_iters": 60, "train_samples": 16, "val_samples": 64}}
     headers, rows, checks = harness.experiment_csv("ldp", params,
                                                    RngStream(7))
     assert rows[0][0] == "quadratic"
@@ -341,6 +340,26 @@ def test_bad_optimizer_option_rejected():
     with pytest.raises(harness.ExperimentError):
         harness.experiment_csv(
             "value", {"template": "lq", "opt": {"bogus": 1}}, RngStream(8))
+
+
+# The optimizer's descent constants, chunk, gate level, node kind and
+# adaptedness are fixed by the engine; an ``ldp`` solve is strictly adapted
+# whatever its config says, so a key asking otherwise must not pass silently.
+@pytest.mark.parametrize("kind", ["value", "ldp"])
+@pytest.mark.parametrize("key,value", [
+    ("init_step", 0.5), ("min_step", 1e-7), ("momentum", 0.9),
+    ("step_grow", 1.1), ("node_kind", "poly"), ("chunk", 16),
+    ("gate_level", 3.0), ("include_current_increment", True)])
+def test_fixed_optimizer_settings_exit_config(tmp_path, capsys, kind, key,
+                                              value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiments": [{"kind": kind,
+                                                 "opt": {key: value}}]}))
+    out = tmp_path / "o"
+    assert harness.run(str(path), out_dir=str(out)) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out.startswith(
+        f"config error: unknown optimizer options ['{key}']")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -479,10 +498,10 @@ def test_bad_experiment_params_exit_config(tmp_path, capsys, kind, which):
     assert capsys.readouterr().out.startswith("config error: ")
 
 
-@pytest.mark.parametrize("opt", [{"max_iters": "x"}, {"gate_level": "x"},
-                                 {"include_current_increment": 1}])
+@pytest.mark.parametrize("opt", [{"max_iters": "x"}, {"degree": "x"},
+                                 {"log_path": 1}])
 def test_bad_optimizer_value_rejected(opt):
-    with pytest.raises(harness.ExperimentError):
+    with pytest.raises(harness.ExperimentError, match="has the wrong type"):
         harness.experiment_csv("value", {"opt": opt}, RngStream(8))
 
 

@@ -52,14 +52,6 @@ def test_law_invariants_on_random_tuple():
             assert abs(val) ** (1.0 / len(word)) <= law.radius_bound + 1e-9
 
 
-def test_law_serialization_round_trip():
-    law = nclaw.empirical_law(rand_tuple(2, 4, seed=2), 4)
-    back = nclaw.NCLaw.from_json(law.to_json())
-    assert back.d == law.d and back.max_degree == law.max_degree
-    for word, val in law.moments.items():
-        assert back.moment(word) == pytest.approx(val, abs=1e-15)
-
-
 # -- arctan pushforward -------------------------------------------------------------
 
 
