@@ -2,7 +2,7 @@
 
 Each criterion returns rows (check id, measured, target, tolerance, pass);
 ``run_acceptance`` prints the table, writes ``acceptance.json`` and the
-backing CSVs, and returns a nonzero exit code when any check fails.
+backing CSVs, and returns exit code 4 when any check fails.
 
 Known red check: LQ-6's band around 0.625 ln 3 at K=4, N=2 is not attainable
 by a converged optimizer over the discrete policy class: the exact dynamic
@@ -258,7 +258,7 @@ CRITERIA = {
 
 
 def run_acceptance(out_dir, threads=1, only=None):
-    """Run the acceptance criteria; print the table; exit 1 on a failed check."""
+    """Run the acceptance criteria; print the table; exit 4 on a failed check."""
     unknown = sorted(set(only or ()) - set(CRITERIA))
     if unknown:
         raise harness.ExperimentError(f"unknown criteria {unknown}")
@@ -289,7 +289,7 @@ def run_acceptance(out_dir, threads=1, only=None):
     print(f"\n{len(all_rows) - n_fail}/{len(all_rows)} checks passed")
     harness._write_json(os.path.join(out_dir, "acceptance.json"), all_rows,
                         default=str)  # numpy values in "measured" become text
-    return 0 if n_fail == 0 else 1
+    return harness.EXIT_OK if n_fail == 0 else harness.EXIT_CHECK_FAILED
 
 
 def _short(value):

@@ -98,8 +98,9 @@ from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (MatrixTuple, NumericalError, _frechet,
-                         _spectral_calculus, apply_scalar_function, eigh,
-                         hermitize, inner_product, operator_norm_bound)
+                         _norm_bound_from_square, _spectral_calculus,
+                         apply_scalar_function, eigh, hermitize, inner_product,
+                         operator_norm_bound)
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
@@ -464,15 +465,16 @@ def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
     """Letters (S, d(1+K), n, n) of the given samples: x0's components, then
     each step's GUE increments, sample s drawn from ``rng.child(tag, s)``.
     One ``sample_gue`` call covers the samples' streams, and each path is
-    scaled as ``gue_increments`` does."""
+    scaled as ``gue_increments`` does.  Every letter is exactly Hermitian:
+    GUE draws are, a real scale keeps them so, and x0 is symmetrized once
+    for the set (a ``MatrixTuple`` may keep drift below its tolerance)."""
     n, d, times = problem.n, problem.d, problem.grid(K).times
-    draws = randmat.sample_gue(n, [rng.child(tag, s) for s in sample_indices],
-                               (K, d))
-    increments = np.sqrt(np.diff(times))[:, None, None, None] * draws
+    draws = randmat.sample_gue(n, (rng, tag, sample_indices), (K, d))
     S = len(draws)
     letters = np.empty((S, d * (1 + K), n, n), dtype=complex)
-    letters[:, :d] = problem.x0.data
-    letters[:, d:] = increments.reshape(S, K * d, n, n)
+    letters[:, :d] = hermitize(problem.x0.data)
+    np.multiply(np.sqrt(np.diff(times))[:, None, None, None], draws,
+                out=letters[:, d:].reshape(S, K, d, n, n))
     return letters
 
 
@@ -487,12 +489,17 @@ def _norm_suspects(norms, level):
     return ~(norms * (1.0 + _NORM_MARGIN) <= level)
 
 
-def _gate_indicator(letters, d, K, level):
+def _gate_indicator(letters, d, K, level, squares=None):
     """1 when every increment's operator norm is <= level, per sample.
 
     Only the increments that ``operator_norm_bound`` cannot clear go to
-    ``eigvalsh``, which decides them as the eigensolve alone would."""
-    bound = operator_norm_bound(letters[:, d:d * (K + 1)])   # (S, K d)
+    ``eigvalsh``, which decides them as the eigensolve alone would.  The
+    bound reads the increments' squares (S, K d, n, n): ``squares`` when
+    given, else formed here."""
+    if squares is None:
+        increments = letters[:, d:d * (K + 1)]
+        squares = increments @ increments
+    bound = _norm_bound_from_square(squares)                 # (S, K d)
     samples, slots = np.nonzero(_norm_suspects(bound, level))
     gate = np.ones(len(letters))
     if len(samples):
@@ -505,13 +512,41 @@ def _gate_indicator(letters, d, K, level):
 
 
 def _word_features(letters, words):
-    """Hermitian-symmetrized word evaluations, (S, W, n, n)."""
+    """Word evaluations, (S, W, n, n): the empty word and the letters, which
+    are exactly Hermitian (see ``_sample_letters``), as they are, and longer
+    words Hermitian-symmetrized."""
     S, _, n, _ = letters.shape
     out = np.empty((S, len(words), n, n), dtype=complex)
     cache = {}
     for k, word in enumerate(words):
-        out[:, k] = hermitize(ncpoly._word_matrix(word, letters, cache))
+        mat = ncpoly._word_matrix(word, letters, cache)
+        out[:, k] = hermitize(mat) if len(word) > 1 else mat
     return out
+
+
+def _feature_radius(letters, d, squares, features, words, factor):
+    """Bounds rho_{s,w} >= ||f_{s,w}||_op, (S, W), on the features
+    f_{s,w} = factor_{s,w} word_w (the gate over the feature scale).  A word
+    of degree >= 2 reads its feature: (sum lambda^8)^(1/8) through f @ f.
+    The empty word's bound is exact, factor itself; a letter L's is
+    (sum lambda^8)^(1/8) = ||(L^2)^2||_F^(1/4) times factor, for x0's
+    components once for the set and for the increments from their
+    ``squares``, the gate's."""
+    S, W = factor.shape
+    x0 = letters[:1, :d]                     # the same in every sample
+    letter_radius = np.empty((S, 1 + letters.shape[1]))
+    letter_radius[:, 0] = 1.0
+    letter_radius[:, 1:d + 1] = np.sqrt(operator_norm_bound(x0 @ x0))
+    letter_radius[:, d + 1:] = np.sqrt(operator_norm_bound(squares))
+    radius = np.empty((S, W))
+    short = [k for k, w in enumerate(words) if len(w) < 2]
+    radius[:, short] = factor[:, short] * letter_radius[
+        :, [words[k][0] if words[k] else 0 for k in short]]
+    long = [k for k, w in enumerate(words) if len(w) > 1]
+    if long:
+        f = features[:, long]
+        radius[:, long] = np.sqrt(operator_norm_bound(f @ f))
+    return radius
 
 
 @dataclass
@@ -645,7 +680,7 @@ def _sample_rows(s_idx, S):
             in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
 
 
-def _realize_controls(policy, step_index, batch, materialise=False):
+def _realize_controls(policy, step_index, batch, suspects, materialise=False):
     """One step's controls over a sample set with the clip applied
     (``_ConstControls`` or ``_PolyControls``).
 
@@ -653,8 +688,8 @@ def _realize_controls(policy, step_index, batch, materialise=False):
     combination of Hermitian features, so tr(alpha^2) = c^T G_s c with G_s
     the features' block of the basis Gram, and
     ||alpha||_op <= sum_w |c_w| rho_{s,w} with the features' radius bounds.
-    Only the slots ``_clip_suspects`` flags by that bound are materialised
-    and clipped.
+    Only the ``suspects``, the slots the step's ``_clip_screen`` entry flags
+    by that bound, are materialised and clipped.
     """
     st = policy.steps[step_index]
     R = policy.R
@@ -668,7 +703,6 @@ def _realize_controls(policy, step_index, batch, materialise=False):
     cols = batch.word_index[step_index]
     ctrl = _PolyControls(coeffs=st.coeffs,
                          gram=batch.gram[:, cols[:, None], cols])
-    suspects = _clip_suspects(batch.radius[:, cols], coeffs, R)
     if materialise or len(suspects):
         fv = batch.basis[:, cols]                            # (S, W, 2 n n)
     if materialise:
@@ -721,8 +755,9 @@ class _Sweep:
     form: object = None
 
 
-def _forward(problem, policy, tree, batch, keep_states=False):
-    """Sweep the bin tree for one set of samples.
+def _forward(problem, policy, tree, batch, keep_states=False, screen=None):
+    """Sweep the bin tree for one set of samples; ``screen`` is the set's
+    ``_clip_screen``, made here when not given.
 
     Returns ``(states, lagrangians, sweep)``: the (S, B_i, d, n, n) states
     of every level with ``keep_states``, else of the last level only, or
@@ -751,10 +786,13 @@ def _forward(problem, policy, tree, batch, keep_states=False):
     coef[0, :, W + 1:W + 1 + d] = np.eye(d)              # x0
     drift, fixes = None, []
     states, lagrangians, controls = [], [], []
+    if screen is None:
+        screen = _clip_screen(policy, batch)
     for i in range(1, K + 1):
         st = policy.steps[i - 1]
         probs = tree.probs[i - 1]
-        ctrl = _realize_controls(policy, i - 1, batch, materialise)
+        ctrl = _realize_controls(policy, i - 1, batch, screen[i - 1],
+                                 materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
         coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * np.eye(d)
@@ -914,8 +952,8 @@ class _Batch:
     H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); each
     step's feature columns (``word_index``, None for const steps or
     without poly steps); and ``radius``, (S, width), a bound
-    rho_{s,w} = (sum lambda^8)^(1/8) >= ||f_{s,w}||_op on each feature's
-    operator norm, which the clip pre-screen reads.  The optimizer
+    rho_{s,w} >= ||f_{s,w}||_op on each feature's operator norm (see
+    ``_feature_radius``), which the clip pre-screen reads.  The optimizer
     evaluates many policies on it."""
 
     basis: np.ndarray
@@ -934,11 +972,14 @@ class _Batch:
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """The ``_Batch`` of a sample set: letters, gate, scaled features, basis."""
-    K = policy.K
+    """The ``_Batch`` of a sample set: letters, gate, scaled features, basis.
+    The increments' squares serve both the gate and the features' radii."""
+    K, d = policy.K, problem.d
     letters = _sample_letters(problem, K, sample_indices, rng, tag)
     S, _, n, _ = letters.shape
-    gate = _gate_indicator(letters, problem.d, K, policy.gate_level)
+    increments = letters[:, d:]
+    squares = increments @ increments
+    gate = _gate_indicator(letters, d, K, policy.gate_level, squares)
     eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
     parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
              letters.reshape(S, -1, n * n).view(float)]
@@ -946,11 +987,13 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     if any(st.kind == "poly" for st in policy.steps):
         global_words = _global_words(problem, policy)
         pos = {w: k for k, w in enumerate(global_words)}
+        scales = (np.ones(len(global_words)) if policy.feature_scales is None
+                  else policy.feature_scales)
         features = _word_features(letters, global_words)
-        if policy.feature_scales is not None:
-            features = features / policy.feature_scales[None, :, None, None]
+        features /= scales[:, None, None]
         features *= gate[:, None, None, None]
-        radius = np.sqrt(operator_norm_bound(features @ features))
+        radius = _feature_radius(letters, d, squares, features, global_words,
+                                 gate[:, None] / scales)
         width = len(global_words)
         parts.insert(0, features.reshape(S, width, -1).view(float))
         word_index = [np.array([pos[w] for w in st.words], dtype=int)
@@ -981,40 +1024,60 @@ def _feature_scales(problem, policy, rng, tag, sample_indices):
     return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12))
 
 
-def _sweeps_without_states(problem, policy, batch):
+def _clip_screen(policy, batch):
+    """Each step's ``_clip_suspects`` over the set: the flat (S, B d) slot
+    indices of a poly step, None for a const step."""
+    cols = batch.word_index or [None] * policy.K
+    return [None if st.kind == "const" else _clip_suspects(
+        batch.radius[:, c], st.coeffs.reshape(-1, st.coeffs.shape[-1]),
+        policy.R) for st, c in zip(policy.steps, cols)]
+
+
+def _screen_rows(policy, screen, rows):
+    """The ``screen`` entries of the samples in slice ``rows``, indexed
+    within it."""
+    out = []
+    for st, suspects in zip(policy.steps, screen):
+        if suspects is not None:
+            slots = st.coeffs[..., 0].size
+            lo = rows.start * slots
+            cut = np.searchsorted(suspects, (lo, rows.stop * slots))
+            suspects = suspects[cut[0]:cut[1]] - lo
+        out.append(suspects)
+    return out
+
+
+def _sweeps_without_states(problem, policy, screen):
     """True when a sweep of the whole set makes no state: the terminal has
-    a ``trace_quadratic()`` form, there is no l0 and no const step, and
-    ``_clip_suspects`` flags no slot of any step, so no clip can bind."""
+    a ``trace_quadratic()`` form, there is no l0 and no const step, and the
+    set's clip ``screen`` flags no slot of any step, so no clip can bind."""
     cost = problem.cost
-    if (cost.l0 is not None or cost.terminal.trace_quadratic() is None
-            or any(st.kind == "const" for st in policy.steps)):
-        return False
-    for st, cols in zip(policy.steps, batch.word_index):
-        coeffs = st.coeffs.reshape(-1, st.coeffs.shape[-1])
-        if len(_clip_suspects(batch.radius[:, cols], coeffs, policy.R)):
-            return False
-    return True
+    return (cost.l0 is None and cost.terminal.trace_quadratic() is not None
+            and all(s is not None and len(s) == 0 for s in screen))
 
 
 def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
     """Cost mean/stderr over a prepared sample set; optionally parameter grads.
 
-    A set that ``_sweeps_without_states`` is swept at once.  Otherwise it
-    is swept in slices of ``chunk`` samples, which bounds the state arrays;
-    a slice keeps only the last level's states, or none, unless l0 needs
-    every level's for its gradient.
+    The clip is screened once over the set.  A set that
+    ``_sweeps_without_states`` is swept at once.  Otherwise it is swept in
+    slices of ``chunk`` samples, which bounds the state arrays; a slice
+    keeps only the last level's states, or none, unless l0 needs every
+    level's for its gradient.
     """
-    K = policy.K
+    K, S = policy.K, len(batch.gram)
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
                      policy.collapse_bins)
     keep_states = want_grads and problem.cost.l0 is not None
-    if _sweeps_without_states(problem, policy, batch):
-        chunk = len(batch.gram)
+    screen = _clip_screen(policy, batch)
+    if _sweeps_without_states(problem, policy, screen):
+        chunk = S
     per_sample = []
     grads = None
-    for part in batch.slices(chunk):
-        states, lagrangians, sweep = _forward(problem, policy, tree, part,
-                                              keep_states)
+    for lo, part in zip(range(0, S, chunk), batch.slices(chunk)):
+        states, lagrangians, sweep = _forward(
+            problem, policy, tree, part, keep_states,
+            _screen_rows(policy, screen, slice(lo, lo + chunk)))
         costs, gterm = _chunk_cost(problem, policy, tree, part, states, sweep,
                                    lagrangians, want_grads)
         per_sample.append(costs)
@@ -1169,8 +1232,9 @@ def policy_control_budget(problem, policy, samples, rng, tag="budget"):
     batch = _prepare_batch(problem, policy, rng, tag, range(samples))
     total = 0.0
     for part in batch.slices(CHUNK):
+        screen = _clip_screen(policy, part)
         for i, probs in enumerate(tree.probs):
-            energy = _realize_controls(policy, i, part).energy(probs)
+            energy = _realize_controls(policy, i, part, screen[i]).energy(probs)
             total += float(energy.sum()) / problem.n * delta
     return total / samples
 
@@ -1446,8 +1510,7 @@ def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, tag="bdlhs"):
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     d = psi.d if d is None else d
-    draws = randmat.sample_gue(
-        n, [rng.child(tag, s) for s in range(mc_samples)], (d,))
+    draws = randmat.sample_gue(n, (rng, tag, range(mc_samples)), (d,))
     exponents = -float(n * n) * np.real(psi.eval(draws))
     m = float(np.max(exponents))
     if not math.isfinite(m):

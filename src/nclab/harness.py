@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+EXIT_CHECK_FAILED = 4  # nclab acceptance: a check is red
 
 
 class ExperimentError(ValueError):

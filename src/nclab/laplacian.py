@@ -61,10 +61,6 @@ class MultiPoly:
         exps = tuple(1 if i == o else 0 for i in range(m))
         return cls(m, {exps: 1.0})
 
-    @classmethod
-    def constant(cls, m, value):
-        return cls(m, {(0,) * m: value})
-
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -135,6 +131,7 @@ class CylindricalFunction:
         self._quotients = [[[dpoly.free_difference_quotient(i)
                              for i in range(1, phi.d + 1)] for dpoly in grads]
                            for phi, grads in zip(self.inners, self._grad_polys)]
+        self._form = self._build_trace_quadratic()
 
     @property
     def m(self):
@@ -163,8 +160,13 @@ class CylindricalFunction:
 
     def trace_quadratic(self):
         """U as a :class:`TraceQuadratic`, or None when the outer has degree
-        above 1 or an inner has degree above 2.  A degree-1 outer is its
-        value and slope at 0, folded into the inners' quadratic forms."""
+        above 1 or an inner has degree above 2.  Built once, with read-only
+        arrays; the bin-tree engine reads it on every evaluation."""
+        return self._form
+
+    def _build_trace_quadratic(self):
+        """A degree-1 outer is its value and slope at 0, folded into the
+        inners' quadratic forms."""
         if (self.outer.degree() > 1
                 or any(phi.degree() > 2 for phi in self.inners)):
             return None
@@ -185,9 +187,12 @@ class CylindricalFunction:
                     quad[o, l, k] += 0.5 * coeff.real
         zero = np.zeros(self.m)
         slope = np.array([self.outer.partial(o)(zero) for o in range(self.m)])
-        return TraceQuadratic(const=float(self.outer(zero) + slope @ const),
+        form = TraceQuadratic(const=float(self.outer(zero) + slope @ const),
                               lin=slope @ lin,
                               quad=np.tensordot(slope, quad, 1))
+        form.lin.setflags(write=False)
+        form.quad.setflags(write=False)
+        return form
 
     def gradient(self, x):
         """(grad U)^j = sum_o g_o(u) D_j phi_o(X); exact outer partials.

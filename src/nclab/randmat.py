@@ -68,43 +68,51 @@ def sample_gue(n, rng, shape=()):
         S_ij = (g[i, j] - i g[j, i])/sqrt(2 n)   (i < j).
 
     One ``standard_normal`` call fills all normals in C order, so a stack
-    equals consecutive single draws.  ``rng`` may also be a list or tuple of
-    ``RngStream``: the result is then (len(rng), *shape, n, n), entry s
-    drawn from ``rng[s]`` alone, and equals the stacked single-stream calls.
-    Their Philox keys are derived in one vectorized pass rather than one
-    SeedSequence each.
+    equals consecutive single draws.  ``rng`` may also be a triple
+    ``(parent, tag, indices)`` of an ``RngStream``, a path label and sample
+    indices 0 <= s < 2^32: the result is then (len(indices), *shape, n, n),
+    entry s drawn from ``parent.child(tag, s)`` alone, and equals the
+    stacked single-stream calls.  Their Philox keys are derived in one
+    vectorized pass rather than one SeedSequence each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = tuple(shape) + (n, n)
-    if isinstance(rng, (list, tuple)):
-        g = np.empty((len(rng),) + shape)
+    if isinstance(rng, tuple):
+        keys = _philox_keys(*rng)
+        g = np.empty((len(keys),) + shape)
         # one Philox, rekeyed per row to the state a fresh generator of that
-        # stream starts in: key, counter 0, empty buffer
+        # stream starts in: key, counter 0, empty buffer; the setter reads
+        # Python lists faster than numpy arrays
         bits = np.random.Philox(0)
         gen = np.random.Generator(bits)
-        zeros = np.zeros(4, dtype=np.uint64)
-        for row, key in zip(g, _philox_keys(rng)):
-            bits.state = {"bit_generator": "Philox",
-                          "state": {"counter": zeros, "key": key},
-                          "buffer": zeros, "buffer_pos": 4,
-                          "has_uint32": 0, "uinteger": 0}
+        zeros = [0] * 4
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": zeros, "key": zeros[:2]},
+                 "buffer": zeros, "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for row, key in zip(g, keys.tolist()):
+            state["state"]["key"] = key
+            bits.state = state
             gen.standard_normal(out=row)
     else:
         g = _as_generator(rng).standard_normal(shape)
+    flat = g.shape[:-2] + (n * n,)
+    diag = g.reshape(flat)[..., ::n + 1] / np.sqrt(n)
     # numpy divides a complex array by a real scalar as a product with its
     # reciprocal, so this product keeps the draws bit-identical to the
-    # division by sqrt(2 n) written in the docstring
-    scale = 1.0 / np.sqrt(2.0 * n)
+    # division by sqrt(2 n) written in the docstring; negation and
+    # transposition commute with it exactly
+    r = np.multiply(g, 1.0 / np.sqrt(2.0 * n), out=g)
+    rt = np.swapaxes(r, -1, -2)
     upper = _upper_mask(n)
-    gt = np.swapaxes(g, -1, -2)
     s = np.empty(g.shape, dtype=complex)
-    parts = s.view(float).reshape(g.shape + (2,))
-    np.multiply(np.where(upper, g, gt), scale, out=parts[..., 0])
-    np.multiply(np.where(upper, -gt, g), scale, out=parts[..., 1])
-    diag = np.arange(n)
-    parts[..., diag, diag, 0] = np.diagonal(g, axis1=-2, axis2=-1) / np.sqrt(n)
-    parts[..., diag, diag, 1] = 0.0
+    re, im = s.real, s.imag
+    np.copyto(re, rt)
+    np.copyto(re, r, where=upper)
+    np.copyto(im, r)
+    np.negative(rt, out=im, where=upper)
+    s.reshape(flat)[..., ::n + 1] = diag
     return s
 
 
@@ -139,77 +147,56 @@ def _entropy_words(stream):
     if stream.stream_path:
         words += [0] * (_POOL - len(words))
         for index in stream.stream_path:
-            if 0 <= index <= _MASK32:
-                words.append(index)
-            else:
-                words += _uint32_words(index)
+            words += _uint32_words(index)
     return words
 
 
-@functools.lru_cache(maxsize=16)
-def _hash_constants(length):
-    """The (xor, multiplier) pair of each hashmix call that pools `length`
-    entropy words, in call order; the sequence depends on nothing else."""
-    calls = _POOL + _POOL * (_POOL - 1) + _POOL * max(length - _POOL, 0)
-    const, pairs = _INIT_A, []
-    for _ in range(calls):
-        following = (const * _MULT_A) & _MASK32
-        pairs.append((np.uint32(const), np.uint32(following)))
-        const = following
-    return tuple(pairs)
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hashmix of a word (a Python int or a uint64 array of
+    words) with the running hash constant: (mixed word, next constant)."""
+    const_next = (const * mult) & _MASK32
+    value = ((value ^ const) * const_next) & _MASK32
+    return value ^ (value >> 16), const_next
 
 
-def _seed_sequence_keys(entropy):
-    """Philox keys (S, 2) uint64 of the entropy rows (S, L) uint32: what
-    ``SeedSequence(...).generate_state(2, np.uint64)`` gives for each row,
-    in one vectorized pass over the pool-mixing hash."""
-    pairs = iter(_hash_constants(entropy.shape[1]))
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
 
-    def hashmix(value):
-        xor, mult = next(pairs)
-        value = (value ^ xor) * mult
-        return value ^ (value >> np.uint32(16))
 
-    def mix(x, y):
-        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return value ^ (value >> np.uint32(16))
+def _philox_keys(parent, tag, indices):
+    """The Philox keys (S, 2) uint64 that ``parent.child(tag, s).generator()``
+    starts from, for each index s of ``indices``: what
+    ``SeedSequence(...).generate_state(2, np.uint64)`` gives.
 
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero)
-            for i in range(_POOL)]
+    The streams share the entropy prefix (seed, padding, path, tag), which
+    is longer than the pool and so is hashed once, in Python ints; only the
+    last word, the index, is hashed per stream, as one uint64 column.
+    """
+    index = np.asarray(indices)
+    if index.ndim != 1 or (index.size and index.dtype.kind not in "iuO"):
+        raise TypeError("indices must be a sequence of integers")
+    if index.size and not (0 <= index.min() and index.max() <= _MASK32):
+        raise ValueError("indices must satisfy 0 <= s < 2**32")
+    words = _entropy_words(parent.child(tag))
+    const, pool = _INIT_A, []
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:] + [index.astype(np.uint64)]:
         for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
     # generate_state(2, np.uint64): four words, one from each pool word
-    const, state = _INIT_B, np.empty((len(entropy), _POOL), dtype=np.uint32)
-    for i in range(_POOL):
-        following = (const * _MULT_B) & _MASK32
-        value = (pool[i] ^ np.uint32(const)) * np.uint32(following)
-        state[:, i] = value ^ (value >> np.uint32(16))
-        const = following
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _philox_keys(streams):
-    """The Philox key (2,) uint64 each stream's ``generator()`` starts from,
-    as one (S, 2) array; streams are grouped by entropy length and each
-    group hashed in one pass."""
-    keys = np.empty((len(streams), 2), dtype=np.uint64)
-    groups = {}
-    for row, stream in enumerate(streams):
-        if not isinstance(stream, RngStream):
-            raise TypeError(f"expected RngStream, got {type(stream)}")
-        words = _entropy_words(stream)
-        rows, entropy = groups.setdefault(len(words), ([], []))
-        rows.append(row)
-        entropy.append(words)
-    for rows, entropy in groups.values():
-        keys[rows] = _seed_sequence_keys(np.array(entropy, dtype=np.uint32))
-    return keys
+    const, state = _INIT_B, np.empty((len(index), _POOL), dtype="<u4")
+    for i, word in enumerate(pool):
+        state[:, i], const = _hashmix(word, const, _MULT_B)
+    return state.view("<u8").astype(np.uint64)
 
 
 @functools.lru_cache(maxsize=64)

@@ -130,6 +130,16 @@ def test_acceptance_unknown_criterion_exits_config(tmp_path, capsys):
     assert "unknown criteria [13]" in capsys.readouterr().out
 
 
+def test_acceptance_red_check_exits_4(tmp_path, monkeypatch, capsys):
+    # a failed check has its own code, apart from a config error's 1
+    def red(threads, out_dir):
+        return [acceptance._row("11.red", 1.0, 0.0, 0.5, False)], None
+
+    monkeypatch.setitem(acceptance.CRITERIA, 11, red)
+    assert main(["acceptance", "--out-dir", str(tmp_path), "--only", "11"]) == 4
+    assert "0/1 checks passed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("error", [NumericalError("solve diverged"),
                                    np.linalg.LinAlgError("no convergence")])
 def test_acceptance_numerical_failure_exits_2(tmp_path, monkeypatch, capsys,

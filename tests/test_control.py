@@ -398,7 +398,8 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, d, beta_c):
     policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
     batch = ctl._prepare_batch(problem, policy, stream.child("whole-batch"),
                                "t", range(S))
-    assert ctl._sweeps_without_states(problem, policy, batch)
+    assert ctl._sweeps_without_states(problem, policy,
+                                      ctl._clip_screen(policy, batch))
     mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, 2,
                                                  want_grads=True)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
@@ -469,6 +470,73 @@ def test_clip_screen_never_clears_a_slot_above_R(seed, samples, width, n, R,
     assert not np.any(cleared & (norms(coeffs) > R))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(1, 5),
+       d=hst.integers(1, 2), degree=hst.integers(1, 2),
+       gate_level=hst.sampled_from([1.0, 3.0]), scaled=hst.booleans())
+def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
+                                                   gate_level, scaled):
+    """rho_{s,w} >= ||f_{s,w}||_op, within the screens' margin, for every
+    gated and scaled feature: letters from the gate's squares and x0's once
+    per set, longer words from f @ f."""
+    gen = np.random.default_rng(seed)
+    problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
+    policy = ctl.zero_policy(problem, K=2, N=1, R=8.0, degree=degree,
+                             gate_level=gate_level)
+    W = len(ctl._global_words(problem, policy))
+    if scaled:
+        policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
+    batch = ctl._prepare_batch(problem, policy, rm.RngStream(seed), "t",
+                               range(4))
+    feats = batch.basis[:, :W].copy().view(complex).reshape(4, W, n, n)
+    norms = np.max(np.abs(np.linalg.eigvalsh(feats)), axis=-1)
+    assert batch.width == W and batch.radius.shape == norms.shape
+    assert np.all(batch.radius * (1.0 + ctl._NORM_MARGIN) >= norms)
+
+
+def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
+    n, d, K, S = 3, 2, 3, 8
+    problem = lq_problem(n, d=d)
+    policy = ctl.zero_policy(problem, K=K, N=1, R=8.0, gate_level=1.0)
+    words = ctl._global_words(problem, policy)
+    policy.feature_scales = np.linspace(0.5, 2.0, len(words))
+    batch = ctl._prepare_batch(problem, policy, stream.child("radius"), "t",
+                               range(S))
+    letters = ctl._sample_letters(problem, K, range(S), stream.child("radius"),
+                                  "t")
+    gate = ctl._gate_indicator(letters, d, K, policy.gate_level)
+    assert words[0] == () and 0 < gate.sum() < S
+    kept = gate == 1.0
+    assert np.all(batch.radius[kept, 0] == 1.0 / policy.feature_scales[0])
+    assert np.all(batch.radius[~kept] == 0.0)
+
+
+def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
+    """Criterion 6's n = 8 solve at 20 iterations evaluates 23 times (the
+    start, 20 trials and two validations), each screening its K = 4 steps
+    once."""
+    from nclab import acceptance, harness
+
+    calls = {"screen": 0, "evaluate": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ctl, "_clip_suspects",
+                        counted("screen", ctl._clip_suspects))
+    monkeypatch.setattr(ctl, "_evaluate_prepared",
+                        counted("evaluate", ctl._evaluate_prepared))
+    train, val = harness.scaled_samples(8, 48, 192)
+    cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
+                              max_iters=20)
+    ctl.optimize_discrete_value(harness.lq_problem(8), 4, 2, 8.0, cfg,
+                                acceptance._stream(6).child(8))
+    assert calls == {"screen": 92, "evaluate": 23}
+
+
 def test_lq_solve_at_n32_never_reaches_the_clip(monkeypatch):
     """Criterion 6's shape at n=32: the controls stay far below R = 8 in
     operator norm, so the triangle-bound screen clears every slot and no
@@ -535,12 +603,18 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
-    # an evaluation sweeps the states of at most ``chunk`` samples at a time;
-    # const steps are evaluated, never differentiated
+    # an evaluation sweeps the states of at most ``chunk`` samples at a time
+    # and screens the clip once per poly step over the whole set; const
+    # steps are evaluated, never differentiated
     del calls[:]
+    screens = []
+    screen = ctl._clip_suspects
+    monkeypatch.setattr(ctl, "_clip_suspects",
+                        lambda *args: screens.append(1) or screen(*args))
     ctl._evaluate_prepared(problem, policy, batch, 4,
                            want_grads=trigger != "const_step")
     assert calls and max(calls) == 4 and min(calls) == 2
+    assert len(screens) == (0 if trigger == "const_step" else K)
 
 
 @pytest.mark.parametrize("make, reads_states", [(lq_problem, False),

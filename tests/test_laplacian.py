@@ -137,6 +137,11 @@ def test_trace_quadratic_reproduces_eval(stream, d):
             1.0 + np.max(np.abs(u.eval(x))))
     assert linear_seen == {True, False}
     assert trace_power(d, 4).trace_quadratic() is None
+    # built once, at construction, and shared read-only
+    u = trace_power(d, 2)
+    form = u.trace_quadratic()
+    assert u.trace_quadratic() is form
+    assert not form.lin.flags.writeable and not form.quad.flags.writeable
     assert trace_power(d, 2).trace_quadratic() == trace_square(d).trace_quadratic()
     assert trace_power(d, 2, 2.0).trace_quadratic() != trace_power(d, 2).trace_quadratic()
 

@@ -139,36 +139,51 @@ def test_sample_gue_stack_equals_consecutive_draws(stream, n, shape):
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
 @pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
 def test_sample_gue_streams_equal_stacked_single_draws(stream, n, shape):
-    streams = [stream.child("multi", n, s) for s in (3, 0, 7)]
-    got = rm.sample_gue(n, streams, shape)
-    want = np.stack([rm.sample_gue(n, s, shape) for s in streams])
-    assert got.shape == (len(streams),) + shape + (n, n)
+    parent, indices = stream.child("multi"), (3, 0, 7)
+    got = rm.sample_gue(n, (parent, n, indices), shape)
+    want = np.stack([rm.sample_gue(n, parent.child(n, s), shape)
+                     for s in indices])
+    assert got.shape == (len(indices),) + shape + (n, n)
     assert got.tobytes() == want.tobytes()
 
 
-# Seeds and path indices on both sides of 2^32, where SeedSequence reads an
-# integer as more than one 32-bit word, and paths of length 0-9.
+# Seeds and parent-path indices on both sides of 2^32, where SeedSequence
+# reads an integer as more than one 32-bit word, and paths of length 0-9;
+# sample indices fill one word, up to 2^32 - 1.
 _index = hst.integers(0, 2 ** 32 - 1) | hst.integers(2 ** 32, 2 ** 70)
-_address = hst.tuples(_index, hst.lists(_index, max_size=9).map(tuple))
+_parent = hst.builds(rm.RngStream, _index,
+                     hst.lists(_index, max_size=9).map(tuple))
+_tag = hst.text(max_size=4) | hst.integers(0, 2 ** 40)
+_samples = hst.lists(hst.integers(0, 2 ** 32 - 1) | hst.just(2 ** 32 - 1),
+                     max_size=6)
 
 
 @settings(max_examples=100, deadline=None)
-@given(addresses=hst.lists(_address, min_size=1, max_size=6))
-def test_batched_philox_keys_equal_seed_sequence(addresses):
-    streams = [rm.RngStream(seed, path) for seed, path in addresses]
-    want = [np.random.SeedSequence(seed, spawn_key=path).generate_state(
-        2, np.uint64) for seed, path in addresses]
-    assert np.array_equal(rm._philox_keys(streams), np.array(want))
+@given(parent=_parent, tag=_tag, indices=_samples)
+def test_batched_philox_keys_equal_seed_sequence(parent, tag, indices):
+    want = [np.random.SeedSequence(
+        parent.master_seed, spawn_key=parent.child(tag, s).stream_path
+    ).generate_state(2, np.uint64) for s in indices]
+    got = rm._philox_keys(parent, tag, indices)
+    assert got.shape == (len(indices), 2)
+    assert np.array_equal(got, np.array(want).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("index", [-1, 2 ** 32, 2 ** 70])
+def test_set_sample_index_must_fit_one_word(stream, index):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        rm.sample_gue(2, (stream, "t", [0, index]))
 
 
 @settings(max_examples=30, deadline=None)
-@given(addresses=hst.lists(_address, min_size=1, max_size=4),
+@given(parent=_parent, tag=_tag, indices=_samples.filter(bool),
        n=hst.integers(1, 6), shape=hst.sampled_from([(), (2,), (2, 3)]))
-def test_sample_gue_streams_equal_single_draws_at_any_address(addresses, n,
+def test_sample_gue_streams_equal_single_draws_at_any_address(parent, tag,
+                                                              indices, n,
                                                               shape):
-    streams = [rm.RngStream(seed, path) for seed, path in addresses]
-    got = rm.sample_gue(n, streams, shape)
-    want = np.stack([rm.sample_gue(n, s, shape) for s in streams])
+    got = rm.sample_gue(n, (parent, tag, indices), shape)
+    want = np.stack([rm.sample_gue(n, parent.child(tag, s), shape)
+                     for s in indices])
     assert got.tobytes() == want.tobytes()
 
 
