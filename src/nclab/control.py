@@ -1056,12 +1056,12 @@ def _sweeps_without_states(problem, policy, screen):
             and all(s is not None and len(s) == 0 for s in screen))
 
 
-def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
+def _evaluate_prepared(problem, policy, batch, want_grads=False):
     """Cost mean/stderr over a prepared sample set; optionally parameter grads.
 
     The clip is screened once over the set.  A set that
     ``_sweeps_without_states`` is swept at once.  Otherwise it is swept in
-    slices of ``chunk`` samples, which bounds the state arrays; a slice
+    slices of ``CHUNK`` samples, which bounds the state arrays; a slice
     keeps only the last level's states, or none, unless l0 needs every
     level's for its gradient.
     """
@@ -1070,8 +1070,7 @@ def _evaluate_prepared(problem, policy, batch, chunk, want_grads=False):
                      policy.collapse_bins)
     keep_states = want_grads and problem.cost.l0 is not None
     screen = _clip_screen(policy, batch)
-    if _sweeps_without_states(problem, policy, screen):
-        chunk = S
+    chunk = S if _sweeps_without_states(problem, policy, screen) else CHUNK
     per_sample = []
     grads = None
     for lo, part in zip(range(0, S, chunk), batch.slices(chunk)):
@@ -1111,7 +1110,7 @@ def discrete_cost(problem, policy, mc_samples, rng, tag="cost"):
         raise ValueError("mc_samples must be >= 1")
     _check_path_guard(policy.branching(), policy.K)
     batch = _prepare_batch(problem, policy, rng, tag, range(mc_samples))
-    mean, stderr, _ = _evaluate_prepared(problem, policy, batch, CHUNK)
+    mean, stderr, _ = _evaluate_prepared(problem, policy, batch)
     return mean, stderr
 
 
@@ -1164,7 +1163,7 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
     log_rows = []
     train = _prepare_batch(problem, policy, rng, "train",
                            range(cfg.train_samples))
-    cost, _, grads = _evaluate_prepared(problem, policy, train, CHUNK,
+    cost, _, grads = _evaluate_prepared(problem, policy, train,
                                         want_grads=True)
     if not math.isfinite(cost):
         raise OptimizeError("initial objective is not finite")
@@ -1177,7 +1176,7 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
         velocity = [0.9 * v - eta * g for v, g in zip(velocity, grads)]
         trial = _policy_step(best_policy, [-v for v in velocity], 1.0)
         trial_cost, _, trial_grads = _evaluate_prepared(
-            problem, trial, train, CHUNK, want_grads=True)
+            problem, trial, train, want_grads=True)
         if not math.isfinite(trial_cost):
             raise OptimizeError(f"objective diverged at iteration {iters}")
         gnorm = max(float(np.max(np.abs(g))) for g in grads)
@@ -1197,8 +1196,8 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
     zero = policy
     val = _prepare_batch(problem, best_policy, rng, "val",
                          range(cfg.val_samples))
-    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val, CHUNK)
-    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val, CHUNK)
+    zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val)
+    best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val)
     if best_val <= zero_val:
         value, stderr, winner, improved = best_val, best_se, best_policy, True
     else:

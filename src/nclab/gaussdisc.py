@@ -28,7 +28,7 @@ from .randmat import RngStream, sample_gue_tuple
 __all__ = [
     "TimeGrid", "NoiseTable",
     "bin_boundaries", "bin_probability", "bin_conditional_mean",
-    "bin_conditional_absdev", "noise_table", "edge_mass",
+    "bin_conditional_absdev", "noise_table",
     "truncated_gaussian_mean", "truncated_gaussian_variance",
     "bridge_bound_check",
     "normal_cdf", "normal_pdf", "erfcx",
@@ -257,15 +257,6 @@ def noise_table(N, delta) -> NoiseTable:
     in_range = bool(np.all(np.abs(omegas) <= 2.0 + 1e-12))
     return NoiseTable(N=N, delta=float(delta), probs=probs, omegas=omegas,
                       omega_in_range=in_range)
-
-
-def edge_mass(K, N, delta):
-    """P(some step hits a tail bin) = 1 - (1 - 2 q)^K, q the one-sided tail mass."""
-    q = _upper_tail(1.0 / math.sqrt(delta))
-    mass = 1.0 - (1.0 - 2.0 * q) ** K
-    if mass > 2.0 * K * q + 1e-12:
-        raise NumericalError("edge mass exceeds the union bound")
-    return mass
 
 
 def truncated_gaussian_mean(z):

@@ -161,7 +161,7 @@ def problem_from_params(params, n):
             raise ExperimentError("template 'json' needs a 'problem' object")
         try:
             return ctl.ControlProblem.from_json(json.dumps(params["problem"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ExperimentError(f"invalid inline problem: {exc!r}") from exc
     raise ExperimentError(f"unknown problem template {template!r}")
 
@@ -646,6 +646,8 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
         out = out_dir or os.environ.get("NCLAB_OUT_DIR") or config.get("out_dir")
         if not out:
             raise ExperimentError("no output directory")
+        if not isinstance(out, str):
+            raise ExperimentError(f"out_dir must be a string, got {out!r}")
         run_config(config, out, seed=seed, threads=threads, fmt=fmt)
         return EXIT_OK
 

@@ -266,7 +266,9 @@ class CylindricalFunction:
 
         First term pairs outer second partials with cyclic derivatives; the
         second term pushes A through the difference quotients of the gradient
-        and pairs with B under tr_n.
+        and pairs with B under tr_n.  It is the common-noise half of the
+        generator of the controlled dynamics,
+        1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 gue_laplacian.
         """
         u = self.inner_traces(x)
         g1, g2 = self._outer_derivatives(u)
@@ -379,14 +381,6 @@ class CylindricalFunction:
         if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
             raise ValueError("correction term has imaginary part")
         return float(val.real) / (n * n)
-
-    def identity_check(self, x, tol=1e-10):
-        """|gue_laplacian - free_laplacian - correction| < tol, the three
-        sharing one word-product cache for X."""
-        cache = {}
-        gap = abs(self.gue_laplacian(x, cache) - self.free_laplacian(x, cache)
-                  - self.correction_term(x, cache))
-        return gap < tol
 
     # -- serialization -----------------------------------------------------------
 

@@ -30,10 +30,8 @@ __all__ = [
     "hermitize",
     "inner_product",
     "l1_norm",
-    "normalized_trace",
     "operator_norm",
     "operator_norm_bound",
-    "random_hermitian",
     "scalar_function_derivative",
 ]
 
@@ -97,21 +95,6 @@ def basis_element(n, i, j):
         e[i - 1, j - 1] = c
         e[j - 1, i - 1] = -c
     return e
-
-
-def normalized_trace(a):
-    """tr_n(A) = Tr(A)/n as a real number.
-
-    The imaginary part of the raw diagonal sum must vanish (below 1e-12
-    relative to the magnitude); supports batched input (..., n, n).
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    t = np.trace(a, axis1=-2, axis2=-1) / n
-    im = np.max(np.abs(np.imag(t)))
-    if im > 1e-12 * (1.0 + np.max(np.abs(t))):
-        raise ValueError(f"trace has non-negligible imaginary part {im:.3e}")
-    return np.real(t) if np.ndim(t) else float(np.real(t))
 
 
 class SpectralDecomposition(NamedTuple):
@@ -208,7 +191,8 @@ def scalar_function_derivative(a, f, fprime):
     where f[x, y] = (f(x) - f(y))/(x - y) off the diagonal and f'(x) on it.
     The map is self-adjoint for the real tr_n pairing, so it also transports
     gradients of downstream costs back through f.  Over a stack A, ``apply``
-    maps each E through its own A.
+    maps each E through its own A.  This is the per-matrix reference for the
+    batched clip and arctan pullbacks of ``control``'s gradients.
     """
     w, q = eigh(a)
     _, mult = _spectral_calculus(w, q, f, fprime)
@@ -270,10 +254,6 @@ class MatrixTuple:
     def identity(cls, d, n):
         return cls(np.broadcast_to(np.eye(n, dtype=complex), (d, n, n)).copy(),
                    validate=False)
-
-    @classmethod
-    def from_components(cls, mats):
-        return cls(np.stack([np.asarray(m, dtype=complex) for m in mats]))
 
     # -- basic attributes ----------------------------------------------------
 
@@ -343,12 +323,7 @@ def inner_product(x: MatrixTuple, y: MatrixTuple):
 
 
 def l1_norm(x: MatrixTuple):
-    """Sum_j tr_n |X_j| via functional calculus with the absolute value."""
+    """Sum_j tr_n |X_j| via functional calculus with the absolute value: the
+    norm of the truncation lemma's ||phi_R(A) - A||_1 <= ||A||_2^2 / R."""
     w, _ = eigh(x.data)
     return float(np.sum(np.abs(w))) / x.dim
-
-
-def random_hermitian(n, rng, scale=1.0):
-    """A Gaussian Hermitian matrix for tests; NOT the GUE normalization."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitize(scale * g)

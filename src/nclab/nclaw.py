@@ -1,15 +1,12 @@
-"""Empirical non-commutative laws and weak-* diagnostics.
+"""Non-commutative laws, freeness statistics and semicircle references.
 
-A law is the truncated moment map word -> tr_n(word(X)).  The weak-*
-topology is probed through arctan-compressed moments: :func:`arctan_law`
-pushes a tuple through the componentwise arctan before taking moments, and
-:func:`law_metric` sums |lambda_1(p_k) - lambda_2(p_k)| over the non-constant
-monomials p_k in graded-lexicographic order with weights 2^-k (pi/2)^-deg,
-so the tail beyond truncation degree D is bounded by 2^-D.
-
-Reference moments of the semicircle law (integrals of arctan powers against
-(1/2pi) sqrt(4 - x^2)) are computed by adaptive Simpson quadrature, and the
-even plain moments are Catalan numbers.
+A law is a truncated moment map word -> tr_n(word(X)).  The one law the
+package builds is the target of the Laplace principle's rate function
+(``control.rate_function_candidate``): the moments of arctan(S) for a
+semicircular S, integrals of arctan powers against (1/2pi) sqrt(4 - x^2)
+computed by adaptive Simpson quadrature.  The even plain semicircle moments
+are Catalan numbers, and the alternating centered product measures
+asymptotic freeness.
 """
 
 from __future__ import annotations
@@ -20,25 +17,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ncpoly
-from .matrixcore import MatrixTuple
-from .ncpoly import NCPolynomial, words_up_to_degree
-
 __all__ = [
-    "NCLaw", "empirical_law", "arctan_law", "law_metric",
-    "freeness_statistic", "semicircle_moment", "semicircle_arctan_moment",
-    "semicircle_arctan_law", "catalan",
+    "NCLaw", "freeness_statistic", "semicircle_moment",
+    "semicircle_arctan_moment", "semicircle_arctan_law", "catalan",
 ]
 
 
 @dataclass
 class NCLaw:
-    """Truncated moment functional of a d-tuple: word -> complex moment."""
+    """Truncated moment functional of a d-tuple: word -> complex moment.
+
+    The rate-function candidate reads its target's moments through
+    :meth:`moment` (the Laplace principle's phi(target) term)."""
 
     d: int
     max_degree: int
     moments: dict
-    radius_bound: float | None = None
 
     def __post_init__(self):
         unit = self.moments.get((), None)
@@ -53,72 +47,6 @@ class NCLaw:
         if word not in self.moments:
             raise KeyError(f"moment of {word} not stored (degree {self.max_degree})")
         return self.moments[word]
-
-    def validate(self, tol=1e-9):
-        """Check cyclicity, conjugate symmetry and the exponential bound."""
-        for word, val in self.moments.items():
-            if len(word) >= 2:
-                shifted = word[1:] + word[:1]
-                if shifted in self.moments and abs(self.moments[shifted] - val) > tol:
-                    raise ValueError(f"cyclic invariance fails at {word}")
-            rev = word[::-1]
-            if rev in self.moments and abs(np.conj(self.moments[rev]) - val) > tol:
-                raise ValueError(f"conjugate symmetry fails at {word}")
-            if self.radius_bound is not None and len(word) > 0:
-                cap = self.radius_bound ** len(word) * (1.0 + 1e-9) + tol
-                if abs(val) > cap:
-                    raise ValueError(
-                        f"moment {word} = {val:.6g} exceeds radius bound "
-                        f"{self.radius_bound:.6g}^{len(word)}")
-        return self
-
-
-def empirical_law(x: MatrixTuple, max_degree) -> NCLaw:
-    """Moments of all words up to max_degree; radius bound = max operator norm."""
-    if max_degree < 0:
-        raise ValueError("degree must be >= 0")
-    n = x.dim
-    moments = {}
-    cache = {}
-    for word in words_up_to_degree(x.d, max_degree):
-        mat = ncpoly._word_matrix(word, x.data, cache)
-        moments[word] = complex(np.trace(mat) / n)
-    radius = x.max_operator_norm()
-    return NCLaw(d=x.d, max_degree=max_degree, moments=moments, radius_bound=radius)
-
-
-def arctan_law(x: MatrixTuple, max_degree) -> NCLaw:
-    """Law of arctan(X) (componentwise functional calculus); radius <= pi/2."""
-    law = empirical_law(x.apply_scalar_function("arctan"), max_degree)
-    law.radius_bound = min(law.radius_bound, math.pi / 2)
-    return law
-
-
-def law_metric(law1: NCLaw, law2: NCLaw, max_degree=6):
-    """Truncated weak-* metric between two arctan-compressed laws.
-
-    The inputs must already be laws of arctan-transformed tuples; the k-th
-    non-constant monomial p_k (graded-lex, k starting at 1) contributes
-    2^-k (pi/2)^-deg(p_k) |law1(p_k) - law2(p_k)|.  The dropped tail is
-    below 2^-D where D = max_degree.
-    """
-    if law1.d != law2.d:
-        raise ValueError("laws have different letter counts")
-    if law1.max_degree < max_degree or law2.max_degree < max_degree:
-        raise ValueError(
-            f"laws store degree ({law1.max_degree}, {law2.max_degree}) "
-            f"moments; metric needs {max_degree}")
-    for law in (law1, law2):
-        if law.radius_bound is not None and law.radius_bound > math.pi / 2 + 1e-9:
-            raise ValueError("law_metric expects arctan-compressed laws "
-                             f"(radius bound {law.radius_bound:.3f} > pi/2)")
-    total = 0.0
-    k = 0
-    for word in words_up_to_degree(law1.d, max_degree, include_unit=False):
-        k += 1
-        weight = 2.0 ** (-k) * (math.pi / 2.0) ** (-len(word))
-        total += weight * abs(law1.moments[word] - law2.moments[word])
-    return total
 
 
 def freeness_statistic(groups, index_sequence, polys):
@@ -181,7 +109,9 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
 
 
 def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
+    """Adaptive Simpson quadrature with absolute tolerance ``tol``: the
+    semicircle-arctan moments of the rate function's target law, and the
+    bins' absolute deviations in ``gaussdisc.bin_conditional_absdev``."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -191,7 +121,8 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
 
 @lru_cache(maxsize=None)
 def semicircle_arctan_moment(m, tol=1e-10):
-    """int arctan(x)^m (1/2pi) sqrt(4 - x^2) dx over [-2, 2]."""
+    """int arctan(x)^m (1/2pi) sqrt(4 - x^2) dx over [-2, 2]: the moments
+    of the Laplace principle's target law, :func:`semicircle_arctan_law`."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
     if m % 2 == 1:
@@ -204,9 +135,10 @@ def semicircle_arctan_moment(m, tol=1e-10):
 
 
 def semicircle_arctan_law(max_degree) -> NCLaw:
-    """The d=1 reference law: moments of arctan(S) for semicircular S."""
+    """The d=1 reference law: moments of arctan(S) for semicircular S, the
+    target law at which ``control.rate_function_candidate`` evaluates the
+    Laplace principle's rate function."""
     moments = {(): 1.0 + 0.0j}
     for deg in range(1, max_degree + 1):
         moments[(1,) * deg] = complex(semicircle_arctan_moment(deg))
-    return NCLaw(d=1, max_degree=max_degree, moments=moments,
-                 radius_bound=math.pi / 2)
+    return NCLaw(d=1, max_degree=max_degree, moments=moments)

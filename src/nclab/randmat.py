@@ -1,4 +1,4 @@
-"""Seeded, splittable sampling: GUE matrices, GUE Brownian paths, Haar unitaries.
+"""Seeded, splittable sampling: GUE matrices and GUE and scalar Brownian paths.
 
 All randomness flows through :class:`RngStream`, a counter-based (Philox)
 generator addressed by ``(master_seed, stream_path)``.  Identical addresses
@@ -22,8 +22,7 @@ import numpy as np
 
 from .matrixcore import MatrixTuple
 
-__all__ = ["RngStream", "sample_gue", "gue_increments",
-           "sample_haar_unitary", "brownian_increments"]
+__all__ = ["RngStream", "sample_gue", "gue_increments", "brownian_increments"]
 
 
 @dataclass(frozen=True)
@@ -224,22 +223,6 @@ def gue_increments(n, d, time_grid, rng):
     if np.any(dt <= 0):
         raise ValueError(f"time grid must be strictly increasing, got {grid}")
     return np.sqrt(dt)[:, None, None, None] * sample_gue(n, rng, (len(dt), d))
-
-
-def sample_haar_unitary(n, rng):
-    """A Haar-distributed n x n unitary.
-
-    QR of a complex Ginibre matrix, with the R diagonal rephased to positive
-    reals; without the rephasing QR output is not Haar.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gen = _as_generator(rng)
-    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    dphase = np.diagonal(r).copy()
-    dphase /= np.abs(dphase)
-    return q * dphase
 
 
 def brownian_increments(time_grid, rng):

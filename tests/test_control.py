@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import random_hermitian
 from nclab import control as ctl
 from nclab import randmat as rm
 from nclab.gaussdisc import TimeGrid, noise_table
@@ -14,8 +15,7 @@ from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
 from nclab.matrixcore import (MatrixTuple, NumericalError,
                               apply_scalar_function, inner_product,
-                              operator_norm_bound, random_hermitian,
-                              scalar_function_derivative)
+                              operator_norm_bound, scalar_function_derivative)
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import gue_increments, sample_gue_tuple
 
@@ -185,10 +185,11 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
         pulled.append(len(records))
         return pullback(grad, records)
 
-    monkeypatch.setattr(ctl, "_pullback_clip", counting_pullback)
-    _, _, grads = ctl._evaluate_prepared(problem, policy, batch, 4,
-                                         want_grads=True)
-    monkeypatch.undo()
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(ctl, "_pullback_clip", counting_pullback)
+        _, _, grads = ctl._evaluate_prepared(problem, policy, batch,
+                                             want_grads=True)
     assert sum(pulled) == clipped and len(pulled) <= K * 2
     eps = 1e-6
     for _ in range(3):
@@ -196,7 +197,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
 
         def shifted(sign):
             moved = ctl._policy_step(policy, dirs, -sign * eps)
-            return ctl._evaluate_prepared(problem, moved, batch, 4)[0]
+            return ctl._evaluate_prepared(problem, moved, batch)[0]
 
         fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * eps)
         analytic = sum(float(np.sum(g * v)) for g, v in zip(grads, dirs))
@@ -279,7 +280,8 @@ def mixed_l0(d):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.0, 0.7])
 @pytest.mark.parametrize("with_l0", [False, True])
-def test_sweep_matches_materialised_reference(stream, d, beta_c, with_l0):
+def test_sweep_matches_materialised_reference(stream, monkeypatch, d, beta_c,
+                                              with_l0):
     gen = stream.child("sweep", d, int(10 * beta_c), with_l0).generator()
     n, K, N = 3, 3, 1
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
@@ -296,9 +298,10 @@ def test_sweep_matches_materialised_reference(stream, d, beta_c, with_l0):
     clipped = sum(len(c.clip) for c in sweep.controls)
     assert 0 < clipped < control_slots(batch, sweep)
 
-    value, _, grads = ctl._evaluate_prepared(problem, policy, batch, 6,
+    monkeypatch.setattr(ctl, "CHUNK", 6)
+    value, _, grads = ctl._evaluate_prepared(problem, policy, batch,
                                              want_grads=True)
-    plain, _, _ = ctl._evaluate_prepared(problem, policy, batch, 6)
+    plain, _, _ = ctl._evaluate_prepared(problem, policy, batch)
     want_value, want_grads = materialised_reference(problem, policy, inputs)
     assert value == plain
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
@@ -345,7 +348,8 @@ QUADRATIC_TERMINALS = {
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.0, 0.7])
 @pytest.mark.parametrize("terminal", sorted(QUADRATIC_TERMINALS))
-def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
+def test_coefficient_terminal_matches_state_path(stream, monkeypatch, d, beta_c,
+                                                 terminal):
     gen = stream.child("coef-terminal", d, int(10 * beta_c), terminal).generator()
     n, K, N = 3, 3, 1
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
@@ -375,9 +379,10 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
         assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
             np.abs(costs[False]))
 
-    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, 4, True)
-    plain = ctl._evaluate_prepared(problem, policy, batch, 4)
-    want = ctl._evaluate_prepared(states_problem, policy, batch, 4, True)
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, True)
+    plain = ctl._evaluate_prepared(problem, policy, batch)
+    want = ctl._evaluate_prepared(states_problem, policy, batch, True)
     assert plain[:2] == (mean, stderr)
     assert mean == pytest.approx(want[0], rel=1e-12)
     assert stderr == pytest.approx(want[1], rel=1e-12)
@@ -388,7 +393,7 @@ def test_coefficient_terminal_matches_state_path(stream, d, beta_c, terminal):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.0, 0.7])
-def test_whole_set_sweep_matches_chunked_sweeps(stream, d, beta_c):
+def test_whole_set_sweep_matches_chunked_sweeps(stream, monkeypatch, d, beta_c):
     """On the coefficient path one sweep covers the set; it agrees with the
     set swept slice by slice, the costs concatenated and gradients summed."""
     gen = stream.child("whole-set", d, int(10 * beta_c)).generator()
@@ -400,7 +405,8 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, d, beta_c):
                                "t", range(S))
     assert ctl._sweeps_without_states(problem, policy,
                                       ctl._clip_screen(policy, batch))
-    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, 2,
+    monkeypatch.setattr(ctl, "CHUNK", 2)
+    mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch,
                                                  want_grads=True)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     costs, sums = [], None
@@ -603,7 +609,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
-    # an evaluation sweeps the states of at most ``chunk`` samples at a time
+    # an evaluation sweeps the states of at most ``CHUNK`` samples at a time
     # and screens the clip once per poly step over the whole set; const
     # steps are evaluated, never differentiated
     del calls[:]
@@ -611,7 +617,8 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     screen = ctl._clip_suspects
     monkeypatch.setattr(ctl, "_clip_suspects",
                         lambda *args: screens.append(1) or screen(*args))
-    ctl._evaluate_prepared(problem, policy, batch, 4,
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    ctl._evaluate_prepared(problem, policy, batch,
                            want_grads=trigger != "const_step")
     assert calls and max(calls) == 4 and min(calls) == 2
     assert len(screens) == (0 if trigger == "const_step" else K)

@@ -13,7 +13,6 @@ from nclab import gaussdisc as gd
 Q1 = 0.15865525393145705            # P(Z > 1)
 PATH_PROB_11 = 0.02517148960005512  # Q(1)^2
 OMEGA_TAIL_D025 = 1.1866077664114205  # 0.5 phi(2)/Q(2)
-EDGE_UNION_K8 = 0.03742187984837813   # 16 Q(sqrt 8)
 ABSDEV_DEGENERATE = 0.004826241986514676  # E|X - m| on (0,1], X ~ N(0,1e-4)
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -177,12 +176,6 @@ def test_prefix_semantics():
         tree.noise[1][row2] + table.omega(-1), abs=1e-15)
     assert tree.probs[2][row3] == pytest.approx(
         tree.probs[1][row2] * table.prob(-1), rel=1e-14)
-
-
-def test_edge_mass_union_bound():
-    mass = gd.edge_mass(8, 2, 1.0 / 8.0)
-    assert mass <= EDGE_UNION_K8
-    assert mass == pytest.approx(0.03681490458157954, abs=1e-12)
 
 
 # -- truncated Gaussian analytics ----------------------------------------------------

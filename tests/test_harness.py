@@ -1,16 +1,23 @@
+import contextlib
+import dataclasses
 import importlib
+import io
 import json
 import os
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from nclab import harness
 from nclab.cli import main
+from nclab.control import OptimizerConfig
 from nclab.laplacian import CylindricalFunction, random_cylindrical
 from nclab.matrixcore import MatrixTuple, NumericalError, basis_element
 from nclab.randmat import RngStream, sample_gue_tuple
@@ -72,6 +79,29 @@ def test_resume_reruns_non_object_entry(tmp_path):
     assert csv_outputs(out) == fresh
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["experiments"]["01_gaussdisc-check"]["status"] == "done"
+
+
+def test_resume_after_a_killed_run_matches_an_uninterrupted_one(tmp_path):
+    """What a SIGKILL during the second experiment's CSV write leaves: the
+    manifest lists only the first as done, the CSV's ``.tmp`` is stale, a
+    truncated CSV sits under its final name and no summary was written."""
+    config = {"seed": 5, "experiments": [
+        {"kind": "gaussdisc-check", "N_list": [1, 2], "delta_list": [0.25]},
+        {"kind": "laplacian-check", "cases": 2, "n_list": [3], "d": 1}]}
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    harness.run_config(config, str(whole))
+    harness.run_config(config, str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["experiments"]["01_laplacian-check"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    full = (out / "01_laplacian-check.csv").read_bytes()
+    (out / "01_laplacian-check.csv").write_bytes(full[:len(full) // 2])
+    (out / "01_laplacian-check.csv.tmp").write_bytes(full[:7])
+    (out / "summary.json").unlink()
+    harness.run_config(config, str(out))
+    assert csv_outputs(out) == csv_outputs(whole)
+    assert (out / "summary.json").read_bytes() == (whole / "summary.json").read_bytes()
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 def test_manifest_write_rejects_non_json_values(tmp_path):
@@ -199,9 +229,15 @@ def test_unknown_kind_rejected(tmp_path):
             harness.run_config(config, str(tmp_path / "x"))
 
 
+def inline_problem_without_outer():
+    problem = json.loads(harness.lq_problem(2).to_json())
+    problem["cost"]["terminal"]["outer"] = None
+    return problem
+
+
 # each breaks the last experiment only: a typo, an opt count below its
-# least on each template, an unknown problem template and an unknown
-# optimizer option
+# least on each template, an unknown problem template, an unknown
+# optimizer option and an inline problem whose terminal has no outer
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -215,6 +251,9 @@ def test_unknown_kind_rejected(tmp_path):
      "opt.train_samples must be at least 2"),
     ({"kind": "ldp", "opt": {"time_steps": 4}},
      "unknown optimizer options ['time_steps']"),
+    ({"kind": "value", "template": "json",
+      "problem": inline_problem_without_outer()},
+     "invalid inline problem: AttributeError"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -257,6 +296,8 @@ def test_run_exit_codes(tmp_path):
     assert harness.run(str(bad)) == harness.EXIT_CONFIG
     no_out = tmp_path / "noout.json"
     no_out.write_text(json.dumps({"experiments": []}))
+    assert harness.run(str(no_out)) == harness.EXIT_CONFIG
+    no_out.write_text(json.dumps({"experiments": [], "out_dir": 5}))
     assert harness.run(str(no_out)) == harness.EXIT_CONFIG
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"experiments": [],
@@ -545,3 +586,98 @@ def test_source_change_invalidates_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_source_digest", lambda: "0" * 64)
     harness.run_config(tiny_config(), str(out))
     assert runs == [1]
+
+
+# Config documents for the fuzz below.  Every integer but the seed is at
+# most 16: the whole config is validated before any experiment runs, and
+# validation builds x0 (d n^2 complex entries) for the problem templates.
+OPT_FIELDS = [f.name for f in dataclasses.fields(OptimizerConfig)]
+CONFIG_KEYS = sorted({"kind", "seed", "experiments", *OPT_FIELDS,
+                      *(key for table in harness.EXPERIMENT_PARAMS.values()
+                        for key in table)})
+JSON_KEYS = hst.sampled_from(CONFIG_KEYS) | hst.text(max_size=4)
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers(-2, 16) | hst.floats()
+    | hst.text(max_size=4)
+    | hst.sampled_from([*harness.EXPERIMENT_KINDS, "lq", "quartic", "json",
+                        "identity"]),
+    lambda inner: hst.lists(inner, max_size=3)
+    | hst.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=10)
+
+
+def mostly(usual, other):
+    """``usual`` unless a drawn digit is 0, then ``other``: most documents
+    pass the first checks and reach the later ones."""
+    return hst.integers(0, 9).flatmap(lambda k: usual if k else other)
+
+
+def shaped_like(default):
+    """Values of the JSON type of a parameter's default, and any value."""
+    if default is None:
+        return JSON_VALUES
+    if isinstance(default, dict):  # ``opt``
+        return mostly(hst.dictionaries(
+            mostly(hst.sampled_from(OPT_FIELDS), JSON_KEYS),
+            mostly(hst.integers(-2, 16), JSON_VALUES), max_size=3), JSON_VALUES)
+    if isinstance(default, list):
+        like = hst.lists(shaped_like(default[0]), max_size=3)
+    elif isinstance(default, bool):
+        like = hst.booleans()
+    elif isinstance(default, int):
+        like = hst.integers(-2, 16)
+    elif isinstance(default, float):
+        like = hst.floats() | hst.integers(-2, 16)
+    else:
+        like = hst.sampled_from(["lq", "quartic", "json", "identity"])
+    return mostly(like, JSON_VALUES)
+
+
+@hst.composite
+def experiments(draw):
+    kind = draw(mostly(hst.sampled_from(sorted(harness.EXPERIMENT_KINDS)),
+                       JSON_VALUES))
+    table = harness.EXPERIMENT_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
+    keys = draw(hst.lists(hst.sampled_from(sorted(table)), max_size=4,
+                          unique=True)) if table else []
+    exp = {key: draw(shaped_like(table[key])) for key in keys}
+    exp.update(draw(mostly(hst.just({}), hst.dictionaries(JSON_KEYS, JSON_VALUES,
+                                                           max_size=2))))
+    return {**exp, "kind": kind}
+
+
+# The one string ``out_dir`` drawn is relative: the fuzz runs in a fresh
+# directory and writes nowhere else.  No drawn key is ``out_dir`` elsewhere.
+CONFIGS = mostly(hst.fixed_dictionaries(
+    {"experiments": hst.lists(mostly(experiments(), JSON_VALUES), max_size=3),
+     "out_dir": mostly(hst.just("o"), JSON_VALUES.filter(
+         lambda value: not isinstance(value, str)))},
+    optional={"seed": mostly(hst.integers(-2, 2 ** 70), JSON_VALUES)}),
+    JSON_VALUES)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=CONFIGS, threads=mostly(hst.integers(1, 4), hst.integers(-2, 0)
+                                      | hst.sampled_from([1.0, 2.5, "2", None,
+                                                          True])),
+       fmt=hst.sampled_from(["csv", "json"]))
+def test_any_config_document_exits_with_a_code(tmp_path, monkeypatch, config,
+                                               threads, fmt):
+    """``run`` maps every config document to an exit code in {0, 1, 2, 3}
+    and prints no traceback; the experiments are stubbed, so only the
+    validation, the manifest and the writes run."""
+    def stub(params, stream):
+        return ["x"], [[1]], {"ok": {"pass": True}}
+
+    for kind in harness.EXPERIMENT_KINDS:
+        monkeypatch.setitem(harness.EXPERIMENT_KINDS, kind, stub)
+    monkeypatch.delenv("NCLAB_OUT_DIR", raising=False)
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    with open("c.json", "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = harness.run("c.json", threads=threads, fmt=fmt)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in printed.getvalue()

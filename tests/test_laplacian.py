@@ -3,12 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from nclab import harness, ncpoly
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
                              parse_outer, random_cylindrical, trace_power)
-from nclab.matrixcore import MatrixTuple, basis_element, random_hermitian
+from nclab.matrixcore import MatrixTuple, basis_element
 from nclab.ncpoly import NCPolynomial, words_up_to_degree
-from nclab.randmat import RngStream, sample_gue_tuple, sample_haar_unitary
+from nclab.randmat import RngStream, sample_gue_tuple
 
 
 def rand_tuple(d, n, seed, scale=0.7):
@@ -60,7 +61,8 @@ def test_eval_trace_square():
 def test_eval_unitary_invariance(stream):
     u = random_cylindrical(stream.child("cyl").generator(), d=2)
     x = rand_tuple(2, 6, seed=2)
-    v = sample_haar_unitary(6, stream.child("haar"))
+    z = stream.child("unitary").generator().standard_normal((6, 6, 2))
+    v, _ = np.linalg.qr(z[..., 0] + 1j * z[..., 1])  # any unitary will do
     rotated = MatrixTuple(np.stack([v @ c @ v.conj().T for c in x.data]))
     assert u.eval(rotated) == pytest.approx(u.eval(x), abs=1e-10)
 
@@ -190,6 +192,9 @@ def test_value_and_grad_matches_eval_and_gradient(stream, batched):
 
 
 # -- Hessian ------------------------------------------------------------------------
+# Paper claim: the generator with common noise,
+# 1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 Delta_GUE U, which
+# test_generator_consistency_with_dynamics checks against the dynamics.
 
 
 def test_hessian_trace_square():
@@ -321,7 +326,8 @@ def test_correction_trace_square_squared():
     tr_x2 = float(np.real(np.trace(x.component(0) @ x.component(0)))) / n
     assert u.correction_term(x) == pytest.approx(8.0 * tr_x2 / n ** 2,
                                                  abs=1e-12)
-    assert u.identity_check(x, tol=1e-10)
+    assert abs(u.gue_laplacian(x) - u.free_laplacian(x)
+               - u.correction_term(x)) < 1e-10
 
 
 def test_identity_random_instances(stream):
@@ -340,7 +346,7 @@ def test_identity_random_instances(stream):
         assert abs(gue - free - corr) < 1e-10
 
 
-@pytest.mark.parametrize("caller", ["identity_check", "laplacian-check"])
+@pytest.mark.parametrize("caller", ["shared-cache", "laplacian-check"])
 def test_laplacian_triple_computes_each_word_once(monkeypatch, caller):
     # the GUE Laplacian, the free Laplacian and the correction at one X share
     # one word cache, so each distinct word at an X costs one product
@@ -355,11 +361,13 @@ def test_laplacian_triple_computes_each_word_once(monkeypatch, caller):
 
     monkeypatch.setattr(ncpoly, "_word_matrix", counting)
     stream = RngStream(5)
-    if caller == "identity_check":
+    if caller == "shared-cache":
         for c in range(20):
             gen = stream.child("lap", c).generator()
             u = random_cylindrical(gen, 2)
-            assert u.identity_check(sample_gue_tuple(4, 2, gen, scale=0.8))
+            x, cache = sample_gue_tuple(4, 2, gen, scale=0.8), {}
+            assert abs(u.gue_laplacian(x, cache) - u.free_laplacian(x, cache)
+                       - u.correction_term(x, cache)) < 1e-10
     else:
         harness._exp_laplacian_check(
             {"cases": 20, "n_list": [3, 4, 6], "d": 2, "fd_step": 1e-3}, stream)

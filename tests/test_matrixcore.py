@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import random_hermitian
 from nclab import matrixcore as mc
 
 
@@ -36,14 +37,9 @@ def test_basis_index_out_of_range():
         mc.basis_element(2, 1, 3)
 
 
-def test_normalized_trace_identity_and_zero():
-    assert mc.normalized_trace(np.eye(5)) == pytest.approx(1.0)
-    assert mc.normalized_trace(np.zeros((4, 4))) == pytest.approx(0.0)
-
-
-def test_normalized_trace_basis_diagonal():
+def test_basis_diagonal_trace():
     # tr_n(sqrt(n) e1 e1^T) = 1/sqrt(n); n = 4 gives 1/2
-    assert mc.normalized_trace(mc.basis_element(4, 1, 1)) == pytest.approx(0.5)
+    assert np.trace(mc.basis_element(4, 1, 1)) / 4 == pytest.approx(0.5)
 
 
 def test_inner_product_identity_tuples():
@@ -54,8 +50,8 @@ def test_inner_product_identity_tuples():
 
 def test_inner_product_basis_pair_orthogonal():
     zero = np.zeros((2, 2))
-    x = mc.MatrixTuple.from_components([mc.basis_element(2, 1, 2), zero])
-    y = mc.MatrixTuple.from_components([mc.basis_element(2, 2, 1), zero])
+    x = mc.MatrixTuple(np.stack([mc.basis_element(2, 1, 2), zero]))
+    y = mc.MatrixTuple(np.stack([mc.basis_element(2, 2, 1), zero]))
     assert mc.inner_product(x, y) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -81,7 +77,7 @@ def test_eigh_pauli_x():
 
 
 def test_eigh_reconstruction_random(gen):
-    a = mc.random_hermitian(16, gen)
+    a = random_hermitian(16, gen)
     w, q = mc.eigh(a)
     assert np.linalg.norm(a - (q * w) @ q.conj().T) <= 1e-10 * (1 + np.linalg.norm(a))
     assert np.max(np.abs(q.conj().T @ q - np.eye(16))) <= 1e-10
@@ -93,7 +89,7 @@ def test_eigh_rejects_non_hermitian():
 
 
 def test_apply_identity_polynomial(gen):
-    a = mc.random_hermitian(6, gen)
+    a = random_hermitian(6, gen)
     assert np.max(np.abs(mc.apply_scalar_function(a, [0.0, 1.0]) - a)) <= 1e-10
 
 
@@ -109,7 +105,7 @@ def test_apply_arctan_identity():
 
 
 def test_functional_calculus_composition(gen):
-    a = mc.random_hermitian(8, gen)
+    a = random_hermitian(8, gen)
     f = [0.0, 0.5, 0.25]          # 0.5 x + 0.25 x^2
     g = [1.0, -1.0, 0.0, 0.125]   # 1 - x + x^3/8
     lhs = mc.apply_scalar_function(mc.apply_scalar_function(a, f), g)
@@ -120,9 +116,9 @@ def test_functional_calculus_composition(gen):
 
 
 def test_trace_cyclicity(gen):
-    a, b, c = (mc.random_hermitian(7, gen) for _ in range(3))
-    t1 = mc.normalized_trace(mc.hermitize(a @ b @ c + (a @ b @ c).conj().T))
-    t2 = mc.normalized_trace(mc.hermitize(b @ c @ a + (b @ c @ a).conj().T))
+    a, b, c = (random_hermitian(7, gen) for _ in range(3))
+    t1 = np.trace(mc.hermitize(a @ b @ c + (a @ b @ c).conj().T)) / 7
+    t2 = np.trace(mc.hermitize(b @ c @ a + (b @ c @ a).conj().T)) / 7
     assert t1 == pytest.approx(t2, abs=1e-10)
 
 
@@ -133,36 +129,39 @@ def test_operator_norm_examples():
 
 def test_clip_bounds_operator_norm(gen):
     for _ in range(5):
-        a = mc.random_hermitian(6, gen, scale=3.0)
+        a = random_hermitian(6, gen, scale=3.0)
         clipped = mc.apply_scalar_function(a, ("clip", 2.0))
         assert mc.operator_norm(clipped) <= 2.0 + 1e-12
 
 
+# Paper claim: the truncation lemma, ||phi_R(A) - A||_1 <= ||A||_2^2 / R.
 def test_clip_l1_inequality(gen):
-    # ||clip_R(A) - A||_L1 <= ||A||_L2^2 / R
     for r in (0.5, 1.0, 3.0):
         for _ in range(10):
-            x = mc.MatrixTuple(mc.random_hermitian(8, gen, scale=1.5))
+            x = mc.MatrixTuple(random_hermitian(8, gen, scale=1.5))
             gap = mc.l1_norm(x - x.clip(r))
             assert gap <= mc.inner_product(x, x) / r + 1e-12
 
 
 def test_matrix_tuple_immutable(gen):
-    x = mc.MatrixTuple(mc.random_hermitian(4, gen))
+    x = mc.MatrixTuple(random_hermitian(4, gen))
     with pytest.raises(ValueError):
         x.data[0, 0, 0] = 5.0
 
 
 def test_matrix_tuple_arithmetic(gen):
-    x = mc.MatrixTuple(mc.random_hermitian(5, gen))
-    y = mc.MatrixTuple(mc.random_hermitian(5, gen))
+    x = mc.MatrixTuple(random_hermitian(5, gen))
+    y = mc.MatrixTuple(random_hermitian(5, gen))
     z = 2.0 * x + y - x
     assert np.allclose(z.data, x.data + y.data)
 
 
+# Paper claim: the Daleckii-Krein derivative of the functional calculus, the
+# per-matrix reference against which test_control's brute-force gradients
+# check the batched clip and arctan pullbacks.
 def test_scalar_function_derivative_matches_fd(gen):
-    a = mc.random_hermitian(6, gen)
-    e = mc.random_hermitian(6, gen, scale=0.5)
+    a = random_hermitian(6, gen)
+    e = random_hermitian(6, gen, scale=0.5)
     pull = mc.scalar_function_derivative(a, "arctan", lambda t: 1.0 / (1.0 + t * t))
     analytic = pull(e)
     h = 1e-6
@@ -172,7 +171,7 @@ def test_scalar_function_derivative_matches_fd(gen):
 
 
 def hermitian_batch(gen, shape, n, scale=1.0):
-    return np.stack([mc.random_hermitian(n, gen, scale=scale)
+    return np.stack([random_hermitian(n, gen, scale=scale)
                      for _ in range(math.prod(shape))]).reshape(shape + (n, n))
 
 
@@ -207,7 +206,7 @@ def test_batched_eigh_rejects_one_non_hermitian_element(gen):
 def test_batched_eigh_residual_is_checked_per_matrix(gen, monkeypatch):
     # the bad element is small next to its batch mate: a batch-wide residual
     # bound would let its 1e-7 error through
-    a = np.stack([1e6 * mc.random_hermitian(3, gen), mc.random_hermitian(3, gen)])
+    a = np.stack([1e6 * random_hermitian(3, gen), random_hermitian(3, gen)])
     original = np.linalg.eigh
 
     def perturbed(m, *args, **kwargs):

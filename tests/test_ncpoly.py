@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_hermitian
 from nclab import ncpoly as ncp
-from nclab.matrixcore import MatrixTuple, random_hermitian
+from nclab.matrixcore import MatrixTuple
 from nclab.randmat import RngStream
 
 
@@ -130,6 +131,8 @@ def test_trace_cyclic_shift_invariance():
 
 
 # -- involution -------------------------------------------------------------------
+# Paper claim: self-adjoint inners give real traces.  ``star`` is the
+# involution p -> p*, the reference for ``symmetrize`` and ``is_selfadjoint``.
 
 
 def test_star_examples():

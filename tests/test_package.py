@@ -1,3 +1,5 @@
+import ast
+import collections
 import importlib
 import os
 import pkgutil
@@ -28,6 +30,63 @@ def test_every_name_in_all_resolves():
             missing[info.name] = absent
     assert {"control", "harness", "laplacian", "ncpoly"} <= checked
     assert missing == {}
+
+
+# The public names outside ``control`` that no code in ``src`` calls, each
+# with the paper claim its tests check.  The three ``nclaw`` helpers beside
+# ``semicircle_arctan_law`` are called from ``src``; they are listed because
+# they exist for the same claim.
+TEST_ONLY_CLAIMS = {
+    "laplacian.CylindricalFunction.hessian_bilinear":
+        "the generator with common noise, "
+        "1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 Delta_GUE U",
+    "matrixcore.l1_norm":
+        "the truncation lemma, ||phi_R(A) - A||_1 <= ||A||_2^2 / R",
+    "matrixcore.scalar_function_derivative":
+        "the Daleckii-Krein reference for the clip and arctan pullbacks",
+    "nclaw.NCLaw": "the target law of the Laplace principle",
+    "nclaw.semicircle_arctan_law": "the target law of the Laplace principle",
+    "nclaw.semicircle_arctan_moment": "the target law of the Laplace principle",
+    "nclaw.adaptive_simpson": "the target law of the Laplace principle",
+    "ncpoly.NCPolynomial.star":
+        "self-adjoint inners: the reference for symmetrize and is_selfadjoint",
+}
+
+
+def _identifiers(node):
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_caller_or_a_claim():
+    """Every public function, class and method outside ``control`` is
+    named (as a variable or an attribute) somewhere in ``src`` outside its
+    own body, or is listed with its paper claim in ``TEST_ONLY_CLAIMS``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(nclab.__file__).parent.glob("*.py")}
+    uses = sum((_identifiers(tree) for tree in trees.values()),
+               collections.Counter())
+    public, uncalled = set(), set()
+    for module, tree in trees.items():
+        if module == "control":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+            for name, defn in members:
+                if any(part.startswith("_") for part in name.split(".")):
+                    continue
+                public.add(f"{module}.{name}")
+                leaf = defn.name
+                if uses[leaf] - _identifiers(defn)[leaf] == 0:
+                    uncalled.add(f"{module}.{name}")
+    assert set(TEST_ONLY_CLAIMS) <= public
+    assert uncalled - set(TEST_ONLY_CLAIMS) == set()
 
 
 def test_runtime_import_loads_no_scipy():
@@ -77,11 +136,12 @@ def test_benchmark_tracer_reads_both_engine_paths(tmp_path, monkeypatch, templat
     policy = control.zero_policy(problem, K=2, N=1, R=8.0)
     batch = control._prepare_batch(problem, policy, RngStream(3), "t", range(6))
     originals = (control._forward, control._chunk_cost, control._chunk_gradients)
+    monkeypatch.setattr(control, "CHUNK", 4)  # the state path sweeps 2 slices
     tracer = tracer_module.Tracer(str(tmp_path))
     tracer.install()
     try:
         with tracer.span("root"):
-            control._evaluate_prepared(problem, policy, batch, 4, want_grads=True)
+            control._evaluate_prepared(problem, policy, batch, want_grads=True)
     finally:
         tracer.remove()
     assert (control._forward, control._chunk_cost, control._chunk_gradients) == originals

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nclab import randmat as rm
-from nclab.matrixcore import operator_norm
 from nclab.ncpoly import NCPolynomial
 from nclab.nclaw import freeness_statistic, semicircle_moment
 
@@ -212,50 +211,6 @@ def test_gue_increment_components_nearly_free(stream):
 def test_gue_increments_rejects_bad_grid(stream):
     with pytest.raises(ValueError):
         rm.gue_increments(4, 1, (0.0, 0.5, 0.5), stream)
-
-
-def test_haar_unitarity(stream):
-    u = rm.sample_haar_unitary(16, stream.child("haar"))
-    assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
-
-
-def test_haar_first_moment_vanishes(stream):
-    gen = stream.child("haarmean").generator()
-    vals = [np.trace(rm.sample_haar_unitary(8, gen)) / 8 for _ in range(2000)]
-    assert abs(np.mean(vals)) < 0.05
-
-
-def test_haar_left_invariance(stream):
-    gen = stream.child("haarinv").generator()
-    n = 32
-    a = rm.sample_gue(n, gen)
-    b = rm.sample_gue(n, gen)
-    v = rm.sample_haar_unitary(n, gen)
-
-    def stat(u):
-        return float(np.real(np.trace(u @ a @ u.conj().T @ b))) / n
-
-    plain = [stat(rm.sample_haar_unitary(n, gen)) for _ in range(400)]
-    rotated = [stat(v @ rm.sample_haar_unitary(n, gen)) for _ in range(400)]
-    assert abs(np.mean(plain) - np.mean(rotated)) <= 0.02
-    assert abs(np.var(plain) - np.var(rotated)) <= 0.02
-
-
-def test_unitary_concentration_rate(stream):
-    # variance of tr_n(U A U* B) drops by ~4 when n doubles (within [2, 8])
-    gen = stream.child("conc").generator()
-    variances = {}
-    for n in (32, 64):
-        a = rm.sample_gue(n, gen)
-        b = rm.sample_gue(n, gen)
-        a /= operator_norm(a)
-        b /= operator_norm(b)
-        vals = [float(np.real(np.trace(
-            (u := rm.sample_haar_unitary(n, gen)) @ a @ u.conj().T @ b))) / n
-            for _ in range(600)]
-        variances[n] = np.var(vals)
-    ratio = variances[32] / variances[64]
-    assert 2.0 <= ratio <= 8.0
 
 
 def test_brownian_increment_variance(stream):
