@@ -29,25 +29,33 @@ computed once per sample set without an eigensolve: no slot of the set can
 exceed R when sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k), and
 only where that fails is the bound tested per slot.  Each rho_{s,w} is
 within a factor n^(1/8) of the operator norm the clip acts on.  States are
-real combinations of the per-sample basis [f; 1; x0; increments], so the
+real combinations of the per-sample basis b = [f; 1; x0; increments], so the
 tree expands on the (B_i, d, V) coefficients,
 
     C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
 
-and the states of a level are one GEMM per sample, C_i @ basis, made only
-where a cost reads them.  The controls are materialised in three places
-only: at clip suspects (slots the pre-screen flags), where the
-clipped slots' states and gradients are corrected; where l0 reads them or
-every level's states are kept (``_forward(..., keep_states=True)``); and for
-const steps, as a broadcast view whose sample-independent drift is added to
-the states.
+and the states of a level are one GEMM per sample, C_i @ b, made only where
+a cost reads them.  The controls are materialised only at clip suspects
+(slots the pre-screen flags), where the clipped slots' states and gradients
+are corrected; where l0 reads them or every level's states are kept
+(``_forward(..., keep_states=True)``); and for const steps, as a broadcast
+view whose sample-independent drift is added to the states.
+
+A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
+``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
+one stream address per sample, into its R distinct rows r: the identity,
+the letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
+Basis column v is row m(v) times a per-sample factor a_{s,v}: gate over
+feature scale for a feature, else 1.  So one GEMM over the rows gives the
+basis Gram H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V),
+and traces t_s = tr b_v; a step's feature Gram G_s is a block of H_s.  A
+sweep that makes no state covers the whole set.  Where states are made the
+set is swept in slices of ``CHUNK`` samples, which bounds the
+(CHUNK, B, d, n, n) state arrays, and each slice gathers its basis once.
 
 Terminal costs affine in tr_n X_k and tr_n X_k X_l stay in coefficient
-space.  Each prepared sample set (the optimizer freezes its letters, gate
-and feature scales) carries the basis Gram H_s = Re tr(b_v b_w), (S, V, V),
-and traces t_s = tr b_v; a step's feature Gram G_s is a block of H_s.  A
-terminal whose ``trace_quadratic()`` is not None (a cylindrical cost with
-an outer of degree <= 1 over inners of degree <= 2, such as
+space.  A terminal whose ``trace_quadratic()`` is not None (a cylindrical
+cost with an outer of degree <= 1 over inners of degree <= 2, such as
 ``trace_power(d, 2, coef)``: the LQ terminal and the Laplace-principle psi)
 reads the leaves only through tr_n X_k = C_k . t_s / n and
 tr_n X_k X_l = C_k^T H_s C_l / n, so its value needs no n x n array, and its
@@ -59,13 +67,6 @@ adjoint paired with the features in one GEMM per step: a terminal without
 that form (the quartic cost, a nonlinear outer), l0 set (every level's
 states), and a const step or a slot the clip binds (their drift and fixes
 are not in the basis span).
-
-A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
-``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
-one stream address per sample, and gated and featurised at once.  A sweep
-that makes no state covers the whole set; where states are made, the set
-is swept in slices of ``CHUNK`` samples, which bounds the
-(CHUNK, B, d, n, n) state arrays.
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
@@ -321,10 +322,6 @@ class PolicyStep:
     words: list | None = None
     coeffs: np.ndarray | None = None
 
-    @property
-    def paths(self):
-        return self.values.shape[0] if self.kind == "const" else self.coeffs.shape[0]
-
 
 @dataclass
 class DiscretePolicy:
@@ -461,17 +458,18 @@ def _bin_tree(K, N, delta, collapse):
                     branch_omegas=omegas, branch_probs=branch)
 
 
-def _sample_letters(problem, K, sample_indices, rng: RngStream, tag):
-    """Letters (S, d(1+K), n, n) of the given samples: x0's components, then
-    each step's GUE increments, sample s drawn from ``rng.child(tag, s)``.
-    One ``sample_gue`` call covers the samples' streams, and each path is
-    scaled as ``gue_increments`` does.  Every letter is exactly Hermitian:
-    GUE draws are, a real scale keeps them so, and x0 is symmetrized once
-    for the set (a ``MatrixTuple`` may keep drift below its tolerance)."""
+def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out=None):
+    """Letters (S, d(1+K), n, n) of the given samples, in ``out`` if given:
+    x0's components, then each step's GUE increments, sample s drawn from
+    ``rng.child(tag, s)``.  One ``sample_gue`` call covers the samples'
+    streams, and each path is scaled as ``gue_increments`` does.  Every
+    letter is exactly Hermitian: GUE draws are, a real scale keeps them so,
+    and x0 is symmetrized once for the set (a ``MatrixTuple`` may keep drift
+    below its tolerance)."""
     n, d, times = problem.n, problem.d, problem.grid(K).times
     draws = randmat.sample_gue(n, (rng, tag, sample_indices), (K, d))
     S = len(draws)
-    letters = np.empty((S, d * (1 + K), n, n), dtype=complex)
+    letters = np.empty((S, d * (1 + K), n, n), complex) if out is None else out
     letters[:, :d] = hermitize(problem.x0.data)
     np.multiply(np.sqrt(np.diff(times))[:, None, None, None], draws,
                 out=letters[:, d:].reshape(S, K, d, n, n))
@@ -512,41 +510,45 @@ def _gate_indicator(letters, d, K, level, squares=None):
 
 
 def _word_features(letters, words):
-    """Word evaluations, (S, W, n, n): the empty word and the letters, which
-    are exactly Hermitian (see ``_sample_letters``), as they are, and longer
-    words Hermitian-symmetrized."""
+    """Word evaluations, (S, W, n, n), Hermitian-symmetrized; the empty word
+    and the letters are exactly Hermitian (see ``_sample_letters``)."""
     S, _, n, _ = letters.shape
     out = np.empty((S, len(words), n, n), dtype=complex)
     cache = {}
     for k, word in enumerate(words):
-        mat = ncpoly._word_matrix(word, letters, cache)
-        out[:, k] = hermitize(mat) if len(word) > 1 else mat
+        out[:, k] = hermitize(ncpoly._word_matrix(word, letters, cache))
     return out
 
 
-def _feature_radius(letters, d, squares, features, words, factor):
-    """Bounds rho_{s,w} >= ||f_{s,w}||_op, (S, W), on the features
-    f_{s,w} = factor_{s,w} word_w (the gate over the feature scale).  A word
-    of degree >= 2 reads its feature: (sum lambda^8)^(1/8) through f @ f.
-    The empty word's bound is exact, factor itself; a letter L's is
-    (sum lambda^8)^(1/8) = ||(L^2)^2||_F^(1/4) times factor, for x0's
-    components once for the set and for the increments from their
-    ``squares``, the gate's."""
-    S, W = factor.shape
-    x0 = letters[:1, :d]                     # the same in every sample
-    letter_radius = np.empty((S, 1 + letters.shape[1]))
-    letter_radius[:, 0] = 1.0
-    letter_radius[:, 1:d + 1] = np.sqrt(operator_norm_bound(x0 @ x0))
-    letter_radius[:, d + 1:] = np.sqrt(operator_norm_bound(squares))
-    radius = np.empty((S, W))
-    short = [k for k, w in enumerate(words) if len(w) < 2]
-    radius[:, short] = factor[:, short] * letter_radius[
-        :, [words[k][0] if words[k] else 0 for k in short]]
-    long = [k for k, w in enumerate(words) if len(w) > 1]
-    if long:
-        f = features[:, long]
-        radius[:, long] = np.sqrt(operator_norm_bound(f @ f))
-    return radius
+def _distinct_rows(problem, policy, rng, tag, sample_indices):
+    """A sample set's distinct rows (S, R, n, n), the identity, the letters
+    and the symmetrized global words of length >= 2 (a word and its reversal
+    share a row), and the row of each global word, (W,)."""
+    d, K, n = problem.d, policy.K, problem.n
+    words = _global_words(problem, policy)
+    first = 1 + d * (1 + K)                  # the first longer word's row
+    row = {(l,) if l else (): l for l in range(first)}
+    for w in words:
+        row.setdefault(min(w, w[::-1]), len(row))
+    rows = np.empty((len(sample_indices), len(row), n, n), dtype=complex)
+    rows[:, 0] = np.eye(n)
+    letters = _sample_letters(problem, K, sample_indices, rng, tag,
+                              out=rows[:, 1:first])
+    if len(row) > first:
+        rows[:, first:] = _word_features(letters, list(row)[first:])
+    return rows, np.array([row[min(w, w[::-1])] for w in words], dtype=int)
+
+
+def _row_radius(rows, d, squares):
+    """Bounds rho_{s,r} >= ||r_{s,r}||_op on the distinct rows, (S, R): 1
+    for the identity, else (sum lambda^8)^(1/8) = ||(r^2)^2||_F^(1/4), x0's
+    once for the set and the increments' from the gate's ``squares``."""
+    S = len(rows)
+    x0 = rows[:1, 1:d + 1]                   # the same in every sample
+    long = rows[:, 1 + d + squares.shape[1]:]
+    bounds = [np.ones((S, 1)), operator_norm_bound(x0 @ x0).repeat(S, 0),
+              operator_norm_bound(squares), operator_norm_bound(long @ long)]
+    return np.sqrt(np.concatenate(bounds, axis=1))
 
 
 @dataclass
@@ -682,15 +684,10 @@ def _sample_rows(s_idx, S):
 
 def _realize_controls(policy, step_index, batch, suspects, materialise=False):
     """One step's controls over a sample set with the clip applied
-    (``_ConstControls`` or ``_PolyControls``).
-
-    A poly step's control alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} is a real
-    combination of Hermitian features, so tr(alpha^2) = c^T G_s c with G_s
-    the features' block of the basis Gram, and
-    ||alpha||_op <= sum_w |c_w| rho_{s,w} with the features' radius bounds.
-    Only the ``suspects``, the slots the step's ``_clip_screen`` entry flags
-    by that bound, are materialised and clipped.
-    """
+    (``_ConstControls`` or ``_PolyControls``).  A poly step's feature Gram
+    G_s is a block of the basis Gram (see the module docstring), and only
+    the ``suspects``, the slots its ``_clip_screen`` entry flags by the
+    triangle bound, are materialised and clipped."""
     st = policy.steps[step_index]
     R = policy.R
     S = len(batch.gram)
@@ -764,13 +761,7 @@ def _forward(problem, policy, tree, batch, keep_states=False, screen=None):
     none when the terminal is read in coefficient space; the running
     Lagrangian of each level summed over its nodes with their
     probabilities, (S,) per level; and a ``_Sweep``.  Poly controls are
-    materialised where l0 reads them or with ``keep_states``.
-
-    The tree is expanded in coefficient space: a state is a real
-    combination of the per-sample basis [f; 1; x0; increments] (the gated
-    global word features, the identity and the letters), plus the
-    sample-independent drift of const steps and the fixes of clipped slots.
-    States are materialised only for the levels a cost reads.  A terminal
+    materialised where l0 reads them or with ``keep_states``.  A terminal
     with a ``trace_quadratic()`` form reads no state when nothing else does
     (no l0, no ``keep_states``) and the leaves are in the basis span (no
     const step, no clipped slot in the set).
@@ -946,65 +937,76 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
 
 @dataclass
 class _Batch:
-    """A sample set's frozen data: the per-sample basis [f; 1; x0;
-    increments] as float views (S, V, 2 n n), whose first ``width`` rows
-    are the gated, scaled global word features; its Gram matrices
-    H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V); each
-    step's feature columns (``word_index``, None for const steps or
-    without poly steps); and ``radius``, (S, width), a bound
-    rho_{s,w} >= ||f_{s,w}||_op on each feature's operator norm (see
-    ``_feature_radius``), which the clip pre-screen reads.  The optimizer
-    evaluates many policies on it."""
+    """A sample set's frozen data, on which the optimizer evaluates many
+    policies: its distinct rows as float views (S, R, 2 n n), and basis
+    columns [f; 1; x0; increments], the ``width`` features first; column v
+    is row ``index[v]`` times ``factor[s, v]`` (see the module docstring).
+    So are the Gram matrices H_s = Re tr(b_v b_w), (S, V, V), traces tr b_v,
+    (S, V), and ``radius``, (S, width), the clip pre-screen's bounds
+    rho_{s,w} >= ||f_{s,w}||_op.  ``word_index`` lists each step's feature
+    columns (None for a const step).  ``basis``, (S, V, 2 n n), is gathered
+    on first use into ``bases``, which the set's slices share, keyed by
+    their first sample ``start`` and size: once per slice and set."""
 
-    basis: np.ndarray
+    rows: np.ndarray
+    index: np.ndarray
+    factor: np.ndarray
     gram: np.ndarray
     traces: np.ndarray
     width: int
-    word_index: list | None
+    word_index: list
     radius: np.ndarray
+    start: int = 0
+    bases: dict = field(default_factory=dict)
+
+    @property
+    def basis(self):
+        key = (self.start, len(self.gram))
+        if key not in self.bases:
+            self.bases[key] = _gather_basis(self.rows, self.index, self.factor)
+        return self.bases[key]
 
     def slices(self, size):
         """The set as consecutive batches of ``size`` samples (views)."""
         for lo in range(0, len(self.gram), size):
             rows = slice(lo, lo + size)
-            yield replace(self, basis=self.basis[rows], gram=self.gram[rows],
-                          traces=self.traces[rows], radius=self.radius[rows])
+            yield replace(self, rows=self.rows[rows], factor=self.factor[rows],
+                          gram=self.gram[rows], traces=self.traces[rows],
+                          radius=self.radius[rows], start=self.start + lo)
+
+
+def _gather_basis(rows, index, factor):
+    """The basis (S, V, 2 n n): row ``index[v]`` times ``factor[:, v]``."""
+    return rows[:, index] * factor[..., None]
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """The ``_Batch`` of a sample set: letters, gate, scaled features, basis.
-    The increments' squares serve both the gate and the features' radii."""
+    """The ``_Batch`` of a sample set; the increments' squares serve both
+    the gate and the rows' radii."""
     K, d = policy.K, problem.d
-    letters = _sample_letters(problem, K, sample_indices, rng, tag)
-    S, _, n, _ = letters.shape
-    increments = letters[:, d:]
-    squares = increments @ increments
+    rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
+    S, R, n, _ = rows.shape
+    letters = rows[:, 1:1 + d * (1 + K)]
+    squares = letters[:, d:] @ letters[:, d:]
     gate = _gate_indicator(letters, d, K, policy.gate_level, squares)
-    eye = np.eye(n, dtype=complex).reshape(1, 1, -1).view(float)
-    parts = [np.broadcast_to(eye, (S, 1, 2 * n * n)),
-             letters.reshape(S, -1, n * n).view(float)]
-    width, word_index, radius = 0, None, np.zeros((S, 0))
-    if any(st.kind == "poly" for st in policy.steps):
-        global_words = _global_words(problem, policy)
-        pos = {w: k for k, w in enumerate(global_words)}
-        scales = (np.ones(len(global_words)) if policy.feature_scales is None
-                  else policy.feature_scales)
-        features = _word_features(letters, global_words)
-        features /= scales[:, None, None]
-        features *= gate[:, None, None, None]
-        radius = _feature_radius(letters, d, squares, features, global_words,
-                                 gate[:, None] / scales)
-        width = len(global_words)
-        parts.insert(0, features.reshape(S, width, -1).view(float))
-        word_index = [np.array([pos[w] for w in st.words], dtype=int)
-                      if st.kind == "poly" else None
-                      for st in policy.steps]
-    basis = np.concatenate(parts, axis=1)
-    # the basis is Hermitian: Re tr(b_v b_w) is the dot product of float views
-    gram = basis @ np.swapaxes(basis, 1, 2)
-    traces = basis[..., ::2 * (n + 1)].sum(axis=-1)       # Re of the diagonal
-    return _Batch(basis=basis, gram=gram, traces=traces, width=width,
-                  word_index=word_index, radius=radius)
+    width = len(row_of)
+    index = np.concatenate([row_of, np.arange(1 + d * (1 + K))])
+    factor = np.ones((S, len(index)))
+    factor[:, :width] = gate[:, None] / (1.0 if policy.feature_scales is None
+                                         else policy.feature_scales)
+    pos = {w: k for k, w in enumerate(_global_words(problem, policy))}
+    flat = rows.reshape(S, R, -1).view(float)
+    # the rows are Hermitian: Re tr(r_a r_b) is the dot product of float views
+    gram = flat @ np.swapaxes(flat, 1, 2)
+    traces = flat[..., ::2 * (n + 1)].sum(axis=-1)        # Re of the diagonal
+    return _Batch(
+        rows=flat, index=index, factor=factor,
+        gram=gram[:, index[:, None], index] * factor[..., None] * factor[:, None],
+        traces=traces[:, index] * factor, width=width,
+        word_index=[None if st.kind == "const" else
+                    np.array([pos[w] for w in st.words], dtype=int)
+                    for st in policy.steps],
+        radius=factor[:, :width] * _row_radius(rows, d, squares)[:, row_of])
 
 
 def _global_words(problem, policy):
@@ -1017,20 +1019,20 @@ def _global_words(problem, policy):
 
 
 def _feature_scales(problem, policy, rng, tag, sample_indices):
-    """RMS tr_n-norms of the global word features over a batch (preconditioner)."""
-    letters = _sample_letters(problem, policy.K, sample_indices, rng, tag)
-    feats = _word_features(letters, _global_words(problem, policy))
-    sq = np.einsum("swij,swji->sw", feats, feats).real / problem.n
+    """RMS tr_n-norms of the global word features over a batch
+    (preconditioner), from their rows' Gram diagonal: tr_n f^2 = H_rr / n."""
+    rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
+    flat = rows.reshape(rows.shape[:2] + (-1,)).view(float)
+    sq = np.einsum("srx,srx->sr", flat, flat)[:, row_of] / problem.n
     return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12))
 
 
 def _clip_screen(policy, batch):
     """Each step's ``_clip_suspects`` over the set: the flat (S, B d) slot
     indices of a poly step, None for a const step."""
-    cols = batch.word_index or [None] * policy.K
     return [None if st.kind == "const" else _clip_suspects(
         batch.radius[:, c], st.coeffs.reshape(-1, st.coeffs.shape[-1]),
-        policy.R) for st, c in zip(policy.steps, cols)]
+        policy.R) for st, c in zip(policy.steps, batch.word_index)]
 
 
 def _screen_rows(policy, screen, rows):
@@ -1090,8 +1092,7 @@ def _evaluate_prepared(problem, policy, batch, want_grads=False):
     stderr = float(costs.std(ddof=1) / math.sqrt(len(costs))) if len(costs) > 1 else 0.0
     if want_grads:
         grads = [g / len(costs) for g in grads]
-        return mean, stderr, grads
-    return mean, stderr, None
+    return mean, stderr, grads
 
 
 # ---------------------------------------------------------------------------
@@ -1443,11 +1444,10 @@ def coarsen_control(fine_samples, grid: TimeGrid, N, R=None) -> DiscretePolicy:
     if R is None:
         R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
                 for st in steps) + 1.0
-    policy = DiscretePolicy(K=K, N=N, R=R, gate_level=math.inf, d=d, n=n,
-                            steps=steps, collapse_bins=False,
-                            include_current_increment=True,
-                            fallback_cells=fallbacks)
-    return policy
+    return DiscretePolicy(K=K, N=N, R=R, gate_level=math.inf, d=d, n=n,
+                          steps=steps, collapse_bins=False,
+                          include_current_increment=True,
+                          fallback_cells=fallbacks)
 
 
 def _prefix_from_index(b, i, N):

@@ -516,9 +516,8 @@ def experiment_params(kind, params):
     params = {**table, **given}
     if "opt" in params:
         optimizer_config(params)
-    if "template" in params:
-        problem_from_params(params, params["n"] if "n" in params
-                            else params["n_list"][0])
+    if "template" in params:  # checked at n = 1, so nothing grows with n
+        problem_from_params(params, 1)
     return params
 
 

@@ -517,6 +517,86 @@ def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
     assert np.all(batch.radius[~kept] == 0.0)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_distinct_rows_match_the_concatenated_basis(stream, degree):
+    """The batch read off the distinct rows agrees with the basis built as
+    [gated, scaled features; 1; x0; increments] and its float-view Gram, to
+    1e-13 relative, and a rejected sample's feature entries are exactly 0."""
+    gen = stream.child("rows", degree).generator()
+    n, d, K, S = 3, 2, 2, 7
+    problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
+    policy = ctl.zero_policy(problem, K=K, N=1, R=8.0, degree=degree,
+                             gate_level=1.0)
+    words = ctl._global_words(problem, policy)
+    W = len(words)
+    policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
+    batch = ctl._prepare_batch(problem, policy, stream.child("rows-batch"),
+                               "t", range(S))
+    letters = ctl._sample_letters(problem, K, range(S),
+                                  stream.child("rows-batch"), "t")
+    gate = ctl._gate_indicator(letters, d, K, policy.gate_level)
+    kept = gate == 1.0
+    assert 0 < kept.sum() < S
+    feats = ctl._word_features(letters, words) / policy.feature_scales[
+        :, None, None] * gate[:, None, None, None]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (S, 1, n, n))
+    basis = np.concatenate([feats, eye, letters], axis=1).reshape(
+        S, W + 1 + len(letters[0]), -1).view(float)
+    gram = basis @ np.swapaxes(basis, 1, 2)
+    norms = np.sqrt(np.einsum("svv->sv", gram))          # ||b_v||_F
+    radius = np.sqrt(operator_norm_bound(feats @ feats))
+    radius[:, 0] = gate / policy.feature_scales[0]       # exact for 1
+    assert batch.width == W and batch.basis.shape == basis.shape
+    assert np.all(np.abs(batch.gram - gram)
+                  <= 1e-13 * norms[:, :, None] * norms[:, None, :])
+    assert np.all(np.abs(batch.traces - basis[..., ::2 * (n + 1)].sum(-1))
+                  <= 1e-13 * math.sqrt(n) * norms)
+    assert np.all(np.abs(batch.radius - radius) <= 1e-13 * radius)
+    assert np.all(np.linalg.norm(batch.basis - basis, axis=-1)
+                  <= 1e-13 * norms)
+    for got in (batch.basis[~kept, :W], batch.gram[~kept, :W],
+                batch.gram[~kept, :, :W], batch.traces[~kept, :W],
+                batch.radius[~kept]):
+        assert np.all(got == 0.0)
+
+
+def count_basis_builds(monkeypatch):
+    """Record the number of samples of every lazy basis build."""
+    calls = []
+    original = ctl._gather_basis
+
+    def counted(rows, index, factor):
+        calls.append(len(rows))
+        return original(rows, index, factor)
+
+    monkeypatch.setattr(ctl, "_gather_basis", counted)
+    return calls
+
+
+def test_lq_solve_builds_no_basis_and_a_quartic_one_per_slice(monkeypatch):
+    """Criterion 6's LQ solve at n = 8 reads its sample sets through the
+    rows' Gram alone; a quartic evaluation makes states, so it gathers the
+    basis once per ``CHUNK`` slice, for the sweep and the gradients, and
+    the set's later evaluations reuse it."""
+    from nclab import acceptance, harness
+
+    calls = count_basis_builds(monkeypatch)
+    train, val = harness.scaled_samples(8, 48, 192)
+    cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
+                              max_iters=5)
+    ctl.optimize_discrete_value(harness.lq_problem(8), 4, 2, 8.0, cfg,
+                                acceptance._stream(6).child(8))
+    assert calls == []
+    problem = quartic_problem(3, beta_c=0.5)
+    policy = ctl.zero_policy(problem, K=2, N=1, R=8.0)
+    batch = ctl._prepare_batch(problem, policy, rm.RngStream(3), "t", range(6))
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    first = ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
+    assert calls == [4, 2]
+    again = ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
+    assert calls == [4, 2] and again[:2] == first[:2]
+
+
 def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
     """Criterion 6's n = 8 solve at 20 iterations evaluates 23 times (the
     start, 20 trials and two validations), each screening its K = 4 steps

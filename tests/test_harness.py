@@ -612,8 +612,14 @@ def mostly(usual, other):
     return hst.integers(0, 9).flatmap(lambda k: usual if k else other)
 
 
-def shaped_like(default):
-    """Values of the JSON type of a parameter's default, and any value."""
+# Matrix sizes are drawn far beyond memory: validation allocates nothing
+# that grows with n.
+SIZE_KEYS, SIZE_TOP = ("n", "n_list"), 2 ** 40
+
+
+def shaped_like(default, top=16):
+    """Values of the JSON type of a parameter's default, integers up to
+    ``top``, and any value."""
     if default is None:
         return JSON_VALUES
     if isinstance(default, dict):  # ``opt``
@@ -621,11 +627,11 @@ def shaped_like(default):
             mostly(hst.sampled_from(OPT_FIELDS), JSON_KEYS),
             mostly(hst.integers(-2, 16), JSON_VALUES), max_size=3), JSON_VALUES)
     if isinstance(default, list):
-        like = hst.lists(shaped_like(default[0]), max_size=3)
+        like = hst.lists(shaped_like(default[0], top), max_size=3)
     elif isinstance(default, bool):
         like = hst.booleans()
     elif isinstance(default, int):
-        like = hst.integers(-2, 16)
+        like = hst.integers(-2, top)
     elif isinstance(default, float):
         like = hst.floats() | hst.integers(-2, 16)
     else:
@@ -640,7 +646,9 @@ def experiments(draw):
     table = harness.EXPERIMENT_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
     keys = draw(hst.lists(hst.sampled_from(sorted(table)), max_size=4,
                           unique=True)) if table else []
-    exp = {key: draw(shaped_like(table[key])) for key in keys}
+    exp = {key: draw(shaped_like(table[key],
+                                 SIZE_TOP if key in SIZE_KEYS else 16))
+           for key in keys}
     exp.update(draw(mostly(hst.just({}), hst.dictionaries(JSON_KEYS, JSON_VALUES,
                                                            max_size=2))))
     return {**exp, "kind": kind}
