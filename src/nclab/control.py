@@ -13,8 +13,9 @@ tuples or polynomial nodes in (x0, GUE increments), clipped in operator norm
 at R and gated by the increment-norm indicator at level M.  The optimizer is
 sample-average approximation over polynomial nodes with first-order descent
 and exact (cyclic-derivative) gradients; expectation over the common noise
-is exact, over the GUE empirical.  Const nodes (``coarsen_control``'s
-policies) are evaluated, not optimized.
+is exact, over the GUE empirical.  ``zero_policy`` builds polynomial
+nodes; const nodes come from ``coarsen_control`` and are evaluated, not
+optimized.
 
 The engine sweeps the tree in coefficient space.  A polynomial control is
 alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
@@ -37,9 +38,10 @@ tree expands on the (B_i, d, V) coefficients,
 and the states of a level are one GEMM per sample, C_i @ b, made only where
 a cost reads them.  The controls are materialised only at clip suspects
 (slots the pre-screen flags), where the clipped slots' states and gradients
-are corrected; where l0 reads them or every level's states are kept
-(``_forward(..., keep_states=True)``); and for const steps, as a broadcast
-view whose sample-independent drift is added to the states.
+are corrected; where l0 reads them or ``_forward`` keeps every level's
+states (``keep_states``, set when l0's gradient needs them); and for const
+steps, as a broadcast view whose sample-independent drift is added to the
+states.
 
 A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
@@ -117,7 +119,6 @@ __all__ = [
 
 PATH_GUARD = 10 ** 6  # maximum number of enumerated bin paths
 CHUNK = 16  # samples per sweep that makes states
-NODE_KINDS = ("poly", "const")  # the kinds of a policy step's node
 
 
 class OptimizeError(NumericalError):
@@ -137,15 +138,12 @@ class ScalarTraceCost:
     differentiable machinery for the optimizer (``eval`` only).
     """
 
-    def __init__(self, h, letters=None):
+    def __init__(self, h):
         self.h = h
-        self.letters = letters  # None = all letters
 
     def eval(self, data):
         data = np.asarray(data, dtype=complex)
         lead = data.shape[:-3]
-        if self.letters is not None:
-            data = data[..., list(self.letters), :, :]
         try:
             w = np.linalg.eigvalsh(data)                 # (..., letters, n)
         except np.linalg.LinAlgError as exc:
@@ -237,7 +235,7 @@ class ArctanComposedTerminal:
     tr_n pairing; each call makes one batched eigensolve.
     """
 
-    def __init__(self, cyl: CylindricalFunction, sign=1.0):
+    def __init__(self, cyl: CylindricalFunction, sign):
         self.cyl = cyl
         self.sign = float(sign)
 
@@ -361,30 +359,20 @@ class DiscretePolicy:
         return idx
 
 
-def zero_policy(problem, K, N, R, kind="poly", degree=1, gate_level=None,
-                include_current_increment=True):
-    """The all-zero policy table for the given discretization."""
-    if kind not in NODE_KINDS:
-        raise ValueError(f"kind must be one of {NODE_KINDS}, got {kind!r}")
+def zero_policy(problem, K, N, R, degree, include_current_increment):
+    """The all-zero table of polynomial nodes of the given degree for the
+    discretization, gated at ``default_gate_level``."""
     collapse = problem.beta_c == 0.0
     b = 1 if collapse else 2 * N + 2
     _check_path_guard(b, K)
-    if gate_level is None:
-        gate_level = default_gate_level(problem)
-    d, n = problem.d, problem.n
+    d = problem.d
     steps = []
     for i in range(1, K + 1):
-        paths = b ** i
-        if kind == "const":
-            steps.append(PolicyStep(
-                kind="const", values=np.zeros((paths, d, n, n), dtype=complex)))
-        else:
-            words = _step_words(d, K, i, degree, include_current_increment)
-            steps.append(PolicyStep(
-                kind="poly", words=words,
-                coeffs=np.zeros((paths, d, len(words)))))
-    return DiscretePolicy(K=K, N=N, R=R, gate_level=gate_level, d=d, n=n,
-                          steps=steps, collapse_bins=collapse,
+        words = _step_words(d, K, i, degree, include_current_increment)
+        steps.append(PolicyStep(kind="poly", words=words,
+                                coeffs=np.zeros((b ** i, d, len(words)))))
+    return DiscretePolicy(K=K, N=N, R=R, gate_level=default_gate_level(problem),
+                          d=d, n=problem.n, steps=steps, collapse_bins=collapse,
                           include_current_increment=include_current_increment)
 
 
@@ -458,8 +446,8 @@ def _bin_tree(K, N, delta, collapse):
                     branch_omegas=omegas, branch_probs=branch)
 
 
-def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out=None):
-    """Letters (S, d(1+K), n, n) of the given samples, in ``out`` if given:
+def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out):
+    """Letters (S, d(1+K), n, n) of the given samples, written into ``out``:
     x0's components, then each step's GUE increments, sample s drawn from
     ``rng.child(tag, s)``.  One ``sample_gue`` call covers the samples'
     streams, and each path is scaled as ``gue_increments`` does.  Every
@@ -468,12 +456,10 @@ def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out=None):
     below its tolerance)."""
     n, d, times = problem.n, problem.d, problem.grid(K).times
     draws = randmat.sample_gue(n, (rng, tag, sample_indices), (K, d))
-    S = len(draws)
-    letters = np.empty((S, d * (1 + K), n, n), complex) if out is None else out
-    letters[:, :d] = hermitize(problem.x0.data)
+    out[:, :d] = hermitize(problem.x0.data)
     np.multiply(np.sqrt(np.diff(times))[:, None, None, None], draws,
-                out=letters[:, d:].reshape(S, K, d, n, n))
-    return letters
+                out=out[:, d:].reshape(len(draws), K, d, n, n))
+    return out
 
 
 # Relative margin of the eigensolve-free norm screens: far above the rounding
@@ -487,16 +473,12 @@ def _norm_suspects(norms, level):
     return ~(norms * (1.0 + _NORM_MARGIN) <= level)
 
 
-def _gate_indicator(letters, d, K, level, squares=None):
+def _gate_indicator(letters, d, K, level, squares):
     """1 when every increment's operator norm is <= level, per sample.
 
     Only the increments that ``operator_norm_bound`` cannot clear go to
     ``eigvalsh``, which decides them as the eigensolve alone would.  The
-    bound reads the increments' squares (S, K d, n, n): ``squares`` when
-    given, else formed here."""
-    if squares is None:
-        increments = letters[:, d:d * (K + 1)]
-        squares = increments @ increments
+    bound reads the increments' ``squares``, (S, K d, n, n)."""
     bound = _norm_bound_from_square(squares)                 # (S, K d)
     samples, slots = np.nonzero(_norm_suspects(bound, level))
     gate = np.ones(len(letters))
@@ -752,9 +734,9 @@ class _Sweep:
     form: object = None
 
 
-def _forward(problem, policy, tree, batch, keep_states=False, screen=None):
+def _forward(problem, policy, tree, batch, keep_states, screen):
     """Sweep the bin tree for one set of samples; ``screen`` is the set's
-    ``_clip_screen``, made here when not given.
+    ``_clip_screen``.
 
     Returns ``(states, lagrangians, sweep)``: the (S, B_i, d, n, n) states
     of every level with ``keep_states``, else of the last level only, or
@@ -777,8 +759,6 @@ def _forward(problem, policy, tree, batch, keep_states=False, screen=None):
     coef[0, :, W + 1:W + 1 + d] = np.eye(d)              # x0
     drift, fixes = None, []
     states, lagrangians, controls = [], [], []
-    if screen is None:
-        screen = _clip_screen(policy, batch)
     for i in range(1, K + 1):
         st = policy.steps[i - 1]
         probs = tree.probs[i - 1]
@@ -842,7 +822,7 @@ def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
 
 
 def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
-                want_grad=False):
+                want_grad):
     """Per-sample discretized cost over the swept samples, (S,), and with
     ``want_grad`` the terminal gradient (else None): at the last level's
     states, or in coefficient space (see ``_quadratic_terminal``) when the
@@ -1100,7 +1080,7 @@ def _evaluate_prepared(problem, policy, batch, want_grads=False):
 # ---------------------------------------------------------------------------
 
 
-def discrete_cost(problem, policy, mc_samples, rng, tag="cost"):
+def discrete_cost(problem, policy, mc_samples, rng):
     """Monte Carlo estimate (value, stderr) of the discretized cost.
 
     Common-noise expectation is exact over bin paths; the GUE expectation is
@@ -1110,7 +1090,7 @@ def discrete_cost(problem, policy, mc_samples, rng, tag="cost"):
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     _check_path_guard(policy.branching(), policy.K)
-    batch = _prepare_batch(problem, policy, rng, tag, range(mc_samples))
+    batch = _prepare_batch(problem, policy, rng, "cost", range(mc_samples))
     mean, stderr, _ = _evaluate_prepared(problem, policy, batch)
     return mean, stderr
 
@@ -1138,7 +1118,7 @@ class OptimizeResult:
     improved: bool
 
 
-def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
+def optimize_discrete_value(problem, K, N, R, opt_config, rng,
                             include_current_increment=True):
     """Minimize the discretized cost over the polynomial policy table.
 
@@ -1151,19 +1131,17 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
     validation batch, so it never exceeds the zero-policy cost beyond
     rounding.
     """
-    cfg = opt_config or OptimizerConfig()
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if not problem.cost.convexity_declared:
         raise ValueError("optimize_discrete_value requires convexity_declared")
-    policy = zero_policy(problem, K, N, R, degree=cfg.degree,
-                         include_current_increment=include_current_increment)
+    policy = zero_policy(problem, K, N, R, opt_config.degree,
+                         include_current_increment)
     policy.feature_scales = _feature_scales(
-        problem, policy, rng, "scale", list(range(min(cfg.train_samples, 32))))
+        problem, policy, rng, "scale",
+        list(range(min(opt_config.train_samples, 32))))
 
     log_rows = []
     train = _prepare_batch(problem, policy, rng, "train",
-                           range(cfg.train_samples))
+                           range(opt_config.train_samples))
     cost, _, grads = _evaluate_prepared(problem, policy, train,
                                         want_grads=True)
     if not math.isfinite(cost):
@@ -1172,7 +1150,7 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
     eta = 0.5
     velocity = [np.zeros_like(g) for g in grads]
     iters = 0
-    while iters < cfg.max_iters and eta >= 1e-7:
+    while iters < opt_config.max_iters and eta >= 1e-7:
         iters += 1
         velocity = [0.9 * v - eta * g for v, g in zip(velocity, grads)]
         trial = _policy_step(best_policy, [-v for v in velocity], 1.0)
@@ -1188,15 +1166,15 @@ def optimize_discrete_value(problem, K, N, R, opt_config=None, rng=None,
         else:
             velocity = [np.zeros_like(g) for g in grads]
             eta *= 0.5
-    if cfg.log_path:
-        with open(cfg.log_path, "w", encoding="utf-8") as fh:
+    if opt_config.log_path:
+        with open(opt_config.log_path, "w", encoding="utf-8") as fh:
             fh.write("iter,batch_cost,step_size,max_grad_norm\n")
             for row in log_rows:
                 fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r}\n")
 
     zero = policy
     val = _prepare_batch(problem, best_policy, rng, "val",
-                         range(cfg.val_samples))
+                         range(opt_config.val_samples))
     zero_val, zero_se, _ = _evaluate_prepared(problem, zero, val)
     best_val, best_se, _ = _evaluate_prepared(problem, best_policy, val)
     if best_val <= zero_val:
@@ -1220,7 +1198,7 @@ def _fro_norm(m):
     return float(np.sqrt(np.sum(np.abs(m) ** 2)))
 
 
-def policy_control_budget(problem, policy, samples, rng, tag="budget"):
+def policy_control_budget(problem, policy, samples, rng):
     """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
 
     Each step's controls are realised on ``CHUNK`` samples at a time, which
@@ -1229,7 +1207,7 @@ def policy_control_budget(problem, policy, samples, rng, tag="budget"):
     K = policy.K
     delta = (problem.T - problem.t0) / K
     tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
-    batch = _prepare_batch(problem, policy, rng, tag, range(samples))
+    batch = _prepare_batch(problem, policy, rng, "budget", range(samples))
     total = 0.0
     for part in batch.slices(CHUNK):
         screen = _clip_screen(policy, part)
@@ -1272,11 +1250,13 @@ def lq_reference(problem: ControlProblem):
     return p0 * x0_sq + noise * math.log(1.0 + 2.0 * horizon)
 
 
-def lq_reference_ode(problem: ControlProblem, steps=200_000):
+def lq_reference_ode(problem: ControlProblem):
     """Riccati ODE oracle: solve dp/dt = 2 p^2 (p(T)=1) and
-    dr/dt = -(beta_C^2 + beta_F^2) d p (r(T)=0) backward with RK4."""
+    dr/dt = -(beta_C^2 + beta_F^2) d p (r(T)=0) backward with 200,000 RK4
+    steps."""
     if not _is_lq_template(problem.cost, problem.d):
         raise ValueError("cost does not match the LQ template")
+    steps = 200_000
     sigma2 = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d
     h = (problem.T - problem.t0) / steps
     half, sixth = 0.5 * h, h / 6.0
@@ -1294,14 +1274,14 @@ def lq_reference_ode(problem: ControlProblem, steps=200_000):
     return p * inner_product(problem.x0, problem.x0) + r
 
 
-def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, d=1, x0_norm_sq=0.0,
-                       terminal_coef=1.0, quad_coef=0.5,
-                       peek_bin=True, peek_gue=True):
-    """Exact optimum of the discretized LQ problem by dynamic programming.
+def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, x0_norm_sq=0.0,
+                       terminal_coef=1.0, peek_bin=True, peek_gue=True):
+    """Exact optimum of the discretized one-letter LQ problem, L = 0.5
+    ||alpha||^2, by dynamic programming.
 
-    The Riccati recursion q_{i-1} = q_i c/(c + q_i delta) is exact for the
-    quadratic cost; each step's noise variance (binned common noise
-    E[omega^2], GUE delta per component) enters with coefficient q_{i-1} when
+    The Riccati recursion q_{i-1} = q_i c/(c + q_i delta), c = 0.5, is exact
+    for the quadratic cost; each step's noise variance (binned common noise
+    E[omega^2], GUE delta) enters with coefficient q_{i-1} when
     the policy class sees that step's noise before acting and q_i when it is
     strictly adapted.
     """
@@ -1311,11 +1291,11 @@ def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, d=1, x0_norm_sq=0.0,
     qs = [0.0] * (K + 1)
     qs[K] = terminal_coef
     for i in range(K, 0, -1):
-        qs[i - 1] = qs[i] * quad_coef / (quad_coef + qs[i] * delta)
+        qs[i - 1] = qs[i] * 0.5 / (0.5 + qs[i] * delta)
     value = qs[0] * x0_norm_sq
     for i in range(1, K + 1):
         value += beta_c ** 2 * v_bin * (qs[i - 1] if peek_bin else qs[i])
-        value += beta_f ** 2 * delta * d * (qs[i - 1] if peek_gue else qs[i])
+        value += beta_f ** 2 * delta * (qs[i - 1] if peek_gue else qs[i])
     return value
 
 
@@ -1336,8 +1316,9 @@ class PathData:
     cost: float
 
 
-def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
-    """Explicit Euler with exact Gaussian/GUE increments.
+def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
+    """Explicit Euler with exact Gaussian/GUE increments from
+    ``rng.child("em")``.
 
     ``feedback_policy`` is a callable (t, X) -> MatrixTuple or None for the
     zero control.  The drift is piecewise constant, so linear dynamics are
@@ -1345,10 +1326,9 @@ def euler_maruyama(problem, feedback_policy, steps, rng, tag="em") -> PathData:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if isinstance(rng, RngStream):
-        gen_stream = rng.child(tag) if tag else rng
-    else:
+    if not isinstance(rng, RngStream):
         raise TypeError("euler_maruyama requires an RngStream")
+    gen_stream = rng.child("em")
     grid = TimeGrid(problem.t0, problem.T, steps)
     times = list(grid.times)
     dw0 = randmat.brownian_increments(times, gen_stream.child("w0"))
@@ -1389,13 +1369,14 @@ def _bin_of(value, N):
     return min(max(j, -N), N - 1)
 
 
-def coarsen_control(fine_samples, grid: TimeGrid, N, R=None) -> DiscretePolicy:
+def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
     """Conditional-mean coarsening of sampled fine controls onto the bin tree.
 
     Node (i, J) averages, over the samples whose first i coarse increments
     fall in the bins of J, the time average of the control over
     (t_{i-1}, t_i].  Empty cells fall back to the step's global mean and are
-    recorded in ``fallback_cells``.
+    recorded in ``fallback_cells``.  The clip level R is 1 above the largest
+    node's Frobenius norm, so the clip never binds.
     """
     if not fine_samples:
         raise ValueError("need at least one fine sample")
@@ -1441,9 +1422,8 @@ def coarsen_control(fine_samples, grid: TimeGrid, N, R=None) -> DiscretePolicy:
                 fallbacks.append((i, prefix))
         steps.append(PolicyStep(kind="const", values=hermitize(values)))
 
-    if R is None:
-        R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
-                for st in steps) + 1.0
+    R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
+            for st in steps) + 1.0
     return DiscretePolicy(K=K, N=N, R=R, gate_level=math.inf, d=d, n=n,
                           steps=steps, collapse_bins=False,
                           include_current_increment=True,
@@ -1491,7 +1471,7 @@ def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):
         raw_int = raw_int + h * alpha
         clip_int = clip_int + h * clipped
     penalty = (1.0 + horizon) * kappa / R * budget
-    return lhs <= rhs + penalty + 1e-9
+    return bool(lhs <= rhs + penalty + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1499,17 +1479,16 @@ def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):
 # ---------------------------------------------------------------------------
 
 
-def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, tag="bdlhs"):
+def boue_dupuis_lhs(psi, n, mc_samples, rng):
     """-(1/n^2) log E exp(-n^2 psi(W_hat_1)) by max-shifted log-sum-exp.
 
-    Sample s is drawn from ``rng.child(tag, s)``, all of them in one
-    ``sample_gue`` call giving one (mc_samples, d, n, n) batch, and psi is
-    evaluated on it once.
+    Sample s is drawn from ``rng.child("bdlhs", s)``, all of them in one
+    ``sample_gue`` call giving one (mc_samples, psi.d, n, n) batch, and psi
+    is evaluated on it once.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    d = psi.d if d is None else d
-    draws = randmat.sample_gue(n, (rng, tag, range(mc_samples)), (d,))
+    draws = randmat.sample_gue(n, (rng, "bdlhs", range(mc_samples)), (psi.d,))
     exponents = -float(n * n) * np.real(psi.eval(draws))
     m = float(np.max(exponents))
     if not math.isfinite(m):
@@ -1518,23 +1497,21 @@ def boue_dupuis_lhs(psi, n, mc_samples, rng, d=None, tag="bdlhs"):
     return -(log_mean) / float(n * n)
 
 
-def boue_dupuis_rhs(psi, n, time_steps, opt_config=None, rng=None, d=None,
-                    R=16.0):
+def boue_dupuis_rhs(psi, n, time_steps, opt_config, rng):
     """Variational side: minimize E[ (1/2) int ||alpha||^2 + psi(W_1 + int alpha) ].
 
     Discretized on a uniform grid with strictly adapted polynomial policies
     (the control over (t_{i-1}, t_i] reads increments of steps < i only),
-    which keeps the discrete value an upper bound of the continuous one.
+    which keeps the discrete value an upper bound of the continuous one;
+    the controls are clipped at R = 16.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required")
-    d = psi.d if d is None else d
+    d = psi.d
     cost = CostSpec(l0=None, quad_coef=0.5, terminal=psi,
                     convexity_declared=True)
     problem = ControlProblem(n=n, d=d, x0=MatrixTuple.zero(d, n),
                              beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, cost=cost)
-    return optimize_discrete_value(problem, time_steps, 1, R, opt_config, rng,
-                                   include_current_increment=False)
+    return optimize_discrete_value(problem, time_steps, 1, 16.0, opt_config,
+                                   rng, include_current_increment=False)
 
 
 def cylindrical_on_law(u: CylindricalFunction, law):
@@ -1550,8 +1527,8 @@ def cylindrical_on_law(u: CylindricalFunction, law):
     return float(u.outer(np.array(traces)))
 
 
-def rate_function_candidate(target_law, test_family, n, opt_config=None,
-                            rng=None, time_steps=8):
+def rate_function_candidate(target_law, test_family, n, opt_config, rng,
+                            time_steps):
     """Lower bound of the rate-function supremum over the given test family.
 
     For each phi, adds phi(target) to the variational value of the terminal
@@ -1560,13 +1537,11 @@ def rate_function_candidate(target_law, test_family, n, opt_config=None,
     """
     if not test_family:
         raise ValueError("test family must be non-empty")
-    if rng is None:
-        raise ValueError("an RngStream is required")
     best = -math.inf
     for k, phi in enumerate(test_family):
         target_val = cylindrical_on_law(phi, target_law)
         terminal = ArctanComposedTerminal(phi, sign=-1.0)
         bd = boue_dupuis_rhs(terminal, n, time_steps, opt_config,
-                             rng.child("rate", k), d=phi.d)
+                             rng.child("rate", k))
         best = max(best, target_val + bd.value)
     return best

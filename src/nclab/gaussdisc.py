@@ -280,11 +280,11 @@ def truncated_gaussian_variance(z):
     return var
 
 
-def bridge_bound_check(a, b, c, samples, rng, n=None, cells=25):
+def bridge_bound_check(a, b, c, samples, rng, n=None):
     """Monte Carlo check of the Brownian-bridge conditional bound.
 
     Scalar case (``n`` is None): partitions the conditioning value
-    x = W_c - W_a into quantile cells and verifies per cell
+    x = W_c - W_a into 25 quantile cells and verifies per cell
 
         E[|W_b - W_a| | x]  <=  ((b-a)/(c-a)) E[|x|] + sqrt((c-b)(b-a)/(c-a)).
 
@@ -304,7 +304,7 @@ def bridge_bound_check(a, b, c, samples, rng, n=None, cells=25):
         x = gen.standard_normal(samples) * math.sqrt(c - a)
         mid = theta * x + gen.standard_normal(samples) * math.sqrt(sigma2)
         order = np.argsort(x)
-        cell_ids = np.array_split(order, cells)
+        cell_ids = np.array_split(order, 25)
         passed = 0
         for cell in cell_ids:
             lhs = np.mean(np.abs(mid[cell]))

@@ -195,11 +195,11 @@ def optimizer_config(params, **overrides):
     return ctl.OptimizerConfig(**{**opt, **overrides})
 
 
-def scaled_samples(n, base_train, base_val, base_n=8):
-    """Scale GUE batches with n: tr_n fluctuations shrink like 1/n, so larger
-    matrices need fewer samples for the same Monte Carlo error (capped both
-    ways to keep runtimes flat)."""
-    factor = (base_n / n) ** 2
+def scaled_samples(n, base_train, base_val):
+    """Scale GUE batches with n from their sizes at n = 8: tr_n fluctuations
+    shrink like 1/n, so larger matrices need fewer samples for the same
+    Monte Carlo error (capped both ways to keep runtimes flat)."""
+    factor = (8 / n) ** 2
     return (min(2 * base_train, max(12, int(round(base_train * factor)))),
             min(2 * base_val, max(48, int(round(base_val * factor)))))
 
@@ -296,7 +296,7 @@ def _exp_laplacian_check(params, stream):
     return headers, rows, checks
 
 
-def _fd_laplacian(u, x, h, cache=None):
+def _fd_laplacian(u, x, h, cache):
     """Central second differences over the full Hermitian basis, times 1/n^2.
 
     The d n^2 shifts h E (E the basis element ``basis_element(n, i, j)`` in

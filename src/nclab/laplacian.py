@@ -294,7 +294,7 @@ class CylindricalFunction:
             raise ValueError(f"Hessian has imaginary part {term2.imag:.3e}")
         return term1 + float(term2.real)
 
-    def gue_laplacian(self, x, cache=None):
+    def gue_laplacian(self, x, cache):
         """(1/n^2) sum over components and basis directions of Hess[E, E].
 
         Evaluated by the literal sum over the n^2 Hermitian basis elements E,
@@ -310,7 +310,6 @@ class CylindricalFunction:
         d = x.d
         if d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        cache = {} if cache is None else cache
         u = self.inner_traces(x, cache)
         g1, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)
@@ -342,13 +341,12 @@ class CylindricalFunction:
             raise ValueError(f"GUE Laplacian has imaginary part {term2.imag:.3e}")
         return (float(term1) + float(term2.real)) / (n * n)
 
-    def free_laplacian(self, x, cache=None):
+    def free_laplacian(self, x, cache):
         """sum_l (tr (x) tr)(d_l (grad U)^l) at X; exact tensor traces.
 
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`;
         the inner traces and every tensor share it.
         """
-        cache = {} if cache is None else cache
         u = self.inner_traces(x, cache)
         g1, _ = self._outer_derivatives(u)
         d = x.d if isinstance(x, MatrixTuple) else np.asarray(x).shape[-3]
@@ -364,7 +362,7 @@ class CylindricalFunction:
             raise ValueError(f"free Laplacian has imaginary part {total.imag:.3e}")
         return float(total.real)
 
-    def correction_term(self, x, cache=None):
+    def correction_term(self, x, cache):
         """(1/n^2) sum_{l,o,q} g_oq <D_l phi_o(X), D_l phi_q(X)>_{tr_n}.
 
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
@@ -372,7 +370,6 @@ class CylindricalFunction:
         n = x.dim
         if x.d * n * n > GUE_LAPLACIAN_GUARD:
             raise ValueError(f"d*n^2 = {x.d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
-        cache = {} if cache is None else cache
         u = self.inner_traces(x, cache)
         _, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)
@@ -439,24 +436,24 @@ def format_outer(p: MultiPoly):
     return " + ".join(parts)
 
 
-def random_cylindrical(rng, d, m_max=2, inner_degree=4, outer_degree=3):
-    """A random cylindrical function for identity and finite-difference checks.
+def random_cylindrical(rng, d):
+    """A random cylindrical function for identity and finite-difference checks:
+    one or two inners of degree <= 4 under an outer of degree <= 3.
 
     Inners are self-adjoint with coefficients scaled down by word degree to
     keep evaluations well inside double precision.
     """
-    m = int(rng.integers(1, m_max + 1))
+    m = int(rng.integers(1, 3))
     inners = []
     for _ in range(m):
         terms = {}
-        for word in words_up_to_degree(d, inner_degree):
+        for word in words_up_to_degree(d, 4):
             if rng.random() >= 0.5:
                 terms[word] = rng.normal() / (1.0 + len(word)) ** 2
         poly = NCPolynomial(d, terms).symmetrize()
         inners.append(poly if poly.terms else NCPolynomial(d, {(1,): 1.0}))
-    exps_pool = [e for e in _exponents(m, outer_degree)]
     terms = {}
-    for exps in exps_pool:
+    for exps in _exponents(m, 3):
         if rng.random() < 0.6:
             terms[exps] = rng.normal() / (1.0 + sum(exps)) ** 2
     outer = MultiPoly(m, terms)

@@ -53,7 +53,7 @@ def hermitize(a):
     return 0.5 * (a + _adjoint(a))
 
 
-def assert_hermitian(a, tol=HERMITICITY_TOL):
+def assert_hermitian(a, tol):
     """Validate the HermitianMatrix invariants; return the input unchanged.
 
     Raises ValueError if the matrix is not square, contains non-finite

@@ -108,21 +108,23 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
             + _adaptive_simpson(f, m, b, tol / 2.0, fm, frm, fb, right, depth - 1))
 
 
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``: the
-    semicircle-arctan moments of the rate function's target law, and the
-    bins' absolute deviations in ``gaussdisc.bin_conditional_absdev``."""
+def adaptive_simpson(f, a, b, tol):
+    """Adaptive Simpson quadrature with absolute tolerance ``tol``, at most 48
+    bisections deep: the semicircle-arctan moments of the rate function's
+    target law, and the bins' absolute deviations in
+    ``gaussdisc.bin_conditional_absdev``."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, max_depth)
+    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, 48)
 
 
 @lru_cache(maxsize=None)
-def semicircle_arctan_moment(m, tol=1e-10):
-    """int arctan(x)^m (1/2pi) sqrt(4 - x^2) dx over [-2, 2]: the moments
-    of the Laplace principle's target law, :func:`semicircle_arctan_law`."""
+def semicircle_arctan_moment(m):
+    """int arctan(x)^m (1/2pi) sqrt(4 - x^2) dx over [-2, 2], to 1e-10: the
+    moments of the Laplace principle's target law,
+    :func:`semicircle_arctan_law`."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
     if m % 2 == 1:
@@ -131,7 +133,7 @@ def semicircle_arctan_moment(m, tol=1e-10):
     def integrand(x):
         return math.atan(x) ** m * math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
 
-    return adaptive_simpson(integrand, -2.0, 2.0, tol=tol)
+    return adaptive_simpson(integrand, -2.0, 2.0, 1e-10)
 
 
 def semicircle_arctan_law(max_degree) -> NCLaw:

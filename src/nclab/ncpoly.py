@@ -34,9 +34,10 @@ def grlex_key(word):
     return (len(word), word)
 
 
-def words_up_to_degree(d, max_degree, include_unit=True):
-    """All words over {1..d} of degree <= max_degree, in graded-lex order."""
-    out = [()] if include_unit else []
+def words_up_to_degree(d, max_degree):
+    """All words over {1..d} of degree <= max_degree, the unit first, in
+    graded-lex order."""
+    out = [()]
     for deg in range(1, max_degree + 1):
         out.extend(product(range(1, d + 1), repeat=deg))
     return out
@@ -75,12 +76,8 @@ class NCPolynomial:
         return cls(d, {(): 1.0})
 
     @classmethod
-    def letter(cls, d, j):
-        return cls(d, {(j,): 1.0})
-
-    @classmethod
-    def monomial(cls, d, word, coeff=1.0):
-        return cls(d, {tuple(word): coeff})
+    def monomial(cls, d, word):
+        return cls(d, {tuple(word): 1.0})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -165,14 +162,14 @@ class NCPolynomial:
         return NCPolynomial(
             self.d, {w[::-1]: np.conj(c) for w, c in self.terms.items()})
 
-    def is_selfadjoint(self, tol=1e-12):
-        """|c_w - conj(c_{w reversed})| <= tol for every word w.
+    def is_selfadjoint(self):
+        """|c_w - conj(c_{w reversed})| <= 1e-12 for every word w.
 
         Words outside ``terms`` have coefficient 0, so checking the words of
         ``terms`` covers the union of the words and their reversals.
         """
         terms = self.terms
-        return all(abs(c - np.conj(terms.get(w[::-1], 0.0))) <= tol
+        return all(abs(c - np.conj(terms.get(w[::-1], 0.0))) <= 1e-12
                    for w, c in terms.items())
 
     def symmetrize(self):
@@ -227,15 +224,16 @@ class NCPolynomial:
         data = _tuple_data(x, self.d)
         return _evaluate_terms(self.terms, data, {} if cache is None else cache)
 
-    def evaluate_trace(self, x, cache=None):
+    def evaluate_trace(self, x, cache):
         """tr_n p(X); complex in general, real for self-adjoint p on Hermitian X.
 
         For self-adjoint p, |Im tr_n p(X)| must not exceed
         1e-10 (1 + |tr_n p(X)|) for each X of a batch on its own, as for a
-        single X.  ``cache`` as in :meth:`evaluate`.
+        single X.  ``cache`` is a word-product cache for X, as in
+        :meth:`evaluate`.
         """
         data = _tuple_data(x, self.d)
-        val = _trace_terms(self.terms, data, {} if cache is None else cache)
+        val = _trace_terms(self.terms, data, cache)
         if self.is_selfadjoint():
             im = np.abs(np.imag(val))
             bad = im > 1e-10 * (1.0 + np.abs(val))
@@ -306,14 +304,14 @@ class TensorPolynomial:
             out = np.zeros(shape, dtype=complex)
         return out
 
-    def trace_pair(self, x, cache=None):
+    def trace_pair(self, x, cache):
         """(tr_n (x) tr_n) applied to the tensor, evaluated at X.
 
-        ``cache`` as in :meth:`NCPolynomial.evaluate`.
+        ``cache`` is a word-product cache for X, as in
+        :meth:`NCPolynomial.evaluate`.
         """
         data = _tuple_data(x, self.d)
         n = data.shape[-1]
-        cache = {} if cache is None else cache
         total = 0.0 + 0.0j
         for (w1, w2), coeff in self.terms.items():
             t1 = np.trace(_word_matrix(w1, data, cache), axis1=-2, axis2=-1) / n

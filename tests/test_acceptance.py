@@ -197,7 +197,8 @@ def test_omitted_laplacian_correction_is_caught(stream):
                             inners=[NCPolynomial(1, {(1, 1): 1.0})])
     gen = stream.child("sab2").generator()
     x = MatrixTuple(random_hermitian(4, gen, scale=0.8)[None])
-    assert abs(u.gue_laplacian(x) - u.free_laplacian(x)
-               - u.correction_term(x)) < 1e-10
-    gap_without_correction = abs(u.gue_laplacian(x) - u.free_laplacian(x))
+    assert abs(u.gue_laplacian(x, {}) - u.free_laplacian(x, {})
+               - u.correction_term(x, {})) < 1e-10
+    gap_without_correction = abs(u.gue_laplacian(x, {})
+                                 - u.free_laplacian(x, {}))
     assert gap_without_correction > 1e-10

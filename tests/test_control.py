@@ -35,6 +35,41 @@ def quadratic_psi(coef=0.5):
                                inners=[NCPolynomial(1, {(1, 1): 1.0})])
 
 
+def zero_policy(problem, K, N, R, degree=1):
+    """The optimizer's all-zero table: polynomial nodes of ``degree`` that
+    read their own step's increment."""
+    return ctl.zero_policy(problem, K, N, R, degree, True)
+
+
+def const_policy(problem, K, N, R):
+    """The all-zero table of const nodes."""
+    policy = zero_policy(problem, K, N, R)
+    n = problem.n
+    return replace(policy, steps=[
+        ctl.PolicyStep(kind="const",
+                       values=np.zeros(st.coeffs.shape[:2] + (n, n), complex))
+        for st in policy.steps])
+
+
+def sample_letters(problem, K, sample_indices, rng, tag):
+    """``_sample_letters`` into a fresh (S, d(1+K), n, n) array."""
+    out = np.empty((len(sample_indices), problem.d * (1 + K), problem.n,
+                    problem.n), dtype=complex)
+    return ctl._sample_letters(problem, K, sample_indices, rng, tag, out)
+
+
+def gate_indicator(letters, d, K, level):
+    """``_gate_indicator`` on the squares of the letters' increments."""
+    increments = letters[:, d:d * (K + 1)]
+    return ctl._gate_indicator(letters, d, K, level, increments @ increments)
+
+
+def forward(problem, policy, tree, batch, keep_states=False):
+    """``_forward`` with the set's own clip screen."""
+    return ctl._forward(problem, policy, tree, batch, keep_states,
+                        ctl._clip_screen(policy, batch))
+
+
 # -- every level's states of one sample ------------------------------------------------
 
 
@@ -44,13 +79,13 @@ def one_sample_states(problem, policy, rng):
     tree = ctl._bin_tree(policy.K, policy.N, (problem.T - problem.t0) / policy.K,
                          policy.collapse_bins)
     batch = ctl._prepare_batch(problem, policy, rng, "path", [0])
-    states, _, _ = ctl._forward(problem, policy, tree, batch, keep_states=True)
+    states, _, _ = forward(problem, policy, tree, batch, keep_states=True)
     return [x[0] for x in states]
 
 
 def test_simulate_zero_policy_tracks_common_noise(stream):
     problem = lq_problem(4, beta_c=1.0, beta_f=0.0)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=4.0)
+    policy = zero_policy(problem, K=2, N=1, R=4.0)
     states = one_sample_states(problem, policy, stream.child("gue"))
     table = noise_table(1, problem.grid(2).delta)
     for j1 in table.indices:
@@ -65,7 +100,7 @@ def test_simulate_constant_node_shift(stream):
     problem = lq_problem(n, beta_c=0.0, beta_f=0.0,
                          x0=MatrixTuple.identity(d, n))
     a = random_hermitian(n, stream.child("a").generator(), scale=0.5)
-    policy = ctl.zero_policy(problem, K=1, N=1, R=8.0, kind="const")
+    policy = const_policy(problem, K=1, N=1, R=8.0)
     policy.steps[0].values[...] = a[None, None]
     states = one_sample_states(problem, policy, stream.child("gue2"))
     assert np.allclose(states[0][policy.prefix_index((0,)), 0], np.eye(n) + a,
@@ -75,7 +110,7 @@ def test_simulate_constant_node_shift(stream):
 def test_simulate_states_bin_independent_without_common_noise(stream):
     problem = lq_problem(4, beta_c=0.0, beta_f=1.0)
     # non-collapsed tree with beta_c = 0: constant-node policy over N=1 bins
-    policy = ctl.zero_policy(problem, K=2, N=1, R=4.0)
+    policy = zero_policy(problem, K=2, N=1, R=4.0)
     policy.collapse_bins = False
     steps = []
     for i in range(1, 3):
@@ -96,7 +131,8 @@ def test_simulate_states_bin_independent_without_common_noise(stream):
 def random_poly_policy(problem, K, N, R, gen, gate_level=1.0):
     """Degree-1 polynomial policy with Gaussian coefficients; the low gate
     level rejects some samples."""
-    policy = ctl.zero_policy(problem, K=K, N=N, R=R, gate_level=gate_level)
+    policy = replace(zero_policy(problem, K=K, N=N, R=R),
+                     gate_level=gate_level)
     for st in policy.steps:
         st.coeffs[...] = gen.normal(size=st.coeffs.shape)
     return policy
@@ -116,8 +152,8 @@ def batch_inputs(problem, policy, rng, tag, sample_indices):
     """The engine's batch of the samples and, drawn again from the same
     stream, the letters, gate and global word features it is built from."""
     batch = ctl._prepare_batch(problem, policy, rng, tag, sample_indices)
-    letters = ctl._sample_letters(problem, policy.K, sample_indices, rng, tag)
-    gate = ctl._gate_indicator(letters, problem.d, policy.K, policy.gate_level)
+    letters = sample_letters(problem, policy.K, sample_indices, rng, tag)
+    gate = gate_indicator(letters, problem.d, policy.K, policy.gate_level)
     features = ctl._word_features(letters, ctl._global_words(problem, policy))
     return batch, (letters, gate, features, batch.word_index)
 
@@ -133,8 +169,8 @@ def test_forward_matches_naive_tree(stream):
     assert 0 < gate.sum() < len(gate)
     delta = (problem.T - problem.t0) / K
     tree = ctl._bin_tree(K, N, delta, policy.collapse_bins)
-    states, _, sweep = ctl._forward(problem, policy, tree, batch,
-                                    keep_states=True)
+    states, _, sweep = forward(problem, policy, tree, batch,
+                               keep_states=True)
     alphas = [c.alpha for c in sweep.controls]
     # X_{i,J} = x0 + delta sum_{i'<=i} alpha_{i',J_{:i'}} + beta_C W0_{i,J} 1
     #           + beta_F (increments up to step i); no clip at this R
@@ -167,13 +203,15 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     slots = clipped = 0
     for part in batch.slices(4):
-        _, _, sweep = ctl._forward(problem, policy, tree, part)
+        _, _, sweep = forward(problem, policy, tree, part)
         slots += control_slots(part, sweep)
         clipped += sum(len(c.clip) for c in sweep.controls)
         # the sweep never materialises these controls
         assert all(c.alpha is None for c in sweep.controls)
-    letters = ctl._sample_letters(problem, K, range(6), stream.child("fd-batch"), "t")
-    rejected = int(np.sum(ctl._gate_indicator(letters, 1, K, policy.gate_level) == 0))
+    letters = sample_letters(problem, K, range(6), stream.child("fd-batch"),
+                             "t")
+    rejected = int(np.sum(gate_indicator(letters, 1, K, policy.gate_level)
+                          == 0))
     assert 0 < clipped < slots and rejected > 0
 
     # the gradient pass corrects exactly the clipped slots, in one batched
@@ -294,7 +332,7 @@ def test_sweep_matches_materialised_reference(stream, monkeypatch, d, beta_c,
     gate = inputs[1]
     assert 0 < gate.sum() < len(gate)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    _, _, sweep = ctl._forward(problem, policy, tree, batch)
+    _, _, sweep = forward(problem, policy, tree, batch)
     clipped = sum(len(c.clip) for c in sweep.controls)
     assert 0 < clipped < control_slots(batch, sweep)
 
@@ -363,19 +401,19 @@ def test_coefficient_terminal_matches_state_path(stream, monkeypatch, d, beta_c,
     policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
     batch = ctl._prepare_batch(problem, policy, stream.child("coef-batch"),
                                "t", range(7))
-    letters = ctl._sample_letters(problem, K, range(7),
-                                  stream.child("coef-batch"), "t")
-    assert 0 < ctl._gate_indicator(letters, d, K, policy.gate_level).sum() < 7
+    letters = sample_letters(problem, K, range(7),
+                             stream.child("coef-batch"), "t")
+    assert 0 < gate_indicator(letters, d, K, policy.gate_level).sum() < 7
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     for part in batch.slices(4):
         costs = {}
         for prob in (problem, states_problem):
-            states, lagrangians, sweep = ctl._forward(prob, policy, tree, part)
+            states, lagrangians, sweep = forward(prob, policy, tree, part)
             on_coefficients = coefficient and prob is problem
             assert (states == []) == on_coefficients
             assert (sweep.form is not None) == on_coefficients
             costs[prob is problem] = ctl._chunk_cost(
-                prob, policy, tree, part, states, sweep, lagrangians)[0]
+                prob, policy, tree, part, states, sweep, lagrangians, False)[0]
         assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
             np.abs(costs[False]))
 
@@ -411,7 +449,7 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, monkeypatch, d, beta_c):
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     costs, sums = [], None
     for part in batch.slices(3):
-        states, lagrangians, sweep = ctl._forward(problem, policy, tree, part)
+        states, lagrangians, sweep = forward(problem, policy, tree, part)
         cost, gterm = ctl._chunk_cost(problem, policy, tree, part, states,
                                       sweep, lagrangians, want_grad=True)
         g = ctl._chunk_gradients(problem, policy, tree, part, states, sweep,
@@ -487,8 +525,8 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
     per set, longer words from f @ f."""
     gen = np.random.default_rng(seed)
     problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
-    policy = ctl.zero_policy(problem, K=2, N=1, R=8.0, degree=degree,
-                             gate_level=gate_level)
+    policy = replace(zero_policy(problem, K=2, N=1, R=8.0, degree=degree),
+                     gate_level=gate_level)
     W = len(ctl._global_words(problem, policy))
     if scaled:
         policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
@@ -503,14 +541,14 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
 def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
     n, d, K, S = 3, 2, 3, 8
     problem = lq_problem(n, d=d)
-    policy = ctl.zero_policy(problem, K=K, N=1, R=8.0, gate_level=1.0)
+    policy = replace(zero_policy(problem, K=K, N=1, R=8.0), gate_level=1.0)
     words = ctl._global_words(problem, policy)
     policy.feature_scales = np.linspace(0.5, 2.0, len(words))
     batch = ctl._prepare_batch(problem, policy, stream.child("radius"), "t",
                                range(S))
-    letters = ctl._sample_letters(problem, K, range(S), stream.child("radius"),
-                                  "t")
-    gate = ctl._gate_indicator(letters, d, K, policy.gate_level)
+    letters = sample_letters(problem, K, range(S), stream.child("radius"),
+                             "t")
+    gate = gate_indicator(letters, d, K, policy.gate_level)
     assert words[0] == () and 0 < gate.sum() < S
     kept = gate == 1.0
     assert np.all(batch.radius[kept, 0] == 1.0 / policy.feature_scales[0])
@@ -525,16 +563,16 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
     gen = stream.child("rows", degree).generator()
     n, d, K, S = 3, 2, 2, 7
     problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
-    policy = ctl.zero_policy(problem, K=K, N=1, R=8.0, degree=degree,
-                             gate_level=1.0)
+    policy = replace(zero_policy(problem, K=K, N=1, R=8.0, degree=degree),
+                     gate_level=1.0)
     words = ctl._global_words(problem, policy)
     W = len(words)
     policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
     batch = ctl._prepare_batch(problem, policy, stream.child("rows-batch"),
                                "t", range(S))
-    letters = ctl._sample_letters(problem, K, range(S),
-                                  stream.child("rows-batch"), "t")
-    gate = ctl._gate_indicator(letters, d, K, policy.gate_level)
+    letters = sample_letters(problem, K, range(S),
+                             stream.child("rows-batch"), "t")
+    gate = gate_indicator(letters, d, K, policy.gate_level)
     kept = gate == 1.0
     assert 0 < kept.sum() < S
     feats = ctl._word_features(letters, words) / policy.feature_scales[
@@ -588,7 +626,7 @@ def test_lq_solve_builds_no_basis_and_a_quartic_one_per_slice(monkeypatch):
                                 acceptance._stream(6).child(8))
     assert calls == []
     problem = quartic_problem(3, beta_c=0.5)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=8.0)
+    policy = zero_policy(problem, K=2, N=1, R=8.0)
     batch = ctl._prepare_batch(problem, policy, rm.RngStream(3), "t", range(6))
     monkeypatch.setattr(ctl, "CHUNK", 4)
     first = ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
@@ -676,7 +714,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     problem = make(n, beta_c=0.5, x0=random_x0(n, 1, gen))
     R = 0.5 if trigger == "binding_clip" else 1e6
     if trigger == "const_step":
-        policy = ctl.zero_policy(problem, K=K, N=N, R=R, kind="const")
+        policy = const_policy(problem, K=K, N=N, R=R)
     else:
         policy = random_poly_policy(problem, K, N, R, gen)
     if trigger == "l0":
@@ -685,7 +723,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
                                "t", range(6))
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     calls = count_level_states(monkeypatch)
-    states, _, sweep = ctl._forward(problem, policy, tree, batch)
+    states, _, sweep = forward(problem, policy, tree, batch)
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
@@ -719,7 +757,7 @@ def test_const_clip_matches_per_matrix_clip(stream):
     gen = stream.child("const-clip").generator()
     n, d, R = 3, 2, 1.2
     problem = lq_problem(n, d=d)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=R, kind="const")
+    policy = const_policy(problem, K=2, N=1, R=R)
     for st in policy.steps:
         for slot in np.ndindex(st.values.shape[:2]):
             st.values[slot] = random_hermitian(n, gen, scale=0.6)
@@ -751,7 +789,7 @@ def test_const_step_stored_transposed_costs_as_its_copy(stream):
     gen = stream.child("transposed").generator()
     n, R = 3, 0.5
     problem = lq_problem(n, beta_c=0.5)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=R, kind="const")
+    policy = const_policy(problem, K=2, N=1, R=R)
     for st in policy.steps:
         h = np.stack([random_hermitian(n, gen, scale=0.6)
                       for _ in range(st.values.shape[0])])[:, None]
@@ -772,7 +810,7 @@ def test_gate_matches_per_matrix_norms(stream):
     letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
                                   for _ in range(d * (K + 1))])
                         for _ in range(8)])
-    gate = ctl._gate_indicator(letters, d, K, 1.5)
+    gate = gate_indicator(letters, d, K, 1.5)
     for s in range(len(letters)):
         norms = [np.max(np.abs(np.linalg.eigvalsh(m)))
                  for m in letters[s, d:]]
@@ -842,7 +880,7 @@ def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
         return
     letters = np.concatenate([np.zeros((2, 1, n, n), dtype=complex),
                               slots.reshape(2, m, n, n)], axis=1)
-    assert np.array_equal(ctl._gate_indicator(letters, 1, m, R),
+    assert np.array_equal(gate_indicator(letters, 1, m, R),
                           gate_by_eigensolve(letters, 1, m, R))
     alpha = slots.reshape(2, m, n, n)
     got, records = ctl._clip_batch(alpha, R)
@@ -882,7 +920,7 @@ def test_engine_eigensolver_failure_is_numerical(monkeypatch):
     # increments above the gate level, which the norm bound cannot clear
     letters = np.full((2, 3, 2, 2), 5.0 + 0j)
     with pytest.raises(NumericalError):
-        ctl._gate_indicator(letters, 1, 2, 1.0)
+        gate_indicator(letters, 1, 2, 1.0)
     with pytest.raises(NumericalError):
         ctl._clip_batch(np.full((2, 1, 2, 2), 5.0 + 0j), 1.0)
 
@@ -892,13 +930,11 @@ def test_scalar_trace_cost_matches_per_matrix_loop(stream):
     h = lambda t: np.sqrt(t * t + 1.0)
     data = np.stack([np.stack([random_hermitian(3, gen) for _ in range(4)])
                      for _ in range(5)]).reshape(5, 4, 3, 3)
-    for letters in (None, [0, 2]):
-        cost = ctl.ScalarTraceCost(h, letters)
-        got = cost.eval(data)
-        for s in range(len(data)):
-            want = sum(float(np.mean(h(np.linalg.eigvalsh(data[s, k]))))
-                       for k in (letters or range(4)))
-            assert got[s] == pytest.approx(want, rel=1e-14)
+    got = ctl.ScalarTraceCost(h).eval(data)
+    for s in range(len(data)):
+        want = sum(float(np.mean(h(np.linalg.eigvalsh(data[s, k]))))
+                   for k in range(4))
+        assert got[s] == pytest.approx(want, rel=1e-14)
     assert isinstance(ctl.ScalarTraceCost(h).eval(data[0]), float)
 
 
@@ -1024,14 +1060,14 @@ def test_zero_policy_zero_terminal_cost(stream):
     problem = ctl.ControlProblem(n=4, d=1, x0=MatrixTuple.zero(1, 4),
                                  beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0,
                                  cost=cost)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=4.0)
+    policy = zero_policy(problem, K=2, N=1, R=4.0)
     value, stderr = ctl.discrete_cost(problem, policy, 20, stream.child("c0"))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_policy_gue_variance(stream):
     problem = lq_problem(8, beta_c=0.0, beta_f=1.0)
-    policy = ctl.zero_policy(problem, K=1, N=1, R=4.0)
+    policy = zero_policy(problem, K=1, N=1, R=4.0)
     value, stderr = ctl.discrete_cost(problem, policy, 400, stream.child("c1"))
     assert abs(value - 1.0) <= 3.0 * stderr + 1e-3
 
@@ -1041,7 +1077,8 @@ def test_any_policy_cost_dominates_dp_oracle(stream):
     oracle = ctl.lq_discrete_oracle(2, 1, 1.0, 0.5, 1.0)
     gen = stream.child("rand").generator()
     for kind in ("const", "poly"):
-        policy = ctl.zero_policy(problem, K=2, N=1, R=4.0, kind=kind)
+        make = const_policy if kind == "const" else zero_policy
+        policy = make(problem, K=2, N=1, R=4.0)
         if kind == "const":
             for st in policy.steps:
                 st.values[...] += random_hermitian(6, gen, scale=0.2)[None, None]
@@ -1053,7 +1090,7 @@ def test_any_policy_cost_dominates_dp_oracle(stream):
 def test_path_guard_rejected(stream):
     problem = lq_problem(4, beta_c=0.5)
     with pytest.raises(ValueError):
-        ctl.zero_policy(problem, K=8, N=16, R=4.0)
+        zero_policy(problem, K=8, N=16, R=4.0)
     with pytest.raises(ValueError):
         ctl.optimize_discrete_value(problem, 8, 16, 4.0, small_cfg(),
                                     stream.child("guard"))
@@ -1174,7 +1211,7 @@ def test_lq_template_compares_trace_quadratic_forms():
     assert ctl.lq_reference(replace(lq2, cost=replace(
         lq2.cost, terminal=one_inner))) == ctl.lq_reference(lq2)
     for terminal in (trace_power(1, 2, coef=2.0), trace_power(1, 4),
-                     ctl.ArctanComposedTerminal(trace_power(1, 2))):
+                     ctl.ArctanComposedTerminal(trace_power(1, 2), 1.0)):
         other = replace(lq, cost=replace(lq.cost, terminal=terminal))
         for oracle in (ctl.lq_reference, ctl.lq_reference_ode):
             with pytest.raises(ValueError):
@@ -1262,7 +1299,7 @@ def test_coarsen_flags_empty_cells(stream):
 
 def test_clip_policy_within_r_unchanged(stream):
     problem = lq_problem(3)
-    policy = ctl.zero_policy(problem, K=2, N=1, R=4.0, kind="const")
+    policy = const_policy(problem, K=2, N=1, R=4.0)
     a = random_hermitian(3, stream.child("clip").generator(), scale=0.1)
     for st in policy.steps:
         st.values[...] += a[None, None]
@@ -1273,7 +1310,7 @@ def test_clip_policy_within_r_unchanged(stream):
 
 def test_clip_policy_reduces_norm(stream):
     problem = lq_problem(3)
-    policy = ctl.zero_policy(problem, K=1, N=1, R=8.0, kind="const")
+    policy = const_policy(problem, K=1, N=1, R=8.0)
     policy.steps[0].values[...] = 5.0 * np.eye(3)[None, None]
     clipped, _ = ctl._clip_batch(policy.steps[0].values, 2.0)
     assert np.allclose(clipped[0, 0], 2.0 * np.eye(3))
@@ -1382,7 +1419,7 @@ def test_bd_lhs_equals_per_sample_draws(stream):
 def test_sample_letters_equal_per_sample_paths(stream):
     problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
     K, indices = 3, [4, 0, 7]
-    got = ctl._sample_letters(problem, K, indices, stream, "lt")
+    got = sample_letters(problem, K, indices, stream, "lt")
     want = np.zeros((len(indices), 2 * (1 + K), 3, 3), dtype=complex)
     want[:, :2] = problem.x0.data
     for row, s in enumerate(indices):
@@ -1407,7 +1444,7 @@ def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
 
         monkeypatch.setattr(rm, name, wrapper)
     problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
-    ctl._sample_letters(problem, 2, [0, 1], stream, "lt")
+    sample_letters(problem, 2, [0, 1], stream, "lt")
     assert calls == ["sample_gue"]
     del calls[:]
     ctl.boue_dupuis_lhs(trace_power(2, 2), 3, 4, stream.child("bd"))
@@ -1465,7 +1502,7 @@ def test_rate_function_candidate_requires_family(stream):
     from nclab.nclaw import semicircle_arctan_law
     with pytest.raises(ValueError):
         ctl.rate_function_candidate(semicircle_arctan_law(4), [], 4,
-                                    small_cfg(), stream.child("rate1"))
+                                    small_cfg(), stream.child("rate1"), 2)
 
 
 def test_rate_function_semicircle_near_zero(stream):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import importlib
 import io
@@ -337,14 +338,45 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "00_spectrum.csv").exists()
 
 
+# Every experiment kind at a tiny size, for the JSON round trip.
+ALL_KINDS_CONFIG = {"seed": 3, "experiments": [
+    {"kind": "spectrum", "n_list": [8], "samples": 2},
+    {"kind": "freeness", "n_list": [4, 8], "samples": 2},
+    {"kind": "laplacian-check", "cases": 2, "n_list": [3], "d": 2},
+    {"kind": "value", "K": 2, "N": 1, "n_list": [4], "train_samples": 4,
+     "val_samples": 4, "opt": {"max_iters": 2}},
+    {"kind": "sweep", "pairs": [[1, 1]], "n": 4,
+     "opt": {"max_iters": 2, "train_samples": 4, "val_samples": 4}},
+    {"kind": "ldp", "n": 4, "lhs_samples": 20, "time_steps": 2,
+     "opt": {"max_iters": 2, "train_samples": 4, "val_samples": 4}},
+    {"kind": "gaussdisc-check", "N_list": [1], "delta_list": [1.0]},
+    {"kind": "truncation-check", "instances": 2},
+]}
+
+
 def test_cli_run_and_json_format(tmp_path):
+    """``--format json`` writes every kind's rows as JSON objects whose
+    values print as the CSV's cells."""
+    assert ({e["kind"] for e in ALL_KINDS_CONFIG["experiments"]}
+            == set(harness.EXPERIMENT_KINDS))
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(tiny_config()))
-    code = main(["run", "--config", str(cfg_path),
-                 "--out-dir", str(tmp_path / "cli"), "--threads", "2",
-                 "--format", "json"])
+    cfg_path.write_text(json.dumps(ALL_KINDS_CONFIG))
+    out = tmp_path / "cli"
+    code = main(["run", "--config", str(cfg_path), "--out-dir", str(out),
+                 "--threads", "2", "--format", "json"])
     assert code == 0
-    assert (tmp_path / "cli" / "00_spectrum.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for idx, exp in enumerate(ALL_KINDS_CONFIG["experiments"]):
+        key = f"{idx:02d}_{exp['kind']}"
+        assert manifest["experiments"][key]["artifacts"] == [f"{key}.csv",
+                                                             f"{key}.json"]
+        with open(out / f"{key}.csv", encoding="utf-8", newline="") as fh:
+            headers, *rows = list(csv.reader(fh))
+        doc = json.loads((out / f"{key}.json").read_text())
+        assert rows and len(doc) == len(rows)
+        for row, obj in zip(rows, doc):
+            assert list(obj) == headers
+            assert [harness._fmt(v) for v in obj.values()] == row
 
 
 def test_value_experiment_smoke(tmp_path):
@@ -421,7 +453,7 @@ def test_fd_laplacian_matches_per_shift_loop(d, n):
                     up = u.eval(MatrixTuple(x.data + shift, validate=False))
                     dn = u.eval(MatrixTuple(x.data - shift, validate=False))
                     total += (up - 2.0 * base + dn) / (h * h)
-        assert harness._fd_laplacian(u, x, h) == total / (n * n)
+        assert harness._fd_laplacian(u, x, h, {}) == total / (n * n)
 
 
 def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):

@@ -32,11 +32,29 @@ def test_every_name_in_all_resolves():
     assert missing == {}
 
 
-# The public names outside ``control`` that no code in ``src`` calls, each
-# with the paper claim its tests check.  The three ``nclaw`` helpers beside
+# The public names that no code in ``src`` calls, each with the paper claim
+# its tests check.  The three ``nclaw`` helpers beside
 # ``semicircle_arctan_law`` are called from ``src``; they are listed because
 # they exist for the same claim.
 TEST_ONLY_CLAIMS = {
+    "control.DiscretePolicy.prefix_index":
+        "the bin tree: the node of a bin prefix (j_1..j_i) at step i",
+    "control.discrete_cost":
+        "the discretized cost, exact over bin paths and Monte Carlo over "
+        "the GUE, bounded below by the dynamic-programming optimum",
+    "control.policy_control_budget":
+        "the a-priori energy bound, sum_i sum_J P(O_{i,J}) "
+        "E ||alpha_{i,J}||^2 delta",
+    "control.lq_reference": "the LQ Riccati value in closed form",
+    "control.lq_reference_ode":
+        "the LQ Riccati value re-derived from the Riccati ODE",
+    "control.euler_maruyama":
+        "the discretization step: fine paths of the continuous dynamics",
+    "control.coarsen_control":
+        "the discretization step: conditional-mean coarsening onto the bin "
+        "tree, under the Jensen bound",
+    "control.rate_function_candidate":
+        "the Laplace principle, the rate function as a supremum over tests",
     "laplacian.CylindricalFunction.hessian_bilinear":
         "the generator with common noise, "
         "1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 Delta_GUE U",
@@ -52,41 +70,146 @@ TEST_ONLY_CLAIMS = {
         "self-adjoint inners: the reference for symmetrize and is_selfadjoint",
 }
 
+SRC = Path(nclab.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-def _identifiers(node):
+
+def _identifiers(node, attributes_only=False):
     return collections.Counter(
-        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)))
+        n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        or (isinstance(n, ast.Name) and not attributes_only))
 
 
 def test_every_public_name_has_a_caller_or_a_claim():
-    """Every public function, class and method outside ``control`` is
-    named (as a variable or an attribute) somewhere in ``src`` outside its
-    own body, or is listed with its paper claim in ``TEST_ONLY_CLAIMS``."""
+    """Every public function and class is named (as a variable or an
+    attribute) somewhere in ``src`` outside its own body, and every public
+    method is an attribute there, or the name is listed with its paper
+    claim in ``TEST_ONLY_CLAIMS``."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in Path(nclab.__file__).parent.glob("*.py")}
-    uses = sum((_identifiers(tree) for tree in trees.values()),
-               collections.Counter())
+             for path in SRC.glob("*.py")}
+    uses = {flag: sum((_identifiers(tree, flag) for tree in trees.values()),
+                      collections.Counter()) for flag in (False, True)}
     public, uncalled = set(), set()
     for module, tree in trees.items():
-        if module == "control":
-            continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node)]
+            members = [(node.name, node, False)]
             if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                members += [(f"{node.name}.{sub.name}", sub, True)
+                            for sub in node.body
                             if isinstance(sub, ast.FunctionDef)]
-            for name, defn in members:
+            for name, defn, method in members:
                 if any(part.startswith("_") for part in name.split(".")):
                     continue
                 public.add(f"{module}.{name}")
                 leaf = defn.name
-                if uses[leaf] - _identifiers(defn)[leaf] == 0:
+                if uses[method][leaf] - _identifiers(defn, method)[leaf] == 0:
                     uncalled.add(f"{module}.{name}")
     assert set(TEST_ONLY_CLAIMS) <= public
     assert uncalled - set(TEST_ONLY_CLAIMS) == set()
+
+
+# Defaulted parameters that program calls all set or all leave out, kept
+# on purpose, each with its reason.
+KEPT_DEFAULTS = {
+    "acceptance.criterion_2(threads)":
+        "entry point: ``nclab acceptance --threads`` and direct calls",
+    "acceptance.run_acceptance(threads)": "entry point of nclab acceptance",
+    "acceptance.run_acceptance(only)": "entry point of nclab acceptance",
+    "cli.main(argv)": "entry point: the console script reads sys.argv",
+    "harness.run_config(threads)": "entry point of a config run",
+    "control.lq_discrete_oracle(x0_norm_sq)":
+        "the reference the Boue-Dupuis and DP oracle tests compare against",
+    "control.lq_discrete_oracle(terminal_coef)":
+        "the reference the Boue-Dupuis and DP oracle tests compare against",
+    "control.lq_discrete_oracle(peek_bin)":
+        "the reference the Boue-Dupuis and DP oracle tests compare against",
+    "control.lq_discrete_oracle(peek_gue)":
+        "the reference the Boue-Dupuis and DP oracle tests compare against",
+    "gaussdisc.bridge_bound_check(n)":
+        "the matrix case of the bridge bound, which its tests check",
+    "laplacian.MultiPoly.__init__(terms)":
+        "constructor: no terms is the zero polynomial",
+    "ncpoly.TensorPolynomial.__init__(terms)":
+        "constructor: no terms is the zero tensor",
+}
+
+
+def _defaulted(tree, module):
+    """(name, call name, positional parameters, defaulted parameters) of
+    each function and method of a module with a default.  A method's
+    positional parameters start after ``self`` or ``cls``; ``__init__`` is
+    called by its class's name.  A nested function's defaults that bind a
+    name of the enclosing scope (``n=n``) are left out."""
+    found = []
+
+    def visit(body, prefix, in_class, nested):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", True, nested)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if in_class:
+                    positional = positional[1:]  # self or cls
+                pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                          if d is not None]
+                defaulted = {name for name, value in pairs
+                             if not (nested and isinstance(value, ast.Name))}
+                call = (prefix[:-1].rsplit(".", 1)[-1]
+                        if node.name == "__init__" else node.name)
+                if defaulted:
+                    found.append((f"{module}.{prefix}{node.name}", call,
+                                  positional, defaulted))
+                visit(node.body, f"{prefix}{node.name}.", False, True)
+
+    visit(tree.body, "", False, False)
+    return found
+
+
+def test_every_default_is_set_and_relied_on_by_a_program():
+    """Every defaulted parameter of a function that ``src`` or
+    ``perfbench`` calls is set by one of those calls and left out by
+    another: a default every call overrides is a required parameter, and
+    one that no call overrides is a constant.  Calls are matched by name (a
+    class call counts for its ``__init__``; ``*args`` and ``**kwargs`` set
+    every parameter), so a name two functions share can only hide a
+    finding.  ``KEPT_DEFAULTS`` lists the exceptions, and each must still
+    be one."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for root in (SRC, PERFBENCH) for path in sorted(root.glob("*.py"))}
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", None)
+                      or getattr(func, "attr", None)].append(node)
+    flagged = set()
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for name, call, positional, defaulted in _defaulted(tree, path.stem):
+            set_by, left_by = set(), set()
+            for node in calls[call]:
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    given = defaulted
+                else:
+                    given = (set(positional[:len(node.args)])
+                             | {k.arg for k in node.keywords})
+                set_by |= defaulted & given
+                left_by |= defaulted - given
+            if calls[call]:
+                flagged |= {f"{name}({p})"
+                            for p in defaulted - (set_by & left_by)}
+    assert sorted(flagged - set(KEPT_DEFAULTS)) == []
+    assert sorted(set(KEPT_DEFAULTS) - flagged) == []
 
 
 def test_runtime_import_loads_no_scipy():
@@ -133,7 +256,7 @@ def test_benchmark_tracer_reads_both_engine_paths(tmp_path, monkeypatch, templat
     tracer_module = import_tracer(monkeypatch)
     make = harness.lq_problem if template == "lq" else harness.quartic_problem
     problem = make(3, beta_c=0.5)
-    policy = control.zero_policy(problem, K=2, N=1, R=8.0)
+    policy = control.zero_policy(problem, 2, 1, 8.0, 1, True)
     batch = control._prepare_batch(problem, policy, RngStream(3), "t", range(6))
     originals = (control._forward, control._chunk_cost, control._chunk_gradients)
     monkeypatch.setattr(control, "CHUNK", 4)  # the state path sweeps 2 slices
