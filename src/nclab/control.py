@@ -35,8 +35,8 @@ tree expands on the (B_i, d, V) coefficients,
 
     C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
 
-and the states of a level are one GEMM per sample, C_i @ b, made only where
-a cost reads them.  The controls are materialised only at clip suspects
+and the states of a level, C_i @ b, are made only where a cost reads them.
+The controls are materialised only at clip suspects
 (slots the pre-screen flags), where the clipped slots' states and gradients
 are corrected; where l0 reads them or ``_forward`` keeps every level's
 states (``keep_states``, set when l0's gradient needs them); and for const
@@ -51,9 +51,14 @@ Basis column v is row m(v) times a per-sample factor a_{s,v}: gate over
 feature scale for a feature, else 1.  So one GEMM over the rows gives the
 basis Gram H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V),
 and traces t_s = tr b_v; a step's feature Gram G_s is a block of H_s.  A
-sweep that makes no state covers the whole set.  Where states are made the
-set is swept in slices of ``CHUNK`` samples, which bounds the
-(CHUNK, B, d, n, n) state arrays, and each slice gathers its basis once.
+set is held as its rows and H_s; the basis itself (V ~ 2R columns at degree
+1) is never formed.  Where the engine needs columns of it, it goes through
+the lift A_s = (a_{s,v} [m(v) = r])_{v,r}, (S, V, R): states are
+(C_i @ A_s) @ r_s, materialised controls (c @ A_s) @ r_s, and a state
+adjoint is paired with the features as (adj @ r_s^T) @ A_s^T, each a GEMM
+over the R rows.  A sweep that makes no state covers the whole set.  Where
+states are made the set is swept in slices of ``CHUNK`` samples, which
+bounds the (CHUNK, B, d, n, n) state arrays.
 
 Terminal costs affine in tr_n X_k and tr_n X_k X_l stay in coefficient
 space.  A terminal whose ``trace_quadratic()`` is not None (a cylindrical
@@ -65,7 +70,7 @@ gradient is a coefficient adjoint (B, d, V), summed over children up the
 tree; a poly step's parameter gradient is that adjoint's feature columns
 times delta plus the c||alpha||^2 term.  Where this does not apply exactly
 the leaf states are made and the terminal reads them, with the state
-adjoint paired with the features in one GEMM per step: a terminal without
+adjoint paired with the features through the lift: a terminal without
 that form (the quartic cost, a nonlinear outer), l0 set (every level's
 states), and a const step or a slot the clip binds (their drift and fixes
 are not in the basis span).
@@ -419,8 +424,6 @@ class _BinTree:
 
     probs: tuple     # step i -> (B_i,) probabilities of bin prefixes
     noise: tuple     # step i -> (B_i,) values W0_{i,J}
-    branch_omegas: np.ndarray
-    branch_probs: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -428,9 +431,7 @@ def _bin_tree(K, N, delta, collapse):
     """The ``_BinTree`` of K steps over the (N, delta) noise table, one node
     per step when ``collapse``.  Memoized, so its arrays are read-only."""
     if collapse:
-        one = np.ones(1)
-        zero = np.zeros(1)
-        probs, noise, omegas, branch = [one] * K, [zero] * K, zero, one
+        probs, noise = [np.ones(1)] * K, [np.zeros(1)] * K
     else:
         table = noise_table(N, delta)
         omegas, branch = table.omegas.copy(), table.probs.copy()
@@ -440,10 +441,9 @@ def _bin_tree(K, N, delta, collapse):
             probs.append(np.kron(probs[-1], branch))
             noise.append(np.kron(noise[-1], np.ones_like(omegas))
                          + np.kron(np.ones(len(probs[-2])), omegas))
-    for a in (*probs, *noise, omegas, branch):
+    for a in (*probs, *noise):
         a.setflags(write=False)
-    return _BinTree(probs=tuple(probs), noise=tuple(noise),
-                    branch_omegas=omegas, branch_probs=branch)
+    return _BinTree(probs=tuple(probs), noise=tuple(noise))
 
 
 def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out):
@@ -656,6 +656,12 @@ class _PolyControls:
             out += np.bincount(s_idx, rows[j_idx] * change, minlength=len(out))
         return out
 
+    def energy_grad(self, probs):
+        """The derivative of ``energy`` summed over the samples in the
+        coefficients, (B, d, W): 2 p_J sum_s G_s c_J, as if nothing were
+        clipped."""
+        return 2.0 * probs[:, None, None] * (self.coeffs @ self.gram.sum(axis=0))
+
 
 def _sample_rows(s_idx, S):
     """(s, rows) for every sample s owning rows of the sorted index s_idx."""
@@ -664,12 +670,13 @@ def _sample_rows(s_idx, S):
             in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
 
 
-def _realize_controls(policy, step_index, batch, suspects, materialise=False):
+def _realize_controls(policy, step_index, batch, suspects, materialise):
     """One step's controls over a sample set with the clip applied
     (``_ConstControls`` or ``_PolyControls``).  A poly step's feature Gram
-    G_s is a block of the basis Gram (see the module docstring), and only
-    the ``suspects``, the slots its ``_clip_screen`` entry flags by the
-    triangle bound, are materialised and clipped."""
+    G_s is a block of the basis Gram (see the module docstring).  Its
+    controls are materialised from the rows through the ``_lift`` at the
+    ``suspects``, the slots its ``_clip_screen`` entry flags by the triangle
+    bound, which are clipped, and with ``materialise`` at every slot."""
     st = policy.steps[step_index]
     R = policy.R
     S = len(batch.gram)
@@ -683,14 +690,15 @@ def _realize_controls(policy, step_index, batch, suspects, materialise=False):
     ctrl = _PolyControls(coeffs=st.coeffs,
                          gram=batch.gram[:, cols[:, None], cols])
     if materialise or len(suspects):
-        fv = batch.basis[:, cols]                            # (S, W, 2 n n)
+        lift = _lift(batch, cols)                            # (S, W, R)
     if materialise:
-        ctrl.alpha = (coeffs @ fv).view(complex).reshape(S, B, d, n, n)
+        ctrl.alpha = ((coeffs @ lift) @ batch.rows).view(complex).reshape(
+            S, B, d, n, n)
     if len(suspects):
         s_idx, j_idx = np.divmod(suspects, B * d)
         raw = np.empty((len(suspects), 2 * n * n))
         for s, rows in _sample_rows(s_idx, S):
-            raw[rows] = coeffs[j_idx[rows]] @ fv[s]
+            raw[rows] = (coeffs[j_idx[rows]] @ lift[s]) @ batch.rows[s]
         raw = raw.view(complex).reshape(-1, n, n)
         new, records = _clip_batch(raw, R)
         if records:
@@ -702,14 +710,14 @@ def _realize_controls(policy, step_index, batch, suspects, materialise=False):
     return ctrl
 
 
-def _level_states(coef, basis, drift, fixes, n):
-    """States of one level from its coefficients (B, d, V) on the basis
-    (S, V, 2 n n): one real GEMM per sample on the float views, plus the
-    const steps' drift and the clip's fixes, each broadcast over the
-    descendants of its node."""
-    S = basis.shape[0]
+def _level_states(coef, batch, drift, fixes, n):
+    """States of one level from its coefficients (B, d, V) on the basis:
+    the coefficients through the ``_lift``, then one real GEMM per sample
+    over the rows' float views, plus the const steps' drift and the clip's
+    fixes, each broadcast over the descendants of its node."""
+    S = len(batch.rows)
     B, d, _ = coef.shape
-    x = coef.reshape(B * d, -1) @ basis
+    x = (coef.reshape(B * d, -1) @ _lift(batch, slice(None))) @ batch.rows
     x = x.view(complex).reshape(S, B, d, n, n)
     if drift is not None:
         x += drift
@@ -779,7 +787,7 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
                               delta * (ctrl.new - ctrl.raw)))
         lval = (quad / n) * ctrl.energy(probs) if quad else np.zeros(S)
         if materialise:
-            x = _level_states(coef, batch.basis, drift, fixes, n)
+            x = _level_states(coef, batch, drift, fixes, n)
             if keep_states:
                 states.append(x)
             if l0 is not None:
@@ -792,7 +800,7 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
         sweep.form = problem.cost.terminal.trace_quadratic()
     if not keep_states and sweep.form is None:
         states.append(x if materialise
-                      else _level_states(coef, batch.basis, drift, fixes, n))
+                      else _level_states(coef, batch, drift, fixes, n))
     return states, lagrangians, sweep
 
 
@@ -845,31 +853,31 @@ def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
     return total, ggrad
 
 
-def _step_gradient(ctrl, adj, probs, delta, quad, feats):
+def _step_gradient(ctrl, adj, probs, delta, quad, batch, cols):
     """Parameter gradient of one poly step from ``adj`` = (d cost / d alpha)
     / delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
 
-    ``adj`` is paired with the step's gated features ``feats``, float
-    views (S, W, 2 n n), in one GEMM per sample, and the c||alpha||^2 term
-    comes from the Gram matrices, 2 c delta p_J sum_s G_s c_J; both assume
-    an unclipped control, so the clipped slots add their difference to the
-    pullback through the clip.
+    ``adj`` is paired with the step's gated features, the set's basis
+    columns ``cols``, through the rows and the ``_lift``, and the
+    c||alpha||^2 term is ``energy_grad``; both assume an unclipped control,
+    so the clipped slots add their difference to the pullback through the
+    clip.
     """
     S, B, d, n = adj.shape[0], adj.shape[1], adj.shape[2], adj.shape[-1]
-    coeffs = ctrl.coeffs.reshape(B * d, -1)
-    fvt = np.swapaxes(feats, 1, 2)
-    g = delta * (adj.reshape(S, B * d, -1).view(float) @ fvt).sum(axis=0)
-    quad_rows = 2.0 * quad * delta * np.repeat(probs, d)       # per (J, k)
-    g += quad_rows[:, None] * (coeffs @ ctrl.gram.sum(axis=0))
+    rows_t = np.swapaxes(batch.rows, 1, 2)                  # (S, 2 n n, R)
+    lift_t = np.swapaxes(_lift(batch, cols), 1, 2)          # (S, R, W)
+    g = delta * ((adj.reshape(S, B * d, -1).view(float) @ rows_t)
+                 @ lift_t).sum(axis=0)
+    g += quad * delta * ctrl.energy_grad(probs).reshape(B * d, -1)
     records = ctrl.clip
     if len(records):
         s_idx, j_idx = np.divmod(records.idx, B * d)
-        qr = quad_rows[j_idx][:, None, None]
+        qr = 2.0 * quad * delta * np.repeat(probs, d)[j_idx][:, None, None]
         full = delta * adj.reshape(-1, n, n)[records.idx] + qr * ctrl.new
         fix = _pullback_clip(full, records) - full + qr * (ctrl.new - ctrl.raw)
         fix = fix.reshape(len(records), -1).view(float)
         for s, rows in _sample_rows(s_idx, S):
-            g[j_idx[rows]] += fix[rows] @ fvt[s]
+            g[j_idx[rows]] += (fix[rows] @ rows_t[s]) @ lift_t[s]
     return g.reshape(B, d, -1) / n
 
 
@@ -895,9 +903,8 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
         if sweep.form is not None:                   # (B_i, d, V)
             lam = gterm if lam is None else lam.reshape(
                 -1, branch, d, lam.shape[-1]).sum(axis=1)
-            quad_rows = (2.0 * quad * delta / n) * probs[:, None, None]
             grads[i - 1] = (delta * lam[..., batch.word_index[i - 1]]
-                            + quad_rows * (ctrl.coeffs @ ctrl.gram.sum(axis=0)))
+                            + (quad * delta / n) * ctrl.energy_grad(probs))
             continue
         p = probs[None, :, None, None, None]
         if lam is None:
@@ -910,23 +917,22 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
                                                      axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
-        feats = batch.basis[:, batch.word_index[i - 1]]
-        grads[i - 1] = _step_gradient(ctrl, adj, probs, delta, quad, feats)
+        grads[i - 1] = _step_gradient(ctrl, adj, probs, delta, quad, batch,
+                                      batch.word_index[i - 1])
     return grads
 
 
 @dataclass
 class _Batch:
     """A sample set's frozen data, on which the optimizer evaluates many
-    policies: its distinct rows as float views (S, R, 2 n n), and basis
-    columns [f; 1; x0; increments], the ``width`` features first; column v
-    is row ``index[v]`` times ``factor[s, v]`` (see the module docstring).
-    So are the Gram matrices H_s = Re tr(b_v b_w), (S, V, V), traces tr b_v,
-    (S, V), and ``radius``, (S, width), the clip pre-screen's bounds
-    rho_{s,w} >= ||f_{s,w}||_op.  ``word_index`` lists each step's feature
-    columns (None for a const step).  ``basis``, (S, V, 2 n n), is gathered
-    on first use into ``bases``, which the set's slices share, keyed by
-    their first sample ``start`` and size: once per slice and set."""
+    policies: its distinct rows as float views (S, R, 2 n n), and the basis
+    [f; 1; x0; increments], the ``width`` features first, whose column v is
+    row ``index[v]`` times ``factor[s, v]`` (see the module docstring).  The
+    basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
+    (S, V, V), traces tr b_v, (S, V), and ``radius``, (S, width), the clip
+    pre-screen's bounds rho_{s,w} >= ||f_{s,w}||_op; ``_lift`` maps its
+    columns to the rows.  ``word_index`` lists each step's feature columns
+    (None for a const step)."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -936,15 +942,6 @@ class _Batch:
     width: int
     word_index: list
     radius: np.ndarray
-    start: int = 0
-    bases: dict = field(default_factory=dict)
-
-    @property
-    def basis(self):
-        key = (self.start, len(self.gram))
-        if key not in self.bases:
-            self.bases[key] = _gather_basis(self.rows, self.index, self.factor)
-        return self.bases[key]
 
     def slices(self, size):
         """The set as consecutive batches of ``size`` samples (views)."""
@@ -952,12 +949,15 @@ class _Batch:
             rows = slice(lo, lo + size)
             yield replace(self, rows=self.rows[rows], factor=self.factor[rows],
                           gram=self.gram[rows], traces=self.traces[rows],
-                          radius=self.radius[rows], start=self.start + lo)
+                          radius=self.radius[rows])
 
 
-def _gather_basis(rows, index, factor):
-    """The basis (S, V, 2 n n): row ``index[v]`` times ``factor[:, v]``."""
-    return rows[:, index] * factor[..., None]
+def _lift(batch, cols):
+    """The map (S, C, R) from the basis columns ``cols`` (an index array or
+    a slice) to the rows: column v is row ``index[v]`` times
+    ``factor[s, v]``."""
+    R = batch.rows.shape[1]
+    return batch.factor[:, cols, None] * (batch.index[cols, None] == np.arange(R))
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
@@ -1201,20 +1201,13 @@ def _fro_norm(m):
 def policy_control_budget(problem, policy, samples, rng):
     """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
 
-    Each step's controls are realised on ``CHUNK`` samples at a time, which
-    bounds the clipped slots materialised at once.
+    It is the Lagrangian part of the cost at c = 1, with no l0 and a zero
+    terminal, so the engine evaluates it on the ``budget`` sample set.
     """
-    K = policy.K
-    delta = (problem.T - problem.t0) / K
-    tree = _bin_tree(K, policy.N, delta, policy.collapse_bins)
-    batch = _prepare_batch(problem, policy, rng, "budget", range(samples))
-    total = 0.0
-    for part in batch.slices(CHUNK):
-        screen = _clip_screen(policy, part)
-        for i, probs in enumerate(tree.probs):
-            energy = _realize_controls(policy, i, part, screen[i]).energy(probs)
-            total += float(energy.sum()) / problem.n * delta
-    return total / samples
+    budget = replace(problem, cost=CostSpec(
+        l0=None, quad_coef=1.0, terminal=trace_power(problem.d, 2, 0.0)))
+    batch = _prepare_batch(budget, policy, rng, "budget", range(samples))
+    return _evaluate_prepared(budget, policy, batch)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,8 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
         policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
     batch = ctl._prepare_batch(problem, policy, rm.RngStream(seed), "t",
                                range(4))
-    feats = batch.basis[:, :W].copy().view(complex).reshape(4, W, n, n)
+    feats = (ctl._lift(batch, slice(None)) @ batch.rows)[:, :W].view(
+        complex).reshape(4, W, n, n)
     norms = np.max(np.abs(np.linalg.eigvalsh(feats)), axis=-1)
     assert batch.width == W and batch.radius.shape == norms.shape
     assert np.all(batch.radius * (1.0 + ctl._NORM_MARGIN) >= norms)
@@ -584,63 +585,36 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
     norms = np.sqrt(np.einsum("svv->sv", gram))          # ||b_v||_F
     radius = np.sqrt(operator_norm_bound(feats @ feats))
     radius[:, 0] = gate / policy.feature_scales[0]       # exact for 1
-    assert batch.width == W and batch.basis.shape == basis.shape
+    lifted = ctl._lift(batch, slice(None)) @ batch.rows
+    assert batch.width == W and lifted.shape == basis.shape
     assert np.all(np.abs(batch.gram - gram)
                   <= 1e-13 * norms[:, :, None] * norms[:, None, :])
     assert np.all(np.abs(batch.traces - basis[..., ::2 * (n + 1)].sum(-1))
                   <= 1e-13 * math.sqrt(n) * norms)
     assert np.all(np.abs(batch.radius - radius) <= 1e-13 * radius)
-    assert np.all(np.linalg.norm(batch.basis - basis, axis=-1)
-                  <= 1e-13 * norms)
-    for got in (batch.basis[~kept, :W], batch.gram[~kept, :W],
+    assert np.all(np.linalg.norm(lifted - basis, axis=-1) <= 1e-13 * norms)
+    for got in (lifted[~kept, :W], batch.gram[~kept, :W],
                 batch.gram[~kept, :, :W], batch.traces[~kept, :W],
                 batch.radius[~kept]):
         assert np.all(got == 0.0)
 
 
-def count_basis_builds(monkeypatch):
-    """Record the number of samples of every lazy basis build."""
-    calls = []
-    original = ctl._gather_basis
-
-    def counted(rows, index, factor):
-        calls.append(len(rows))
-        return original(rows, index, factor)
-
-    monkeypatch.setattr(ctl, "_gather_basis", counted)
-    return calls
-
-
-def test_lq_solve_builds_no_basis_and_a_quartic_one_per_slice(monkeypatch):
-    """Criterion 6's LQ solve at n = 8 reads its sample sets through the
-    rows' Gram alone; a quartic evaluation makes states, so it gathers the
-    basis once per ``CHUNK`` slice, for the sweep and the gradients, and
-    the set's later evaluations reuse it."""
+def criterion_6_solve(max_iters):
+    """Criterion 6's LQ solve at n = 8 (K = 4, N = 2, R = 8), at its sample
+    sizes and stream, stopped after ``max_iters`` iterations."""
     from nclab import acceptance, harness
 
-    calls = count_basis_builds(monkeypatch)
     train, val = harness.scaled_samples(8, 48, 192)
     cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
-                              max_iters=5)
-    ctl.optimize_discrete_value(harness.lq_problem(8), 4, 2, 8.0, cfg,
-                                acceptance._stream(6).child(8))
-    assert calls == []
-    problem = quartic_problem(3, beta_c=0.5)
-    policy = zero_policy(problem, K=2, N=1, R=8.0)
-    batch = ctl._prepare_batch(problem, policy, rm.RngStream(3), "t", range(6))
-    monkeypatch.setattr(ctl, "CHUNK", 4)
-    first = ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
-    assert calls == [4, 2]
-    again = ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
-    assert calls == [4, 2] and again[:2] == first[:2]
+                              max_iters=max_iters)
+    return ctl.optimize_discrete_value(harness.lq_problem(8), 4, 2, 8.0, cfg,
+                                       acceptance._stream(6).child(8))
 
 
 def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
     """Criterion 6's n = 8 solve at 20 iterations evaluates 23 times (the
     start, 20 trials and two validations), each screening its K = 4 steps
     once."""
-    from nclab import acceptance, harness
-
     calls = {"screen": 0, "evaluate": 0}
 
     def counted(name, original):
@@ -653,11 +627,7 @@ def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
                         counted("screen", ctl._clip_suspects))
     monkeypatch.setattr(ctl, "_evaluate_prepared",
                         counted("evaluate", ctl._evaluate_prepared))
-    train, val = harness.scaled_samples(8, 48, 192)
-    cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
-                              max_iters=20)
-    ctl.optimize_discrete_value(harness.lq_problem(8), 4, 2, 8.0, cfg,
-                                acceptance._stream(6).child(8))
+    criterion_6_solve(20)
     assert calls == {"screen": 92, "evaluate": 23}
 
 
@@ -688,20 +658,22 @@ def test_bin_tree_is_memoized_and_read_only():
     assert np.allclose(tree.noise[1],
                        np.add.outer(table.omegas, table.omegas).ravel(),
                        rtol=0, atol=1e-15)
-    for a in (*tree.probs, *tree.noise, tree.branch_omegas, tree.branch_probs):
+    for a in (*tree.probs, *tree.noise):
         assert not a.flags.writeable
 
 
-def count_level_states(monkeypatch):
-    """Record the number of samples of every ``_level_states`` call."""
+def count_samples(monkeypatch, name):
+    """Record the number of samples of the ``_Batch`` argument of every call
+    of the engine function ``name``."""
     calls = []
-    original = ctl._level_states
+    original = getattr(ctl, name)
 
     def counted(*args):
-        calls.append(len(args[1]))
+        batch, = (a for a in args if isinstance(a, ctl._Batch))
+        calls.append(len(batch.rows))
         return original(*args)
 
-    monkeypatch.setattr(ctl, "_level_states", counted)
+    monkeypatch.setattr(ctl, name, counted)
     return calls
 
 
@@ -722,7 +694,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     batch = ctl._prepare_batch(problem, policy, stream.child("fallback-batch"),
                                "t", range(6))
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    calls = count_level_states(monkeypatch)
+    calls = count_samples(monkeypatch, "_level_states")
     states, _, sweep = forward(problem, policy, tree, batch)
     assert sweep.form is None and len(states) == 1 and calls
     if trigger == "binding_clip":
@@ -743,14 +715,21 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
 
 
 @pytest.mark.parametrize("make, reads_states", [(lq_problem, False),
-                                                (quartic_problem, True)])
+                                                (quartic_problem, True),
+                                                (criterion_6_solve, False)])
 def test_optimizer_reads_states_only_off_the_quadratic_path(
         stream, monkeypatch, make, reads_states):
-    calls = count_level_states(monkeypatch)
-    cfg = small_cfg(train_samples=8, val_samples=8, max_iters=5)
-    ctl.optimize_discrete_value(make(4, beta_c=0.5), 2, 1, 8.0, cfg,
-                                stream.child("reads", reads_states))
-    assert bool(calls) == reads_states
+    """An LQ solve, criterion 6's at n = 8 among them, reads its sample sets
+    through the basis Gram alone: it makes no state and builds no lift."""
+    calls = count_samples(monkeypatch, "_level_states")
+    lifts = count_samples(monkeypatch, "_lift")
+    if make is criterion_6_solve:
+        criterion_6_solve(5)
+    else:
+        cfg = small_cfg(train_samples=8, val_samples=8, max_iters=5)
+        ctl.optimize_discrete_value(make(4, beta_c=0.5), 2, 1, 8.0, cfg,
+                                    stream.child("reads", reads_states))
+    assert bool(calls) == bool(lifts) == reads_states
 
 
 def test_const_clip_matches_per_matrix_clip(stream):
