@@ -56,15 +56,11 @@ def criterion_1():
     return out, (headers, rows)
 
 
-def criterion_2(threads=1):
+def criterion_2():
     """Median GUE operator norm at n=512 within [1.90, 2.15]."""
     stream = _stream(2)
-
-    def one(s):
-        w = np.linalg.eigvalsh(sample_gue(512, stream.child("op", s)))
-        return float(np.max(np.abs(w)))
-
-    norms = harness.parallel_map(one, range(10), threads)
+    norms = [np.max(np.abs(np.linalg.eigvalsh(
+        sample_gue(512, stream.child("op", s))))) for s in range(10)]
     med = float(np.median(norms))
     return [_row("2.opnorm_median", med, 2.0, "within [1.90, 2.15]",
                  1.90 <= med <= 2.15)], None
@@ -106,33 +102,24 @@ def criterion_5():
 def criterion_6(threads=1, max_iters=250):
     """LQ at K=4, N=2, R=8: band vs 0.625 ln 3, and n-independence."""
     del threads  # perfbench/workloads.py passes it positionally
-    results = {}
-    for n in (4, 8, 16):
-        problem = harness.lq_problem(n)
-        train, val = harness.scaled_samples(n, 48, 192)
-        cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
-                                  max_iters=max_iters)
-        results[n] = ctl.optimize_discrete_value(problem, 4, 2, 8.0, cfg,
-                                                 _stream(6).child(n))
-    v8 = results[8]
-    band = abs(v8.value - LQ_TARGET) / LQ_TARGET
+    headers, rows, _ = harness.experiment_csv(
+        "value", {"template": "lq", "K": 4, "N": 2, "R": 8.0,
+                  "n_list": [4, 8, 16], "opt": {"max_iters": max_iters}},
+        _stream(6))
+    v4, v8, v16 = (dict(zip(headers, row)) for row in rows)
+    band = abs(v8["value"] - LQ_TARGET) / LQ_TARGET
     dp = ctl.lq_discrete_oracle(4, 2, 1.0, 0.5, 1.0)
-    rows = [
-        _row("6.lq_band_vs_continuous", v8.value, LQ_TARGET, "5% relative",
+    gap = abs(v4["value"] - v16["value"])
+    mid = 0.5 * (v4["value"] + v16["value"])
+    slack = 0.02 * mid + 3.0 * math.hypot(v4["stderr"], v16["stderr"])
+    out = [
+        _row("6.lq_band_vs_continuous", v8["value"], LQ_TARGET, "5% relative",
              band <= 0.05),
-        _row("6.lq_vs_discrete_dp_oracle", v8.value, dp, "2% relative (diagnostic)",
-             abs(v8.value - dp) / dp <= 0.02),
+        _row("6.lq_vs_discrete_dp_oracle", v8["value"], dp,
+             "2% relative (diagnostic)", abs(v8["value"] - dp) / dp <= 0.02),
+        _row("6.lq_n_independence", gap, 0.0, slack, gap <= slack),
     ]
-    v4, v16 = results[4], results[16]
-    mid = 0.5 * (v4.value + v16.value)
-    slack = 0.02 * mid + 3.0 * math.hypot(v4.stderr, v16.stderr)
-    rows.append(_row("6.lq_n_independence", abs(v4.value - v16.value),
-                     0.0, slack, abs(v4.value - v16.value) <= slack))
-    csv_rows = [[4, 2, 8.0, n, results[n].value, results[n].stderr,
-                 results[n].zero_value, results[n].iterations]
-                for n in (4, 8, 16)]
-    return rows, (["K", "N", "R", "n", "value", "stderr", "zero_value",
-                   "iterations"], csv_rows)
+    return out, (headers, rows)
 
 
 def criterion_7():
@@ -168,23 +155,17 @@ def criterion_8():
 
 def criterion_9():
     """Convergence in n for the quartic cost at (K, N) = (4, 8)."""
-    results = {}
-    for n in (4, 8, 16):
-        problem = harness.quartic_problem(n)
-        train, val = harness.scaled_samples(n, 48, 192)
-        cfg = ctl.OptimizerConfig(train_samples=train, val_samples=val,
-                                  max_iters=200)
-        results[n] = ctl.optimize_discrete_value(problem, 4, 8, 8.0, cfg,
-                                                 _stream(9).child(n))
-    d1 = abs(results[8].value - results[4].value)
-    d2 = abs(results[16].value - results[8].value)
-    slack = 3.0 * math.sqrt(results[4].stderr ** 2 + 2 * results[8].stderr ** 2
-                            + results[16].stderr ** 2)
-    csv_rows = [[4, 8, 8.0, n, results[n].value, results[n].stderr]
-                for n in (4, 8, 16)]
+    headers, rows, _ = harness.experiment_csv(
+        "value", {"template": "quartic", "beta_c": 0.0, "K": 4, "N": 8,
+                  "R": 8.0, "n_list": [4, 8, 16], "opt": {"max_iters": 200}},
+        _stream(9))
+    v4, v8, v16 = (dict(zip(headers, row)) for row in rows)
+    d1 = abs(v8["value"] - v4["value"])
+    d2 = abs(v16["value"] - v8["value"])
+    slack = 3.0 * math.sqrt(v4["stderr"] ** 2 + 2 * v8["stderr"] ** 2
+                            + v16["stderr"] ** 2)
     return [_row("9.n_convergence", d2, d1, f"+3 combined se = {slack:.4f}",
-                 d2 <= d1 + slack)], \
-        (["K", "N", "R", "n", "value", "stderr"], csv_rows)
+                 d2 <= d1 + slack)], (headers, rows)
 
 
 def criterion_10():
@@ -240,35 +221,34 @@ def criterion_12(out_dir):
 
 # -- runner -------------------------------------------------------------------
 
-# Each entry takes (threads, out_dir); only criterion 2 uses the threads.
+# Each entry takes the output directory; only criterion 12 uses it.
 CRITERIA = {
-    1: lambda threads, out_dir: criterion_1(),
-    2: lambda threads, out_dir: criterion_2(threads),
-    3: lambda threads, out_dir: criterion_3(),
-    4: lambda threads, out_dir: criterion_4(),
-    5: lambda threads, out_dir: criterion_5(),
-    6: lambda threads, out_dir: criterion_6(),
-    7: lambda threads, out_dir: criterion_7(),
-    8: lambda threads, out_dir: criterion_8(),
-    9: lambda threads, out_dir: criterion_9(),
-    10: lambda threads, out_dir: criterion_10(),
-    11: lambda threads, out_dir: criterion_11(),
-    12: lambda threads, out_dir: criterion_12(out_dir),
+    1: lambda out_dir: criterion_1(),
+    2: lambda out_dir: criterion_2(),
+    3: lambda out_dir: criterion_3(),
+    4: lambda out_dir: criterion_4(),
+    5: lambda out_dir: criterion_5(),
+    6: lambda out_dir: criterion_6(),
+    7: lambda out_dir: criterion_7(),
+    8: lambda out_dir: criterion_8(),
+    9: lambda out_dir: criterion_9(),
+    10: lambda out_dir: criterion_10(),
+    11: lambda out_dir: criterion_11(),
+    12: criterion_12,
 }
 
 
-def run_acceptance(out_dir, threads=1, only=None):
+def run_acceptance(out_dir, only=None):
     """Run the acceptance criteria; print the table; exit 4 on a failed check."""
     unknown = sorted(set(only or ()) - set(CRITERIA))
     if unknown:
         raise harness.ExperimentError(f"unknown criteria {unknown}")
-    harness.check_threads(threads)
     os.makedirs(out_dir, exist_ok=True)
     selected = sorted(only) if only else sorted(CRITERIA)
     all_rows = []
     for cid in selected:
         started = time.perf_counter()
-        rows, csv_payload = CRITERIA[cid](threads, out_dir)
+        rows, csv_payload = CRITERIA[cid](out_dir)
         elapsed = time.perf_counter() - started
         for r in rows:
             r["seconds"] = round(elapsed, 2)

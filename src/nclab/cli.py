@@ -12,8 +12,16 @@ THREADS_HELP = ("experiments run side by side; never affects results; peak "
                 "memory is up to `threads` experiments at once")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``ExperimentError`` instead of exiting 2, the
+    code of a numerical failure; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise harness.ExperimentError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nclab",
         description="Matrix stochastic control laboratory: experiments and "
                     "acceptance checks.")
@@ -30,22 +38,25 @@ def build_parser():
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
     p_acc.add_argument("--out-dir", required=True)
-    p_acc.add_argument("--threads", type=int, default=1,
-                       help="workers for criterion 2's ten n=512 eigensolves; "
-                            "never affects results")
     p_acc.add_argument("--only", type=int, nargs="*", default=None,
                        help="subset of criterion numbers to run")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Exit code of the command ``argv`` (default ``sys.argv[1:]``); a usage
+    error prints one line and exits 1, as a configuration error does."""
+    try:
+        args = build_parser().parse_args(argv)
+    except harness.ExperimentError as exc:
+        print(f"usage error: {exc}")
+        return harness.EXIT_CONFIG
     if args.command == "run":
         return harness.run(args.config, out_dir=args.out_dir, seed=args.seed,
                            threads=args.threads, fmt=args.format)
     if args.command == "acceptance":
         return harness.exit_code(lambda: acceptance.run_acceptance(
-            args.out_dir, threads=args.threads, only=args.only),
+            args.out_dir, only=args.only),
             config_errors=harness.ExperimentError)
     return 1
 

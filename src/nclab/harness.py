@@ -32,7 +32,7 @@ import os
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -132,14 +132,12 @@ def lq_problem(n, d=1, beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0, x0=None):
                               t0=t0, T=T, cost=cost)
 
 
-def quartic_problem(n, d=1, beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, x0=None):
-    """L = 0.5 ||alpha||^2, g = sum_j tr_n x_j^4 (convex, non-quadratic)."""
-    cost = ctl.CostSpec(l0=None, quad_coef=0.5,
-                        terminal=trace_power(d, 4),
-                        lip_const=0.0, convexity_declared=True, c1=4.0)
-    x0 = x0 if x0 is not None else MatrixTuple.zero(d, n)
-    return ctl.ControlProblem(n=n, d=d, x0=x0, beta_c=beta_c, beta_f=beta_f,
-                              t0=t0, T=T, cost=cost)
+def quartic_problem(n, **kwargs):
+    """``lq_problem``'s problem, keyword for keyword, with g = sum_j tr_n
+    x_j^4 (convex, non-quadratic) and beta_c = 0 unless given."""
+    problem = lq_problem(n, **{"beta_c": 0.0, **kwargs})
+    cost = replace(problem.cost, terminal=trace_power(problem.d, 4), c1=4.0)
+    return replace(problem, cost=cost)
 
 
 def problem_from_params(params, n):
@@ -328,7 +326,7 @@ def _exp_value(params, stream):
                                     params["val_samples"])
         cfg = optimizer_config(params, train_samples=train, val_samples=val)
         res = ctl.optimize_discrete_value(problem, K, N, R, cfg,
-                                          stream.child("value", n))
+                                          stream.child(n))
         rows.append([K, N, R, n, res.value, res.stderr, res.zero_value,
                      res.iterations])
         checks[f"below_zero_policy_n{n}"] = {
@@ -531,13 +529,6 @@ def experiment_csv(kind, params, stream):
 # ---------------------------------------------------------------------------
 
 
-def check_threads(threads):
-    """Raise ``ExperimentError`` unless ``threads`` is an integer >= 1."""
-    if not _conforms(threads, 0) or threads < 1:
-        raise ExperimentError(f"threads must be an integer of at least 1, "
-                              f"got {threads!r}")
-
-
 def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     """Execute all experiments in a config; resumable via the manifest.
 
@@ -562,7 +553,9 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             and all(isinstance(exp, dict) for exp in config["experiments"])):
         raise ExperimentError("config must be an object with an 'experiments' "
                               "list of objects")
-    check_threads(threads)
+    if not _conforms(threads, 0) or threads < 1:
+        raise ExperimentError(f"threads must be an integer of at least 1, "
+                              f"got {threads!r}")
     seed = config.get("seed", 0) if seed is None else seed
     if not _conforms(seed, 0):
         raise ExperimentError(f"seed must be an integer, got {seed!r}")

@@ -131,6 +131,10 @@ class CylindricalFunction:
         self._quotients = [[[dpoly.free_difference_quotient(i)
                              for i in range(1, phi.d + 1)] for dpoly in grads]
                            for phi, grads in zip(self.inners, self._grad_polys)]
+        # the outer's first and second partials, evaluated at the inner traces
+        self._outer_grad = [self.outer.partial(o) for o in range(self.m)]
+        self._outer_hess = [[g.partial(q) for q in range(self.m)]
+                            for g in self._outer_grad]
         self._form = self._build_trace_quadratic()
 
     @property
@@ -186,7 +190,7 @@ class CylindricalFunction:
                     quad[o, k, l] += 0.5 * coeff.real
                     quad[o, l, k] += 0.5 * coeff.real
         zero = np.zeros(self.m)
-        slope = np.array([self.outer.partial(o)(zero) for o in range(self.m)])
+        slope = np.array([g(zero) for g in self._outer_grad])
         form = TraceQuadratic(const=float(self.outer(zero) + slope @ const),
                               lin=slope @ lin,
                               quad=np.tensordot(slope, quad, 1))
@@ -217,7 +221,7 @@ class CylindricalFunction:
         out = np.empty(data.shape, dtype=complex)
         written = [False] * d
         for o, phi in enumerate(self.inners):
-            go = np.asarray(self.outer.partial(o)(u))[..., None, None]
+            go = np.asarray(self._outer_grad[o](u))[..., None, None]
             for j in range(1, d + 1):
                 dpoly = self._grad_polys[o][j - 1] if j <= phi.d else None
                 if dpoly is None or not dpoly.terms:
@@ -238,10 +242,8 @@ class CylindricalFunction:
     # -- second order ----------------------------------------------------------
 
     def _outer_derivatives(self, u):
-        m = self.m
-        g1 = np.array([self.outer.partial(o)(u) for o in range(m)])
-        g2 = np.array([[self.outer.partial(o).partial(q)(u) for q in range(m)]
-                       for o in range(m)])
+        g1 = np.array([g(u) for g in self._outer_grad])
+        g2 = np.array([[h(u) for h in row] for row in self._outer_hess])
         return g1, g2
 
     def _cyclic_matrices(self, x, cache=None):

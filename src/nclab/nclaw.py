@@ -67,14 +67,14 @@ def freeness_statistic(groups, index_sequence, polys):
         if a == b:
             raise ValueError(f"consecutive indices must differ, got {seq}")
     n = groups[0].dim
-    prod = np.eye(n, dtype=complex)
+    prod = None
     for j, poly in zip(seq, polys):
         if not poly.is_selfadjoint():
             raise ValueError("freeness statistic requires self-adjoint polynomials")
         x = groups[j - 1]
         mat = poly.evaluate(x)
         centered = mat - (np.trace(mat) / n) * np.eye(n, dtype=complex)
-        prod = prod @ centered
+        prod = centered if prod is None else prod @ centered
     val = np.trace(prod) / n
     if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
         raise ValueError(f"statistic has imaginary part {val.imag:.3e}")

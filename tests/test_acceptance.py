@@ -27,7 +27,7 @@ _CACHE = {}
 
 def rows_for(cid, out_dir=None):
     if cid not in _CACHE:
-        rows, _ = acceptance.CRITERIA[cid](1, str(out_dir) if out_dir else None)
+        rows, _ = acceptance.CRITERIA[cid](str(out_dir) if out_dir else None)
         _CACHE[cid] = rows
         for r in rows:
             print(f"{r['id']}: measured={r['measured']} "
@@ -176,7 +176,7 @@ def test_criterion_11_appendix_analytics():
 
 def test_criterion_12_determinism(tmp_path_factory):
     out = tmp_path_factory.mktemp("determinism")
-    rows, _ = acceptance.CRITERIA[12](1, str(out))
+    rows, _ = acceptance.CRITERIA[12](str(out))
     assert rows[0]["pass"]
 
 
@@ -195,7 +195,7 @@ def test_acceptance_unknown_criterion_exits_config(tmp_path, capsys):
 
 def test_acceptance_red_check_exits_4(tmp_path, monkeypatch, capsys):
     # a failed check has its own code, apart from a config error's 1
-    def red(threads, out_dir):
+    def red(out_dir):
         return [acceptance._row("11.red", 1.0, 0.0, 0.5, False)], None
 
     monkeypatch.setitem(acceptance.CRITERIA, 11, red)
@@ -207,7 +207,7 @@ def test_acceptance_red_check_exits_4(tmp_path, monkeypatch, capsys):
                                    np.linalg.LinAlgError("no convergence")])
 def test_acceptance_numerical_failure_exits_2(tmp_path, monkeypatch, capsys,
                                               error):
-    def fail(threads, out_dir):
+    def fail(out_dir):
         raise error
 
     monkeypatch.setitem(acceptance.CRITERIA, 11, fail)
@@ -217,7 +217,7 @@ def test_acceptance_numerical_failure_exits_2(tmp_path, monkeypatch, capsys,
 
 def test_acceptance_value_error_in_criterion_propagates(tmp_path, monkeypatch):
     # only an unknown criterion is a usage error; a bug keeps its traceback
-    def broken(threads, out_dir):
+    def broken(out_dir):
         raise ValueError("operands could not be broadcast")
 
     monkeypatch.setitem(acceptance.CRITERIA, 11, broken)

@@ -631,11 +631,13 @@ def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
     assert calls == {"screen": 92, "evaluate": 23}
 
 
-def test_lq_solve_at_n32_never_reaches_the_clip(monkeypatch):
-    """Criterion 6's shape at n=32: the controls stay far below R = 8 in
-    operator norm, so the triangle-bound screen clears every slot and no
-    clip eigensolve runs; a Frobenius-norm screen, which loosens like
-    sqrt(n), would send slots to the clip here."""
+@pytest.mark.parametrize("n", [32, 64])
+def test_lq_solve_at_large_n_never_reaches_the_clip(monkeypatch, n):
+    """Criterion 6's shape at n = 32 and 64: the controls stay far below
+    R = 8 in operator norm, so the triangle-bound screen clears every slot
+    and no clip eigensolve runs.  A Frobenius-norm screen, which loosens
+    like sqrt(n), would send slots to the clip here; at n = 64 so does the
+    gate's ||L^2||_F^(1/2) in place of the n^(1/8)-tight radius."""
     calls, clip = [], ctl._clip_batch
 
     def counted(alpha, R):
@@ -644,8 +646,8 @@ def test_lq_solve_at_n32_never_reaches_the_clip(monkeypatch):
 
     monkeypatch.setattr(ctl, "_clip_batch", counted)
     cfg = small_cfg(train_samples=12, val_samples=12, max_iters=60)
-    ctl.optimize_discrete_value(lq_problem(32), 4, 2, 8.0, cfg,
-                                rm.RngStream(3).child(32))
+    ctl.optimize_discrete_value(lq_problem(n), 4, 2, 8.0, cfg,
+                                rm.RngStream(3).child(n))
     assert calls == []
 
 

@@ -284,10 +284,34 @@ def test_threads_below_one_exit_config(tmp_path, capsys, threads):
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out-dir", str(out),
                  "--threads", threads]) == harness.EXIT_CONFIG
-    assert main(["acceptance", "--out-dir", str(tmp_path / "a"), "--only", "11",
-                 "--threads", threads]) == harness.EXIT_CONFIG
-    assert capsys.readouterr().out.count("config error: threads must be") == 2
-    assert not out.exists() and not (tmp_path / "a").exists()
+    assert capsys.readouterr().out.count("config error: threads must be") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--config", "c.json", "--threads", "two"],
+    ["run", "--config", "c.json", "--bogus"],
+    ["acceptance", "--out-dir", "a", "--threads", "2"],
+], ids=["no_config", "threads_not_an_int", "unknown_flag",
+        "acceptance_threads"])
+def test_usage_errors_exit_config(tmp_path, monkeypatch, capsys, argv):
+    """A usage error prints one line and exits 1, not argparse's 2, which
+    is the code of a numerical failure; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == harness.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.out.startswith("usage error: nclab") and out.out.count("\n") == 1
+    assert out.err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "acceptance"])
+def test_help_exits_ok(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == harness.EXIT_OK
+    assert ("--threads" in capsys.readouterr().out) == (command == "run")
 
 
 def test_run_exit_codes(tmp_path):

@@ -114,9 +114,6 @@ def test_every_public_name_has_a_caller_or_a_claim():
 # Defaulted parameters that program calls all set or all leave out, kept
 # on purpose, each with its reason.
 KEPT_DEFAULTS = {
-    "acceptance.criterion_2(threads)":
-        "entry point: ``nclab acceptance --threads`` and direct calls",
-    "acceptance.run_acceptance(threads)": "entry point of nclab acceptance",
     "acceptance.run_acceptance(only)": "entry point of nclab acceptance",
     "cli.main(argv)": "entry point: the console script reads sys.argv",
     "harness.run_config(threads)": "entry point of a config run",
