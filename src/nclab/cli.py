@@ -38,8 +38,8 @@ def build_parser():
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
     p_acc.add_argument("--out-dir", required=True)
-    p_acc.add_argument("--only", type=int, nargs="*", default=None,
-                       help="subset of criterion numbers to run")
+    p_acc.add_argument("--only", type=int, nargs="+", default=None,
+                       help="one or more criterion numbers to run, each once")
     return parser
 
 

@@ -84,9 +84,10 @@ has no form either.
 
 Also here: the LQ Riccati references (continuous closed form, ODE
 re-derivation, and the exact discrete dynamic-programming optimum), the
-operator-norm truncation inequality check, Euler-Maruyama simulation of the
-continuous dynamics, and the exponential-functional machinery (variational
-formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function candidate).
+truncation inequality check and Euler-Maruyama's ``PathData``, both on
+(steps, d, n, n) arrays, and the exponential-functional machinery
+(variational formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function
+candidate).  ``_clip_batch`` is the package's one operator-norm clip.
 Only tests call the ODE re-derivation, Euler-Maruyama with
 ``coarsen_control``, ``policy_control_budget`` and the rate-function
 candidate: they check the paper's own steps (the Riccati oracle, the
@@ -369,7 +370,7 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
     discretization, gated at ``default_gate_level``."""
     collapse = problem.beta_c == 0.0
     b = 1 if collapse else 2 * N + 2
-    _check_path_guard(b, K)
+    check_path_guard(b, K)
     d = problem.d
     steps = []
     for i in range(1, K + 1):
@@ -387,7 +388,7 @@ def default_gate_level(problem):
     return max(base, problem.x0.max_operator_norm() + 1e-9)
 
 
-def _check_path_guard(branching, K):
+def check_path_guard(branching, K):
     if branching ** K > PATH_GUARD:
         raise ValueError(
             f"bin-path count {branching}^{K} exceeds the {PATH_GUARD} guard")
@@ -1089,7 +1090,7 @@ def discrete_cost(problem, policy, mc_samples, rng):
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    _check_path_guard(policy.branching(), policy.K)
+    check_path_guard(policy.branching(), policy.K)
     batch = _prepare_batch(problem, policy, rng, "cost", range(mc_samples))
     mean, stderr, _ = _evaluate_prepared(problem, policy, batch)
     return mean, stderr
@@ -1302,8 +1303,8 @@ class PathData:
     """One sampled trajectory of the continuous dynamics."""
 
     times: list
-    states: list        # MatrixTuple at each grid time
-    controls: list      # MatrixTuple applied on each interval
+    states: np.ndarray          # (steps + 1, d, n, n), at each grid time
+    controls: np.ndarray        # (steps, d, n, n), applied on each interval
     w0_increments: np.ndarray
     gue_increments: np.ndarray  # (steps, d, n, n)
     cost: float
@@ -1313,9 +1314,10 @@ def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
     """Explicit Euler with exact Gaussian/GUE increments from
     ``rng.child("em")``.
 
-    ``feedback_policy`` is a callable (t, X) -> MatrixTuple or None for the
-    zero control.  The drift is piecewise constant, so linear dynamics are
-    integrated exactly given the increments.
+    ``feedback_policy`` is a callable (t, X) -> alpha on (d, n, n) arrays,
+    hermitized once per step, or None for the zero control.  A step adds
+    drift, common noise and GUE noise in that order; the drift is piecewise
+    constant, so linear dynamics are integrated exactly given the increments.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -1327,29 +1329,25 @@ def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
     dw0 = randmat.brownian_increments(times, gen_stream.child("w0"))
     gue = randmat.gue_increments(problem.n, problem.d, times, gen_stream.child("gue"))
 
-    x = problem.x0
-    states, controls = [x], []
     h = grid.delta
-    run_cost = 0.0
-    eye_shift = lambda s: MatrixTuple(
-        np.broadcast_to(np.eye(problem.n, dtype=complex),
-                        (problem.d, problem.n, problem.n)) * s)
+    eye = np.eye(problem.n)
+    states = np.empty((steps + 1,) + problem.x0.data.shape, dtype=complex)
+    controls = np.zeros((steps,) + problem.x0.data.shape, dtype=complex)
+    states[0] = problem.x0.data
     for i in range(steps):
-        alpha = feedback_policy(times[i], x) if feedback_policy else None
-        if alpha is None:
-            alpha = MatrixTuple.zero(problem.d, problem.n)
-        run_cost += float(problem.cost.lagrangian(x.data, alpha.data)) * h
-        x = x + h * alpha
+        x = states[i]
+        if feedback_policy is not None:
+            controls[i] = hermitize(feedback_policy(times[i], x))
+        x = x + h * controls[i]
         if problem.beta_c:
-            x = x + eye_shift(problem.beta_c * dw0[i])
+            x = x + problem.beta_c * dw0[i] * eye
         if problem.beta_f:
-            x = x + problem.beta_f * MatrixTuple(gue[i], validate=False)
-        states.append(x)
-        controls.append(alpha)
-    total = run_cost + float(np.real(problem.cost.terminal.eval(states[-1].data)))
+            x = x + problem.beta_f * gue[i]
+        states[i + 1] = x
+    total = float(np.sum(problem.cost.lagrangian(states[:-1], controls) * h)
+                  + np.real(problem.cost.terminal.eval(states[-1])))
     return PathData(times=times, states=states, controls=controls,
-                    w0_increments=dw0, gue_increments=gue,
-                    cost=total)
+                    w0_increments=dw0, gue_increments=gue, cost=total)
 
 
 def _bin_of(value, N):
@@ -1374,34 +1372,27 @@ def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
     if not fine_samples:
         raise ValueError("need at least one fine sample")
     K = grid.K
-    first = fine_samples[0]
-    fine_steps = len(first.controls)
+    fine_steps, d, n, _ = fine_samples[0].controls.shape
     if fine_steps % K:
         raise ValueError("fine grid must refine the coarse grid")
+    if any(len(path.controls) != fine_steps for path in fine_samples):
+        raise ValueError("fine samples live on different grids")
     per = fine_steps // K
-    d = first.controls[0].d
-    n = first.controls[0].dim
     branch = 2 * N + 2
 
     # per sample: coarse bin path and per-coarse-step time-averaged control
-    sample_bins, sample_avgs = [], []
-    for path in fine_samples:
-        if len(path.controls) != fine_steps:
-            raise ValueError("fine samples live on different grids")
-        bins, avgs = [], []
-        for i in range(K):
-            seg = slice(i * per, (i + 1) * per)
-            bins.append(_bin_of(float(np.sum(path.w0_increments[seg])), N))
-            block = np.mean([c.data for c in path.controls[seg]], axis=0)
-            avgs.append(block)
-        sample_bins.append(tuple(bins))
-        sample_avgs.append(avgs)
+    S = len(fine_samples)
+    coarse_w0 = np.array([path.w0_increments for path in fine_samples]).reshape(
+        S, K, per).sum(axis=2)
+    sample_bins = [tuple(_bin_of(float(v), N) for v in row) for row in coarse_w0]
+    sample_avgs = np.array([path.controls for path in fine_samples]).reshape(
+        S, K, per, d, n, n).mean(axis=2)
 
     steps, fallbacks = [], []
     for i in range(1, K + 1):
         paths = branch ** i
         values = np.zeros((paths, d, n, n), dtype=complex)
-        global_mean = np.mean([avgs[i - 1] for avgs in sample_avgs], axis=0)
+        global_mean = sample_avgs[:, i - 1].mean(axis=0)
         cells = {}
         for bins, avgs in zip(sample_bins, sample_avgs):
             cells.setdefault(bins[:i], []).append(avgs[i - 1])
@@ -1441,30 +1432,27 @@ def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):
           <= int L(Y_t + int alpha, alpha_t) dt
              + (1 + T) kappa / R * int ||alpha_t||^2 dt
 
-    by left Riemann sums on the given grid.  ``y_states`` has one MatrixTuple
-    per grid time, ``controls`` one per interval.
+    by left Riemann sums on the given grid, each added left to right.
+    ``y_states`` are (steps + 1, d, n, n), one per grid time, and
+    ``controls`` (steps, d, n, n), one per interval; one ``_clip_batch``
+    call clips them all.  Returns a Python bool.
     """
-    kappa = cost.lip_const
     steps = len(controls)
     if len(times) != steps + 1:
         raise ValueError("need len(times) == len(controls) + 1")
-    horizon = times[-1] - times[0]
-    d, n = controls[0].d, controls[0].dim
-    raw_int = MatrixTuple.zero(d, n)
-    clip_int = MatrixTuple.zero(d, n)
-    lhs = rhs = budget = 0.0
-    for i in range(steps):
-        h = times[i + 1] - times[i]
-        alpha = controls[i]
-        clipped = alpha.clip(R)
-        y = y_states[i]
-        lhs += float(cost.lagrangian((y + clip_int).data, clipped.data)) * h
-        rhs += float(cost.lagrangian((y + raw_int).data, alpha.data)) * h
-        budget += inner_product(alpha, alpha) * h
-        raw_int = raw_int + h * alpha
-        clip_int = clip_int + h * clipped
-    penalty = (1.0 + horizon) * kappa / R * budget
-    return bool(lhs <= rhs + penalty + 1e-9)
+    h = np.diff(np.asarray(times, dtype=float))
+    alpha = np.stack([_clip_batch(controls, R)[0], controls])  # lhs, rhs
+    integral = np.zeros_like(alpha)  # sum_{j<i} alpha_j h_j at each step i
+    np.cumsum(alpha[:, :-1] * h[:-1, None, None, None], axis=1,
+              out=integral[:, 1:])
+    lagrangian = cost.lagrangian(y_states[:steps] + integral, alpha)
+    lhs, rhs = (sum(side) for side in
+                (np.broadcast_to(lagrangian, (2, steps)) * h).tolist())
+    n = controls.shape[-1]
+    energy = np.einsum("skij,skji->s", controls, controls).real / n
+    horizon = float(times[-1]) - float(times[0])
+    penalty = (1.0 + horizon) * cost.lip_const / R * sum((energy * h).tolist())
+    return lhs <= rhs + penalty + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def bridge_bound_check(a, b, c, samples, rng, n=None):
         delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
         norm_delta = operator_norm(delta_mat.component(0))
         xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2)).data
-        # theta * delta_mat + xi as MatrixTuple arithmetic rounds it
+        # theta * delta_mat + xi, hermitized after the product and the sum
         mid = hermitize(hermitize(theta * delta_mat.data) + xi)
         w, _ = eigh(mid)
         lhs = float(np.mean(np.max(np.abs(w), axis=-1)))

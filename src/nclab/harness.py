@@ -38,7 +38,8 @@ import numpy as np
 
 from . import __version__, gaussdisc, nclaw
 from . import control as ctl
-from .laplacian import random_cylindrical, trace_power
+from .laplacian import (check_gue_laplacian_guard, random_cylindrical,
+                        trace_power)
 from .matrixcore import MatrixTuple, NumericalError, basis_element
 from .ncpoly import NCPolynomial
 from .randmat import RngStream, sample_gue, sample_gue_tuple
@@ -417,11 +418,11 @@ def _exp_truncation_check(params, stream):
             lip_const=kappa, convexity_declared=False)
         steps = int(gen.integers(2, 6))
         times = np.linspace(0.0, float(gen.uniform(0.5, 2.0)), steps + 1)
-        y = [MatrixTuple(m, validate=False)
-             for m in sample_gue(n, gen, (steps + 1, d))]
-        alphas = [sample_gue_tuple(n, d, gen, scale=float(gen.uniform(0.5, 4.0)))
-                  for _ in range(steps)]
-        ok = ctl.truncation_inequality_check(cost, list(times), y, alphas, R)
+        y = sample_gue(n, gen, (steps + 1, d))
+        # per step: the scale, then the step's GUE draws
+        alphas = np.array([float(gen.uniform(0.5, 4.0)) * sample_gue(n, gen, (d,))
+                           for _ in range(steps)])
+        ok = ctl.truncation_inequality_check(cost, times, y, alphas, R)
         return [i, ok, kappa, n, d]
 
     rows = [one(i) for i in range(instances)]
@@ -496,7 +497,10 @@ def experiment_params(kind, params):
     """``params`` of an experiment (its ``kind`` key aside) completed with
     the defaults of ``EXPERIMENT_PARAMS[kind]``.  An unknown kind or key, a
     value of the wrong type, an empty list, a count below 1, a bad ``opt``
-    (``optimizer_config``) or problem template is an ``ExperimentError``."""
+    (``optimizer_config``) or problem template is an ``ExperimentError``;
+    a size beyond a resource guard (``control.PATH_GUARD`` on a ``value`` or
+    ``sweep`` bin tree, ``laplacian.GUE_LAPLACIAN_GUARD`` on a
+    ``laplacian-check``) is the guard's ``ValueError``."""
     if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}")
     table = EXPERIMENT_PARAMS[kind]
@@ -514,8 +518,14 @@ def experiment_params(kind, params):
     params = {**table, **given}
     if "opt" in params:
         optimizer_config(params)
-    if "template" in params:  # checked at n = 1, so nothing grows with n
-        problem_from_params(params, 1)
+    if "template" in params:  # value and sweep; n = 1, so nothing grows
+        beta_c = problem_from_params(params, 1).beta_c
+        pairs = (params["pairs"] if kind == "sweep"
+                 else [[params["K"], params["N"]]])
+        for K, N in pairs:  # the bin tree's branching, as the solve makes it
+            ctl.check_path_guard(1 if beta_c == 0.0 else 2 * N + 2, K)
+    if kind == "laplacian-check":
+        check_gue_laplacian_guard(params["d"], max(params["n_list"]))
     return params
 
 

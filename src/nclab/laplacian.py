@@ -32,6 +32,12 @@ __all__ = ["MultiPoly", "CylindricalFunction", "TraceQuadratic", "trace_power",
 GUE_LAPLACIAN_GUARD = 4096  # maximum d * n^2 for the exact basis sum
 
 
+def check_gue_laplacian_guard(d, n):
+    """Refuse a d-letter, n x n exact basis sum beyond the guard."""
+    if d * n * n > GUE_LAPLACIAN_GUARD:
+        raise ValueError(f"d*n^2 = {d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
+
+
 class MultiPoly:
     """A real polynomial in m commuting variables u_1..u_m.
 
@@ -310,8 +316,7 @@ class CylindricalFunction:
         """
         n = x.dim
         d = x.d
-        if d * n * n > GUE_LAPLACIAN_GUARD:
-            raise ValueError(f"d*n^2 = {d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
+        check_gue_laplacian_guard(d, n)
         u = self.inner_traces(x, cache)
         g1, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)
@@ -370,8 +375,7 @@ class CylindricalFunction:
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
         n = x.dim
-        if x.d * n * n > GUE_LAPLACIAN_GUARD:
-            raise ValueError(f"d*n^2 = {x.d * n * n} exceeds guard {GUE_LAPLACIAN_GUARD}")
+        check_gue_laplacian_guard(x.d, n)
         u = self.inner_traces(x, cache)
         _, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)

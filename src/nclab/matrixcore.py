@@ -224,8 +224,9 @@ class MatrixTuple:
     """A d-tuple of n x n Hermitian matrices, stored as one (d, n, n) array.
 
     Immutable value semantics: the backing array is marked read-only, so
-    tuples can be shared freely across workers.  Arithmetic returns new
-    tuples and re-symmetrizes to absorb rounding drift.
+    tuples can be shared freely across workers.  It has no arithmetic:
+    computations run on plain (..., d, n, n) arrays, and a tuple is the
+    validated form of one given value, such as an initial condition.
     """
 
     __slots__ = ("data",)
@@ -274,42 +275,10 @@ class MatrixTuple:
     def __repr__(self):
         return f"MatrixTuple(d={self.d}, n={self.dim})"
 
-    # -- algebra ------------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if not isinstance(other, MatrixTuple):
-            raise TypeError("expected a MatrixTuple")
-        if other.d != self.d or other.dim != self.dim:
-            raise ValueError(
-                f"shape mismatch: (d={self.d}, n={self.dim}) vs "
-                f"(d={other.d}, n={other.dim})")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return MatrixTuple(hermitize(self.data + other.data), validate=False)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return MatrixTuple(hermitize(self.data - other.data), validate=False)
-
-    def __mul__(self, scalar):
-        return MatrixTuple(hermitize(float(scalar) * self.data), validate=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
     # -- geometry ------------------------------------------------------------
 
     def max_operator_norm(self):
         return operator_norm(self.data)
-
-    def apply_scalar_function(self, f):
-        return MatrixTuple(apply_scalar_function(self.data, f), validate=False)
-
-    def clip(self, r):
-        return self.apply_scalar_function(("clip", r))
 
 
 def inner_product(x: MatrixTuple, y: MatrixTuple):
@@ -322,8 +291,9 @@ def inner_product(x: MatrixTuple, y: MatrixTuple):
     return float(val.real)
 
 
-def l1_norm(x: MatrixTuple):
-    """Sum_j tr_n |X_j| via functional calculus with the absolute value: the
-    norm of the truncation lemma's ||phi_R(A) - A||_1 <= ||A||_2^2 / R."""
-    w, _ = eigh(x.data)
-    return float(np.sum(np.abs(w))) / x.dim
+def l1_norm(x):
+    """Sum_j tr_n |X_j| of a Hermitian (..., n, n) stack via functional
+    calculus with the absolute value: the norm of the truncation lemma's
+    ||phi_R(A) - A||_1 <= ||A||_2^2 / R."""
+    w, _ = eigh(x)
+    return float(np.sum(np.abs(w))) / w.shape[-1]

@@ -11,6 +11,7 @@ companion check verifies the optimizer against that exact discrete optimum
 instead.
 """
 
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,21 @@ def test_acceptance_unknown_criterion_exits_config(tmp_path, capsys):
     code = main(["acceptance", "--out-dir", str(tmp_path), "--only", "13"])
     assert code == 1
     assert "unknown criteria [13]" in capsys.readouterr().out
+
+
+def test_acceptance_repeated_criterion_runs_once(tmp_path, monkeypatch):
+    calls = []
+
+    def once(out_dir):
+        calls.append(out_dir)
+        return [acceptance._row("11.once", 1.0, 1.0, 0.0, True)], None
+
+    monkeypatch.setitem(acceptance.CRITERIA, 11, once)
+    assert main(["acceptance", "--out-dir", str(tmp_path),
+                 "--only", "11", "11"]) == 0
+    assert len(calls) == 1
+    rows = json.loads((tmp_path / "acceptance.json").read_text())
+    assert [r["id"] for r in rows] == ["11.once"]
 
 
 def test_acceptance_red_check_exits_4(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from nclab.matrixcore import (MatrixTuple, NumericalError,
                               apply_scalar_function, inner_product,
                               operator_norm_bound, scalar_function_derivative)
 from nclab.ncpoly import NCPolynomial
-from nclab.randmat import gue_increments, sample_gue_tuple
+from nclab.randmat import gue_increments
 
 LQ_CONTINUOUS = 0.625 * math.log(3.0)
 BD_ORACLE = 0.5 * math.log(2.0)
@@ -1217,14 +1217,14 @@ def test_lq_discrete_oracle_limits():
 
 def test_coarsen_constant_control(stream):
     problem = lq_problem(3, beta_c=1.0, beta_f=0.5)
-    a = MatrixTuple(random_hermitian(3, stream.child("cc").generator(), 0.5))
+    a = random_hermitian(3, stream.child("cc").generator(), 0.5)[None]
     samples = [ctl.euler_maruyama(problem, lambda t, x: a, 4,
                                   stream.child("em", k)) for k in range(12)]
     grid = TimeGrid(0.0, 1.0, 2)
     policy = ctl.coarsen_control(samples, grid, N=1)
     for st in policy.steps:
         for b in range(st.values.shape[0]):
-            assert np.allclose(st.values[b, 0], a.component(0), atol=1e-10)
+            assert np.allclose(st.values[b], a, atol=1e-10)
 
 
 def test_coarsen_sign_policy_conditional_mean(stream):
@@ -1235,12 +1235,8 @@ def test_coarsen_sign_policy_conditional_mean(stream):
         child = stream.child("sign", k)
         path = ctl.euler_maruyama(problem, None, 2, child)
         s = 1.0 if path.w0_increments[0] > 0 else -1.0
-        controls = [MatrixTuple(s * np.eye(2, dtype=complex)[None])] * 2
-        samples.append(ctl.PathData(times=path.times, states=path.states,
-                                    controls=controls,
-                                    w0_increments=path.w0_increments,
-                                    gue_increments=path.gue_increments,
-                                    cost=0.0))
+        controls = np.broadcast_to(s * np.eye(2, dtype=complex), (2, 1, 2, 2))
+        samples.append(replace(path, controls=controls, cost=0.0))
     grid = TimeGrid(0.0, 1.0, 2)
     policy = ctl.coarsen_control(samples, grid, N=1)
     table = noise_table(1, 0.5)
@@ -1275,6 +1271,30 @@ def test_coarsen_flags_empty_cells(stream):
     assert policy.fallback_cells  # 2 samples cannot cover 4 + 16 cells
 
 
+def test_coarsen_averages_per_coarse_step_and_bin_path(stream):
+    # a fine grid of 3 steps per coarse step: each node is the mean, over the
+    # samples on its bin prefix, of their controls' time averages
+    problem = lq_problem(2, beta_c=1.0, beta_f=0.0)
+    gen = stream.child("avg").generator()
+    samples = []
+    for k in range(40):
+        path = ctl.euler_maruyama(problem, None, 6, stream.child("avg", k))
+        controls = np.stack([random_hermitian(2, gen)[None] for _ in range(6)])
+        samples.append(replace(path, controls=controls))
+    policy = ctl.coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
+    avgs = np.array([p.controls for p in samples]).reshape(40, 2, 3, 1, 2, 2)
+    avgs = avgs.mean(axis=2)
+    bins = [tuple(ctl._bin_of(float(sum(p.w0_increments[3 * i:3 * i + 3])), 1)
+                  for i in range(2)) for p in samples]
+    for i, st in enumerate(policy.steps, start=1):
+        for b, value in enumerate(st.values):
+            prefix = ctl._prefix_from_index(b, i, 1)
+            cell = [avgs[s, i - 1] for s in range(40) if bins[s][:i] == prefix]
+            want = np.mean(cell, axis=0) if cell else avgs[:, i - 1].mean(axis=0)
+            assert np.allclose(value, want, atol=1e-12)
+            assert (not cell) == ((i, prefix) in policy.fallback_cells)
+
+
 # -- clipping and the truncation inequality --------------------------------------------
 
 
@@ -1306,29 +1326,61 @@ def test_truncation_inequality_scalar_closed_form():
                         quad_coef=0.3, terminal=trace_power(1, 2),
                         lip_const=kappa)
     times = [0.0, 0.5, 1.0]
-    y = [MatrixTuple(np.zeros((1, 1, 1), complex)) for _ in range(3)]
-    alphas = [MatrixTuple(2 * r * np.ones((1, 1, 1), complex))] * 2
-    assert ctl.truncation_inequality_check(cost, times, y, alphas, r)
+    y = np.zeros((3, 1, 1, 1), complex)
+    alphas = np.full((2, 1, 1, 1), 2 * r, complex)
+    assert ctl.truncation_inequality_check(cost, times, y, alphas, r) is True
+
+
+def truncation_check_per_step(cost, times, y_states, controls, R):
+    """The truncation check as a loop over the steps: each control clipped
+    by the functional calculus, the running integrals accumulated step by
+    step."""
+    raw_int = np.zeros_like(controls[0])
+    clip_int = np.zeros_like(controls[0])
+    lhs = rhs = budget = 0.0
+    n = controls.shape[-1]
+    for i, alpha in enumerate(controls):
+        h = times[i + 1] - times[i]
+        clipped = apply_scalar_function(alpha, ("clip", R))
+        lhs += float(cost.lagrangian(y_states[i] + clip_int, clipped)) * h
+        rhs += float(cost.lagrangian(y_states[i] + raw_int, alpha)) * h
+        budget += float(np.einsum("kij,kji->", alpha, alpha).real) / n * h
+        raw_int = raw_int + h * alpha
+        clip_int = clip_int + h * clipped
+    penalty = (1.0 + (times[-1] - times[0])) * cost.lip_const / R * budget
+    return lhs <= rhs + penalty + 1e-9
 
 
 def test_truncation_inequality_random_instances(stream):
+    """The array check gives the per-step loop's verdict, as a Python bool,
+    on random instances where some controls clip.  Odd instances declare
+    their Lipschitz constant, so the inequality holds; even ones reward
+    large controls and declare almost none, so clipping can break it."""
     gen = stream.child("trunc").generator()
     smooth = lambda x: np.sqrt(x * x + 1.0)
+    verdicts, clipped = [], 0
     for i in range(100):
-        n = int(gen.integers(1, 6))
+        n = int(gen.integers(1, 7))
         d = int(gen.integers(1, 3))
-        kappa = float(gen.uniform(0.2, 3.0))
+        kappa = float(gen.uniform(0.2, 3.0)) * (1 if i % 2 else -1)
         cost = ctl.CostSpec(
             l0=ctl.ScalarTraceCost(lambda x, k=kappa: k * smooth(x)),
-            quad_coef=float(gen.uniform(0.0, 1.0)),
-            terminal=trace_power(d, 2), lip_const=kappa)
-        steps = int(gen.integers(1, 5))
+            quad_coef=float(gen.uniform(0.0, 1.0)) if i % 2 else 0.0,
+            terminal=trace_power(d, 2), lip_const=kappa if i % 2 else 0.01)
+        steps = int(gen.integers(1, 6))
         times = list(np.linspace(0, float(gen.uniform(0.5, 2.0)), steps + 1))
-        y = [sample_gue_tuple(n, d, gen) for _ in range(steps + 1)]
-        alphas = [sample_gue_tuple(n, d, gen, scale=float(gen.uniform(0.3, 3.0)))
-                  for _ in range(steps)]
-        assert ctl.truncation_inequality_check(cost, times, y, alphas,
-                                               float(gen.uniform(0.5, 4.0)))
+        y = rm.sample_gue(n, gen, (steps + 1, d))
+        alphas = np.array([float(gen.uniform(0.3, 3.0))
+                           * rm.sample_gue(n, gen, (d,)) for _ in range(steps)])
+        R = float(gen.uniform(0.5, 4.0))
+        clipped += int(np.any(np.abs(np.linalg.eigvalsh(alphas)) > R))
+        got = ctl.truncation_inequality_check(cost, times, y, alphas, R)
+        assert type(got) is bool
+        assert got == truncation_check_per_step(cost, times, y, alphas, R)
+        verdicts.append(got)
+    assert clipped >= 50
+    assert all(verdicts[1::2])  # kappa declared: the inequality holds
+    assert set(verdicts[::2]) == {True, False}
 
 
 # -- Euler-Maruyama ----------------------------------------------------------------
@@ -1338,33 +1390,37 @@ def test_euler_common_noise_only_exact(stream):
     problem = lq_problem(4, beta_c=1.0, beta_f=0.0)
     path = ctl.euler_maruyama(problem, None, 8, stream.child("em1"))
     total = float(np.sum(path.w0_increments))
-    assert np.allclose(path.states[-1].component(0), total * np.eye(4),
-                       atol=1e-12)
+    assert np.allclose(path.states[-1, 0], total * np.eye(4), atol=1e-12)
 
 
 def test_euler_constant_drift_exact(stream):
     n = 3
     problem = lq_problem(n, beta_c=0.0, beta_f=0.0)
-    a = MatrixTuple(random_hermitian(n, stream.child("em2").generator(), 0.5))
+    a = random_hermitian(n, stream.child("em2").generator(), 0.5)[None]
     for steps in (2, 4, 8):
         path = ctl.euler_maruyama(problem, lambda t, x: a, steps,
                                   stream.child("em3", steps))
-        assert np.allclose(path.states[-1].component(0), a.component(0),
-                           atol=1e-12)
+        assert np.allclose(path.states[-1], a, atol=1e-12)
+        assert np.array_equal(path.controls, np.broadcast_to(a, (steps, 1, n, n)))
 
 
 def test_euler_pathwise_reconstruction(stream):
     # states equal x0 + A t + noise sums exactly for piecewise-constant drift
     problem = lq_problem(3, beta_c=0.7, beta_f=0.9)
-    a = MatrixTuple(random_hermitian(3, stream.child("em4").generator(), 0.3))
+    a = random_hermitian(3, stream.child("em4").generator(), 0.3)[None]
     path = ctl.euler_maruyama(problem, lambda t, x: a, 6, stream.child("em5"))
+    assert path.states.shape == (7, 1, 3, 3)
+    assert path.controls.shape == (6, 1, 3, 3)
     recon = problem.x0.data.copy()
     h = path.times[1] - path.times[0]
     for i in range(6):
-        recon = recon + h * a.data \
+        recon = recon + h * a \
             + 0.7 * path.w0_increments[i] * np.eye(3) \
             + 0.9 * path.gue_increments[i]
-        assert np.allclose(path.states[i + 1].data, recon, atol=1e-12)
+        assert np.allclose(path.states[i + 1], recon, atol=1e-12)
+    running = sum(float(problem.cost.lagrangian(x, a)) * h for x in path.states[:-1])
+    assert path.cost == pytest.approx(
+        running + float(problem.cost.terminal.eval(path.states[-1])), rel=1e-12)
 
 
 # -- Boue-Dupuis -------------------------------------------------------------------

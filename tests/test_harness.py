@@ -238,7 +238,8 @@ def inline_problem_without_outer():
 
 # each breaks the last experiment only: a typo, an opt count below its
 # least on each template, an unknown problem template, an unknown
-# optimizer option and an inline problem whose terminal has no outer
+# optimizer option, an inline problem whose terminal has no outer, and
+# sizes beyond the bin-path and GUE-Laplacian guards
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -255,6 +256,13 @@ def inline_problem_without_outer():
     ({"kind": "value", "template": "json",
       "problem": inline_problem_without_outer()},
      "invalid inline problem: AttributeError"),
+    ({"kind": "value", "K": 8, "N": 8, "n_list": [2], "train_samples": 2,
+      "val_samples": 2, "opt": {"max_iters": 0}},
+     "bin-path count 18^8 exceeds the 1000000 guard"),
+    ({"kind": "sweep", "pairs": [[2, 4], [6, 16]]},
+     "bin-path count 34^6 exceeds the 1000000 guard"),
+    ({"kind": "laplacian-check", "cases": 1, "n_list": [3, 64], "d": 2},
+     "d*n^2 = 8192 exceeds guard 4096"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -264,6 +272,18 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     assert harness.run(str(path), out_dir=str(out), threads=2) == harness.EXIT_CONFIG
     assert capsys.readouterr().out.startswith(f"config error: {message}")
     assert not out.exists()
+
+
+def test_guards_read_the_sizes_a_run_makes():
+    """Without common noise the bin tree collapses to one path per step, so
+    the path guard passes any K, N; the Laplacian guard is at its limit."""
+    for template in ("lq", "quartic"):
+        harness.experiment_params("value", {"K": 8, "N": 8, "beta_c": 0.0,
+                                            "template": template})
+    harness.experiment_params("sweep", {"pairs": [[8, 8]], "beta_c": 0.0})
+    harness.experiment_params("laplacian-check", {"n_list": [32], "d": 4})
+    with pytest.raises(ValueError, match="18.8 exceeds"):
+        harness.experiment_params("value", {"K": 8, "N": 8})
 
 
 @pytest.mark.parametrize("key,least", [("train_samples", 2),
@@ -293,8 +313,9 @@ def test_threads_below_one_exit_config(tmp_path, capsys, threads):
     ["run", "--config", "c.json", "--threads", "two"],
     ["run", "--config", "c.json", "--bogus"],
     ["acceptance", "--out-dir", "a", "--threads", "2"],
+    ["acceptance", "--out-dir", "a", "--only"],
 ], ids=["no_config", "threads_not_an_int", "unknown_flag",
-        "acceptance_threads"])
+        "acceptance_threads", "acceptance_only_without_numbers"])
 def test_usage_errors_exit_config(tmp_path, monkeypatch, capsys, argv):
     """A usage error prints one line and exits 1, not argparse's 2, which
     is the code of a numerical failure; nothing is written."""

@@ -456,10 +456,8 @@ def test_generator_consistency_with_dynamics(stream):
 
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=beta_f, T=1.0)
     steps, paths = 4, 400
-    total = 0.0
     base = stream.child("gen")
-    for p in range(paths):
-        path = euler_maruyama(problem, None, steps, base.child(p))
-        total += u.eval(path.states[-1])
-    slope = total / paths  # U(X_0) = 0, horizon 1
+    finals = np.array([euler_maruyama(problem, None, steps, base.child(p)).states[-1]
+                       for p in range(paths)])
+    slope = float(np.mean(u.eval(finals)))  # U(X_0) = 0, horizon 1
     assert slope == pytest.approx(drift_rate, rel=0.05)
