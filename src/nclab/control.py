@@ -99,6 +99,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,10 +107,11 @@ import numpy as np
 from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, noise_table
 from .laplacian import CylindricalFunction, trace_power
-from .matrixcore import (MatrixTuple, NumericalError, _frechet,
-                         _norm_bound_from_square, _spectral_calculus,
-                         apply_scalar_function, eigh, hermitize, inner_product,
+from .matrixcore import (NumericalError, _frechet, _norm_bound_from_square,
+                         _spectral_calculus, apply_scalar_function,
+                         assert_hermitian, eigh, hermitize, operator_norm,
                          operator_norm_bound)
+# nothing here calls sample_gue_tuple: perfbench/tracer.py wraps it by name
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
@@ -266,11 +268,16 @@ class ArctanComposedTerminal:
 
 @dataclass
 class ControlProblem:
-    """Initial tuple, noise strengths, horizon and cost of one instance."""
+    """Initial tuple, noise strengths, horizon and cost of one instance.
+
+    ``n`` and ``d`` are integers >= 1.  ``x0`` is a (d, n, n) array of
+    Hermitian matrices: it must pass ``assert_hermitian`` at 1e-10, and it
+    is stored hermitized, so exactly Hermitian, and read-only.
+    """
 
     n: int
     d: int
-    x0: MatrixTuple
+    x0: np.ndarray
     beta_c: float
     beta_f: float
     t0: float
@@ -280,8 +287,21 @@ class ControlProblem:
     def __post_init__(self):
         if self.T <= self.t0:
             raise ValueError("need T > t0")
-        if self.x0.d != self.d or self.x0.dim != self.n:
-            raise ValueError("x0 dimensions inconsistent with (n, d)")
+        for name in ("n", "d"):
+            size = getattr(self, name)
+            if (isinstance(size, bool) or not isinstance(size, numbers.Integral)
+                    or size < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+        x0 = np.array(self.x0, dtype=complex)
+        if x0.shape != (self.d, self.n, self.n):
+            raise ValueError(f"x0 has shape {x0.shape}, expected (d, n, n) = "
+                             f"{(self.d, self.n, self.n)}")
+        try:
+            x0 = hermitize(assert_hermitian(x0, tol=1e-10))
+        except ValueError as exc:
+            raise ValueError(f"x0: {exc}") from None
+        x0.setflags(write=False)
+        self.x0 = x0
         if self.beta_c < 0 or self.beta_f < 0:
             raise ValueError("noise strengths must be >= 0")
 
@@ -291,8 +311,8 @@ class ControlProblem:
     def to_json(self):
         return json.dumps({
             "n": self.n, "d": self.d,
-            "x0_re": np.real(self.x0.data).tolist(),
-            "x0_im": np.imag(self.x0.data).tolist(),
+            "x0_re": np.real(self.x0).tolist(),
+            "x0_im": np.imag(self.x0).tolist(),
             "beta_c": self.beta_c, "beta_f": self.beta_f,
             "t0": self.t0, "T": self.T,
             "cost": json.loads(self.cost.to_json()),
@@ -301,7 +321,12 @@ class ControlProblem:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        x0 = MatrixTuple(np.array(doc["x0_re"]) + 1j * np.array(doc["x0_im"]))
+        real, imag = np.array(doc["x0_re"]), np.array(doc["x0_im"])
+        if (real.dtype.kind not in "iuf" or imag.dtype.kind not in "iuf"
+                or real.shape != imag.shape):
+            raise ValueError("x0_re and x0_im must be number arrays of one "
+                             "shape")
+        x0 = real + 1j * imag
         cost = CostSpec.from_json(json.dumps(doc["cost"]), doc["d"])
         return cls(n=doc["n"], d=doc["d"], x0=x0, beta_c=doc["beta_c"],
                    beta_f=doc["beta_f"], t0=doc["t0"], T=doc["T"], cost=cost)
@@ -385,7 +410,7 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
 def default_gate_level(problem):
     """M >= 3 sqrt(T - t0) and >= the initial condition's operator norm."""
     base = 3.0 * math.sqrt(problem.T - problem.t0)
-    return max(base, problem.x0.max_operator_norm() + 1e-9)
+    return max(base, operator_norm(problem.x0) + 1e-9)
 
 
 def check_path_guard(branching, K):
@@ -453,11 +478,10 @@ def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out):
     ``rng.child(tag, s)``.  One ``sample_gue`` call covers the samples'
     streams, and each path is scaled as ``gue_increments`` does.  Every
     letter is exactly Hermitian: GUE draws are, a real scale keeps them so,
-    and x0 is symmetrized once for the set (a ``MatrixTuple`` may keep drift
-    below its tolerance)."""
+    and ``ControlProblem`` stores x0 hermitized."""
     n, d, times = problem.n, problem.d, problem.grid(K).times
     draws = randmat.sample_gue(n, (rng, tag, sample_indices), (K, d))
-    out[:, :d] = hermitize(problem.x0.data)
+    out[:, :d] = problem.x0
     np.multiply(np.sqrt(np.diff(times))[:, None, None, None], draws,
                 out=out[:, d:].reshape(len(draws), K, d, n, n))
     return out
@@ -1239,7 +1263,7 @@ def lq_reference(problem: ControlProblem):
         raise ValueError("cost does not match the LQ template")
     horizon = problem.T - problem.t0
     p0 = 1.0 / (1.0 + 2.0 * horizon)
-    x0_sq = inner_product(problem.x0, problem.x0)
+    x0_sq = _x0_norm_sq(problem)
     noise = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d / 2.0
     return p0 * x0_sq + noise * math.log(1.0 + 2.0 * horizon)
 
@@ -1265,7 +1289,13 @@ def lq_reference_ode(problem: ControlProblem):
                       + 2 * (-sigma2 * p3) + -sigma2 * p4)
         p -= sixth * (2.0 * p * p + 2 * (2.0 * p2 * p2)
                       + 2 * (2.0 * p3 * p3) + 2.0 * p4 * p4)
-    return p * inner_product(problem.x0, problem.x0) + r
+    return p * _x0_norm_sq(problem) + r
+
+
+def _x0_norm_sq(problem):
+    """<x0, x0> = Sum_j tr_n(x0_j x0_j), real for the Hermitian x0."""
+    val = np.einsum("kij,kji->", problem.x0, problem.x0) / problem.n
+    return float(val.real)
 
 
 def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, x0_norm_sq=0.0,
@@ -1331,9 +1361,9 @@ def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
 
     h = grid.delta
     eye = np.eye(problem.n)
-    states = np.empty((steps + 1,) + problem.x0.data.shape, dtype=complex)
-    controls = np.zeros((steps,) + problem.x0.data.shape, dtype=complex)
-    states[0] = problem.x0.data
+    states = np.empty((steps + 1,) + problem.x0.shape, dtype=complex)
+    controls = np.zeros((steps,) + problem.x0.shape, dtype=complex)
+    states[0] = problem.x0
     for i in range(steps):
         x = states[i]
         if feedback_policy is not None:
@@ -1489,7 +1519,7 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config, rng):
     d = psi.d
     cost = CostSpec(l0=None, quad_coef=0.5, terminal=psi,
                     convexity_declared=True)
-    problem = ControlProblem(n=n, d=d, x0=MatrixTuple.zero(d, n),
+    problem = ControlProblem(n=n, d=d, x0=np.zeros((d, n, n)),
                              beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, cost=cost)
     return optimize_discrete_value(problem, time_steps, 1, 16.0, opt_config,
                                    rng, include_current_increment=False)

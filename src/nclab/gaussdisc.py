@@ -317,10 +317,10 @@ def bridge_bound_check(a, b, c, samples, rng, n=None):
     passed = 0
     for _ in range(outer):
         delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
-        norm_delta = operator_norm(delta_mat.component(0))
-        xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2)).data
+        norm_delta = operator_norm(delta_mat[0])
+        xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2))
         # theta * delta_mat + xi, hermitized after the product and the sum
-        mid = hermitize(hermitize(theta * delta_mat.data) + xi)
+        mid = hermitize(hermitize(theta * delta_mat) + xi)
         w, _ = eigh(mid)
         lhs = float(np.mean(np.max(np.abs(w), axis=-1)))
         rhs = theta * norm_delta + 3.0 * math.sqrt(b - a)

@@ -40,7 +40,7 @@ from . import __version__, gaussdisc, nclaw
 from . import control as ctl
 from .laplacian import (check_gue_laplacian_guard, random_cylindrical,
                         trace_power)
-from .matrixcore import MatrixTuple, NumericalError, basis_element
+from .matrixcore import NumericalError, basis_element
 from .ncpoly import NCPolynomial
 from .randmat import RngStream, sample_gue, sample_gue_tuple
 
@@ -128,7 +128,7 @@ def lq_problem(n, d=1, beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0, x0=None):
     cost = ctl.CostSpec(l0=None, quad_coef=0.5,
                         terminal=trace_power(d, 2),
                         lip_const=0.0, convexity_declared=True, c1=2.0)
-    x0 = x0 if x0 is not None else MatrixTuple.zero(d, n)
+    x0 = x0 if x0 is not None else np.zeros((d, n, n))
     return ctl.ControlProblem(n=n, d=d, x0=x0, beta_c=beta_c, beta_f=beta_f,
                               t0=t0, T=T, cost=cost)
 
@@ -147,7 +147,7 @@ def problem_from_params(params, n):
     template = params["template"]
     kwargs = {key: params[key] for key in ("d", "beta_c", "beta_f", "t0", "T")}
     if params["x0"] == "identity":
-        kwargs["x0"] = MatrixTuple.identity(kwargs["d"], n)
+        kwargs["x0"] = np.broadcast_to(np.eye(n), (kwargs["d"], n, n))
     elif params["x0"] is not None:
         raise ExperimentError(
             f"x0 must be 'identity' or absent, got {params['x0']!r}")
@@ -304,13 +304,13 @@ def _fd_laplacian(u, x, h, cache):
     summed in (l, i, j) order.  ``cache`` is a word-product cache for X, read
     by the evaluation at X.
     """
-    n, d = x.dim, x.d
+    d, n = x.shape[-3], x.shape[-1]
     base = u.eval(x, cache)
     shifts = np.zeros((d * n * n, d, n, n), dtype=complex)
     for k, (l, i, j) in enumerate(np.ndindex(d, n, n)):
         shifts[k, l] = h * basis_element(n, i + 1, j + 1)
-    up = u.eval(x.data + shifts)
-    dn = u.eval(x.data - shifts)
+    up = u.eval(x + shifts)
+    dn = u.eval(x - shifts)
     total = 0.0
     for second in (up - 2.0 * base + dn) / (h * h):
         total += float(second)
@@ -522,7 +522,11 @@ def experiment_params(kind, params):
         beta_c = problem_from_params(params, 1).beta_c
         pairs = (params["pairs"] if kind == "sweep"
                  else [[params["K"], params["N"]]])
-        for K, N in pairs:  # the bin tree's branching, as the solve makes it
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ExperimentError(f"sweep parameter 'pairs' needs [K, N] "
+                                      f"pairs, got {pair!r}")
+            K, N = pair  # the bin tree's branching, as the solve makes it
             ctl.check_path_guard(1 if beta_c == 0.0 else 2 * N + 2, K)
     if kind == "laplacian-check":
         check_gue_laplacian_guard(params["d"], max(params["n_list"]))

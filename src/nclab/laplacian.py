@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ncpoly
-from .matrixcore import MatrixTuple, basis_element, hermitize
+from .matrixcore import basis_element
 from .ncpoly import (NCPolynomial, format_polynomial, parse_polynomial,
                      words_up_to_degree)
 
@@ -207,8 +207,7 @@ class CylindricalFunction:
     def gradient(self, x):
         """(grad U)^j = sum_o g_o(u) D_j phi_o(X); exact outer partials.
 
-        MatrixTuple input returns a MatrixTuple; batched (..., d, n, n) input
-        returns an array of the same shape.
+        A (..., d, n, n) input returns an array of the same shape.
         """
         return self.value_and_grad(x)[1]
 
@@ -218,13 +217,8 @@ class CylindricalFunction:
         word-product cache."""
         cache = {}
         u = self.inner_traces(x, cache)
-        batched = not isinstance(x, MatrixTuple)
-        data = x.data if isinstance(x, MatrixTuple) else np.asarray(x, dtype=complex)
-        if data.ndim == 2:
-            data = data[None]
-        n = data.shape[-1]
-        d = data.shape[-3]
-        out = np.empty(data.shape, dtype=complex)
+        d = x.shape[-3]
+        out = np.empty(x.shape, dtype=complex)
         written = [False] * d
         for o, phi in enumerate(self.inners):
             go = np.asarray(self._outer_grad[o](u))[..., None, None]
@@ -232,7 +226,7 @@ class CylindricalFunction:
                 dpoly = self._grad_polys[o][j - 1] if j <= phi.d else None
                 if dpoly is None or not dpoly.terms:
                     continue
-                term = dpoly.evaluate(data, cache)
+                term = dpoly.evaluate(x, cache)
                 if written[j - 1]:
                     out[..., j - 1, :, :] += go * term
                 else:
@@ -241,8 +235,6 @@ class CylindricalFunction:
         for j in range(d):
             if not written[j]:
                 out[..., j, :, :] = 0.0
-        if not batched:
-            out = MatrixTuple(hermitize(out), validate=False)
         return self.outer(u), out
 
     # -- second order ----------------------------------------------------------
@@ -258,18 +250,16 @@ class CylindricalFunction:
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
         cache = {} if cache is None else cache
-        data = x.data if isinstance(x, MatrixTuple) else np.asarray(x, dtype=complex)
-        n = data.shape[-1]
-        d = data.shape[-3]
+        d, n = x.shape[-3], x.shape[-1]
         out = np.zeros((self.m, d, n, n), dtype=complex)
         for o, phi in enumerate(self.inners):
             for j in range(1, min(phi.d, d) + 1):
                 dpoly = self._grad_polys[o][j - 1]
                 if dpoly.terms:
-                    out[o, j - 1] = dpoly.evaluate(data, cache)
+                    out[o, j - 1] = dpoly.evaluate(x, cache)
         return out
 
-    def hessian_bilinear(self, x, a: MatrixTuple, b: MatrixTuple):
+    def hessian_bilinear(self, x, a, b):
         """Hess U(X)[A, B]; symmetric in (A, B), matches finite differences.
 
         First term pairs outer second partials with cyclic derivatives; the
@@ -281,10 +271,9 @@ class CylindricalFunction:
         u = self.inner_traces(x)
         g1, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x)
-        n = x.dim
-        d = x.d
-        tr_da = np.einsum("ojab,jba->oj", dmats, a.data) / n
-        tr_db = np.einsum("ojab,jba->oj", dmats, b.data) / n
+        d, n = x.shape[-3], x.shape[-1]
+        tr_da = np.einsum("ojab,jba->oj", dmats, a) / n
+        tr_db = np.einsum("ojab,jba->oj", dmats, b) / n
         term1 = float(np.real(np.einsum("oq,oi,qj->", g2, tr_da, tr_db)))
 
         term2 = 0.0 + 0.0j
@@ -296,8 +285,8 @@ class CylindricalFunction:
                     tensor = self._quotients[o][j - 1][i - 1]
                     if not tensor.terms:
                         continue
-                    sharp = tensor.sharp(x, a.component(i - 1))
-                    term2 += g1[o] * np.trace(sharp @ b.component(j - 1)) / n
+                    sharp = tensor.sharp(x, a[i - 1])
+                    term2 += g1[o] * np.trace(sharp @ b[j - 1]) / n
         if abs(term2.imag) > 1e-9 * (1.0 + abs(term2)):
             raise ValueError(f"Hessian has imaginary part {term2.imag:.3e}")
         return term1 + float(term2.real)
@@ -314,8 +303,7 @@ class CylindricalFunction:
         cache serves the inner traces, the cyclic derivatives and the pairs.
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
-        n = x.dim
-        d = x.d
+        d, n = x.shape[-3], x.shape[-1]
         check_gue_laplacian_guard(d, n)
         u = self.inner_traces(x, cache)
         g1, g2 = self._outer_derivatives(u)
@@ -337,8 +325,8 @@ class CylindricalFunction:
                 if not tensor.terms:
                     continue
                 w1s, w2s = zip(*tensor.terms)
-                m1 = np.stack([ncpoly._word_matrix(w, x.data, cache) for w in w1s])
-                m2 = np.stack([ncpoly._word_matrix(w, x.data, cache) for w in w2s])
+                m1 = np.stack([ncpoly._word_matrix(w, x, cache) for w in w1s])
+                m2 = np.stack([ncpoly._word_matrix(w, x, cache) for w in w2s])
                 em1 = basis @ m1[:, None]
                 em2 = basis @ m2[:, None]
                 s = np.einsum("peab,peba->p", em1, em2) / n
@@ -356,7 +344,7 @@ class CylindricalFunction:
         """
         u = self.inner_traces(x, cache)
         g1, _ = self._outer_derivatives(u)
-        d = x.d if isinstance(x, MatrixTuple) else np.asarray(x).shape[-3]
+        d = x.shape[-3]
         total = 0.0 + 0.0j
         for o, phi in enumerate(self.inners):
             if abs(g1[o]) < 1e-300:
@@ -374,8 +362,8 @@ class CylindricalFunction:
 
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
-        n = x.dim
-        check_gue_laplacian_guard(x.d, n)
+        n = x.shape[-1]
+        check_gue_laplacian_guard(x.shape[-3], n)
         u = self.inner_traces(x, cache)
         _, g2 = self._outer_derivatives(u)
         dmats = self._cyclic_matrices(x, cache)

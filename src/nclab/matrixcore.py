@@ -1,10 +1,9 @@
 """Hermitian matrix arithmetic under the normalized trace.
 
-Everything downstream (sampling, laws, control, Laplacians) runs on two
-objects defined here: single Hermitian matrices, stored as plain complex
-numpy arrays, and :class:`MatrixTuple`, a d-tuple of Hermitian matrices of
-equal size stored as one (d, n, n) array.  The geometry is the one induced
-by the normalized trace tr_n = Tr/n: the orthonormal basis
+Everything downstream (sampling, laws, control, Laplacians) runs on plain
+complex numpy arrays: a Hermitian matrix is (n, n), a d-tuple of them one
+(d, n, n) array, and batches of either add leading axes.  The geometry is
+the one induced by the normalized trace tr_n = Tr/n: the orthonormal basis
 :func:`basis_element`, the inner product Sum_j tr_n(X_j Y_j), and the
 functional calculus Q f(Lambda) Q*.  The spectral functions (:func:`eigh`,
 :func:`apply_scalar_function`, :func:`scalar_function_derivative`,
@@ -19,8 +18,6 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "HERMITICITY_TOL",
-    "MatrixTuple",
     "SpectralDecomposition",
     "apply_scalar_function",
     "assert_hermitian",
@@ -28,15 +25,11 @@ __all__ = [
     "clip_function",
     "eigh",
     "hermitize",
-    "inner_product",
     "l1_norm",
     "operator_norm",
     "operator_norm_bound",
     "scalar_function_derivative",
 ]
-
-# Absolute tolerance for the Hermiticity invariant; re-symmetrize beyond it.
-HERMITICITY_TOL = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -218,77 +211,6 @@ def _norm_bound_from_square(sq):
     n = sq.shape[-1]
     parts = sq.reshape(sq.shape[:-2] + (n * n,)).view(float)
     return np.sqrt(np.sqrt(np.einsum("...i,...i->...", parts, parts)))
-
-
-class MatrixTuple:
-    """A d-tuple of n x n Hermitian matrices, stored as one (d, n, n) array.
-
-    Immutable value semantics: the backing array is marked read-only, so
-    tuples can be shared freely across workers.  It has no arithmetic:
-    computations run on plain (..., d, n, n) arrays, and a tuple is the
-    validated form of one given value, such as an initial condition.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data, validate=True):
-        arr = np.array(data, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"expected (d, n, n) data, got shape {arr.shape}")
-        if validate:
-            assert_hermitian(arr, tol=1e-10)
-            drift = np.max(np.abs(arr - _adjoint(arr)))
-            if drift > HERMITICITY_TOL:
-                arr = hermitize(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls, d, n):
-        return cls(np.zeros((d, n, n), dtype=complex), validate=False)
-
-    @classmethod
-    def identity(cls, d, n):
-        return cls(np.broadcast_to(np.eye(n, dtype=complex), (d, n, n)).copy(),
-                   validate=False)
-
-    # -- basic attributes ----------------------------------------------------
-
-    @property
-    def d(self):
-        return self.data.shape[0]
-
-    @property
-    def dim(self):
-        return self.data.shape[1]
-
-    def component(self, j):
-        return self.data[j]
-
-    def __iter__(self):
-        return iter(self.data)
-
-    def __repr__(self):
-        return f"MatrixTuple(d={self.d}, n={self.dim})"
-
-    # -- geometry ------------------------------------------------------------
-
-    def max_operator_norm(self):
-        return operator_norm(self.data)
-
-
-def inner_product(x: MatrixTuple, y: MatrixTuple):
-    """<X, Y> = Sum_j tr_n(X_j Y_j), real for Hermitian tuples."""
-    if x.d != y.d or x.dim != y.dim:
-        raise ValueError("inner_product: mismatched tuples")
-    val = np.einsum("kij,kji->", x.data, y.data) / x.dim
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
-        raise ValueError(f"inner product has imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 def l1_norm(x):

@@ -52,9 +52,10 @@ class NCLaw:
 def freeness_statistic(groups, index_sequence, polys):
     """Normalized trace of the alternating centered product.
 
-    ``groups`` is a list of MatrixTuple; ``index_sequence`` picks a group per
-    factor (1-based, consecutive entries must differ); ``polys`` are
-    self-adjoint NCPolynomial over the matching group's letters.  Returns
+    ``groups`` is a list of (d, n, n) arrays, one d-tuple each;
+    ``index_sequence`` picks a group per factor (1-based, consecutive
+    entries must differ); ``polys`` are self-adjoint NCPolynomial over the
+    matching group's letters.  Returns
     tr_n prod_i (f_i(X_{j_i}) - tr_n f_i(X_{j_i}) I), the canonical statistic
     whose decay to zero witnesses asymptotic freeness.
     """
@@ -66,7 +67,7 @@ def freeness_statistic(groups, index_sequence, polys):
     for a, b in zip(seq, seq[1:]):
         if a == b:
             raise ValueError(f"consecutive indices must differ, got {seq}")
-    n = groups[0].dim
+    n = groups[0].shape[-1]
     prod = None
     for j, poly in zip(seq, polys):
         if not poly.is_selfadjoint():

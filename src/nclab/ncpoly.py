@@ -4,7 +4,7 @@ Words are tuples of 1-based letters; the empty word is the unit.  The
 module provides the involution p -> p*, Voiculescu's free difference
 quotient d_j : words -> word (x) word, the cyclic derivative D_j, and the
 # action (a (x) b) # c = a c b, all extended linearly.  Evaluation plugs a
-:class:`~nclab.matrixcore.MatrixTuple` (or a batched (..., d, n, n) array)
+(d, n, n) array of d Hermitian matrices, or a batch (..., d, n, n) of them,
 into the letters.
 
 Canonical word order is graded-lexicographic (degree first, then lexicographic),
@@ -17,8 +17,6 @@ import re
 from itertools import product
 
 import numpy as np
-
-from .matrixcore import MatrixTuple
 
 __all__ = [
     "NCPolynomial", "TensorPolynomial",
@@ -324,13 +322,8 @@ class TensorPolynomial:
 
 
 def _tuple_data(x, d):
-    """Normalize X to an (..., D, n, n) array with at least d letters."""
-    if isinstance(x, MatrixTuple):
-        data = x.data
-    else:
-        data = np.asarray(x, dtype=complex)
-        if data.ndim == 2:
-            data = data[None]
+    """X as an (..., D, n, n) complex array with at least d letters."""
+    data = np.asarray(x, dtype=complex)
     if data.ndim < 3 or data.shape[-1] != data.shape[-2]:
         raise ValueError(f"expected (..., d, n, n) data, got {data.shape}")
     if data.shape[-3] < d:

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixcore import MatrixTuple
-
 __all__ = ["RngStream", "sample_gue", "gue_increments", "brownian_increments"]
 
 
@@ -210,8 +208,9 @@ def _upper_mask(n):
 
 
 def sample_gue_tuple(n, d, rng, scale=1.0):
-    """d independent GUE(n) matrices as a MatrixTuple, each scaled by `scale`."""
-    return MatrixTuple(scale * sample_gue(n, rng, (d,)), validate=False)
+    """d independent GUE(n) matrices as one (d, n, n) array, each scaled by
+    `scale`: ``scale * sample_gue(n, rng, (d,))``."""
+    return scale * sample_gue(n, rng, (d,))
 
 
 def gue_increments(n, d, time_grid, rng):

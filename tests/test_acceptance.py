@@ -269,13 +269,12 @@ def test_omitted_laplacian_correction_is_caught(stream):
     # without the correction term the exact identity fails at 1e-10
     from conftest import random_hermitian
     from nclab.laplacian import CylindricalFunction, MultiPoly
-    from nclab.matrixcore import MatrixTuple
     from nclab.ncpoly import NCPolynomial
 
     u = CylindricalFunction(outer=MultiPoly(1, {(2,): 1.0}),
                             inners=[NCPolynomial(1, {(1, 1): 1.0})])
     gen = stream.child("sab2").generator()
-    x = MatrixTuple(random_hermitian(4, gen, scale=0.8)[None])
+    x = random_hermitian(4, gen, scale=0.8)[None]
     assert abs(u.gue_laplacian(x, {}) - u.free_laplacian(x, {})
                - u.correction_term(x, {})) < 1e-10
     gap_without_correction = abs(u.gue_laplacian(x, {})

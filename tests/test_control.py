@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import random_hermitian
+from conftest import hermitian_batch, random_hermitian
 from nclab import control as ctl
 from nclab import randmat as rm
 from nclab.gaussdisc import TimeGrid, noise_table
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
-from nclab.matrixcore import (MatrixTuple, NumericalError,
-                              apply_scalar_function, inner_product,
+from nclab.matrixcore import (NumericalError, apply_scalar_function,
                               operator_norm_bound, scalar_function_derivative)
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import gue_increments
 
 LQ_CONTINUOUS = 0.625 * math.log(3.0)
 BD_ORACLE = 0.5 * math.log(2.0)
+
+
+def identity(d, n):
+    """x0 = (I, ..., I), d copies of the n x n identity."""
+    return np.broadcast_to(np.eye(n), (d, n, n))
 
 
 def small_cfg(**kw):
@@ -98,7 +102,7 @@ def test_simulate_zero_policy_tracks_common_noise(stream):
 def test_simulate_constant_node_shift(stream):
     n, d = 3, 1
     problem = lq_problem(n, beta_c=0.0, beta_f=0.0,
-                         x0=MatrixTuple.identity(d, n))
+                         x0=identity(d, n))
     a = random_hermitian(n, stream.child("a").generator(), scale=0.5)
     policy = const_policy(problem, K=1, N=1, R=8.0)
     policy.steps[0].values[...] = a[None, None]
@@ -138,11 +142,6 @@ def random_poly_policy(problem, K, N, R, gen, gate_level=1.0):
     return policy
 
 
-def random_x0(n, d, gen):
-    return MatrixTuple(np.stack([random_hermitian(n, gen, scale=0.3)
-                                 for _ in range(d)]))
-
-
 def control_slots(part, sweep):
     """The number of (sample, node, letter) control slots of a sweep."""
     return sum(len(part.gram) * c.coeffs[..., 0].size for c in sweep.controls)
@@ -162,7 +161,7 @@ def test_forward_matches_naive_tree(stream):
     gen = stream.child("naive").generator()
     n, d, K, N = 3, 2, 3, 1
     problem = lq_problem(n, d=d, beta_c=0.7, beta_f=0.9,
-                         x0=random_x0(n, d, gen))
+                         x0=hermitian_batch(gen, (d,), n, 0.3))
     policy = random_poly_policy(problem, K, N, 1e6, gen)
     batch, (letters, gate, features, word_index) = batch_inputs(
         problem, policy, stream.child("naive-batch"), "t", list(range(5)))
@@ -183,7 +182,7 @@ def test_forward_matches_naive_tree(stream):
     for i in range(1, K + 1):
         gue = letters[:, d:d * (i + 1)].reshape(-1, i, d, n, n).sum(axis=1)
         for b in range(branch ** i):
-            want = (problem.x0.data[None] + problem.beta_f * gue
+            want = (problem.x0[None] + problem.beta_f * gue
                     + problem.beta_c * tree.noise[i - 1][b] * np.eye(n))
             for ip in range(1, i + 1):
                 want = want + delta * want_alphas[ip - 1][:, b // branch ** (i - ip)]
@@ -195,7 +194,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
                                                       monkeypatch):
     gen = stream.child("fd", beta_c).generator()
     n, K, N = 3, 3, 1
-    problem = lq_problem(n, beta_c=beta_c, x0=random_x0(n, 1, gen))
+    problem = lq_problem(n, beta_c=beta_c, x0=hermitian_batch(gen, (1,), n, 0.3))
     policy = random_poly_policy(problem, K, N, 2.0, gen)
     assert policy.collapse_bins == (beta_c == 0.0)
     batch = ctl._prepare_batch(problem, policy, stream.child("fd-batch"),
@@ -259,7 +258,7 @@ def materialised_reference(problem, policy, inputs):
     def over_r(a):
         return np.max(np.abs(np.linalg.eigvalsh(a))) > R
 
-    x = np.broadcast_to(problem.x0.data, (S, 1, d, n, n))
+    x = np.broadcast_to(problem.x0, (S, 1, d, n, n))
     prev_noise = np.zeros(1)
     states, raws, alphas, feats = [], [], [], []
     total = np.zeros(S)
@@ -323,7 +322,7 @@ def test_sweep_matches_materialised_reference(stream, monkeypatch, d, beta_c,
     gen = stream.child("sweep", d, int(10 * beta_c), with_l0).generator()
     n, K, N = 3, 3, 1
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
-                         x0=random_x0(n, d, gen))
+                         x0=hermitian_batch(gen, (d,), n, 0.3))
     if with_l0:
         problem.cost.l0 = mixed_l0(d)
     policy = random_poly_policy(problem, K, N, 1.5, gen, gate_level=0.9)
@@ -391,7 +390,7 @@ def test_coefficient_terminal_matches_state_path(stream, monkeypatch, d, beta_c,
     gen = stream.child("coef-terminal", d, int(10 * beta_c), terminal).generator()
     n, K, N = 3, 3, 1
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
-                         x0=random_x0(n, d, gen))
+                         x0=hermitian_batch(gen, (d,), n, 0.3))
     problem.cost.terminal = QUADRATIC_TERMINALS[terminal](d)
     # a nonlinear outer has no affine form: both problems make states
     coefficient = terminal != "nonlinear_outer"
@@ -437,7 +436,7 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, monkeypatch, d, beta_c):
     gen = stream.child("whole-set", d, int(10 * beta_c)).generator()
     n, K, N, S = 3, 3, 1, 7
     problem = lq_problem(n, d=d, beta_c=beta_c, beta_f=0.9,
-                         x0=random_x0(n, d, gen))
+                         x0=hermitian_batch(gen, (d,), n, 0.3))
     policy = random_poly_policy(problem, K, N, 1e6, gen, gate_level=0.9)
     batch = ctl._prepare_batch(problem, policy, stream.child("whole-batch"),
                                "t", range(S))
@@ -524,7 +523,7 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
     gated and scaled feature: letters from the gate's squares and x0's once
     per set, longer words from f @ f."""
     gen = np.random.default_rng(seed)
-    problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
+    problem = lq_problem(n, d=d, x0=hermitian_batch(gen, (d,), n, 0.3))
     policy = replace(zero_policy(problem, K=2, N=1, R=8.0, degree=degree),
                      gate_level=gate_level)
     W = len(ctl._global_words(problem, policy))
@@ -563,7 +562,7 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
     1e-13 relative, and a rejected sample's feature entries are exactly 0."""
     gen = stream.child("rows", degree).generator()
     n, d, K, S = 3, 2, 2, 7
-    problem = lq_problem(n, d=d, x0=random_x0(n, d, gen))
+    problem = lq_problem(n, d=d, x0=hermitian_batch(gen, (d,), n, 0.3))
     policy = replace(zero_policy(problem, K=K, N=1, R=8.0, degree=degree),
                      gate_level=1.0)
     words = ctl._global_words(problem, policy)
@@ -685,7 +684,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     gen = stream.child("fallback", trigger).generator()
     n, K, N = 3, 2, 1
     make = quartic_problem if trigger == "quartic" else lq_problem
-    problem = make(n, beta_c=0.5, x0=random_x0(n, 1, gen))
+    problem = make(n, beta_c=0.5, x0=hermitian_batch(gen, (1,), n, 0.3))
     R = 0.5 if trigger == "binding_clip" else 1e6
     if trigger == "const_step":
         policy = const_policy(problem, K=K, N=N, R=R)
@@ -1038,7 +1037,7 @@ def test_zero_policy_zero_terminal_cost(stream):
                             outer=MultiPoly(1, {(0,): 0.0}),
                             inners=[NCPolynomial(1, {(1,): 1.0})]),
                         convexity_declared=True)
-    problem = ctl.ControlProblem(n=4, d=1, x0=MatrixTuple.zero(1, 4),
+    problem = ctl.ControlProblem(n=4, d=1, x0=np.zeros((1, 4, 4)),
                                  beta_c=0.5, beta_f=1.0, t0=0.0, T=1.0,
                                  cost=cost)
     policy = zero_policy(problem, K=2, N=1, R=4.0)
@@ -1082,7 +1081,7 @@ def test_path_guard_rejected(stream):
 
 def test_optimize_deterministic_lq(stream):
     problem = lq_problem(4, beta_c=0.0, beta_f=0.0,
-                         x0=MatrixTuple.identity(1, 4))
+                         x0=identity(1, 4))
     cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=300)
     res = ctl.optimize_discrete_value(problem, 4, 1, 8.0, cfg,
                                       stream.child("det"))
@@ -1092,7 +1091,7 @@ def test_optimize_deterministic_lq(stream):
 
 def test_optimize_zero_horizon_limit(stream):
     problem = lq_problem(4, beta_c=0.5, beta_f=1.0, T=1e-3,
-                         x0=MatrixTuple.identity(1, 4))
+                         x0=identity(1, 4))
     res = ctl.optimize_discrete_value(problem, 1, 1, 8.0, small_cfg(),
                                       stream.child("zh"))
     assert res.value == pytest.approx(1.0, abs=0.02)  # g(x0) = 1
@@ -1118,7 +1117,7 @@ def test_optimize_requires_convexity_flag(stream):
 
 def test_optimize_writes_iteration_log(tmp_path, stream):
     problem = lq_problem(4, beta_c=0.0, beta_f=0.0,
-                         x0=MatrixTuple.identity(1, 4))
+                         x0=identity(1, 4))
     log = tmp_path / "iters.csv"
     cfg = ctl.OptimizerConfig(train_samples=2, val_samples=2, max_iters=20,
                               log_path=str(log))
@@ -1134,7 +1133,7 @@ def test_zero_policy_value_bound(stream):
     res = ctl.optimize_discrete_value(problem, 2, 1, 8.0, small_cfg(),
                                       stream.child("bound"))
     c1 = problem.cost.c1
-    cap = (c1 + inner_product(problem.x0, problem.x0) ** 0.5
+    cap = (c1 + np.linalg.norm(problem.x0) / math.sqrt(problem.n)
            + (problem.beta_c + problem.beta_f)) * 2.0
     assert res.value <= cap
 
@@ -1156,15 +1155,16 @@ def test_a_priori_control_budget(stream):
 
 def test_lq_reference_values():
     assert ctl.lq_reference(lq_problem(4, beta_c=0.0, beta_f=0.0)) == 0.0
-    tiny = lq_problem(4, T=1e-12, x0=MatrixTuple.identity(1, 4))
-    assert ctl.lq_reference(tiny) == pytest.approx(1.0, abs=1e-9)
+    for d in (1, 2, 3):  # g(x0) = <I, I> = d
+        tiny = lq_problem(4, d=d, T=1e-12, x0=identity(d, 4))
+        assert ctl.lq_reference(tiny) == pytest.approx(float(d), abs=1e-9)
     assert ctl.lq_reference(lq_problem(8)) == pytest.approx(LQ_CONTINUOUS,
                                                             abs=1e-12)
 
 
 def test_lq_reference_matches_ode():
     for problem in (lq_problem(4), lq_problem(4, beta_c=0.2, beta_f=0.7, T=2.0),
-                    lq_problem(4, x0=MatrixTuple.identity(1, 4))):
+                    lq_problem(4, x0=identity(1, 4))):
         assert ctl.lq_reference_ode(problem) == pytest.approx(
             ctl.lq_reference(problem), abs=1e-9)
 
@@ -1411,7 +1411,7 @@ def test_euler_pathwise_reconstruction(stream):
     path = ctl.euler_maruyama(problem, lambda t, x: a, 6, stream.child("em5"))
     assert path.states.shape == (7, 1, 3, 3)
     assert path.controls.shape == (6, 1, 3, 3)
-    recon = problem.x0.data.copy()
+    recon = problem.x0.copy()
     h = path.times[1] - path.times[0]
     for i in range(6):
         recon = recon + h * a \
@@ -1454,11 +1454,11 @@ def test_bd_lhs_equals_per_sample_draws(stream):
 
 
 def test_sample_letters_equal_per_sample_paths(stream):
-    problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
+    problem = lq_problem(3, d=2, x0=identity(2, 3))
     K, indices = 3, [4, 0, 7]
     got = sample_letters(problem, K, indices, stream, "lt")
     want = np.zeros((len(indices), 2 * (1 + K), 3, 3), dtype=complex)
-    want[:, :2] = problem.x0.data
+    want[:, :2] = problem.x0
     for row, s in enumerate(indices):
         increments = gue_increments(3, 2, problem.grid(K).times,
                                     stream.child("lt", s))
@@ -1480,7 +1480,7 @@ def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(rm, name, wrapper)
-    problem = lq_problem(3, d=2, x0=MatrixTuple.identity(2, 3))
+    problem = lq_problem(3, d=2, x0=identity(2, 3))
     sample_letters(problem, 2, [0, 1], stream, "lt")
     assert calls == ["sample_gue"]
     del calls[:]
@@ -1558,17 +1558,33 @@ def test_rate_function_semicircle_near_zero(stream):
 
 def test_problem_json_round_trip():
     problem = lq_problem(4, beta_c=0.3, beta_f=0.9,
-                         x0=MatrixTuple.identity(1, 4))
+                         x0=identity(1, 4))
     back = ctl.ControlProblem.from_json(problem.to_json())
     assert back.n == 4 and back.beta_c == 0.3
-    assert np.allclose(back.x0.data, problem.x0.data)
+    assert np.array_equal(back.x0, problem.x0)
     assert ctl.lq_reference(back) == pytest.approx(ctl.lq_reference(problem))
+
+
+def test_problem_x0_is_read_only_exactly_hermitian_and_round_trips(gen):
+    x0 = hermitian_batch(gen, (2,), 3, 0.3)
+    x0[1, 0, 2] += 1e-12  # drift inside the 1e-10 tolerance
+    problem = lq_problem(3, d=2, x0=x0)
+    assert not problem.x0.flags.writeable
+    with pytest.raises(ValueError):
+        problem.x0[0, 0, 0] = 5.0
+    assert np.array_equal(problem.x0, np.conj(np.swapaxes(problem.x0, -1, -2)))
+    assert np.max(np.abs(problem.x0 - x0)) <= 1e-12
+    x0[0, 0, 0] = 5.0  # the problem holds its own copy
+    assert problem.x0[0, 0, 0] != 5.0
+    back = ctl.ControlProblem.from_json(problem.to_json())
+    assert np.array_equal(back.x0, problem.x0)
+    assert not back.x0.flags.writeable
 
 
 def test_optimized_value_monotone_in_clip_level(stream):
     # larger feasible set cannot hurt: tight clip forces a worse value
     problem = lq_problem(4, beta_c=0.0, beta_f=0.0,
-                         x0=MatrixTuple.identity(1, 4))
+                         x0=identity(1, 4))
     cfg = ctl.OptimizerConfig(train_samples=4, val_samples=4, max_iters=200)
     wide = ctl.optimize_discrete_value(problem, 4, 1, 8.0, cfg,
                                        stream.child("R1"))

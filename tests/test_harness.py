@@ -20,7 +20,7 @@ from nclab import harness
 from nclab.cli import main
 from nclab.control import OptimizerConfig
 from nclab.laplacian import CylindricalFunction, random_cylindrical
-from nclab.matrixcore import MatrixTuple, NumericalError, basis_element
+from nclab.matrixcore import NumericalError, basis_element
 from nclab.randmat import RngStream, sample_gue_tuple
 
 
@@ -230,16 +230,24 @@ def test_unknown_kind_rejected(tmp_path):
             harness.run_config(config, str(tmp_path / "x"))
 
 
+def inline_problem(**fields):
+    """``lq_problem(2)`` (d = 1, n = 2) as an inline problem, with
+    ``fields`` replaced."""
+    return {**json.loads(harness.lq_problem(2).to_json()), **fields}
+
+
 def inline_problem_without_outer():
-    problem = json.loads(harness.lq_problem(2).to_json())
+    problem = inline_problem()
     problem["cost"]["terminal"]["outer"] = None
     return problem
 
 
 # each breaks the last experiment only: a typo, an opt count below its
 # least on each template, an unknown problem template, an unknown
-# optimizer option, an inline problem whose terminal has no outer, and
-# sizes beyond the bin-path and GUE-Laplacian guards
+# optimizer option, an inline problem whose terminal has no outer, sizes
+# beyond the bin-path and GUE-Laplacian guards, an inline problem whose x0
+# is not Hermitian, 2-D, of the wrong d or not numbers, or whose n is not
+# an integer, and sweep pairs that are not [K, N]
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -263,6 +271,24 @@ def inline_problem_without_outer():
      "bin-path count 34^6 exceeds the 1000000 guard"),
     ({"kind": "laplacian-check", "cases": 1, "n_list": [3, 64], "d": 2},
      "d*n^2 = 8192 exceeds guard 4096"),
+    ({"kind": "value", "template": "json",
+      "problem": inline_problem(x0_re=[[[0.0, 1.0], [0.0, 0.0]]])},
+     "x0: matrix is not Hermitian: asymmetry 1.000e+00"),
+    ({"kind": "value", "template": "json",
+      "problem": inline_problem(x0_re=[[0.0, 0.0], [0.0, 0.0]],
+                                x0_im=[[0.0, 0.0], [0.0, 0.0]])},
+     "x0 has shape (2, 2), expected (d, n, n) = (1, 2, 2)"),
+    ({"kind": "sweep", "template": "json", "problem": inline_problem(d=2)},
+     "x0 has shape (1, 2, 2), expected (d, n, n) = (2, 2, 2)"),
+    ({"kind": "value", "template": "json",
+      "problem": inline_problem(x0_im=[[["0", 0.0], [0.0, 0.0]]])},
+     "x0_re and x0_im must be number arrays of one shape"),
+    ({"kind": "value", "template": "json", "problem": inline_problem(n=2.0)},
+     "n must be an integer >= 1, got 2.0"),
+    ({"kind": "sweep", "pairs": [[2, 4, 1]]},
+     "sweep parameter 'pairs' needs [K, N] pairs, got [2, 4, 1]"),
+    ({"kind": "sweep", "pairs": [[2, 4], [2]]},
+     "sweep parameter 'pairs' needs [K, N] pairs, got [2]"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -270,7 +296,9 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
                                 + [last]}))
     out = tmp_path / "o"
     assert harness.run(str(path), out_dir=str(out), threads=2) == harness.EXIT_CONFIG
-    assert capsys.readouterr().out.startswith(f"config error: {message}")
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"config error: {message}")
+    assert printed.count("\n") == 1
     assert not out.exists()
 
 
@@ -495,8 +523,8 @@ def test_fd_laplacian_matches_per_shift_loop(d, n):
                 for j in range(1, n + 1):
                     shift = np.zeros((d, n, n), dtype=complex)
                     shift[l] = h * basis_element(n, i, j)
-                    up = u.eval(MatrixTuple(x.data + shift, validate=False))
-                    dn = u.eval(MatrixTuple(x.data - shift, validate=False))
+                    up = u.eval(x + shift)
+                    dn = u.eval(x - shift)
                     total += (up - 2.0 * base + dn) / (h * h)
         assert harness._fd_laplacian(u, x, h, {}) == total / (n * n)
 
@@ -506,7 +534,7 @@ def test_laplacian_check_one_gue_laplacian_per_case(monkeypatch):
     original = CylindricalFunction.gue_laplacian
 
     def counted(self, x, cache=None):
-        calls.append(x.dim)
+        calls.append(x.shape[-1])
         return original(self, x, cache)
 
     monkeypatch.setattr(CylindricalFunction, "gue_laplacian", counted)
@@ -717,6 +745,15 @@ def shaped_like(default, top=16):
 
 
 @hst.composite
+def inline_problems(draw):
+    """``lq_problem(2)`` as an inline problem with some of ``x0_re``,
+    ``x0_im``, ``n`` and ``d`` swapped for drawn JSON values."""
+    keys = draw(hst.lists(hst.sampled_from(["x0_re", "x0_im", "n", "d"]),
+                          max_size=2, unique=True))
+    return inline_problem(**{key: draw(JSON_VALUES) for key in keys})
+
+
+@hst.composite
 def experiments(draw):
     kind = draw(mostly(hst.sampled_from(sorted(harness.EXPERIMENT_KINDS)),
                        JSON_VALUES))
@@ -740,10 +777,19 @@ CONFIGS = mostly(hst.fixed_dictionaries(
     optional={"seed": mostly(hst.integers(-2, 2 ** 70), JSON_VALUES)}),
     JSON_VALUES)
 
+# Inline problems reach ``ControlProblem``'s checks only in a config that
+# passes the others, so half the documents are configs of them alone.
+INLINE_CONFIGS = hst.fixed_dictionaries({
+    "experiments": hst.lists(hst.fixed_dictionaries(
+        {"kind": hst.sampled_from(["value", "sweep"]),
+         "template": hst.just("json"), "problem": inline_problems()}),
+        min_size=1, max_size=2),
+    "out_dir": hst.just("o")})
+
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=CONFIGS, threads=mostly(hst.integers(1, 4), hst.integers(-2, 0)
+@given(config=CONFIGS | INLINE_CONFIGS, threads=mostly(hst.integers(1, 4), hst.integers(-2, 0)
                                       | hst.sampled_from([1.0, 2.5, "2", None,
                                                           True])),
        fmt=hst.sampled_from(["csv", "json"]))

@@ -4,19 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import hermitian_batch
 from nclab import harness, ncpoly
 from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
                              parse_outer, random_cylindrical, trace_power)
-from nclab.matrixcore import MatrixTuple, basis_element
+from nclab.matrixcore import basis_element
 from nclab.ncpoly import NCPolynomial, words_up_to_degree
 from nclab.randmat import RngStream, sample_gue_tuple
 
 
-def rand_tuple(d, n, seed, scale=0.7):
-    gen = RngStream(733, (seed,)).generator()
-    return MatrixTuple(np.stack([random_hermitian(n, gen, scale)
-                                 for _ in range(d)]))
+TUPLES = RngStream(733)  # child(seed) draws the test's tuple at that seed
 
 
 def trace_square(d=1):
@@ -54,17 +51,17 @@ def test_outer_format_round_trip():
 
 def test_eval_trace_square():
     u = trace_square()
-    x = rand_tuple(1, 5, seed=1)
-    expect = float(np.real(np.trace(x.component(0) @ x.component(0)))) / 5
+    x = hermitian_batch(TUPLES.child(1).generator(), (1,), 5, 0.7)
+    expect = float(np.real(np.trace(x[0] @ x[0]))) / 5
     assert u.eval(x) == pytest.approx(expect)
 
 
 def test_eval_unitary_invariance(stream):
     u = random_cylindrical(stream.child("cyl").generator(), d=2)
-    x = rand_tuple(2, 6, seed=2)
+    x = hermitian_batch(TUPLES.child(2).generator(), (2,), 6, 0.7)
     z = stream.child("unitary").generator().standard_normal((6, 6, 2))
     v, _ = np.linalg.qr(z[..., 0] + 1j * z[..., 1])  # any unitary will do
-    rotated = MatrixTuple(np.stack([v @ c @ v.conj().T for c in x.data]))
+    rotated = np.stack([v @ c @ v.conj().T for c in x])
     assert u.eval(rotated) == pytest.approx(u.eval(x), abs=1e-10)
 
 
@@ -73,7 +70,7 @@ def test_eval_product_outer():
     outer = MultiPoly(2, {(1, 1): 1.0})
     inners = [NCPolynomial(1, {(1,): 1.0}), NCPolynomial(1, {(1, 1, 1): 1.0})]
     u = CylindricalFunction(outer=outer, inners=inners)
-    x = MatrixTuple(np.diag([1.0, 2.0]).astype(complex)[None])
+    x = np.diag([1.0, 2.0]).astype(complex)[None]
     assert u.eval(x) == pytest.approx(6.75)
 
 
@@ -82,23 +79,23 @@ def test_eval_product_outer():
 
 def test_gradient_trace_square():
     u = trace_square()
-    x = rand_tuple(1, 4, seed=3)
+    x = hermitian_batch(TUPLES.child(3).generator(), (1,), 4, 0.7)
     g = u.gradient(x)
-    assert np.allclose(g.data, 2.0 * x.data)
+    assert np.allclose(g, 2.0 * x)
 
 
 def test_gradient_constant_function():
     u = CylindricalFunction(outer=MultiPoly(1, {(0,): 3.0}),
                             inners=[NCPolynomial(1, {(1,): 1.0})])
-    x = rand_tuple(1, 4, seed=4)
-    assert np.max(np.abs(u.gradient(x).data)) == 0.0
+    x = hermitian_batch(TUPLES.child(4).generator(), (1,), 4, 0.7)
+    assert np.max(np.abs(u.gradient(x))) == 0.0
 
 
 def test_gradient_chain_rule_at_identity():
     u = trace_square_squared()
-    x = MatrixTuple.identity(1, 3)
+    x = np.eye(3, dtype=complex)[None]
     # 2 tr(x^2) * 2x = 4 I at the identity
-    assert np.allclose(u.gradient(x).data, 4.0 * np.eye(3))
+    assert np.allclose(u.gradient(x), 4.0 * np.eye(3))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -106,11 +103,11 @@ def test_gradient_chain_rule_at_identity():
 def test_trace_power_value_and_gradient(d, p):
     coef = 0.7
     u = trace_power(d, p, coef)
-    x = rand_tuple(d, 4, seed=10 + d)
-    powers = np.stack([np.linalg.matrix_power(c, p - 1) for c in x.data])
-    want = coef * sum(np.trace(c @ q).real for c, q in zip(x.data, powers)) / 4
+    x = hermitian_batch(TUPLES.child(10 + d).generator(), (d,), 4, 0.7)
+    powers = np.stack([np.linalg.matrix_power(c, p - 1) for c in x])
+    want = coef * sum(np.trace(c @ q).real for c, q in zip(x, powers)) / 4
     assert u.eval(x) == pytest.approx(want, rel=1e-12)
-    grad = u.gradient(x).data
+    grad = u.gradient(x)
     assert np.max(np.abs(grad - coef * p * powers)) <= 1e-12 * np.max(np.abs(grad))
 
 
@@ -142,7 +139,8 @@ def test_trace_quadratic_reproduces_eval(stream, d):
         if not linear:
             assert form is None
             continue
-        x = np.stack([rand_tuple(d, n, seed=40 + 10 * d + case + s).data
+        x = np.stack([hermitian_batch(TUPLES.child(40 + 10 * d + case + s)
+                                      .generator(), (d,), n, 0.7)
                       for s in range(3)])
         traces = np.einsum("skii->sk", x).real / n
         pairs = np.einsum("skij,slji->skl", x, x).real / n
@@ -165,14 +163,13 @@ def test_trace_quadratic_reproduces_eval(stream, d):
 def test_gradient_matches_finite_differences(stream):
     gen = stream.child("gradfd").generator()
     u = random_cylindrical(gen, d=2)
-    x = rand_tuple(2, 4, seed=5)
-    e = rand_tuple(2, 4, seed=6, scale=0.3)
+    x = hermitian_batch(TUPLES.child(5).generator(), (2,), 4, 0.7)
+    e = hermitian_batch(TUPLES.child(6).generator(), (2,), 4, 0.3)
     g = u.gradient(x)
-    analytic = sum(float(np.real(np.trace(g.component(j) @ e.component(j)))) / 4
-                   for j in range(2))
+    analytic = sum(float(np.real(np.trace(g[j] @ e[j]))) / 4 for j in range(2))
     h = 1e-5
-    up = u.eval(MatrixTuple(x.data + h * e.data, validate=False))
-    dn = u.eval(MatrixTuple(x.data - h * e.data, validate=False))
+    up = u.eval(x + h * e)
+    dn = u.eval(x - h * e)
     fd = (up - dn) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -181,27 +178,23 @@ def test_gradient_matches_finite_differences(stream):
 def test_value_and_grad_matches_eval_and_gradient(stream, batched):
     gen = stream.child("vg", batched).generator()
     u = random_cylindrical(gen, d=2)
-    x = rand_tuple(2, 4, seed=7)
+    x = hermitian_batch(TUPLES.child(7).generator(), (2,), 4, 0.7)
     if batched:
-        x = np.stack([x.data, rand_tuple(2, 4, seed=8).data])
+        x = np.stack([x, hermitian_batch(TUPLES.child(8).generator(), (2,), 4,
+                                         0.7)])
     value, grad = u.value_and_grad(x)
     want = u.gradient(x)
     assert np.array_equal(value, u.eval(x))
-    if not batched:
-        grad, want = grad.data, want.data
     assert np.array_equal(grad, want)
     # against the cyclic derivatives evaluated one by one, each with its own
     # word-product cache
-    data = x.data if not batched else x
-    traces = u.inner_traces(data)
-    ref = np.zeros(data.shape, dtype=complex)
+    traces = u.inner_traces(x)
+    ref = np.zeros(x.shape, dtype=complex)
     for o, phi in enumerate(u.inners):
         go = np.asarray(u.outer.partial(o)(traces))
         for j, dpoly in enumerate(phi.gradient()):
             if dpoly.terms:
-                ref[..., j, :, :] += go[..., None, None] * dpoly.evaluate(data)
-    if not batched:
-        ref = (ref + np.conj(np.swapaxes(ref, -1, -2))) / 2
+                ref[..., j, :, :] += go[..., None, None] * dpoly.evaluate(x)
     assert np.max(np.abs(grad - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -213,26 +206,26 @@ def test_value_and_grad_matches_eval_and_gradient(stream, batched):
 
 def test_hessian_trace_square():
     u = trace_square()
-    x = rand_tuple(1, 4, seed=7)
-    a = rand_tuple(1, 4, seed=8, scale=0.5)
-    expect = 2.0 * float(np.real(np.trace(a.component(0) @ a.component(0)))) / 4
+    x = hermitian_batch(TUPLES.child(7).generator(), (1,), 4, 0.7)
+    a = hermitian_batch(TUPLES.child(8).generator(), (1,), 4, 0.5)
+    expect = 2.0 * float(np.real(np.trace(a[0] @ a[0]))) / 4
     assert u.hessian_bilinear(x, a, a) == pytest.approx(expect, abs=1e-12)
 
 
 def test_hessian_vanishes_for_linear():
     outer = MultiPoly(1, {(1,): 2.0})
     u = CylindricalFunction(outer=outer, inners=[NCPolynomial(1, {(1,): 1.0})])
-    x = rand_tuple(1, 4, seed=9)
-    a = rand_tuple(1, 4, seed=10)
+    x = hermitian_batch(TUPLES.child(9).generator(), (1,), 4, 0.7)
+    a = hermitian_batch(TUPLES.child(10).generator(), (1,), 4, 0.7)
     assert u.hessian_bilinear(x, a, a) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hessian_symmetry(stream):
     gen = stream.child("hess").generator()
     u = random_cylindrical(gen, d=2)
-    x = rand_tuple(2, 4, seed=11)
-    a = rand_tuple(2, 4, seed=12, scale=0.5)
-    b = rand_tuple(2, 4, seed=13, scale=0.5)
+    x = hermitian_batch(TUPLES.child(11).generator(), (2,), 4, 0.7)
+    a = hermitian_batch(TUPLES.child(12).generator(), (2,), 4, 0.5)
+    b = hermitian_batch(TUPLES.child(13).generator(), (2,), 4, 0.5)
     assert u.hessian_bilinear(x, a, b) == pytest.approx(
         u.hessian_bilinear(x, b, a), abs=1e-9)
 
@@ -240,11 +233,11 @@ def test_hessian_symmetry(stream):
 def test_hessian_matches_second_differences(stream):
     gen = stream.child("hessfd").generator()
     u = random_cylindrical(gen, d=2)
-    x = rand_tuple(2, 4, seed=14)
-    a = rand_tuple(2, 4, seed=15, scale=0.4)
+    x = hermitian_batch(TUPLES.child(14).generator(), (2,), 4, 0.7)
+    a = hermitian_batch(TUPLES.child(15).generator(), (2,), 4, 0.4)
     h = 1e-3
-    up = u.eval(MatrixTuple(x.data + h * a.data, validate=False))
-    dn = u.eval(MatrixTuple(x.data - h * a.data, validate=False))
+    up = u.eval(x + h * a)
+    dn = u.eval(x - h * a)
     fd = (up - 2.0 * u.eval(x) + dn) / (h * h)
     assert u.hessian_bilinear(x, a, a) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
@@ -255,21 +248,21 @@ def test_hessian_matches_second_differences(stream):
 def test_gue_laplacian_trace_squares_exact():
     for d in (1, 2):
         u = trace_square(d)
-        x = rand_tuple(d, 3, seed=16)
+        x = hermitian_batch(TUPLES.child(16).generator(), (d,), 3, 0.7)
         assert u.gue_laplacian(x, {}) == pytest.approx(2.0 * d, abs=1e-10)
 
 
 def gue_laplacian_reference(u, x):
     """(1/n^2) sum_l sum_E Hess U(X)[E e_l, E e_l]: word products by explicit
     matmuls, the pair term as one 4-operand einsum per tensor word pair."""
-    n, d = x.dim, x.d
+    d, n = x.shape[-3], x.shape[-1]
     basis = np.stack([basis_element(n, i, j)
                       for i in range(1, n + 1) for j in range(1, n + 1)])
 
     def word(w):
         out = np.eye(n, dtype=complex)
         for letter in w:
-            out = out @ x.component(letter - 1)
+            out = out @ x[letter - 1]
         return out
 
     traces = u.inner_traces(x)
@@ -296,8 +289,7 @@ def test_gue_laplacian_matches_literal_basis_sum(stream, d, n):
     gen = stream.child("guelit", d, n).generator()
     for _ in range(4):
         u = random_cylindrical(gen, d=d)
-        x = MatrixTuple(np.stack([random_hermitian(n, gen, 0.8)
-                                  for _ in range(d)]))
+        x = hermitian_batch(gen, (d,), n, 0.8)
         want = gue_laplacian_reference(u, x)
         assert abs(u.gue_laplacian(x, {}) - want) <= 1e-13 * (1.0 + abs(want))
 
@@ -305,30 +297,33 @@ def test_gue_laplacian_matches_literal_basis_sum(stream, d, n):
 def test_gue_laplacian_constant():
     u = CylindricalFunction(outer=MultiPoly(1, {(0,): 1.5}),
                             inners=[NCPolynomial(1, {(1,): 1.0})])
-    assert u.gue_laplacian(rand_tuple(1, 3, seed=17), {}) == pytest.approx(0.0)
+    x = hermitian_batch(TUPLES.child(17).generator(), (1,), 3, 0.7)
+    assert u.gue_laplacian(x, {}) == pytest.approx(0.0)
 
 
 def test_gue_laplacian_guard():
     u = trace_square()
     with pytest.raises(ValueError):
-        u.gue_laplacian(MatrixTuple.zero(1, 70), {})
+        u.gue_laplacian(np.zeros((1, 70, 70), dtype=complex), {})
 
 
 def test_free_laplacian_trace_square():
     u = trace_square()
-    assert u.free_laplacian(rand_tuple(1, 4, seed=18), {}) == pytest.approx(2.0)
+    x = hermitian_batch(TUPLES.child(18).generator(), (1,), 4, 0.7)
+    assert u.free_laplacian(x, {}) == pytest.approx(2.0)
 
 
 def test_free_laplacian_quartic_at_zero():
     outer = MultiPoly(1, {(1,): 1.0})
     u = CylindricalFunction(outer=outer,
                             inners=[NCPolynomial(1, {(1,) * 4: 1.0})])
-    assert u.free_laplacian(MatrixTuple.zero(1, 4), {}) == pytest.approx(0.0)
+    assert u.free_laplacian(np.zeros((1, 4, 4), dtype=complex), {}) == \
+        pytest.approx(0.0)
 
 
 def test_correction_zero_for_linear_outer():
     u = trace_square()
-    x = rand_tuple(1, 4, seed=19)
+    x = hermitian_batch(TUPLES.child(19).generator(), (1,), 4, 0.7)
     assert u.correction_term(x, {}) == pytest.approx(0.0, abs=1e-14)
     assert u.gue_laplacian(x, {}) == pytest.approx(u.free_laplacian(x, {}),
                                                    abs=1e-10)
@@ -337,8 +332,8 @@ def test_correction_zero_for_linear_outer():
 def test_correction_trace_square_squared():
     u = trace_square_squared()
     n = 4
-    x = rand_tuple(1, n, seed=20)
-    tr_x2 = float(np.real(np.trace(x.component(0) @ x.component(0)))) / n
+    x = hermitian_batch(TUPLES.child(20).generator(), (1,), n, 0.7)
+    tr_x2 = float(np.real(np.trace(x[0] @ x[0]))) / n
     assert u.correction_term(x, {}) == pytest.approx(8.0 * tr_x2 / n ** 2,
                                                  abs=1e-12)
     assert abs(u.gue_laplacian(x, {}) - u.free_laplacian(x, {})
@@ -350,8 +345,7 @@ def test_identity_random_instances(stream):
     for case in range(50):
         n = (3, 4, 6)[case % 3]
         u = random_cylindrical(gen, d=2)
-        x = MatrixTuple(np.stack([random_hermitian(n, gen, 0.8)
-                                  for _ in range(2)]))
+        x = hermitian_batch(gen, (2,), n, 0.8)
         cache = {}
         gue, free, corr = (u.gue_laplacian(x, cache), u.free_laplacian(x, cache),
                            u.correction_term(x, cache))
@@ -424,16 +418,16 @@ def test_free_laplacian_scale_covariance():
     outer = MultiPoly(1, {(1,): 1.0})
     u = CylindricalFunction(outer=outer,
                             inners=[NCPolynomial(1, {(1,) * 4: 1.0})])
-    x = rand_tuple(1, 5, seed=21)
+    x = hermitian_batch(TUPLES.child(21).generator(), (1,), 5, 0.7)
     s = 1.7
-    scaled = MatrixTuple(s * x.data, validate=False)
+    scaled = s * x
     assert u.free_laplacian(scaled, {}) == pytest.approx(
         s ** 2 * u.free_laplacian(x, {}), rel=1e-10)
 
 
 def test_serialization_round_trip(stream):
     u = random_cylindrical(stream.child("ser").generator(), d=2)
-    x = rand_tuple(2, 4, seed=22)
+    x = hermitian_batch(TUPLES.child(22).generator(), (2,), 4, 0.7)
     back = CylindricalFunction.from_json(u.to_json(), d=2)
     assert back.eval(x) == pytest.approx(u.eval(x), abs=1e-12)
 
@@ -447,8 +441,8 @@ def test_generator_consistency_with_dynamics(stream):
     d, n = 2, 8
     beta_c, beta_f = 0.7, 0.9
     u = trace_square(d)
-    x0 = MatrixTuple.zero(d, n)
-    ident = MatrixTuple.identity(d, n)
+    x0 = np.zeros((d, n, n), dtype=complex)
+    ident = np.broadcast_to(np.eye(n, dtype=complex), (d, n, n))
     drift_rate = (0.5 * beta_c ** 2 * u.hessian_bilinear(x0, ident, ident)
                   + 0.5 * beta_f ** 2 * u.gue_laplacian(x0, {}))
     assert drift_rate == pytest.approx((beta_c ** 2 + beta_f ** 2) * d,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import random_hermitian
+from conftest import hermitian_batch, random_hermitian
 from nclab import matrixcore as mc
 from nclab.control import _clip_batch
 
@@ -43,28 +43,9 @@ def test_basis_diagonal_trace():
     assert np.trace(mc.basis_element(4, 1, 1)) / 4 == pytest.approx(0.5)
 
 
-def test_inner_product_identity_tuples():
-    for d in (1, 2, 3):
-        x = mc.MatrixTuple.identity(d, 4)
-        assert mc.inner_product(x, x) == pytest.approx(float(d))
-
-
-def test_inner_product_basis_pair_orthogonal():
-    zero = np.zeros((2, 2))
-    x = mc.MatrixTuple(np.stack([mc.basis_element(2, 1, 2), zero]))
-    y = mc.MatrixTuple(np.stack([mc.basis_element(2, 2, 1), zero]))
-    assert mc.inner_product(x, y) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_l1_norm_diagonal():
     x = np.diag([3.0, -4.0]).astype(complex)[None]
     assert mc.l1_norm(x) == pytest.approx(3.5)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mc.inner_product(mc.MatrixTuple.identity(1, 2),
-                         mc.MatrixTuple.identity(1, 3))
 
 
 def test_eigh_diagonal_sorting():
@@ -147,12 +128,6 @@ def test_clip_l1_inequality(gen):
             assert gap <= np.sum(np.abs(a) ** 2) / 8 / r + 1e-12
 
 
-def test_matrix_tuple_immutable(gen):
-    x = mc.MatrixTuple(random_hermitian(4, gen))
-    with pytest.raises(ValueError):
-        x.data[0, 0, 0] = 5.0
-
-
 # Paper claim: the Daleckii-Krein derivative of the functional calculus, the
 # per-matrix reference against which test_control's brute-force gradients
 # check the batched clip and arctan pullbacks.
@@ -165,11 +140,6 @@ def test_scalar_function_derivative_matches_fd(gen):
     fd = (mc.apply_scalar_function(a + h * e, "arctan")
           - mc.apply_scalar_function(a - h * e, "arctan")) / (2 * h)
     assert np.max(np.abs(analytic - fd)) <= 1e-6
-
-
-def hermitian_batch(gen, shape, n, scale=1.0):
-    return np.stack([random_hermitian(n, gen, scale=scale)
-                     for _ in range(math.prod(shape))]).reshape(shape + (n, n))
 
 
 def test_spectral_calculus_is_batch_native(gen):
@@ -218,10 +188,10 @@ def test_batched_eigh_residual_is_checked_per_matrix(gen, monkeypatch):
 
 
 def test_tuple_methods_match_per_component(gen):
-    x = mc.MatrixTuple(hermitian_batch(gen, (3,), 4, scale=2.0))
-    assert x.max_operator_norm() == max(mc.operator_norm(m) for m in x.data)
-    assert mc.l1_norm(x.data) == pytest.approx(
-        sum(np.sum(np.abs(np.linalg.eigvalsh(m))) / 4 for m in x.data), rel=1e-14)
+    x = hermitian_batch(gen, (3,), 4, scale=2.0)
+    assert mc.operator_norm(x) == max(mc.operator_norm(m) for m in x)
+    assert mc.l1_norm(x) == pytest.approx(
+        sum(np.sum(np.abs(np.linalg.eigvalsh(m))) / 4 for m in x), rel=1e-14)
 
 
 @settings(max_examples=120, deadline=None)

@@ -4,31 +4,26 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_hermitian
+from conftest import hermitian_batch
 from nclab import nclaw
-from nclab.matrixcore import MatrixTuple
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import RngStream, sample_gue
 
-
-def rand_tuple(d, n, seed, scale=0.6):
-    gen = RngStream(411, (seed,)).generator()
-    return MatrixTuple(np.stack([random_hermitian(n, gen, scale)
-                                 for _ in range(d)]))
+TUPLES = RngStream(411)  # child(seed) draws the test's tuple at that seed
 
 
 # -- freeness ---------------------------------------------------------------------
 
 
 def test_freeness_single_factor_is_zero():
-    x = rand_tuple(1, 6, seed=11)
+    x = hermitian_batch(TUPLES.child(11).generator(), (1,), 6, 0.6)
     poly = NCPolynomial(1, {(1, 1): 1.0})
     assert nclaw.freeness_statistic([x], [1], [poly]) == pytest.approx(0.0,
                                                                        abs=1e-12)
 
 
 def test_freeness_rejects_repeated_index():
-    x = rand_tuple(1, 4, seed=12)
+    x = hermitian_batch(TUPLES.child(12).generator(), (1,), 4, 0.6)
     poly = NCPolynomial(1, {(1,): 1.0})
     with pytest.raises(ValueError):
         nclaw.freeness_statistic([x, x], [1, 1], [poly, poly])
@@ -39,8 +34,8 @@ def test_freeness_two_gue_squares(stream):
     poly = NCPolynomial(1, {(1, 1): 1.0})
     stats = []
     for _ in range(50):
-        s1 = MatrixTuple(sample_gue(128, gen)[None], validate=False)
-        s2 = MatrixTuple(sample_gue(128, gen)[None], validate=False)
+        s1 = sample_gue(128, gen)[None]
+        s2 = sample_gue(128, gen)[None]
         stats.append(nclaw.freeness_statistic([s1, s2], [1, 2], [poly, poly]))
     assert np.mean(np.abs(stats)) < 0.05
 
@@ -52,8 +47,8 @@ def test_freeness_decay_across_n(stream):
     for n in (8, 32, 128):
         stats = []
         for _ in range(50):
-            s1 = MatrixTuple(sample_gue(n, gen)[None], validate=False)
-            s2 = MatrixTuple(sample_gue(n, gen)[None], validate=False)
+            s1 = sample_gue(n, gen)[None]
+            s2 = sample_gue(n, gen)[None]
             stats.append(nclaw.freeness_statistic([s1, s2], [1, 2],
                                                   [poly, poly]))
         means.append(np.mean(np.abs(stats)))

@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import hermitian_batch, random_hermitian
 from nclab import ncpoly as ncp
-from nclab.matrixcore import MatrixTuple
 from nclab.randmat import RngStream
 
-
-def rand_tuple(d, n, seed=0, scale=0.7):
-    gen = RngStream(991, (seed,)).generator()
-    return MatrixTuple(np.stack([random_hermitian(n, gen, scale)
-                                 for _ in range(d)]))
+TUPLES = RngStream(991)  # child(seed) draws the test's tuple at that seed
 
 
 x1 = ncp.NCPolynomial.monomial(2, (1,))
@@ -60,36 +55,37 @@ def test_format_round_trip():
 
 def test_evaluate_unit():
     p = ncp.NCPolynomial.unit(2)
-    x = rand_tuple(2, 4)
+    x = hermitian_batch(TUPLES.child(0).generator(), (2,), 4, 0.7)
     assert np.allclose(p.evaluate(x), np.eye(4))
     assert p.evaluate_trace(x, {}) == pytest.approx(1.0)
 
 
 def test_commutator_on_commuting_tuple():
     p = x1 * x2 - x2 * x1
-    x = MatrixTuple(np.stack([np.diag([1.0, 2.0]).astype(complex),
-                              np.diag([3.0, -1.0]).astype(complex)]))
+    x = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, -1.0])]).astype(complex)
     assert np.max(np.abs(p.evaluate(x))) <= 1e-14
 
 
 def test_square_of_pauli_x():
     p = ncp.NCPolynomial(1, {(1, 1): 1.0})
-    x = MatrixTuple(np.array([[[0, 1], [1, 0]]], dtype=complex))
+    x = np.array([[[0, 1], [1, 0]]], dtype=complex)
     assert np.allclose(p.evaluate(x), np.eye(2))
     assert p.evaluate_trace(x, {}) == pytest.approx(1.0)
 
 
 def test_evaluate_batched_matches_loop():
     p = 1.5 * x1 * x2 + x2 * x2
-    data = np.stack([rand_tuple(2, 3, seed=k).data for k in range(5)])
+    data = np.stack([hermitian_batch(TUPLES.child(k).generator(), (2,), 3, 0.7)
+                     for k in range(5)])
     batched = p.evaluate(data)
     for k in range(5):
-        single = p.evaluate(MatrixTuple(data[k], validate=False))
+        single = p.evaluate(data[k])
         assert np.allclose(batched[k], single)
 
 
 def test_one_letter_word_is_the_letter():
-    data = np.stack([rand_tuple(2, 3, seed=k).data for k in range(4)])
+    data = np.stack([hermitian_batch(TUPLES.child(k).generator(), (2,), 3, 0.7)
+                     for k in range(4)])
     cache = {}
     assert np.array_equal(ncp._word_matrix((2,), data, cache), data[:, 1])
     assert np.array_equal(ncp._word_matrix((2, 1), data, cache),
@@ -97,12 +93,12 @@ def test_one_letter_word_is_the_letter():
 
 
 def test_evaluate_returns_a_fresh_array():
-    x = rand_tuple(2, 3, seed=6)
-    before = x.data.copy()
+    x = hermitian_batch(TUPLES.child(6).generator(), (2,), 3, 0.7)
+    before = x.copy()
     for p in (x1, 2.0 * x2, x1 + x2):
         out = p.evaluate(x)
         out[...] = 7.0
-        assert np.array_equal(x.data, before)
+        assert np.array_equal(x, before)
 
 
 def test_trace_imaginary_check_is_per_element():
@@ -116,13 +112,14 @@ def test_trace_imaginary_check_is_per_element():
         p.evaluate_trace(tilted, {})
     with pytest.raises(ValueError, match="imaginary part"):
         p.evaluate_trace(np.stack([big, tilted]), {})
-    batch = np.stack([big, rand_tuple(1, 3, seed=9).data])
+    batch = np.stack([big, hermitian_batch(TUPLES.child(9).generator(), (1,), 3,
+                                           0.7)])
     want = [p.evaluate_trace(b, {}) for b in batch]
     assert np.array_equal(p.evaluate_trace(batch, {}), want)
 
 
 def test_trace_cyclic_shift_invariance():
-    x = rand_tuple(2, 5, seed=3)
+    x = hermitian_batch(TUPLES.child(3).generator(), (2,), 5, 0.7)
     word = (1, 2, 2, 1, 2)
     base = ncp.NCPolynomial.monomial(2, word).evaluate_trace(x, {})
     for s in range(1, len(word)):
@@ -231,31 +228,31 @@ def test_cyclic_derivative_absent_letter():
 
 def test_leibniz_fd_check():
     # d/dt tr_n p(X + tE) at 0 equals <cyclic gradient, E>
-    x = rand_tuple(2, 4, seed=5)
-    e = rand_tuple(2, 4, seed=6, scale=0.4)
+    x = hermitian_batch(TUPLES.child(5).generator(), (2,), 4, 0.7)
+    e = hermitian_batch(TUPLES.child(6).generator(), (2,), 4, 0.4)
     p = (2.0 * x1 * x2 * x1 + x2 * x2 * x2).symmetrize()
     grads = p.gradient()
     analytic = sum(
-        float(np.real(np.trace(grads[j].evaluate(x) @ e.component(j)))) / 4
+        float(np.real(np.trace(grads[j].evaluate(x) @ e[j]))) / 4
         for j in range(2))
-    h = 1e-4 * (1.0 + max(np.linalg.norm(c) for c in x.data))
-    up = p.evaluate_trace(MatrixTuple(x.data + h * e.data, validate=False), {})
-    dn = p.evaluate_trace(MatrixTuple(x.data - h * e.data, validate=False), {})
+    h = 1e-4 * (1.0 + max(np.linalg.norm(c) for c in x))
+    up = p.evaluate_trace(x + h * e, {})
+    dn = p.evaluate_trace(x - h * e, {})
     assert analytic == pytest.approx((up - dn) / (2 * h), abs=1e-6)
 
 
 def test_sharp_is_directional_derivative():
     # d/dt p(X + t e_j E) = (d_j p)(X) # E for matrix-valued evaluation
-    x = rand_tuple(2, 4, seed=7)
+    x = hermitian_batch(TUPLES.child(7).generator(), (2,), 4, 0.7)
     e = random_hermitian(4, RngStream(17).generator(), scale=0.5)
     p = x1 * x2 * x1
     tensor = p.free_difference_quotient(1)
     analytic = tensor.sharp(x, e)
     h = 1e-5
-    shift = np.zeros_like(x.data)
+    shift = np.zeros_like(x)
     shift[0] = e
-    up = p.evaluate(MatrixTuple(x.data + h * shift, validate=False))
-    dn = p.evaluate(MatrixTuple(x.data - h * shift, validate=False))
+    up = p.evaluate(x + h * shift)
+    dn = p.evaluate(x - h * shift)
     assert np.max(np.abs(analytic - (up - dn) / (2 * h))) <= 1e-6
 
 
@@ -264,7 +261,7 @@ def test_sharp_is_directional_derivative():
 
 def test_tensor_unit_sharp_and_trace():
     t = ncp.TensorPolynomial(1, {((), ()): 1.0})
-    x = rand_tuple(1, 3, seed=8)
+    x = hermitian_batch(TUPLES.child(8).generator(), (1,), 3, 0.7)
     c = random_hermitian(3, RngStream(18).generator())
     assert np.allclose(t.sharp(x, c), c)
     assert t.trace_pair(x, {}) == pytest.approx(1.0)
@@ -272,7 +269,7 @@ def test_tensor_unit_sharp_and_trace():
 
 def test_tensor_letter_pair_on_identity():
     t = ncp.TensorPolynomial(1, {((1,), (1,)): 1.0})
-    x = MatrixTuple.identity(1, 3)
+    x = np.eye(3, dtype=complex)[None]
     c = random_hermitian(3, RngStream(19).generator())
     assert np.allclose(t.sharp(x, c), c)
     assert t.trace_pair(x, {}) == pytest.approx(1.0)
@@ -281,7 +278,7 @@ def test_tensor_letter_pair_on_identity():
 def test_tensor_trace_of_fdq_on_diagonal():
     p = ncp.NCPolynomial(1, {(1, 1): 1.0})
     t = p.free_difference_quotient(1)
-    x = MatrixTuple(np.diag([1.0, 2.0]).astype(complex)[None])
+    x = np.diag([1.0, 2.0]).astype(complex)[None]
     # 1 (x) x + x (x) 1 -> 2 tr_n(X) = 3
     assert t.trace_pair(x, {}) == pytest.approx(3.0)
 

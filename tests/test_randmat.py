@@ -202,8 +202,7 @@ def test_gue_increment_components_nearly_free(stream):
     stats = []
     for _ in range(50):
         pair = rm.sample_gue_tuple(64, 2, gen)
-        s1 = type(pair)(pair.data[:1], validate=False)
-        s2 = type(pair)(pair.data[1:], validate=False)
+        s1, s2 = pair[:1], pair[1:]
         stats.append(freeness_statistic([s1, s2], [1, 2], [poly, poly]))
     assert abs(np.mean(np.abs(stats))) < 0.1
 
