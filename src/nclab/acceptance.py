@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -192,7 +193,8 @@ def criterion_11():
 
 
 def criterion_12(out_dir):
-    """Byte-identical CSVs across 1 vs 8 workers for criteria 1, 4, 6 configs."""
+    """Byte-identical CSVs across 1 vs 8 workers for criteria 1, 4, 6 configs,
+    each run into an emptied ``determinism_t<workers>`` directory."""
     config = {
         "seed": MASTER_SEED,
         "experiments": [
@@ -205,7 +207,8 @@ def criterion_12(out_dir):
     outputs = {}
     for threads in (1, 8):
         sub = os.path.join(out_dir, f"determinism_t{threads}")
-        os.makedirs(sub, exist_ok=True)
+        if os.path.exists(sub):
+            shutil.rmtree(sub)
         harness.run_config(config, sub, threads=threads)
         outputs[threads] = {}
         for name in sorted(os.listdir(sub)):

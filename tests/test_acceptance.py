@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from nclab import acceptance
+from nclab import acceptance, harness
 from nclab import control as ctl
 from nclab.cli import main
 from nclab.gaussdisc import noise_table
@@ -179,6 +179,24 @@ def test_criterion_12_determinism(tmp_path_factory):
     out = tmp_path_factory.mktemp("determinism")
     rows, _ = acceptance.CRITERIA[12](str(out))
     assert rows[0]["pass"]
+
+
+def test_criterion_12_reruns_into_emptied_directories(tmp_path, monkeypatch):
+    # a second call on one out_dir recomputes every experiment, and a stale
+    # file left beside the outputs does not reach the comparison
+    ran = []
+
+    def stub(params, stream):
+        ran.append(stream.stream_path[-1])
+        return ["idx"], [[stream.stream_path[-1]]], {}
+
+    for kind in ("spectrum", "laplacian-check", "value"):
+        monkeypatch.setitem(harness.EXPERIMENT_KINDS, kind, stub)
+    rows, _ = acceptance.criterion_12(str(tmp_path))
+    assert rows[0]["pass"] and sorted(ran) == [0, 0, 1, 1, 2, 2]
+    (tmp_path / "determinism_t8" / "03_stale.csv").write_text("stale\n")
+    rows, _ = acceptance.criterion_12(str(tmp_path))
+    assert rows[0]["pass"] and len(ran) == 12
 
 
 def test_runner_table_and_exit_code(tmp_path):

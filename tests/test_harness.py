@@ -186,6 +186,57 @@ def test_failed_experiment_keeps_earlier_entries_and_resumes(tmp_path,
     assert (out / "summary.json").read_bytes() == (whole / "summary.json").read_bytes()
 
 
+@pytest.fixture
+def renames(monkeypatch):
+    """(name, existed) of each path ``harness`` renames a file onto."""
+    done = []
+    replace = os.replace
+
+    def record(src, dst):
+        done.append((os.path.basename(dst), os.path.exists(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", record)
+    return done
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fresh_run_renames_each_output_once_onto_a_new_path(tmp_path, renames,
+                                                             threads, fmt):
+    out = tmp_path / "o"
+    harness.run_config(tiny_config(), str(out), threads=threads, fmt=fmt)
+    assert sorted(name for name, _ in renames) == sorted(os.listdir(out))
+    assert not any(existed for _, existed in renames)
+
+
+def test_resume_renames_manifest_and_summary_once(tmp_path, renames):
+    out = tmp_path / "o"
+    harness.run_config(tiny_config(), str(out))
+    (out / "00_spectrum.csv").unlink()
+    renames.clear()
+    harness.run_config(tiny_config(), str(out))
+    assert sorted(renames) == [("00_spectrum.csv", False),
+                               ("manifest.json", True), ("summary.json", True)]
+
+
+@pytest.mark.parametrize("failing,written", [
+    ("spectrum", []),
+    ("gaussdisc-check", [("00_spectrum.csv", False), ("manifest.json", False)]),
+])
+def test_failed_run_writes_the_manifest_only_after_an_output(
+        tmp_path, monkeypatch, renames, failing, written):
+    def diverge(params, stream):
+        raise NumericalError("diverged")
+
+    monkeypatch.setitem(harness.EXPERIMENT_KINDS, failing, diverge)
+    out = tmp_path / "o"
+    with pytest.raises(NumericalError):
+        harness.run_config(tiny_config(), str(out), threads=2)
+    assert renames == written
+    assert sorted(os.listdir(out)) == [name for name, _ in written]
+
+
 def test_first_failure_in_config_order_is_raised(tmp_path, monkeypatch):
     # with more workers than cores and a short switch interval, the lowest
     # failed index wins however the failures interleave, and nothing after
@@ -247,7 +298,7 @@ def inline_problem_without_outer():
 # optimizer option, an inline problem whose terminal has no outer, sizes
 # beyond the bin-path and GUE-Laplacian guards, an inline problem whose x0
 # is not Hermitian, 2-D, of the wrong d or not numbers, or whose n is not
-# an integer, and sweep pairs that are not [K, N]
+# an integer, sweep pairs that are not [K, N], and a ragged inline x0
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -289,6 +340,9 @@ def inline_problem_without_outer():
      "sweep parameter 'pairs' needs [K, N] pairs, got [2, 4, 1]"),
     ({"kind": "sweep", "pairs": [[2, 4], [2]]},
      "sweep parameter 'pairs' needs [K, N] pairs, got [2]"),
+    ({"kind": "value", "template": "json",
+      "problem": inline_problem(x0_re=[[[0.0, 0.0], [0.0]]])},
+     "x0_re and x0_im must be number arrays of one shape"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
