@@ -1,9 +1,13 @@
 """Matrix stochastic control: discrete policies, costs, optimization, oracles.
 
 The discretized problem lives on a bin tree: at step i the common noise has
-been classified into one of (2N+2)^i bin prefixes J, each carrying an exact
-probability and a deterministic noise value (sum of conditional means),
-while the GUE noise stays Monte Carlo.  States follow
+been classified into one of b^i bin prefixes J = (j_1..j_i), node
+``np.ravel_multi_index(J + N + 1, (b,) * i)`` in the C order of
+``_bin_tree``'s Kronecker products, each carrying an exact probability and
+a deterministic noise value (sum of conditional means), while the GUE noise
+stays Monte Carlo.  ``tree_branching`` owns b, 2N+2 bins or 1 when beta_C =
+0 collapses the tree, and ``gaussdisc.bin_of`` the bin of an increment.
+States follow
 
     X_{i,J} = x0 + sum_{i'<=i} alpha_{i',J} delta
                  + beta_C 1 W0_{i,J} + beta_F (W_hat_{t_i} - W_hat_{t_0}),
@@ -47,6 +51,9 @@ A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
 one stream address per sample, into its R distinct rows r: the identity,
 the letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
+Words are listed as their letters become available, x0's and then each
+step's increment's (``_step_words``), so a step's features are the leading
+columns of the basis.
 Basis column v is row m(v) times a per-sample factor a_{s,v}: gate over
 feature scale for a feature, else 1.  So one GEMM over the rows gives the
 basis Gram H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V),
@@ -105,7 +112,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ncpoly, randmat
-from .gaussdisc import TimeGrid, noise_table
+from .gaussdisc import TimeGrid, bin_indices, bin_of, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (NumericalError, _frechet, _norm_bound_from_square,
                          _spectral_calculus, apply_scalar_function,
@@ -380,24 +387,27 @@ class DiscretePolicy:
     fallback_cells: list = field(default_factory=list)
 
     def branching(self):
-        return 1 if self.collapse_bins else 2 * self.N + 2
+        return tree_branching(self.N, self.collapse_bins)
 
     def prefix_index(self, indices):
         """Row index of a bin prefix (j_1..j_i) in the step-i tables."""
         if self.collapse_bins:
             return 0
-        b = 2 * self.N + 2
-        idx = 0
-        for j in indices:
-            idx = idx * b + (j + self.N + 1)
-        return idx
+        return int(np.ravel_multi_index(np.add(indices, self.N + 1),
+                                        (self.branching(),) * len(indices)))
+
+
+def tree_branching(N, collapse):
+    """Children per node of the bin tree: one bin per step when it is
+    collapsed (beta_C = 0), else one per index of ``bin_indices(N)``."""
+    return 1 if collapse else len(bin_indices(N))
 
 
 def zero_policy(problem, K, N, R, degree, include_current_increment):
     """The all-zero table of polynomial nodes of the given degree for the
     discretization, gated at ``default_gate_level``."""
     collapse = problem.beta_c == 0.0
-    b = 1 if collapse else 2 * N + 2
+    b = tree_branching(N, collapse)
     check_path_guard(b, K)
     d = problem.d
     steps = []
@@ -428,17 +438,19 @@ def _step_words(d, K, step, degree, include_current):
     Letters 1..d are the x0 components; letters d*j+1..d*j+d the step-j GUE
     increment.  The node may read increments up to and including the current
     step (include_current=True) or only up to the previous one (strictly
-    adapted).
+    adapted).  Words come in the order their letters become available: the
+    empty word and x0's words, then for each step j the words that read
+    step j's increment and no later one, each group by length and then
+    lexicographically.
     """
     last = step if include_current else step - 1
-    letters = list(range(1, d + 1))
-    for j in range(1, last + 1):
+    words, letters = [()], []
+    for j in range(last + 1):
         letters.extend(range(d * j + 1, d * j + d + 1))
-    words = [()]
-    frontier = [()]
-    for _ in range(degree):
-        frontier = [w + (l,) for w in frontier for l in letters]
-        words.extend(frontier)
+        frontier = [()]
+        for _ in range(degree):
+            frontier = [w + (l,) for w in frontier for l in letters]
+            words.extend(w for w in frontier if max(w) > d * j)
     return words
 
 
@@ -714,11 +726,9 @@ def _realize_controls(policy, step_index, batch, suspects, materialise):
     n = policy.n
     B, d, W = st.coeffs.shape
     coeffs = st.coeffs.reshape(B * d, W)
-    cols = batch.word_index[step_index]
-    ctrl = _PolyControls(coeffs=st.coeffs,
-                         gram=batch.gram[:, cols[:, None], cols])
+    ctrl = _PolyControls(coeffs=st.coeffs, gram=batch.gram[:, :W, :W])
     if materialise or len(suspects):
-        lift = _lift(batch, cols)                            # (S, W, R)
+        lift = _lift(batch, slice(W))                        # (S, W, R)
     if materialise:
         ctrl.alpha = ((coeffs @ lift) @ batch.rows).view(complex).reshape(
             S, B, d, n, n)
@@ -809,7 +819,7 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
             step = delta * ctrl.values
             drift = step if drift is None else drift + step
         else:
-            coef[..., batch.word_index[i - 1]] += delta * st.coeffs
+            coef[..., :st.coeffs.shape[-1]] += delta * st.coeffs
             if len(ctrl.clip):
                 fixes.append((coef.shape[0], ctrl.clip.idx,
                               delta * (ctrl.new - ctrl.raw)))
@@ -881,19 +891,19 @@ def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
     return total, ggrad
 
 
-def _step_gradient(ctrl, adj, probs, delta, quad, batch, cols):
+def _step_gradient(ctrl, adj, probs, delta, quad, batch):
     """Parameter gradient of one poly step from ``adj`` = (d cost / d alpha)
     / delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
 
-    ``adj`` is paired with the step's gated features, the set's basis
-    columns ``cols``, through the rows and the ``_lift``, and the
+    ``adj`` is paired with the step's gated features, the set's leading
+    basis columns, through the rows and the ``_lift``, and the
     c||alpha||^2 term is ``energy_grad``; both assume an unclipped control,
     so the clipped slots add their difference to the pullback through the
     clip.
     """
     S, B, d, n = adj.shape[0], adj.shape[1], adj.shape[2], adj.shape[-1]
     rows_t = np.swapaxes(batch.rows, 1, 2)                  # (S, 2 n n, R)
-    lift_t = np.swapaxes(_lift(batch, cols), 1, 2)          # (S, R, W)
+    lift_t = np.swapaxes(_lift(batch, slice(ctrl.coeffs.shape[-1])), 1, 2)
     g = delta * ((adj.reshape(S, B * d, -1).view(float) @ rows_t)
                  @ lift_t).sum(axis=0)
     g += quad * delta * ctrl.energy_grad(probs).reshape(B * d, -1)
@@ -931,7 +941,7 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
         if sweep.form is not None:                   # (B_i, d, V)
             lam = gterm if lam is None else lam.reshape(
                 -1, branch, d, lam.shape[-1]).sum(axis=1)
-            grads[i - 1] = (delta * lam[..., batch.word_index[i - 1]]
+            grads[i - 1] = (delta * lam[..., :ctrl.coeffs.shape[-1]]
                             + (quad * delta / n) * ctrl.energy_grad(probs))
             continue
         p = probs[None, :, None, None, None]
@@ -945,8 +955,7 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
                                                      axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             adj = lam + p * gj[..., d:, :, :]
-        grads[i - 1] = _step_gradient(ctrl, adj, probs, delta, quad, batch,
-                                      batch.word_index[i - 1])
+        grads[i - 1] = _step_gradient(ctrl, adj, probs, delta, quad, batch)
     return grads
 
 
@@ -959,8 +968,7 @@ class _Batch:
     basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
     (S, V, V), traces tr b_v, (S, V), and ``radius``, (S, width), the clip
     pre-screen's bounds rho_{s,w} >= ||f_{s,w}||_op; ``_lift`` maps its
-    columns to the rows.  ``word_index`` lists each step's feature columns
-    (None for a const step)."""
+    columns to the rows.  A poly step's features are its leading columns."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -968,7 +976,6 @@ class _Batch:
     gram: np.ndarray
     traces: np.ndarray
     width: int
-    word_index: list
     radius: np.ndarray
 
     def slices(self, size):
@@ -990,8 +997,16 @@ def _lift(batch, cols):
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
     """The ``_Batch`` of a sample set; the increments' squares serve both
-    the gate and the rows' radii."""
+    the gate and the rows' radii.  A poly step whose words are not the
+    leading words of ``_global_words``, one coefficient per word, is a
+    ``ValueError``: the engine reads its features as the leading columns."""
     K, d = policy.K, problem.d
+    words = _global_words(problem, policy)
+    if any(st.kind == "poly" and (list(st.words) != words[:len(st.words)]
+                                  or st.coeffs.shape[-1] != len(st.words))
+           for st in policy.steps):
+        raise ValueError("a poly step needs the basis's leading words, one "
+                         "coefficient each")
     rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
     S, R, n, _ = rows.shape
     letters = rows[:, 1:1 + d * (1 + K)]
@@ -1002,7 +1017,6 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     factor = np.ones((S, len(index)))
     factor[:, :width] = gate[:, None] / (1.0 if policy.feature_scales is None
                                          else policy.feature_scales)
-    pos = {w: k for k, w in enumerate(_global_words(problem, policy))}
     flat = rows.reshape(S, R, -1).view(float)
     # the rows are Hermitian: Re tr(r_a r_b) is the dot product of float views
     gram = flat @ np.swapaxes(flat, 1, 2)
@@ -1011,15 +1025,12 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
         rows=flat, index=index, factor=factor,
         gram=gram[:, index[:, None], index] * factor[..., None] * factor[:, None],
         traces=traces[:, index] * factor, width=width,
-        word_index=[None if st.kind == "const" else
-                    np.array([pos[w] for w in st.words], dtype=int)
-                    for st in policy.steps],
         radius=factor[:, :width] * _row_radius(rows, d, squares)[:, row_of])
 
 
 def _global_words(problem, policy):
     """The last step's feature words at the policy's largest degree (at
-    least 1); every step's words are among them."""
+    least 1); a step's words at that degree are their leading words."""
     degree = max([len(w) for st in policy.steps if st.kind == "poly"
                   for w in st.words] + [1])
     return _step_words(problem.d, policy.K, policy.K, degree,
@@ -1039,8 +1050,9 @@ def _clip_screen(policy, batch):
     """Each step's ``_clip_suspects`` over the set: the flat (S, B d) slot
     indices of a poly step, None for a const step."""
     return [None if st.kind == "const" else _clip_suspects(
-        batch.radius[:, c], st.coeffs.reshape(-1, st.coeffs.shape[-1]),
-        policy.R) for st, c in zip(policy.steps, batch.word_index)]
+        batch.radius[:, :st.coeffs.shape[-1]],
+        st.coeffs.reshape(-1, st.coeffs.shape[-1]), policy.R)
+        for st in policy.steps]
 
 
 def _screen_rows(policy, screen, rows):
@@ -1383,16 +1395,6 @@ def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
                     w0_increments=dw0, gue_increments=gue, cost=total)
 
 
-def _bin_of(value, N):
-    """Bin index of a raw increment value (interior width 1/N, tails at +-1)."""
-    if value <= -1.0:
-        return -N - 1
-    if value > 1.0:
-        return N
-    j = math.ceil(value * N) - 1
-    return min(max(j, -N), N - 1)
-
-
 def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
     """Conditional-mean coarsening of sampled fine controls onto the bin tree.
 
@@ -1411,32 +1413,29 @@ def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
     if any(len(path.controls) != fine_steps for path in fine_samples):
         raise ValueError("fine samples live on different grids")
     per = fine_steps // K
-    branch = 2 * N + 2
+    branch = tree_branching(N, False)
 
     # per sample: coarse bin path and per-coarse-step time-averaged control
     S = len(fine_samples)
     coarse_w0 = np.array([path.w0_increments for path in fine_samples]).reshape(
         S, K, per).sum(axis=2)
-    sample_bins = [tuple(_bin_of(float(v), N) for v in row) for row in coarse_w0]
+    digits = bin_of(coarse_w0, N) + N + 1                       # (S, K)
     sample_avgs = np.array([path.controls for path in fine_samples]).reshape(
         S, K, per, d, n, n).mean(axis=2)
 
     steps, fallbacks = [], []
     for i in range(1, K + 1):
-        paths = branch ** i
-        values = np.zeros((paths, d, n, n), dtype=complex)
-        global_mean = sample_avgs[:, i - 1].mean(axis=0)
-        cells = {}
-        for bins, avgs in zip(sample_bins, sample_avgs):
-            cells.setdefault(bins[:i], []).append(avgs[i - 1])
-        for b in range(paths):
-            prefix = _prefix_from_index(b, i, N)
-            bucket = cells.get(prefix)
-            if bucket:
-                values[b] = np.mean(bucket, axis=0)
-            else:
-                values[b] = global_mean
-                fallbacks.append((i, prefix))
+        shape = (branch,) * i
+        node = np.ravel_multi_index(tuple(digits[:, :i].T), shape)
+        counts = np.bincount(node, minlength=branch ** i)
+        values = np.zeros((branch ** i, d, n, n), dtype=complex)
+        np.add.at(values, node, sample_avgs[:, i - 1])
+        filled = counts > 0
+        values[filled] /= counts[filled, None, None, None]
+        empty = np.flatnonzero(~filled)
+        values[empty] = sample_avgs[:, i - 1].mean(axis=0)
+        prefixes = np.transpose(np.unravel_index(empty, shape)) - (N + 1)
+        fallbacks += [(i, tuple(prefix)) for prefix in prefixes.tolist()]
         steps.append(PolicyStep(kind="const", values=hermitize(values)))
 
     R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
@@ -1445,15 +1444,6 @@ def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
                           steps=steps, collapse_bins=False,
                           include_current_increment=True,
                           fallback_cells=fallbacks)
-
-
-def _prefix_from_index(b, i, N):
-    branch = 2 * N + 2
-    digits = []
-    for _ in range(i):
-        digits.append(b % branch)
-        b //= branch
-    return tuple(dig - N - 1 for dig in reversed(digits))
 
 
 def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):

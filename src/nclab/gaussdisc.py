@@ -3,10 +3,11 @@
 Per time step the Brownian increment (variance delta) is classified into
 2N + 2 bins: interior bins (j/N, (j+1)/N] for j = -N..N-1 of fixed width 1/N
 on [-1, 1], and two tails (-inf, -1] and (1, inf) with indices -N-1 and N.
-The discrete noise replaces the increment by its conditional mean omega_j
-within the bin; a full path of bin indices then determines the piecewise
-value of the discretized Brownian motion and its probability, which
-``control._bin_tree`` tabulates for every path prefix at once.
+``bin_boundaries`` states the bins and ``bin_of`` reads an increment's bin
+off their right edges.  The discrete noise replaces the increment by its
+conditional mean omega_j within the bin; a full path of bin indices then
+determines the piecewise value of the discretized Brownian motion and its
+probability, which ``control._bin_tree`` tabulates for every path prefix.
 
 Tail quantities are written through the scaled complementary error function
 (erfcx), so conditional means never overflow regardless of how deep the
@@ -27,7 +28,7 @@ from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "TimeGrid", "NoiseTable",
-    "bin_boundaries", "bin_probability", "bin_conditional_mean",
+    "bin_boundaries", "bin_of", "bin_probability", "bin_conditional_mean",
     "bin_conditional_absdev", "noise_table",
     "truncated_gaussian_mean", "truncated_gaussian_variance",
     "bridge_bound_check",
@@ -127,6 +128,13 @@ def bin_boundaries(N, j):
     if -N <= j <= N - 1:
         return (j / N, (j + 1) / N)
     raise ValueError(f"bin index {j} out of range for N={N}")
+
+
+def bin_of(values, N):
+    """Bin index of each raw increment value, shaped as ``values``: the first
+    bin whose right edge (``bin_boundaries``) is >= the value."""
+    right = [bin_boundaries(N, j)[1] for j in bin_indices(N)]
+    return np.searchsorted(right, values) - (N + 1)
 
 
 def bin_probability(j, delta, N):

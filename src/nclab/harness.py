@@ -4,10 +4,11 @@ A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  Each kind
 accepts the parameter keys of its table in ``EXPERIMENT_PARAMS``, each with
-its default's type; lists must be non-empty and integers at least 1.  The
-whole config is checked before any experiment runs.  A manifest keyed by
-the hash of the config, the package version and the package sources makes
-reruns skip completed experiments whose files are all present.
+its default's type; lists must be non-empty, integers at least 1 and the
+floats of ``_FLOAT_ABOVE`` above their bounds.  The whole config is checked
+before any experiment runs.  A manifest keyed by the hash of the config,
+the package version and the package sources makes reruns skip completed
+experiments whose files are all present.
 
 ``run_config`` runs the experiments left to run side by side, one per
 worker of a ``threads``-wide pool (``parallel_map``), and writes their
@@ -77,6 +78,16 @@ def _write_atomic(path, write):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _load_json(path):
+    """The JSON document at ``path``, or None when the file is missing or
+    does not parse (not JSON, or not UTF-8)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, ValueError):
+        return None
 
 
 def write_csv(path, headers, rows):
@@ -482,6 +493,13 @@ def _conforms(value, default):
     return isinstance(value, type(default))
 
 
+# The exclusive lower bound of each float parameter that has one, by name:
+# a clip level R, a bin-table step length and a finite-difference step are
+# positive, and E exp(-n^2 coef tr_n x^2) diverges for coef <= -1/2, where
+# the ldp oracle 1/2 ln(1 + 2 coef) d is undefined.
+_FLOAT_ABOVE = {"R": 0.0, "delta_list": 0.0, "fd_step": 0.0, "coef": -0.5}
+
+
 def _in_range(value, default):
     """False for an empty list where ``default`` is a list and for an
     integer below 1 where it is an integer (list elements alike): every
@@ -497,10 +515,12 @@ def experiment_params(kind, params):
     """``params`` of an experiment (its ``kind`` key aside) completed with
     the defaults of ``EXPERIMENT_PARAMS[kind]``.  An unknown kind or key, a
     value of the wrong type, an empty list, a count below 1, a bad ``opt``
-    (``optimizer_config``) or problem template is an ``ExperimentError``;
-    a size beyond a resource guard (``control.PATH_GUARD`` on a ``value`` or
-    ``sweep`` bin tree, ``laplacian.GUE_LAPLACIAN_GUARD`` on a
-    ``laplacian-check``) is the guard's ``ValueError``."""
+    (``optimizer_config``; in ``value`` it may not set the sample counts),
+    a float at or below its ``_FLOAT_ABOVE`` bound or a bad problem template
+    is an ``ExperimentError``; a size beyond a resource guard
+    (``control.PATH_GUARD`` on a ``value`` or ``sweep`` bin tree,
+    ``laplacian.GUE_LAPLACIAN_GUARD`` on a ``laplacian-check``) is the
+    guard's ``ValueError``."""
     if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
         raise ExperimentError(f"unknown experiment kind {kind!r}")
     table = EXPERIMENT_PARAMS[kind]
@@ -515,9 +535,20 @@ def experiment_params(kind, params):
         if not _in_range(value, table[key]):
             raise ExperimentError(f"{kind} parameter {key!r} is out of range "
                                   f"(empty list or count below 1): {value!r}")
+        if key in _FLOAT_ABOVE and not all(
+                v > _FLOAT_ABOVE[key] for v in np.ravel(value)):
+            raise ExperimentError(f"{kind} parameter {key!r} must be above "
+                                  f"{_FLOAT_ABOVE[key]}, got {value!r}")
     params = {**table, **given}
     if "opt" in params:
         optimizer_config(params)
+    if kind == "value":  # its top-level sample counts, scaled with n, win
+        overridden = sorted({"train_samples", "val_samples"}
+                            & set(params["opt"]))
+        if overridden:
+            raise ExperimentError(
+                f"value parameter 'opt' sets {overridden}: give the top-level "
+                f"'train_samples' and 'val_samples', which value scales with n")
     if "template" in params:  # value and sweep; n = 1, so nothing grows
         beta_c = problem_from_params(params, 1).beta_c
         pairs = (params["pairs"] if kind == "sweep"
@@ -526,8 +557,8 @@ def experiment_params(kind, params):
             if len(pair) != 2:
                 raise ExperimentError(f"sweep parameter 'pairs' needs [K, N] "
                                       f"pairs, got {pair!r}")
-            K, N = pair  # the bin tree's branching, as the solve makes it
-            ctl.check_path_guard(1 if beta_c == 0.0 else 2 * N + 2, K)
+            K, N = pair
+            ctl.check_path_guard(ctl.tree_branching(N, beta_c == 0.0), K)
     if kind == "laplacian-check":
         check_gue_laplacian_guard(params["d"], max(params["n_list"]))
     return params
@@ -558,7 +589,8 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     so outputs, manifest and exit code are those of a serial run.  A run
     killed during the writes leaves the previous manifest, and a resume
     reruns those experiments.  An experiment after a failed one is not
-    started.
+    started.  A resume that runs nothing rewrites neither the manifest nor
+    a ``summary.json`` that already holds its summary.
 
     The manifest is keyed by the config, the seed, the package version and
     a digest of the package sources, so a resume after a code change reruns.
@@ -585,11 +617,7 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
                           "version": __version__, "sources": _source_digest()})
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {"config_hash": digest, "seed": seed, "experiments": {}}
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            old = json.load(fh)
-    except (FileNotFoundError, ValueError):  # ValueError: not JSON or not UTF-8
-        old = None
+    old = _load_json(manifest_path)
     if (isinstance(old, dict) and old.get("config_hash") == digest
             and isinstance(old.get("experiments"), dict)):
         manifest = old
@@ -643,8 +671,11 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             }
         summary[key] = manifest["experiments"][key]["checks"]
 
-    _write_json(manifest_path, manifest)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    summary_path = os.path.join(out_dir, "summary.json")
+    if results or manifest is not old:
+        _write_json(manifest_path, manifest)
+    if results or _load_json(summary_path) != summary:
+        _write_json(summary_path, summary)
     return summary
 
 

@@ -80,6 +80,49 @@ def test_laplacian_criteria_follow_the_master_seed(monkeypatch):
     assert rows[0]["measured"] == checks["fd_max_gap"]["measured"]
 
 
+def test_check_rows_take_tolerance_and_verdict_from_their_check(monkeypatch):
+    """Criteria 1, 3, 4, 5 and 7 state no tolerance of their own: with
+    planted checks whose verdicts disagree with the old literals, each row
+    carries its check's target as tolerance and its check's pass, and
+    criterion 1 judges each moment against its check's target."""
+    moments = {"measured": [0.01, 0.2, 0.02, 0.3], "target": 0.1, "pass": False}
+    final = {"measured": 0.04, "target": 0.03, "pass": False}
+    identity = {"measured": 1e-3, "target": 1e-2, "pass": True}
+    fd = {"measured": 2e-6, "target": 1e-6, "pass": False}
+    lhs = {"measured": 0.03, "target": 0.04, "pass": True}
+    rhs = {"measured": 0.06, "target": 0.07, "pass": True}
+    planted = {
+        "spectrum": {"semicircle_rel_err_n256": moments},
+        "freeness": {"strictly_decreasing": {"measured": [0.2, 0.1, 0.04],
+                                             "pass": True},
+                     "final_below_0.05": final},
+        "laplacian-check": {"identity_max_gap": identity, "fd_max_gap": fd},
+        "ldp": {"lhs_vs_oracle": lhs, "rhs_vs_oracle_rel": rhs,
+                "rhs_above_lhs": {"measured": 0.0, "target": -0.01,
+                                  "pass": True}},
+    }
+    monkeypatch.setattr(harness, "experiment_csv",
+                        lambda kind, params, stream: (["h"], [[0]],
+                                                      planted[kind]))
+    acceptance._laplacian_rows.cache_clear()
+    try:
+        rows = {r["id"]: r for cid in (1, 3, 4, 5, 7)
+                for r in acceptance.CRITERIA[cid](None)[0]}
+    finally:
+        acceptance._laplacian_rows.cache_clear()
+    for k, m in enumerate(moments["measured"], start=1):
+        r = rows[f"1.semicircle_m{2 * k}"]
+        assert (r["measured"], r["tolerance"], r["pass"]) == (m, 0.1, m <= 0.1)
+    for check_id, check in [("3.final_below", final),
+                            ("4.laplacian_identity_max_gap", identity),
+                            ("5.laplacian_vs_fd_max_gap", fd),
+                            ("7.bd_lhs_vs_oracle", lhs),
+                            ("7.bd_rhs_vs_oracle", rhs)]:
+        r = rows[check_id]
+        assert (r["measured"], r["tolerance"], r["pass"]) == (
+            check["measured"], check["target"], check["pass"])
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the 5% band around 0.625 ln 3 is unattainable at K=4, N=2: the "

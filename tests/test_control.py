@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from conftest import hermitian_batch, random_hermitian
 from nclab import control as ctl
 from nclab import randmat as rm
-from nclab.gaussdisc import TimeGrid, noise_table
+from nclab.gaussdisc import TimeGrid, bin_boundaries, bin_indices, noise_table
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
 from nclab.matrixcore import (NumericalError, apply_scalar_function,
@@ -149,12 +149,15 @@ def control_slots(part, sweep):
 
 def batch_inputs(problem, policy, rng, tag, sample_indices):
     """The engine's batch of the samples and, drawn again from the same
-    stream, the letters, gate and global word features it is built from."""
+    stream, the letters, gate and global word features it is built from,
+    with each step's columns among those features found by word."""
     batch = ctl._prepare_batch(problem, policy, rng, tag, sample_indices)
     letters = sample_letters(problem, policy.K, sample_indices, rng, tag)
     gate = gate_indicator(letters, problem.d, policy.K, policy.gate_level)
-    features = ctl._word_features(letters, ctl._global_words(problem, policy))
-    return batch, (letters, gate, features, batch.word_index)
+    words = ctl._global_words(problem, policy)
+    features = ctl._word_features(letters, words)
+    word_index = [[words.index(w) for w in st.words] for st in policy.steps]
+    return batch, (letters, gate, features, word_index)
 
 
 def test_forward_matches_naive_tree(stream):
@@ -891,6 +894,45 @@ def test_word_features_match_explicit_products(stream):
             assert np.max(np.abs(feats[s, k] - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("include_current", [True, False])
+def test_step_words_are_leading_words_of_the_basis(degree, include_current):
+    """Each step's words, listed as their letters become available, are the
+    leading words of ``_global_words``; at degree 1 they are the empty word,
+    x0's letters and then each readable step's increment letters."""
+    d, K = 2, 3
+    problem = lq_problem(2, d=d)
+    policy = ctl.zero_policy(problem, K, 1, 8.0, degree, include_current)
+    words = ctl._global_words(problem, policy)
+    assert len(set(words)) == len(words)
+    for i, st in enumerate(policy.steps, start=1):
+        letters = range(1, d * (1 + (i if include_current else i - 1)) + 1)
+        assert st.words == words[:len(st.words)]
+        assert {l for w in st.words for l in w} == set(letters)
+        assert len(st.words) == sum(len(letters) ** k
+                                    for k in range(degree + 1))
+        if degree == 1:
+            assert st.words == [()] + [(l,) for l in letters]
+
+
+def test_prepare_batch_refuses_words_that_do_not_lead_the_basis(stream):
+    """A hand-built poly step whose words are not the basis's leading words
+    (here the last step's words in the earlier order, or a step of a lower
+    degree than another) would read the wrong columns: it is refused."""
+    problem = lq_problem(2, d=1)
+    policy = ctl.zero_policy(problem, 2, 1, 8.0, 2, True)
+    graded = [()] + [(l,) for l in (1, 2, 3)] + [(a, b) for a in (1, 2, 3)
+                                                 for b in (1, 2, 3)]
+    assert sorted(graded) == sorted(policy.steps[1].words) != graded
+    mixed = ctl.zero_policy(problem, 2, 1, 8.0, 1, True).steps[1]
+    for step in (ctl.PolicyStep(kind="poly", words=graded,
+                                coeffs=np.zeros((16, 1, len(graded)))), mixed):
+        bad = replace(policy, steps=[policy.steps[0], step])
+        with pytest.raises(ValueError, match="leading words"):
+            ctl._prepare_batch(problem, bad, stream, "t", range(2))
+    ctl._prepare_batch(problem, policy, stream, "t", range(2))
+
+
 def test_engine_eigensolver_failure_is_numerical(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
@@ -1271,9 +1313,16 @@ def test_coarsen_flags_empty_cells(stream):
     assert policy.fallback_cells  # 2 samples cannot cover 4 + 16 cells
 
 
+def bin_containing(value, N):
+    """The bin j whose interval ``bin_boundaries(N, j)`` = (a, b] holds value."""
+    return next(j for j in bin_indices(N)
+                if bin_boundaries(N, j)[0] < value <= bin_boundaries(N, j)[1])
+
+
 def test_coarsen_averages_per_coarse_step_and_bin_path(stream):
     # a fine grid of 3 steps per coarse step: each node is the mean, over the
-    # samples on its bin prefix, of their controls' time averages
+    # samples on its bin prefix, of their controls' time averages; node b of
+    # step i is prefix_index's C-order prefix, bins read off bin_boundaries
     problem = lq_problem(2, beta_c=1.0, beta_f=0.0)
     gen = stream.child("avg").generator()
     samples = []
@@ -1284,11 +1333,12 @@ def test_coarsen_averages_per_coarse_step_and_bin_path(stream):
     policy = ctl.coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
     avgs = np.array([p.controls for p in samples]).reshape(40, 2, 3, 1, 2, 2)
     avgs = avgs.mean(axis=2)
-    bins = [tuple(ctl._bin_of(float(sum(p.w0_increments[3 * i:3 * i + 3])), 1)
+    bins = [tuple(bin_containing(sum(p.w0_increments[3 * i:3 * i + 3]), 1)
                   for i in range(2)) for p in samples]
     for i, st in enumerate(policy.steps, start=1):
         for b, value in enumerate(st.values):
-            prefix = ctl._prefix_from_index(b, i, 1)
+            prefix = tuple(int(j) - 2 for j in np.unravel_index(b, (4,) * i))
+            assert policy.prefix_index(prefix) == b
             cell = [avgs[s, i - 1] for s in range(40) if bins[s][:i] == prefix]
             want = np.mean(cell, axis=0) if cell else avgs[:, i - 1].mean(axis=0)
             assert np.allclose(value, want, atol=1e-12)

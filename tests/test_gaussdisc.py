@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,25 @@ def test_bin_boundaries_out_of_range():
         gd.bin_boundaries(2, 3)
     with pytest.raises(ValueError):
         gd.bin_boundaries(2, -4)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 25])
+def test_bin_of_reads_the_right_closed_bins(gen, N):
+    """``bin_of`` puts each value in the bin (a, b] of ``bin_boundaries``
+    that holds it: on random values, at every edge j/N (-1 and 1 among
+    them; at N = 25 the edge 7/25 times N rounds above 7) and just above
+    each edge."""
+    edges = np.array([j / N for j in range(-N, N + 1)])
+    values = np.concatenate([gen.uniform(-1.5, 1.5, 500), edges,
+                             np.nextafter(edges, math.inf)])
+    got = gd.bin_of(values, N)
+    assert got.shape == values.shape
+    for v, j in zip(values, got):
+        a, b = gd.bin_boundaries(N, int(j))
+        assert a < v <= b
+    assert gd.bin_of(-1.0, N) == -N - 1 and gd.bin_of(1.0, N) == N - 1
+    assert list(gd.bin_of(edges[1:], N)) == list(range(-N, N))
+    assert gd.bin_of(np.zeros((2, 3)), N).shape == (2, 3)
 
 
 def test_bin_probabilities_partition():
@@ -163,6 +183,30 @@ def test_noise_value_antisymmetric_pair():
     tree = ctl._bin_tree(2, 2, 0.25, False)
     assert tree.noise[1][tree_row(2, (1, -2))] == pytest.approx(0.0,
                                                                 abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_prefix_index_numbers_the_bin_tree_rows(N):
+    """``prefix_index`` is the C-order numbering ``_bin_tree`` builds: the
+    row of each prefix holds the product of its bins' probabilities and
+    the sum of their conditional means, and its parent's row is the row
+    over the branching."""
+    K, delta = 3, 0.25
+    table = gd.noise_table(N, delta)
+    tree = ctl._bin_tree(K, N, delta, False)
+    branch = ctl.tree_branching(N, False)
+    for i in range(1, K + 1):
+        rows = []
+        for prefix in itertools.product(table.indices, repeat=i):
+            row = tree_row(N, prefix)
+            rows.append(row)
+            assert tree.probs[i - 1][row] == pytest.approx(
+                math.prod(table.prob(j) for j in prefix), rel=1e-14)
+            assert tree.noise[i - 1][row] == pytest.approx(
+                sum(table.omega(j) for j in prefix), abs=1e-14)
+            if i > 1:
+                assert tree_row(N, prefix[:-1]) == row // branch
+        assert sorted(rows) == list(range(branch ** i))
 
 
 def test_prefix_semantics():

@@ -220,6 +220,20 @@ def test_resume_renames_manifest_and_summary_once(tmp_path, renames):
                                ("manifest.json", True), ("summary.json", True)]
 
 
+def test_rerun_of_a_finished_config_renames_nothing(tmp_path, renames):
+    out = tmp_path / "o"
+    harness.run_config(tiny_config(), str(out))
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    renames.clear()
+    harness.run_config(tiny_config(), str(out))
+    assert renames == []
+    (out / "summary.json").unlink()
+    harness.run_config(tiny_config(), str(out))
+    assert renames == [("summary.json", False)]
+    assert {name: (out / name).read_bytes()
+            for name in os.listdir(out)} == before
+
+
 @pytest.mark.parametrize("failing,written", [
     ("spectrum", []),
     ("gaussdisc-check", [("00_spectrum.csv", False), ("manifest.json", False)]),
@@ -298,7 +312,8 @@ def inline_problem_without_outer():
 # optimizer option, an inline problem whose terminal has no outer, sizes
 # beyond the bin-path and GUE-Laplacian guards, an inline problem whose x0
 # is not Hermitian, 2-D, of the wrong d or not numbers, or whose n is not
-# an integer, sweep pairs that are not [K, N], and a ragged inline x0
+# an integer, sweep pairs that are not [K, N], a ragged inline x0, a float
+# at or below its bound, and value sample counts in opt
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -343,6 +358,20 @@ def inline_problem_without_outer():
     ({"kind": "value", "template": "json",
       "problem": inline_problem(x0_re=[[[0.0, 0.0], [0.0]]])},
      "x0_re and x0_im must be number arrays of one shape"),
+    ({"kind": "truncation-check", "instances": 2, "R": -1.0},
+     "truncation-check parameter 'R' must be above 0.0, got -1.0"),
+    ({"kind": "value", "R": 0}, "value parameter 'R' must be above 0.0"),
+    ({"kind": "sweep", "R": 0.0}, "sweep parameter 'R' must be above 0.0"),
+    ({"kind": "gaussdisc-check", "delta_list": [0.25, 0.0]},
+     "gaussdisc-check parameter 'delta_list' must be above 0.0, got [0.25, 0.0]"),
+    ({"kind": "laplacian-check", "fd_step": 0.0},
+     "laplacian-check parameter 'fd_step' must be above 0.0"),
+    ({"kind": "ldp", "coef": -1.0}, "ldp parameter 'coef' must be above -0.5"),
+    ({"kind": "ldp", "coef": -0.5}, "ldp parameter 'coef' must be above -0.5"),
+    ({"kind": "value", "n_list": [4], "opt": {"train_samples": 500,
+                                              "val_samples": 900}},
+     "value parameter 'opt' sets ['train_samples', 'val_samples']: give the "
+     "top-level 'train_samples' and 'val_samples'"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
