@@ -66,13 +66,16 @@ def criterion_1():
 
 
 def criterion_2():
-    """Median GUE operator norm at n=512 within [1.90, 2.15]."""
+    """Median GUE operator norm at n=512 within ``harness.OPNORM_BAND``,
+    the band of the ``spectrum`` experiment's ``opnorm_median`` check, over
+    draws of its own."""
     stream = _stream(2)
     norms = [np.max(np.abs(np.linalg.eigvalsh(
         sample_gue(512, stream.child("op", s))))) for s in range(10)]
     med = float(np.median(norms))
-    return [_row("2.opnorm_median", med, 2.0, "within [1.90, 2.15]",
-                 1.90 <= med <= 2.15)], None
+    low, high = harness.OPNORM_BAND
+    return [_row("2.opnorm_median", med, 2.0, f"within [{low:.2f}, {high:.2f}]",
+                 low <= med <= high)], None
 
 
 def criterion_3():

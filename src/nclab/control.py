@@ -30,9 +30,10 @@ Lagrangian term of a level, one contraction
 (c/n) <G_s, sum_J p_J c_J c_J^T> per sample, and its gradient
 2 c delta p_J / n sum_s G_s c_J.  The clip's pre-screen is the triangle
 bound ||alpha||_op <= sum_w |c_w| rho_{s,w}, with rho_{s,w} >= ||f_{s,w}||_op
-computed once per sample set without an eigensolve: no slot of the set can
-exceed R when sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k), and
-only where that fails is the bound tested per slot.  Each rho_{s,w} is
+and its maximum over the samples computed once per sample set without an
+eigensolve: no slot of the set can exceed R when
+sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k), and only where
+that fails is the bound tested per slot.  Each rho_{s,w} is
 within a factor n^(1/8) of the operator norm the clip acts on.  States are
 real combinations of the per-sample basis b = [f; 1; x0; increments], so the
 tree expands on the (B_i, d, V) coefficients,
@@ -75,12 +76,15 @@ reads the leaves only through tr_n X_k = C_k . t_s / n and
 tr_n X_k X_l = C_k^T H_s C_l / n, so its value needs no n x n array, and its
 gradient is a coefficient adjoint (B, d, V), summed over children up the
 tree; a poly step's parameter gradient is that adjoint's feature columns
-times delta plus the c||alpha||^2 term.  Where this does not apply exactly
-the leaf states are made and the terminal reads them, with the state
-adjoint paired with the features through the lift: a terminal without
-that form (the quartic cost, a nonlinear outer), l0 set (every level's
-states), and a const step or a slot the clip binds (their drift and fixes
-are not in the basis span).
+times delta plus the c||alpha||^2 term.  Every product over the nodes is
+one 2-D GEMM on the coefficients flattened to (B, d V) or (B d, W) rows:
+the form's letter mixing acts after the sum over the leaves, and in the
+adjoint as the Kronecker product of the form with sum_s H_s.  Where this
+does not apply exactly the leaf states are made and the terminal reads
+them, with the state adjoint paired with the features through the lift:
+a terminal without that form (the quartic cost, a nonlinear outer), l0
+set (every level's states), and a const step or a slot the clip binds
+(their drift and fixes are not in the basis span).
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
@@ -116,7 +120,7 @@ from .gaussdisc import TimeGrid, bin_indices, bin_of, noise_table
 from .laplacian import CylindricalFunction, trace_power
 from .matrixcore import (NumericalError, _frechet, _norm_bound_from_square,
                          _spectral_calculus, apply_scalar_function,
-                         assert_hermitian, eigh, hermitize, operator_norm,
+                         assert_hermitian, eigh, hermitize,
                          operator_norm_bound)
 # nothing here calls sample_gue_tuple: perfbench/tracer.py wraps it by name
 from .randmat import RngStream, sample_gue_tuple
@@ -412,7 +416,7 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
     d = problem.d
     steps = []
     for i in range(1, K + 1):
-        words = _step_words(d, K, i, degree, include_current_increment)
+        words = _step_words(d, i, degree, include_current_increment)
         steps.append(PolicyStep(kind="poly", words=words,
                                 coeffs=np.zeros((b ** i, d, len(words)))))
     return DiscretePolicy(K=K, N=N, R=R, gate_level=default_gate_level(problem),
@@ -421,9 +425,15 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
 
 
 def default_gate_level(problem):
-    """M >= 3 sqrt(T - t0) and >= the initial condition's operator norm."""
+    """M >= 3 sqrt(T - t0) and >= the initial condition's operator norm.
+    ``ControlProblem`` has validated x0 and stored it exactly Hermitian, so
+    its eigenvalues come from ``eigvalsh`` alone."""
     base = 3.0 * math.sqrt(problem.T - problem.t0)
-    return max(base, operator_norm(problem.x0) + 1e-9)
+    try:
+        w = np.linalg.eigvalsh(problem.x0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"gate-level eigensolver failed: {exc}") from exc
+    return max(base, float(np.max(np.abs(w))) + 1e-9)
 
 
 def check_path_guard(branching, K):
@@ -432,7 +442,7 @@ def check_path_guard(branching, K):
             f"bin-path count {branching}^{K} exceeds the {PATH_GUARD} guard")
 
 
-def _step_words(d, K, step, degree, include_current):
+def _step_words(d, step, degree, include_current):
     """Feature words available to the node at ``step`` (global letter indices).
 
     Letters 1..d are the x0 components; letters d*j+1..d*j+d the step-j GUE
@@ -441,9 +451,16 @@ def _step_words(d, K, step, degree, include_current):
     adapted).  Words come in the order their letters become available: the
     empty word and x0's words, then for each step j the words that read
     step j's increment and no later one, each group by length and then
-    lexicographically.
+    lexicographically.  A fresh list of ``_words_through``'s words.
     """
-    last = step if include_current else step - 1
+    return list(_words_through(d, step if include_current else step - 1,
+                               degree))
+
+
+@functools.lru_cache(maxsize=64)
+def _words_through(d, last, degree):
+    """``_step_words``'s words reading increments up to step ``last``, as a
+    tuple, built once per (d, last, degree)."""
     words, letters = [()], []
     for j in range(last + 1):
         letters.extend(range(d * j + 1, d * j + d + 1))
@@ -451,7 +468,7 @@ def _step_words(d, K, step, degree, include_current):
         for _ in range(degree):
             frontier = [w + (l,) for w in frontier for l in letters]
             words.extend(w for w in frontier if max(w) > d * j)
-    return words
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +644,14 @@ def _pullback_clip(grad, records):
     return _frechet(records.q, records.mult, grad)
 
 
-def _clip_suspects(radius, coeffs, R):
+def _clip_suspects(radius, top, coeffs, R):
     """Flat indices over (S, B d) of the slots of a poly step whose control
     alpha = sum_w c_w f_{s,w} may exceed R in operator norm, by the triangle
     bound sum_w |c_w| rho_{s,w} on the features' radius bounds (S, W).  One
-    set-wide check over max_s rho_{s,w} clears every slot first when it can."""
+    set-wide check on ``top`` >= max_s rho_{s,w}, (W,), clears every slot
+    first when it can."""
     reach = np.abs(coeffs).T                                  # (W, B d)
-    if not _norm_suspects(np.max(radius.max(axis=0) @ reach), R):
+    if not _norm_suspects((top @ reach).max(), R):
         return np.zeros(0, dtype=int)
     return np.flatnonzero(_norm_suspects(radius @ reach, R))
 
@@ -699,8 +717,10 @@ class _PolyControls:
     def energy_grad(self, probs):
         """The derivative of ``energy`` summed over the samples in the
         coefficients, (B, d, W): 2 p_J sum_s G_s c_J, as if nothing were
-        clipped."""
-        return 2.0 * probs[:, None, None] * (self.coeffs @ self.gram.sum(axis=0))
+        clipped, with the (B d, W) coefficients in one GEMM."""
+        B, d, W = self.coeffs.shape
+        grad = self.coeffs.reshape(B * d, W) @ self.gram.sum(axis=0)
+        return 2.0 * probs[:, None, None] * grad.reshape(B, d, W)
 
 
 def _sample_rows(s_idx, S):
@@ -801,8 +821,9 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
     l0, quad = problem.cost.l0, problem.cost.quad_coef
     materialise = keep_states or l0 is not None
     W = batch.width
+    eye = np.eye(d)
     coef = np.zeros((1, d, batch.gram.shape[-1]))
-    coef[0, :, W + 1:W + 1 + d] = np.eye(d)              # x0
+    coef[0, :, W + 1:W + 1 + d] = eye                    # x0
     drift, fixes = None, []
     states, lagrangians, controls = [], [], []
     for i in range(1, K + 1):
@@ -812,7 +833,7 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
                                  materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
-        coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * np.eye(d)
+        coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * eye
         if drift is not None:
             drift = np.repeat(drift, branch, axis=0)
         if st.kind == "const":
@@ -851,20 +872,28 @@ def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
     With the basis Gram H_s and traces t_s, tr_n X_k X_l = C_k^T H_s C_l / n
     and tr_n X_k = C_k . t_s / n, so no n x n array is formed.  The form is
     affine in those, so it is summed over the leaves first: its value needs
-    only sum_b p_b C_b and sum_b p_b C_b C_b^T, and its gradient sum_s H_s.
+    only sum_b p_b C_b and sum_b p_b C_b (x) C_b, and its gradient sum_s H_s.
+    Every product over the leaves is one 2-D GEMM on the (B, d V) rows of
+    the coefficients; the form's Q mixes the letters after the leaf sum, or
+    as Q (x) sum_s H_s in the gradient's.
     """
     B, d, V = coef.shape
-    qc = form.quad @ coef                                    # (B, d, V)
-    pc = probs[:, None, None] * coef
-    mean = (form.lin @ pc.sum(axis=0)) @ batch.traces.T      # (S,)
-    second = pc.reshape(B * d, V).T @ qc.reshape(B * d, V)   # (V, V)
+    flat = coef.reshape(B, d * V)
+    first = (probs @ flat).reshape(d, V)                     # sum_b p_b C_b
+    outer = ((probs[:, None] * flat).T @ flat).reshape(d, V, d, V)
+    second = np.einsum("kl,kvlw->vw", form.quad, outer)      # (V, V)
+    mean = (form.lin @ first) @ batch.traces.T               # (S,)
     values = (form.const * probs.sum()
               + (mean + np.einsum("svw,vw->s", batch.gram, second)) / n)
     if not want_grad:
         return values, None
-    adj = (np.multiply.outer(form.lin, batch.traces.sum(axis=0))
-           + 2.0 * qc @ batch.gram.sum(axis=0)) * (probs[:, None, None] / n)
-    return values, adj
+    # Q (x) sum_s H_s as a (d V, d V) matrix: entry ((l, w), (k, v)) is
+    # Q_kl (sum_s H_s)_wv
+    mixed = np.multiply.outer(form.quad.T, batch.gram.sum(axis=0))
+    mixed = mixed.transpose(0, 2, 1, 3).reshape(d * V, d * V)
+    adj = (np.outer(form.lin, batch.traces.sum(axis=0)).reshape(d * V)
+           + 2.0 * flat @ mixed)
+    return values, (adj * (probs[:, None] / n)).reshape(B, d, V)
 
 
 def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
@@ -967,8 +996,9 @@ class _Batch:
     row ``index[v]`` times ``factor[s, v]`` (see the module docstring).  The
     basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
     (S, V, V), traces tr b_v, (S, V), and ``radius``, (S, width), the clip
-    pre-screen's bounds rho_{s,w} >= ||f_{s,w}||_op; ``_lift`` maps its
-    columns to the rows.  A poly step's features are its leading columns."""
+    pre-screen's bounds rho_{s,w} >= ||f_{s,w}||_op, with ``top``, (width,),
+    their maximum over the set; ``_lift`` maps its columns to the rows.  A
+    poly step's features are its leading columns."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -977,14 +1007,16 @@ class _Batch:
     traces: np.ndarray
     width: int
     radius: np.ndarray
+    top: np.ndarray
 
     def slices(self, size):
-        """The set as consecutive batches of ``size`` samples (views)."""
+        """The set as consecutive batches of ``size`` samples (views); each
+        keeps the set's ``top``, which also bounds its own radii."""
         for lo in range(0, len(self.gram), size):
             rows = slice(lo, lo + size)
-            yield replace(self, rows=self.rows[rows], factor=self.factor[rows],
-                          gram=self.gram[rows], traces=self.traces[rows],
-                          radius=self.radius[rows])
+            yield _Batch(self.rows[rows], self.index, self.factor[rows],
+                         self.gram[rows], self.traces[rows], self.width,
+                         self.radius[rows], self.top)
 
 
 def _lift(batch, cols):
@@ -1021,11 +1053,12 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     # the rows are Hermitian: Re tr(r_a r_b) is the dot product of float views
     gram = flat @ np.swapaxes(flat, 1, 2)
     traces = flat[..., ::2 * (n + 1)].sum(axis=-1)        # Re of the diagonal
+    radius = factor[:, :width] * _row_radius(rows, d, squares)[:, row_of]
     return _Batch(
         rows=flat, index=index, factor=factor,
         gram=gram[:, index[:, None], index] * factor[..., None] * factor[:, None],
-        traces=traces[:, index] * factor, width=width,
-        radius=factor[:, :width] * _row_radius(rows, d, squares)[:, row_of])
+        traces=traces[:, index] * factor, width=width, radius=radius,
+        top=radius.max(axis=0))
 
 
 def _global_words(problem, policy):
@@ -1033,7 +1066,7 @@ def _global_words(problem, policy):
     least 1); a step's words at that degree are their leading words."""
     degree = max([len(w) for st in policy.steps if st.kind == "poly"
                   for w in st.words] + [1])
-    return _step_words(problem.d, policy.K, policy.K, degree,
+    return _step_words(problem.d, policy.K, degree,
                        policy.include_current_increment)
 
 
@@ -1049,18 +1082,23 @@ def _feature_scales(problem, policy, rng, tag, sample_indices):
 def _clip_screen(policy, batch):
     """Each step's ``_clip_suspects`` over the set: the flat (S, B d) slot
     indices of a poly step, None for a const step."""
-    return [None if st.kind == "const" else _clip_suspects(
-        batch.radius[:, :st.coeffs.shape[-1]],
-        st.coeffs.reshape(-1, st.coeffs.shape[-1]), policy.R)
-        for st in policy.steps]
+    out = []
+    for st in policy.steps:
+        if st.kind == "const":
+            out.append(None)
+            continue
+        W = st.coeffs.shape[-1]
+        out.append(_clip_suspects(batch.radius[:, :W], batch.top[:W],
+                                  st.coeffs.reshape(-1, W), policy.R))
+    return out
 
 
 def _screen_rows(policy, screen, rows):
     """The ``screen`` entries of the samples in slice ``rows``, indexed
-    within it."""
+    within it; an empty entry needs no cut."""
     out = []
     for st, suspects in zip(policy.steps, screen):
-        if suspects is not None:
+        if suspects is not None and len(suspects):
             slots = st.coeffs[..., 0].size
             lo = rows.start * slots
             cut = np.searchsorted(suspects, (lo, rows.stop * slots))

@@ -33,7 +33,7 @@ import os
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -152,27 +152,34 @@ def quartic_problem(n, **kwargs):
     return replace(problem, cost=cost)
 
 
-def problem_from_params(params, n):
-    """The control problem of a ``value`` or ``sweep`` experiment's
-    parameters (see ``experiment_params``) at size n."""
+def problem_from_params(params, sizes):
+    """The control problems of a ``value`` or ``sweep`` experiment's
+    parameters (see ``experiment_params``), one per size n of ``sizes``.
+    The cost does not depend on n, so the problems share one; an inline
+    problem (``json``) has its own n and is the same at every size."""
     template = params["template"]
     kwargs = {key: params[key] for key in ("d", "beta_c", "beta_f", "t0", "T")}
-    if params["x0"] == "identity":
-        kwargs["x0"] = np.broadcast_to(np.eye(n), (kwargs["d"], n, n))
-    elif params["x0"] is not None:
+    if params["x0"] not in ("identity", None):
         raise ExperimentError(
             f"x0 must be 'identity' or absent, got {params['x0']!r}")
-    if template == "lq":
-        return lq_problem(n, **kwargs)
-    if template == "quartic":
-        return quartic_problem(n, **kwargs)
+
+    def x0(n):
+        if params["x0"] is None:
+            return np.zeros((kwargs["d"], n, n))
+        return np.broadcast_to(np.eye(n), (kwargs["d"], n, n))
+
+    if template in ("lq", "quartic"):
+        make = lq_problem if template == "lq" else quartic_problem
+        first = make(sizes[0], x0=x0(sizes[0]), **kwargs)
+        return [first] + [replace(first, n=n, x0=x0(n)) for n in sizes[1:]]
     if template == "json":
         if not isinstance(params["problem"], dict):
             raise ExperimentError("template 'json' needs a 'problem' object")
         try:
-            return ctl.ControlProblem.from_json(json.dumps(params["problem"]))
+            problem = ctl.ControlProblem.from_json(json.dumps(params["problem"]))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ExperimentError(f"invalid inline problem: {exc!r}") from exc
+        return [problem] * len(sizes)
     raise ExperimentError(f"unknown problem template {template!r}")
 
 
@@ -184,25 +191,41 @@ _OPT_MINIMUM = {"train_samples": 2, "val_samples": 2, "max_iters": 0,
                 "degree": 0}
 
 
+# Each ``OptimizerConfig`` field's annotated types (a union's members),
+# resolved once: the annotations are strings until ``get_type_hints``.
+_OPT_TYPES = {key: typing.get_args(hint) or (hint,) for key, hint
+              in typing.get_type_hints(ctl.OptimizerConfig).items()}
+
+
 def optimizer_config(params, **overrides):
     """``OptimizerConfig`` from the ``opt`` object, whose keys must be its
     fields with values of their annotated types, counts at least their
     ``_OPT_MINIMUM``, and ``overrides``."""
     opt = params["opt"]
-    hints = typing.get_type_hints(ctl.OptimizerConfig)
-    bad = sorted(set(opt) - {f.name for f in fields(ctl.OptimizerConfig)})
+    bad = sorted(set(opt) - set(_OPT_TYPES))
     if bad:
         raise ExperimentError(f"unknown optimizer options {bad}")
     for key, value in opt.items():
-        types = typing.get_args(hints[key]) or (hints[key],)
         if not any(value is None if t is type(None) else _conforms(value, t())
-                   for t in types):
+                   for t in _OPT_TYPES[key]):
             raise ExperimentError(f"optimizer option {key!r} has the wrong "
                                   f"type: {value!r}")
         if key in _OPT_MINIMUM and value is not None and value < _OPT_MINIMUM[key]:
             raise ExperimentError(f"opt.{key} must be at least "
                                   f"{_OPT_MINIMUM[key]}, got {value!r}")
     return ctl.OptimizerConfig(**{**opt, **overrides})
+
+
+def _solve_log(params, tag):
+    """The iteration log of one of an experiment's solves: ``opt.log_path``
+    with ``_{tag}`` before its extension (``iters.csv`` -> ``iters_n8.csv``),
+    or None when there is no log.  Each solve opens its log for writing, so
+    solves that shared one file would leave only the last one's rows."""
+    path = params["opt"].get("log_path")
+    if not path:
+        return None
+    root, ext = os.path.splitext(path)
+    return f"{root}_{tag}{ext}"
 
 
 def scaled_samples(n, base_train, base_val):
@@ -217,6 +240,11 @@ def scaled_samples(n, base_train, base_val):
 # ---------------------------------------------------------------------------
 # experiment implementations
 # ---------------------------------------------------------------------------
+
+
+# The band the median GUE operator norm of a spectrum size must fall in:
+# the semicircle's edge is 2, approached from either side at finite n.
+OPNORM_BAND = (1.90, 2.15)
 
 
 def _exp_spectrum(params, stream):
@@ -244,9 +272,10 @@ def _exp_spectrum(params, stream):
             "measured": [float(r) for r in rel], "target": 0.05,
             "pass": bool(max(rel) <= 0.05)}
         med = float(np.median(opnorms))
+        low, high = OPNORM_BAND
         checks[f"opnorm_median_n{n}"] = {
-            "measured": med, "target": [1.90, 2.15],
-            "pass": bool(1.90 <= med <= 2.15)}
+            "measured": med, "target": [low, high],
+            "pass": bool(low <= med <= high)}
     return headers, rows, checks
 
 
@@ -332,11 +361,11 @@ def _exp_value(params, stream):
     K, N, R, n_list = params["K"], params["N"], params["R"], params["n_list"]
     headers = ["K", "N", "R", "n", "value", "stderr", "zero_value", "iterations"]
     rows, checks = [], {}
-    for n in n_list:
-        problem = problem_from_params(params, n)
+    for n, problem in zip(n_list, problem_from_params(params, n_list)):
         train, val = scaled_samples(n, params["train_samples"],
                                     params["val_samples"])
-        cfg = optimizer_config(params, train_samples=train, val_samples=val)
+        cfg = optimizer_config(params, train_samples=train, val_samples=val,
+                               log_path=_solve_log(params, f"n{n}"))
         res = ctl.optimize_discrete_value(problem, K, N, R, cfg,
                                           stream.child(n))
         rows.append([K, N, R, n, res.value, res.stderr, res.zero_value,
@@ -352,9 +381,9 @@ def _exp_sweep(params, stream):
     R, n = params["R"], params["n"]
     headers = ["K", "N", "R", "n", "value", "stderr"]
     rows = []
-    problem = problem_from_params(params, n)
+    problem, = problem_from_params(params, [n])
     for K, N in pairs:
-        cfg = optimizer_config(params)
+        cfg = optimizer_config(params, log_path=_solve_log(params, f"K{K}_N{N}"))
         res = ctl.optimize_discrete_value(problem, K, N, R, cfg,
                                           stream.child("sweep", K, N))
         rows.append([K, N, R, n, res.value, res.stderr])
@@ -550,7 +579,7 @@ def experiment_params(kind, params):
                 f"value parameter 'opt' sets {overridden}: give the top-level "
                 f"'train_samples' and 'val_samples', which value scales with n")
     if "template" in params:  # value and sweep; n = 1, so nothing grows
-        beta_c = problem_from_params(params, 1).beta_c
+        beta_c = problem_from_params(params, [1])[0].beta_c
         pairs = (params["pairs"] if kind == "sweep"
                  else [[params["K"], params["N"]]])
         for pair in pairs:

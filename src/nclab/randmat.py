@@ -148,12 +148,25 @@ def _entropy_words(stream):
     return words
 
 
-def _hashmix(value, const, mult=_MULT_A):
-    """SeedSequence's hashmix of a word (a Python int or a uint64 array of
-    words) with the running hash constant: (mixed word, next constant)."""
-    const_next = (const * mult) & _MASK32
+def _hashmix(value, const):
+    """SeedSequence's hashmix of a word with the running hash constant:
+    (mixed word, next constant)."""
+    const_next = (const * _MULT_A) & _MASK32
     value = ((value ^ const) * const_next) & _MASK32
     return value ^ (value >> 16), const_next
+
+
+def _hashmix_columns(words, const, mult):
+    """``_POOL`` consecutive hashmixes of uint64 ``words``, (S, _POOL) or
+    broadcastable to it: column i is mixed with the i-th running constant
+    from ``const`` under multiplier ``mult``.  The constants do not depend
+    on the words, so all columns are mixed in one pass."""
+    consts = [const]
+    for _ in range(_POOL):
+        consts.append((consts[-1] * mult) & _MASK32)
+    xor, scale = np.array(consts[:-1], np.uint64), np.array(consts[1:], np.uint64)
+    value = ((words ^ xor) * scale) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
@@ -167,8 +180,11 @@ def _philox_keys(parent, tag, indices):
     ``SeedSequence(...).generate_state(2, np.uint64)`` gives.
 
     The streams share the entropy prefix (seed, padding, path, tag), which
-    is longer than the pool and so is hashed once, in Python ints; only the
-    last word, the index, is hashed per stream, as one uint64 column.
+    is longer than the pool and so is hashed once, in Python ints.  Only the
+    last word, the index, differs per stream: it is hashed into the four
+    pool words, and the pool into the four state words, each as one
+    (S, 4) pass over the index column, since the hash constants of those
+    steps do not depend on the data.
     """
     index = np.asarray(indices)
     if index.ndim != 1 or (index.size and index.dtype.kind not in "iuO"):
@@ -185,15 +201,15 @@ def _philox_keys(parent, tag, indices):
             if src != dst:
                 value, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:] + [index.astype(np.uint64)]:
+    for word in words[_POOL:]:
         for dst in range(_POOL):
             value, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], value)
+    value = _hashmix_columns(index.astype(np.uint64)[:, None], const, _MULT_A)
+    pool = _mix(np.array(pool, dtype=np.uint64), value)      # (S, 4)
     # generate_state(2, np.uint64): four words, one from each pool word
-    const, state = _INIT_B, np.empty((len(index), _POOL), dtype="<u4")
-    for i, word in enumerate(pool):
-        state[:, i], const = _hashmix(word, const, _MULT_B)
-    return state.view("<u8").astype(np.uint64)
+    state = _hashmix_columns(pool, _INIT_B, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @functools.lru_cache(maxsize=64)

@@ -192,13 +192,23 @@ def test_forward_matches_naive_tree(stream):
             assert np.max(np.abs(states[i - 1][:, b] - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("beta_c", [0.5, 0.0])
-def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
+@pytest.mark.parametrize("clip", ["binding", "none"])
+def test_evaluate_gradient_matches_finite_differences(stream, d, beta_c, clip,
                                                       monkeypatch):
+    """Exact gradients against central differences of the cost, at d = 1
+    and at d = 2, where mixing up the letters of the flat (B d, W)
+    coefficients would show: with the clip binding at R = 2 (the state
+    path, in slices), and with no clip at R = 1e6, where the whole set is
+    swept in coefficient space and the terminal's adjoint and
+    ``energy_grad`` give the whole gradient."""
     gen = stream.child("fd", beta_c).generator()
     n, K, N = 3, 3, 1
-    problem = lq_problem(n, beta_c=beta_c, x0=hermitian_batch(gen, (1,), n, 0.3))
-    policy = random_poly_policy(problem, K, N, 2.0, gen)
+    R = 2.0 if clip == "binding" else 1e6
+    problem = lq_problem(n, d=d, beta_c=beta_c,
+                         x0=hermitian_batch(gen, (d,), n, 0.3))
+    policy = random_poly_policy(problem, K, N, R, gen)
     assert policy.collapse_bins == (beta_c == 0.0)
     batch = ctl._prepare_batch(problem, policy, stream.child("fd-batch"),
                                "t", range(6))
@@ -212,9 +222,12 @@ def test_evaluate_gradient_matches_finite_differences(stream, beta_c,
         assert all(c.alpha is None for c in sweep.controls)
     letters = sample_letters(problem, K, range(6), stream.child("fd-batch"),
                              "t")
-    rejected = int(np.sum(gate_indicator(letters, 1, K, policy.gate_level)
+    rejected = int(np.sum(gate_indicator(letters, d, K, policy.gate_level)
                           == 0))
-    assert 0 < clipped < slots and rejected > 0
+    assert rejected > 0
+    assert ctl._sweeps_without_states(problem, policy, ctl._clip_screen(
+        policy, batch)) == (clip == "none")
+    assert (0 < clipped < slots) if clip == "binding" else clipped == 0
 
     # the gradient pass corrects exactly the clipped slots, in one batched
     # pullback per step and slice of 4 samples
@@ -512,7 +525,7 @@ def test_clip_screen_never_clears_a_slot_above_R(seed, samples, width, n, R,
     coeffs *= target * R / top
     radius = np.sqrt(operator_norm_bound(feats @ feats))
     cleared = np.ones(samples * 6, dtype=bool)
-    cleared[ctl._clip_suspects(radius, coeffs, R)] = False
+    cleared[ctl._clip_suspects(radius, radius.max(axis=0), coeffs, R)] = False
     assert not np.any(cleared & (norms(coeffs) > R))
 
 
@@ -882,7 +895,7 @@ def test_word_features_match_explicit_products(stream):
     letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
                                   for _ in range(d * (K + 1))])
                         for _ in range(S)])
-    words = ctl._step_words(d, K, K, 2, True)
+    words = ctl._step_words(d, K, 2, True)
     assert words[0] == () and max(len(w) for w in words) == 2
     feats = ctl._word_features(letters, words)
     for s in range(S):

@@ -555,6 +555,30 @@ def test_sweep_experiment_smoke():
     assert "successive_diffs" in checks
 
 
+@pytest.mark.parametrize("kind,params,tags", [
+    ("value", {"K": 2, "N": 1, "n_list": [4, 8], "opt": {}}, ["n4", "n8"]),
+    ("sweep", {"pairs": [[1, 1], [2, 1]], "n": 4,
+               "opt": {"train_samples": 2, "val_samples": 2}},
+     ["K1_N1", "K2_N1"]),
+])
+def test_each_solve_keeps_its_own_iteration_log(tmp_path, kind, params, tags):
+    """A two-solve experiment keeps both solves' iteration logs: each solve
+    writes ``log_path`` with its size or (K, N) pair before the extension,
+    one row per iteration it reports."""
+    log = tmp_path / "iters.csv"
+    params = {**params, "template": "lq", "R": 4.0}
+    params["opt"] = {**params["opt"], "max_iters": 2, "log_path": str(log)}
+    headers, rows, _ = harness.experiment_csv(kind, params, RngStream(8))
+    assert sorted(os.listdir(tmp_path)) == sorted(f"iters_{t}.csv" for t in tags)
+    iterations = ([dict(zip(headers, r))["iterations"] for r in rows]
+                  if kind == "value" else [2, 2])
+    for tag, count in zip(tags, iterations):
+        lines = (tmp_path / f"iters_{tag}.csv").read_text().splitlines()
+        assert lines[0] == "iter,batch_cost,step_size,max_grad_norm"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+            range(1, count + 1))
+
+
 def test_ldp_experiment_smoke():
     params = {"kind": "ldp", "n": 4, "coef": 0.5, "lhs_samples": 400,
               "time_steps": 4,
