@@ -19,7 +19,8 @@ sample-average approximation over polynomial nodes with first-order descent
 and exact (cyclic-derivative) gradients; expectation over the common noise
 is exact, over the GUE empirical.  ``zero_policy`` builds polynomial
 nodes; const nodes come from ``coarsen_control`` and are evaluated, not
-optimized.
+optimized.  A policy is its tables: n and d are the problem's and K is the
+step count, so the same coefficients are the same policy at every n.
 
 The engine sweeps the tree in coefficient space.  A polynomial control is
 alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
@@ -53,8 +54,8 @@ A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 one stream address per sample, into its R distinct rows r: the identity,
 the letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
 Words are listed as their letters become available, x0's and then each
-step's increment's (``_step_words``), so a step's features are the leading
-columns of the basis.
+step's increment's (``_words_through``), so a step's features are the
+leading columns of the basis.
 Basis column v is row m(v) times a per-sample factor a_{s,v}: gate over
 feature scale for a feature, else 1.  So one GEMM over the rows gives the
 basis Gram H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V),
@@ -117,7 +118,7 @@ import numpy as np
 
 from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, bin_indices, bin_of, noise_table
-from .laplacian import CylindricalFunction, trace_power
+from .laplacian import CylindricalFunction, json_object, trace_power
 from .matrixcore import (NumericalError, _frechet, _norm_bound_from_square,
                          _spectral_calculus, apply_scalar_function,
                          assert_hermitian, eigh, hermitize,
@@ -231,7 +232,8 @@ class CostSpec:
 
     @classmethod
     def from_json(cls, text, d):
-        doc = json.loads(text)
+        doc = json_object(text, ("l0", "quad_coef", "terminal", "lip_const",
+                                 "convexity_declared", "c1"), "cost")
 
         def decode(node, letters):
             if node is None:
@@ -331,7 +333,8 @@ class ControlProblem:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
+        doc = json_object(text, ("n", "d", "x0_re", "x0_im", "beta_c",
+                                 "beta_f", "t0", "T", "cost"), "problem")
         try:
             real, imag = np.array(doc["x0_re"]), np.array(doc["x0_im"])
         except ValueError:  # a ragged nesting
@@ -356,13 +359,12 @@ class PolicyStep:
     """Control table for one time step: one node per bin prefix.
 
     ``kind`` is 'const' (values: (B, d, n, n) Hermitian) or 'poly'
-    (coeffs: (B, d, W) real on the scaled word features listed in ``words``;
-    letters are global indices over (x0 components, per-step increments)).
+    (coeffs: (B, d, W) real on the scaled features of the basis's leading
+    W words, in ``_words_through``'s order).
     """
 
     kind: str
     values: np.ndarray | None = None
-    words: list | None = None
     coeffs: np.ndarray | None = None
 
 
@@ -370,25 +372,29 @@ class PolicyStep:
 class DiscretePolicy:
     """Bin-path-adapted control table with operator-norm cap R and gate M.
 
-    ``collapse_bins`` marks a policy built for beta_C = 0, where every bin
-    prefix shares one node.  ``include_current_increment`` records the
-    adaptedness convention: True lets the node at step i read the GUE
-    increment over its own interval (t_{i-1}, t_i], matching the sigma-algebra
-    the discrete dynamics are measured against; False is the strictly adapted
-    variant used by the variational (Boue-Dupuis) routines.
+    K is ``len(steps)``; a poly step has one coefficient per word of length
+    <= ``degree`` it may read.  ``collapse_bins`` marks a policy built for
+    beta_C = 0, where every bin prefix shares one node.
+    ``include_current_increment`` records the adaptedness convention: True
+    lets the node at step i read the GUE increment over its own interval
+    (t_{i-1}, t_i], matching the sigma-algebra the discrete dynamics are
+    measured against; False is the strictly adapted variant used by the
+    variational (Boue-Dupuis) routines.
     """
 
-    K: int
     N: int
     R: float
     gate_level: float
-    d: int
-    n: int
+    degree: int
     steps: list
     collapse_bins: bool = False
     include_current_increment: bool = True
     feature_scales: np.ndarray | None = None
     fallback_cells: list = field(default_factory=list)
+
+    @property
+    def K(self):
+        return len(self.steps)
 
     def branching(self):
         return tree_branching(self.N, self.collapse_bins)
@@ -416,11 +422,11 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
     d = problem.d
     steps = []
     for i in range(1, K + 1):
-        words = _step_words(d, i, degree, include_current_increment)
-        steps.append(PolicyStep(kind="poly", words=words,
-                                coeffs=np.zeros((b ** i, d, len(words)))))
-    return DiscretePolicy(K=K, N=N, R=R, gate_level=default_gate_level(problem),
-                          d=d, n=problem.n, steps=steps, collapse_bins=collapse,
+        last = i if include_current_increment else i - 1
+        W = len(_words_through(d, last, degree))
+        steps.append(PolicyStep(kind="poly", coeffs=np.zeros((b ** i, d, W))))
+    return DiscretePolicy(N=N, R=R, gate_level=default_gate_level(problem),
+                          degree=degree, steps=steps, collapse_bins=collapse,
                           include_current_increment=include_current_increment)
 
 
@@ -442,25 +448,18 @@ def check_path_guard(branching, K):
             f"bin-path count {branching}^{K} exceeds the {PATH_GUARD} guard")
 
 
-def _step_words(d, step, degree, include_current):
-    """Feature words available to the node at ``step`` (global letter indices).
-
-    Letters 1..d are the x0 components; letters d*j+1..d*j+d the step-j GUE
-    increment.  The node may read increments up to and including the current
-    step (include_current=True) or only up to the previous one (strictly
-    adapted).  Words come in the order their letters become available: the
-    empty word and x0's words, then for each step j the words that read
-    step j's increment and no later one, each group by length and then
-    lexicographically.  A fresh list of ``_words_through``'s words.
-    """
-    return list(_words_through(d, step if include_current else step - 1,
-                               degree))
-
-
 @functools.lru_cache(maxsize=64)
 def _words_through(d, last, degree):
-    """``_step_words``'s words reading increments up to step ``last``, as a
-    tuple, built once per (d, last, degree)."""
+    """The feature words of length <= ``degree`` reading GUE increments up
+    to step ``last`` (global letter indices), a tuple built once.
+    Letters 1..d are the x0 components; letters d*j+1..d*j+d the step-j GUE
+    increment.  The node at step i reads increments up to and including its
+    own step (``last`` = i) or, strictly adapted, only up to the previous
+    one (``last`` = i - 1).  Words come in the order their letters become
+    available: the empty word and x0's words, then for each step j the
+    words that read step j's increment and no later one, each group by
+    length and then lexicographically.
+    """
     words, letters = [()], []
     for j in range(last + 1):
         letters.extend(range(d * j + 1, d * j + d + 1))
@@ -530,7 +529,7 @@ def _norm_suspects(norms, level):
     return ~(norms * (1.0 + _NORM_MARGIN) <= level)
 
 
-def _gate_indicator(letters, d, K, level, squares):
+def _gate_indicator(letters, d, level, squares):
     """1 when every increment's operator norm is <= level, per sample.
 
     Only the increments that ``operator_norm_bound`` cannot clear go to
@@ -730,7 +729,8 @@ def _sample_rows(s_idx, S):
             in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
 
 
-def _realize_controls(policy, step_index, batch, suspects, materialise):
+def _realize_controls(problem, policy, step_index, batch, suspects,
+                      materialise):
     """One step's controls over a sample set with the clip applied
     (``_ConstControls`` or ``_PolyControls``).  A poly step's feature Gram
     G_s is a block of the basis Gram (see the module docstring).  Its
@@ -743,7 +743,7 @@ def _realize_controls(policy, step_index, batch, suspects, materialise):
     if st.kind == "const":
         values, records = _clip_batch(st.values, R)
         return _ConstControls(values=values, clip=records, samples=S)
-    n = policy.n
+    n = problem.n
     B, d, W = st.coeffs.shape
     coeffs = st.coeffs.reshape(B * d, W)
     ctrl = _PolyControls(coeffs=st.coeffs, gram=batch.gram[:, :W, :W])
@@ -829,7 +829,7 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
     for i in range(1, K + 1):
         st = policy.steps[i - 1]
         probs = tree.probs[i - 1]
-        ctrl = _realize_controls(policy, i - 1, batch, screen[i - 1],
+        ctrl = _realize_controls(problem, policy, i - 1, batch, screen[i - 1],
                                  materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
@@ -957,7 +957,7 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
     is the cost's derivative in the leaf coefficients, and that adjoint is
     summed up the tree instead: a step's feature columns are its gradient.
     """
-    K, d, n = policy.K, policy.d, policy.n
+    K, d, n = policy.K, problem.d, problem.n
     delta = (problem.T - problem.t0) / K
     branch = policy.branching()
     l0, quad = problem.cost.l0, problem.cost.quad_coef
@@ -1029,21 +1029,20 @@ def _lift(batch, cols):
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
     """The ``_Batch`` of a sample set; the increments' squares serve both
-    the gate and the rows' radii.  A poly step whose words are not the
-    leading words of ``_global_words``, one coefficient per word, is a
-    ``ValueError``: the engine reads its features as the leading columns."""
+    the gate and the rows' radii.  A poly step without one coefficient per
+    word it reads at the policy's degree is a ``ValueError``: its features
+    are the leading basis columns, so a wider one reads the future."""
     K, d = policy.K, problem.d
-    words = _global_words(problem, policy)
-    if any(st.kind == "poly" and (list(st.words) != words[:len(st.words)]
-                                  or st.coeffs.shape[-1] != len(st.words))
-           for st in policy.steps):
-        raise ValueError("a poly step needs the basis's leading words, one "
-                         "coefficient each")
+    last = range(1, K + 1) if policy.include_current_increment else range(K)
+    if any(st.kind == "poly" and st.coeffs.shape[-1]
+           != len(_words_through(d, j, policy.degree))
+           for st, j in zip(policy.steps, last)):
+        raise ValueError("a poly step needs one coefficient per word it reads")
     rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
     S, R, n, _ = rows.shape
     letters = rows[:, 1:1 + d * (1 + K)]
     squares = letters[:, d:] @ letters[:, d:]
-    gate = _gate_indicator(letters, d, K, policy.gate_level, squares)
+    gate = _gate_indicator(letters, d, policy.gate_level, squares)
     width = len(row_of)
     index = np.concatenate([row_of, np.arange(1 + d * (1 + K))])
     factor = np.ones((S, len(index)))
@@ -1062,12 +1061,10 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
 
 
 def _global_words(problem, policy):
-    """The last step's feature words at the policy's largest degree (at
-    least 1); a step's words at that degree are their leading words."""
-    degree = max([len(w) for st in policy.steps if st.kind == "poly"
-                  for w in st.words] + [1])
-    return _step_words(problem.d, policy.K, degree,
-                       policy.include_current_increment)
+    """The last step's feature words at the policy's degree (at least 1); a
+    step's words are their leading words."""
+    last = policy.K if policy.include_current_increment else policy.K - 1
+    return _words_through(problem.d, last, max(policy.degree, 1))
 
 
 def _feature_scales(problem, policy, rng, tag, sample_indices):
@@ -1093,20 +1090,6 @@ def _clip_screen(policy, batch):
     return out
 
 
-def _screen_rows(policy, screen, rows):
-    """The ``screen`` entries of the samples in slice ``rows``, indexed
-    within it; an empty entry needs no cut."""
-    out = []
-    for st, suspects in zip(policy.steps, screen):
-        if suspects is not None and len(suspects):
-            slots = st.coeffs[..., 0].size
-            lo = rows.start * slots
-            cut = np.searchsorted(suspects, (lo, rows.stop * slots))
-            suspects = suspects[cut[0]:cut[1]] - lo
-        out.append(suspects)
-    return out
-
-
 def _sweeps_without_states(problem, policy, screen):
     """True when a sweep of the whole set makes no state: the terminal has
     a ``trace_quadratic()`` form, there is no l0 and no const step, and the
@@ -1119,24 +1102,24 @@ def _sweeps_without_states(problem, policy, screen):
 def _evaluate_prepared(problem, policy, batch, want_grads=False):
     """Cost mean/stderr over a prepared sample set; optionally parameter grads.
 
-    The clip is screened once over the set.  A set that
-    ``_sweeps_without_states`` is swept at once.  Otherwise it is swept in
-    slices of ``CHUNK`` samples, which bounds the state arrays; a slice
-    keeps only the last level's states, or none, unless l0 needs every
-    level's for its gradient.
+    The clip is screened over the set, and a set that
+    ``_sweeps_without_states`` is swept at once.  Otherwise it is swept and
+    screened in slices of ``CHUNK`` samples, which bounds the state arrays;
+    a slice keeps only the last level's states, or none, unless l0 needs
+    every level's for its gradient.
     """
-    K, S = policy.K, len(batch.gram)
+    K = policy.K
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
                      policy.collapse_bins)
     keep_states = want_grads and problem.cost.l0 is not None
     screen = _clip_screen(policy, batch)
-    chunk = S if _sweeps_without_states(problem, policy, screen) else CHUNK
+    whole = _sweeps_without_states(problem, policy, screen)
     per_sample = []
     grads = None
-    for lo, part in zip(range(0, S, chunk), batch.slices(chunk)):
+    for part in [batch] if whole else batch.slices(CHUNK):
         states, lagrangians, sweep = _forward(
             problem, policy, tree, part, keep_states,
-            _screen_rows(policy, screen, slice(lo, lo + chunk)))
+            screen if whole else _clip_screen(policy, part))
         costs, gterm = _chunk_cost(problem, policy, tree, part, states, sweep,
                                    lagrangians, want_grads)
         per_sample.append(costs)
@@ -1268,7 +1251,7 @@ def _policy_step(policy, grads, eta):
     """One descent step on all poly node coefficients; the clip acts where
     the controls are realised."""
     return replace(policy, steps=[
-        PolicyStep(kind="poly", words=st.words, coeffs=st.coeffs - eta * g)
+        PolicyStep(kind="poly", coeffs=st.coeffs - eta * g)
         for st, g in zip(policy.steps, grads)])
 
 
@@ -1478,7 +1461,7 @@ def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
 
     R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
             for st in steps) + 1.0
-    return DiscretePolicy(K=K, N=N, R=R, gate_level=math.inf, d=d, n=n,
+    return DiscretePolicy(N=N, R=R, gate_level=math.inf, degree=0,
                           steps=steps, collapse_bins=False,
                           include_current_increment=True,
                           fallback_cells=fallbacks)

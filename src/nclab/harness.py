@@ -156,7 +156,7 @@ def problem_from_params(params, sizes):
     """The control problems of a ``value`` or ``sweep`` experiment's
     parameters (see ``experiment_params``), one per size n of ``sizes``.
     The cost does not depend on n, so the problems share one; an inline
-    problem (``json``) has its own n and is the same at every size."""
+    problem (``json``) keeps its n; ``experiment_params`` refuses others."""
     template = params["template"]
     kwargs = {key: params[key] for key in ("d", "beta_c", "beta_f", "t0", "T")}
     if params["x0"] not in ("identity", None):
@@ -545,8 +545,9 @@ def experiment_params(kind, params):
     the defaults of ``EXPERIMENT_PARAMS[kind]``.  An unknown kind or key, a
     value of the wrong type, an empty list, a count below 1, a bad ``opt``
     (``optimizer_config``; in ``value`` it may not set the sample counts),
-    a float at or below its ``_FLOAT_ABOVE`` bound or a bad problem template
-    is an ``ExperimentError``; a size beyond a resource guard
+    a float at or below its ``_FLOAT_ABOVE`` bound, a bad problem template
+    or a size other than an inline problem's n is an ``ExperimentError``; a
+    size beyond a resource guard
     (``control.PATH_GUARD`` on a ``value`` or ``sweep`` bin tree,
     ``laplacian.GUE_LAPLACIAN_GUARD`` on a ``laplacian-check``) is the
     guard's ``ValueError``."""
@@ -579,15 +580,21 @@ def experiment_params(kind, params):
                 f"value parameter 'opt' sets {overridden}: give the top-level "
                 f"'train_samples' and 'val_samples', which value scales with n")
     if "template" in params:  # value and sweep; n = 1, so nothing grows
-        beta_c = problem_from_params(params, [1])[0].beta_c
+        problem, = problem_from_params(params, [1])
+        wrong = set(params["n_list"] if kind == "value"
+                    else [params["n"]]) - {problem.n}
+        if params["template"] == "json" and wrong:
+            raise ExperimentError(f"{kind} asks for n = {sorted(wrong)}, but "
+                                  f"its inline problem has n = {problem.n}")
         pairs = (params["pairs"] if kind == "sweep"
                  else [[params["K"], params["N"]]])
+        collapse = problem.beta_c == 0.0
         for pair in pairs:
             if len(pair) != 2:
                 raise ExperimentError(f"sweep parameter 'pairs' needs [K, N] "
                                       f"pairs, got {pair!r}")
             K, N = pair
-            ctl.check_path_guard(ctl.tree_branching(N, beta_c == 0.0), K)
+            ctl.check_path_guard(ctl.tree_branching(N, collapse), K)
     if kind == "laplacian-check":
         check_gue_laplacian_guard(params["d"], max(params["n_list"]))
     return params

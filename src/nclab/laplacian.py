@@ -383,10 +383,19 @@ class CylindricalFunction:
 
     @classmethod
     def from_json(cls, text, d):
-        doc = json.loads(text)
+        doc = json_object(text, ("outer", "inners"), "cylindrical function")
         inners = [parse_polynomial(s, d) for s in doc["inners"]]
         outer = parse_outer(doc["outer"], len(inners))
         return cls(outer=outer, inners=inners)
+
+
+def json_object(text, keys, what):
+    """``json.loads(text)``; an object with keys outside ``keys`` (a typo is
+    not an absent key) is a ``ValueError`` naming them."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and set(doc) - set(keys):
+        raise ValueError(f"unknown {what} keys {sorted(set(doc) - set(keys))}")
+    return doc
 
 
 def trace_power(d, p, coef=1.0):

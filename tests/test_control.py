@@ -62,10 +62,10 @@ def sample_letters(problem, K, sample_indices, rng, tag):
     return ctl._sample_letters(problem, K, sample_indices, rng, tag, out)
 
 
-def gate_indicator(letters, d, K, level):
+def gate_indicator(letters, d, level):
     """``_gate_indicator`` on the squares of the letters' increments."""
-    increments = letters[:, d:d * (K + 1)]
-    return ctl._gate_indicator(letters, d, K, level, increments @ increments)
+    increments = letters[:, d:]
+    return ctl._gate_indicator(letters, d, level, increments @ increments)
 
 
 def forward(problem, policy, tree, batch, keep_states=False):
@@ -150,13 +150,17 @@ def control_slots(part, sweep):
 def batch_inputs(problem, policy, rng, tag, sample_indices):
     """The engine's batch of the samples and, drawn again from the same
     stream, the letters, gate and global word features it is built from,
-    with each step's columns among those features found by word."""
+    with each step's columns among those features found by word: step i
+    reads the words through its own increment, or through step i - 1's
+    when strictly adapted."""
     batch = ctl._prepare_batch(problem, policy, rng, tag, sample_indices)
     letters = sample_letters(problem, policy.K, sample_indices, rng, tag)
-    gate = gate_indicator(letters, problem.d, policy.K, policy.gate_level)
+    gate = gate_indicator(letters, problem.d, policy.gate_level)
     words = ctl._global_words(problem, policy)
     features = ctl._word_features(letters, words)
-    word_index = [[words.index(w) for w in st.words] for st in policy.steps]
+    strict = not policy.include_current_increment
+    word_index = [[words.index(w) for w in ctl._words_through(
+        problem.d, i - strict, policy.degree)] for i in range(1, policy.K + 1)]
     return batch, (letters, gate, features, word_index)
 
 
@@ -222,7 +226,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, d, beta_c, clip,
         assert all(c.alpha is None for c in sweep.controls)
     letters = sample_letters(problem, K, range(6), stream.child("fd-batch"),
                              "t")
-    rejected = int(np.sum(gate_indicator(letters, d, K, policy.gate_level)
+    rejected = int(np.sum(gate_indicator(letters, d, policy.gate_level)
                           == 0))
     assert rejected > 0
     assert ctl._sweeps_without_states(problem, policy, ctl._clip_screen(
@@ -418,7 +422,7 @@ def test_coefficient_terminal_matches_state_path(stream, monkeypatch, d, beta_c,
                                "t", range(7))
     letters = sample_letters(problem, K, range(7),
                              stream.child("coef-batch"), "t")
-    assert 0 < gate_indicator(letters, d, K, policy.gate_level).sum() < 7
+    assert 0 < gate_indicator(letters, d, policy.gate_level).sum() < 7
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     for part in batch.slices(4):
         costs = {}
@@ -477,6 +481,34 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, monkeypatch, d, beta_c):
     scale = max(np.max(np.abs(g)) for g in sums) / S
     for got, want in zip(grads, sums):
         assert np.max(np.abs(got - want / S)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make, coefficient_path", [(lq_problem, True),
+                                                    (quartic_problem, False)])
+def test_policy_coefficients_are_the_same_policy_at_every_n(
+        stream, make, coefficient_path):
+    """A poly policy is its coefficient tables: built at n = 4 or at n = 8
+    and given the same coefficients, it has the same value and gradients on
+    the n = 8 problem, on the coefficient path (LQ) and on the state path
+    (quartic)."""
+    gen = stream.child("n-free", coefficient_path).generator()
+    problem = make(8)
+    small, large = (ctl.zero_policy(make(n), 3, 1, 8.0, 1, True)
+                    for n in (4, 8))
+    for a, b in zip(small.steps, large.steps):
+        a.coeffs[...] = b.coeffs[...] = 0.3 * gen.normal(size=a.coeffs.shape)
+    results = []
+    for policy in (small, large):
+        batch = ctl._prepare_batch(problem, policy, stream.child("n-free-set"),
+                                   "t", range(20))
+        assert ctl._sweeps_without_states(problem, policy, ctl._clip_screen(
+            policy, batch)) == coefficient_path
+        results.append(ctl._evaluate_prepared(problem, policy, batch,
+                                              want_grads=True))
+    (value, stderr, grads), want = results
+    assert (value, stderr) == want[:2]
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want[2]))
+    assert any(np.any(g != 0.0) for g in grads)
 
 
 def test_lq_solve_sweeps_once_per_evaluation(stream, monkeypatch):
@@ -564,7 +596,7 @@ def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
                                range(S))
     letters = sample_letters(problem, K, range(S), stream.child("radius"),
                              "t")
-    gate = gate_indicator(letters, d, K, policy.gate_level)
+    gate = gate_indicator(letters, d, policy.gate_level)
     assert words[0] == () and 0 < gate.sum() < S
     kept = gate == 1.0
     assert np.all(batch.radius[kept, 0] == 1.0 / policy.feature_scales[0])
@@ -588,7 +620,7 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
                                "t", range(S))
     letters = sample_letters(problem, K, range(S),
                              stream.child("rows-batch"), "t")
-    gate = gate_indicator(letters, d, K, policy.gate_level)
+    gate = gate_indicator(letters, d, policy.gate_level)
     kept = gate == 1.0
     assert 0 < kept.sum() < S
     feats = ctl._word_features(letters, words) / policy.feature_scales[
@@ -717,8 +749,8 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
     # an evaluation sweeps the states of at most ``CHUNK`` samples at a time
-    # and screens the clip once per poly step over the whole set; const
-    # steps are evaluated, never differentiated
+    # and screens the clip once per poly step over the whole set and once
+    # per slice (two here); const steps are evaluated, never differentiated
     del calls[:]
     screens = []
     screen = ctl._clip_suspects
@@ -728,7 +760,7 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     ctl._evaluate_prepared(problem, policy, batch,
                            want_grads=trigger != "const_step")
     assert calls and max(calls) == 4 and min(calls) == 2
-    assert len(screens) == (0 if trigger == "const_step" else K)
+    assert len(screens) == (0 if trigger == "const_step" else 3 * K)
 
 
 @pytest.mark.parametrize("make, reads_states", [(lq_problem, False),
@@ -806,7 +838,7 @@ def test_gate_matches_per_matrix_norms(stream):
     letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
                                   for _ in range(d * (K + 1))])
                         for _ in range(8)])
-    gate = gate_indicator(letters, d, K, 1.5)
+    gate = gate_indicator(letters, d, 1.5)
     for s in range(len(letters)):
         norms = [np.max(np.abs(np.linalg.eigvalsh(m)))
                  for m in letters[s, d:]]
@@ -876,7 +908,7 @@ def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
         return
     letters = np.concatenate([np.zeros((2, 1, n, n), dtype=complex),
                               slots.reshape(2, m, n, n)], axis=1)
-    assert np.array_equal(gate_indicator(letters, 1, m, R),
+    assert np.array_equal(gate_indicator(letters, 1, R),
                           gate_by_eigensolve(letters, 1, m, R))
     alpha = slots.reshape(2, m, n, n)
     got, records = ctl._clip_batch(alpha, R)
@@ -895,7 +927,7 @@ def test_word_features_match_explicit_products(stream):
     letters = np.stack([np.stack([random_hermitian(n, gen, scale=0.5)
                                   for _ in range(d * (K + 1))])
                         for _ in range(S)])
-    words = ctl._step_words(d, K, 2, True)
+    words = ctl._words_through(d, K, 2)
     assert words[0] == () and max(len(w) for w in words) == 2
     feats = ctl._word_features(letters, words)
     for s in range(S):
@@ -911,39 +943,41 @@ def test_word_features_match_explicit_products(stream):
 @pytest.mark.parametrize("include_current", [True, False])
 def test_step_words_are_leading_words_of_the_basis(degree, include_current):
     """Each step's words, listed as their letters become available, are the
-    leading words of ``_global_words``; at degree 1 they are the empty word,
-    x0's letters and then each readable step's increment letters."""
+    leading words of ``_global_words``, one coefficient each; at degree 1
+    they are the empty word, x0's letters and then each readable step's
+    increment letters."""
     d, K = 2, 3
     problem = lq_problem(2, d=d)
     policy = ctl.zero_policy(problem, K, 1, 8.0, degree, include_current)
     words = ctl._global_words(problem, policy)
     assert len(set(words)) == len(words)
     for i, st in enumerate(policy.steps, start=1):
-        letters = range(1, d * (1 + (i if include_current else i - 1)) + 1)
-        assert st.words == words[:len(st.words)]
-        assert {l for w in st.words for l in w} == set(letters)
-        assert len(st.words) == sum(len(letters) ** k
-                                    for k in range(degree + 1))
+        last = i if include_current else i - 1
+        letters = range(1, d * (1 + last) + 1)
+        step_words = ctl._words_through(d, last, degree)
+        assert st.coeffs.shape[-1] == len(step_words)
+        assert step_words == words[:len(step_words)]
+        assert {l for w in step_words for l in w} == set(letters)
+        assert len(step_words) == sum(len(letters) ** k
+                                      for k in range(degree + 1))
         if degree == 1:
-            assert st.words == [()] + [(l,) for l in letters]
+            assert step_words == ((),) + tuple((l,) for l in letters)
 
 
 def test_prepare_batch_refuses_words_that_do_not_lead_the_basis(stream):
-    """A hand-built poly step whose words are not the basis's leading words
-    (here the last step's words in the earlier order, or a step of a lower
-    degree than another) would read the wrong columns: it is refused."""
+    """A hand-built poly step whose coefficient count is not its word count
+    at the policy's degree would read the wrong columns: a step of a lower
+    degree than the policy's, or a strictly adapted step as wide as one
+    that reads its own increment, is refused."""
     problem = lq_problem(2, d=1)
-    policy = ctl.zero_policy(problem, 2, 1, 8.0, 2, True)
-    graded = [()] + [(l,) for l in (1, 2, 3)] + [(a, b) for a in (1, 2, 3)
-                                                 for b in (1, 2, 3)]
-    assert sorted(graded) == sorted(policy.steps[1].words) != graded
-    mixed = ctl.zero_policy(problem, 2, 1, 8.0, 1, True).steps[1]
-    for step in (ctl.PolicyStep(kind="poly", words=graded,
-                                coeffs=np.zeros((16, 1, len(graded)))), mixed):
-        bad = replace(policy, steps=[policy.steps[0], step])
-        with pytest.raises(ValueError, match="leading words"):
+    for include, wrong in ((True, 1), (False, 2)):
+        policy = ctl.zero_policy(problem, 2, 1, 8.0, 2, include)
+        other = ctl.zero_policy(problem, 2, 1, 8.0, wrong, True).steps[1]
+        assert other.coeffs.shape != policy.steps[1].coeffs.shape
+        bad = replace(policy, steps=[policy.steps[0], other])
+        with pytest.raises(ValueError, match="one coefficient per word it reads"):
             ctl._prepare_batch(problem, bad, stream, "t", range(2))
-    ctl._prepare_batch(problem, policy, stream, "t", range(2))
+        ctl._prepare_batch(problem, policy, stream, "t", range(2))
 
 
 def test_engine_eigensolver_failure_is_numerical(monkeypatch):
@@ -955,7 +989,7 @@ def test_engine_eigensolver_failure_is_numerical(monkeypatch):
     # increments above the gate level, which the norm bound cannot clear
     letters = np.full((2, 3, 2, 2), 5.0 + 0j)
     with pytest.raises(NumericalError):
-        gate_indicator(letters, 1, 2, 1.0)
+        gate_indicator(letters, 1, 1.0)
     with pytest.raises(NumericalError):
         ctl._clip_batch(np.full((2, 1, 2, 2), 5.0 + 0j), 1.0)
 

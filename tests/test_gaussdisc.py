@@ -168,8 +168,8 @@ def test_absdev_degenerate_bin_oracle():
 
 def tree_row(N, prefix):
     """The row of a bin prefix in its level's tables of the bin tree."""
-    policy = ctl.DiscretePolicy(K=len(prefix), N=N, R=1.0, gate_level=1.0,
-                                d=1, n=1, steps=[])
+    policy = ctl.DiscretePolicy(N=N, R=1.0, gate_level=1.0, degree=1,
+                                steps=[])
     return policy.prefix_index(prefix)
 
 

@@ -307,13 +307,33 @@ def inline_problem_without_outer():
     return problem
 
 
+def inline_problem_with(part, **keys):
+    """``inline_problem()`` with ``keys`` added to its ``cost`` or to the
+    cost's ``terminal``."""
+    problem = inline_problem()
+    cost = problem["cost"]
+    (cost if part == "cost" else cost["terminal"]).update(keys)
+    return problem
+
+
+def test_inline_problem_runs_at_its_own_n():
+    """An inline problem's experiments may ask for its own n, once or more."""
+    problem = inline_problem()
+    harness.experiment_params("value", {"template": "json", "problem": problem,
+                                        "n_list": [2, 2]})
+    harness.experiment_params("sweep", {"template": "json", "problem": problem,
+                                        "n": 2, "pairs": [[2, 4]]})
+
+
 # each breaks the last experiment only: a typo, an opt count below its
 # least on each template, an unknown problem template, an unknown
 # optimizer option, an inline problem whose terminal has no outer, sizes
 # beyond the bin-path and GUE-Laplacian guards, an inline problem whose x0
 # is not Hermitian, 2-D, of the wrong d or not numbers, or whose n is not
 # an integer, sweep pairs that are not [K, N], a ragged inline x0, a float
-# at or below its bound, and value sample counts in opt
+# at or below its bound, value sample counts in opt, sizes other than an
+# inline problem's n, and a misspelled key of an inline problem, its cost
+# or its terminal
 @pytest.mark.parametrize("last,message", [
     ({"kind": "spectrum", "sampels": 2}, "unknown spectrum parameters"),
     ({"kind": "value", "template": "quartic", "opt": {"degree": -1}},
@@ -372,6 +392,20 @@ def inline_problem_without_outer():
                                               "val_samples": 900}},
      "value parameter 'opt' sets ['train_samples', 'val_samples']: give the "
      "top-level 'train_samples' and 'val_samples'"),
+    ({"kind": "value", "template": "json", "problem": inline_problem(),
+      "n_list": [2, 4]},
+     "value asks for n = [4], but its inline problem has n = 2"),
+    ({"kind": "sweep", "template": "json", "problem": inline_problem()},
+     "sweep asks for n = [8], but its inline problem has n = 2"),
+    ({"kind": "value", "template": "json", "n_list": [2],
+      "problem": inline_problem(beta_cc=0.5)},
+     "unknown problem keys ['beta_cc']"),
+    ({"kind": "sweep", "template": "json", "n": 2,
+      "problem": inline_problem_with("cost", lip_constant=2.0)},
+     "unknown cost keys ['lip_constant']"),
+    ({"kind": "value", "template": "json", "n_list": [2],
+      "problem": inline_problem_with("terminal", inner=["x1"])},
+     "unknown cylindrical function keys ['inner']"),
 ])
 def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     path = tmp_path / "c.json"
@@ -885,11 +919,13 @@ CONFIGS = mostly(hst.fixed_dictionaries(
     JSON_VALUES)
 
 # Inline problems reach ``ControlProblem``'s checks only in a config that
-# passes the others, so half the documents are configs of them alone.
+# passes the others, so half the documents are configs of them alone, each
+# experiment at the n = 2 of ``inline_problem()``.
 INLINE_CONFIGS = hst.fixed_dictionaries({
-    "experiments": hst.lists(hst.fixed_dictionaries(
-        {"kind": hst.sampled_from(["value", "sweep"]),
-         "template": hst.just("json"), "problem": inline_problems()}),
+    "experiments": hst.lists(hst.tuples(
+        hst.sampled_from([{"kind": "value", "n_list": [2]},
+                          {"kind": "sweep", "n": 2}]), inline_problems()).map(
+        lambda pair: {**pair[0], "template": "json", "problem": pair[1]}),
         min_size=1, max_size=2),
     "out_dir": hst.just("o")})
 
