@@ -29,15 +29,32 @@ G_s = Re tr(f_w f_v) one gets ||alpha||_F^2 = c^T G_s c and
 <alpha, f_v> = (G_s c)_v.  That small product gives the c ||alpha||^2
 Lagrangian term of a level, one contraction
 (c/n) <G_s, sum_J p_J c_J c_J^T> per sample, and its gradient
-2 c delta p_J / n sum_s G_s c_J.  The clip's pre-screen is the triangle
-bound ||alpha||_op <= sum_w |c_w| rho_{s,w}, with rho_{s,w} >= ||f_{s,w}||_op
-and its maximum over the samples computed once per sample set without an
-eigensolve: no slot of the set can exceed R when
-sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k), and only where
-that fails is the bound tested per slot.  Each rho_{s,w} is
-within a factor n^(1/8) of the operator norm the clip acts on.  States are
-real combinations of the per-sample basis b = [f; 1; x0; increments], so the
-tree expands on the (B_i, d, V) coefficients,
+2 c delta p_J / n sum_s G_s c_J.
+
+The gate (every increment ||L||_op <= M) and the clip's pre-screen decide
+without an eigensolve wherever a norm bound can, in stages from cheap to
+tight.  Each stage is an upper bound on the operator norm, widened by a
+relative margin, so a slot it clears is below the level and the rest go
+on to the next stage as they would without it: the verdicts are those of
+an eigensolve of every slot.  The first stage is free, the Frobenius norm
+sqrt(H_rr) = (sum lambda^2)^(1/2) read off the diagonal of the rows' Gram
+(below).  The gate then squares only the increments it cannot clear, for
+(sum lambda^4)^(1/4) = ||L^2||_F^(1/2), and sends what remains to
+``eigvalsh``.  The clip's pre-screen is the triangle bound
+||alpha||_op <= sum_w |c_w| rho_{s,w} with rho_{s,w} >= ||f_{s,w}||_op:
+no slot of the set can exceed R when sum_w |c_{J,k,w}| max_s rho_{s,w} <= R
+for every (J, k).  That set-wide check runs first with rho the Frobenius
+norm (the identity's is its norm 1), and only where it fails with the
+tight rho = (sum lambda^8)^(1/8), within a factor n^(1/8) of the operator
+norm, built once per set on first need, set-wide and then per slot.  The
+Frobenius norm is within a factor sqrt(n) of the operator norm, and an
+increment's is about sqrt(n delta): in criterion 6's shape (delta = 1/4)
+it settles both screens at n <= 8, the clip screen's tight stage runs from
+n = 16 on, and the gate's second stage at n = 64, where sqrt(n delta) = 4
+is above the gate level 3.
+
+States are real combinations of the per-sample basis b = [f; 1; x0;
+increments], so the tree expands on the (B_i, d, V) coefficients,
 
     C_i = expand(C_{i-1}) + [delta c_i | beta_C dW0_{i,J} | beta_F e_{i,k}],
 
@@ -119,10 +136,9 @@ import numpy as np
 from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, bin_indices, bin_of, noise_table
 from .laplacian import CylindricalFunction, json_object, trace_power
-from .matrixcore import (NumericalError, _frechet, _norm_bound_from_square,
-                         _spectral_calculus, apply_scalar_function,
-                         assert_hermitian, eigh, hermitize,
-                         operator_norm_bound)
+from .matrixcore import (NumericalError, _frechet, _spectral_calculus,
+                         apply_scalar_function, assert_hermitian, eigh,
+                         hermitize, operator_norm_bound)
 # nothing here calls sample_gue_tuple: perfbench/tracer.py wraps it by name
 from .randmat import RngStream, sample_gue_tuple
 
@@ -396,6 +412,11 @@ class DiscretePolicy:
     def K(self):
         return len(self.steps)
 
+    def last_readable_step(self, i):
+        """The last step whose GUE increment the node at step i may read:
+        its own, or the previous one when strictly adapted."""
+        return i if self.include_current_increment else i - 1
+
     def branching(self):
         return tree_branching(self.N, self.collapse_bins)
 
@@ -420,14 +441,14 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
     b = tree_branching(N, collapse)
     check_path_guard(b, K)
     d = problem.d
-    steps = []
+    policy = DiscretePolicy(N=N, R=R, gate_level=default_gate_level(problem),
+                            degree=degree, steps=[], collapse_bins=collapse,
+                            include_current_increment=include_current_increment)
     for i in range(1, K + 1):
-        last = i if include_current_increment else i - 1
-        W = len(_words_through(d, last, degree))
-        steps.append(PolicyStep(kind="poly", coeffs=np.zeros((b ** i, d, W))))
-    return DiscretePolicy(N=N, R=R, gate_level=default_gate_level(problem),
-                          degree=degree, steps=steps, collapse_bins=collapse,
-                          include_current_increment=include_current_increment)
+        W = len(_words_through(d, policy.last_readable_step(i), degree))
+        policy.steps.append(PolicyStep(kind="poly",
+                                       coeffs=np.zeros((b ** i, d, W))))
+    return policy
 
 
 def default_gate_level(problem):
@@ -529,18 +550,23 @@ def _norm_suspects(norms, level):
     return ~(norms * (1.0 + _NORM_MARGIN) <= level)
 
 
-def _gate_indicator(letters, d, level, squares):
+def _gate_indicator(letters, d, level, norms):
     """1 when every increment's operator norm is <= level, per sample.
 
-    Only the increments that ``operator_norm_bound`` cannot clear go to
-    ``eigvalsh``, which decides them as the eigensolve alone would.  The
-    bound reads the increments' ``squares``, (S, K d, n, n)."""
-    bound = _norm_bound_from_square(squares)                 # (S, K d)
-    samples, slots = np.nonzero(_norm_suspects(bound, level))
+    The increments pass screens in stages, each an upper bound on the
+    operator norm, so a stage clears a slot only below the level and the
+    rest go on: their Frobenius ``norms``, (S, K d), then
+    ``operator_norm_bound``, which forms the squares of those slots alone,
+    then ``eigvalsh``, which decides them as the eigensolve alone would."""
+    samples, slots = np.nonzero(_norm_suspects(norms, level))
+    if len(samples):
+        suspects = letters[samples, d + slots]
+        keep = _norm_suspects(operator_norm_bound(suspects), level)
+        samples, suspects = samples[keep], suspects[keep]
     gate = np.ones(len(letters))
     if len(samples):
         try:
-            w = np.linalg.eigvalsh(letters[samples, d + slots])
+            w = np.linalg.eigvalsh(suspects)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"gate eigensolver failed: {exc}") from exc
         gate[samples[np.max(np.abs(w), axis=-1) > level]] = 0.0
@@ -577,15 +603,15 @@ def _distinct_rows(problem, policy, rng, tag, sample_indices):
     return rows, np.array([row[min(w, w[::-1])] for w in words], dtype=int)
 
 
-def _row_radius(rows, d, squares):
+def _row_radius(rows, d):
     """Bounds rho_{s,r} >= ||r_{s,r}||_op on the distinct rows, (S, R): 1
     for the identity, else (sum lambda^8)^(1/8) = ||(r^2)^2||_F^(1/4), x0's
-    once for the set and the increments' from the gate's ``squares``."""
+    once for the set."""
     S = len(rows)
     x0 = rows[:1, 1:d + 1]                   # the same in every sample
-    long = rows[:, 1 + d + squares.shape[1]:]
+    rest = rows[:, 1 + d:]
     bounds = [np.ones((S, 1)), operator_norm_bound(x0 @ x0).repeat(S, 0),
-              operator_norm_bound(squares), operator_norm_bound(long @ long)]
+              operator_norm_bound(rest @ rest)]
     return np.sqrt(np.concatenate(bounds, axis=1))
 
 
@@ -643,16 +669,22 @@ def _pullback_clip(grad, records):
     return _frechet(records.q, records.mult, grad)
 
 
-def _clip_suspects(radius, top, coeffs, R):
+def _clip_suspects(batch, coeffs, R):
     """Flat indices over (S, B d) of the slots of a poly step whose control
     alpha = sum_w c_w f_{s,w} may exceed R in operator norm, by the triangle
-    bound sum_w |c_w| rho_{s,w} on the features' radius bounds (S, W).  One
-    set-wide check on ``top`` >= max_s rho_{s,w}, (W,), clears every slot
-    first when it can."""
+    bound sum_w |c_w| rho_{s,w} on bounds rho_{s,w} >= ||f_{s,w}||_op of the
+    (S, W) features.  The stages go from cheap to tight, and a stage that
+    clears every slot ends the screen: one set-wide check on the batch's
+    Frobenius ``top``, then one on the tight radius's maximum over the set,
+    then the tight radius per slot (see ``_Batch``)."""
     reach = np.abs(coeffs).T                                  # (W, B d)
-    if not _norm_suspects((top @ reach).max(), R):
+    W = len(reach)
+    if not _norm_suspects((batch.top[:W] @ reach).max(), R):
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(_norm_suspects(radius @ reach, R))
+    radius, top = batch.radius()
+    if not _norm_suspects((top[:W] @ reach).max(), R):
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(_norm_suspects(radius[:, :W] @ reach, R))
 
 
 @dataclass
@@ -683,15 +715,15 @@ class _ConstControls:
 class _PolyControls:
     """A poly step's controls over a sample set, in coefficient space.
 
-    ``coeffs`` are the step's (B, d, W) coefficients and ``gram`` the Gram
-    matrices Re tr(f_w f_v) of its gated features, (S, W, W).  ``clip``
-    indexes the clipped slots flat over (S, B, d); ``raw`` and ``new`` are
-    the controls there before and after the clip.  ``alpha`` is the
-    (S, B, d, n, n) controls if they were materialised, else None.
+    ``coeffs`` are the step's (B, d, W) coefficients on the leading W
+    columns of the ``batch``'s basis.  ``clip`` indexes the clipped slots
+    flat over (S, B, d); ``raw`` and ``new`` are the controls there before
+    and after the clip.  ``alpha`` is the (S, B, d, n, n) controls if they
+    were materialised, else None.
     """
 
     coeffs: np.ndarray
-    gram: np.ndarray
+    batch: _Batch
     clip: _ClipRecords = field(default_factory=_ClipRecords)
     raw: np.ndarray | None = None
     new: np.ndarray | None = None
@@ -700,12 +732,14 @@ class _PolyControls:
     def energy(self, probs):
         """sum_J p_J sum_k tr(alpha_{s,J,k}^2) per sample, (S,): one
         contraction <G_s, sum_{J,k} p_J c_{J,k} c_{J,k}^T> as if nothing were
-        clipped, plus tr(new^2) - tr(raw^2) at the clipped slots."""
+        clipped, plus tr(new^2) - tr(raw^2) at the clipped slots.  G_s is
+        the leading (W, W) block of the basis Gram H_s."""
         B, d, W = self.coeffs.shape
+        gram = self.batch.gram[:, :W, :W]
         flat = self.coeffs.reshape(B * d, W)
         rows = np.repeat(probs, d)
         second = (rows[:, None] * flat).T @ flat                 # (W, W)
-        out = self.gram.reshape(len(self.gram), -1) @ second.reshape(-1)
+        out = gram.reshape(len(gram), -1) @ second.reshape(-1)
         if len(self.clip):
             s_idx, j_idx = np.divmod(self.clip.idx, B * d)
             change = (np.einsum("mij,mji->m", self.new, self.new)
@@ -718,7 +752,7 @@ class _PolyControls:
         coefficients, (B, d, W): 2 p_J sum_s G_s c_J, as if nothing were
         clipped, with the (B d, W) coefficients in one GEMM."""
         B, d, W = self.coeffs.shape
-        grad = self.coeffs.reshape(B * d, W) @ self.gram.sum(axis=0)
+        grad = self.coeffs.reshape(B * d, W) @ self.batch.gram_sum[:W, :W]
         return 2.0 * probs[:, None, None] * grad.reshape(B, d, W)
 
 
@@ -746,7 +780,7 @@ def _realize_controls(problem, policy, step_index, batch, suspects,
     n = problem.n
     B, d, W = st.coeffs.shape
     coeffs = st.coeffs.reshape(B * d, W)
-    ctrl = _PolyControls(coeffs=st.coeffs, gram=batch.gram[:, :W, :W])
+    ctrl = _PolyControls(coeffs=st.coeffs, batch=batch)
     if materialise or len(suspects):
         lift = _lift(batch, slice(W))                        # (S, W, R)
     if materialise:
@@ -889,7 +923,7 @@ def _quadratic_terminal(form, coef, batch, probs, n, want_grad):
         return values, None
     # Q (x) sum_s H_s as a (d V, d V) matrix: entry ((l, w), (k, v)) is
     # Q_kl (sum_s H_s)_wv
-    mixed = np.multiply.outer(form.quad.T, batch.gram.sum(axis=0))
+    mixed = np.multiply.outer(form.quad.T, batch.gram_sum)
     mixed = mixed.transpose(0, 2, 1, 3).reshape(d * V, d * V)
     adj = (np.outer(form.lin, batch.traces.sum(axis=0)).reshape(d * V)
            + 2.0 * flat @ mixed)
@@ -995,10 +1029,18 @@ class _Batch:
     [f; 1; x0; increments], the ``width`` features first, whose column v is
     row ``index[v]`` times ``factor[s, v]`` (see the module docstring).  The
     basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
-    (S, V, V), traces tr b_v, (S, V), and ``radius``, (S, width), the clip
-    pre-screen's bounds rho_{s,w} >= ||f_{s,w}||_op, with ``top``, (width,),
-    their maximum over the set; ``_lift`` maps its columns to the rows.  A
-    poly step's features are its leading columns."""
+    (S, V, V), and traces tr b_v, (S, V); ``_lift`` maps its columns to the
+    rows.  A poly step's features are its leading columns.
+
+    The clip screen (``_clip_suspects``) bounds each feature's operator
+    norm in two stages.  ``top``, (width,), is the first, free one: the
+    maximum over the set of the features' Frobenius norms, read off the
+    rows' Gram diagonal, sqrt(H_rr) = (sum lambda^2)^(1/2), except that the
+    identity's is its norm 1.  ``radius()`` gives the second, tight one,
+    (sum lambda^8)^(1/8) per sample (S, width), and its maximum over the
+    set; it costs two batched matmuls per row, so ``tight`` builds it for
+    the whole set on first need and keeps it, and a slice (``offset`` is
+    its first sample in the set) reads its rows of the set's copy."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -1006,17 +1048,29 @@ class _Batch:
     gram: np.ndarray
     traces: np.ndarray
     width: int
-    radius: np.ndarray
     top: np.ndarray
+    tight: object
+    offset: int = 0
+
+    @functools.cached_property
+    def gram_sum(self):
+        """sum_s H_s over the batch's samples, (V, V)."""
+        return self.gram.sum(axis=0)
+
+    def radius(self):
+        """The tight radius of the batch's samples, (S, width), and its
+        maximum over the whole set, (width,), which also bounds them."""
+        radius, top = self.tight()
+        return radius[self.offset:self.offset + len(self.rows)], top
 
     def slices(self, size):
         """The set as consecutive batches of ``size`` samples (views); each
-        keeps the set's ``top``, which also bounds its own radii."""
+        keeps the set's ``top`` and shares its tight radius."""
         for lo in range(0, len(self.gram), size):
             rows = slice(lo, lo + size)
             yield _Batch(self.rows[rows], self.index, self.factor[rows],
                          self.gram[rows], self.traces[rows], self.width,
-                         self.radius[rows], self.top)
+                         self.top, self.tight, self.offset + lo)
 
 
 def _lift(batch, cols):
@@ -1028,43 +1082,53 @@ def _lift(batch, cols):
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
-    """The ``_Batch`` of a sample set; the increments' squares serve both
-    the gate and the rows' radii.  A poly step without one coefficient per
-    word it reads at the policy's degree is a ``ValueError``: its features
-    are the leading basis columns, so a wider one reads the future."""
+    """The ``_Batch`` of a sample set; the rows' Gram diagonal gives their
+    Frobenius norms, the first stage of both the gate and the clip screen.
+    A poly step without one coefficient per word it reads at the policy's
+    degree is a ``ValueError``: its features are the leading basis columns,
+    so a wider one reads the future."""
     K, d = policy.K, problem.d
-    last = range(1, K + 1) if policy.include_current_increment else range(K)
-    if any(st.kind == "poly" and st.coeffs.shape[-1]
-           != len(_words_through(d, j, policy.degree))
-           for st, j in zip(policy.steps, last)):
+    if any(st.kind == "poly" and st.coeffs.shape[-1] != len(_words_through(
+            d, policy.last_readable_step(i), policy.degree))
+           for i, st in enumerate(policy.steps, start=1)):
         raise ValueError("a poly step needs one coefficient per word it reads")
     rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
     S, R, n, _ = rows.shape
-    letters = rows[:, 1:1 + d * (1 + K)]
-    squares = letters[:, d:] @ letters[:, d:]
-    gate = _gate_indicator(letters, d, policy.gate_level, squares)
-    width = len(row_of)
-    index = np.concatenate([row_of, np.arange(1 + d * (1 + K))])
-    factor = np.ones((S, len(index)))
-    factor[:, :width] = gate[:, None] / (1.0 if policy.feature_scales is None
-                                         else policy.feature_scales)
     flat = rows.reshape(S, R, -1).view(float)
     # the rows are Hermitian: Re tr(r_a r_b) is the dot product of float views
     gram = flat @ np.swapaxes(flat, 1, 2)
+    norms = np.sqrt(np.einsum("srr->sr", gram))              # ||r||_F
+    first = 1 + d * (1 + K)                  # the first longer word's row
+    gate = _gate_indicator(rows[:, 1:first], d, policy.gate_level,
+                           norms[:, 1 + d:first])
+    norms[:, 0] = 1.0                        # the identity's operator norm
+    width = len(row_of)
+    index = np.concatenate([row_of, np.arange(first)])
+    factor = np.ones((S, len(index)))
+    factor[:, :width] = gate[:, None] / (1.0 if policy.feature_scales is None
+                                         else policy.feature_scales)
+    scale = factor[:, :width]
     traces = flat[..., ::2 * (n + 1)].sum(axis=-1)        # Re of the diagonal
-    radius = factor[:, :width] * _row_radius(rows, d, squares)[:, row_of]
-    return _Batch(
-        rows=flat, index=index, factor=factor,
-        gram=gram[:, index[:, None], index] * factor[..., None] * factor[:, None],
-        traces=traces[:, index] * factor, width=width, radius=radius,
-        top=radius.max(axis=0))
+    gram = np.take(gram.reshape(S, R * R), (index[:, None] * R + index).ravel(),
+                   axis=1).reshape(S, len(index), len(index))
+    gram *= factor[..., None]
+    gram *= factor[:, None]
+
+    @functools.cache
+    def tight():
+        radius = scale * _row_radius(rows, d)[:, row_of]
+        return radius, radius.max(axis=0)
+
+    return _Batch(rows=flat, index=index, factor=factor, gram=gram,
+                  traces=traces[:, index] * factor, width=width,
+                  top=(scale * norms[:, row_of]).max(axis=0), tight=tight)
 
 
 def _global_words(problem, policy):
     """The last step's feature words at the policy's degree (at least 1); a
     step's words are their leading words."""
-    last = policy.K if policy.include_current_increment else policy.K - 1
-    return _words_through(problem.d, last, max(policy.degree, 1))
+    return _words_through(problem.d, policy.last_readable_step(policy.K),
+                          max(policy.degree, 1))
 
 
 def _feature_scales(problem, policy, rng, tag, sample_indices):
@@ -1084,9 +1148,8 @@ def _clip_screen(policy, batch):
         if st.kind == "const":
             out.append(None)
             continue
-        W = st.coeffs.shape[-1]
-        out.append(_clip_suspects(batch.radius[:, :W], batch.top[:W],
-                                  st.coeffs.reshape(-1, W), policy.R))
+        out.append(_clip_suspects(batch, st.coeffs.reshape(
+            -1, st.coeffs.shape[-1]), policy.R))
     return out
 
 

@@ -202,14 +202,8 @@ def operator_norm_bound(a):
     """An upper bound on each operator norm of a Hermitian (..., n, n) stack
     from one batched matmul and no eigensolve: ||A||_op <= (sum lambda^4)^(1/4)
     = ||A^2||_F^(1/2), equal to it when one eigenvalue carries the spectrum."""
-    return _norm_bound_from_square(a @ a)
-
-
-def _norm_bound_from_square(sq):
-    """``operator_norm_bound`` of a Hermitian stack A from its squares
-    sq = A @ A, (..., n, n): ||sq||_F^(1/2)."""
-    n = sq.shape[-1]
-    parts = sq.reshape(sq.shape[:-2] + (n * n,)).view(float)
+    n = a.shape[-1]
+    parts = (a @ a).reshape(a.shape[:-2] + (n * n,)).view(float)
     return np.sqrt(np.sqrt(np.einsum("...i,...i->...", parts, parts)))
 
 

@@ -1,10 +1,11 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import hermitian_batch, random_hermitian
@@ -63,9 +64,10 @@ def sample_letters(problem, K, sample_indices, rng, tag):
 
 
 def gate_indicator(letters, d, level):
-    """``_gate_indicator`` on the squares of the letters' increments."""
-    increments = letters[:, d:]
-    return ctl._gate_indicator(letters, d, level, increments @ increments)
+    """``_gate_indicator`` on the Frobenius norms of the letters'
+    increments."""
+    return ctl._gate_indicator(letters, d, level,
+                               np.linalg.norm(letters[:, d:], axis=(-2, -1)))
 
 
 def forward(problem, policy, tree, batch, keep_states=False):
@@ -158,9 +160,9 @@ def batch_inputs(problem, policy, rng, tag, sample_indices):
     gate = gate_indicator(letters, problem.d, policy.gate_level)
     words = ctl._global_words(problem, policy)
     features = ctl._word_features(letters, words)
-    strict = not policy.include_current_increment
     word_index = [[words.index(w) for w in ctl._words_through(
-        problem.d, i - strict, policy.degree)] for i in range(1, policy.K + 1)]
+        problem.d, policy.last_readable_step(i), policy.degree)]
+        for i in range(1, policy.K + 1)]
     return batch, (letters, gate, features, word_index)
 
 
@@ -555,10 +557,20 @@ def test_clip_screen_never_clears_a_slot_above_R(seed, samples, width, n, R,
     if top == 0.0:
         return
     coeffs *= target * R / top
-    radius = np.sqrt(operator_norm_bound(feats @ feats))
     cleared = np.ones(samples * 6, dtype=bool)
-    cleared[ctl._clip_suspects(radius, radius.max(axis=0), coeffs, R)] = False
+    cleared[ctl._clip_suspects(screen_batch(feats), coeffs, R)] = False
     assert not np.any(cleared & (norms(coeffs) > R))
+
+
+def screen_batch(feats):
+    """A stand-in ``_Batch`` of the features (S, W, n, n) with what
+    ``_clip_suspects`` reads: the Frobenius stage's ``top`` and the tight
+    radius."""
+    radius = np.sqrt(operator_norm_bound(feats @ feats))
+    return ctl._Batch(rows=feats, index=None, factor=None, gram=None,
+                      traces=None, width=feats.shape[1],
+                      top=np.linalg.norm(feats, axis=(-2, -1)).max(axis=0),
+                      tight=lambda: (radius, radius.max(axis=0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -567,9 +579,10 @@ def test_clip_screen_never_clears_a_slot_above_R(seed, samples, width, n, R,
        gate_level=hst.sampled_from([1.0, 3.0]), scaled=hst.booleans())
 def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
                                                    gate_level, scaled):
-    """rho_{s,w} >= ||f_{s,w}||_op, within the screens' margin, for every
-    gated and scaled feature: letters from the gate's squares and x0's once
-    per set, longer words from f @ f."""
+    """Both stages of the clip screen bound every gated and scaled
+    feature's operator norm, within the screens' margin: the Frobenius
+    ``top`` its maximum over the set, and the tight radius rho_{s,w} >=
+    ||f_{s,w}||_op each one, with x0's computed once per set."""
     gen = np.random.default_rng(seed)
     problem = lq_problem(n, d=d, x0=hermitian_batch(gen, (d,), n, 0.3))
     policy = replace(zero_policy(problem, K=2, N=1, R=8.0, degree=degree),
@@ -582,8 +595,11 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
     feats = (ctl._lift(batch, slice(None)) @ batch.rows)[:, :W].view(
         complex).reshape(4, W, n, n)
     norms = np.max(np.abs(np.linalg.eigvalsh(feats)), axis=-1)
-    assert batch.width == W and batch.radius.shape == norms.shape
-    assert np.all(batch.radius * (1.0 + ctl._NORM_MARGIN) >= norms)
+    radius, top = batch.radius()
+    assert batch.width == W and radius.shape == norms.shape
+    assert np.all(radius * (1.0 + ctl._NORM_MARGIN) >= norms)
+    assert np.array_equal(top, radius.max(axis=0))
+    assert np.all(batch.top * (1.0 + ctl._NORM_MARGIN) >= top)
 
 
 def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
@@ -599,8 +615,10 @@ def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
     gate = gate_indicator(letters, d, policy.gate_level)
     assert words[0] == () and 0 < gate.sum() < S
     kept = gate == 1.0
-    assert np.all(batch.radius[kept, 0] == 1.0 / policy.feature_scales[0])
-    assert np.all(batch.radius[~kept] == 0.0)
+    radius, _ = batch.radius()
+    assert np.all(radius[kept, 0] == 1.0 / policy.feature_scales[0])
+    assert np.all(radius[~kept] == 0.0)
+    assert batch.top[0] == 1.0 / policy.feature_scales[0]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -632,17 +650,21 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
     norms = np.sqrt(np.einsum("svv->sv", gram))          # ||b_v||_F
     radius = np.sqrt(operator_norm_bound(feats @ feats))
     radius[:, 0] = gate / policy.feature_scales[0]       # exact for 1
+    top = norms[:, :W].copy()
+    top[:, 0] = radius[:, 0]
+    top = top.max(axis=0)
     lifted = ctl._lift(batch, slice(None)) @ batch.rows
     assert batch.width == W and lifted.shape == basis.shape
     assert np.all(np.abs(batch.gram - gram)
                   <= 1e-13 * norms[:, :, None] * norms[:, None, :])
     assert np.all(np.abs(batch.traces - basis[..., ::2 * (n + 1)].sum(-1))
                   <= 1e-13 * math.sqrt(n) * norms)
-    assert np.all(np.abs(batch.radius - radius) <= 1e-13 * radius)
+    assert np.all(np.abs(batch.radius()[0] - radius) <= 1e-13 * radius)
+    assert np.all(np.abs(batch.top - top) <= 1e-13 * top)
     assert np.all(np.linalg.norm(lifted - basis, axis=-1) <= 1e-13 * norms)
     for got in (lifted[~kept, :W], batch.gram[~kept, :W],
                 batch.gram[~kept, :, :W], batch.traces[~kept, :W],
-                batch.radius[~kept]):
+                batch.radius()[0][~kept]):
         assert np.all(got == 0.0)
 
 
@@ -682,20 +704,66 @@ def test_clip_screen_runs_once_per_step_and_evaluation(monkeypatch):
 def test_lq_solve_at_large_n_never_reaches_the_clip(monkeypatch, n):
     """Criterion 6's shape at n = 32 and 64: the controls stay far below
     R = 8 in operator norm, so the triangle-bound screen clears every slot
-    and no clip eigensolve runs.  A Frobenius-norm screen, which loosens
-    like sqrt(n), would send slots to the clip here; at n = 64 so does the
-    gate's ||L^2||_F^(1/2) in place of the n^(1/8)-tight radius."""
+    and no clip eigensolve runs.  The screen's Frobenius stage, which
+    loosens like sqrt(n), cannot clear these sets, so the tight radius is
+    built, once for each of the train and validation sets; at n = 64 the
+    gate's ||L^2||_F^(1/2) in place of that radius would also send slots to
+    the clip."""
     calls, clip = [], ctl._clip_batch
+    built, row_radius = [], ctl._row_radius
 
     def counted(alpha, R):
         calls.append(alpha.shape)
         return clip(alpha, R)
 
     monkeypatch.setattr(ctl, "_clip_batch", counted)
+    monkeypatch.setattr(ctl, "_row_radius",
+                        lambda *args: built.append(1) or row_radius(*args))
     cfg = small_cfg(train_samples=12, val_samples=12, max_iters=60)
     ctl.optimize_discrete_value(lq_problem(n), 4, 2, 8.0, cfg,
                                 rm.RngStream(3).child(n))
+    assert calls == [] and len(built) == 2
+
+
+def test_frobenius_stage_clears_criterion_6_without_squares(monkeypatch):
+    """Criterion 6's n = 8 solve: the rows' Frobenius norms clear every
+    increment at the gate and every step at the clip screen, so no matrix
+    is squared and no tight radius is built.  The gate's and the clip's
+    eigensolves lie behind ``operator_norm_bound``, so none runs either."""
+    calls = []
+
+    def never(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(ctl, "operator_norm_bound", never("bound"))
+    monkeypatch.setattr(ctl, "_row_radius", never("radius"))
+    criterion_6_solve(5)
     assert calls == []
+
+
+def test_tight_radius_is_built_once_per_set(stream, monkeypatch):
+    """With the clip binding, every evaluation falls back to the tight
+    radius in every ``CHUNK`` slice; the set builds it once, and each slice
+    reads its own samples' rows of it."""
+    gen = stream.child("tight").generator()
+    problem = lq_problem(3, beta_c=0.5, x0=hermitian_batch(gen, (1,), 3, 0.3))
+    policy = random_poly_policy(problem, 2, 1, 0.5, gen)
+    built, row_radius = [], ctl._row_radius
+    monkeypatch.setattr(ctl, "_row_radius",
+                        lambda *args: built.append(1) or row_radius(*args))
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    batch = ctl._prepare_batch(problem, policy, stream.child("tight-batch"),
+                               "t", range(10))
+    assert built == []
+    for want_grads in (True, False, True):
+        ctl._evaluate_prepared(problem, policy, batch, want_grads=want_grads)
+    radius, top = batch.radius()
+    assert len(built) == 1 and len(radius) == 10
+    for lo, part in zip(range(0, 10, 4), batch.slices(4)):
+        got, got_top = part.radius()
+        assert got_top is top
+        assert np.array_equal(got, radius[lo:lo + 4])
+    assert len(built) == 1
 
 
 def test_bin_tree_is_memoized_and_read_only():
@@ -893,11 +961,17 @@ def clip_by_eigensolve(alpha, R):
        scale=hst.floats(0.2, 4.0),
        level=hst.sampled_from(["clip", "gate", "edge"]),
        nudge=hst.integers(-10, 10))
+@example(seed=0, n=4, m=4, kind="gue", scale=0.2, level="gate", nudge=0)
+@example(seed=0, n=64, m=4, kind="gue", scale=1.0, level="gate", nudge=0)
+@example(seed=1, n=4, m=4, kind="gue", scale=4.0, level="gate", nudge=0)
 def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
                                             nudge):
-    """The gate and the clip decide as an eigensolve of every slot does, at
-    R = 0.5 (where the clip binds), at the gate level 3 and within 1e-12 of
-    a slot's exact norm."""
+    """The gate, the clip screen and the clip decide as an eigensolve of
+    every slot does, at R = 0.5 (where the clip binds), at the gate level 3
+    and within 1e-12 of a slot's exact norm.  The screens' Frobenius stage
+    clears every slot of small GUE slots at n = 4 and none at n = 64 or
+    when scaled up; where it cannot, each later stage sees exactly the
+    slots it would see without it."""
     slots = hermitian_slots(seed, n, 2 * m, kind, scale)
     norms = np.max(np.abs(np.linalg.eigvalsh(slots)), axis=-1)
     if level == "edge":
@@ -906,10 +980,30 @@ def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
         R = 0.5 if level == "clip" else 3.0
     if R <= 0.0:
         return
-    letters = np.concatenate([np.zeros((2, 1, n, n), dtype=complex),
-                              slots.reshape(2, m, n, n)], axis=1)
-    assert np.array_equal(gate_indicator(letters, 1, R),
-                          gate_by_eigensolve(letters, 1, m, R))
+    feats = slots.reshape(2, m, n, n)
+    letters = np.concatenate([np.zeros((2, 1, n, n), dtype=complex), feats],
+                             axis=1)
+    frobenius = ctl._norm_suspects(np.linalg.norm(feats, axis=(-2, -1)), R)
+    quartic = ctl._norm_suspects(operator_norm_bound(feats), R)
+    with mock.patch.object(ctl, "operator_norm_bound",
+                           wraps=operator_norm_bound) as bound, \
+            mock.patch.object(np.linalg, "eigvalsh",
+                              wraps=np.linalg.eigvalsh) as eig:
+        gate = gate_indicator(letters, 1, R)
+    assert np.array_equal(gate, gate_by_eigensolve(letters, 1, m, R))
+    assert [len(c.args[0]) for c in bound.call_args_list] == (
+        [frobenius.sum()] if frobenius.any() else [])
+    assert [len(c.args[0]) for c in eig.call_args_list] == (
+        [quartic.sum()] if quartic.any() else [])
+    # the clip screen with each slot as one control: the tight stage alone
+    # flags the same slots, and none it clears is above R
+    batch = screen_batch(feats)
+    radius, top = batch.radius()
+    tight_only = (np.flatnonzero(ctl._norm_suspects(radius, R))
+                  if ctl._norm_suspects(top.max(), R) else [])
+    suspects = ctl._clip_suspects(batch, np.eye(m), R)
+    assert np.array_equal(suspects, tight_only)
+    assert set(np.flatnonzero(norms > R)) <= set(suspects)
     alpha = slots.reshape(2, m, n, n)
     got, records = ctl._clip_batch(alpha, R)
     want, want_records = clip_by_eigensolve(alpha, R)
@@ -953,6 +1047,7 @@ def test_step_words_are_leading_words_of_the_basis(degree, include_current):
     assert len(set(words)) == len(words)
     for i, st in enumerate(policy.steps, start=1):
         last = i if include_current else i - 1
+        assert policy.last_readable_step(i) == last
         letters = range(1, d * (1 + last) + 1)
         step_words = ctl._words_through(d, last, degree)
         assert st.coeffs.shape[-1] == len(step_words)
