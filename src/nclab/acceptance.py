@@ -31,9 +31,6 @@ from .randmat import RngStream, sample_gue
 
 MASTER_SEED = 20260810
 
-LQ_TARGET = 0.625 * math.log(3.0)  # 0.6866...
-BD_TARGET = 0.5 * math.log(2.0)    # 0.3466...
-
 
 def _row(check_id, measured, target, tolerance, passed):
     return {"id": check_id, "measured": measured, "target": target,
@@ -116,13 +113,14 @@ def criterion_6(threads=1, max_iters=250):
                   "n_list": [4, 8, 16], "opt": {"max_iters": max_iters}},
         _stream(6))
     v4, v8, v16 = (dict(zip(headers, row)) for row in rows)
-    band = abs(v8["value"] - LQ_TARGET) / LQ_TARGET
+    target = ctl.lq_reference(harness.lq_problem(8))    # 0.625 ln 3
+    band = abs(v8["value"] - target) / target
     dp = ctl.lq_discrete_oracle(4, 2, 1.0, 0.5, 1.0)
     gap = abs(v4["value"] - v16["value"])
     mid = 0.5 * (v4["value"] + v16["value"])
     slack = 0.02 * mid + 3.0 * math.hypot(v4["stderr"], v16["stderr"])
     out = [
-        _row("6.lq_band_vs_continuous", v8["value"], LQ_TARGET, "5% relative",
+        _row("6.lq_band_vs_continuous", v8["value"], target, "5% relative",
              band <= 0.05),
         _row("6.lq_vs_discrete_dp_oracle", v8["value"], dp,
              "2% relative (diagnostic)", abs(v8["value"] - dp) / dp <= 0.02),
@@ -138,8 +136,9 @@ def criterion_7():
                 "opt": {"max_iters": 250}},
         _stream(7))
     lhs = checks["lhs_vs_oracle"]
+    oracle = dict(zip(headers, rows[0]))["oracle"]      # 0.5 ln 2
     out = [
-        _row("7.bd_lhs_vs_oracle", lhs["measured"], BD_TARGET, lhs["target"],
+        _row("7.bd_lhs_vs_oracle", lhs["measured"], oracle, lhs["target"],
              lhs["pass"]),
         _check_row("7.bd_rhs_vs_oracle", checks["rhs_vs_oracle_rel"]),
         _row("7.bd_rhs_above_lhs", checks["rhs_above_lhs"]["measured"],

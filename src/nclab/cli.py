@@ -34,7 +34,6 @@ def build_parser():
     p_run.add_argument("--out-dir", default=None,
                        help="output directory (or NCLAB_OUT_DIR, or config)")
     p_run.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
     p_acc.add_argument("--out-dir", required=True)
@@ -53,7 +52,7 @@ def main(argv=None):
         return harness.EXIT_CONFIG
     if args.command == "run":
         return harness.run(args.config, out_dir=args.out_dir, seed=args.seed,
-                           threads=args.threads, fmt=args.format)
+                           threads=args.threads)
     if args.command == "acceptance":
         return harness.exit_code(lambda: acceptance.run_acceptance(
             args.out_dir, only=args.only),

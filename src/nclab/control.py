@@ -12,15 +12,14 @@ States follow
     X_{i,J} = x0 + sum_{i'<=i} alpha_{i',J} delta
                  + beta_C 1 W0_{i,J} + beta_F (W_hat_{t_i} - W_hat_{t_0}),
 
-controls are tables over (step, bin prefix) of either constant Hermitian
-tuples or polynomial nodes in (x0, GUE increments), clipped in operator norm
-at R and gated by the increment-norm indicator at level M.  The optimizer is
-sample-average approximation over polynomial nodes with first-order descent
-and exact (cyclic-derivative) gradients; expectation over the common noise
-is exact, over the GUE empirical.  ``zero_policy`` builds polynomial
-nodes; const nodes come from ``coarsen_control`` and are evaluated, not
-optimized.  A policy is its tables: n and d are the problem's and K is the
-step count, so the same coefficients are the same policy at every n.
+controls are tables over (step, bin prefix) of polynomial nodes in (x0, GUE
+increments), clipped in operator norm at R and gated by the increment-norm
+indicator at level M.  The optimizer is sample-average approximation over
+the nodes' coefficients with first-order descent and exact
+(cyclic-derivative) gradients; expectation over the common noise is exact,
+over the GUE empirical.  ``zero_policy`` builds the tables.  A policy is its
+tables: n and d are the problem's and K is the step count, so the same
+coefficients are the same policy at every n.
 
 The engine sweeps the tree in coefficient space.  A polynomial control is
 alpha_{s,J,k} = sum_w c_{J,k,w} f_{s,w} with real coefficients and Hermitian,
@@ -61,10 +60,8 @@ increments], so the tree expands on the (B_i, d, V) coefficients,
 and the states of a level, C_i @ b, are made only where a cost reads them.
 The controls are materialised only at clip suspects
 (slots the pre-screen flags), where the clipped slots' states and gradients
-are corrected; where l0 reads them or ``_forward`` keeps every level's
-states (``keep_states``, set when l0's gradient needs them); and for const
-steps, as a broadcast view whose sample-independent drift is added to the
-states.
+are corrected, and where l0 reads them or ``_forward`` keeps every level's
+states (``keep_states``, set when l0's gradient needs them).
 
 A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
 ``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
@@ -93,7 +90,7 @@ cost with an outer of degree <= 1 over inners of degree <= 2, such as
 reads the leaves only through tr_n X_k = C_k . t_s / n and
 tr_n X_k X_l = C_k^T H_s C_l / n, so its value needs no n x n array, and its
 gradient is a coefficient adjoint (B, d, V), summed over children up the
-tree; a poly step's parameter gradient is that adjoint's feature columns
+tree; a step's parameter gradient is that adjoint's feature columns
 times delta plus the c||alpha||^2 term.  Every product over the nodes is
 one 2-D GEMM on the coefficients flattened to (B, d V) or (B d, W) rows:
 the form's letter mixing acts after the sum over the leaves, and in the
@@ -101,8 +98,8 @@ adjoint as the Kronecker product of the form with sum_s H_s.  Where this
 does not apply exactly the leaf states are made and the terminal reads
 them, with the state adjoint paired with the features through the lift:
 a terminal without that form (the quartic cost, a nonlinear outer), l0
-set (every level's states), and a const step or a slot the clip binds
-(their drift and fixes are not in the basis span).
+set (every level's states), and a slot the clip binds (its fix is not in
+the basis span).
 
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
@@ -117,8 +114,8 @@ truncation inequality check and Euler-Maruyama's ``PathData``, both on
 (steps, d, n, n) arrays, and the exponential-functional machinery
 (variational formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function
 candidate).  ``_clip_batch`` is the package's one operator-norm clip.
-Only tests call the ODE re-derivation, Euler-Maruyama with
-``coarsen_control``, ``policy_control_budget`` and the rate-function
+Only tests call the ODE re-derivation, Euler-Maruyama (whose paths they
+coarsen onto the bin tree), ``policy_control_budget`` and the rate-function
 candidate: they check the paper's own steps (the Riccati oracle, the
 discretization step, the a-priori energy bound, the Laplace principle).
 """
@@ -134,7 +131,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ncpoly, randmat
-from .gaussdisc import TimeGrid, bin_indices, bin_of, noise_table
+from .gaussdisc import TimeGrid, bin_indices, noise_table
 from .laplacian import CylindricalFunction, json_object, trace_power
 from .matrixcore import (NumericalError, _frechet, _spectral_calculus,
                          apply_scalar_function, assert_hermitian, eigh,
@@ -143,11 +140,11 @@ from .matrixcore import (NumericalError, _frechet, _spectral_calculus,
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
-    "CostSpec", "ControlProblem", "DiscretePolicy", "PolicyStep",
+    "CostSpec", "ControlProblem", "DiscretePolicy",
     "OptimizerConfig", "OptimizeResult", "OptimizeError",
     "PathData", "discrete_cost", "optimize_discrete_value",
     "lq_reference", "lq_reference_ode", "lq_discrete_oracle",
-    "coarsen_control", "truncation_inequality_check",
+    "truncation_inequality_check",
     "euler_maruyama", "boue_dupuis_lhs", "boue_dupuis_rhs",
     "rate_function_candidate", "policy_control_budget",
     "ArctanComposedTerminal", "ScalarTraceCost",
@@ -371,26 +368,14 @@ class ControlProblem:
 
 
 @dataclass
-class PolicyStep:
-    """Control table for one time step: one node per bin prefix.
-
-    ``kind`` is 'const' (values: (B, d, n, n) Hermitian) or 'poly'
-    (coeffs: (B, d, W) real on the scaled features of the basis's leading
-    W words, in ``_words_through``'s order).
-    """
-
-    kind: str
-    values: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
-
-
-@dataclass
 class DiscretePolicy:
     """Bin-path-adapted control table with operator-norm cap R and gate M.
 
-    K is ``len(steps)``; a poly step has one coefficient per word of length
-    <= ``degree`` it may read.  ``collapse_bins`` marks a policy built for
-    beta_C = 0, where every bin prefix shares one node.
+    Step i's table is its (B_i, d, W_i) real coefficients, one node per bin
+    prefix, on the scaled features of the basis's leading W_i words in
+    ``_words_through``'s order: one per word of length <= ``degree`` the
+    node may read.  K is ``len(steps)``.  ``collapse_bins`` marks a policy
+    built for beta_C = 0, where every bin prefix shares one node.
     ``include_current_increment`` records the adaptedness convention: True
     lets the node at step i read the GUE increment over its own interval
     (t_{i-1}, t_i], matching the sigma-algebra the discrete dynamics are
@@ -406,7 +391,6 @@ class DiscretePolicy:
     collapse_bins: bool = False
     include_current_increment: bool = True
     feature_scales: np.ndarray | None = None
-    fallback_cells: list = field(default_factory=list)
 
     @property
     def K(self):
@@ -446,8 +430,7 @@ def zero_policy(problem, K, N, R, degree, include_current_increment):
                             include_current_increment=include_current_increment)
     for i in range(1, K + 1):
         W = len(_words_through(d, policy.last_readable_step(i), degree))
-        policy.steps.append(PolicyStep(kind="poly",
-                                       coeffs=np.zeros((b ** i, d, W))))
+        policy.steps.append(np.zeros((b ** i, d, W)))
     return policy
 
 
@@ -670,13 +653,13 @@ def _pullback_clip(grad, records):
 
 
 def _clip_suspects(batch, coeffs, R):
-    """Flat indices over (S, B d) of the slots of a poly step whose control
-    alpha = sum_w c_w f_{s,w} may exceed R in operator norm, by the triangle
-    bound sum_w |c_w| rho_{s,w} on bounds rho_{s,w} >= ||f_{s,w}||_op of the
-    (S, W) features.  The stages go from cheap to tight, and a stage that
-    clears every slot ends the screen: one set-wide check on the batch's
-    Frobenius ``top``, then one on the tight radius's maximum over the set,
-    then the tight radius per slot (see ``_Batch``)."""
+    """Sorted flat indices over (S, B d) of the slots of a step whose
+    control alpha = sum_w c_w f_{s,w} may exceed R in operator norm, by the
+    triangle bound sum_w |c_w| rho_{s,w} on bounds rho_{s,w} >=
+    ||f_{s,w}||_op of the (S, W) features.  The stages go from cheap to
+    tight, and a stage that clears every slot ends the screen: one set-wide
+    check on the batch's Frobenius ``top``, then one on the tight radius's
+    maximum over the set, then the tight radius per slot (see ``_Batch``)."""
     reach = np.abs(coeffs).T                                  # (W, B d)
     W = len(reach)
     if not _norm_suspects((batch.top[:W] @ reach).max(), R):
@@ -688,32 +671,8 @@ def _clip_suspects(batch, coeffs, R):
 
 
 @dataclass
-class _ConstControls:
-    """A const step's controls over a sample set.
-
-    ``values`` are the clipped (B, d, n, n) node values, ``clip`` the
-    records of the clip over their (B, d) slots, and ``samples`` the size
-    of the set.
-    """
-
-    values: np.ndarray
-    clip: _ClipRecords
-    samples: int
-
-    @property
-    def alpha(self):
-        """The (S, B, d, n, n) controls, a broadcast view of ``values``."""
-        return np.broadcast_to(self.values, (self.samples,) + self.values.shape)
-
-    def energy(self, probs):
-        """sum_J p_J sum_k tr(alpha_{J,k}^2), the same for every sample, (S,)."""
-        sq = np.einsum("bkij,bkji->b", self.values, self.values).real
-        return np.full(self.samples, sq @ probs)
-
-
-@dataclass
-class _PolyControls:
-    """A poly step's controls over a sample set, in coefficient space.
+class _Controls:
+    """A step's controls over a sample set, in coefficient space.
 
     ``coeffs`` are the step's (B, d, W) coefficients on the leading W
     columns of the ``batch``'s basis.  ``clip`` indexes the clipped slots
@@ -765,22 +724,18 @@ def _sample_rows(s_idx, S):
 
 def _realize_controls(problem, policy, step_index, batch, suspects,
                       materialise):
-    """One step's controls over a sample set with the clip applied
-    (``_ConstControls`` or ``_PolyControls``).  A poly step's feature Gram
-    G_s is a block of the basis Gram (see the module docstring).  Its
-    controls are materialised from the rows through the ``_lift`` at the
-    ``suspects``, the slots its ``_clip_screen`` entry flags by the triangle
-    bound, which are clipped, and with ``materialise`` at every slot."""
-    st = policy.steps[step_index]
-    R = policy.R
+    """One step's ``_Controls`` over a sample set with the clip applied.
+    The step's feature Gram G_s is a block of the basis Gram (see the module
+    docstring).  Its controls are materialised from the rows through the
+    ``_lift`` at the ``suspects``, the slots its ``_clip_screen`` entry flags
+    by the triangle bound, which are clipped, and with ``materialise`` at
+    every slot."""
+    table = policy.steps[step_index]
+    R, n = policy.R, problem.n
     S = len(batch.gram)
-    if st.kind == "const":
-        values, records = _clip_batch(st.values, R)
-        return _ConstControls(values=values, clip=records, samples=S)
-    n = problem.n
-    B, d, W = st.coeffs.shape
-    coeffs = st.coeffs.reshape(B * d, W)
-    ctrl = _PolyControls(coeffs=st.coeffs, batch=batch)
+    B, d, W = table.shape
+    coeffs = table.reshape(B * d, W)
+    ctrl = _Controls(coeffs=table, batch=batch)
     if materialise or len(suspects):
         lift = _lift(batch, slice(W))                        # (S, W, R)
     if materialise:
@@ -802,17 +757,15 @@ def _realize_controls(problem, policy, step_index, batch, suspects,
     return ctrl
 
 
-def _level_states(coef, batch, drift, fixes, n):
+def _level_states(coef, batch, fixes, n):
     """States of one level from its coefficients (B, d, V) on the basis:
     the coefficients through the ``_lift``, then one real GEMM per sample
-    over the rows' float views, plus the const steps' drift and the clip's
-    fixes, each broadcast over the descendants of its node."""
+    over the rows' float views, plus the clip's fixes, each broadcast over
+    the descendants of its node."""
     S = len(batch.rows)
     B, d, _ = coef.shape
     x = (coef.reshape(B * d, -1) @ _lift(batch, slice(None))) @ batch.rows
     x = x.view(complex).reshape(S, B, d, n, n)
-    if drift is not None:
-        x += drift
     for width, idx, shift in fixes:
         s, node, k = np.unravel_index(idx, (S, width, d))
         x.reshape(S, width, -1, d, n, n)[s, node, :, k] += shift[:, None]
@@ -835,18 +788,18 @@ class _Sweep:
 
 
 def _forward(problem, policy, tree, batch, keep_states, screen):
-    """Sweep the bin tree for one set of samples; ``screen`` is the set's
-    ``_clip_screen``.
+    """Sweep the bin tree for one set of samples, or a slice of one;
+    ``screen`` is their share of the set's ``_clip_screen``.
 
     Returns ``(states, lagrangians, sweep)``: the (S, B_i, d, n, n) states
     of every level with ``keep_states``, else of the last level only, or
     none when the terminal is read in coefficient space; the running
     Lagrangian of each level summed over its nodes with their
-    probabilities, (S,) per level; and a ``_Sweep``.  Poly controls are
+    probabilities, (S,) per level; and a ``_Sweep``.  The controls are
     materialised where l0 reads them or with ``keep_states``.  A terminal
     with a ``trace_quadratic()`` form reads no state when nothing else does
     (no l0, no ``keep_states``) and the leaves are in the basis span (no
-    const step, no clipped slot in the set).
+    clipped slot in the set).
     """
     n, d, K = problem.n, problem.d, policy.K
     S = len(batch.gram)
@@ -858,29 +811,22 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
     eye = np.eye(d)
     coef = np.zeros((1, d, batch.gram.shape[-1]))
     coef[0, :, W + 1:W + 1 + d] = eye                    # x0
-    drift, fixes = None, []
+    fixes = []
     states, lagrangians, controls = [], [], []
     for i in range(1, K + 1):
-        st = policy.steps[i - 1]
         probs = tree.probs[i - 1]
         ctrl = _realize_controls(problem, policy, i - 1, batch, screen[i - 1],
                                  materialise)
         coef = np.repeat(coef, branch, axis=0)
         coef[..., W] = problem.beta_c * tree.noise[i - 1][:, None]
         coef[..., W + 1 + d * i:W + 1 + d * (i + 1)] = problem.beta_f * eye
-        if drift is not None:
-            drift = np.repeat(drift, branch, axis=0)
-        if st.kind == "const":
-            step = delta * ctrl.values
-            drift = step if drift is None else drift + step
-        else:
-            coef[..., :st.coeffs.shape[-1]] += delta * st.coeffs
-            if len(ctrl.clip):
-                fixes.append((coef.shape[0], ctrl.clip.idx,
-                              delta * (ctrl.new - ctrl.raw)))
+        coef[..., :ctrl.coeffs.shape[-1]] += delta * ctrl.coeffs
+        if len(ctrl.clip):
+            fixes.append((coef.shape[0], ctrl.clip.idx,
+                          delta * (ctrl.new - ctrl.raw)))
         lval = (quad / n) * ctrl.energy(probs) if quad else np.zeros(S)
         if materialise:
-            x = _level_states(coef, batch, drift, fixes, n)
+            x = _level_states(coef, batch, fixes, n)
             if keep_states:
                 states.append(x)
             if l0 is not None:
@@ -889,11 +835,11 @@ def _forward(problem, policy, tree, batch, keep_states, screen):
         lagrangians.append(lval)
         controls.append(ctrl)
     sweep = _Sweep(controls=controls, coef=coef)
-    if not materialise and drift is None and not fixes:
+    if not materialise and not fixes:
         sweep.form = problem.cost.terminal.trace_quadratic()
     if not keep_states and sweep.form is None:
         states.append(x if materialise
-                      else _level_states(coef, batch, drift, fixes, n))
+                      else _level_states(coef, batch, fixes, n))
     return states, lagrangians, sweep
 
 
@@ -955,7 +901,7 @@ def _chunk_cost(problem, policy, tree, batch, states, sweep, lagrangians,
 
 
 def _step_gradient(ctrl, adj, probs, delta, quad, batch):
-    """Parameter gradient of one poly step from ``adj`` = (d cost / d alpha)
+    """Parameter gradient of one step from ``adj`` = (d cost / d alpha)
     / delta without the c||alpha||^2 term, (S, B, d, n, n), before the clip.
 
     ``adj`` is paired with the step's gated features, the set's leading
@@ -1030,7 +976,7 @@ class _Batch:
     row ``index[v]`` times ``factor[s, v]`` (see the module docstring).  The
     basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
     (S, V, V), and traces tr b_v, (S, V); ``_lift`` maps its columns to the
-    rows.  A poly step's features are its leading columns.
+    rows.  A step's features are its leading columns.
 
     The clip screen (``_clip_suspects``) bounds each feature's operator
     norm in two stages.  ``top``, (width,), is the first, free one: the
@@ -1038,9 +984,9 @@ class _Batch:
     rows' Gram diagonal, sqrt(H_rr) = (sum lambda^2)^(1/2), except that the
     identity's is its norm 1.  ``radius()`` gives the second, tight one,
     (sum lambda^8)^(1/8) per sample (S, width), and its maximum over the
-    set; it costs two batched matmuls per row, so ``tight`` builds it for
-    the whole set on first need and keeps it, and a slice (``offset`` is
-    its first sample in the set) reads its rows of the set's copy."""
+    set; it costs two batched matmuls per row, so it is built on first need
+    and kept.  A slice of the set (``_slices``) is never screened and has
+    neither."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -1048,29 +994,31 @@ class _Batch:
     gram: np.ndarray
     traces: np.ndarray
     width: int
-    top: np.ndarray
-    tight: object
-    offset: int = 0
+    top: np.ndarray | None
+    radius: object
 
     @functools.cached_property
     def gram_sum(self):
         """sum_s H_s over the batch's samples, (V, V)."""
         return self.gram.sum(axis=0)
 
-    def radius(self):
-        """The tight radius of the batch's samples, (S, width), and its
-        maximum over the whole set, (width,), which also bounds them."""
-        radius, top = self.tight()
-        return radius[self.offset:self.offset + len(self.rows)], top
 
-    def slices(self, size):
-        """The set as consecutive batches of ``size`` samples (views); each
-        keeps the set's ``top`` and shares its tight radius."""
-        for lo in range(0, len(self.gram), size):
-            rows = slice(lo, lo + size)
-            yield _Batch(self.rows[rows], self.index, self.factor[rows],
-                         self.gram[rows], self.traces[rows], self.width,
-                         self.top, self.tight, self.offset + lo)
+def _slices(policy, batch, screen, size):
+    """The set as consecutive batches of ``size`` samples (views), each with
+    its share of the set's clip ``screen``: a step's sorted flat suspects
+    that fall in the slice's samples, counted from its first sample."""
+    widths = [table.shape[0] * table.shape[1] for table in policy.steps]
+    for lo in range(0, len(batch.gram), size):
+        rows = slice(lo, lo + size)
+        part = _Batch(batch.rows[rows], batch.index, batch.factor[rows],
+                      batch.gram[rows], batch.traces[rows], batch.width,
+                      None, None)
+        share = []
+        for flat, width in zip(screen, widths):
+            first, end = lo * width, (lo + size) * width
+            start, stop = np.searchsorted(flat, (first, end))
+            share.append(flat[start:stop] - first)
+        yield part, share
 
 
 def _lift(batch, cols):
@@ -1084,14 +1032,14 @@ def _lift(batch, cols):
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
     """The ``_Batch`` of a sample set; the rows' Gram diagonal gives their
     Frobenius norms, the first stage of both the gate and the clip screen.
-    A poly step without one coefficient per word it reads at the policy's
-    degree is a ``ValueError``: its features are the leading basis columns,
-    so a wider one reads the future."""
+    A step without one coefficient per word it reads at the policy's degree
+    is a ``ValueError``: its features are the leading basis columns, so a
+    wider one reads the future."""
     K, d = policy.K, problem.d
-    if any(st.kind == "poly" and st.coeffs.shape[-1] != len(_words_through(
+    if any(table.shape[-1] != len(_words_through(
             d, policy.last_readable_step(i), policy.degree))
-           for i, st in enumerate(policy.steps, start=1)):
-        raise ValueError("a poly step needs one coefficient per word it reads")
+           for i, table in enumerate(policy.steps, start=1)):
+        raise ValueError("a step needs one coefficient per word it reads")
     rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
     S, R, n, _ = rows.shape
     flat = rows.reshape(S, R, -1).view(float)
@@ -1115,13 +1063,13 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     gram *= factor[:, None]
 
     @functools.cache
-    def tight():
-        radius = scale * _row_radius(rows, d)[:, row_of]
-        return radius, radius.max(axis=0)
+    def radius():
+        tight = scale * _row_radius(rows, d)[:, row_of]
+        return tight, tight.max(axis=0)
 
     return _Batch(rows=flat, index=index, factor=factor, gram=gram,
                   traces=traces[:, index] * factor, width=width,
-                  top=(scale * norms[:, row_of]).max(axis=0), tight=tight)
+                  top=(scale * norms[:, row_of]).max(axis=0), radius=radius)
 
 
 def _global_words(problem, policy):
@@ -1141,35 +1089,29 @@ def _feature_scales(problem, policy, rng, tag, sample_indices):
 
 
 def _clip_screen(policy, batch):
-    """Each step's ``_clip_suspects`` over the set: the flat (S, B d) slot
-    indices of a poly step, None for a const step."""
-    out = []
-    for st in policy.steps:
-        if st.kind == "const":
-            out.append(None)
-            continue
-        out.append(_clip_suspects(batch, st.coeffs.reshape(
-            -1, st.coeffs.shape[-1]), policy.R))
-    return out
+    """Each step's ``_clip_suspects`` over the set, flat (S, B d) slot
+    indices."""
+    return [_clip_suspects(batch, table.reshape(-1, table.shape[-1]), policy.R)
+            for table in policy.steps]
 
 
 def _sweeps_without_states(problem, policy, screen):
     """True when a sweep of the whole set makes no state: the terminal has
-    a ``trace_quadratic()`` form, there is no l0 and no const step, and the
-    set's clip ``screen`` flags no slot of any step, so no clip can bind."""
+    a ``trace_quadratic()`` form, there is no l0, and the set's clip
+    ``screen`` flags no slot of any step, so no clip can bind."""
     cost = problem.cost
     return (cost.l0 is None and cost.terminal.trace_quadratic() is not None
-            and all(s is not None and len(s) == 0 for s in screen))
+            and all(len(s) == 0 for s in screen))
 
 
 def _evaluate_prepared(problem, policy, batch, want_grads=False):
     """Cost mean/stderr over a prepared sample set; optionally parameter grads.
 
-    The clip is screened over the set, and a set that
-    ``_sweeps_without_states`` is swept at once.  Otherwise it is swept and
-    screened in slices of ``CHUNK`` samples, which bounds the state arrays;
-    a slice keeps only the last level's states, or none, unless l0 needs
-    every level's for its gradient.
+    The clip is screened once over the set, and a set that
+    ``_sweeps_without_states`` is swept at once.  Otherwise it is swept in
+    slices of ``CHUNK`` samples, each with its share of the screen, which
+    bounds the state arrays; a slice keeps only the last level's states, or
+    none, unless l0 needs every level's for its gradient.
     """
     K = policy.K
     tree = _bin_tree(K, policy.N, (problem.T - problem.t0) / K,
@@ -1179,10 +1121,10 @@ def _evaluate_prepared(problem, policy, batch, want_grads=False):
     whole = _sweeps_without_states(problem, policy, screen)
     per_sample = []
     grads = None
-    for part in [batch] if whole else batch.slices(CHUNK):
+    for part, share in ([(batch, screen)] if whole
+                        else _slices(policy, batch, screen, CHUNK)):
         states, lagrangians, sweep = _forward(
-            problem, policy, tree, part, keep_states,
-            screen if whole else _clip_screen(policy, part))
+            problem, policy, tree, part, keep_states, share)
         costs, gterm = _chunk_cost(problem, policy, tree, part, states, sweep,
                                    lagrangians, want_grads)
         per_sample.append(costs)
@@ -1311,15 +1253,10 @@ def optimize_discrete_value(problem, K, N, R, opt_config, rng,
 
 
 def _policy_step(policy, grads, eta):
-    """One descent step on all poly node coefficients; the clip acts where
-    the controls are realised."""
-    return replace(policy, steps=[
-        PolicyStep(kind="poly", coeffs=st.coeffs - eta * g)
-        for st, g in zip(policy.steps, grads)])
-
-
-def _fro_norm(m):
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    """One descent step on all node coefficients; the clip acts where the
+    controls are realised."""
+    return replace(policy, steps=[table - eta * g
+                                  for table, g in zip(policy.steps, grads)])
 
 
 def policy_control_budget(problem, policy, samples, rng):
@@ -1423,7 +1360,7 @@ def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, x0_norm_sq=0.0,
 
 
 # ---------------------------------------------------------------------------
-# continuous-time simulation, coarsening, truncation
+# continuous-time simulation, truncation
 # ---------------------------------------------------------------------------
 
 
@@ -1477,57 +1414,6 @@ def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
                   + np.real(problem.cost.terminal.eval(states[-1])))
     return PathData(times=times, states=states, controls=controls,
                     w0_increments=dw0, gue_increments=gue, cost=total)
-
-
-def coarsen_control(fine_samples, grid: TimeGrid, N) -> DiscretePolicy:
-    """Conditional-mean coarsening of sampled fine controls onto the bin tree.
-
-    Node (i, J) averages, over the samples whose first i coarse increments
-    fall in the bins of J, the time average of the control over
-    (t_{i-1}, t_i].  Empty cells fall back to the step's global mean and are
-    recorded in ``fallback_cells``.  The clip level R is 1 above the largest
-    node's Frobenius norm, so the clip never binds.
-    """
-    if not fine_samples:
-        raise ValueError("need at least one fine sample")
-    K = grid.K
-    fine_steps, d, n, _ = fine_samples[0].controls.shape
-    if fine_steps % K:
-        raise ValueError("fine grid must refine the coarse grid")
-    if any(len(path.controls) != fine_steps for path in fine_samples):
-        raise ValueError("fine samples live on different grids")
-    per = fine_steps // K
-    branch = tree_branching(N, False)
-
-    # per sample: coarse bin path and per-coarse-step time-averaged control
-    S = len(fine_samples)
-    coarse_w0 = np.array([path.w0_increments for path in fine_samples]).reshape(
-        S, K, per).sum(axis=2)
-    digits = bin_of(coarse_w0, N) + N + 1                       # (S, K)
-    sample_avgs = np.array([path.controls for path in fine_samples]).reshape(
-        S, K, per, d, n, n).mean(axis=2)
-
-    steps, fallbacks = [], []
-    for i in range(1, K + 1):
-        shape = (branch,) * i
-        node = np.ravel_multi_index(tuple(digits[:, :i].T), shape)
-        counts = np.bincount(node, minlength=branch ** i)
-        values = np.zeros((branch ** i, d, n, n), dtype=complex)
-        np.add.at(values, node, sample_avgs[:, i - 1])
-        filled = counts > 0
-        values[filled] /= counts[filled, None, None, None]
-        empty = np.flatnonzero(~filled)
-        values[empty] = sample_avgs[:, i - 1].mean(axis=0)
-        prefixes = np.transpose(np.unravel_index(empty, shape)) - (N + 1)
-        fallbacks += [(i, tuple(prefix)) for prefix in prefixes.tolist()]
-        steps.append(PolicyStep(kind="const", values=hermitize(values)))
-
-    R = max(max(_fro_norm(v) for v in st.values.reshape(-1, n, n))
-            for st in steps) + 1.0
-    return DiscretePolicy(N=N, R=R, gate_level=math.inf, degree=0,
-                          steps=steps, collapse_bins=False,
-                          include_current_increment=True,
-                          fallback_cells=fallbacks)
 
 
 def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):

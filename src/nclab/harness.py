@@ -99,10 +99,6 @@ def _write_json(path, doc, default=None):
     _write_atomic(path, lambda fh: json.dump(doc, fh, indent=1, default=default))
 
 
-def write_json_rows(path, headers, rows):
-    _write_json(path, [dict(zip(headers, row)) for row in rows])
-
-
 def parallel_map(fn, items, threads):
     """Order-preserving map; thread count never changes the result."""
     if threads <= 1:
@@ -610,7 +606,7 @@ def experiment_csv(kind, params, stream):
 # ---------------------------------------------------------------------------
 
 
-def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
+def run_config(config, out_dir, seed=None, threads=1):
     """Execute all experiments in a config; resumable via the manifest.
 
     Every experiment's kind and parameters are checked before any runs.  The
@@ -695,14 +691,9 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
             headers, rows, checks = outcome
             csv_path = os.path.join(out_dir, f"{key}.csv")
             write_csv(csv_path, headers, rows)
-            artifacts = [os.path.basename(csv_path)]
-            if fmt == "json":
-                json_path = os.path.join(out_dir, f"{key}.json")
-                write_json_rows(json_path, headers, rows)
-                artifacts.append(os.path.basename(json_path))
             manifest["experiments"][key] = {
                 "kind": experiments[idx]["kind"], "status": "done",
-                "artifacts": artifacts, "started": started,
+                "artifacts": [os.path.basename(csv_path)], "started": started,
                 "finished": finished, "checks": checks,
             }
         summary[key] = manifest["experiments"][key]["checks"]
@@ -715,7 +706,7 @@ def run_config(config, out_dir, seed=None, threads=1, fmt="csv"):
     return summary
 
 
-def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
+def run(config_path, out_dir=None, seed=None, threads=1):
     """CLI entry: exit 0 ok, 1 config error, 2 numerical failure, 3 I/O."""
     def go():
         with open(config_path, encoding="utf-8") as fh:
@@ -727,7 +718,7 @@ def run(config_path, out_dir=None, seed=None, threads=1, fmt="csv"):
             raise ExperimentError("no output directory")
         if not isinstance(out, str):
             raise ExperimentError(f"out_dir must be a string, got {out!r}")
-        run_config(config, out, seed=seed, threads=threads, fmt=fmt)
+        run_config(config, out, seed=seed, threads=threads)
         return EXIT_OK
 
     return exit_code(go)

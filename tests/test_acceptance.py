@@ -101,8 +101,10 @@ def test_check_rows_take_tolerance_and_verdict_from_their_check(monkeypatch):
                 "rhs_above_lhs": {"measured": 0.0, "target": -0.01,
                                   "pass": True}},
     }
+    # criterion 7's target is the oracle column of its experiment's row
     monkeypatch.setattr(harness, "experiment_csv",
-                        lambda kind, params, stream: (["h"], [[0]],
+                        lambda kind, params, stream: (["h", "oracle"],
+                                                      [[0, 0.25]],
                                                       planted[kind]))
     acceptance._laplacian_rows.cache_clear()
     try:
@@ -121,6 +123,7 @@ def test_check_rows_take_tolerance_and_verdict_from_their_check(monkeypatch):
         r = rows[check_id]
         assert (r["measured"], r["tolerance"], r["pass"]) == (
             check["measured"], check["target"], check["pass"])
+    assert rows["7.bd_lhs_vs_oracle"]["target"] == 0.25
 
 
 @pytest.mark.xfail(

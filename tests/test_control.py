@@ -11,10 +11,11 @@ from hypothesis import strategies as hst
 from conftest import hermitian_batch, random_hermitian
 from nclab import control as ctl
 from nclab import randmat as rm
-from nclab.gaussdisc import TimeGrid, bin_boundaries, bin_indices, noise_table
+from nclab.gaussdisc import (TimeGrid, bin_boundaries, bin_indices, bin_of,
+                             noise_table)
 from nclab.harness import lq_problem, quartic_problem
 from nclab.laplacian import CylindricalFunction, MultiPoly, trace_power
-from nclab.matrixcore import (NumericalError, apply_scalar_function,
+from nclab.matrixcore import (NumericalError, apply_scalar_function, hermitize,
                               operator_norm_bound, scalar_function_derivative)
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import gue_increments
@@ -46,16 +47,6 @@ def zero_policy(problem, K, N, R, degree=1):
     return ctl.zero_policy(problem, K, N, R, degree, True)
 
 
-def const_policy(problem, K, N, R):
-    """The all-zero table of const nodes."""
-    policy = zero_policy(problem, K, N, R)
-    n = problem.n
-    return replace(policy, steps=[
-        ctl.PolicyStep(kind="const",
-                       values=np.zeros(st.coeffs.shape[:2] + (n, n), complex))
-        for st in policy.steps])
-
-
 def sample_letters(problem, K, sample_indices, rng, tag):
     """``_sample_letters`` into a fresh (S, d(1+K), n, n) array."""
     out = np.empty((len(sample_indices), problem.d * (1 + K), problem.n,
@@ -74,6 +65,14 @@ def forward(problem, policy, tree, batch, keep_states=False):
     """``_forward`` with the set's own clip screen."""
     return ctl._forward(problem, policy, tree, batch, keep_states,
                         ctl._clip_screen(policy, batch))
+
+
+def sliced_forwards(problem, policy, tree, batch, size):
+    """(slice, ``_forward`` of it) for the set in slices of ``size``
+    samples, each swept with its share of the set's clip screen."""
+    screen = ctl._clip_screen(policy, batch)
+    return [(part, ctl._forward(problem, policy, tree, part, False, share))
+            for part, share in ctl._slices(policy, batch, screen, size)]
 
 
 # -- every level's states of one sample ------------------------------------------------
@@ -102,28 +101,24 @@ def test_simulate_zero_policy_tracks_common_noise(stream):
 
 
 def test_simulate_constant_node_shift(stream):
+    """A node that reads only the empty word and x0, alpha = c_0 1 + c_1 x0
+    on unit feature scales, shifts the state by delta alpha."""
     n, d = 3, 1
-    problem = lq_problem(n, beta_c=0.0, beta_f=0.0,
-                         x0=identity(d, n))
     a = random_hermitian(n, stream.child("a").generator(), scale=0.5)
-    policy = const_policy(problem, K=1, N=1, R=8.0)
-    policy.steps[0].values[...] = a[None, None]
+    problem = lq_problem(n, beta_c=0.0, beta_f=0.0, x0=a[None])
+    policy = zero_policy(problem, K=1, N=1, R=8.0)
+    policy.steps[0][0, 0, :2] = (0.7, -0.4)
     states = one_sample_states(problem, policy, stream.child("gue2"))
-    assert np.allclose(states[0][policy.prefix_index((0,)), 0], np.eye(n) + a,
-                       atol=1e-12)
+    assert np.allclose(states[0][policy.prefix_index((0,)), 0],
+                       a + 0.7 * np.eye(n) - 0.4 * a, atol=1e-12)
 
 
 def test_simulate_states_bin_independent_without_common_noise(stream):
     problem = lq_problem(4, beta_c=0.0, beta_f=1.0)
-    # non-collapsed tree with beta_c = 0: constant-node policy over N=1 bins
-    policy = zero_policy(problem, K=2, N=1, R=4.0)
-    policy.collapse_bins = False
-    steps = []
-    for i in range(1, 3):
-        paths = 4 ** i
-        steps.append(ctl.PolicyStep(kind="const",
-                                    values=np.zeros((paths, 1, 4, 4), complex)))
-    policy.steps = steps
+    # zero poly steps on the non-collapsed tree of N = 1 with beta_c = 0
+    policy = zero_policy(replace(problem, beta_c=1.0), K=2, N=1, R=4.0)
+    assert not policy.collapse_bins
+    assert [t.shape[0] for t in policy.steps] == [4, 16]
     states = one_sample_states(problem, policy, stream.child("gue3"))
     ref = states[1][policy.prefix_index((0, 0))]
     for j1 in (-2, -1, 0, 1):
@@ -139,8 +134,8 @@ def random_poly_policy(problem, K, N, R, gen, gate_level=1.0):
     level rejects some samples."""
     policy = replace(zero_policy(problem, K=K, N=N, R=R),
                      gate_level=gate_level)
-    for st in policy.steps:
-        st.coeffs[...] = gen.normal(size=st.coeffs.shape)
+    for table in policy.steps:
+        table[...] = gen.normal(size=table.shape)
     return policy
 
 
@@ -182,7 +177,7 @@ def test_forward_matches_naive_tree(stream):
     alphas = [c.alpha for c in sweep.controls]
     # X_{i,J} = x0 + delta sum_{i'<=i} alpha_{i',J_{:i'}} + beta_C W0_{i,J} 1
     #           + beta_F (increments up to step i); no clip at this R
-    want_alphas = [np.einsum("blw,swij->sblij", st.coeffs,
+    want_alphas = [np.einsum("blw,swij->sblij", st,
                              features[:, idx] * gate[:, None, None, None])
                    for st, idx in zip(policy.steps, word_index)]
     for alpha, want in zip(alphas, want_alphas):
@@ -220,8 +215,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, d, beta_c, clip,
                                "t", range(6))
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     slots = clipped = 0
-    for part in batch.slices(4):
-        _, _, sweep = forward(problem, policy, tree, part)
+    for part, (_, _, sweep) in sliced_forwards(problem, policy, tree, batch, 4):
         slots += control_slots(part, sweep)
         clipped += sum(len(c.clip) for c in sweep.controls)
         # the sweep never materialises these controls
@@ -252,7 +246,7 @@ def test_evaluate_gradient_matches_finite_differences(stream, d, beta_c, clip,
     assert sum(pulled) == clipped and len(pulled) <= K * 2
     eps = 1e-6
     for _ in range(3):
-        dirs = [gen.normal(size=st.coeffs.shape) for st in policy.steps]
+        dirs = [gen.normal(size=st.shape) for st in policy.steps]
 
         def shifted(sign):
             moved = ctl._policy_step(policy, dirs, -sign * eps)
@@ -264,9 +258,12 @@ def test_evaluate_gradient_matches_finite_differences(stream, d, beta_c, clip,
 
 
 def materialised_reference(problem, policy, inputs):
-    """Mean cost and mean parameter gradients of one chunk, given by its
-    letters, gate, features and word index, with every control materialised
-    and clipped matrix by matrix, the adjoint run on (S, B, d, n, n) arrays."""
+    """Per-sample costs and mean parameter gradients of one chunk, given by
+    its letters, gate, features and word index, with every control
+    materialised and clipped matrix by matrix, the adjoint run on
+    (S, B, d, n, n) arrays.  A step may also be a (B, d, n, n) table of
+    node values, the same for every sample (``coarsen_control``'s); it
+    reads no feature, and its gradient is left None."""
     letters, gate, features, word_index = inputs
     n, d, K, R = problem.n, problem.d, policy.K, policy.R
     S = len(letters)
@@ -285,8 +282,12 @@ def materialised_reference(problem, policy, inputs):
     states, raws, alphas, feats = [], [], [], []
     total = np.zeros(S)
     for i, st in enumerate(policy.steps, start=1):
-        f = features[:, word_index[i - 1]] * gate[:, None, None, None]
-        raw = np.einsum("bkw,swij->sbkij", st.coeffs, f)
+        if st.ndim == 4:                                 # node values
+            f = None
+            raw = np.broadcast_to(st, (S,) + st.shape)
+        else:
+            f = features[:, word_index[i - 1]] * gate[:, None, None, None]
+            raw = np.einsum("bkw,swij->sbkij", st, f)
         alpha = raw.copy()
         for slot in np.ndindex(raw.shape[:3]):
             if over_r(raw[slot]):
@@ -315,6 +316,8 @@ def materialised_reference(problem, policy, inputs):
                                                  axis=-3))
             lam = lam + delta * p * gj[..., :d, :, :]
             galpha = galpha + p * gj[..., d:, :, :]
+        if feats[i - 1] is None:
+            continue
         galpha = delta * (galpha + lam)
         raw = raws[i - 1]
         for slot in np.ndindex(raw.shape[:3]):
@@ -323,7 +326,7 @@ def materialised_reference(problem, policy, inputs):
                 galpha[slot] = pull(galpha[slot])
         grads[i - 1] = np.einsum("sbkij,swji->bkw", galpha,
                                  feats[i - 1]).real / n / S
-    return float(total.mean()), grads
+    return total, grads
 
 
 def mixed_l0(d):
@@ -361,7 +364,8 @@ def test_sweep_matches_materialised_reference(stream, monkeypatch, d, beta_c,
     value, _, grads = ctl._evaluate_prepared(problem, policy, batch,
                                              want_grads=True)
     plain, _, _ = ctl._evaluate_prepared(problem, policy, batch)
-    want_value, want_grads = materialised_reference(problem, policy, inputs)
+    want_costs, want_grads = materialised_reference(problem, policy, inputs)
+    want_value = float(want_costs.mean())
     assert value == plain
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
     scale = max(np.max(np.abs(g)) for g in want_grads)
@@ -426,17 +430,18 @@ def test_coefficient_terminal_matches_state_path(stream, monkeypatch, d, beta_c,
                              stream.child("coef-batch"), "t")
     assert 0 < gate_indicator(letters, d, policy.gate_level).sum() < 7
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
-    for part in batch.slices(4):
-        costs = {}
-        for prob in (problem, states_problem):
-            states, lagrangians, sweep = forward(prob, policy, tree, part)
-            on_coefficients = coefficient and prob is problem
+    costs = {}
+    for prob in (problem, states_problem):
+        on_coefficients = coefficient and prob is problem
+        costs[prob is problem] = []
+        for part, (states, lagrangians, sweep) in sliced_forwards(
+                prob, policy, tree, batch, 4):
             assert (states == []) == on_coefficients
             assert (sweep.form is not None) == on_coefficients
-            costs[prob is problem] = ctl._chunk_cost(
-                prob, policy, tree, part, states, sweep, lagrangians, False)[0]
-        assert np.max(np.abs(costs[True] - costs[False])) <= 1e-12 * np.max(
-            np.abs(costs[False]))
+            costs[prob is problem].append(ctl._chunk_cost(
+                prob, policy, tree, part, states, sweep, lagrangians, False)[0])
+    for got, want in zip(costs[True], costs[False]):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     monkeypatch.setattr(ctl, "CHUNK", 4)
     mean, stderr, grads = ctl._evaluate_prepared(problem, policy, batch, True)
@@ -469,8 +474,8 @@ def test_whole_set_sweep_matches_chunked_sweeps(stream, monkeypatch, d, beta_c):
                                                  want_grads=True)
     tree = ctl._bin_tree(K, N, 1.0 / K, policy.collapse_bins)
     costs, sums = [], None
-    for part in batch.slices(3):
-        states, lagrangians, sweep = forward(problem, policy, tree, part)
+    for part, (states, lagrangians, sweep) in sliced_forwards(
+            problem, policy, tree, batch, 3):
         cost, gterm = ctl._chunk_cost(problem, policy, tree, part, states,
                                       sweep, lagrangians, want_grad=True)
         g = ctl._chunk_gradients(problem, policy, tree, part, states, sweep,
@@ -498,7 +503,7 @@ def test_policy_coefficients_are_the_same_policy_at_every_n(
     small, large = (ctl.zero_policy(make(n), 3, 1, 8.0, 1, True)
                     for n in (4, 8))
     for a, b in zip(small.steps, large.steps):
-        a.coeffs[...] = b.coeffs[...] = 0.3 * gen.normal(size=a.coeffs.shape)
+        a[...] = b[...] = 0.3 * gen.normal(size=a.shape)
     results = []
     for policy in (small, large):
         batch = ctl._prepare_batch(problem, policy, stream.child("n-free-set"),
@@ -570,7 +575,7 @@ def screen_batch(feats):
     return ctl._Batch(rows=feats, index=None, factor=None, gram=None,
                       traces=None, width=feats.shape[1],
                       top=np.linalg.norm(feats, axis=(-2, -1)).max(axis=0),
-                      tight=lambda: (radius, radius.max(axis=0)))
+                      radius=lambda: (radius, radius.max(axis=0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -743,8 +748,8 @@ def test_frobenius_stage_clears_criterion_6_without_squares(monkeypatch):
 
 def test_tight_radius_is_built_once_per_set(stream, monkeypatch):
     """With the clip binding, every evaluation falls back to the tight
-    radius in every ``CHUNK`` slice; the set builds it once, and each slice
-    reads its own samples' rows of it."""
+    radius; the set builds it once and screens once, and each ``CHUNK``
+    slice gets its own samples' share of the screen."""
     gen = stream.child("tight").generator()
     problem = lq_problem(3, beta_c=0.5, x0=hermitian_batch(gen, (1,), 3, 0.3))
     policy = random_poly_policy(problem, 2, 1, 0.5, gen)
@@ -757,12 +762,19 @@ def test_tight_radius_is_built_once_per_set(stream, monkeypatch):
     assert built == []
     for want_grads in (True, False, True):
         ctl._evaluate_prepared(problem, policy, batch, want_grads=want_grads)
-    radius, top = batch.radius()
+    radius, _ = batch.radius()
     assert len(built) == 1 and len(radius) == 10
-    for lo, part in zip(range(0, 10, 4), batch.slices(4)):
-        got, got_top = part.radius()
-        assert got_top is top
-        assert np.array_equal(got, radius[lo:lo + 4])
+    screen = ctl._clip_screen(policy, batch)
+    parts = list(ctl._slices(policy, batch, screen, 4))
+    assert [len(part.rows) for part, _ in parts] == [4, 4, 2]
+    for k, (flat, table) in enumerate(zip(screen, policy.steps)):
+        width = table.shape[0] * table.shape[1]
+        assert len(flat) and len(flat) < 10 * width
+        joined = []
+        for lo, (part, share) in zip(range(0, 10, 4), parts):
+            assert np.all((share[k] >= 0) & (share[k] < len(part.rows) * width))
+            joined.append(share[k] + lo * width)
+        assert np.array_equal(np.concatenate(joined), flat)
     assert len(built) == 1
 
 
@@ -794,18 +806,14 @@ def count_samples(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("trigger", ["const_step", "binding_clip", "l0",
-                                     "quartic"])
+@pytest.mark.parametrize("trigger", ["binding_clip", "l0", "quartic"])
 def test_state_path_fallbacks(stream, monkeypatch, trigger):
     gen = stream.child("fallback", trigger).generator()
     n, K, N = 3, 2, 1
     make = quartic_problem if trigger == "quartic" else lq_problem
     problem = make(n, beta_c=0.5, x0=hermitian_batch(gen, (1,), n, 0.3))
     R = 0.5 if trigger == "binding_clip" else 1e6
-    if trigger == "const_step":
-        policy = const_policy(problem, K=K, N=N, R=R)
-    else:
-        policy = random_poly_policy(problem, K, N, R, gen)
+    policy = random_poly_policy(problem, K, N, R, gen)
     if trigger == "l0":
         problem.cost.l0 = mixed_l0(1)
     batch = ctl._prepare_batch(problem, policy, stream.child("fallback-batch"),
@@ -817,18 +825,16 @@ def test_state_path_fallbacks(stream, monkeypatch, trigger):
     if trigger == "binding_clip":
         assert any(len(c.clip) for c in sweep.controls)
     # an evaluation sweeps the states of at most ``CHUNK`` samples at a time
-    # and screens the clip once per poly step over the whole set and once
-    # per slice (two here); const steps are evaluated, never differentiated
+    # and screens the clip once per step, over the whole set
     del calls[:]
     screens = []
     screen = ctl._clip_suspects
     monkeypatch.setattr(ctl, "_clip_suspects",
                         lambda *args: screens.append(1) or screen(*args))
     monkeypatch.setattr(ctl, "CHUNK", 4)
-    ctl._evaluate_prepared(problem, policy, batch,
-                           want_grads=trigger != "const_step")
+    ctl._evaluate_prepared(problem, policy, batch, want_grads=True)
     assert calls and max(calls) == 4 and min(calls) == 2
-    assert len(screens) == (0 if trigger == "const_step" else 3 * K)
+    assert len(screens) == K
 
 
 @pytest.mark.parametrize("make, reads_states", [(lq_problem, False),
@@ -850,16 +856,13 @@ def test_optimizer_reads_states_only_off_the_quadratic_path(
 
 
 def test_const_clip_matches_per_matrix_clip(stream):
+    """``_clip_batch`` on (B, d, n, n) arrays of node values, one per step
+    of a K = 2, N = 1 tree, matches the clip matrix by matrix."""
     gen = stream.child("const-clip").generator()
     n, d, R = 3, 2, 1.2
-    problem = lq_problem(n, d=d)
-    policy = const_policy(problem, K=2, N=1, R=R)
-    for st in policy.steps:
-        for slot in np.ndindex(st.values.shape[:2]):
-            st.values[slot] = random_hermitian(n, gen, scale=0.6)
-    grads = [np.zeros_like(st.values) for st in policy.steps]
-    for slot in np.ndindex(grads[0].shape[:2]):
-        grads[0][slot] = random_hermitian(n, gen, scale=0.4)
+    tables = [random_batch(gen, (4 ** i, d), n) for i in (1, 2)]
+    grads = [np.zeros_like(t) for t in tables]
+    grads[0] = random_batch(gen, grads[0].shape[:2], n, scale=0.4)
 
     def per_matrix(values, prescreen):
         out = values.copy()
@@ -869,35 +872,15 @@ def test_const_clip_matches_per_matrix_clip(stream):
         return out
 
     changed = 0
-    for st, g in zip(policy.steps, grads):
-        stepped, _ = ctl._clip_batch(st.values - 0.5 * g, R)
-        clipped, _ = ctl._clip_batch(st.values, R)
-        want1 = per_matrix(st.values - 0.5 * g, prescreen=True)
-        want2 = per_matrix(st.values, prescreen=False)
+    for table, g in zip(tables, grads):
+        stepped, _ = ctl._clip_batch(table - 0.5 * g, R)
+        clipped, _ = ctl._clip_batch(table, R)
+        want1 = per_matrix(table - 0.5 * g, prescreen=True)
+        want2 = per_matrix(table, prescreen=False)
         assert np.max(np.abs(stepped - want1)) <= 1e-12
         assert np.max(np.abs(clipped - want2)) <= 1e-12
-        changed += int(np.sum(np.abs(want2 - st.values) > 1e-6))
+        changed += int(np.sum(np.abs(want2 - table) > 1e-6))
     assert changed > 0
-
-
-def test_const_step_stored_transposed_costs_as_its_copy(stream):
-    # a const step may hold a view whose last axis is not contiguous
-    gen = stream.child("transposed").generator()
-    n, R = 3, 0.5
-    problem = lq_problem(n, beta_c=0.5)
-    policy = const_policy(problem, K=2, N=1, R=R)
-    for st in policy.steps:
-        h = np.stack([random_hermitian(n, gen, scale=0.6)
-                      for _ in range(st.values.shape[0])])[:, None]
-        st.values = np.swapaxes(h, -1, -2)
-    copied = replace(policy, steps=[
-        replace(st, values=np.ascontiguousarray(st.values))
-        for st in policy.steps])
-    assert not policy.steps[0].values.flags.c_contiguous
-    assert len(ctl._clip_batch(policy.steps[0].values, R)[1]) > 0  # binds
-    got = ctl.discrete_cost(problem, policy, 4, stream.child("t-cost"))
-    want = ctl.discrete_cost(problem, copied, 4, stream.child("t-cost"))
-    assert got == want
 
 
 def test_gate_matches_per_matrix_norms(stream):
@@ -1050,7 +1033,7 @@ def test_step_words_are_leading_words_of_the_basis(degree, include_current):
         assert policy.last_readable_step(i) == last
         letters = range(1, d * (1 + last) + 1)
         step_words = ctl._words_through(d, last, degree)
-        assert st.coeffs.shape[-1] == len(step_words)
+        assert st.shape[-1] == len(step_words)
         assert step_words == words[:len(step_words)]
         assert {l for w in step_words for l in w} == set(letters)
         assert len(step_words) == sum(len(letters) ** k
@@ -1068,7 +1051,7 @@ def test_prepare_batch_refuses_words_that_do_not_lead_the_basis(stream):
     for include, wrong in ((True, 1), (False, 2)):
         policy = ctl.zero_policy(problem, 2, 1, 8.0, 2, include)
         other = ctl.zero_policy(problem, 2, 1, 8.0, wrong, True).steps[1]
-        assert other.coeffs.shape != policy.steps[1].coeffs.shape
+        assert other.shape != policy.steps[1].shape
         bad = replace(policy, steps=[policy.steps[0], other])
         with pytest.raises(ValueError, match="one coefficient per word it reads"):
             ctl._prepare_batch(problem, bad, stream, "t", range(2))
@@ -1237,15 +1220,16 @@ def test_zero_policy_gue_variance(stream):
 
 
 def test_any_policy_cost_dominates_dp_oracle(stream):
+    """The zero policy and a random policy of small coefficients cost no
+    less than the DP optimum, within 3 stderr."""
     problem = lq_problem(6, beta_c=0.5, beta_f=1.0)
     oracle = ctl.lq_discrete_oracle(2, 1, 1.0, 0.5, 1.0)
     gen = stream.child("rand").generator()
-    for kind in ("const", "poly"):
-        make = const_policy if kind == "const" else zero_policy
-        policy = make(problem, K=2, N=1, R=4.0)
-        if kind == "const":
-            for st in policy.steps:
-                st.values[...] += random_hermitian(6, gen, scale=0.2)[None, None]
+    for kind in ("zero", "random"):
+        policy = zero_policy(problem, K=2, N=1, R=4.0)
+        if kind == "random":
+            for table in policy.steps:
+                table[...] = 0.2 * gen.normal(size=table.shape)
         value, stderr = ctl.discrete_cost(problem, policy, 200,
                                           stream.child("c2", kind))
         assert value >= oracle - 3.0 * stderr - 1e-9
@@ -1399,16 +1383,54 @@ def test_lq_discrete_oracle_limits():
 # Paper claim: coarsening onto the bin tree, the discretization step (Jensen bound).
 
 
+def coarsen_control(fine_samples, grid, N):
+    """Conditional-mean coarsening of sampled fine controls onto the bin
+    tree: each step's (B_i, d, n, n) node table, and the fallback cells.
+
+    Node (i, J) averages, over the samples whose first i coarse increments
+    fall in the bins of J, the time average of the control over
+    (t_{i-1}, t_i].  An empty cell falls back to the step's global mean and
+    is listed as (i, J)."""
+    K = grid.K
+    fine_steps, d, n, _ = fine_samples[0].controls.shape
+    assert fine_steps % K == 0
+    assert all(len(path.controls) == fine_steps for path in fine_samples)
+    per = fine_steps // K
+    branch = ctl.tree_branching(N, False)
+    # per sample: coarse bin path and per-coarse-step time-averaged control
+    S = len(fine_samples)
+    coarse_w0 = np.array([path.w0_increments for path in fine_samples]).reshape(
+        S, K, per).sum(axis=2)
+    digits = bin_of(coarse_w0, N) + N + 1                       # (S, K)
+    sample_avgs = np.array([path.controls for path in fine_samples]).reshape(
+        S, K, per, d, n, n).mean(axis=2)
+    tables, fallbacks = [], []
+    for i in range(1, K + 1):
+        shape = (branch,) * i
+        node = np.ravel_multi_index(tuple(digits[:, :i].T), shape)
+        counts = np.bincount(node, minlength=branch ** i)
+        values = np.zeros((branch ** i, d, n, n), dtype=complex)
+        np.add.at(values, node, sample_avgs[:, i - 1])
+        filled = counts > 0
+        values[filled] /= counts[filled, None, None, None]
+        empty = np.flatnonzero(~filled)
+        values[empty] = sample_avgs[:, i - 1].mean(axis=0)
+        prefixes = np.transpose(np.unravel_index(empty, shape)) - (N + 1)
+        fallbacks += [(i, tuple(prefix)) for prefix in prefixes.tolist()]
+        tables.append(hermitize(values))
+    return tables, fallbacks
+
+
 def test_coarsen_constant_control(stream):
     problem = lq_problem(3, beta_c=1.0, beta_f=0.5)
     a = random_hermitian(3, stream.child("cc").generator(), 0.5)[None]
     samples = [ctl.euler_maruyama(problem, lambda t, x: a, 4,
                                   stream.child("em", k)) for k in range(12)]
     grid = TimeGrid(0.0, 1.0, 2)
-    policy = ctl.coarsen_control(samples, grid, N=1)
-    for st in policy.steps:
-        for b in range(st.values.shape[0]):
-            assert np.allclose(st.values[b], a, atol=1e-10)
+    tables, _ = coarsen_control(samples, grid, N=1)
+    for table in tables:
+        for b in range(table.shape[0]):
+            assert np.allclose(table[b], a, atol=1e-10)
 
 
 def test_coarsen_sign_policy_conditional_mean(stream):
@@ -1422,18 +1444,21 @@ def test_coarsen_sign_policy_conditional_mean(stream):
         controls = np.broadcast_to(s * np.eye(2, dtype=complex), (2, 1, 2, 2))
         samples.append(replace(path, controls=controls, cost=0.0))
     grid = TimeGrid(0.0, 1.0, 2)
-    policy = ctl.coarsen_control(samples, grid, N=1)
+    tables, _ = coarsen_control(samples, grid, N=1)
+    policy = zero_policy(problem, K=2, N=1, R=8.0)
     table = noise_table(1, 0.5)
-    st = policy.steps[0]
     for j in table.indices:
         b = policy.prefix_index((j,))
         sign = 1.0 if j >= 0 else -1.0
-        got = float(np.real(st.values[b, 0, 0, 0]))
+        got = float(np.real(tables[0][b, 0, 0, 0]))
         assert got == pytest.approx(sign, abs=0.1)
 
 
 def test_coarsen_jensen_inequality(stream):
-    # convex cost: coarsened discrete cost <= mean fine-path cost + tolerance
+    """Convex cost: the coarsened policy's discrete cost, from the
+    materialised reference on the engine's cost samples, is at most the
+    mean fine-path cost plus a tolerance.  R is 1 above the largest node's
+    Frobenius norm, so the clip never binds."""
     problem = lq_problem(4, beta_c=1.0, beta_f=0.5)
     gain = -0.8
     feedback = lambda t, x: gain * x
@@ -1441,9 +1466,15 @@ def test_coarsen_jensen_inequality(stream):
                for k in range(300)]
     fine_mean = float(np.mean([p.cost for p in samples]))
     grid = TimeGrid(0.0, 1.0, 2)
-    policy = ctl.coarsen_control(samples, grid, N=1)
-    coarse, stderr = ctl.discrete_cost(problem, policy, 300,
-                                       stream.child("jenc"))
+    tables, _ = coarsen_control(samples, grid, N=1)
+    R = max(np.linalg.norm(t, axis=(-2, -1)).max() for t in tables) + 1.0
+    policy = replace(zero_policy(problem, K=2, N=1, R=8.0), R=R, steps=tables)
+    letters = sample_letters(problem, 2, range(300), stream.child("jenc"),
+                             "cost")
+    costs, _ = materialised_reference(problem, policy,
+                                      (letters, None, None, None))
+    coarse = costs.mean()
+    stderr = costs.std(ddof=1) / math.sqrt(len(costs))
     assert coarse <= fine_mean + 0.1 + 3 * stderr
 
 
@@ -1451,8 +1482,8 @@ def test_coarsen_flags_empty_cells(stream):
     problem = lq_problem(2, beta_c=1.0, beta_f=0.0)
     samples = [ctl.euler_maruyama(problem, None, 2, stream.child("few", k))
                for k in range(2)]
-    policy = ctl.coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
-    assert policy.fallback_cells  # 2 samples cannot cover 4 + 16 cells
+    _, fallbacks = coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
+    assert fallbacks  # 2 samples cannot cover 4 + 16 cells
 
 
 def bin_containing(value, N):
@@ -1472,41 +1503,37 @@ def test_coarsen_averages_per_coarse_step_and_bin_path(stream):
         path = ctl.euler_maruyama(problem, None, 6, stream.child("avg", k))
         controls = np.stack([random_hermitian(2, gen)[None] for _ in range(6)])
         samples.append(replace(path, controls=controls))
-    policy = ctl.coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
+    tables, fallbacks = coarsen_control(samples, TimeGrid(0.0, 1.0, 2), N=1)
+    policy = zero_policy(problem, K=2, N=1, R=8.0)
     avgs = np.array([p.controls for p in samples]).reshape(40, 2, 3, 1, 2, 2)
     avgs = avgs.mean(axis=2)
     bins = [tuple(bin_containing(sum(p.w0_increments[3 * i:3 * i + 3]), 1)
                   for i in range(2)) for p in samples]
-    for i, st in enumerate(policy.steps, start=1):
-        for b, value in enumerate(st.values):
+    for i, table in enumerate(tables, start=1):
+        for b, value in enumerate(table):
             prefix = tuple(int(j) - 2 for j in np.unravel_index(b, (4,) * i))
             assert policy.prefix_index(prefix) == b
             cell = [avgs[s, i - 1] for s in range(40) if bins[s][:i] == prefix]
             want = np.mean(cell, axis=0) if cell else avgs[:, i - 1].mean(axis=0)
             assert np.allclose(value, want, atol=1e-12)
-            assert (not cell) == ((i, prefix) in policy.fallback_cells)
+            assert (not cell) == ((i, prefix) in fallbacks)
 
 
 # -- clipping and the truncation inequality --------------------------------------------
 
 
 def test_clip_policy_within_r_unchanged(stream):
-    problem = lq_problem(3)
-    policy = const_policy(problem, K=2, N=1, R=4.0)
     a = random_hermitian(3, stream.child("clip").generator(), scale=0.1)
-    for st in policy.steps:
-        st.values[...] += a[None, None]
-    for st in policy.steps:
-        clipped, _ = ctl._clip_batch(st.values, 4.0)
-        assert np.allclose(st.values, clipped, atol=1e-12)
+    for i in (1, 2):
+        table = np.broadcast_to(a, (4 ** i, 1, 3, 3))
+        clipped, records = ctl._clip_batch(table, 4.0)
+        assert clipped is table and len(records) == 0
 
 
-def test_clip_policy_reduces_norm(stream):
-    problem = lq_problem(3)
-    policy = const_policy(problem, K=1, N=1, R=8.0)
-    policy.steps[0].values[...] = 5.0 * np.eye(3)[None, None]
-    clipped, _ = ctl._clip_batch(policy.steps[0].values, 2.0)
-    assert np.allclose(clipped[0, 0], 2.0 * np.eye(3))
+def test_clip_policy_reduces_norm():
+    table = np.broadcast_to(5.0 * np.eye(3, dtype=complex), (4, 1, 3, 3))
+    clipped, _ = ctl._clip_batch(table, 2.0)
+    assert np.allclose(clipped, 2.0 * np.eye(3))
 
 
 def test_truncation_inequality_scalar_closed_form():

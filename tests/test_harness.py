@@ -201,11 +201,10 @@ def renames(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fresh_run_renames_each_output_once_onto_a_new_path(tmp_path, renames,
-                                                             threads, fmt):
+                                                             threads):
     out = tmp_path / "o"
-    harness.run_config(tiny_config(), str(out), threads=threads, fmt=fmt)
+    harness.run_config(tiny_config(), str(out), threads=threads)
     assert sorted(name for name, _ in renames) == sorted(os.listdir(out))
     assert not any(existed for _, existed in renames)
 
@@ -544,29 +543,25 @@ ALL_KINDS_CONFIG = {"seed": 3, "experiments": [
 ]}
 
 
-def test_cli_run_and_json_format(tmp_path):
-    """``--format json`` writes every kind's rows as JSON objects whose
-    values print as the CSV's cells."""
+def test_cli_runs_every_kind(tmp_path):
+    """``nclab run`` runs a config with every kind and writes one CSV of
+    rows per experiment, its only artifact."""
     assert ({e["kind"] for e in ALL_KINDS_CONFIG["experiments"]}
             == set(harness.EXPERIMENT_KINDS))
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(ALL_KINDS_CONFIG))
     out = tmp_path / "cli"
     code = main(["run", "--config", str(cfg_path), "--out-dir", str(out),
-                 "--threads", "2", "--format", "json"])
+                 "--threads", "2"])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     for idx, exp in enumerate(ALL_KINDS_CONFIG["experiments"]):
         key = f"{idx:02d}_{exp['kind']}"
-        assert manifest["experiments"][key]["artifacts"] == [f"{key}.csv",
-                                                             f"{key}.json"]
+        assert manifest["experiments"][key]["artifacts"] == [f"{key}.csv"]
         with open(out / f"{key}.csv", encoding="utf-8", newline="") as fh:
             headers, *rows = list(csv.reader(fh))
-        doc = json.loads((out / f"{key}.json").read_text())
-        assert rows and len(doc) == len(rows)
-        for row, obj in zip(rows, doc):
-            assert list(obj) == headers
-            assert [harness._fmt(v) for v in obj.values()] == row
+        assert headers and rows
+        assert all(len(row) == len(headers) for row in rows)
 
 
 def test_value_experiment_smoke(tmp_path):
@@ -934,10 +929,9 @@ INLINE_CONFIGS = hst.fixed_dictionaries({
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=CONFIGS | INLINE_CONFIGS, threads=mostly(hst.integers(1, 4), hst.integers(-2, 0)
                                       | hst.sampled_from([1.0, 2.5, "2", None,
-                                                          True])),
-       fmt=hst.sampled_from(["csv", "json"]))
+                                                          True])))
 def test_any_config_document_exits_with_a_code(tmp_path, monkeypatch, config,
-                                               threads, fmt):
+                                               threads):
     """``run`` maps every config document to an exit code in {0, 1, 2, 3}
     and prints no traceback; the experiments are stubbed, so only the
     validation, the manifest and the writes run."""
@@ -952,6 +946,6 @@ def test_any_config_document_exits_with_a_code(tmp_path, monkeypatch, config,
         json.dump(config, fh)
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-        code = harness.run("c.json", threads=threads, fmt=fmt)
+        code = harness.run("c.json", threads=threads)
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in printed.getvalue()

@@ -45,16 +45,15 @@ TEST_ONLY_CLAIMS = {
     "control.policy_control_budget":
         "the a-priori energy bound, sum_i sum_J P(O_{i,J}) "
         "E ||alpha_{i,J}||^2 delta",
-    "control.lq_reference": "the LQ Riccati value in closed form",
     "control.lq_reference_ode":
         "the LQ Riccati value re-derived from the Riccati ODE",
     "control.euler_maruyama":
         "the discretization step: fine paths of the continuous dynamics",
-    "control.coarsen_control":
-        "the discretization step: conditional-mean coarsening onto the bin "
-        "tree, under the Jensen bound",
     "control.rate_function_candidate":
         "the Laplace principle, the rate function as a supremum over tests",
+    "gaussdisc.bin_of":
+        "the discretization step: the bin of a coarse increment, which "
+        "the tests' conditional-mean coarsening onto the bin tree reads",
     "laplacian.CylindricalFunction.hessian_bilinear":
         "the generator with common noise, "
         "1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 Delta_GUE U",
