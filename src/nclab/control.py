@@ -38,19 +38,19 @@ on to the next stage as they would without it: the verdicts are those of
 an eigensolve of every slot.  The first stage is free, the Frobenius norm
 sqrt(H_rr) = (sum lambda^2)^(1/2) read off the diagonal of the rows' Gram
 (below).  The gate then squares only the increments it cannot clear, for
-(sum lambda^4)^(1/4) = ||L^2||_F^(1/2), and sends what remains to
-``eigvalsh``.  The clip's pre-screen is the triangle bound
-||alpha||_op <= sum_w |c_w| rho_{s,w} with rho_{s,w} >= ||f_{s,w}||_op:
-no slot of the set can exceed R when sum_w |c_{J,k,w}| max_s rho_{s,w} <= R
-for every (J, k).  That set-wide check runs first with rho the Frobenius
-norm (the identity's is its norm 1), and only where it fails with the
-tight rho = (sum lambda^8)^(1/8), within a factor n^(1/8) of the operator
-norm, built once per set on first need, set-wide and then per slot.  The
-Frobenius norm is within a factor sqrt(n) of the operator norm, and an
-increment's is about sqrt(n delta): in criterion 6's shape (delta = 1/4)
-it settles both screens at n <= 8, the clip screen's tight stage runs from
-n = 16 on, and the gate's second stage at n = 64, where sqrt(n delta) = 4
-is above the gate level 3.
+(sum lambda^4)^(1/4) = ||L^2||_F^(1/2), keeps the squares for the tight
+radius, and sends what remains to ``eigvalsh``.  The clip's pre-screen is
+the triangle bound ||alpha||_op <= sum_w |c_w| rho_{s,w} with rho_{s,w} >=
+||f_{s,w}||_op: no slot of the set can exceed R when
+sum_w |c_{J,k,w}| max_s rho_{s,w} <= R for every (J, k).  That set-wide
+check runs first with rho the Frobenius norm (the identity's is its norm
+1), and only where it fails with the tight rho = (sum lambda^8)^(1/8),
+within a factor n^(1/8) of the operator norm, built once per set on first
+need, set-wide and then per slot.  The Frobenius norm is within a factor
+sqrt(n) of the operator norm, and an increment's is about sqrt(n delta):
+in criterion 6's shape (delta = 1/4) it settles both screens at n <= 8,
+the clip screen's tight stage runs from n = 16 on, and the gate's second
+stage at n = 64, where sqrt(n delta) = 4 is above the gate level 3.
 
 States are real combinations of the per-sample basis b = [f; 1; x0;
 increments], so the tree expands on the (B_i, d, V) coefficients,
@@ -64,24 +64,28 @@ are corrected, and where l0 reads them or ``_forward`` keeps every level's
 states (``keep_states``, set when l0's gradient needs them).
 
 A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
-``discrete_cost``'s samples) is drawn in one ``randmat.sample_gue`` call,
-one stream address per sample, into its R distinct rows r: the identity,
-the letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
+``discrete_cost``'s samples) has R distinct rows r: the identity, the
+letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
 Words are listed as their letters become available, x0's and then each
 step's increment's (``_words_through``), so a step's features are the
-leading columns of the basis.
-Basis column v is row m(v) times a per-sample factor a_{s,v}: gate over
-feature scale for a feature, else 1.  So one GEMM over the rows gives the
-basis Gram H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V),
-and traces t_s = tr b_v; a step's feature Gram G_s is a block of H_s.  A
-set is held as its rows and H_s; the basis itself (V ~ 2R columns at degree
-1) is never formed.  Where the engine needs columns of it, it goes through
-the lift A_s = (a_{s,v} [m(v) = r])_{v,r}, (S, V, R): states are
-(C_i @ A_s) @ r_s, materialised controls (c @ A_s) @ r_s, and a state
-adjoint is paired with the features as (adj @ r_s^T) @ A_s^T, each a GEMM
-over the R rows.  A sweep that makes no state covers the whole set.  Where
-states are made the set is swept in slices of ``CHUNK`` samples, which
-bounds the (CHUNK, B, d, n, n) state arrays.
+leading columns of the basis.  A set is prepared from its rows' real
+coordinates under Re tr, (S, R, n^2) (``randmat``): an increment's are its
+sample's Philox normals times sqrt(delta_k / n), one stream address per
+sample, and the other rows' come from their matrices.  Basis column v is
+row m(v) times a per-sample factor a_{s,v}: gate over feature scale for a
+feature, else 1.  So one GEMM over the coordinates gives the basis Gram
+H_s = Re tr(b_v b_w) = a_v a_w Re tr(r_m(v) r_m(w)), (S, V, V), and its
+identity column the traces t_s = tr b_v; a step's feature Gram G_s is a
+block of H_s.  A set is held as H_s; the basis itself (V ~ 2R columns at
+degree 1) is never formed.  The complex rows r_s are built on first need
+(the gate's and the tight radius's squares, longer words, states) and
+kept.  Where the engine needs columns of the basis, it goes through the lift
+A_s = (a_{s,v} [m(v) = r])_{v,r}, (S, V, R): states are (C_i @ A_s) @ r_s,
+materialised controls (c @ A_s) @ r_s, and a state adjoint is paired with
+the features as (adj @ r_s^T) @ A_s^T, each a GEMM over the R rows.  A
+sweep that makes no state covers the whole set.  Where states are made
+the set is swept in slices of ``CHUNK`` samples, which bounds the
+(CHUNK, B, d, n, n) state arrays.
 
 Terminal costs affine in tr_n X_k and tr_n X_k X_l stay in coefficient
 space.  A terminal whose ``trace_quadratic()`` is not None (a cylindrical
@@ -108,16 +112,15 @@ count ``d`` and ``trace_quadratic()`` (the form above, or None).
 ``ScalarTraceCost`` is value-only, an l0 for ``CostSpec.lagrangian``, and
 has no form either.
 
-Also here: the LQ Riccati references (continuous closed form, ODE
-re-derivation, and the exact discrete dynamic-programming optimum), the
-truncation inequality check and Euler-Maruyama's ``PathData``, both on
-(steps, d, n, n) arrays, and the exponential-functional machinery
-(variational formula for -(1/n^2) log E exp(-n^2 psi) and the rate-function
-candidate).  ``_clip_batch`` is the package's one operator-norm clip.
-Only tests call the ODE re-derivation, Euler-Maruyama (whose paths they
-coarsen onto the bin tree), ``policy_control_budget`` and the rate-function
-candidate: they check the paper's own steps (the Riccati oracle, the
-discretization step, the a-priori energy bound, the Laplace principle).
+Also here: the LQ Riccati references (continuous closed form and the
+exact discrete dynamic-programming optimum), the truncation inequality
+check and Euler-Maruyama's ``PathData``, both on (steps, d, n, n) arrays,
+and the exponential-functional machinery (the two sides of the
+variational formula for -(1/n^2) log E exp(-n^2 psi)).  ``_clip_batch`` is
+the package's one operator-norm clip.  Only tests call Euler-Maruyama
+(whose paths they coarsen onto the bin tree) and ``ArctanComposedTerminal``
+(the terminal of their rate-function candidate): they check the paper's
+own steps (the discretization step, the Laplace principle).
 """
 
 from __future__ import annotations
@@ -143,10 +146,9 @@ __all__ = [
     "CostSpec", "ControlProblem", "DiscretePolicy",
     "OptimizerConfig", "OptimizeResult", "OptimizeError",
     "PathData", "discrete_cost", "optimize_discrete_value",
-    "lq_reference", "lq_reference_ode", "lq_discrete_oracle",
+    "lq_reference", "lq_discrete_oracle",
     "truncation_inequality_check",
     "euler_maruyama", "boue_dupuis_lhs", "boue_dupuis_rhs",
-    "rate_function_candidate", "policy_control_budget",
     "ArctanComposedTerminal", "ScalarTraceCost",
 ]
 
@@ -507,21 +509,6 @@ def _bin_tree(K, N, delta, collapse):
     return _BinTree(probs=tuple(probs), noise=tuple(noise))
 
 
-def _sample_letters(problem, K, sample_indices, rng: RngStream, tag, out):
-    """Letters (S, d(1+K), n, n) of the given samples, written into ``out``:
-    x0's components, then each step's GUE increments, sample s drawn from
-    ``rng.child(tag, s)``.  One ``sample_gue`` call covers the samples'
-    streams, and each path is scaled as ``gue_increments`` does.  Every
-    letter is exactly Hermitian: GUE draws are, a real scale keeps them so,
-    and ``ControlProblem`` stores x0 hermitized."""
-    n, d, times = problem.n, problem.d, problem.grid(K).times
-    draws = randmat.sample_gue(n, (rng, tag, sample_indices), (K, d))
-    out[:, :d] = problem.x0
-    np.multiply(np.sqrt(np.diff(times))[:, None, None, None], draws,
-                out=out[:, d:].reshape(len(draws), K, d, n, n))
-    return out
-
-
 # Relative margin of the eigensolve-free norm screens: far above the rounding
 # of ``operator_norm_bound`` and of the eigensolvers at any n the lab runs.
 _NORM_MARGIN = 1e-10
@@ -533,23 +520,44 @@ def _norm_suspects(norms, level):
     return ~(norms * (1.0 + _NORM_MARGIN) <= level)
 
 
-def _gate_indicator(letters, d, level, norms):
+class _RowSquares:
+    """The squares of a set's (S, R, n, n) ``rows()``, each formed on first
+    need and kept: the gate and the tight radius square a row once."""
+
+    def __init__(self, rows):
+        self.rows, self.done, self.squares = rows, None, None
+
+    def __call__(self, samples, slots):
+        if self.done is None:
+            shape = self.rows().shape
+            self.done = np.zeros(shape[:2], dtype=bool)
+            self.squares = np.empty(shape, dtype=complex)
+        new = ~self.done[samples, slots]
+        s, r = samples[new], slots[new]
+        m = self.rows()[s, r]
+        self.squares[s, r] = m @ m
+        self.done[s, r] = True
+        return self.squares[samples, slots]
+
+
+def _gate_indicator(squares, d, level, norms):
     """1 when every increment's operator norm is <= level, per sample.
 
     The increments pass screens in stages, each an upper bound on the
     operator norm, so a stage clears a slot only below the level and the
-    rest go on: their Frobenius ``norms``, (S, K d), then
-    ``operator_norm_bound``, which forms the squares of those slots alone,
-    then ``eigvalsh``, which decides them as the eigensolve alone would."""
+    rest go on: their Frobenius ``norms``, (S, K d), then ||L^2||_F^(1/2)
+    from the ``squares`` of those slots alone, then ``eigvalsh``, which
+    decides them as the eigensolve alone would."""
     samples, slots = np.nonzero(_norm_suspects(norms, level))
+    slots = slots + 1 + d                          # the increments' rows
     if len(samples):
-        suspects = letters[samples, d + slots]
-        keep = _norm_suspects(operator_norm_bound(suspects), level)
-        samples, suspects = samples[keep], suspects[keep]
-    gate = np.ones(len(letters))
+        bound = np.sqrt(np.linalg.norm(squares(samples, slots), axis=(-2, -1)))
+        keep = _norm_suspects(bound, level)
+        samples, slots = samples[keep], slots[keep]
+    gate = np.ones(len(norms))
     if len(samples):
         try:
-            w = np.linalg.eigvalsh(suspects)
+            w = np.linalg.eigvalsh(squares.rows()[samples, slots])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"gate eigensolver failed: {exc}") from exc
         gate[samples[np.max(np.abs(w), axis=-1) > level]] = 0.0
@@ -558,7 +566,7 @@ def _gate_indicator(letters, d, level, norms):
 
 def _word_features(letters, words):
     """Word evaluations, (S, W, n, n), Hermitian-symmetrized; the empty word
-    and the letters are exactly Hermitian (see ``_sample_letters``)."""
+    and the letters are exactly Hermitian (see ``_matrix_rows``)."""
     S, _, n, _ = letters.shape
     out = np.empty((S, len(words), n, n), dtype=complex)
     cache = {}
@@ -567,34 +575,60 @@ def _word_features(letters, words):
     return out
 
 
-def _distinct_rows(problem, policy, rng, tag, sample_indices):
-    """A sample set's distinct rows (S, R, n, n), the identity, the letters
-    and the symmetrized global words of length >= 2 (a word and its reversal
-    share a row), and the row of each global word, (W,)."""
+def _set_coordinates(problem, policy, rng, tag, sample_indices):
+    """A sample set's distinct rows as real coordinates c, (S, R, n^2), and
+    scales u, (R,), row r being u_r c_r; the row of each global word, (W,);
+    and ``_matrix_rows``, memoized.  An increment's c are its Philox
+    normals, drawn in place."""
     d, K, n = problem.d, policy.K, problem.n
     words = _global_words(problem, policy)
     first = 1 + d * (1 + K)                  # the first longer word's row
     row = {(l,) if l else (): l for l in range(first)}
     for w in words:
         row.setdefault(min(w, w[::-1]), len(row))
-    rows = np.empty((len(sample_indices), len(row), n, n), dtype=complex)
-    rows[:, 0] = np.eye(n)
-    letters = _sample_letters(problem, K, sample_indices, rng, tag,
-                              out=rows[:, 1:first])
+    coords = np.empty((len(sample_indices), len(row), n * n))
+    coords[:, 0] = np.eye(n).ravel()
+    coords[:, 1:1 + d] = randmat.hermitian_coordinates(problem.x0)
+    normals = randmat.stream_normals(rng, tag, sample_indices,
+                                     coords[:, 1 + d:first])
+    rows = functools.cache(functools.partial(_matrix_rows, problem, K,
+                                             normals, list(row)[first:]))
     if len(row) > first:
-        rows[:, first:] = _word_features(letters, list(row)[first:])
-    return rows, np.array([row[min(w, w[::-1])] for w in words], dtype=int)
+        coords[:, first:] = randmat.hermitian_coordinates(rows()[:, first:])
+    unit = np.ones(len(row))
+    dt = np.diff(problem.grid(K).times)
+    unit[1 + d:first] = np.repeat(np.sqrt(dt / n), d)
+    return coords, unit, np.array([row[min(w, w[::-1])] for w in words]), rows
 
 
-def _row_radius(rows, d):
+def _matrix_rows(problem, K, normals, words):
+    """A set's complex rows (S, R, n, n) from its increments' normals
+    (S, K d, n^2), each increment as ``gue_increments`` draws it.  Every
+    letter is exactly Hermitian, x0 as ``ControlProblem`` stores it."""
+    n, d = problem.n, problem.d
+    S, first = len(normals), 1 + d * (1 + K)
+    out = np.empty((S, first + len(words), n, n), dtype=complex)
+    out[:, 0] = np.eye(n)
+    out[:, 1:1 + d] = problem.x0
+    draws = randmat.gue_from_normals(normals.reshape(S, K, d, n, n).copy())
+    np.multiply(np.sqrt(np.diff(problem.grid(K).times))[:, None, None, None],
+                draws, out=out[:, 1 + d:first].reshape(S, K, d, n, n))
+    if words:
+        out[:, first:] = _word_features(out[:, 1:first], words)
+    return out
+
+
+def _row_radius(squares, d):
     """Bounds rho_{s,r} >= ||r_{s,r}||_op on the distinct rows, (S, R): 1
-    for the identity, else (sum lambda^8)^(1/8) = ||(r^2)^2||_F^(1/4), x0's
-    once for the set."""
-    S = len(rows)
+    for the identity, else (sum lambda^8)^(1/8) = ||(r^2)^2||_F^(1/4) from
+    the set's ``squares``, x0's once for the set."""
+    rows = squares.rows()
+    S, R, n, _ = rows.shape
     x0 = rows[:1, 1:d + 1]                   # the same in every sample
-    rest = rows[:, 1 + d:]
+    samples, slots = np.divmod(np.arange(S * (R - 1 - d)), R - 1 - d)
+    rest = squares(samples, slots + 1 + d).reshape(S, -1, n, n)
     bounds = [np.ones((S, 1)), operator_norm_bound(x0 @ x0).repeat(S, 0),
-              operator_norm_bound(rest @ rest)]
+              operator_norm_bound(rest)]
     return np.sqrt(np.concatenate(bounds, axis=1))
 
 
@@ -738,14 +772,15 @@ def _realize_controls(problem, policy, step_index, batch, suspects,
     ctrl = _Controls(coeffs=table, batch=batch)
     if materialise or len(suspects):
         lift = _lift(batch, slice(W))                        # (S, W, R)
+        rows = batch.rows()
     if materialise:
-        ctrl.alpha = ((coeffs @ lift) @ batch.rows).view(complex).reshape(
+        ctrl.alpha = ((coeffs @ lift) @ rows).view(complex).reshape(
             S, B, d, n, n)
     if len(suspects):
         s_idx, j_idx = np.divmod(suspects, B * d)
         raw = np.empty((len(suspects), 2 * n * n))
-        for s, rows in _sample_rows(s_idx, S):
-            raw[rows] = (coeffs[j_idx[rows]] @ lift[s]) @ batch.rows[s]
+        for s, part in _sample_rows(s_idx, S):
+            raw[part] = (coeffs[j_idx[part]] @ lift[s]) @ rows[s]
         raw = raw.view(complex).reshape(-1, n, n)
         new, records = _clip_batch(raw, R)
         if records:
@@ -762,9 +797,9 @@ def _level_states(coef, batch, fixes, n):
     the coefficients through the ``_lift``, then one real GEMM per sample
     over the rows' float views, plus the clip's fixes, each broadcast over
     the descendants of its node."""
-    S = len(batch.rows)
+    S = len(batch.gram)
     B, d, _ = coef.shape
-    x = (coef.reshape(B * d, -1) @ _lift(batch, slice(None))) @ batch.rows
+    x = (coef.reshape(B * d, -1) @ _lift(batch, slice(None))) @ batch.rows()
     x = x.view(complex).reshape(S, B, d, n, n)
     for width, idx, shift in fixes:
         s, node, k = np.unravel_index(idx, (S, width, d))
@@ -911,7 +946,7 @@ def _step_gradient(ctrl, adj, probs, delta, quad, batch):
     clip.
     """
     S, B, d, n = adj.shape[0], adj.shape[1], adj.shape[2], adj.shape[-1]
-    rows_t = np.swapaxes(batch.rows, 1, 2)                  # (S, 2 n n, R)
+    rows_t = np.swapaxes(batch.rows(), 1, 2)                # (S, 2 n n, R)
     lift_t = np.swapaxes(_lift(batch, slice(ctrl.coeffs.shape[-1])), 1, 2)
     g = delta * ((adj.reshape(S, B * d, -1).view(float) @ rows_t)
                  @ lift_t).sum(axis=0)
@@ -971,12 +1006,12 @@ def _chunk_gradients(problem, policy, tree, batch, states, sweep, gterm):
 @dataclass
 class _Batch:
     """A sample set's frozen data, on which the optimizer evaluates many
-    policies: its distinct rows as float views (S, R, 2 n n), and the basis
-    [f; 1; x0; increments], the ``width`` features first, whose column v is
-    row ``index[v]`` times ``factor[s, v]`` (see the module docstring).  The
-    basis is held only as its Gram matrices H_s = Re tr(b_v b_w),
-    (S, V, V), and traces tr b_v, (S, V); ``_lift`` maps its columns to the
-    rows.  A step's features are its leading columns.
+    policies: the basis [f; 1; x0; increments], the ``width`` features
+    first, whose column v is row ``index[v]`` times ``factor[s, v]`` (see
+    the module docstring).  The basis is held only as its Gram matrices
+    H_s = Re tr(b_v b_w), (S, V, V), and traces tr b_v, (S, V).  ``rows()``
+    builds the rows' float views (S, R, 2 n n) once, and ``_lift`` maps the
+    basis columns to them.  A step's features are its leading columns.
 
     The clip screen (``_clip_suspects``) bounds each feature's operator
     norm in two stages.  ``top``, (width,), is the first, free one: the
@@ -988,7 +1023,7 @@ class _Batch:
     and kept.  A slice of the set (``_slices``) is never screened and has
     neither."""
 
-    rows: np.ndarray
+    rows: object
     index: np.ndarray
     factor: np.ndarray
     gram: np.ndarray
@@ -1010,9 +1045,9 @@ def _slices(policy, batch, screen, size):
     widths = [table.shape[0] * table.shape[1] for table in policy.steps]
     for lo in range(0, len(batch.gram), size):
         rows = slice(lo, lo + size)
-        part = _Batch(batch.rows[rows], batch.index, batch.factor[rows],
-                      batch.gram[rows], batch.traces[rows], batch.width,
-                      None, None)
+        part = _Batch(lambda rows=rows: batch.rows()[rows], batch.index,
+                      batch.factor[rows], batch.gram[rows],
+                      batch.traces[rows], batch.width, None, None)
         share = []
         for flat, width in zip(screen, widths):
             first, end = lo * width, (lo + size) * width
@@ -1025,29 +1060,29 @@ def _lift(batch, cols):
     """The map (S, C, R) from the basis columns ``cols`` (an index array or
     a slice) to the rows: column v is row ``index[v]`` times
     ``factor[s, v]``."""
-    R = batch.rows.shape[1]
+    R = batch.index.max() + 1
     return batch.factor[:, cols, None] * (batch.index[cols, None] == np.arange(R))
 
 
 def _prepare_batch(problem, policy, rng, tag, sample_indices):
     """The ``_Batch`` of a sample set; the rows' Gram diagonal gives their
-    Frobenius norms, the first stage of both the gate and the clip screen.
-    A step without one coefficient per word it reads at the policy's degree
-    is a ``ValueError``: its features are the leading basis columns, so a
-    wider one reads the future."""
+    Frobenius norms, the first stage of both the gate and the clip screen,
+    and its identity column their traces.  A step without one coefficient
+    per word it reads at the policy's degree is a ``ValueError``: its
+    features are the leading basis columns, so a wider one reads the future."""
     K, d = policy.K, problem.d
     if any(table.shape[-1] != len(_words_through(
             d, policy.last_readable_step(i), policy.degree))
            for i, table in enumerate(policy.steps, start=1)):
         raise ValueError("a step needs one coefficient per word it reads")
-    rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
-    S, R, n, _ = rows.shape
-    flat = rows.reshape(S, R, -1).view(float)
-    # the rows are Hermitian: Re tr(r_a r_b) is the dot product of float views
-    gram = flat @ np.swapaxes(flat, 1, 2)
-    norms = np.sqrt(np.einsum("srr->sr", gram))              # ||r||_F
+    coords, unit, row_of, matrices = _set_coordinates(
+        problem, policy, rng, tag, sample_indices)
+    S, R, _ = coords.shape
+    raw = coords @ np.swapaxes(coords, 1, 2)     # Re tr(r_a r_b) / (u_a u_b)
+    norms = np.sqrt(np.einsum("srr->sr", raw)) * unit        # ||r||_F
     first = 1 + d * (1 + K)                  # the first longer word's row
-    gate = _gate_indicator(rows[:, 1:first], d, policy.gate_level,
+    squares = _RowSquares(matrices)
+    gate = _gate_indicator(squares, d, policy.gate_level,
                            norms[:, 1 + d:first])
     norms[:, 0] = 1.0                        # the identity's operator norm
     width = len(row_of)
@@ -1056,19 +1091,20 @@ def _prepare_batch(problem, policy, rng, tag, sample_indices):
     factor[:, :width] = gate[:, None] / (1.0 if policy.feature_scales is None
                                          else policy.feature_scales)
     scale = factor[:, :width]
-    traces = flat[..., ::2 * (n + 1)].sum(axis=-1)        # Re of the diagonal
-    gram = np.take(gram.reshape(S, R * R), (index[:, None] * R + index).ravel(),
+    full = factor * unit[index]              # column v over its coordinates
+    gram = np.take(raw.reshape(S, R * R), (index[:, None] * R + index).ravel(),
                    axis=1).reshape(S, len(index), len(index))
-    gram *= factor[..., None]
-    gram *= factor[:, None]
+    gram *= full[..., None]
+    gram *= full[:, None]
 
     @functools.cache
     def radius():
-        tight = scale * _row_radius(rows, d)[:, row_of]
+        tight = scale * _row_radius(squares, d)[:, row_of]
         return tight, tight.max(axis=0)
 
-    return _Batch(rows=flat, index=index, factor=factor, gram=gram,
-                  traces=traces[:, index] * factor, width=width,
+    return _Batch(rows=lambda: matrices().reshape(S, R, -1).view(float),
+                  index=index, factor=factor, gram=gram,
+                  traces=raw[:, 0, index] * full, width=width,
                   top=(scale * norms[:, row_of]).max(axis=0), radius=radius)
 
 
@@ -1081,11 +1117,11 @@ def _global_words(problem, policy):
 
 def _feature_scales(problem, policy, rng, tag, sample_indices):
     """RMS tr_n-norms of the global word features over a batch
-    (preconditioner), from their rows' Gram diagonal: tr_n f^2 = H_rr / n."""
-    rows, row_of = _distinct_rows(problem, policy, rng, tag, sample_indices)
-    flat = rows.reshape(rows.shape[:2] + (-1,)).view(float)
-    sq = np.einsum("srx,srx->sr", flat, flat)[:, row_of] / problem.n
-    return np.sqrt(np.maximum(sq.mean(axis=0), 1e-12))
+    (preconditioner), from their rows' coordinates: tr_n r^2 = u^2 c.c / n."""
+    coords, unit, row_of, _ = _set_coordinates(problem, policy, rng, tag,
+                                               sample_indices)
+    sq = np.einsum("srx,srx->sr", coords, coords) * (unit ** 2 / problem.n)
+    return np.sqrt(np.maximum(sq[:, row_of].mean(axis=0), 1e-12))
 
 
 def _clip_screen(policy, batch):
@@ -1259,18 +1295,6 @@ def _policy_step(policy, grads, eta):
                                   for table, g in zip(policy.steps, grads)])
 
 
-def policy_control_budget(problem, policy, samples, rng):
-    """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
-
-    It is the Lagrangian part of the cost at c = 1, with no l0 and a zero
-    terminal, so the engine evaluates it on the ``budget`` sample set.
-    """
-    budget = replace(problem, cost=CostSpec(
-        l0=None, quad_coef=1.0, terminal=trace_power(problem.d, 2, 0.0)))
-    batch = _prepare_batch(budget, policy, rng, "budget", range(samples))
-    return _evaluate_prepared(budget, policy, batch)[0]
-
-
 # ---------------------------------------------------------------------------
 # LQ oracles
 # ---------------------------------------------------------------------------
@@ -1292,8 +1316,8 @@ def lq_reference(problem: ControlProblem):
 
     p(t) = 1/(1 + 2(T - t)) gives p(t0) ||x0||^2 plus the noise integral
     ((beta_C^2 + beta_F^2) d / 2) ln(1 + 2(T - t0)).  Raises on any cost that
-    is not exactly the LQ template.  ``lq_reference_ode`` re-derives the same
-    number from the Riccati ODE without the closed form.
+    is not exactly the LQ template.  The tests re-derive the same number
+    from the Riccati ODE without the closed form.
     """
     if not _is_lq_template(problem.cost, problem.d):
         raise ValueError("cost does not match the LQ template")
@@ -1302,30 +1326,6 @@ def lq_reference(problem: ControlProblem):
     x0_sq = _x0_norm_sq(problem)
     noise = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d / 2.0
     return p0 * x0_sq + noise * math.log(1.0 + 2.0 * horizon)
-
-
-def lq_reference_ode(problem: ControlProblem):
-    """Riccati ODE oracle: solve dp/dt = 2 p^2 (p(T)=1) and
-    dr/dt = -(beta_C^2 + beta_F^2) d p (r(T)=0) backward with 200,000 RK4
-    steps."""
-    if not _is_lq_template(problem.cost, problem.d):
-        raise ValueError("cost does not match the LQ template")
-    steps = 200_000
-    sigma2 = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d
-    h = (problem.T - problem.t0) / steps
-    half, sixth = 0.5 * h, h / 6.0
-    p, r = 1.0, 0.0  # at t = T, integrating backward
-    for _ in range(steps):
-        # the RK4 step of (p, r) per component, with the vector form's
-        # operations in its order; the slopes are (2 p^2, -sigma2 p)
-        p2 = p - half * (2.0 * p * p)
-        p3 = p - half * (2.0 * p2 * p2)
-        p4 = p - h * (2.0 * p3 * p3)
-        r -= sixth * (-sigma2 * p + 2 * (-sigma2 * p2)
-                      + 2 * (-sigma2 * p3) + -sigma2 * p4)
-        p -= sixth * (2.0 * p * p + 2 * (2.0 * p2 * p2)
-                      + 2 * (2.0 * p3 * p3) + 2.0 * p4 * p4)
-    return p * _x0_norm_sq(problem) + r
 
 
 def _x0_norm_sq(problem):
@@ -1486,36 +1486,3 @@ def boue_dupuis_rhs(psi, n, time_steps, opt_config, rng):
                              beta_c=0.0, beta_f=1.0, t0=0.0, T=1.0, cost=cost)
     return optimize_discrete_value(problem, time_steps, 1, 16.0, opt_config,
                                    rng, include_current_increment=False)
-
-
-def cylindrical_on_law(u: CylindricalFunction, law):
-    """Evaluate a cylindrical expression on a law's stored moments."""
-    traces = []
-    for phi in u.inners:
-        val = 0.0 + 0.0j
-        for word, coeff in phi.terms.items():
-            val += coeff * law.moment(word)
-        if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
-            raise ValueError("law gives a non-real trace for a self-adjoint inner")
-        traces.append(val.real)
-    return float(u.outer(np.array(traces)))
-
-
-def rate_function_candidate(target_law, test_family, n, opt_config, rng,
-                            time_steps):
-    """Lower bound of the rate-function supremum over the given test family.
-
-    For each phi, adds phi(target) to the variational value of the terminal
-    -phi(arctan(.)); the reported number is explicitly the maximum over the
-    family only.
-    """
-    if not test_family:
-        raise ValueError("test family must be non-empty")
-    best = -math.inf
-    for k, phi in enumerate(test_family):
-        target_val = cylindrical_on_law(phi, target_law)
-        terminal = ArctanComposedTerminal(phi, sign=-1.0)
-        bd = boue_dupuis_rhs(terminal, n, time_steps, opt_config,
-                             rng.child("rate", k))
-        best = max(best, target_val + bd.value)
-    return best

@@ -2,7 +2,7 @@
 
 A law is a truncated moment map word -> tr_n(word(X)).  The one law the
 package builds is the target of the Laplace principle's rate function
-(``control.rate_function_candidate``): the moments of arctan(S) for a
+(the tests' rate-function candidate): the moments of arctan(S) for a
 semicircular S, integrals of arctan powers against (1/2pi) sqrt(4 - x^2)
 computed by adaptive Simpson quadrature.  The even plain semicircle moments
 are Catalan numbers, and the alternating centered product measures
@@ -139,7 +139,7 @@ def semicircle_arctan_moment(m):
 
 def semicircle_arctan_law(max_degree) -> NCLaw:
     """The d=1 reference law: moments of arctan(S) for semicircular S, the
-    target law at which ``control.rate_function_candidate`` evaluates the
+    target law at which the tests' rate-function candidate evaluates the
     Laplace principle's rate function."""
     moments = {(): 1.0 + 0.0j}
     for deg in range(1, max_degree + 1):

@@ -7,9 +7,11 @@ child streams obtained from distinct split indices are independent by
 construction, which is what makes the Monte Carlo layers deterministic
 under any worker count.
 
-The GUE normalization is E tr_n S^2 = 1 for a unit-time increment: S is
-assembled entrywise from the orthonormal basis expansion
-S = (1/n) Sum_ij E_ij g_ij with i.i.d. standard normal g.
+The GUE normalization is E tr_n S^2 = 1 for a unit-time increment: S =
+Sum_ij g_ij E_ij / sqrt(n) over a basis E_ij orthonormal under Re tr, with
+i.i.d. standard normal g (Anderson, Guionnet & Zeitouni, *An Introduction to
+Random Matrices*, 2010, 2.5).  So g / sqrt(n) are S's coordinates, which
+``hermitian_coordinates`` gives for any Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_gue", "gue_increments", "brownian_increments"]
+__all__ = ["RngStream", "sample_gue", "stream_normals", "gue_from_normals",
+           "hermitian_coordinates", "gue_increments", "brownian_increments"]
 
 
 @dataclass(frozen=True)
@@ -68,32 +71,48 @@ def sample_gue(n, rng, shape=()):
     equals consecutive single draws.  ``rng`` may also be a triple
     ``(parent, tag, indices)`` of an ``RngStream``, a path label and sample
     indices 0 <= s < 2^32: the result is then (len(indices), *shape, n, n),
-    entry s drawn from ``parent.child(tag, s)`` alone, and equals the
-    stacked single-stream calls.  Their Philox keys are derived in one
-    vectorized pass rather than one SeedSequence each.
+    entry s drawn from ``parent.child(tag, s)`` alone by
+    ``stream_normals``, and equals the stacked single-stream calls.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     shape = tuple(shape) + (n, n)
     if isinstance(rng, tuple):
-        keys = _philox_keys(*rng)
-        g = np.empty((len(keys),) + shape)
-        # one Philox, rekeyed per row to the state a fresh generator of that
-        # stream starts in: key, counter 0, empty buffer; the setter reads
-        # Python lists faster than numpy arrays
-        bits = np.random.Philox(0)
-        gen = np.random.Generator(bits)
-        zeros = [0] * 4
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": zeros, "key": zeros[:2]},
-                 "buffer": zeros, "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        for row, key in zip(g, keys.tolist()):
-            state["state"]["key"] = key
-            bits.state = state
-            gen.standard_normal(out=row)
+        parent, tag, indices = rng
+        g = stream_normals(parent, tag, indices,
+                           np.empty((len(indices),) + shape))
     else:
         g = _as_generator(rng).standard_normal(shape)
+    return gue_from_normals(g)
+
+
+def stream_normals(parent, tag, indices, out):
+    """Fill ``out`` (S, ...), each ``out[s]`` C-contiguous, with the first
+    standard normals of ``parent.child(tag, indices[s])``, 0 <= s < 2^32,
+    and return it.  The streams' Philox keys are derived in one vectorized
+    pass rather than one SeedSequence each."""
+    keys = _philox_keys(parent, tag, indices)
+    # one Philox, rekeyed per row to the state a fresh generator of that
+    # stream starts in: key, counter 0, empty buffer; the setter reads
+    # Python lists faster than numpy arrays
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    zeros = [0] * 4
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": zeros[:2]},
+             "buffer": zeros, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(out, keys.tolist(), strict=True):
+        state["state"]["key"] = key
+        bits.state = state
+        gen.standard_normal(out=row)
+    return out
+
+
+def gue_from_normals(g):
+    """The GUE matrices (..., n, n) of ``sample_gue`` from their standard
+    normals g (..., n, n), which it overwrites."""
+    n = g.shape[-1]
     flat = g.shape[:-2] + (n * n,)
     diag = g.reshape(flat)[..., ::n + 1] / np.sqrt(n)
     # numpy divides a complex array by a real scalar as a product with its
@@ -111,6 +130,18 @@ def sample_gue(n, rng, shape=()):
     np.negative(rt, out=im, where=upper)
     s.reshape(flat)[..., ::n + 1] = diag
     return s
+
+
+def hermitian_coordinates(a):
+    """Coordinates (..., n^2) of Hermitian matrices (..., n, n) in the basis
+    ``sample_gue`` draws in: Re a_ii on the diagonal, sqrt(2) Re a_ij above
+    it and sqrt(2) Im a_ij below, so a GUE draw's are its normals over
+    sqrt(n) and Re tr(a b) is the dot product of a's and b's."""
+    n = a.shape[-1]
+    lower = _upper_mask(n).T
+    c = np.where(lower, a.imag, a.real)
+    c *= np.where(np.eye(n, dtype=bool), 1.0, np.sqrt(2.0))
+    return c.reshape(a.shape[:-2] + (n * n,))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) at its default

@@ -213,6 +213,31 @@ def test_criterion_9_convergence_in_n():
     assert row(9, "9.n_convergence")["pass"]
 
 
+# The engine criteria's measured values at commit d435059.  A change that
+# moves them on purpose (new estimators, new draws) updates them and lists
+# the moves; an exact rewrite keeps them within 1e-12 relative.
+PINNED = {
+    "6.lq_band_vs_continuous": 0.593810671700991,
+    "6.lq_vs_discrete_dp_oracle": 0.593810671700991,
+    "6.lq_n_independence": 0.004443360631834481,
+    "7.bd_lhs_vs_oracle": 0.006642979077197408,
+    "7.bd_rhs_vs_oracle": 0.0027587679876381354,
+    "7.bd_rhs_above_lhs": -0.005686862950972205,
+    "8.sweep_decreasing_diffs": [0.055108306674448104, 0.028908976631303096],
+    "9.n_convergence": 0.005932280892746111,
+}
+
+
+@pytest.mark.parametrize("cid", [6, 7, 8, 9])
+def test_engine_criteria_values_are_pinned(cid):
+    rows = rows_for(cid)
+    assert [r["id"] for r in rows] == [k for k in PINNED
+                                       if k.startswith(f"{cid}.")]
+    for r in rows:
+        np.testing.assert_allclose(r["measured"], PINNED[r["id"]], rtol=1e-12,
+                                   atol=0, err_msg=r["id"])
+
+
 def test_criterion_10_truncation_inequality():
     assert row(10, "10.truncation_instances")["measured"] == 100
 

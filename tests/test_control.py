@@ -48,16 +48,33 @@ def zero_policy(problem, K, N, R, degree=1):
 
 
 def sample_letters(problem, K, sample_indices, rng, tag):
-    """``_sample_letters`` into a fresh (S, d(1+K), n, n) array."""
-    out = np.empty((len(sample_indices), problem.d * (1 + K), problem.n,
-                    problem.n), dtype=complex)
-    return ctl._sample_letters(problem, K, sample_indices, rng, tag, out)
+    """The letters (S, d(1+K), n, n) of the samples, the reference for the
+    engine's rows: x0's components, then each step's GUE increments from
+    one ``sample_gue`` call over the samples' streams ``rng.child(tag, s)``,
+    each path scaled as ``gue_increments`` does."""
+    n, d = problem.n, problem.d
+    draws = rm.sample_gue(n, (rng, tag, sample_indices), (K, d))
+    out = np.empty((len(draws), d * (1 + K), n, n), dtype=complex)
+    out[:, :d] = problem.x0
+    np.multiply(np.sqrt(np.diff(problem.grid(K).times))[:, None, None, None],
+                draws, out=out[:, d:].reshape(len(draws), K, d, n, n))
+    return out
 
 
-def gate_indicator(letters, d, level):
+def row_squares(letters):
+    """A ``_RowSquares`` over the rows [1; letters] of (S, d(1+K), n, n)
+    letters, laid out as a set's leading rows."""
+    S, _, n, _ = letters.shape
+    rows = np.concatenate([np.broadcast_to(np.eye(n, dtype=complex),
+                                           (S, 1, n, n)), letters], axis=1)
+    return ctl._RowSquares(lambda: rows)
+
+
+def gate_indicator(letters, d, level, squares=None):
     """``_gate_indicator`` on the Frobenius norms of the letters'
-    increments."""
-    return ctl._gate_indicator(letters, d, level,
+    increments, squaring them in ``squares`` (a fresh ``row_squares``)."""
+    squares = row_squares(letters) if squares is None else squares
+    return ctl._gate_indicator(squares, d, level,
                                np.linalg.norm(letters[:, d:], axis=(-2, -1)))
 
 
@@ -572,7 +589,7 @@ def screen_batch(feats):
     ``_clip_suspects`` reads: the Frobenius stage's ``top`` and the tight
     radius."""
     radius = np.sqrt(operator_norm_bound(feats @ feats))
-    return ctl._Batch(rows=feats, index=None, factor=None, gram=None,
+    return ctl._Batch(rows=None, index=None, factor=None, gram=None,
                       traces=None, width=feats.shape[1],
                       top=np.linalg.norm(feats, axis=(-2, -1)).max(axis=0),
                       radius=lambda: (radius, radius.max(axis=0)))
@@ -597,7 +614,7 @@ def test_prepared_radius_bounds_every_feature_norm(seed, n, d, degree,
         policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
     batch = ctl._prepare_batch(problem, policy, rm.RngStream(seed), "t",
                                range(4))
-    feats = (ctl._lift(batch, slice(None)) @ batch.rows)[:, :W].view(
+    feats = (ctl._lift(batch, slice(None)) @ batch.rows())[:, :W].view(
         complex).reshape(4, W, n, n)
     norms = np.max(np.abs(np.linalg.eigvalsh(feats)), axis=-1)
     radius, top = batch.radius()
@@ -628,21 +645,29 @@ def test_identity_radius_is_its_inverse_scale_and_gated_samples_zero(stream):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_distinct_rows_match_the_concatenated_basis(stream, degree):
-    """The batch read off the distinct rows agrees with the basis built as
-    [gated, scaled features; 1; x0; increments] and its float-view Gram, to
-    1e-13 relative, and a rejected sample's feature entries are exactly 0."""
-    gen = stream.child("rows", degree).generator()
-    n, d, K, S = 3, 2, 2, 7
+    """The batch read off the rows' coordinates agrees with the basis built
+    as [gated, scaled features; 1; x0; increments] and its float-view Gram,
+    to 1e-13 relative, at n = 1 and at odd and even n, and a rejected
+    sample's feature entries are exactly 0."""
+    for n in (1, 3, 4):
+        rows_match_the_concatenated_basis(stream, degree, n)
+
+
+def rows_match_the_concatenated_basis(stream, degree, n):
+    gen = stream.child("rows", degree, n).generator()
+    d, K, S = 2, 2, 7
     problem = lq_problem(n, d=d, x0=hermitian_batch(gen, (d,), n, 0.3))
+    letters = sample_letters(problem, K, range(S),
+                             stream.child("rows-batch"), "t")
+    # a gate level between two samples' largest increment norms
+    top = np.sort(np.abs(np.linalg.eigvalsh(letters[:, d:])).max(axis=(1, 2)))
     policy = replace(zero_policy(problem, K=K, N=1, R=8.0, degree=degree),
-                     gate_level=1.0)
+                     gate_level=0.5 * (top[2] + top[3]))
     words = ctl._global_words(problem, policy)
     W = len(words)
     policy.feature_scales = gen.uniform(0.3, 3.0, size=W)
     batch = ctl._prepare_batch(problem, policy, stream.child("rows-batch"),
                                "t", range(S))
-    letters = sample_letters(problem, K, range(S),
-                             stream.child("rows-batch"), "t")
     gate = gate_indicator(letters, d, policy.gate_level)
     kept = gate == 1.0
     assert 0 < kept.sum() < S
@@ -658,7 +683,7 @@ def test_distinct_rows_match_the_concatenated_basis(stream, degree):
     top = norms[:, :W].copy()
     top[:, 0] = radius[:, 0]
     top = top.max(axis=0)
-    lifted = ctl._lift(batch, slice(None)) @ batch.rows
+    lifted = ctl._lift(batch, slice(None)) @ batch.rows()
     assert batch.width == W and lifted.shape == basis.shape
     assert np.all(np.abs(batch.gram - gram)
                   <= 1e-13 * norms[:, :, None] * norms[:, None, :])
@@ -713,37 +738,94 @@ def test_lq_solve_at_large_n_never_reaches_the_clip(monkeypatch, n):
     loosens like sqrt(n), cannot clear these sets, so the tight radius is
     built, once for each of the train and validation sets; at n = 64 the
     gate's ||L^2||_F^(1/2) in place of that radius would also send slots to
-    the clip."""
+    the clip.  The gate squares every increment at n = 64 and none at
+    n = 32, and the radius reuses its squares: each of the 2 x 12 x 4
+    increments is squared once."""
     calls, clip = [], ctl._clip_batch
     built, row_radius = [], ctl._row_radius
+    squared, squares = [], ctl._RowSquares.__call__
 
     def counted(alpha, R):
         calls.append(alpha.shape)
         return clip(alpha, R)
 
+    def count_squares(self, samples, slots):
+        fresh = (len(samples) if self.done is None
+                 else int(np.sum(~self.done[samples, slots])))
+        squared.append(fresh)
+        return squares(self, samples, slots)
+
     monkeypatch.setattr(ctl, "_clip_batch", counted)
     monkeypatch.setattr(ctl, "_row_radius",
                         lambda *args: built.append(1) or row_radius(*args))
+    monkeypatch.setattr(ctl._RowSquares, "__call__", count_squares)
     cfg = small_cfg(train_samples=12, val_samples=12, max_iters=60)
     ctl.optimize_discrete_value(lq_problem(n), 4, 2, 8.0, cfg,
                                 rm.RngStream(3).child(n))
     assert calls == [] and len(built) == 2
+    # per set: the gate's call at n = 64, then the radius's
+    assert squared == ([48, 0, 48, 0] if n == 64 else [48, 48])
 
 
 def test_frobenius_stage_clears_criterion_6_without_squares(monkeypatch):
     """Criterion 6's n = 8 solve: the rows' Frobenius norms clear every
     increment at the gate and every step at the clip screen, so no matrix
-    is squared and no tight radius is built.  The gate's and the clip's
-    eigensolves lie behind ``operator_norm_bound``, so none runs either."""
+    is squared and no tight radius is built.  The gate's eigensolve lies
+    behind its squares and the clip's behind ``operator_norm_bound``, so
+    none runs either."""
     calls = []
 
     def never(name):
         return lambda *args: calls.append(name)
 
     monkeypatch.setattr(ctl, "operator_norm_bound", never("bound"))
+    monkeypatch.setattr(ctl._RowSquares, "__call__", never("squares"))
     monkeypatch.setattr(ctl, "_row_radius", never("radius"))
     criterion_6_solve(5)
     assert calls == []
+
+
+def test_criterion_6_builds_no_complex_row(monkeypatch):
+    """Criterion 6's n = 8 solve reads its sets only through the rows'
+    coordinates: the Gram, the traces and the Frobenius screens."""
+    def refuse(*args):
+        raise AssertionError("a complex row was built")
+
+    monkeypatch.setattr(ctl, "_matrix_rows", refuse)
+    criterion_6_solve(5)
+
+
+@pytest.mark.parametrize("trigger", ["quartic", "binding_clip"])
+def test_state_path_builds_the_rows_once_per_set(stream, monkeypatch, trigger):
+    """Where states are made (a quartic terminal, or a clip that binds), the
+    set builds its complex rows once for every evaluation and ``CHUNK``
+    slice, and they are the reference letters bit for bit."""
+    gen = stream.child("rows-once", trigger).generator()
+    n, d, K, S = 3, 1, 2, 10
+    make = quartic_problem if trigger == "quartic" else lq_problem
+    problem = make(n, beta_c=0.5, x0=hermitian_batch(gen, (d,), n, 0.3))
+    R = 0.5 if trigger == "binding_clip" else 1e6
+    policy = random_poly_policy(problem, K, 1, R, gen)
+    built, matrix_rows = [], ctl._matrix_rows
+    monkeypatch.setattr(ctl, "_matrix_rows",
+                        lambda *args: built.append(1) or matrix_rows(*args))
+    monkeypatch.setattr(ctl, "CHUNK", 4)
+    batch = ctl._prepare_batch(problem, policy, stream.child("once-batch"),
+                               "t", range(S))
+    tree = ctl._bin_tree(K, 1, 1.0 / K, policy.collapse_bins)
+    for want_grads in (True, False, True):
+        ctl._evaluate_prepared(problem, policy, batch, want_grads=want_grads)
+    _, _, sweep = forward(problem, policy, tree, batch)
+    assert sweep.form is None and len(built) == 1
+    if trigger == "binding_clip":
+        assert any(len(c.clip) for c in sweep.controls)
+    rows = batch.rows().view(complex).reshape(S, -1, n, n)
+    letters = sample_letters(problem, K, range(S), stream.child("once-batch"),
+                             "t")
+    assert rows.shape[1] == 1 + d * (1 + K)
+    assert np.array_equal(rows[:, 0], np.broadcast_to(np.eye(n), (S, n, n)))
+    assert rows[:, 1:].tobytes() == letters.tobytes()
+    assert len(built) == 1
 
 
 def test_tight_radius_is_built_once_per_set(stream, monkeypatch):
@@ -766,13 +848,14 @@ def test_tight_radius_is_built_once_per_set(stream, monkeypatch):
     assert len(built) == 1 and len(radius) == 10
     screen = ctl._clip_screen(policy, batch)
     parts = list(ctl._slices(policy, batch, screen, 4))
-    assert [len(part.rows) for part, _ in parts] == [4, 4, 2]
+    assert [len(part.gram) for part, _ in parts] == [4, 4, 2]
     for k, (flat, table) in enumerate(zip(screen, policy.steps)):
         width = table.shape[0] * table.shape[1]
         assert len(flat) and len(flat) < 10 * width
         joined = []
         for lo, (part, share) in zip(range(0, 10, 4), parts):
-            assert np.all((share[k] >= 0) & (share[k] < len(part.rows) * width))
+            assert np.all((share[k] >= 0)
+                          & (share[k] < len(part.gram) * width))
             joined.append(share[k] + lo * width)
         assert np.array_equal(np.concatenate(joined), flat)
     assert len(built) == 1
@@ -799,7 +882,7 @@ def count_samples(monkeypatch, name):
 
     def counted(*args):
         batch, = (a for a in args if isinstance(a, ctl._Batch))
-        calls.append(len(batch.rows))
+        calls.append(len(batch.gram))
         return original(*args)
 
     monkeypatch.setattr(ctl, name, counted)
@@ -968,14 +1051,13 @@ def test_norm_screens_match_eigensolve_only(seed, n, m, kind, scale, level,
                              axis=1)
     frobenius = ctl._norm_suspects(np.linalg.norm(feats, axis=(-2, -1)), R)
     quartic = ctl._norm_suspects(operator_norm_bound(feats), R)
-    with mock.patch.object(ctl, "operator_norm_bound",
-                           wraps=operator_norm_bound) as bound, \
-            mock.patch.object(np.linalg, "eigvalsh",
-                              wraps=np.linalg.eigvalsh) as eig:
-        gate = gate_indicator(letters, 1, R)
+    squares = row_squares(letters)
+    with mock.patch.object(np.linalg, "eigvalsh",
+                           wraps=np.linalg.eigvalsh) as eig:
+        gate = gate_indicator(letters, 1, R, squares)
     assert np.array_equal(gate, gate_by_eigensolve(letters, 1, m, R))
-    assert [len(c.args[0]) for c in bound.call_args_list] == (
-        [frobenius.sum()] if frobenius.any() else [])
+    squared = 0 if squares.done is None else squares.done.sum()
+    assert squared == frobenius.sum()
     assert [len(c.args[0]) for c in eig.call_args_list] == (
         [quartic.sum()] if quartic.any() else [])
     # the clip screen with each slot as one control: the tight stage alone
@@ -1306,13 +1388,25 @@ def test_zero_policy_value_bound(stream):
     assert res.value <= cap
 
 
+def policy_control_budget(problem, policy, samples, rng):
+    """sum_i sum_J P(O_{i,J}) E ||alpha_{i,J}||^2 delta for the a-priori bound.
+
+    It is the Lagrangian part of the cost at c = 1, with no l0 and a zero
+    terminal, so the engine evaluates it on the ``budget`` sample set.
+    """
+    budget = replace(problem, cost=ctl.CostSpec(
+        l0=None, quad_coef=1.0, terminal=trace_power(problem.d, 2, 0.0)))
+    batch = ctl._prepare_batch(budget, policy, rng, "budget", range(samples))
+    return ctl._evaluate_prepared(budget, policy, batch)[0]
+
+
 # Paper claim: the a-priori energy bound on an optimized policy's controls.
 def test_a_priori_control_budget(stream):
     problem = lq_problem(6, beta_c=0.5, beta_f=1.0)
     res = ctl.optimize_discrete_value(problem, 2, 1, 8.0, small_cfg(),
                                       stream.child("budget"))
-    budget = ctl.policy_control_budget(problem, res.policy, 64,
-                                       stream.child("budget-eval"))
+    budget = policy_control_budget(problem, res.policy, 64,
+                                   stream.child("budget-eval"))
     c1, eps = problem.cost.c1, 0.05
     assert budget <= c1 * (eps + 2.0 * c1 + res.value)
 
@@ -1330,10 +1424,34 @@ def test_lq_reference_values():
                                                             abs=1e-12)
 
 
+def lq_reference_ode(problem):
+    """Riccati ODE oracle: solve dp/dt = 2 p^2 (p(T)=1) and
+    dr/dt = -(beta_C^2 + beta_F^2) d p (r(T)=0) backward with 200,000 RK4
+    steps."""
+    if not ctl._is_lq_template(problem.cost, problem.d):
+        raise ValueError("cost does not match the LQ template")
+    steps = 200_000
+    sigma2 = (problem.beta_c ** 2 + problem.beta_f ** 2) * problem.d
+    h = (problem.T - problem.t0) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    p, r = 1.0, 0.0  # at t = T, integrating backward
+    for _ in range(steps):
+        # the RK4 step of (p, r) per component, with the vector form's
+        # operations in its order; the slopes are (2 p^2, -sigma2 p)
+        p2 = p - half * (2.0 * p * p)
+        p3 = p - half * (2.0 * p2 * p2)
+        p4 = p - h * (2.0 * p3 * p3)
+        r -= sixth * (-sigma2 * p + 2 * (-sigma2 * p2)
+                      + 2 * (-sigma2 * p3) + -sigma2 * p4)
+        p -= sixth * (2.0 * p * p + 2 * (2.0 * p2 * p2)
+                      + 2 * (2.0 * p3 * p3) + 2.0 * p4 * p4)
+    return p * ctl._x0_norm_sq(problem) + r
+
+
 def test_lq_reference_matches_ode():
     for problem in (lq_problem(4), lq_problem(4, beta_c=0.2, beta_f=0.7, T=2.0),
                     lq_problem(4, x0=identity(1, 4))):
-        assert ctl.lq_reference_ode(problem) == pytest.approx(
+        assert lq_reference_ode(problem) == pytest.approx(
             ctl.lq_reference(problem), abs=1e-9)
 
 
@@ -1362,7 +1480,7 @@ def test_lq_template_compares_trace_quadratic_forms():
     for terminal in (trace_power(1, 2, coef=2.0), trace_power(1, 4),
                      ctl.ArctanComposedTerminal(trace_power(1, 2), 1.0)):
         other = replace(lq, cost=replace(lq.cost, terminal=terminal))
-        for oracle in (ctl.lq_reference, ctl.lq_reference_ode):
+        for oracle in (ctl.lq_reference, lq_reference_ode):
             with pytest.raises(ValueError):
                 oracle(other)
 
@@ -1673,9 +1791,13 @@ def test_bd_lhs_equals_per_sample_draws(stream):
 
 
 def test_sample_letters_equal_per_sample_paths(stream):
+    """The engine's rows hold each sample's letters as ``gue_increments``
+    draws them from the sample's own stream, bit for bit."""
     problem = lq_problem(3, d=2, x0=identity(2, 3))
     K, indices = 3, [4, 0, 7]
-    got = sample_letters(problem, K, indices, stream, "lt")
+    batch = ctl._prepare_batch(problem, zero_policy(problem, K, 1, 8.0),
+                               stream, "lt", indices)
+    got = batch.rows().view(complex).reshape(len(indices), -1, 3, 3)[:, 1:]
     want = np.zeros((len(indices), 2 * (1 + K), 3, 3), dtype=complex)
     want[:, :2] = problem.x0
     for row, s in enumerate(indices):
@@ -1691,7 +1813,8 @@ def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
     from nclab import gaussdisc as gd
 
     calls = []
-    for name in ("gue_increments", "sample_gue", "brownian_increments"):
+    for name in ("gue_increments", "sample_gue", "stream_normals",
+                 "brownian_increments"):
         original = getattr(rm, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -1700,11 +1823,12 @@ def test_engine_draws_resolve_through_randmat(stream, monkeypatch):
 
         monkeypatch.setattr(rm, name, wrapper)
     problem = lq_problem(3, d=2, x0=identity(2, 3))
-    sample_letters(problem, 2, [0, 1], stream, "lt")
-    assert calls == ["sample_gue"]
+    ctl._prepare_batch(problem, zero_policy(problem, 2, 1, 8.0), stream, "lt",
+                       [0, 1])
+    assert calls == ["stream_normals"]
     del calls[:]
     ctl.boue_dupuis_lhs(trace_power(2, 2), 3, 4, stream.child("bd"))
-    assert calls == ["sample_gue"]
+    assert calls == ["sample_gue", "stream_normals"]
     del calls[:]
     ctl.euler_maruyama(problem, None, 2, stream.child("em"))
     assert calls.count("gue_increments") == 1
@@ -1744,21 +1868,55 @@ def test_bd_rhs_matches_strict_riccati(stream):
 # Paper claim: the Laplace principle, the rate function as a supremum over tests.
 
 
+def cylindrical_on_law(u, law):
+    """Evaluate a cylindrical expression on a law's stored moments."""
+    traces = []
+    for phi in u.inners:
+        val = 0.0 + 0.0j
+        for word, coeff in phi.terms.items():
+            val += coeff * law.moment(word)
+        if abs(val.imag) > 1e-9 * (1.0 + abs(val)):
+            raise ValueError("law gives a non-real trace for a self-adjoint "
+                             "inner")
+        traces.append(val.real)
+    return float(u.outer(np.array(traces)))
+
+
+def rate_function_candidate(target_law, test_family, n, opt_config, rng,
+                            time_steps):
+    """Lower bound of the rate-function supremum over the given test family.
+
+    For each phi, adds phi(target) to the variational value of the terminal
+    -phi(arctan(.)); the reported number is explicitly the maximum over the
+    family only.
+    """
+    if not test_family:
+        raise ValueError("test family must be non-empty")
+    best = -math.inf
+    for k, phi in enumerate(test_family):
+        target_val = cylindrical_on_law(phi, target_law)
+        terminal = ctl.ArctanComposedTerminal(phi, sign=-1.0)
+        bd = ctl.boue_dupuis_rhs(terminal, n, time_steps, opt_config,
+                                 rng.child("rate", k))
+        best = max(best, target_val + bd.value)
+    return best
+
+
 def test_rate_function_candidate_constant_family(stream):
     const = CylindricalFunction(outer=MultiPoly(1, {(0,): 0.9}),
                                 inners=[NCPolynomial(1, {(1,): 1.0})])
     from nclab.nclaw import semicircle_arctan_law
-    val = ctl.rate_function_candidate(semicircle_arctan_law(4), [const], 4,
-                                      small_cfg(max_iters=30),
-                                      stream.child("rate0"), time_steps=2)
+    val = rate_function_candidate(semicircle_arctan_law(4), [const], 4,
+                                  small_cfg(max_iters=30),
+                                  stream.child("rate0"), time_steps=2)
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rate_function_candidate_requires_family(stream):
     from nclab.nclaw import semicircle_arctan_law
     with pytest.raises(ValueError):
-        ctl.rate_function_candidate(semicircle_arctan_law(4), [], 4,
-                                    small_cfg(), stream.child("rate1"), 2)
+        rate_function_candidate(semicircle_arctan_law(4), [], 4,
+                                small_cfg(), stream.child("rate1"), 2)
 
 
 def test_rate_function_semicircle_near_zero(stream):
@@ -1767,8 +1925,8 @@ def test_rate_function_semicircle_near_zero(stream):
     phi = CylindricalFunction(outer=MultiPoly(1, {(1,): 0.2}),
                               inners=[NCPolynomial(1, {(1,): 1.0})])
     cfg = small_cfg(train_samples=32, val_samples=128, max_iters=120)
-    val = ctl.rate_function_candidate(semicircle_arctan_law(4), [phi], 8, cfg,
-                                      stream.child("rate2"), time_steps=4)
+    val = rate_function_candidate(semicircle_arctan_law(4), [phi], 8, cfg,
+                                  stream.child("rate2"), time_steps=4)
     assert abs(val) <= 0.05
 
 

@@ -58,7 +58,7 @@ def test_freeness_decay_across_n(stream):
 # -- semicircle references -----------------------------------------------------------
 # Paper claim: the target law of the Laplace principle.  The arctan moments
 # (``adaptive_simpson``) are the moments of ``semicircle_arctan_law``, the
-# ``NCLaw`` at which ``control.rate_function_candidate`` evaluates phi.
+# ``NCLaw`` at which the tests' ``rate_function_candidate`` evaluates phi.
 
 
 def test_catalan_sequence():

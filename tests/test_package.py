@@ -42,15 +42,11 @@ TEST_ONLY_CLAIMS = {
     "control.discrete_cost":
         "the discretized cost, exact over bin paths and Monte Carlo over "
         "the GUE, bounded below by the dynamic-programming optimum",
-    "control.policy_control_budget":
-        "the a-priori energy bound, sum_i sum_J P(O_{i,J}) "
-        "E ||alpha_{i,J}||^2 delta",
-    "control.lq_reference_ode":
-        "the LQ Riccati value re-derived from the Riccati ODE",
     "control.euler_maruyama":
         "the discretization step: fine paths of the continuous dynamics",
-    "control.rate_function_candidate":
-        "the Laplace principle, the rate function as a supremum over tests",
+    "control.ArctanComposedTerminal":
+        "the Laplace principle: the terminal -phi(arctan(.)) of the tests' "
+        "rate-function candidate",
     "gaussdisc.bin_of":
         "the discretization step: the bin of a coarse increment, which "
         "the tests' conditional-mean coarsening onto the bin tree reads",
@@ -62,6 +58,7 @@ TEST_ONLY_CLAIMS = {
     "matrixcore.scalar_function_derivative":
         "the Daleckii-Krein reference for the clip and arctan pullbacks",
     "nclaw.NCLaw": "the target law of the Laplace principle",
+    "nclaw.NCLaw.moment": "the target law of the Laplace principle",
     "nclaw.semicircle_arctan_law": "the target law of the Laplace principle",
     "nclaw.semicircle_arctan_moment": "the target law of the Laplace principle",
     "nclaw.adaptive_simpson": "the target law of the Laplace principle",

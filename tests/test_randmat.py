@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nclab import randmat as rm
+from nclab.matrixcore import hermitize
 from nclab.ncpoly import NCPolynomial
 from nclab.nclaw import freeness_statistic, semicircle_moment
 
@@ -144,6 +145,49 @@ def test_sample_gue_streams_equal_stacked_single_draws(stream, n, shape):
                      for s in indices])
     assert got.shape == (len(indices),) + shape + (n, n)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_coordinates_are_the_normals_and_give_the_trace_pairing(stream, n):
+    """A set's normals assemble into ``sample_gue``'s draws by its docstring
+    formula exactly; ``hermitian_coordinates`` maps each draw back to its
+    normals over sqrt(n), and any Hermitian matrices' coordinates have dot
+    products Re tr(a b), to 1e-14 relative."""
+    parent, indices = stream.child("coords", n), [2, 0, 9]
+    g = rm.stream_normals(parent, "t", indices, np.empty((3, 4, n, n)))
+    s = rm.sample_gue(n, (parent, "t", indices), (4,))
+    want = np.empty(s.shape, dtype=complex)
+    for i in range(n):
+        want[..., i, i] = g[..., i, i] / np.sqrt(n)
+        for j in range(i + 1, n):
+            want[..., i, j] = ((g[..., i, j] - 1j * g[..., j, i])
+                               / np.sqrt(2 * n))
+            want[..., j, i] = np.conj(want[..., i, j])
+    assert np.array_equal(s, want)
+    c = rm.hermitian_coordinates(s)
+    assert np.allclose(c, g.reshape(3, 4, n * n) / np.sqrt(n), rtol=1e-14,
+                       atol=0)
+    gen = stream.child("coords-h", n).generator()
+    h = np.stack([hermitize(gen.normal(size=(n, n))
+                            + 1j * gen.normal(size=(n, n))) for _ in range(3)])
+    mats = np.concatenate([s.reshape(-1, n, n), h])
+    coords = np.concatenate([c.reshape(-1, n * n),
+                             rm.hermitian_coordinates(h)])
+    pairing = np.einsum("aij,bji->ab", mats, mats).real
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    assert np.all(np.abs(coords @ coords.T - pairing)
+                  <= 1e-14 * np.outer(norms, norms))
+
+
+def test_stream_normals_fill_each_row_from_its_stream(stream):
+    out = np.empty((3, 2, 5))
+    got = rm.stream_normals(stream, "t", [4, 0, 7], out)
+    assert got is out
+    for row, s in zip(out, [4, 0, 7]):
+        want = stream.child("t", s).generator().standard_normal((2, 5))
+        assert np.array_equal(row, want)
+    with pytest.raises(ValueError):
+        rm.stream_normals(stream, "t", [0, 1], out)
 
 
 # Seeds and parent-path indices on both sides of 2^32, where SeedSequence
