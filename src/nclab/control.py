@@ -6,8 +6,7 @@ been classified into one of b^i bin prefixes J = (j_1..j_i), node
 ``_bin_tree``'s Kronecker products, each carrying an exact probability and
 a deterministic noise value (sum of conditional means), while the GUE noise
 stays Monte Carlo.  ``tree_branching`` owns b, 2N+2 bins or 1 when beta_C =
-0 collapses the tree, and ``gaussdisc.bin_of`` the bin of an increment.
-States follow
+0 collapses the tree.  States follow
 
     X_{i,J} = x0 + sum_{i'<=i} alpha_{i',J} delta
                  + beta_C 1 W0_{i,J} + beta_F (W_hat_{t_i} - W_hat_{t_0}),
@@ -63,9 +62,9 @@ The controls are materialised only at clip suspects
 are corrected, and where l0 reads them or ``_forward`` keeps every level's
 states (``keep_states``, set when l0's gradient needs them).
 
-A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets, or
-``discrete_cost``'s samples) has R distinct rows r: the identity, the
-letters and the symmetrized longer words (R = 1 + d(1+K) at degree 1).
+A sample set (the optimizer's ``scale``, ``train`` and ``val`` sets) has R
+distinct rows r: the identity, the letters and the symmetrized longer
+words (R = 1 + d(1+K) at degree 1).
 Words are listed as their letters become available, x0's and then each
 step's increment's (``_words_through``), so a step's features are the
 leading columns of the basis.  A set is prepared from its rows' real
@@ -108,19 +107,15 @@ the basis span).
 Cost expressions share one protocol on (..., d, n, n) batches: ``eval``
 (real values), ``value_and_grad`` (values and tr_n gradients), the letter
 count ``d`` and ``trace_quadratic()`` (the form above, or None).
-``CylindricalFunction`` and ``ArctanComposedTerminal`` have all four;
-``ScalarTraceCost`` is value-only, an l0 for ``CostSpec.lagrangian``, and
-has no form either.
+``CylindricalFunction`` has all four; ``ScalarTraceCost`` is value-only, an
+l0 for ``CostSpec.lagrangian``, and has no form either.
 
 Also here: the LQ Riccati references (continuous closed form and the
 exact discrete dynamic-programming optimum), the truncation inequality
-check and Euler-Maruyama's ``PathData``, both on (steps, d, n, n) arrays,
-and the exponential-functional machinery (the two sides of the
-variational formula for -(1/n^2) log E exp(-n^2 psi)).  ``_clip_batch`` is
-the package's one operator-norm clip.  Only tests call Euler-Maruyama
-(whose paths they coarsen onto the bin tree) and ``ArctanComposedTerminal``
-(the terminal of their rate-function candidate): they check the paper's
-own steps (the discretization step, the Laplace principle).
+check on (steps, d, n, n) arrays, and the exponential-functional machinery
+(the two sides of the variational formula for
+-(1/n^2) log E exp(-n^2 psi)).  ``_clip_batch`` is the package's one
+operator-norm clip.
 """
 
 from __future__ import annotations
@@ -136,20 +131,21 @@ import numpy as np
 from . import ncpoly, randmat
 from .gaussdisc import TimeGrid, bin_indices, noise_table
 from .laplacian import CylindricalFunction, json_object, trace_power
+# nothing here calls apply_scalar_function: perfbench/tracer.py wraps it by name
 from .matrixcore import (NumericalError, _frechet, _spectral_calculus,
-                         apply_scalar_function, assert_hermitian, eigh,
-                         hermitize, operator_norm_bound)
+                         apply_scalar_function, assert_hermitian,
+                         clip_function, hermitize, operator_norm_bound)
 # nothing here calls sample_gue_tuple: perfbench/tracer.py wraps it by name
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "CostSpec", "ControlProblem", "DiscretePolicy",
     "OptimizerConfig", "OptimizeResult", "OptimizeError",
-    "PathData", "discrete_cost", "optimize_discrete_value",
+    "optimize_discrete_value",
     "lq_reference", "lq_discrete_oracle",
     "truncation_inequality_check",
-    "euler_maruyama", "boue_dupuis_lhs", "boue_dupuis_rhs",
-    "ArctanComposedTerminal", "ScalarTraceCost",
+    "boue_dupuis_lhs", "boue_dupuis_rhs",
+    "ScalarTraceCost",
 ]
 
 PATH_GUARD = 10 ** 6  # maximum number of enumerated bin paths
@@ -197,8 +193,10 @@ class CostSpec:
     ``l0`` is a cost expression (see the module docstring) over the joint
     2d-tuple (letters 1..d = state, d+1..2d = control) or None; the optimizer
     also reads its gradient.  ``terminal``, required, is one over d letters.
-    ``lip_const`` (kappa), ``c1`` and ``convexity_declared`` are instance
-    metadata used by the truncation inequality and the a-priori bound checks.
+    ``lip_const`` (kappa) is the truncation inequality's Lipschitz constant
+    and ``convexity_declared`` the optimizer's precondition.  ``c1`` is the
+    constant of the a-priori control budget E int ||alpha||^2 <= c1 (eps +
+    2 c1 + V); no program reads it, the tests' budget checks do.
     """
 
     l0: object          # cost expression over 2d letters, or None
@@ -226,25 +224,6 @@ class CostSpec:
             val = val + self.quad_coef * sq
         return val
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self):
-        def encode(expr):
-            if expr is None:
-                return None
-            if isinstance(expr, CylindricalFunction):
-                return json.loads(expr.to_json())
-            raise TypeError("only cylindrical cost expressions serialize")
-
-        return json.dumps({
-            "l0": encode(self.l0),
-            "quad_coef": self.quad_coef,
-            "terminal": encode(self.terminal),
-            "lip_const": self.lip_const,
-            "convexity_declared": self.convexity_declared,
-            "c1": self.c1,
-        })
-
     @classmethod
     def from_json(cls, text, d):
         doc = json_object(text, ("l0", "quad_coef", "terminal", "lip_const",
@@ -261,37 +240,6 @@ class CostSpec:
                    lip_const=doc.get("lip_const", 1.0),
                    convexity_declared=doc.get("convexity_declared", False),
                    c1=doc.get("c1"))
-
-
-class ArctanComposedTerminal:
-    """Terminal cost sign * U(arctan(X)) with exact functional-calculus pullback.
-
-    The gradient chains the cylindrical gradient at arctan(X) through the
-    divided-difference derivative of arctan, which is self-adjoint for the
-    tr_n pairing; each call makes one batched eigensolve.
-    """
-
-    def __init__(self, cyl: CylindricalFunction, sign):
-        self.cyl = cyl
-        self.sign = float(sign)
-
-    @property
-    def d(self):
-        return self.cyl.d
-
-    def eval(self, data):
-        y = apply_scalar_function(data, "arctan")
-        return self.sign * np.real(self.cyl.eval(y))
-
-    def trace_quadratic(self):
-        return None
-
-    def value_and_grad(self, data):
-        w, q = eigh(data)
-        y, mult = _spectral_calculus(w, q, "arctan", lambda t: 1.0 / (1.0 + t * t))
-        value, gy = self.cyl.value_and_grad(hermitize(y))
-        return (self.sign * np.real(value),
-                self.sign * hermitize(_frechet(q, mult, gy)))
 
 
 @dataclass
@@ -335,16 +283,6 @@ class ControlProblem:
 
     def grid(self, K):
         return TimeGrid(self.t0, self.T, K)
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n, "d": self.d,
-            "x0_re": np.real(self.x0).tolist(),
-            "x0_im": np.imag(self.x0).tolist(),
-            "beta_c": self.beta_c, "beta_f": self.beta_f,
-            "t0": self.t0, "T": self.T,
-            "cost": json.loads(self.cost.to_json()),
-        })
 
     @classmethod
     def from_json(cls, text):
@@ -405,14 +343,6 @@ class DiscretePolicy:
 
     def branching(self):
         return tree_branching(self.N, self.collapse_bins)
-
-    def prefix_index(self, indices):
-        """Row index of a bin prefix (j_1..j_i) in the step-i tables."""
-        if self.collapse_bins:
-            return 0
-        return int(np.ravel_multi_index(np.add(indices, self.N + 1),
-                                        (self.branching(),) * len(indices)))
-
 
 def tree_branching(N, collapse):
     """Children per node of the bin tree: one bin per step when it is
@@ -673,7 +603,7 @@ def _clip_batch(alpha, R):
         return alpha, _ClipRecords()
     suspects, w, q = suspects[active], w[active], q[active]
     clipped, mult = _spectral_calculus(
-        w, q, ("clip", R), lambda t: (np.abs(t) < R).astype(float))
+        w, q, clip_function(R), lambda t: (np.abs(t) < R).astype(float))
     flat = flat.copy()
     flat[suspects] = clipped
     return flat.reshape(alpha.shape), _ClipRecords(suspects, mult, q)
@@ -1178,23 +1108,8 @@ def _evaluate_prepared(problem, policy, batch, want_grads=False):
 
 
 # ---------------------------------------------------------------------------
-# public cost / optimization ops
+# optimization
 # ---------------------------------------------------------------------------
-
-
-def discrete_cost(problem, policy, mc_samples, rng):
-    """Monte Carlo estimate (value, stderr) of the discretized cost.
-
-    Common-noise expectation is exact over bin paths; the GUE expectation is
-    a sample average over ``mc_samples`` draws from ``rng``.  Where states
-    are made, ``CHUNK`` samples are swept at a time.
-    """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    check_path_guard(policy.branching(), policy.K)
-    batch = _prepare_batch(problem, policy, rng, "cost", range(mc_samples))
-    mean, stderr, _ = _evaluate_prepared(problem, policy, batch)
-    return mean, stderr
 
 
 @dataclass
@@ -1360,60 +1275,8 @@ def lq_discrete_oracle(K, N, horizon, beta_c, beta_f, x0_norm_sq=0.0,
 
 
 # ---------------------------------------------------------------------------
-# continuous-time simulation, truncation
+# truncation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PathData:
-    """One sampled trajectory of the continuous dynamics."""
-
-    times: list
-    states: np.ndarray          # (steps + 1, d, n, n), at each grid time
-    controls: np.ndarray        # (steps, d, n, n), applied on each interval
-    w0_increments: np.ndarray
-    gue_increments: np.ndarray  # (steps, d, n, n)
-    cost: float
-
-
-def euler_maruyama(problem, feedback_policy, steps, rng) -> PathData:
-    """Explicit Euler with exact Gaussian/GUE increments from
-    ``rng.child("em")``.
-
-    ``feedback_policy`` is a callable (t, X) -> alpha on (d, n, n) arrays,
-    hermitized once per step, or None for the zero control.  A step adds
-    drift, common noise and GUE noise in that order; the drift is piecewise
-    constant, so linear dynamics are integrated exactly given the increments.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not isinstance(rng, RngStream):
-        raise TypeError("euler_maruyama requires an RngStream")
-    gen_stream = rng.child("em")
-    grid = TimeGrid(problem.t0, problem.T, steps)
-    times = list(grid.times)
-    dw0 = randmat.brownian_increments(times, gen_stream.child("w0"))
-    gue = randmat.gue_increments(problem.n, problem.d, times, gen_stream.child("gue"))
-
-    h = grid.delta
-    eye = np.eye(problem.n)
-    states = np.empty((steps + 1,) + problem.x0.shape, dtype=complex)
-    controls = np.zeros((steps,) + problem.x0.shape, dtype=complex)
-    states[0] = problem.x0
-    for i in range(steps):
-        x = states[i]
-        if feedback_policy is not None:
-            controls[i] = hermitize(feedback_policy(times[i], x))
-        x = x + h * controls[i]
-        if problem.beta_c:
-            x = x + problem.beta_c * dw0[i] * eye
-        if problem.beta_f:
-            x = x + problem.beta_f * gue[i]
-        states[i + 1] = x
-    total = float(np.sum(problem.cost.lagrangian(states[:-1], controls) * h)
-                  + np.real(problem.cost.terminal.eval(states[-1])))
-    return PathData(times=times, states=states, controls=controls,
-                    w0_increments=dw0, gue_increments=gue, cost=total)
 
 
 def truncation_inequality_check(cost: CostSpec, times, y_states, controls, R):

@@ -2,12 +2,12 @@
 
 Per time step the Brownian increment (variance delta) is classified into
 2N + 2 bins: interior bins (j/N, (j+1)/N] for j = -N..N-1 of fixed width 1/N
-on [-1, 1], and two tails (-inf, -1] and (1, inf) with indices -N-1 and N.
-``bin_boundaries`` states the bins and ``bin_of`` reads an increment's bin
-off their right edges.  The discrete noise replaces the increment by its
-conditional mean omega_j within the bin; a full path of bin indices then
-determines the piecewise value of the discretized Brownian motion and its
-probability, which ``control._bin_tree`` tabulates for every path prefix.
+on [-1, 1], and two tails (-inf, -1] and (1, inf) with indices -N-1 and N,
+as ``bin_boundaries`` states them.  The discrete noise replaces the
+increment by its conditional mean omega_j within the bin; a full path of
+bin indices then determines the piecewise value of the discretized
+Brownian motion and its probability, which ``control._bin_tree`` tabulates
+for every path prefix.
 
 Tail quantities are written through the scaled complementary error function
 (erfcx), so conditional means never overflow regardless of how deep the
@@ -23,12 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrixcore import NumericalError, eigh, hermitize, operator_norm
+from .matrixcore import NumericalError
+# nothing here calls sample_gue_tuple: perfbench/tracer.py wraps it by name
 from .randmat import RngStream, sample_gue_tuple
 
 __all__ = [
     "TimeGrid", "NoiseTable",
-    "bin_boundaries", "bin_of", "bin_probability", "bin_conditional_mean",
+    "bin_boundaries", "bin_probability", "bin_conditional_mean",
     "bin_conditional_absdev", "noise_table",
     "truncated_gaussian_mean", "truncated_gaussian_variance",
     "bridge_bound_check",
@@ -128,13 +129,6 @@ def bin_boundaries(N, j):
     if -N <= j <= N - 1:
         return (j / N, (j + 1) / N)
     raise ValueError(f"bin index {j} out of range for N={N}")
-
-
-def bin_of(values, N):
-    """Bin index of each raw increment value, shaped as ``values``: the first
-    bin whose right edge (``bin_boundaries``) is >= the value."""
-    right = [bin_boundaries(N, j)[1] for j in bin_indices(N)]
-    return np.searchsorted(right, values) - (N + 1)
 
 
 def bin_probability(j, delta, N):
@@ -288,16 +282,14 @@ def truncated_gaussian_variance(z):
     return var
 
 
-def bridge_bound_check(a, b, c, samples, rng, n=None):
+def bridge_bound_check(a, b, c, samples, rng):
     """Monte Carlo check of the Brownian-bridge conditional bound.
 
-    Scalar case (``n`` is None): partitions the conditioning value
-    x = W_c - W_a into 25 quantile cells and verifies per cell
+    Partitions the conditioning value x = W_c - W_a into 25 quantile cells
+    and verifies per cell
 
         E[|W_b - W_a| | x]  <=  ((b-a)/(c-a)) E[|x|] + sqrt((c-b)(b-a)/(c-a)).
 
-    Matrix case (``n`` given): same decomposition for the GUE path, with the
-    fluctuation term replaced by 3 sqrt(b-a) (from E||GUE|| <= 3 at desk n).
     Returns True when at least 99% of cells satisfy the bound.
     """
     if not (0 <= a <= b <= c) or not a < c:
@@ -307,30 +299,13 @@ def bridge_bound_check(a, b, c, samples, rng, n=None):
     theta = (b - a) / (c - a)
     sigma2 = (c - b) * (b - a) / (c - a)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-
-    if n is None:
-        x = gen.standard_normal(samples) * math.sqrt(c - a)
-        mid = theta * x + gen.standard_normal(samples) * math.sqrt(sigma2)
-        order = np.argsort(x)
-        cell_ids = np.array_split(order, 25)
-        passed = 0
-        for cell in cell_ids:
-            lhs = np.mean(np.abs(mid[cell]))
-            rhs = theta * np.mean(np.abs(x[cell])) + math.sqrt(sigma2)
-            passed += lhs <= rhs + 1e-12
-        return passed >= 0.99 * len(cell_ids)
-
-    outer = max(samples // 40, 1)
-    inner = 40
+    x = gen.standard_normal(samples) * math.sqrt(c - a)
+    mid = theta * x + gen.standard_normal(samples) * math.sqrt(sigma2)
+    order = np.argsort(x)
+    cell_ids = np.array_split(order, 25)
     passed = 0
-    for _ in range(outer):
-        delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
-        norm_delta = operator_norm(delta_mat[0])
-        xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2))
-        # theta * delta_mat + xi, hermitized after the product and the sum
-        mid = hermitize(hermitize(theta * delta_mat) + xi)
-        w, _ = eigh(mid)
-        lhs = float(np.mean(np.max(np.abs(w), axis=-1)))
-        rhs = theta * norm_delta + 3.0 * math.sqrt(b - a)
+    for cell in cell_ids:
+        lhs = np.mean(np.abs(mid[cell]))
+        rhs = theta * np.mean(np.abs(x[cell])) + math.sqrt(sigma2)
         passed += lhs <= rhs + 1e-12
-    return passed >= 0.99 * outer
+    return passed >= 0.99 * len(cell_ids)

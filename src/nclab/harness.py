@@ -4,9 +4,10 @@ A config document lists experiments by kind; each experiment derives its own
 random stream from the master seed and its index, writes one CSV with a
 fixed header, and contributes a block to ``summary.json``.  Each kind
 accepts the parameter keys of its table in ``EXPERIMENT_PARAMS``, each with
-its default's type; lists must be non-empty, integers at least 1 and the
-floats of ``_FLOAT_ABOVE`` above their bounds.  The whole config is checked
-before any experiment runs.  A manifest keyed by the hash of the config,
+its default's type; every float, in ``opt`` and in an inline problem too,
+must be finite, lists non-empty, integers at least 1 and the floats of
+``_FLOAT_ABOVE`` above their bounds.  The whole config is checked before any
+experiment runs.  A manifest keyed by the hash of the config,
 the package version and the package sources makes reruns skip completed
 experiments whose files are all present.
 
@@ -426,7 +427,7 @@ def _exp_gaussdisc_check(params, stream):
             ok_norm &= abs(float(table.probs.sum()) - 1.0) <= 1e-12
             ok_mean0 &= abs(float(table.probs @ table.omegas)) <= 1e-12
             if delta <= 1.0:
-                ok_omega &= bool(np.all(np.abs(table.omegas) <= 2.0 + 1e-12))
+                ok_omega &= table.omega_in_range
             for j in table.indices:
                 absd = gaussdisc.bin_conditional_absdev(j, delta, N) \
                     if table.prob(j) > 1e-12 else float("nan")
@@ -525,6 +526,25 @@ def _conforms(value, default):
 _FLOAT_ABOVE = {"R": 0.0, "delta_list": 0.0, "fd_step": 0.0, "coef": -0.5}
 
 
+def _non_finite(value, path):
+    """The path (``key``, ``key.field``, ``key[i]``) of the first float in a
+    JSON value that is NaN or infinite, or None: ``json`` reads ``NaN``,
+    ``Infinity`` and an overflowing literal such as ``1e999``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        items = ()
+    for where, item in items:
+        found = _non_finite(item, where)
+        if found is not None:
+            return found
+    return None
+
+
 def _in_range(value, default):
     """False for an empty list where ``default`` is a list and for an
     integer below 1 where it is an integer (list elements alike): every
@@ -539,7 +559,8 @@ def _in_range(value, default):
 def experiment_params(kind, params):
     """``params`` of an experiment (its ``kind`` key aside) completed with
     the defaults of ``EXPERIMENT_PARAMS[kind]``.  An unknown kind or key, a
-    value of the wrong type, an empty list, a count below 1, a bad ``opt``
+    float anywhere in a value that is not finite, a value of the wrong
+    type, an empty list, a count below 1, a bad ``opt``
     (``optimizer_config``; in ``value`` it may not set the sample counts),
     a float at or below its ``_FLOAT_ABOVE`` bound, a bad problem template
     or a size other than an inline problem's n is an ``ExperimentError``; a
@@ -555,6 +576,10 @@ def experiment_params(kind, params):
     if unknown:
         raise ExperimentError(f"unknown {kind} parameters {unknown}")
     for key, value in given.items():
+        bad = _non_finite(value, key)
+        if bad is not None:
+            raise ExperimentError(f"{kind} parameter {bad!r} is not a finite "
+                                  f"number")
         if not _conforms(value, table[key]):
             raise ExperimentError(f"{kind} parameter {key!r} has the wrong "
                                   f"type: {value!r}")

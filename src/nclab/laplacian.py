@@ -2,10 +2,10 @@
 
 A cylindrical function is U(X) = g(tr_n phi_1(X), ..., tr_n phi_m(X)) with a
 polynomial outer g and self-adjoint polynomial inners phi_o.  With both
-layers polynomial, the gradient, the Hessian bilinear form, the GUE
-Laplacian (basis sum over the orthonormal Hermitian basis, prefactor 1/n^2)
-and the free Laplacian ((tr (x) tr) of difference quotients of the gradient)
-are all exact, so the comparison identity
+layers polynomial, the gradient, the GUE Laplacian (basis sum over the
+orthonormal Hermitian basis, prefactor 1/n^2) and the free Laplacian
+((tr (x) tr) of difference quotients of the gradient) are all exact, so the
+comparison identity
 
     gue_laplacian = free_laplacian + correction
 
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import ncpoly
 from .matrixcore import basis_element
-from .ncpoly import (NCPolynomial, format_polynomial, parse_polynomial,
-                     words_up_to_degree)
+from .ncpoly import NCPolynomial, parse_polynomial, words_up_to_degree
 
 __all__ = ["MultiPoly", "CylindricalFunction", "TraceQuadratic", "trace_power",
            "random_cylindrical", "parse_outer", "format_outer"]
@@ -132,11 +131,11 @@ class CylindricalFunction:
             if not phi.is_selfadjoint():
                 raise ValueError("inner polynomials must be self-adjoint")
         self._grad_polys = [phi.gradient() for phi in self.inners]
-        # _quotients[o][j][i] = d_{i+1} D_{j+1} phi_o, the difference quotients
-        # of the gradient read by the Hessian and both Laplacians
-        self._quotients = [[[dpoly.free_difference_quotient(i)
-                             for i in range(1, phi.d + 1)] for dpoly in grads]
-                           for phi, grads in zip(self.inners, self._grad_polys)]
+        # _quotients[o][l] = d_{l+1} D_{l+1} phi_o, the difference quotients
+        # of the gradient that both Laplacians read
+        self._quotients = [[dpoly.free_difference_quotient(l)
+                            for l, dpoly in enumerate(grads, start=1)]
+                           for grads in self._grad_polys]
         # the outer's first and second partials, evaluated at the inner traces
         self._outer_grad = [self.outer.partial(o) for o in range(self.m)]
         self._outer_hess = [[g.partial(q) for q in range(self.m)]
@@ -153,11 +152,11 @@ class CylindricalFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def inner_traces(self, x, cache=None):
+    def inner_traces(self, x, cache):
         """Vector of tr_n phi_o(X); batched input gives shape (..., m).
 
         ``cache`` is a word-product cache shared by the inners (see
-        :meth:`NCPolynomial.evaluate`).
+        :meth:`NCPolynomial.evaluate`), or None for a fresh one.
         """
         cache = {} if cache is None else cache
         vals = [phi.evaluate_trace(x, cache) for phi in self.inners]
@@ -244,12 +243,11 @@ class CylindricalFunction:
         g2 = np.array([[h(u) for h in row] for row in self._outer_hess])
         return g1, g2
 
-    def _cyclic_matrices(self, x, cache=None):
+    def _cyclic_matrices(self, x, cache):
         """D_j phi_o(X) for all o, j, as an (m, d, n, n) array.
 
         ``cache`` is a word-product cache for X, as in :meth:`inner_traces`.
         """
-        cache = {} if cache is None else cache
         d, n = x.shape[-3], x.shape[-1]
         out = np.zeros((self.m, d, n, n), dtype=complex)
         for o, phi in enumerate(self.inners):
@@ -258,38 +256,6 @@ class CylindricalFunction:
                 if dpoly.terms:
                     out[o, j - 1] = dpoly.evaluate(x, cache)
         return out
-
-    def hessian_bilinear(self, x, a, b):
-        """Hess U(X)[A, B]; symmetric in (A, B), matches finite differences.
-
-        First term pairs outer second partials with cyclic derivatives; the
-        second term pushes A through the difference quotients of the gradient
-        and pairs with B under tr_n.  It is the common-noise half of the
-        generator of the controlled dynamics,
-        1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 gue_laplacian.
-        """
-        u = self.inner_traces(x)
-        g1, g2 = self._outer_derivatives(u)
-        dmats = self._cyclic_matrices(x)
-        d, n = x.shape[-3], x.shape[-1]
-        tr_da = np.einsum("ojab,jba->oj", dmats, a) / n
-        tr_db = np.einsum("ojab,jba->oj", dmats, b) / n
-        term1 = float(np.real(np.einsum("oq,oi,qj->", g2, tr_da, tr_db)))
-
-        term2 = 0.0 + 0.0j
-        for o, phi in enumerate(self.inners):
-            if abs(g1[o]) < 1e-300:
-                continue
-            for j in range(1, min(phi.d, d) + 1):
-                for i in range(1, min(phi.d, d) + 1):
-                    tensor = self._quotients[o][j - 1][i - 1]
-                    if not tensor.terms:
-                        continue
-                    sharp = tensor.sharp(x, a[i - 1])
-                    term2 += g1[o] * np.trace(sharp @ b[j - 1]) / n
-        if abs(term2.imag) > 1e-9 * (1.0 + abs(term2)):
-            raise ValueError(f"Hessian has imaginary part {term2.imag:.3e}")
-        return term1 + float(term2.real)
 
     def gue_laplacian(self, x, cache):
         """(1/n^2) sum over components and basis directions of Hess[E, E].
@@ -321,7 +287,7 @@ class CylindricalFunction:
             if abs(g1[o]) < 1e-300:
                 continue
             for l in range(1, min(phi.d, d) + 1):
-                tensor = self._quotients[o][l - 1][l - 1]
+                tensor = self._quotients[o][l - 1]
                 if not tensor.terms:
                     continue
                 w1s, w2s = zip(*tensor.terms)
@@ -350,7 +316,7 @@ class CylindricalFunction:
             if abs(g1[o]) < 1e-300:
                 continue
             for l in range(1, min(phi.d, d) + 1):
-                tensor = self._quotients[o][l - 1][l - 1]
+                tensor = self._quotients[o][l - 1]
                 if tensor.terms:
                     total += g1[o] * tensor.trace_pair(x, cache)
         if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
@@ -374,12 +340,6 @@ class CylindricalFunction:
         return float(val.real) / (n * n)
 
     # -- serialization -----------------------------------------------------------
-
-    def to_json(self):
-        return json.dumps({
-            "outer": format_outer(self.outer),
-            "inners": [format_polynomial(phi) for phi in self.inners],
-        })
 
     @classmethod
     def from_json(cls, text, d):

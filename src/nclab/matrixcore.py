@@ -5,30 +5,25 @@ complex numpy arrays: a Hermitian matrix is (n, n), a d-tuple of them one
 (d, n, n) array, and batches of either add leading axes.  The geometry is
 the one induced by the normalized trace tr_n = Tr/n: the orthonormal basis
 :func:`basis_element`, the inner product Sum_j tr_n(X_j Y_j), and the
-functional calculus Q f(Lambda) Q*.  The spectral functions (:func:`eigh`,
-:func:`apply_scalar_function`, :func:`scalar_function_derivative`,
-:func:`operator_norm`) are batch-native: one call, one eigensolve, (..., n, n).
+functional calculus Q f(Lambda) Q* of a callable f on the eigenvalues.  The
+spectral functions (:func:`eigh`, :func:`apply_scalar_function`) are
+batch-native: one call, one eigensolve, (..., n, n); the clip's
+eigensolve-free screen is :func:`operator_norm_bound`.
 """
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "NumericalError",
-    "SpectralDecomposition",
     "apply_scalar_function",
     "assert_hermitian",
     "basis_element",
     "clip_function",
     "eigh",
     "hermitize",
-    "l1_norm",
-    "operator_norm",
     "operator_norm_bound",
-    "scalar_function_derivative",
 ]
 
 
@@ -90,15 +85,9 @@ def basis_element(n, i, j):
     return e
 
 
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues ascending, eigenvectors as columns of a unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(a) -> SpectralDecomposition:
-    """Spectral decomposition A = Q diag(w) Q* with w ascending.
+def eigh(a):
+    """Spectral decomposition A = Q diag(w) Q* as ``(w, q)``, w ascending and
+    the eigenvectors the columns of the unitary q.
 
     Backed by LAPACK through numpy on (..., n, n) stacks; validates each
     matrix's reconstruction residual against 1e-10 (1 + ||A||_F) and raises
@@ -114,7 +103,7 @@ def eigh(a) -> SpectralDecomposition:
     if np.any(resid > 1e-10 * (1.0 + fro)):
         raise NumericalError(
             f"eigendecomposition residual {np.max(resid):.3e} too large")
-    return SpectralDecomposition(w, q)
+    return w, q
 
 
 def clip_function(r):
@@ -124,38 +113,18 @@ def clip_function(r):
     return lambda x: np.clip(x, -r, r)
 
 
-def _resolve_scalar_function(f) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a scalar-function tag to a vectorized callable on eigenvalues.
-
-    Accepted tags: 'arctan', 'abs', 'identity', ('clip', R), a polynomial
-    coefficient sequence (ascending powers), or any callable.
-    """
-    if callable(f):
-        return f
-    if isinstance(f, str):
-        table = {"arctan": np.arctan, "abs": np.abs, "identity": lambda x: x}
-        if f not in table:
-            raise ValueError(f"unknown scalar function tag {f!r}")
-        return table[f]
-    if isinstance(f, tuple) and len(f) == 2 and f[0] == "clip":
-        return clip_function(f[1])
-    if isinstance(f, Sequence):
-        coeffs = [float(c) for c in f]
-        return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
-    raise ValueError(f"cannot interpret scalar function tag {f!r}")
-
-
 def _spectral_calculus(w, q, f, fprime=None):
-    """(f(A), mult) for A = Q diag(w) Q*, f(A) not re-symmetrized.  With
-    ``fprime``, mult is the divided differences f[w_a, w_b] (fprime at the
-    midpoint where |w_a - w_b| <= 1e-12), else None."""
-    fw = _resolve_scalar_function(f)(w)
+    """(f(A), mult) for A = Q diag(w) Q*, f(A) not re-symmetrized, f a
+    vectorized callable on the eigenvalues.  With ``fprime``, mult is the
+    divided differences f[w_a, w_b] (fprime at the midpoint where
+    |w_a - w_b| <= 1e-12), else None."""
+    fw = f(w)
     fa = (q * fw[..., None, :]) @ _adjoint(q)
     if fprime is None:
         return fa, None
     dx = w[..., :, None] - w[..., None, :]
     close = np.abs(dx) <= 1e-12
-    mid = _resolve_scalar_function(fprime)(0.5 * (w[..., :, None] + w[..., None, :]))
+    mid = fprime(0.5 * (w[..., :, None] + w[..., None, :]))
     num = fw[..., :, None] - fw[..., None, :]
     return fa, np.where(close, mid, num / np.where(close, 1.0, dx))
 
@@ -168,34 +137,10 @@ def _frechet(q, mult, e):
 
 
 def apply_scalar_function(a, f):
-    """Continuous functional calculus f(A) = Q f(Lambda) Q* for Hermitian A."""
+    """Continuous functional calculus f(A) = Q f(Lambda) Q* for Hermitian A,
+    f a vectorized callable on the eigenvalues."""
     w, q = eigh(a)
     return hermitize(_spectral_calculus(w, q, f)[0])
-
-
-def scalar_function_derivative(a, f, fprime):
-    """Frechet derivative of the functional calculus at A, as a linear map.
-
-    Returns ``apply(E)`` computing D f(A)[E] via the divided-difference
-    (Daleckii-Krein) multiplier in the eigenbasis:
-
-        D f(A)[E] = Q ( f[w_a, w_b] o (Q* E Q) ) Q*,
-
-    where f[x, y] = (f(x) - f(y))/(x - y) off the diagonal and f'(x) on it.
-    The map is self-adjoint for the real tr_n pairing, so it also transports
-    gradients of downstream costs back through f.  Over a stack A, ``apply``
-    maps each E through its own A.  This is the per-matrix reference for the
-    batched clip and arctan pullbacks of ``control``'s gradients.
-    """
-    w, q = eigh(a)
-    _, mult = _spectral_calculus(w, q, f, fprime)
-    return lambda e: hermitize(_frechet(q, mult, e))
-
-
-def operator_norm(a):
-    """Largest absolute eigenvalue of a Hermitian matrix (or of a stack)."""
-    w, _ = eigh(a)
-    return float(np.max(np.abs(w)))
 
 
 def operator_norm_bound(a):
@@ -205,11 +150,3 @@ def operator_norm_bound(a):
     n = a.shape[-1]
     parts = (a @ a).reshape(a.shape[:-2] + (n * n,)).view(float)
     return np.sqrt(np.sqrt(np.einsum("...i,...i->...", parts, parts)))
-
-
-def l1_norm(x):
-    """Sum_j tr_n |X_j| of a Hermitian (..., n, n) stack via functional
-    calculus with the absolute value: the norm of the truncation lemma's
-    ||phi_R(A) - A||_1 <= ||A||_2^2 / R."""
-    w, _ = eigh(x)
-    return float(np.sum(np.abs(w))) / w.shape[-1]

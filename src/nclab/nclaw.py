@@ -1,52 +1,19 @@
-"""Non-commutative laws, freeness statistics and semicircle references.
+"""Freeness statistics, semicircle moments and adaptive quadrature.
 
-A law is a truncated moment map word -> tr_n(word(X)).  The one law the
-package builds is the target of the Laplace principle's rate function
-(the tests' rate-function candidate): the moments of arctan(S) for a
-semicircular S, integrals of arctan powers against (1/2pi) sqrt(4 - x^2)
-computed by adaptive Simpson quadrature.  The even plain semicircle moments
-are Catalan numbers, and the alternating centered product measures
-asymptotic freeness.
+The even semicircle moments are Catalan numbers, and the alternating
+centered product measures asymptotic freeness.  Adaptive Simpson quadrature
+integrates the bins' absolute deviations (``gaussdisc``).  The Laplace
+principle's target law, the moments of arctan(S) for a semicircular S,
+lives with the tests that evaluate the rate function at it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "NCLaw", "freeness_statistic", "semicircle_moment",
-    "semicircle_arctan_moment", "semicircle_arctan_law", "catalan",
-]
-
-
-@dataclass
-class NCLaw:
-    """Truncated moment functional of a d-tuple: word -> complex moment.
-
-    The rate-function candidate reads its target's moments through
-    :meth:`moment` (the Laplace principle's phi(target) term)."""
-
-    d: int
-    max_degree: int
-    moments: dict
-
-    def __post_init__(self):
-        unit = self.moments.get((), None)
-        if unit is None or abs(unit - 1.0) > 1e-9:
-            raise ValueError("law must assign moment 1 to the empty word")
-        for word in self.moments:
-            if len(word) > self.max_degree:
-                raise ValueError(f"stored word {word} exceeds degree {self.max_degree}")
-
-    def moment(self, word):
-        word = tuple(word)
-        if word not in self.moments:
-            raise KeyError(f"moment of {word} not stored (degree {self.max_degree})")
-        return self.moments[word]
+__all__ = ["freeness_statistic", "semicircle_moment", "catalan"]
 
 
 def freeness_statistic(groups, index_sequence, polys):
@@ -111,37 +78,10 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
 
 def adaptive_simpson(f, a, b, tol):
     """Adaptive Simpson quadrature with absolute tolerance ``tol``, at most 48
-    bisections deep: the semicircle-arctan moments of the rate function's
-    target law, and the bins' absolute deviations in
+    bisections deep: the bins' absolute deviations in
     ``gaussdisc.bin_conditional_absdev``."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, 48)
-
-
-@lru_cache(maxsize=None)
-def semicircle_arctan_moment(m):
-    """int arctan(x)^m (1/2pi) sqrt(4 - x^2) dx over [-2, 2], to 1e-10: the
-    moments of the Laplace principle's target law,
-    :func:`semicircle_arctan_law`."""
-    if m < 0:
-        raise ValueError("moment order must be >= 0")
-    if m % 2 == 1:
-        return 0.0  # odd integrand against an even density
-
-    def integrand(x):
-        return math.atan(x) ** m * math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
-
-    return adaptive_simpson(integrand, -2.0, 2.0, 1e-10)
-
-
-def semicircle_arctan_law(max_degree) -> NCLaw:
-    """The d=1 reference law: moments of arctan(S) for semicircular S, the
-    target law at which the tests' rate-function candidate evaluates the
-    Laplace principle's rate function."""
-    moments = {(): 1.0 + 0.0j}
-    for deg in range(1, max_degree + 1):
-        moments[(1,) * deg] = complex(semicircle_arctan_moment(deg))
-    return NCLaw(d=1, max_degree=max_degree, moments=moments)

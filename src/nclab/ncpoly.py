@@ -1,11 +1,11 @@
 """Non-commutative polynomials over d letters, with matrix evaluation.
 
 Words are tuples of 1-based letters; the empty word is the unit.  The
-module provides the involution p -> p*, Voiculescu's free difference
-quotient d_j : words -> word (x) word, the cyclic derivative D_j, and the
-# action (a (x) b) # c = a c b, all extended linearly.  Evaluation plugs a
-(d, n, n) array of d Hermitian matrices, or a batch (..., d, n, n) of them,
-into the letters.
+module provides symmetrization (p + p*)/2 under the involution p -> p*,
+Voiculescu's free difference quotient d_j : words -> word (x) word, the
+cyclic derivative D_j, and (tr_n (x) tr_n) of a tensor, all extended
+linearly.  Evaluation plugs a (d, n, n) array of d Hermitian matrices, or a
+batch (..., d, n, n) of them, into the letters.
 
 Canonical word order is graded-lexicographic (degree first, then lexicographic),
 which fixes the monomial enumeration used by the law metric.
@@ -155,11 +155,6 @@ class NCPolynomial:
 
     # -- involution --------------------------------------------------------------
 
-    def star(self):
-        """Word reversal with conjugated coefficients."""
-        return NCPolynomial(
-            self.d, {w[::-1]: np.conj(c) for w, c in self.terms.items()})
-
     def is_selfadjoint(self):
         """|c_w - conj(c_{w reversed})| <= 1e-12 for every word w.
 
@@ -171,8 +166,9 @@ class NCPolynomial:
                    for w, c in terms.items())
 
     def symmetrize(self):
-        """(p + p*)/2, always self-adjoint: the sums and prune of
-        ``0.5 * (p + p.star())`` without re-checking the words of p."""
+        """(p + p*)/2 with p* the word reversal with conjugated
+        coefficients, always self-adjoint: the sums and prune of
+        ``0.5 * (p + p*)`` without re-checking the words of p."""
         total = dict(self.terms)
         for w, c in self.terms.items():
             total[w[::-1]] = total.get(w[::-1], 0.0) + c.conjugate()
@@ -259,48 +255,10 @@ class TensorPolynomial:
                 del clean[key]
         self.terms = clean
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorPolynomial):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
     def __repr__(self):
         parts = [f"({format_word(w1)})(x)({format_word(w2)})*{c:.3g}"
                  for (w1, w2), c in self.terms.items()]
         return "TensorPolynomial[" + " + ".join(parts) + "]"
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPolynomial) or other.d != self.d:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return TensorPolynomial(self.d, terms)
-
-    def __mul__(self, scalar):
-        return TensorPolynomial(
-            self.d, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def sharp(self, x, c):
-        """(a (x) b) # C = a C b extended linearly; x supplies the letters."""
-        data = _tuple_data(x, self.d)
-        c = np.asarray(c, dtype=complex)
-        n = data.shape[-1]
-        if c.shape[-2:] != (n, n):
-            raise ValueError(f"sharp operand has shape {c.shape}, expected (..., {n}, {n})")
-        cache = {}
-        out = None
-        for (w1, w2), coeff in self.terms.items():
-            a = _word_matrix(w1, data, cache)
-            b = _word_matrix(w2, data, cache)
-            term = coeff * (a @ c @ b)
-            out = term if out is None else out + term
-        if out is None:
-            shape = np.broadcast_shapes(data.shape[:-3], c.shape[:-2]) + (n, n)
-            out = np.zeros(shape, dtype=complex)
-        return out
 
     def trace_pair(self, x, cache):
         """(tr_n (x) tr_n) applied to the tensor, evaluated at X.

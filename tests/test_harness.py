@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from nclab.control import OptimizerConfig
 from nclab.laplacian import CylindricalFunction, random_cylindrical
 from nclab.matrixcore import NumericalError, basis_element
 from nclab.randmat import RngStream, sample_gue_tuple
+from references import problem_to_json
 
 
 def tiny_config(seed=7):
@@ -297,7 +299,7 @@ def test_unknown_kind_rejected(tmp_path):
 def inline_problem(**fields):
     """``lq_problem(2)`` (d = 1, n = 2) as an inline problem, with
     ``fields`` replaced."""
-    return {**json.loads(harness.lq_problem(2).to_json()), **fields}
+    return {**json.loads(problem_to_json(harness.lq_problem(2))), **fields}
 
 
 def inline_problem_without_outer():
@@ -415,6 +417,36 @@ def test_config_error_anywhere_writes_nothing(tmp_path, capsys, last, message):
     printed = capsys.readouterr().out
     assert printed.startswith(f"config error: {message}")
     assert printed.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("last,where", [
+    ({"kind": "value", "beta_c": math.nan}, "beta_c"),
+    ({"kind": "sweep", "T": math.nan}, "T"),
+    ({"kind": "value", "template": "json", "n_list": [2],
+      "problem": inline_problem(beta_c=math.nan)}, "problem.beta_c"),
+    ({"kind": "sweep", "template": "json", "n": 2,
+      "problem": inline_problem_with("cost", quad_coef=math.inf)},
+     "problem.cost.quad_coef"),
+    ({"kind": "ldp", "coef": math.inf}, "coef"),
+    ({"kind": "ldp", "opt": {"max_iters": -math.inf}}, "opt.max_iters"),
+    ({"kind": "laplacian-check", "fd_step": math.inf}, "fd_step"),
+    ({"kind": "truncation-check", "R": math.inf}, "R"),
+    ({"kind": "gaussdisc-check", "delta_list": [0.25, math.nan]},
+     "delta_list[1]"),
+])
+def test_non_finite_float_anywhere_is_a_config_error(tmp_path, capsys, last,
+                                                     where):
+    """``json`` reads NaN, Infinity and 1e999; a float of an experiment, of
+    its ``opt`` or of its inline problem that is not finite exits 1 before
+    anything runs, naming the parameter."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiments": tiny_config()["experiments"]
+                                + [last]}))
+    out = tmp_path / "o"
+    assert harness.run(str(path), out_dir=str(out)) == harness.EXIT_CONFIG
+    assert capsys.readouterr().out == (f"config error: {last['kind']} parameter "
+                                       f"{where!r} is not a finite number\n")
     assert not out.exists()
 
 
@@ -837,9 +869,11 @@ CONFIG_KEYS = sorted({"kind", "seed", "experiments", *OPT_FIELDS,
                       *(key for table in harness.EXPERIMENT_PARAMS.values()
                         for key in table)})
 JSON_KEYS = hst.sampled_from(CONFIG_KEYS) | hst.text(max_size=4)
+# json reads NaN, Infinity and -Infinity; plain float draws seldom hit them
+NON_FINITE = hst.sampled_from([math.nan, math.inf, -math.inf])
 JSON_VALUES = hst.recursive(
     hst.none() | hst.booleans() | hst.integers(-2, 16) | hst.floats()
-    | hst.text(max_size=4)
+    | NON_FINITE | hst.text(max_size=4)
     | hst.sampled_from([*harness.EXPERIMENT_KINDS, "lq", "quartic", "json",
                         "identity"]),
     lambda inner: hst.lists(inner, max_size=3)
@@ -874,19 +908,32 @@ def shaped_like(default, top=16):
     elif isinstance(default, int):
         like = hst.integers(-2, top)
     elif isinstance(default, float):
-        like = hst.floats() | hst.integers(-2, 16)
+        like = hst.floats() | NON_FINITE | hst.integers(-2, 16)
     else:
         like = hst.sampled_from(["lq", "quartic", "json", "identity"])
     return mostly(like, JSON_VALUES)
 
 
+def holds_non_finite(value):
+    """True when a JSON value holds a float that is NaN or infinite."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    items = (value.values() if isinstance(value, dict)
+             else value if isinstance(value, list) else ())
+    return any(holds_non_finite(item) for item in items)
+
+
 @hst.composite
 def inline_problems(draw):
     """``lq_problem(2)`` as an inline problem with some of ``x0_re``,
-    ``x0_im``, ``n`` and ``d`` swapped for drawn JSON values."""
-    keys = draw(hst.lists(hst.sampled_from(["x0_re", "x0_im", "n", "d"]),
+    ``x0_im``, ``n`` and ``d`` swapped for drawn JSON values, and of
+    ``beta_c`` and ``T`` for drawn floats, NaN and infinite among them."""
+    keys = draw(hst.lists(hst.sampled_from(["x0_re", "x0_im", "n", "d",
+                                            "beta_c", "T"]),
                           max_size=2, unique=True))
-    return inline_problem(**{key: draw(JSON_VALUES) for key in keys})
+    return inline_problem(**{key: draw(hst.floats() | NON_FINITE
+                                       if key in ("beta_c", "T") else JSON_VALUES)
+                             for key in keys})
 
 
 @hst.composite
@@ -933,8 +980,9 @@ INLINE_CONFIGS = hst.fixed_dictionaries({
 def test_any_config_document_exits_with_a_code(tmp_path, monkeypatch, config,
                                                threads):
     """``run`` maps every config document to an exit code in {0, 1, 2, 3}
-    and prints no traceback; the experiments are stubbed, so only the
-    validation, the manifest and the writes run."""
+    and prints no traceback, and a document that holds a float that is not
+    finite to 1; the experiments are stubbed, so only the validation, the
+    manifest and the writes run."""
     def stub(params, stream):
         return ["x"], [[1]], {"ok": {"pass": True}}
 
@@ -948,4 +996,6 @@ def test_any_config_document_exits_with_a_code(tmp_path, monkeypatch, config,
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         code = harness.run("c.json", threads=threads)
     assert code in {0, 1, 2, 3}
+    if holds_non_finite(config):
+        assert code == harness.EXIT_CONFIG
     assert "Traceback" not in printed.getvalue()

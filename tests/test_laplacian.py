@@ -11,6 +11,7 @@ from nclab.laplacian import (CylindricalFunction, MultiPoly, format_outer,
 from nclab.matrixcore import basis_element
 from nclab.ncpoly import NCPolynomial, words_up_to_degree
 from nclab.randmat import RngStream, sample_gue_tuple
+from references import cylindrical_to_json, euler_maruyama, sharp, star
 
 
 TUPLES = RngStream(733)  # child(seed) draws the test's tuple at that seed
@@ -188,7 +189,7 @@ def test_value_and_grad_matches_eval_and_gradient(stream, batched):
     assert np.array_equal(grad, want)
     # against the cyclic derivatives evaluated one by one, each with its own
     # word-product cache
-    traces = u.inner_traces(x)
+    traces = u.inner_traces(x, {})
     ref = np.zeros(x.shape, dtype=complex)
     for o, phi in enumerate(u.inners):
         go = np.asarray(u.outer.partial(o)(traces))
@@ -204,12 +205,44 @@ def test_value_and_grad_matches_eval_and_gradient(stream, batched):
 # test_generator_consistency_with_dynamics checks against the dynamics.
 
 
+def hessian_bilinear(cyl, x, a, b):
+    """Hess U(X)[A, B]; symmetric in (A, B), matches finite differences.
+
+    First term pairs outer second partials with cyclic derivatives; the
+    second term pushes A through the difference quotients of the gradient
+    and pairs with B under tr_n.  It is the common-noise half of the
+    generator of the controlled dynamics,
+    1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 gue_laplacian.
+    """
+    u = cyl.inner_traces(x, {})
+    g1, g2 = cyl._outer_derivatives(u)
+    dmats = cyl._cyclic_matrices(x, {})
+    d, n = x.shape[-3], x.shape[-1]
+    tr_da = np.einsum("ojab,jba->oj", dmats, a) / n
+    tr_db = np.einsum("ojab,jba->oj", dmats, b) / n
+    term1 = float(np.real(np.einsum("oq,oi,qj->", g2, tr_da, tr_db)))
+
+    term2 = 0.0 + 0.0j
+    for o, phi in enumerate(cyl.inners):
+        if abs(g1[o]) < 1e-300:
+            continue
+        for j in range(1, min(phi.d, d) + 1):
+            for i in range(1, min(phi.d, d) + 1):
+                tensor = cyl._grad_polys[o][j - 1].free_difference_quotient(i)
+                if not tensor.terms:
+                    continue
+                term2 += g1[o] * np.trace(sharp(tensor, x, a[i - 1]) @ b[j - 1]) / n
+    if abs(term2.imag) > 1e-9 * (1.0 + abs(term2)):
+        raise ValueError(f"Hessian has imaginary part {term2.imag:.3e}")
+    return term1 + float(term2.real)
+
+
 def test_hessian_trace_square():
     u = trace_square()
     x = hermitian_batch(TUPLES.child(7).generator(), (1,), 4, 0.7)
     a = hermitian_batch(TUPLES.child(8).generator(), (1,), 4, 0.5)
     expect = 2.0 * float(np.real(np.trace(a[0] @ a[0]))) / 4
-    assert u.hessian_bilinear(x, a, a) == pytest.approx(expect, abs=1e-12)
+    assert hessian_bilinear(u, x, a, a) == pytest.approx(expect, abs=1e-12)
 
 
 def test_hessian_vanishes_for_linear():
@@ -217,7 +250,7 @@ def test_hessian_vanishes_for_linear():
     u = CylindricalFunction(outer=outer, inners=[NCPolynomial(1, {(1,): 1.0})])
     x = hermitian_batch(TUPLES.child(9).generator(), (1,), 4, 0.7)
     a = hermitian_batch(TUPLES.child(10).generator(), (1,), 4, 0.7)
-    assert u.hessian_bilinear(x, a, a) == pytest.approx(0.0, abs=1e-14)
+    assert hessian_bilinear(u, x, a, a) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hessian_symmetry(stream):
@@ -226,8 +259,8 @@ def test_hessian_symmetry(stream):
     x = hermitian_batch(TUPLES.child(11).generator(), (2,), 4, 0.7)
     a = hermitian_batch(TUPLES.child(12).generator(), (2,), 4, 0.5)
     b = hermitian_batch(TUPLES.child(13).generator(), (2,), 4, 0.5)
-    assert u.hessian_bilinear(x, a, b) == pytest.approx(
-        u.hessian_bilinear(x, b, a), abs=1e-9)
+    assert hessian_bilinear(u, x, a, b) == pytest.approx(
+        hessian_bilinear(u, x, b, a), abs=1e-9)
 
 
 def test_hessian_matches_second_differences(stream):
@@ -239,7 +272,7 @@ def test_hessian_matches_second_differences(stream):
     up = u.eval(x + h * a)
     dn = u.eval(x - h * a)
     fd = (up - 2.0 * u.eval(x) + dn) / (h * h)
-    assert u.hessian_bilinear(x, a, a) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+    assert hessian_bilinear(u, x, a, a) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
 # -- Laplacians ----------------------------------------------------------------------
@@ -265,7 +298,7 @@ def gue_laplacian_reference(u, x):
             out = out @ x[letter - 1]
         return out
 
-    traces = u.inner_traces(x)
+    traces = u.inner_traces(x, {})
     g1 = [u.outer.partial(o)(traces) for o in range(u.m)]
     g2 = [[u.outer.partial(o).partial(q)(traces) for q in range(u.m)]
           for o in range(u.m)]
@@ -385,7 +418,7 @@ def test_laplacian_triple_computes_each_word_once(monkeypatch, caller):
 
 
 def old_random_inners(rng, d, m_max=2, inner_degree=4):
-    """The inners as built through 0.5 * (p + p.star())."""
+    """The inners as built through 0.5 * (p + p*)."""
     m = int(rng.integers(1, m_max + 1))
     inners = []
     for _ in range(m):
@@ -396,7 +429,7 @@ def old_random_inners(rng, d, m_max=2, inner_degree=4):
             coeff = rng.normal() / (1.0 + len(word)) ** 2
             terms[word] = terms.get(word, 0.0) + coeff
         poly = NCPolynomial(d, terms)
-        poly = 0.5 * (poly + poly.star())
+        poly = 0.5 * (poly + star(poly))
         if not poly.terms:
             poly = NCPolynomial(d, {(1,): 1.0})
         inners.append(poly)
@@ -410,7 +443,7 @@ def test_random_cylindrical_inners_equal_symmetrized_construction(d):
         want = old_random_inners(RngStream(seed).generator(), d)
         assert [list(p.terms.items()) for p in got] == \
             [list(p.terms.items()) for p in want]
-        assert all(p.star().terms == p.terms for p in got)
+        assert all(star(p).terms == p.terms for p in got)
 
 
 def test_free_laplacian_scale_covariance():
@@ -428,14 +461,13 @@ def test_free_laplacian_scale_covariance():
 def test_serialization_round_trip(stream):
     u = random_cylindrical(stream.child("ser").generator(), d=2)
     x = hermitian_batch(TUPLES.child(22).generator(), (2,), 4, 0.7)
-    back = CylindricalFunction.from_json(u.to_json(), d=2)
+    back = CylindricalFunction.from_json(cylindrical_to_json(u), d=2)
     assert back.eval(x) == pytest.approx(u.eval(x), abs=1e-12)
 
 
 def test_generator_consistency_with_dynamics(stream):
     # d/dt E U(X_t) for the zero-control SDE matches
     # 0.5 beta_C^2 Hess[1,1] + 0.5 beta_F^2 gue_laplacian = (bc^2+bf^2) d
-    from nclab.control import euler_maruyama
     from nclab.harness import lq_problem
 
     d, n = 2, 8
@@ -443,7 +475,7 @@ def test_generator_consistency_with_dynamics(stream):
     u = trace_square(d)
     x0 = np.zeros((d, n, n), dtype=complex)
     ident = np.broadcast_to(np.eye(n, dtype=complex), (d, n, n))
-    drift_rate = (0.5 * beta_c ** 2 * u.hessian_bilinear(x0, ident, ident)
+    drift_rate = (0.5 * beta_c ** 2 * hessian_bilinear(u, x0, ident, ident)
                   + 0.5 * beta_f ** 2 * u.gue_laplacian(x0, {}))
     assert drift_rate == pytest.approx((beta_c ** 2 + beta_f ** 2) * d,
                                        abs=1e-10)

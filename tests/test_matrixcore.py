@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from conftest import hermitian_batch, random_hermitian
 from nclab import matrixcore as mc
 from nclab.control import _clip_batch
+from references import operator_norm, scalar_function_derivative
 
 
 def test_basis_element_n1():
@@ -43,9 +44,17 @@ def test_basis_diagonal_trace():
     assert np.trace(mc.basis_element(4, 1, 1)) / 4 == pytest.approx(0.5)
 
 
+def l1_norm(x):
+    """Sum_j tr_n |X_j| of a Hermitian (..., n, n) stack via functional
+    calculus with the absolute value: the norm of the truncation lemma's
+    ||phi_R(A) - A||_1 <= ||A||_2^2 / R."""
+    w, _ = mc.eigh(x)
+    return float(np.sum(np.abs(w))) / w.shape[-1]
+
+
 def test_l1_norm_diagonal():
     x = np.diag([3.0, -4.0]).astype(complex)[None]
-    assert mc.l1_norm(x) == pytest.approx(3.5)
+    assert l1_norm(x) == pytest.approx(3.5)
 
 
 def test_eigh_diagonal_sorting():
@@ -72,28 +81,26 @@ def test_eigh_rejects_non_hermitian():
 
 def test_apply_identity_polynomial(gen):
     a = random_hermitian(6, gen)
-    assert np.max(np.abs(mc.apply_scalar_function(a, [0.0, 1.0]) - a)) <= 1e-10
+    assert np.max(np.abs(mc.apply_scalar_function(a, lambda x: x) - a)) <= 1e-10
 
 
 def test_apply_clip():
     a = np.diag([0.5, -2.0]).astype(complex)
-    assert np.allclose(mc.apply_scalar_function(a, ("clip", 1.0)),
+    assert np.allclose(mc.apply_scalar_function(a, mc.clip_function(1.0)),
                        np.diag([0.5, -1.0]))
 
 
 def test_apply_arctan_identity():
-    out = mc.apply_scalar_function(np.eye(3, dtype=complex), "arctan")
+    out = mc.apply_scalar_function(np.eye(3, dtype=complex), np.arctan)
     assert np.allclose(out, (math.pi / 4) * np.eye(3))
 
 
 def test_functional_calculus_composition(gen):
     a = random_hermitian(8, gen)
-    f = [0.0, 0.5, 0.25]          # 0.5 x + 0.25 x^2
-    g = [1.0, -1.0, 0.0, 0.125]   # 1 - x + x^3/8
+    f = np.polynomial.Polynomial([0.0, 0.5, 0.25])          # 0.5 x + 0.25 x^2
+    g = np.polynomial.Polynomial([1.0, -1.0, 0.0, 0.125])   # 1 - x + x^3/8
     lhs = mc.apply_scalar_function(mc.apply_scalar_function(a, f), g)
-    fg = np.polynomial.polynomial.Polynomial(g)(
-        np.polynomial.polynomial.Polynomial(f))
-    rhs = mc.apply_scalar_function(a, list(fg.coef))
+    rhs = mc.apply_scalar_function(a, g(f))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -105,15 +112,15 @@ def test_trace_cyclicity(gen):
 
 
 def test_operator_norm_examples():
-    assert mc.operator_norm(np.eye(4, dtype=complex)) == pytest.approx(1.0)
-    assert mc.operator_norm(mc.basis_element(2, 1, 2)) == pytest.approx(1.0)
+    assert operator_norm(np.eye(4, dtype=complex)) == pytest.approx(1.0)
+    assert operator_norm(mc.basis_element(2, 1, 2)) == pytest.approx(1.0)
 
 
 def test_clip_bounds_operator_norm(gen):
     for _ in range(5):
         a = random_hermitian(6, gen, scale=3.0)
-        clipped = mc.apply_scalar_function(a, ("clip", 2.0))
-        assert mc.operator_norm(clipped) <= 2.0 + 1e-12
+        clipped = mc.apply_scalar_function(a, mc.clip_function(2.0))
+        assert operator_norm(clipped) <= 2.0 + 1e-12
 
 
 # Paper claim: the truncation lemma, ||phi_R(A) - A||_1 <= ||A||_2^2 / R,
@@ -124,7 +131,7 @@ def test_clip_l1_inequality(gen):
         clipped, records = _clip_batch(x[:, None], r)
         assert len(records) == 10  # the clip binds on every matrix
         for a, c in zip(x, clipped[:, 0]):
-            gap = mc.l1_norm((a - c)[None])
+            gap = l1_norm((a - c)[None])
             assert gap <= np.sum(np.abs(a) ** 2) / 8 / r + 1e-12
 
 
@@ -134,11 +141,11 @@ def test_clip_l1_inequality(gen):
 def test_scalar_function_derivative_matches_fd(gen):
     a = random_hermitian(6, gen)
     e = random_hermitian(6, gen, scale=0.5)
-    pull = mc.scalar_function_derivative(a, "arctan", lambda t: 1.0 / (1.0 + t * t))
+    pull = scalar_function_derivative(a, np.arctan, lambda t: 1.0 / (1.0 + t * t))
     analytic = pull(e)
     h = 1e-6
-    fd = (mc.apply_scalar_function(a + h * e, "arctan")
-          - mc.apply_scalar_function(a - h * e, "arctan")) / (2 * h)
+    fd = (mc.apply_scalar_function(a + h * e, np.arctan)
+          - mc.apply_scalar_function(a - h * e, np.arctan)) / (2 * h)
     assert np.max(np.abs(analytic - fd)) <= 1e-6
 
 
@@ -147,18 +154,19 @@ def test_spectral_calculus_is_batch_native(gen):
     e = hermitian_batch(gen, (3, 2), 4, scale=0.5)
     darctan = lambda t: 1.0 / (1.0 + t * t)
     w, q = mc.eigh(a)
-    fa = mc.apply_scalar_function(a, "arctan")
-    clipped = mc.apply_scalar_function(a, ("clip", 1.0))
-    pulled = mc.scalar_function_derivative(a, "arctan", darctan)(e)
+    fa = mc.apply_scalar_function(a, np.arctan)
+    clipped = mc.apply_scalar_function(a, mc.clip_function(1.0))
+    pulled = scalar_function_derivative(a, np.arctan, darctan)(e)
     for idx in np.ndindex(3, 2):
         w1, q1 = mc.eigh(a[idx])
         assert np.array_equal(w[idx], w1) and np.array_equal(q[idx], q1)
-        assert np.max(np.abs(fa[idx] - mc.apply_scalar_function(a[idx], "arctan"))) <= 1e-14
         assert np.max(np.abs(
-            clipped[idx] - mc.apply_scalar_function(a[idx], ("clip", 1.0)))) <= 1e-14
-        one = mc.scalar_function_derivative(a[idx], "arctan", darctan)(e[idx])
+            fa[idx] - mc.apply_scalar_function(a[idx], np.arctan))) <= 1e-14
+        assert np.max(np.abs(clipped[idx] - mc.apply_scalar_function(
+            a[idx], mc.clip_function(1.0)))) <= 1e-14
+        one = scalar_function_derivative(a[idx], np.arctan, darctan)(e[idx])
         assert np.max(np.abs(pulled[idx] - one)) <= 1e-14
-    assert mc.operator_norm(a) == max(mc.operator_norm(m) for m in a.reshape(-1, 4, 4))
+    assert operator_norm(a) == max(operator_norm(m) for m in a.reshape(-1, 4, 4))
 
 
 def test_batched_eigh_rejects_one_non_hermitian_element(gen):
@@ -167,7 +175,7 @@ def test_batched_eigh_rejects_one_non_hermitian_element(gen):
     with pytest.raises(ValueError):
         mc.eigh(a)
     with pytest.raises(ValueError):
-        mc.apply_scalar_function(a, "arctan")
+        mc.apply_scalar_function(a, np.arctan)
 
 
 def test_batched_eigh_residual_is_checked_per_matrix(gen, monkeypatch):
@@ -189,8 +197,8 @@ def test_batched_eigh_residual_is_checked_per_matrix(gen, monkeypatch):
 
 def test_tuple_methods_match_per_component(gen):
     x = hermitian_batch(gen, (3,), 4, scale=2.0)
-    assert mc.operator_norm(x) == max(mc.operator_norm(m) for m in x)
-    assert mc.l1_norm(x) == pytest.approx(
+    assert operator_norm(x) == max(operator_norm(m) for m in x)
+    assert l1_norm(x) == pytest.approx(
         sum(np.sum(np.abs(np.linalg.eigvalsh(m))) / 4 for m in x), rel=1e-14)
 
 

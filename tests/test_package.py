@@ -32,79 +32,90 @@ def test_every_name_in_all_resolves():
     assert missing == {}
 
 
-# The public names that no code in ``src`` calls, each with the paper claim
-# its tests check.  The three ``nclaw`` helpers beside
-# ``semicircle_arctan_law`` are called from ``src``; they are listed because
-# they exist for the same claim.
-TEST_ONLY_CLAIMS = {
-    "control.DiscretePolicy.prefix_index":
-        "the bin tree: the node of a bin prefix (j_1..j_i) at step i",
-    "control.discrete_cost":
-        "the discretized cost, exact over bin paths and Monte Carlo over "
-        "the GUE, bounded below by the dynamic-programming optimum",
-    "control.euler_maruyama":
-        "the discretization step: fine paths of the continuous dynamics",
-    "control.ArctanComposedTerminal":
-        "the Laplace principle: the terminal -phi(arctan(.)) of the tests' "
-        "rate-function candidate",
-    "gaussdisc.bin_of":
-        "the discretization step: the bin of a coarse increment, which "
-        "the tests' conditional-mean coarsening onto the bin tree reads",
-    "laplacian.CylindricalFunction.hessian_bilinear":
-        "the generator with common noise, "
-        "1/2 beta_C^2 Hess U[1, 1] + 1/2 beta_F^2 Delta_GUE U",
-    "matrixcore.l1_norm":
-        "the truncation lemma, ||phi_R(A) - A||_1 <= ||A||_2^2 / R",
-    "matrixcore.scalar_function_derivative":
-        "the Daleckii-Krein reference for the clip and arctan pullbacks",
-    "nclaw.NCLaw": "the target law of the Laplace principle",
-    "nclaw.NCLaw.moment": "the target law of the Laplace principle",
-    "nclaw.semicircle_arctan_law": "the target law of the Laplace principle",
-    "nclaw.semicircle_arctan_moment": "the target law of the Laplace principle",
-    "nclaw.adaptive_simpson": "the target law of the Laplace principle",
-    "ncpoly.NCPolynomial.star":
-        "self-adjoint inners: the reference for symmetrize and is_selfadjoint",
-}
-
 SRC = Path(nclab.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# Definitions a program reaches without naming them in code, each a root of
+# the reachability scan beside ``cli.main`` (the console script), with the
+# reason.
+REACHED_UNNAMED = {
+    "randmat.gue_increments":
+        "perfbench/tracer.py wraps it by a string (ROADMAP item 8)",
+    "matrixcore.apply_scalar_function":
+        "perfbench/tracer.py wraps it by a string (ROADMAP item 8)",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+ROOTS = {"cli.main", *REACHED_UNNAMED}
 
-def _identifiers(node, attributes_only=False):
-    return collections.Counter(
-        n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
-        if isinstance(n, ast.Attribute)
-        or (isinstance(n, ast.Name) and not attributes_only))
+
+def _names(node):
+    return {n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_name_has_a_caller_or_a_claim():
-    """Every public function and class is named (as a variable or an
-    attribute) somewhere in ``src`` outside its own body, and every public
-    method is an attribute there, or the name is listed with its paper
-    claim in ``TEST_ONLY_CLAIMS``."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SRC.glob("*.py")}
-    uses = {flag: sum((_identifiers(tree, flag) for tree in trees.values()),
-                      collections.Counter()) for flag in (False, True)}
-    public, uncalled = set(), set()
-    for module, tree in trees.items():
-        for node in tree.body:
+def _sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+
+
+def _unreached(sources, roots=ROOTS):
+    """The definitions in ``sources`` (module name -> code) that no program
+    reaches, sorted.  Reached are the module-level code, every name the
+    code of ``perfbench`` uses, the ``roots``, each top-level function or
+    class whose name a reached body uses, and each method so named of a
+    reached class; a reached class brings its dunders and class body.
+    Names are matched alone, so a shared name can only hide a finding."""
+    defs, used = {}, set()
+    for path in PERFBENCH.glob("*.py"):
+        used |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                used |= _names(node)
                 continue
-            members = [(node.name, node, False)]
-            if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{sub.name}", sub, True)
-                            for sub in node.body
-                            if isinstance(sub, ast.FunctionDef)]
-            for name, defn, method in members:
-                if any(part.startswith("_") for part in name.split(".")):
-                    continue
-                public.add(f"{module}.{name}")
-                leaf = defn.name
-                if uses[method][leaf] - _identifiers(defn, method)[leaf] == 0:
-                    uncalled.add(f"{module}.{name}")
-    assert set(TEST_ONLY_CLAIMS) <= public
-    assert uncalled - set(TEST_ONLY_CLAIMS) == set()
+            defs[f"{module}.{node.name}"] = (node, None)
+            defs.update((f"{module}.{node.name}.{sub.name}",
+                         (sub, f"{module}.{node.name}")) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for qualname, (node, owner) in defs.items():
+            if qualname in reached or (owner and owner not in reached) or not (
+                    qualname in roots or node.name in used
+                    or (owner and node.name.startswith("__"))):
+                continue
+            reached.add(qualname)
+            grew = True
+            for part in ([node] if isinstance(node, ast.FunctionDef) else
+                         node.decorator_list + node.bases + node.body):
+                if part is node or not isinstance(part, ast.FunctionDef):
+                    used |= _names(part)
+    return sorted(qualname for qualname, (_, owner) in defs.items()
+                  if qualname not in reached and (not owner or owner in reached))
+
+
+def test_every_definition_in_src_is_reached_by_a_program():
+    """Every function, class and method in ``src`` is reached from a
+    program (see ``_unreached``; the module-level code holds ``CRITERIA``
+    and ``EXPERIMENT_KINDS``), and each ``REACHED_UNNAMED`` entry is
+    needed.  A reference for a paper step that only tests run lives in
+    ``tests``."""
+    sources = _sources()
+    assert _unreached(sources) == []
+    for qualname in REACHED_UNNAMED:
+        assert _unreached(sources, ROOTS - {qualname}) == [qualname]
+
+
+def test_reachability_scan_flags_planted_definitions():
+    """A top-level function, and a method of a reached class, that no
+    program calls are each flagged."""
+    sources = _sources()
+    sources["control"] = sources["control"].replace(
+        "class DiscretePolicy:\n",
+        "class DiscretePolicy:\n    def planted_method(self):\n        pass\n",
+    ) + "\n\ndef planted_function():\n    pass\n"
+    assert _unreached(sources) == ["control.DiscretePolicy.planted_method",
+                                   "control.planted_function"]
 
 
 # Defaulted parameters that program calls all set or all leave out, kept
@@ -121,8 +132,6 @@ KEPT_DEFAULTS = {
         "the reference the Boue-Dupuis and DP oracle tests compare against",
     "control.lq_discrete_oracle(peek_gue)":
         "the reference the Boue-Dupuis and DP oracle tests compare against",
-    "gaussdisc.bridge_bound_check(n)":
-        "the matrix case of the bridge bound, which its tests check",
     "laplacian.MultiPoly.__init__(terms)":
         "constructor: no terms is the zero polynomial",
     "ncpoly.TensorPolynomial.__init__(terms)":

